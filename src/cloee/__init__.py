@@ -50,8 +50,6 @@ from .optimizer import (
     OptResult,
     SolverConfig,
     cloee,
-    dual_inner_max,
-    dual_update,
     exhaustive_search,
     nt_ee_closed_form,
     nt_thr_closed_form,
@@ -79,9 +77,9 @@ __all__ = [
     "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode", "PsduLayout", "QosSpec",
     "Scenario", "SolverConfig", "SweepRow", "bch_block_log_success",
     "bch_block_success", "bit_error_prob", "cloee", "codeword_count",
-    "dual_inner_max", "dual_update", "emit_curves", "energy_breakdown",
-    "energy_efficiency", "exhaustive_search", "frame_duration", "kasami_success",
-    "link_budget", "load_scenario", "log_q_function", "mode_for",
+    "emit_curves", "energy_breakdown", "energy_efficiency", "exhaustive_search",
+    "frame_duration", "kasami_success", "link_budget", "load_scenario",
+    "log_q_function", "mode_for",
     "nt_ee_closed_form", "nt_thr_closed_form", "overhead_energy", "parse_rows",
     "parse_scenario", "path_loss_db", "payload_energy_per_bit", "ppdu_success",
     "psdu_layout", "q_function", "rows_to_csv", "run_sweep", "shr_success",

@@ -61,8 +61,8 @@ class QosSpec:
     n_s: int = 24
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValueError(f"r0 must be > 0, got {self.r0}")
+        if not (math.isfinite(self.r0) and self.r0 > 0):
+            raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
         if not 1 <= self.n_s <= 64:
             raise ValueError(f"a hub serves 1..64 nodes, got n_s={self.n_s}")
 

@@ -11,10 +11,11 @@ branches:
 
   unconstrained        the efficiency optimum already meets the rate target;
   dual                 the efficiency optimum is rate-infeasible but the
-                       throughput optimum is not: solve the dual fractional
-                       program by projected-subgradient updates of the rate
-                       multiplier, then snap to the best rate-feasible
-                       codeword multiple;
+                       throughput optimum is not: the constraint is active,
+                       so the answer is the end of the rate-feasible interval
+                       of codeword multiples that faces the efficiency optimum,
+                       found by bisection; the rate multiplier follows from
+                       stationarity at the continuous rate boundary;
   throughput-fallback  no frame size meets the rate target: keep the
                        throughput-optimal size and mark the mode infeasible.
 
@@ -27,6 +28,7 @@ solver is tested against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,34 +36,16 @@ import numpy as np
 
 from .metrics import LinkModel, ModeMetrics, QosSpec
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Dual-loop step sizing, stopping rule and frame-size search ceiling.
+    """Frame-size search ceiling: n_t ranges over codeword multiples up to n_t_max."""
 
-    alpha0=None resolves to 1 / (r0 * n_s) at solve time, which normalizes
-    the rate subgradient to order one.
-    """
-
-    alpha0: Optional[float] = None
-    step_rule: str = "diminishing"   # or "constant"
-    delta: float = 1e-3              # relative n_t change that stops the dual loop
-    max_iter: int = 200
     n_t_max: int = 63 * 130
 
     def __post_init__(self):
-        if self.alpha0 is not None and self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be > 0, got {self.alpha0}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_t_max < 63:
-            raise ValueError(f"n_t_max must be >= 63, got {self.n_t_max}")
-        if self.step_rule not in ("constant", "diminishing"):
-            raise ValueError(f"step_rule must be constant|diminishing, got {self.step_rule}")
+        if not isinstance(self.n_t_max, numbers.Integral) or self.n_t_max < 63:
+            raise ValueError(f"n_t_max must be an integer >= 63, got {self.n_t_max!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +57,8 @@ class OptResult:
     complementary slackness lambda_ * (kkt_rate - r0*n_s) ~ 0 holds.  The
     reported rate/eta belong to the returned integer frame size, which sits
     on the codeword grid and can exceed the rate target by a discrete step.
+    iterations counts the dual branch's bisection probes (cloee) or the
+    evaluated grid points (exhaustive_search).
     """
 
     n_t_star: int
@@ -100,7 +86,10 @@ def _closed_form(per_unit: float, fixed: float, p_cw: float, n: int,
     if math.isinf(lp):
         return 0.0               # hopeless codewords: shrink to nothing
     half = fixed / (2.0 * per_unit)
-    return math.sqrt(half * half - n * fixed / (per_unit * lp)) - half
+    denom = per_unit * lp
+    if denom == 0.0:
+        return math.inf          # log_p_cw underflows: effectively error-free
+    return math.sqrt(half * half - n * fixed / denom) - half
 
 
 def nt_ee_closed_form(eps_b: float, eps_oh: float, eps_st: float, p_cw: float,
@@ -141,87 +130,6 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
 
 
 # ---------------------------------------------------------------------------
-# dual fractional program
-
-
-def dual_update(lam: float, alpha: float, rate: float, r0ns: float) -> float:
-    """Projected subgradient step on the rate multiplier."""
-    return max(lam - alpha * (rate - r0ns), 0.0)
-
-
-def _dual_objective_array(mm: ModeMetrics, lam: float, r0ns: float, x: np.ndarray) -> np.ndarray:
-    s = mm.header_success * np.exp(x * (mm.log_p_cw / mm.n))
-    f = x * s
-    rate = f / (mm.t_oh + x * mm.t_sym)
-    return (f - lam * (r0ns - rate)) / mm.energy.total(x)
-
-
-def _rises_then_falls(values: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    """True when the sequence is unimodal for a max search: once its first
-    differences turn negative they never turn positive again."""
-    diffs = np.diff(values)
-    scale = float(np.max(np.abs(diffs))) if diffs.size else 0.0
-    if scale == 0.0:
-        return True
-    falling = False
-    for d in diffs:
-        if abs(d) <= rel_tol * scale:
-            continue
-        if d < 0:
-            falling = True
-        elif falling:
-            return False
-    return True
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 0.25, max_iter: int = 200) -> float:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
-def dual_inner_max(lam: float, mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> int:
-    """Integer frame size maximizing the dual objective (f - lam*h)/g.
-
-    Golden-section search on the continuous relaxation, refined by a local
-    integer scan of +-2 codewords; a coarse unimodality probe triggers a full
-    integer scan when the shape looks multimodal.
-    """
-    if lam < 0:
-        raise ValueError(f"dual variable must be >= 0, got {lam}")
-    r0ns = qos.aggregate_rate
-    cap = cfg.n_t_max
-    lo, hi = float(mm.n), float(cap)
-
-    probe = _dual_objective_array(mm, lam, r0ns, np.linspace(lo, hi, 33))
-    if not _rises_then_falls(probe):
-        ints = np.arange(mm.n, cap + 1, dtype=float)
-        return int(ints[int(np.argmax(_dual_objective_array(mm, lam, r0ns, ints)))])
-
-    def obj(x: float) -> float:
-        return float(_dual_objective_array(mm, lam, r0ns, np.asarray(x, dtype=float)))
-
-    x_star = _golden_max(obj, lo, hi)
-    low = max(mm.n, int(math.floor(x_star)) - 2 * mm.n)
-    high = min(cap, int(math.ceil(x_star)) + 2 * mm.n)
-    ints = np.arange(low, high + 1, dtype=float)
-    return int(ints[int(np.argmax(_dual_objective_array(mm, lam, r0ns, ints)))])
-
-
-# ---------------------------------------------------------------------------
 # per-mode solve
 
 
@@ -246,7 +154,7 @@ def _mode_grid(mm: ModeMetrics, cfg: SolverConfig):
 
 
 def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
-    """Upper crossing of rate_cont = r0ns, bracketed by [lo, hi]."""
+    """Crossing of rate_cont = r0ns, bracketed by [lo, hi]."""
     f_lo = mm.rate_cont(lo) - r0ns
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -262,7 +170,6 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
 
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution:
     r0ns = qos.aggregate_rate
-    alpha0 = cfg.alpha0 if cfg.alpha0 is not None else 1.0 / r0ns
 
     nee_cont = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
                                  mm.p_cw, mm.n, log_p_cw=mm.log_p_cw)
@@ -282,43 +189,38 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution
         return ModeSolution(mm, nthr, mm.eta(nthr), rate_thr, False,
                             "throughput-fallback", 0.0, 0, None)
 
-    # Dual branch: projected-subgradient iteration on the rate multiplier.
-    lam = alpha0 * max(r0ns - mm.rate(nee), 0.0)
-    prev = float(nee)
-    iterations = 0
-    for level in range(cfg.max_iter):
-        nt_l = dual_inner_max(lam, mm, qos, cfg)
-        alpha_l = alpha0 if cfg.step_rule == "constant" else alpha0 / (1.0 + level)
-        lam = dual_update(lam, alpha_l, mm.rate_cont(nt_l), r0ns)
-        iterations += 1
-        if abs(nt_l - prev) <= cfg.delta * max(prev, 1.0):
-            break
-        prev = float(nt_l)
+    # Dual branch.  The grid rate is unimodal with its peak at nthr (C4), so
+    # the rate-feasible codeword multiples form an interval around nthr and
+    # the infeasible nee lies outside it.  eta is unimodal too, so the
+    # constrained optimum is the end of that interval facing nee: bisect for
+    # it between k_in (feasible) and k_out (infeasible).
+    k_in, k_out = nthr // mm.n, nee // mm.n
+    probes = 0
+    while abs(k_out - k_in) > 1:
+        k_mid = (k_in + k_out) // 2
+        probes += 1
+        if mm.rate(k_mid * mm.n) >= r0ns:
+            k_in = k_mid
+        else:
+            k_out = k_mid
+    n_star = k_in * mm.n
 
     # Exact certificate for the continuous problem: either the efficiency
     # optimum is rate-feasible (the grid constraint was an artifact of
     # rounding, lambda* = 0) or the constraint is active and lambda* follows
     # from stationarity d(eta)/dn + lambda * d(R)/dn = 0 at the boundary.
-    nts, etas, rates = _mode_grid(mm, cfg)
-    feas = rates >= r0ns
     x_peak = min(nee_cont, float(cfg.n_t_max))
     if mm.rate_cont(x_peak) >= r0ns:
         lam_star = 0.0
         kkt_rate = mm.rate_cont(x_peak)
     else:
-        k_last = int(np.flatnonzero(feas)[-1])
-        lo = float(nts[k_last])
-        hi = float(nts[k_last + 1]) if k_last + 1 < len(nts) else float(cfg.n_t_max)
+        lo, hi = sorted((float(n_star), float(k_out * mm.n)))
         n_c = _rate_boundary(mm, r0ns, lo, hi)
-        rate_grad = mm.rate_cont_grad(n_c)
-        lam_star = max(0.0, -mm.eta_cont_grad(n_c) / rate_grad) if rate_grad < 0 else lam
+        lam_star = max(0.0, -mm.eta_cont_grad(n_c) / mm.rate_cont_grad(n_c))
         kkt_rate = mm.rate_cont(n_c)
 
-    # Snap to the 63-bit grid: best rate-feasible codeword multiple.
-    idx = int(np.argmax(np.where(feas, etas, -np.inf)))
-    n_star = int(nts[idx])
-    return ModeSolution(mm, n_star, float(etas[idx]), float(rates[idx]), True,
-                        "dual", lam_star, iterations, kkt_rate)
+    return ModeSolution(mm, n_star, mm.eta(n_star), mm.rate(n_star), True,
+                        "dual", lam_star, probes, kkt_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ so sweeps stay reproducible from the file alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,8 +61,8 @@ class Scenario:
         if not self.distances:
             raise ConfigError("distances", "must not be empty")
         for d in self.distances:
-            if d <= 0:
-                raise ConfigError("distances", f"distances must be > 0, got {d}")
+            if not (math.isfinite(d) and d > 0):
+                raise ConfigError("distances", f"distances must be finite and > 0, got {d}")
         for n_cpb, n_t in self.strategies:
             if n_cpb not in VALID_N_CPB:
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
@@ -120,6 +121,8 @@ def _parse_distances(key: str, raw: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ConfigError(key, f"range syntax is start:stop:step, got {raw!r}")
         start, stop, step = (_parse_float(key, p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError(key, f"range bounds must be finite, got {raw!r}")
         if step <= 0:
             raise ConfigError(key, f"range step must be > 0, got {step}")
         count = int(round((stop - start) / step)) + 1
@@ -149,11 +152,11 @@ _FLOAT_KEYS = {
     "channel.noise_figure", "channel.impl_margin", "channel.w_rx",
     "energy.eps_p", "energy.p_cor", "energy.p_adc", "energy.p_lna",
     "energy.p_vga", "energy.p_syn", "energy.p_gen", "energy.t_st",
-    "qos.r0", "solver.delta",
+    "qos.r0",
 }
 _INT_KEYS = {
     "energy.m_fingers", "energy.rho_r", "energy.rho_c",
-    "qos.n_s", "solver.max_iter", "solver.n_t_max", "seed", "workers",
+    "qos.n_s", "solver.n_t_max", "seed", "workers",
 }
 _BOOL_KEYS = {"shadowing", "model.uniform_section_ber", "model.integration_per_pulse"}
 
@@ -175,10 +178,6 @@ def parse_scenario(text: str, source: str = "<config>") -> Scenario:
             values[key] = _parse_int(key, raw)
         elif key in _BOOL_KEYS:
             values[key] = _parse_bool(key, raw)
-        elif key == "solver.alpha0":
-            values[key] = None if raw.lower() in ("auto", "none") else _parse_float(key, raw)
-        elif key == "solver.step_rule":
-            values[key] = raw
         elif key == "distances":
             values[key] = _parse_distances(key, raw)
         elif key == "strategies":

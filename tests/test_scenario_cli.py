@@ -33,7 +33,6 @@ class TestScenarioParsing:
             energy.eps_p = 10e-12
             qos.n_s = 12
             solver.n_t_max = 1260
-            solver.alpha0 = auto
             distances = 1.0:2.0:0.5
             strategies = 8:630, 32:2616
             shadowing = on
@@ -45,7 +44,6 @@ class TestScenarioParsing:
         assert sc.energy.eps_p == 10e-12
         assert sc.qos.n_s == 12
         assert sc.solver.n_t_max == 1260
-        assert sc.solver.alpha0 is None
         assert sc.distances == (1.0, 1.5, 2.0)
         assert sc.strategies == ((8, 630), (32, 2616))
         assert sc.shadowing and sc.uniform_section_ber and sc.workers == 2
@@ -59,6 +57,12 @@ class TestScenarioParsing:
             ("strategies = 3:2616", "strategies"),
             ("strategies = 8x630", "strategies"),
             ("distances = -1.0", "distances"),
+            ("distances = nan", "distances"),
+            ("distances = 1.0, inf", "distances"),
+            ("distances = 1.0:inf:0.5", "distances"),
+            ("qos.r0 = nan", "qos"),
+            ("qos.r0 = inf", "qos"),
+            ("solver.alpha0 = auto", "solver.alpha0"),
             ("distances = 1:2", "distances"),
             ("shadowing = maybe", "shadowing"),
             ("workers = 0", "workers"),
@@ -212,6 +216,12 @@ class TestCli:
         bad.write_text("strategies = 5:2616\n")
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "strategies" in capsys.readouterr().err
+
+    def test_non_finite_rate_target_fails(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("qos.r0 = nan\n")
+        assert main(["optimize", "--distance", "4.0", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config-error: qos: ")
 
     def test_seed_and_shadowing_overrides(self, tmp_path):
         cfg_file = tmp_path / "scenario.cfg"
