@@ -37,14 +37,7 @@ from .frame import (
     mode_for,
     psdu_layout,
 )
-from .metrics import (
-    LinkModel,
-    ModeMetrics,
-    OperatingPoint,
-    QosSpec,
-    energy_efficiency,
-    throughput,
-)
+from .metrics import LinkModel, ModeMetrics, QosSpec
 from .optimizer import (
     ModeSolution,
     OptResult,
@@ -56,14 +49,7 @@ from .optimizer import (
     snap_to_grid,
     solve_mode,
 )
-from .reliability import (
-    FrameReliability,
-    bch_block_log_success,
-    bch_block_success,
-    kasami_success,
-    ppdu_success,
-    shr_success,
-)
+from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
 from .scenario import DEFAULT_DISTANCES, DEFAULT_STRATEGIES, Scenario, load_scenario, parse_scenario
 from .sweep import SweepRow, emit_curves, parse_rows, run_sweep, rows_to_csv
 
@@ -72,16 +58,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BchCode", "ChannelParams", "ConfigError", "DEFAULT_DISTANCES",
     "DEFAULT_STRATEGIES", "EnergyBreakdown", "EnergyParams", "FRAME_CONSTANTS",
-    "FrameConstants", "FrameReliability", "InvalidFrameError", "LinkBudget",
-    "LinkModel", "MODE_TABLE", "ModeMetrics", "ModeSolution", "OperatingPoint",
-    "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode", "PsduLayout", "QosSpec",
-    "Scenario", "SolverConfig", "SweepRow", "bch_block_log_success",
-    "bch_block_success", "bit_error_prob", "cloee", "codeword_count",
-    "emit_curves", "energy_breakdown", "energy_efficiency", "exhaustive_search",
-    "frame_duration", "kasami_success", "link_budget", "load_scenario",
-    "log_q_function", "mode_for",
-    "nt_ee_closed_form", "nt_thr_closed_form", "overhead_energy", "parse_rows",
-    "parse_scenario", "path_loss_db", "payload_energy_per_bit", "ppdu_success",
-    "psdu_layout", "q_function", "rows_to_csv", "run_sweep", "shr_success",
-    "snap_to_grid", "solve_mode", "startup_energy", "throughput",
+    "FrameConstants", "InvalidFrameError", "LinkBudget", "LinkModel",
+    "MODE_TABLE", "ModeMetrics", "ModeSolution", "OptResult", "PHR_CODE",
+    "PSDU_CODE", "PhyMode", "PsduLayout", "QosSpec", "Scenario", "SolverConfig",
+    "SweepRow", "bch_block_log_success", "bch_block_success", "bit_error_prob",
+    "cloee", "codeword_count", "emit_curves", "energy_breakdown",
+    "exhaustive_search", "frame_duration", "kasami_success", "link_budget",
+    "load_scenario", "log_q_function", "mode_for", "nt_ee_closed_form",
+    "nt_thr_closed_form", "overhead_energy", "parse_rows", "parse_scenario",
+    "path_loss_db", "payload_energy_per_bit", "psdu_layout", "q_function",
+    "rows_to_csv", "run_sweep", "shr_success", "snap_to_grid", "solve_mode",
+    "startup_energy",
 ]

@@ -19,7 +19,7 @@ t_int = t_p, which makes the term linear in n_cpb.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .frame import PhyMode
 
@@ -49,6 +49,10 @@ class ChannelParams:
     w_rx: float = 499.2e6           # Hz
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.sigma < 0:
             raise ValueError(f"shadowing sigma must be >= 0, got {self.sigma}")
         if self.w_rx <= 0:

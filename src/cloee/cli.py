@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -43,16 +44,21 @@ def _load(args) -> Scenario:
         overrides["seed"] = args.seed
     if args.shadowing is not None:
         overrides["shadowing"] = args.shadowing == "on"
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
+def _distance(args) -> float:
+    if not (math.isfinite(args.distance) and args.distance > 0):
+        raise ConfigError("--distance", f"must be finite and > 0, got {args.distance}")
+    return args.distance
+
+
 def _cmd_optimize(args) -> int:
+    distance = _distance(args)
     scenario = _load(args)
     chi = scenario.shadowing_draws()[0] if scenario.shadowing else 0.0
-    res = cloee(scenario.link_model(), args.distance, scenario.qos, scenario.solver, chi)
-    lines = [OPT_HEADER, _result_csv(args.distance, res)]
+    res = cloee(scenario.link_model(), distance, scenario.qos, scenario.solver, chi)
+    lines = [OPT_HEADER, _result_csv(distance, res)]
     print("\n".join(lines))
     if args.out:
         out = Path(args.out)
@@ -71,9 +77,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_curves(args) -> int:
+    distance = _distance(args)
     scenario = _load(args)
     chi = scenario.shadowing_draws()[0] if scenario.shadowing else 0.0
-    paths = emit_fixed_distance_curves(scenario.link_model(), args.distance,
+    paths = emit_fixed_distance_curves(scenario.link_model(), distance,
                                        scenario.qos, scenario.solver, args.out,
                                        fmt=args.format, chi=chi)
     for p in paths:
@@ -101,14 +108,11 @@ def _cmd_dump_modes(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, workers: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="scenario config file")
     sub.add_argument("--seed", type=int, default=None, help="shadowing RNG seed")
     sub.add_argument("--shadowing", choices=("on", "off"), default=None,
                      help="lognormal shadowing draws (default: scenario setting)")
-    if workers:
-        sub.add_argument("--workers", type=int, default=None,
-                         help="concurrent distance evaluations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="distance sweep of all strategies")
     p_sweep.add_argument("--out", metavar="DIR", default=".", help="output directory")
     p_sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
-    _add_common(p_sweep, workers=True)
+    _add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_curves = sub.add_parser("curves", help="eta/rate vs frame size at one distance")

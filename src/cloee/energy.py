@@ -10,6 +10,7 @@ energy detector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .frame import FRAME_CONSTANTS, FrameConstants, PhyMode
@@ -33,8 +34,9 @@ class EnergyParams:
 
     def __post_init__(self):
         for name in ("eps_p", "p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen", "t_st"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.m_fingers < 0:
             raise ValueError(f"m_fingers must be >= 0, got {self.m_fingers}")
         if self.rho_r not in (0, 1) or self.rho_c not in (0, 1):
@@ -69,8 +71,7 @@ def overhead_energy(consts: FrameConstants = FRAME_CONSTANTS,
                     ep: EnergyParams = DEFAULT_ENERGY) -> float:
     """Joules spent on the SHR + PHR by transmitter and receiver together."""
     pulses = consts.n_cpb_shr * consts.n_shr + consts.n_cpb_phr * consts.n_phr
-    t_oh = consts.t_shr + consts.t_phr
-    return pulses * ep.eps_p + (ep.p_syn + ep.rx_chain_power) * t_oh
+    return pulses * ep.eps_p + (ep.p_syn + ep.rx_chain_power) * consts.t_overhead
 
 
 def startup_energy(ep: EnergyParams = DEFAULT_ENERGY) -> float:

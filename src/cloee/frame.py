@@ -39,11 +39,9 @@ class BchCode:
         return self.k / self.n
 
 
-# Default-mode codes; the high-QoS pair is carried for reference only.
+# Default-mode codes.
 PSDU_CODE = BchCode(n=63, k=51, t=2)
 PHR_CODE = BchCode(n=40, k=28, t=2)
-PSDU_CODE_HIGH_QOS = BchCode(n=126, k=63, t=7)
-PHR_CODE_HIGH_QOS = BchCode(n=91, k=28, t=10)
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,5 @@ def frame_duration(n_t: int, mode: PhyMode, consts: FrameConstants = FRAME_CONST
     """PPDU on-air time in seconds: t_shr + t_phr + n_t * t_sym."""
     if n_t < 0:
         raise ValueError(f"n_t must be >= 0, got {n_t}")
-    return consts.t_shr + consts.t_phr + n_t * mode.t_sym
+    return consts.t_overhead + n_t * mode.t_sym
 
-
-def exact_codeword_count(n_fb_prime: int, code: BchCode = PSDU_CODE) -> int:
-    """Codeword count from the MAC frame body size, ceil((n_fb' + 72) / k)."""
-    return psdu_layout(n_fb_prime, code).n_cw

@@ -28,29 +28,9 @@ from .frame import (
     BchCode,
     FrameConstants,
     PhyMode,
-    frame_duration,
     mode_for,
 )
-from .reliability import (
-    FrameReliability,
-    bch_block_log_success,
-    bch_block_success,
-    kasami_success,
-    shr_success,
-)
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """The optimizer's decision variables plus the link distance."""
-
-    n_t: int
-    mode: PhyMode
-    distance: float
-
-    def __post_init__(self):
-        if self.n_t < PSDU_CODE.n:
-            raise ValueError(f"n_t must be >= {PSDU_CODE.n}, got {self.n_t}")
+from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
 
 
 @dataclass(frozen=True)
@@ -69,17 +49,6 @@ class QosSpec:
     @property
     def aggregate_rate(self) -> float:
         return self.r0 * self.n_s
-
-
-def energy_efficiency(op: OperatingPoint, rel: FrameReliability, energy: EnergyBreakdown) -> float:
-    """Delivered payload bits per Joule for one PPDU exchange."""
-    return op.n_t * rel.p_ppdu / energy.total(op.n_t)
-
-
-def throughput(op: OperatingPoint, rel: FrameReliability,
-               consts: FrameConstants = FRAME_CONSTANTS) -> float:
-    """Delivered payload bits per second of frame time."""
-    return op.n_t * rel.p_ppdu / frame_duration(op.n_t, op.mode, consts)
 
 
 class ModeMetrics:
@@ -107,23 +76,24 @@ class ModeMetrics:
         self.code = code
         self.n = code.n
         self.p_kasami = kasami_success(p_b_shr, consts.rho_sensitivity, consts.kasami_len)
-        self.p_shr = shr_success(self.p_kasami)
+        self.p_shr = shr_success(self.p_kasami, consts.kasami_count)
         self.p_phr = bch_block_success(p_b_phr, (consts.n_phr, phr_code.t))
         self.p_cw = bch_block_success(p_b, (code.n, code.t))
         self.log_p_cw = bch_block_log_success(p_b, (code.n, code.t))
         self.header_success = self.p_shr * self.p_phr
         self.t_sym = mode.t_sym
-        self.t_oh = consts.t_shr + consts.t_phr
+        self.t_oh = consts.t_overhead
 
     # -- grid objectives (integer frame sizes, whole codewords) ----------
 
     def n_cw(self, n_t):
         return np.ceil(np.asarray(n_t, dtype=float) / self.n)
 
-    def success(self, n_t):
-        """P(PPDU delivered) with the codeword-count exponent."""
-        out = self.header_success * np.exp(self.n_cw(n_t) * self.log_p_cw)
-        return float(out) if np.ndim(n_t) == 0 else out
+    def success(self, n_t: int) -> float:
+        """P(PPDU delivered) at one integer frame size: both header sections
+        and all ceil(n_t/n) codewords survive."""
+        n_cw = -(-int(n_t) // self.n)
+        return self.header_success * math.exp(n_cw * self.log_p_cw)
 
     def eta(self, n_t):
         """Energy efficiency in bits/Joule at integer frame size(s)."""
@@ -138,19 +108,6 @@ class ModeMetrics:
         out = nt * self.header_success * np.exp(self.n_cw(n_t) * self.log_p_cw) \
             / (self.t_oh + nt * self.t_sym)
         return float(out) if np.ndim(n_t) == 0 else out
-
-    def reliability(self, n_t: int) -> FrameReliability:
-        n_cw = -(-int(n_t) // self.n)
-        p_psdu = math.exp(n_cw * self.log_p_cw)
-        return FrameReliability(
-            p_kasami=self.p_kasami,
-            p_sfd=self.p_kasami,
-            p_shr=self.p_shr,
-            p_phr=self.p_phr,
-            p_cw=self.p_cw,
-            p_psdu=p_psdu,
-            p_ppdu=self.header_success * p_psdu,
-        )
 
     # -- continuous relaxation (exponent n_t/n) --------------------------
 

@@ -135,9 +135,15 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """One burst mode's solved operating point and its solve diagnostics."""
+    """One burst mode's solved operating point and its solve diagnostics.
+
+    nee and nthr are the efficiency- and throughput-optimal grid frame sizes
+    (closed form snapped to the codeword grid) the branch was chosen from.
+    """
 
     mm: ModeMetrics
+    nee: int
+    nthr: int
     n_t: int
     eta: float
     rate: float
@@ -174,19 +180,18 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution
     nee_cont = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
                                  mm.p_cw, mm.n, log_p_cw=mm.log_p_cw)
     nee = snap_to_grid(nee_cont, mm.eta, mm.n, cfg.n_t_max)
-
-    if mm.rate(nee) >= r0ns:
-        return ModeSolution(mm, nee, mm.eta(nee), mm.rate(nee), True,
-                            "unconstrained", 0.0, 0, None)
-
     nthr_cont = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
                                    mm.p_cw, mm.n, log_p_cw=mm.log_p_cw)
     nthr = snap_to_grid(nthr_cont, mm.rate, mm.n, cfg.n_t_max)
-    rate_thr = mm.rate(nthr)
 
+    if mm.rate(nee) >= r0ns:
+        return ModeSolution(mm, nee, nthr, nee, mm.eta(nee), mm.rate(nee), True,
+                            "unconstrained", 0.0, 0, None)
+
+    rate_thr = mm.rate(nthr)
     if rate_thr < r0ns:
         # No frame size can meet the rate target in this mode.
-        return ModeSolution(mm, nthr, mm.eta(nthr), rate_thr, False,
+        return ModeSolution(mm, nee, nthr, nthr, mm.eta(nthr), rate_thr, False,
                             "throughput-fallback", 0.0, 0, None)
 
     # Dual branch.  The grid rate is unimodal with its peak at nthr (C4), so
@@ -219,7 +224,7 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution
         lam_star = max(0.0, -mm.eta_cont_grad(n_c) / mm.rate_cont_grad(n_c))
         kkt_rate = mm.rate_cont(n_c)
 
-    return ModeSolution(mm, n_star, mm.eta(n_star), mm.rate(n_star), True,
+    return ModeSolution(mm, nee, nthr, n_star, mm.eta(n_star), mm.rate(n_star), True,
                         "dual", lam_star, probes, kkt_rate)
 
 

@@ -1,21 +1,21 @@
-"""Success probabilities of SHR, PHR, codewords, PSDU and the whole PPDU.
+"""Success probabilities of the SHR, the PHR and one PSDU codeword.
 
 Everything reduces to binomial tails: a block of N bits survives when at most
 t bit errors occur.  The SHR succeeds when the SFD Kasami sequence is detected
-and at least one of the four preamble repetitions is,
+and at least one of the four preamble repetitions (kasami_count) is,
 
     P_SHR = P_SFD * (1 - (1 - P_Kasami)^4),    P_SFD = P_Kasami.
 
 (The stricter all-four-repetitions reading, P_Kasami^4, is deliberately not
-used; the any-of-four form is what the detection model states.)
+used; the any-of-four form is what the detection model states.)  The whole
+PPDU is composed from these pieces in metrics.ModeMetrics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .frame import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE, BchCode, FrameConstants
+from .frame import FRAME_CONSTANTS, BchCode
 
 _CodeLike = BchCode | tuple[int, int]
 
@@ -79,54 +79,7 @@ def kasami_success(p_b: float, rho: int = FRAME_CONSTANTS.rho_sensitivity,
     return bch_block_success(p_b, (length, rho))
 
 
-def shr_success(p_kasami: float) -> float:
-    """SHR success from the Kasami detection probability (any-of-4 preamble + SFD)."""
+def shr_success(p_kasami: float, count: int = FRAME_CONSTANTS.kasami_count) -> float:
+    """SHR success from the Kasami detection probability (any-of-count preamble + SFD)."""
     _check_p(p_kasami)
-    return p_kasami * (1.0 - (1.0 - p_kasami) ** 4)
-
-
-@dataclass(frozen=True)
-class FrameReliability:
-    """Per-section and end-to-end delivery probabilities for one PPDU."""
-
-    p_kasami: float
-    p_sfd: float
-    p_shr: float
-    p_phr: float
-    p_cw: float
-    p_psdu: float
-    p_ppdu: float
-
-
-def ppdu_success(
-    p_b: float,
-    n_t: int,
-    consts: FrameConstants = FRAME_CONSTANTS,
-    code: BchCode = PSDU_CODE,
-    phr_code: BchCode = PHR_CODE,
-) -> FrameReliability:
-    """Compose section successes at a single bit error probability.
-
-    The PSDU carries ceil(n_t / n) codewords and succeeds only if all of them
-    decode.  Callers that model section-specific burst orders evaluate the
-    sections at their own p_b instead (see metrics.LinkModel).
-    """
-    _check_p(p_b)
-    if n_t < code.n:
-        raise ValueError(f"n_t must be >= {code.n}, got {n_t}")
-    p_kasami = kasami_success(p_b, consts.rho_sensitivity, consts.kasami_len)
-    p_shr = shr_success(p_kasami)
-    p_phr = bch_block_success(p_b, (consts.n_phr, phr_code.t))
-    p_cw = bch_block_success(p_b, (code.n, code.t))
-    n_cw = -(-n_t // code.n)
-    log_p_cw = bch_block_log_success(p_b, (code.n, code.t))
-    p_psdu = math.exp(n_cw * log_p_cw)
-    return FrameReliability(
-        p_kasami=p_kasami,
-        p_sfd=p_kasami,
-        p_shr=p_shr,
-        p_phr=p_phr,
-        p_cw=p_cw,
-        p_psdu=p_psdu,
-        p_ppdu=p_shr * p_phr * p_psdu,
-    )
+    return p_kasami * (1.0 - (1.0 - p_kasami) ** count)

@@ -55,7 +55,6 @@ class Scenario:
     shadowing: bool = False
     uniform_section_ber: bool = False
     integration_per_pulse: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if not self.distances:
@@ -68,8 +67,6 @@ class Scenario:
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
             if n_t < 63:
                 raise ConfigError("strategies", f"static n_t must be >= 63, got {n_t}")
-        if self.workers < 1:
-            raise ConfigError("workers", f"must be >= 1, got {self.workers}")
 
     def link_model(self) -> LinkModel:
         return LinkModel(
@@ -156,7 +153,7 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {
     "energy.m_fingers", "energy.rho_r", "energy.rho_c",
-    "qos.n_s", "solver.n_t_max", "seed", "workers",
+    "qos.n_s", "solver.n_t_max", "seed",
 }
 _BOOL_KEYS = {"shadowing", "model.uniform_section_ber", "model.integration_per_pulse"}
 
@@ -207,7 +204,6 @@ def parse_scenario(text: str, source: str = "<config>") -> Scenario:
             shadowing=values.get("shadowing", False),
             uniform_section_ber=values.get("model.uniform_section_ber", False),
             integration_per_pulse=values.get("model.integration_per_pulse", False),
-            workers=values.get("workers", 1),
         )
     except ConfigError:
         raise

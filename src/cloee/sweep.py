@@ -1,20 +1,18 @@
 """Distance sweeps, static-strategy comparison and CSV emission.
 
 Every evaluation lands in a SweepRow; rows are sorted by (distance, strategy)
-before emission so concurrent evaluation can never change the output.  The
-reserved strategy ids are "cloee" (the solver) and "oracle" (exhaustive
-search); static strategies are named static_<n_cpb>_<n_t>.
+before emission.  The reserved strategy ids are "cloee" (the solver) and
+"oracle" (exhaustive search); static strategies are named static_<n_cpb>_<n_t>.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .frame import mode_for
 from .metrics import LinkModel, QosSpec
-from .optimizer import ModeSolution, OptResult, SolverConfig, cloee, exhaustive_search, solve_mode
+from .optimizer import OptResult, SolverConfig, cloee, exhaustive_search, solve_mode
 from .scenario import Scenario
 from . import svgplot
 
@@ -61,7 +59,6 @@ def parse_rows(text: str) -> list[SweepRow]:
 def _static_row(model: LinkModel, distance: float, chi: float, n_cpb: int, n_t: int,
                 qos: QosSpec) -> SweepRow:
     mm = model.mode_metrics(distance, mode_for(n_cpb), chi)
-    rel = mm.reliability(n_t)
     rate = mm.rate(n_t)
     return SweepRow(
         distance=distance,
@@ -70,7 +67,7 @@ def _static_row(model: LinkModel, distance: float, chi: float, n_cpb: int, n_t: 
         n_t=n_t,
         eta=mm.eta(n_t),
         rate=rate,
-        p_ppdu=rel.p_ppdu,
+        p_ppdu=mm.success(n_t),
         feasible=rate >= qos.aggregate_rate,
         branch="static",
     )
@@ -86,7 +83,7 @@ def _result_row(model: LinkModel, distance: float, chi: float, strategy: str,
         n_t=res.n_t_star,
         eta=res.eta,
         rate=res.rate,
-        p_ppdu=mm.reliability(res.n_t_star).p_ppdu,
+        p_ppdu=mm.success(res.n_t_star),
         feasible=res.feasible,
         branch=res.branch,
     )
@@ -109,18 +106,12 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Evaluate every strategy plus cloee and the oracle on the distance grid.
 
     Deterministic for a given scenario and seed: shadowing draws are made
-    up-front in distance order and rows are sorted before return, so the
-    worker count cannot affect the output.
+    up-front in distance order and rows are sorted before return.
     """
     model = scenario.link_model()
-    chis = scenario.shadowing_draws()
-    jobs = list(zip(scenario.distances, chis))
-    if scenario.workers > 1:
-        with ThreadPoolExecutor(max_workers=scenario.workers) as pool:
-            chunks = list(pool.map(lambda dc: _distance_rows(scenario, model, *dc), jobs))
-    else:
-        chunks = [_distance_rows(scenario, model, d, chi) for d, chi in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row
+            for d, chi in zip(scenario.distances, scenario.shadowing_draws())
+            for row in _distance_rows(scenario, model, d, chi)]
     rows.sort(key=lambda r: (r.distance, r.strategy))
     return rows
 
@@ -174,8 +165,6 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
 
     Returns (curve_lines, mark_lines) as CSV strings without headers.
     """
-    from .optimizer import nt_ee_closed_form, nt_thr_closed_form, snap_to_grid
-
     curve_lines: list[str] = []
     mark_lines: list[str] = []
     for mm in model.env(distance, chi):
@@ -184,17 +173,9 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
             n_t = k * mm.n
             curve_lines.append(
                 f"{mm.mode.n_cpb},{n_t},{mm.eta(n_t)!r},{mm.rate(n_t)!r}")
-        nee = snap_to_grid(
-            nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
-                              mm.p_cw, mm.n, log_p_cw=mm.log_p_cw),
-            mm.eta, mm.n, cfg.n_t_max)
-        nthr = snap_to_grid(
-            nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
-                               mm.p_cw, mm.n, log_p_cw=mm.log_p_cw),
-            mm.rate, mm.n, cfg.n_t_max)
-        sol: ModeSolution = solve_mode(mm, qos, cfg)
+        sol = solve_mode(mm, qos, cfg)
         mark_lines.append(
-            f"{mm.mode.n_cpb},{nee},{nthr},{sol.n_t},{sol.branch},"
+            f"{mm.mode.n_cpb},{sol.nee},{sol.nthr},{sol.n_t},{sol.branch},"
             f"{'true' if sol.feasible else 'false'}")
     return curve_lines, mark_lines
 

@@ -1,6 +1,17 @@
-"""Shared test utilities, kept independent of the package internals."""
+"""Shared test utilities, built on the package's public API only."""
 
 import numpy as np
+
+from cloee import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE, ModeMetrics, energy_breakdown, mode_for
+
+
+def single_pb_metrics(p_b: float) -> ModeMetrics:
+    """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
+    probability; its success(n_t) is the textbook single-p_b PPDU success."""
+    mode = mode_for(1)
+    return ModeMetrics(mode=mode, distance=1.0, chi=0.0, p_b=p_b, p_b_shr=p_b, p_b_phr=p_b,
+                       energy=energy_breakdown(mode), consts=FRAME_CONSTANTS,
+                       code=PSDU_CODE, phr_code=PHR_CODE)
 
 
 def sign_changes(values, rel_tol: float = 1e-12) -> int:

@@ -23,13 +23,12 @@ from cloee import (
     Scenario,
     nt_ee_closed_form,
     nt_thr_closed_form,
-    ppdu_success,
     run_sweep,
     rows_to_csv,
     snap_to_grid,
     solve_mode,
 )
-from helpers import grid_argmax, is_unimodal_max
+from helpers import grid_argmax, is_unimodal_max, single_pb_metrics
 
 N_DRAWS = 200
 DRAW_SEED = 20250808
@@ -252,7 +251,7 @@ def test_c7_reliability_against_monte_carlo():
     for _ in range(20):
         p_b = float(10.0 ** rng.uniform(math.log10(3e-4), math.log10(0.03)))
         n_t = 63 * int(rng.integers(1, 11))
-        analytic = ppdu_success(p_b, n_t).p_ppdu
+        analytic = single_pb_metrics(p_b).success(n_t)
         estimate = _simulate_ppdu(rng, p_b, n_t, n_frames)
         se = math.sqrt(max(analytic * (1 - analytic), 1e-12) / n_frames)
         z = abs(estimate - analytic) / se

@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from cloee import (
-    MODE_TABLE,
-    LinkModel,
-    OperatingPoint,
-    QosSpec,
-    energy_efficiency,
-    mode_for,
-    ppdu_success,
-    throughput,
-)
-from helpers import is_unimodal_max
+from cloee import MODE_TABLE, LinkModel, QosSpec, mode_for
+from helpers import is_unimodal_max, single_pb_metrics
 
 
 class TestQosSpec:
@@ -24,21 +15,7 @@ class TestQosSpec:
             QosSpec(**kwargs)
 
 
-class TestOperatingPoint:
-    def test_minimum_frame(self):
-        OperatingPoint(n_t=63, mode=mode_for(1), distance=1.0)
-        with pytest.raises(ValueError):
-            OperatingPoint(n_t=62, mode=mode_for(1), distance=1.0)
-
-
 class TestObjectives:
-    def test_match_mode_metrics(self, model):
-        mm = model.mode_metrics(5.0, mode_for(8))
-        op = OperatingPoint(n_t=693, mode=mm.mode, distance=5.0)
-        rel = mm.reliability(693)
-        assert energy_efficiency(op, rel, mm.energy) == pytest.approx(mm.eta(693), rel=1e-12)
-        assert throughput(op, rel) == pytest.approx(mm.rate(693), rel=1e-12)
-
     def test_error_free_ceiling(self, model):
         # At 1 cm every section is error-free, so only energy and time remain.
         mm = model.mode_metrics(0.01, mode_for(32))
@@ -72,10 +49,10 @@ class TestSectionComposition:
         strict = LinkModel(uniform_section_ber=True)
         for d, n_cpb in ((6.0, 8), (7.5, 32), (8.4, 16)):
             mm = strict.mode_metrics(d, mode_for(n_cpb))
-            rel = mm.reliability(630)
-            ref = ppdu_success(mm.p_b, 630)
-            for field in ("p_kasami", "p_sfd", "p_shr", "p_phr", "p_cw", "p_psdu", "p_ppdu"):
-                assert getattr(rel, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+            ref = single_pb_metrics(mm.p_b)
+            for field in ("p_kasami", "p_shr", "p_phr", "p_cw", "header_success"):
+                assert getattr(mm, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+            assert mm.success(630) == pytest.approx(ref.success(630), rel=1e-12)
 
     def test_default_mode_uses_section_burst_orders(self, model):
         mm = model.mode_metrics(7.0, mode_for(1))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cloee import (
+    EnergyParams,
+    FrameConstants,
     LinkModel,
     QosSpec,
     SolverConfig,
@@ -199,6 +201,43 @@ class TestCloee:
                 (oracle.n_t_star, oracle.n_cpb_star, oracle.eta, oracle.rate, oracle.feasible), \
                 f"d={d!r}, chi={chi!r}, n_t_max={cfg.n_t_max}, r0={qos.r0!r}, n_s={n_s}"
         assert duals >= 200, f"{duals} dual solves in {rows} binding rows"
+
+    def test_dual_branch_left_of_throughput_optimum_matches_oracle(self):
+        # Pulse energy only, headers at one pulse per bit: overhead is cheap
+        # in energy but not in time, so the efficiency optimum can sit left of
+        # the throughput optimum and the dual bisection runs rightwards.  The
+        # binding targets come from grid scans, never from the solver.
+        model = LinkModel(
+            consts=FrameConstants(n_cpb_shr=1, n_cpb_phr=1),
+            energy=EnergyParams(eps_p=1e-9, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
+                                p_syn=0, p_gen=0, t_st=0, m_fingers=0))
+        cfg = SolverConfig()
+        nts = _grid(None, cfg)
+        rng = random.Random(20161103)
+        cases = 0
+        for d in np.arange(1.0, 40.01, 0.25):
+            d = float(d)
+            for mm in model.env(d):
+                etas, rates = mm.eta(nts), mm.rate(nts)
+                i_eta, i_rate = int(np.argmax(etas)), int(np.argmax(rates))
+                if i_eta >= i_rate:
+                    continue
+                lo, hi = float(rates[i_eta]), float(rates[i_rate])
+                n_s = rng.randint(1, 64)
+                qos = QosSpec(r0=(lo + rng.uniform(0.02, 0.98) * (hi - lo)) / n_s, n_s=n_s)
+                if not lo < qos.aggregate_rate < hi:
+                    continue
+                cases += 1
+                sol = solve_mode(mm, qos, cfg)
+                assert sol.branch == "dual" and sol.nee < sol.nthr
+                feasible = rates >= qos.aggregate_rate
+                assert sol.n_t == grid_argmax(np.where(feasible, etas, -np.inf), nts)
+                res = cloee(model, d, qos, cfg)
+                oracle = exhaustive_search(model, d, qos, cfg)
+                assert (res.n_t_star, res.n_cpb_star, res.eta, res.rate, res.feasible) == \
+                    (oracle.n_t_star, oracle.n_cpb_star, oracle.eta, oracle.rate, oracle.feasible), \
+                    f"d={d!r}, n_cpb={mm.mode.n_cpb}, r0={qos.r0!r}, n_s={n_s}"
+        assert cases >= 100, f"{cases} binding cases with the efficiency optimum on the left"
 
     def test_deterministic(self, model, qos, cfg):
         assert cloee(model, 6.8, qos, cfg) == cloee(model, 6.8, qos, cfg)

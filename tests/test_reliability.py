@@ -6,13 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from cloee import (
-    bch_block_log_success,
-    bch_block_success,
-    kasami_success,
-    ppdu_success,
-    shr_success,
-)
+from cloee import bch_block_log_success, bch_block_success, kasami_success, shr_success
+from helpers import single_pb_metrics
 
 
 class TestKasami:
@@ -90,42 +85,39 @@ class TestLogSuccess:
 
 
 class TestPpduSuccess:
+    # The PPDU is composed once, in ModeMetrics; single_pb_metrics puts every
+    # section at the same bit error probability.
     def test_error_free_channel(self):
-        rel = ppdu_success(0.0, 630)
-        for value in (rel.p_kasami, rel.p_sfd, rel.p_shr, rel.p_phr,
-                      rel.p_cw, rel.p_psdu, rel.p_ppdu):
+        mm = single_pb_metrics(0.0)
+        for value in (mm.p_kasami, mm.p_shr, mm.p_phr, mm.p_cw, mm.success(630)):
             assert value == 1.0
 
     def test_hopeless_channel(self):
-        assert ppdu_success(0.5, 63 * 100).p_ppdu < 1e-12
+        assert single_pb_metrics(0.5).success(63 * 100) < 1e-12
 
     def test_reference_point(self):
         # p_psdu = P(Bin(63, 0.005) <= 2)^10, cross-checked by Monte Carlo in
         # the acceptance suite.
-        rel = ppdu_success(0.005, 630)
-        assert rel.p_psdu == pytest.approx(0.9610134067081701, rel=1e-10)
-        assert rel.p_sfd == rel.p_kasami
-        assert rel.p_ppdu == pytest.approx(rel.p_shr * rel.p_phr * rel.p_psdu, rel=1e-12)
+        mm = single_pb_metrics(0.005)
+        assert mm.header_success == mm.p_shr * mm.p_phr
+        assert mm.success(630) == pytest.approx(mm.header_success * 0.9610134067081701, rel=1e-10)
 
     def test_monotone_in_bit_errors_and_size(self):
-        probs = [ppdu_success(p, 630).p_ppdu for p in (0.001, 0.005, 0.02, 0.1)]
+        probs = [single_pb_metrics(p).success(630) for p in (0.001, 0.005, 0.02, 0.1)]
         assert all(a > b for a, b in zip(probs, probs[1:]))
-        sizes = [ppdu_success(0.01, n).p_psdu for n in (63, 315, 1260, 5040)]
+        mm = single_pb_metrics(0.01)
+        sizes = [mm.success(n) for n in (63, 315, 1260, 5040)]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
     def test_log_linear_in_codeword_count(self):
-        base = math.log(ppdu_success(0.02, 63).p_psdu)
+        mm = single_pb_metrics(0.02)
+        log_header = math.log(mm.header_success)
+        base = math.log(mm.success(63)) - log_header
         for k in (2, 7, 40):
-            assert math.log(ppdu_success(0.02, 63 * k).p_psdu) == pytest.approx(
-                k * base, rel=1e-9)
-
-    def test_short_frame_rejected(self):
-        with pytest.raises(ValueError):
-            ppdu_success(0.01, 62)
+            assert math.log(mm.success(63 * k)) - log_header == pytest.approx(k * base, rel=1e-9)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=130))
     def test_probabilities_stay_in_unit_interval(self, p_b, k):
-        rel = ppdu_success(p_b, 63 * k)
-        for value in (rel.p_kasami, rel.p_sfd, rel.p_shr, rel.p_phr,
-                      rel.p_cw, rel.p_psdu, rel.p_ppdu):
+        mm = single_pb_metrics(p_b)
+        for value in (mm.p_kasami, mm.p_shr, mm.p_phr, mm.p_cw, mm.success(63 * k)):
             assert 0.0 <= value <= 1.0

@@ -37,7 +37,6 @@ class TestScenarioParsing:
             strategies = 8:630, 32:2616
             shadowing = on
             model.uniform_section_ber = on
-            workers = 2
             """
         )
         assert sc.channel.a == 15.5
@@ -46,7 +45,7 @@ class TestScenarioParsing:
         assert sc.solver.n_t_max == 1260
         assert sc.distances == (1.0, 1.5, 2.0)
         assert sc.strategies == ((8, 630), (32, 2616))
-        assert sc.shadowing and sc.uniform_section_ber and sc.workers == 2
+        assert sc.shadowing and sc.uniform_section_ber
 
     @pytest.mark.parametrize(
         "text,key",
@@ -65,7 +64,12 @@ class TestScenarioParsing:
             ("solver.alpha0 = auto", "solver.alpha0"),
             ("distances = 1:2", "distances"),
             ("shadowing = maybe", "shadowing"),
-            ("workers = 0", "workers"),
+            ("workers = 2", "unknown key"),
+            ("channel.a = nan", "channel"),
+            ("channel.sigma = nan", "channel"),
+            ("channel.noise_figure = inf", "channel"),
+            ("energy.p_syn = inf", "energy"),
+            ("energy.eps_p = nan", "energy"),
             ("seed = 1\nseed = 2", "seed"),
         ],
     )
@@ -107,11 +111,6 @@ class TestRunSweep:
         rows1, rows2 = run_sweep(sc), run_sweep(sc)
         assert rows1 == rows2
         assert rows1 == sorted(rows1, key=lambda r: (r.distance, r.strategy))
-
-    def test_worker_count_does_not_change_output(self):
-        sc = parse_scenario(SMALL_CONFIG)
-        parallel = dataclasses.replace(sc, workers=4)
-        assert rows_to_csv(run_sweep(sc)) == rows_to_csv(run_sweep(parallel))
 
     def test_oracle_dominates_statics(self):
         sc = parse_scenario("distances = 1.0, 3.0, 5.0\nstrategies = 1:2616, 32:2616")
@@ -201,10 +200,28 @@ class TestCli:
         assert main(["curves", "--distance", "8.4", "--out", str(out_dir),
                      "--format", "svg"]) == 0
         marks = (out_dir / "curve_marks.csv").read_text().splitlines()
-        assert marks[0] == "n_cpb,nt_ee,nt_thr,nt_star,branch,feasible"
-        assert len(marks) == 7
+        assert marks == ["n_cpb,nt_ee,nt_thr,nt_star,branch,feasible"] + [
+            f"{n_cpb},63,63,63,throughput-fallback,false" for n_cpb in (1, 2, 4, 8, 16, 32)]
         assert (out_dir / "curves.csv").exists()
         assert (out_dir / "curves_eta.svg").exists()
+        # 6.5 m reaches all three branches with distinct nt_ee and nt_thr.
+        out_dir = tmp_path / "curves_6.5"
+        assert main(["curves", "--distance", "6.5", "--out", str(out_dir)]) == 0
+        assert (out_dir / "curve_marks.csv").read_text().splitlines()[1:] == [
+            "1,63,63,63,throughput-fallback,false",
+            "2,63,63,63,throughput-fallback,false",
+            "4,126,126,126,throughput-fallback,false",
+            "8,315,252,315,unconstrained,true",
+            "16,567,315,567,unconstrained,true",
+            "32,693,378,378,dual,true",
+        ]
+
+    @pytest.mark.parametrize("command", ["optimize", "curves"])
+    @pytest.mark.parametrize("distance", ["inf", "nan", "0"])
+    def test_bad_distance_fails_at_the_option(self, tmp_path, capsys, command, distance):
+        assert main([command, f"--distance={distance}", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config-error: --distance: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_fails_with_category(self, tmp_path, capsys):
         assert main(["optimize", "--distance", "2.0",
