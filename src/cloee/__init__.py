@@ -22,7 +22,7 @@ from .energy import (
     payload_energy_per_bit,
     startup_energy,
 )
-from .errors import ConfigError, InvalidFrameError
+from .errors import ConfigError
 from .frame import (
     FRAME_CONSTANTS,
     MODE_TABLE,
@@ -31,13 +31,9 @@ from .frame import (
     BchCode,
     FrameConstants,
     PhyMode,
-    PsduLayout,
-    codeword_count,
-    frame_duration,
     mode_for,
-    psdu_layout,
 )
-from .metrics import LinkModel, ModeMetrics, QosSpec
+from .metrics import HeaderSuccess, LinkModel, ModeMetrics, QosSpec
 from .optimizer import (
     ModeSolution,
     OptResult,
@@ -58,15 +54,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BchCode", "ChannelParams", "ConfigError", "DEFAULT_DISTANCES",
     "DEFAULT_STRATEGIES", "EnergyBreakdown", "EnergyParams", "FRAME_CONSTANTS",
-    "FrameConstants", "InvalidFrameError", "LinkBudget", "LinkModel",
-    "MODE_TABLE", "ModeMetrics", "ModeSolution", "OptResult", "PHR_CODE",
-    "PSDU_CODE", "PhyMode", "PsduLayout", "QosSpec", "Scenario", "SolverConfig",
-    "SweepRow", "bch_block_log_success", "bch_block_success", "bit_error_prob",
-    "cloee", "codeword_count", "emit_curves", "energy_breakdown",
-    "exhaustive_search", "frame_duration", "kasami_success", "link_budget",
-    "load_scenario", "log_q_function", "mode_for", "nt_ee_closed_form",
-    "nt_thr_closed_form", "overhead_energy", "parse_rows", "parse_scenario",
-    "path_loss_db", "payload_energy_per_bit", "psdu_layout", "q_function",
+    "FrameConstants", "HeaderSuccess", "LinkBudget", "LinkModel", "MODE_TABLE",
+    "ModeMetrics", "ModeSolution", "OptResult", "PHR_CODE", "PSDU_CODE",
+    "PhyMode", "QosSpec", "Scenario", "SolverConfig", "SweepRow",
+    "bch_block_log_success", "bch_block_success", "bit_error_prob", "cloee",
+    "emit_curves", "energy_breakdown", "exhaustive_search", "kasami_success",
+    "link_budget", "load_scenario", "log_q_function", "mode_for",
+    "nt_ee_closed_form", "nt_thr_closed_form", "overhead_energy", "parse_rows",
+    "parse_scenario", "path_loss_db", "payload_energy_per_bit", "q_function",
     "rows_to_csv", "run_sweep", "shr_success", "snap_to_grid", "solve_mode",
     "startup_energy",
 ]

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class InvalidFrameError(ValueError):
-    """Raised when a frame size cannot form a valid PSDU (e.g. shorter than one codeword)."""
-
-
 class ConfigError(ValueError):
     """Raised on scenario config problems; message carries the offending key path."""
 

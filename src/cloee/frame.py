@@ -1,4 +1,4 @@
-"""IEEE 802.15.6 UWB PPDU structure: frame sizes, codeword counts and durations.
+"""IEEE 802.15.6 UWB PPDU structure: PHY modes, BCH codes and frame constants.
 
 A PPDU is SHR + PHR + PSDU.  The SHR is five 63-bit Kasami sequences (four
 preamble repetitions plus the SFD).  The PHR is one shortened BCH(40,28;2)
@@ -9,8 +9,6 @@ and BCH(63,51;2)-encoded in the default mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .errors import InvalidFrameError
 
 # Pulses are generated at 499.2 MHz; the symbol holds 32 burst positions so
 # the duty cycle stays at 1/32 regardless of the burst length.
@@ -123,50 +121,3 @@ class FrameConstants:
 
 
 FRAME_CONSTANTS = FrameConstants()
-
-
-@dataclass(frozen=True)
-class PsduLayout:
-    """PSDU composition for a given MAC frame body size.
-
-    n_mpdu is the MPDU bit count before stuffing (frame body + 72).
-    """
-
-    n_mpdu: int
-    n_bs: int
-    n_cw: int
-    n_t: int
-
-
-def codeword_count(n_t: int, code: BchCode = PSDU_CODE) -> int:
-    """Number of codewords in a PSDU of n_t total bits, ceil(n_t / n).
-
-    This is the standard approximation used throughout the optimizer; frames
-    assembled by psdu_layout satisfy it exactly (n_t is a multiple of n).
-    """
-    if n_t < code.n:
-        raise InvalidFrameError(f"PSDU of {n_t} bits is shorter than one {code.n}-bit codeword")
-    return -(-n_t // code.n)
-
-
-def psdu_layout(n_fb_prime: int, code: BchCode = PSDU_CODE) -> PsduLayout:
-    """PSDU sizes for a MAC frame body of n_fb_prime bits.
-
-    The MPDU (body + header + FCS) is split into k-bit blocks, the last block
-    is padded with n_bs stuffing bits, and every block gains n - k parity bits.
-    """
-    if n_fb_prime < 0:
-        raise ValueError(f"frame body size must be >= 0, got {n_fb_prime}")
-    n_mpdu = n_fb_prime + FRAME_CONSTANTS.n_mh_plus_fcs
-    n_cw = -(-n_mpdu // code.k)
-    n_bs = n_cw * code.k - n_mpdu
-    n_t = n_mpdu + n_bs + (code.n - code.k) * n_cw
-    return PsduLayout(n_mpdu=n_mpdu, n_bs=n_bs, n_cw=n_cw, n_t=n_t)
-
-
-def frame_duration(n_t: int, mode: PhyMode, consts: FrameConstants = FRAME_CONSTANTS) -> float:
-    """PPDU on-air time in seconds: t_shr + t_phr + n_t * t_sym."""
-    if n_t < 0:
-        raise ValueError(f"n_t must be >= 0, got {n_t}")
-    return consts.t_overhead + n_t * mode.t_sym
-

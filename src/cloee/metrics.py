@@ -9,6 +9,10 @@ distance.  By default each frame section is evaluated at its own burst order
 (SHR at n_cpb=4, PHR at n_cpb=32, payload at the selected mode), matching the
 section-specific constants of the energy model; uniform_section_ber=True
 evaluates all three sections at the payload's bit error rate instead.
+
+LinkModel.env(d, chi) is the one per-distance builder: with section-specific
+rates the SHR/PHR bit error rates and header success do not depend on the
+payload mode, so it computes them once and shares them across the six modes.
 """
 
 from __future__ import annotations
@@ -51,6 +55,29 @@ class QosSpec:
         return self.r0 * self.n_s
 
 
+@dataclass(frozen=True)
+class HeaderSuccess:
+    """Delivery probabilities of the SHR and PHR at their bit error rates."""
+
+    p_b_shr: float
+    p_b_phr: float
+    p_kasami: float
+    p_shr: float
+    p_phr: float
+
+    @classmethod
+    def at(cls, p_b_shr: float, p_b_phr: float, consts: FrameConstants,
+           phr_code: BchCode) -> HeaderSuccess:
+        p_kasami = kasami_success(p_b_shr, consts.rho_sensitivity, consts.kasami_len)
+        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami, consts.kasami_count),
+                   bch_block_success(p_b_phr, (consts.n_phr, phr_code.t)))
+
+    @property
+    def success(self) -> float:
+        """Both header sections survive."""
+        return self.p_shr * self.p_phr
+
+
 class ModeMetrics:
     """Everything the optimizer needs about one (distance, mode) pair.
 
@@ -61,26 +88,21 @@ class ModeMetrics:
     exactly at multiples of n.
     """
 
-    def __init__(self, mode: PhyMode, distance: float, chi: float,
-                 p_b: float, p_b_shr: float, p_b_phr: float,
-                 energy: EnergyBreakdown, consts: FrameConstants,
-                 code: BchCode, phr_code: BchCode):
+    def __init__(self, mode: PhyMode, distance: float, chi: float, p_b: float,
+                 header: HeaderSuccess, energy: EnergyBreakdown,
+                 consts: FrameConstants, code: BchCode):
         self.mode = mode
         self.distance = distance
         self.chi = chi
         self.p_b = p_b
-        self.p_b_shr = p_b_shr
-        self.p_b_phr = p_b_phr
+        self.header = header
         self.energy = energy
         self.consts = consts
         self.code = code
         self.n = code.n
-        self.p_kasami = kasami_success(p_b_shr, consts.rho_sensitivity, consts.kasami_len)
-        self.p_shr = shr_success(self.p_kasami, consts.kasami_count)
-        self.p_phr = bch_block_success(p_b_phr, (consts.n_phr, phr_code.t))
         self.p_cw = bch_block_success(p_b, (code.n, code.t))
         self.log_p_cw = bch_block_log_success(p_b, (code.n, code.t))
-        self.header_success = self.p_shr * self.p_phr
+        self.header_success = header.success
         self.t_sym = mode.t_sym
         self.t_oh = consts.t_overhead
 
@@ -151,26 +173,38 @@ class LinkModel:
                          self.integration_per_pulse)
         return bit_error_prob(lb, mode)
 
-    def mode_metrics(self, distance: float, mode: PhyMode, chi: float = 0.0) -> ModeMetrics:
-        p_b = self.bit_error(distance, mode, chi)
+    def _header(self, p_b_shr: float, p_b_phr: float) -> HeaderSuccess:
+        return HeaderSuccess.at(p_b_shr, p_b_phr, self.consts, self.phr_code)
+
+    def _shared_header(self, distance: float, chi: float) -> HeaderSuccess | None:
+        """The header every mode shares at this distance; None under
+        uniform_section_ber, where each mode's header runs at its own p_b."""
         if self.uniform_section_ber:
-            p_b_shr = p_b_phr = p_b
-        else:
-            p_b_shr = self.bit_error(distance, mode_for(self.consts.n_cpb_shr), chi)
-            p_b_phr = self.bit_error(distance, mode_for(self.consts.n_cpb_phr), chi)
+            return None
+        return self._header(self.bit_error(distance, mode_for(self.consts.n_cpb_shr), chi),
+                            self.bit_error(distance, mode_for(self.consts.n_cpb_phr), chi))
+
+    def _build(self, distance: float, mode: PhyMode, chi: float,
+               header: HeaderSuccess | None) -> ModeMetrics:
+        p_b = self.bit_error(distance, mode, chi)
         return ModeMetrics(
             mode=mode,
             distance=distance,
             chi=chi,
             p_b=p_b,
-            p_b_shr=p_b_shr,
-            p_b_phr=p_b_phr,
+            header=self._header(p_b, p_b) if header is None else header,
             energy=energy_breakdown(mode, self.energy, self.consts),
             consts=self.consts,
             code=self.code,
-            phr_code=self.phr_code,
         )
 
+    def mode_metrics(self, distance: float, mode: PhyMode, chi: float = 0.0) -> ModeMetrics:
+        """One mode's metrics; the same values env() gives for that mode."""
+        return self._build(distance, mode, chi, self._shared_header(distance, chi))
+
     def env(self, distance: float, chi: float = 0.0) -> tuple[ModeMetrics, ...]:
-        """Metrics for all six burst modes at one distance, ascending n_cpb."""
-        return tuple(self.mode_metrics(distance, m, chi) for m in MODE_TABLE)
+        """Metrics for all six burst modes at one distance, ascending n_cpb.
+
+        The header reliability is built once and shared by the six modes."""
+        header = self._shared_header(distance, chi)
+        return tuple(self._build(distance, m, chi, header) for m in MODE_TABLE)

@@ -34,7 +34,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .metrics import LinkModel, ModeMetrics, QosSpec
+
+
+# The oracle and the curves scan every codeword multiple up to n_t_max, so
+# their memory and time grow with it.  4096 codewords (258,048 bits) is far
+# beyond any frame the model favours and keeps a scan to 4096 points per mode.
+N_T_MAX_LIMIT = 63 * 4096
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not isinstance(self.n_t_max, numbers.Integral) or self.n_t_max < 63:
-            raise ValueError(f"n_t_max must be an integer >= 63, got {self.n_t_max!r}")
+            raise ConfigError("solver.n_t_max", f"must be an integer >= 63, got {self.n_t_max!r}")
+        if self.n_t_max > N_T_MAX_LIMIT:
+            raise ConfigError("solver.n_t_max", f"must be <= {N_T_MAX_LIMIT}, got {self.n_t_max!r}")
 
 
 @dataclass(frozen=True)
@@ -247,16 +256,9 @@ def _select(cands: list[ModeSolution]) -> tuple[ModeSolution, bool]:
     return best, False
 
 
-def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
-          cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
-    """Pick (n_t, n_cpb) maximizing efficiency under the aggregate-rate floor.
-
-    Runs the three-branch per-mode solve over all six burst modes and keeps
-    the best feasible mode (best-throughput mode if none is feasible).  The
-    per-mode solves are independent and evaluated in fixed ascending n_cpb
-    order, so results are deterministic.
-    """
-    cands = [solve_mode(mm, qos, cfg) for mm in model.env(distance, chi)]
+def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
+    """cloee on one distance's environment (LinkModel.env)."""
+    cands = [solve_mode(mm, qos, cfg) for mm in env]
     best, feasible = _select(cands)
     return OptResult(
         n_t_star=best.n_t,
@@ -271,14 +273,13 @@ def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
     )
 
 
-def exhaustive_search(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
-                      cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
-    """Scan every (burst mode, codeword multiple) pair; the acceptance oracle."""
+def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
+    """exhaustive_search on one distance's environment (LinkModel.env)."""
     r0ns = qos.aggregate_rate
     best_feas = None   # (eta, n_t, rate, n_cpb)
     best_rate = None
     evaluated = 0
-    for mm in model.env(distance, chi):
+    for mm in env:
         nts, etas, rates = _mode_grid(mm, cfg)
         evaluated += len(nts)
         feas = rates >= r0ns
@@ -302,3 +303,21 @@ def exhaustive_search(model: LinkModel, distance: float, qos: QosSpec = QosSpec(
         branch="exhaustive",
         kkt_rate=None,
     )
+
+
+def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
+          cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
+    """Pick (n_t, n_cpb) maximizing efficiency under the aggregate-rate floor.
+
+    Runs the three-branch per-mode solve over all six burst modes and keeps
+    the best feasible mode (best-throughput mode if none is feasible).  The
+    per-mode solves are independent and evaluated in fixed ascending n_cpb
+    order, so results are deterministic.
+    """
+    return solve_env(model.env(distance, chi), qos, cfg)
+
+
+def exhaustive_search(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
+                      cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
+    """Scan every (burst mode, codeword multiple) pair; the acceptance oracle."""
+    return search_env(model.env(distance, chi), qos, cfg)

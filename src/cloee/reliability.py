@@ -32,15 +32,16 @@ def _check_p(p_b: float) -> None:
         raise ValueError(f"bit error probability must be in [0, 1], got {p_b}")
 
 
-def _binom_pmf_log(i: int, n_bits: int, p_b: float) -> float:
-    # Exact integer binomial coefficient, probabilities combined in log space
-    # so the tail stays accurate from p_b ~ 1e-300 up to 0.5.
-    if p_b == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if p_b == 1.0:
-        return 1.0 if i == n_bits else 0.0
-    log_term = i * math.log(p_b) + (n_bits - i) * math.log1p(-p_b)
-    return math.comb(n_bits, i) * math.exp(log_term)
+def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
+    """sum_{lo <= i < hi} C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1.
+
+    Exact integer binomial coefficients, probabilities combined in log space
+    so the tail stays accurate from p_b ~ 1e-300 up to 0.5.  The two logs are
+    taken once per tail; the terms are summed in ascending i.
+    """
+    lp, lq = math.log(p_b), math.log1p(-p_b)
+    return sum(math.comb(n_bits, i) * math.exp(i * lp + (n_bits - i) * lq)
+               for i in range(lo, hi))
 
 
 def bch_block_success(p_b: float, code: _CodeLike) -> float:
@@ -49,7 +50,11 @@ def bch_block_success(p_b: float, code: _CodeLike) -> float:
     if t >= n_bits:
         raise ValueError(f"correctable errors t={t} must be < block size {n_bits}")
     _check_p(p_b)
-    return min(1.0, sum(_binom_pmf_log(i, n_bits, p_b) for i in range(t + 1)))
+    if p_b == 0.0:
+        return 1.0
+    if p_b == 1.0:
+        return 0.0
+    return min(1.0, _tail(p_b, n_bits, 0, t + 1))
 
 
 def bch_block_log_success(p_b: float, code: _CodeLike) -> float:
@@ -66,7 +71,7 @@ def bch_block_log_success(p_b: float, code: _CodeLike) -> float:
         return 0.0
     if p_b == 1.0:
         return math.log(bch_block_success(p_b, (n_bits, t))) if t >= n_bits else -math.inf
-    upper = sum(_binom_pmf_log(i, n_bits, p_b) for i in range(t + 1, n_bits + 1))
+    upper = _tail(p_b, n_bits, t + 1, n_bits + 1)
     if upper < 0.5:
         return math.log1p(-upper)
     direct = bch_block_success(p_b, (n_bits, t))

@@ -189,6 +189,8 @@ def parse_scenario(text: str, source: str = "<config>") -> Scenario:
     def build(cls, prefix: str):
         try:
             return cls(**section(prefix))
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(prefix, str(exc)) from None
 

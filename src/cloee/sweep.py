@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .frame import mode_for
-from .metrics import LinkModel, QosSpec
-from .optimizer import OptResult, SolverConfig, cloee, exhaustive_search, solve_mode
+from .metrics import LinkModel, ModeMetrics, QosSpec
+from .optimizer import OptResult, SolverConfig, search_env, solve_env, solve_mode
 from .scenario import Scenario
 from . import svgplot
 
@@ -56,14 +55,12 @@ def parse_rows(text: str) -> list[SweepRow]:
     return rows
 
 
-def _static_row(model: LinkModel, distance: float, chi: float, n_cpb: int, n_t: int,
-                qos: QosSpec) -> SweepRow:
-    mm = model.mode_metrics(distance, mode_for(n_cpb), chi)
+def _static_row(mm: ModeMetrics, n_t: int, qos: QosSpec) -> SweepRow:
     rate = mm.rate(n_t)
     return SweepRow(
-        distance=distance,
-        strategy=f"static_{n_cpb}_{n_t}",
-        n_cpb=n_cpb,
+        distance=mm.distance,
+        strategy=f"static_{mm.mode.n_cpb}_{n_t}",
+        n_cpb=mm.mode.n_cpb,
         n_t=n_t,
         eta=mm.eta(n_t),
         rate=rate,
@@ -73,11 +70,9 @@ def _static_row(model: LinkModel, distance: float, chi: float, n_cpb: int, n_t: 
     )
 
 
-def _result_row(model: LinkModel, distance: float, chi: float, strategy: str,
-                res: OptResult) -> SweepRow:
-    mm = model.mode_metrics(distance, mode_for(res.n_cpb_star), chi)
+def _result_row(mm: ModeMetrics, strategy: str, res: OptResult) -> SweepRow:
     return SweepRow(
-        distance=distance,
+        distance=mm.distance,
         strategy=strategy,
         n_cpb=res.n_cpb_star,
         n_t=res.n_t_star,
@@ -91,14 +86,13 @@ def _result_row(model: LinkModel, distance: float, chi: float, strategy: str,
 
 def _distance_rows(scenario: Scenario, model: LinkModel, distance: float,
                    chi: float) -> list[SweepRow]:
-    rows = [
-        _static_row(model, distance, chi, n_cpb, n_t, scenario.qos)
-        for n_cpb, n_t in scenario.strategies
-    ]
-    res = cloee(model, distance, scenario.qos, scenario.solver, chi)
-    rows.append(_result_row(model, distance, chi, "cloee", res))
-    oracle = exhaustive_search(model, distance, scenario.qos, scenario.solver, chi)
-    rows.append(_result_row(model, distance, chi, "oracle", oracle))
+    """Every row of one distance, all read from its one environment."""
+    env = model.env(distance, chi)
+    by_cpb = {mm.mode.n_cpb: mm for mm in env}
+    rows = [_static_row(by_cpb[n_cpb], n_t, scenario.qos) for n_cpb, n_t in scenario.strategies]
+    for strategy, solve in (("cloee", solve_env), ("oracle", search_env)):
+        res = solve(env, scenario.qos, scenario.solver)
+        rows.append(_result_row(by_cpb[res.n_cpb_star], strategy, res))
     return rows
 
 

@@ -2,16 +2,24 @@
 
 import numpy as np
 
-from cloee import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE, ModeMetrics, energy_breakdown, mode_for
+from cloee import (
+    FRAME_CONSTANTS,
+    PHR_CODE,
+    PSDU_CODE,
+    HeaderSuccess,
+    ModeMetrics,
+    PhyMode,
+    energy_breakdown,
+    mode_for,
+)
 
 
-def single_pb_metrics(p_b: float) -> ModeMetrics:
+def single_pb_metrics(p_b: float, mode: PhyMode = mode_for(1)) -> ModeMetrics:
     """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
     probability; its success(n_t) is the textbook single-p_b PPDU success."""
-    mode = mode_for(1)
-    return ModeMetrics(mode=mode, distance=1.0, chi=0.0, p_b=p_b, p_b_shr=p_b, p_b_phr=p_b,
-                       energy=energy_breakdown(mode), consts=FRAME_CONSTANTS,
-                       code=PSDU_CODE, phr_code=PHR_CODE)
+    return ModeMetrics(mode=mode, distance=1.0, chi=0.0, p_b=p_b,
+                       header=HeaderSuccess.at(p_b, p_b, FRAME_CONSTANTS, PHR_CODE),
+                       energy=energy_breakdown(mode), consts=FRAME_CONSTANTS, code=PSDU_CODE)
 
 
 def sign_changes(values, rel_tol: float = 1e-12) -> int:

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,13 +7,10 @@ from cloee import (
     MODE_TABLE,
     PSDU_CODE,
     BchCode,
-    InvalidFrameError,
     PhyMode,
-    codeword_count,
-    frame_duration,
     mode_for,
-    psdu_layout,
 )
+from helpers import single_pb_metrics
 
 # Printed rate table: (n_cpb, uncoded Mbps, coded Mbps).
 PRINTED_RATES = (
@@ -81,71 +76,48 @@ class TestFrameConstants:
 
 
 class TestCodewordCount:
+    # A PSDU of n_t bits spans ceil(n_t / 63) codewords: ModeMetrics.success
+    # raises the codeword success to that power.
     def test_exact_fit(self):
-        assert codeword_count(63) == 1
+        mm = single_pb_metrics(0.01)
+        assert mm.n_cw(63) == 1
+        assert mm.success(63) == pytest.approx(mm.header_success * mm.p_cw, rel=1e-12)
 
     def test_ceiling(self):
-        assert codeword_count(64) == 2
+        mm = single_pb_metrics(0.01)
+        assert mm.n_cw(64) == 2
+        assert mm.success(64) == mm.success(126) < mm.success(63)
 
     def test_static_benchmark_size(self):
         # 2616 bits is not a codeword multiple; the ceiling still applies.
-        assert codeword_count(2616) == 42
-
-    def test_too_short_rejected(self):
-        with pytest.raises(InvalidFrameError):
-            codeword_count(62)
+        mm = single_pb_metrics(0.01)
+        assert mm.n_cw(2616) == 42
+        assert mm.success(2616) == mm.success(42 * 63) < mm.success(41 * 63)
 
 
-class TestPsduLayout:
-    @pytest.mark.parametrize(
-        "n_fb,expected",
-        [
-            (0, (72, 30, 2, 126)),     # empty body still carries header + FCS
-            (30, (102, 0, 2, 126)),    # exact fill, no stuffing
-            (500, (572, 40, 12, 756)),
-        ],
-    )
-    def test_examples(self, n_fb, expected):
-        layout = psdu_layout(n_fb)
-        assert (layout.n_mpdu, layout.n_bs, layout.n_cw, layout.n_t) == expected
-
-    def test_negative_body_rejected(self):
-        with pytest.raises(ValueError):
-            psdu_layout(-1)
-
-    @given(st.integers(min_value=0, max_value=200_000))
-    def test_layout_invariants(self, n_fb):
-        layout = psdu_layout(n_fb)
-        assert layout.n_t % 63 == 0
-        assert 0 <= layout.n_bs < 51
-        assert layout.n_t == 63 * layout.n_cw
-        assert layout.n_cw == math.ceil((n_fb + 72) / 51)
-        # The whole-frame approximation ceil(n_t / n) is exact on frames the
-        # layout itself produces.
-        assert codeword_count(layout.n_t) == layout.n_cw
+def _on_air_time(mode: PhyMode, n_t: int) -> float:
+    """PPDU duration read off the live throughput: rate = n_t / duration
+    when every frame section is error-free."""
+    return n_t / single_pb_metrics(0.0, mode).rate(n_t)
 
 
 class TestFrameDuration:
     def test_overhead_only(self):
-        mode = mode_for(32)
-        assert frame_duration(0, mode) == pytest.approx(122.372e-6, rel=1e-12)
+        assert FRAME_CONSTANTS.t_overhead == pytest.approx(122.372e-6, rel=1e-12)
+        assert single_pb_metrics(0.0, mode_for(32)).t_oh == FRAME_CONSTANTS.t_overhead
 
     def test_slow_mode_example(self):
         mode = PhyMode(n_cpb=32, t_w=2051.3e-9 / 32, t_sym=2051.3e-9,
                        rate_uncoded=1 / 2051.3e-9, rate_coded=0.395e6)
-        assert frame_duration(1000, mode) == pytest.approx(122.372e-6 + 2.0513e-3, rel=1e-9)
+        assert _on_air_time(mode, 1000) == pytest.approx(122.372e-6 + 2.0513e-3, rel=1e-9)
 
     def test_fast_mode_example(self):
         mode = PhyMode(n_cpb=1, t_w=64.1e-9 / 32, t_sym=64.1e-9,
                        rate_uncoded=1 / 64.1e-9, rate_coded=12.636e6)
-        assert frame_duration(1000, mode) == pytest.approx(122.372e-6 + 64.1e-6, rel=1e-9)
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            frame_duration(-1, mode_for(1))
+        assert _on_air_time(mode, 1000) == pytest.approx(122.372e-6 + 64.1e-6, rel=1e-9)
 
     @given(st.integers(min_value=63, max_value=10_000))
     def test_strictly_increasing_in_size_and_symbol_time(self, n_t):
         fast, slow = mode_for(1), mode_for(32)
-        assert frame_duration(n_t + 63, fast) > frame_duration(n_t, fast)
-        assert frame_duration(n_t, slow) > frame_duration(n_t, fast)
+        assert _on_air_time(fast, n_t + 63) > _on_air_time(fast, n_t)
+        assert _on_air_time(slow, n_t) > _on_air_time(fast, n_t)

@@ -50,16 +50,17 @@ class TestSectionComposition:
         for d, n_cpb in ((6.0, 8), (7.5, 32), (8.4, 16)):
             mm = strict.mode_metrics(d, mode_for(n_cpb))
             ref = single_pb_metrics(mm.p_b)
-            for field in ("p_kasami", "p_shr", "p_phr", "p_cw", "header_success"):
-                assert getattr(mm, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+            for field in ("p_kasami", "p_shr", "p_phr", "success"):
+                assert getattr(mm.header, field) == pytest.approx(getattr(ref.header, field), rel=1e-12)
+            assert mm.p_cw == pytest.approx(ref.p_cw, rel=1e-12)
             assert mm.success(630) == pytest.approx(ref.success(630), rel=1e-12)
 
     def test_default_mode_uses_section_burst_orders(self, model):
         mm = model.mode_metrics(7.0, mode_for(1))
-        assert mm.p_b_shr == pytest.approx(model.bit_error(7.0, mode_for(4)), rel=1e-12)
-        assert mm.p_b_phr == pytest.approx(model.bit_error(7.0, mode_for(32)), rel=1e-12)
+        assert mm.header.p_b_shr == pytest.approx(model.bit_error(7.0, mode_for(4)), rel=1e-12)
+        assert mm.header.p_b_phr == pytest.approx(model.bit_error(7.0, mode_for(32)), rel=1e-12)
         # payload at n_cpb=1 is far worse than the fixed 32-pulse header
-        assert mm.p_b > mm.p_b_phr
+        assert mm.p_b > mm.header.p_b_phr
 
     def test_header_probability_shared_across_modes(self, model):
         # With section-specific burst orders, SHR/PHR success is independent
@@ -67,6 +68,8 @@ class TestSectionComposition:
         envs = model.env(6.5)
         headers = {round(mm.header_success, 15) for mm in envs}
         assert len(headers) == 1
+        # ... so env() builds it once and every mode holds the same object.
+        assert all(mm.header is envs[0].header for mm in envs)
 
 
 class TestContinuousRelaxation:

@@ -8,16 +8,20 @@ from cloee import (
     EnergyParams,
     FrameConstants,
     LinkModel,
+    ModeMetrics,
     QosSpec,
+    Scenario,
     SolverConfig,
     cloee,
     exhaustive_search,
     mode_for,
     nt_ee_closed_form,
     nt_thr_closed_form,
+    run_sweep,
     snap_to_grid,
     solve_mode,
 )
+from cloee.optimizer import search_env, solve_env
 from helpers import grid_argmax
 
 
@@ -268,6 +272,52 @@ class TestCloee:
                 assert prev_r.n_t_star >= next_r.n_t_star
 
 
+class TestSharedEnvironment:
+    @pytest.mark.parametrize("uniform,bit_errors", [(False, 8), (True, 6)])
+    def test_sweep_builds_one_environment_per_distance(self, monkeypatch, uniform, bit_errors):
+        builds, calls = [], []
+        init, bit_error = ModeMetrics.__init__, LinkModel.bit_error
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            builds.append(self.distance)
+
+        def counting_bit_error(self, *args, **kwargs):
+            calls.append(args[0])
+            return bit_error(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
+        monkeypatch.setattr(LinkModel, "bit_error", counting_bit_error)
+        distances = (2.0, 6.5, 8.4)
+        run_sweep(Scenario(distances=distances, shadowing=True, seed=3,
+                           uniform_section_ber=uniform))
+        # Six modes per distance; with section-specific rates the SHR and PHR
+        # bit error rates come on top, once per distance.
+        assert builds == [d for d in distances for _ in range(6)]
+        assert sorted(calls) == [d for d in distances for _ in range(bit_errors)]
+
+    def test_wrappers_equal_environment_bodies(self, model, cfg):
+        # Default targets plus, per mode, one between its rates at the snapped
+        # efficiency and throughput optima, which binds (dual branch).
+        rng = random.Random(5)
+        branches = set()
+        for d in (1.0, 4.0, 6.5, 6.8, 8.4, 12.0):
+            chi = rng.gauss(0.0, 4.0)
+            env = model.env(d, chi)
+            targets = [QosSpec()]
+            for mm in env:
+                sol = solve_mode(mm, QosSpec(), cfg)
+                lo, hi = mm.rate(sol.nee), mm.rate(sol.nthr)
+                if lo < hi:
+                    targets.append(QosSpec(r0=(lo + hi) / 2 / 24))
+            for qos in targets:
+                res = cloee(model, d, qos, cfg, chi)
+                assert res == solve_env(env, qos, cfg)
+                assert exhaustive_search(model, d, qos, cfg, chi) == search_env(env, qos, cfg)
+                branches.add(res.branch)
+        assert branches == {"unconstrained", "dual", "throughput-fallback"}
+
+
 class TestExhaustiveSearch:
     def test_tiny_ceiling_hand_checkable(self, model, qos):
         cfg = SolverConfig(n_t_max=126)
@@ -292,7 +342,12 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n_t_max=62), dict(n_t_max=0), dict(n_t_max=-63),
         dict(n_t_max=8190.0), dict(n_t_max="8190"), dict(n_t_max=None),
+        dict(n_t_max=63 * 4096 + 1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_largest_ceiling_accepted(self, model, qos):
+        cfg = SolverConfig(n_t_max=63 * 4096)
+        assert exhaustive_search(model, 5.0, qos, cfg).iterations == 6 * 4096

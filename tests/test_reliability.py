@@ -84,12 +84,54 @@ class TestLogSuccess:
         assert bch_block_log_success(1.0, (63, 2)) == -math.inf
 
 
+def _old_pmf(i, n_bits, p_b):
+    # The per-term form the tails were first written in: both logs on every term.
+    if p_b == 0.0:
+        return 1.0 if i == 0 else 0.0
+    if p_b == 1.0:
+        return 1.0 if i == n_bits else 0.0
+    log_term = i * math.log(p_b) + (n_bits - i) * math.log1p(-p_b)
+    return math.comb(n_bits, i) * math.exp(log_term)
+
+
+def _old_block_success(p_b, n_bits, t):
+    return min(1.0, sum(_old_pmf(i, n_bits, p_b) for i in range(t + 1)))
+
+
+def _old_block_log_success(p_b, n_bits, t):
+    if p_b == 0.0:
+        return 0.0
+    if p_b == 1.0:
+        return -math.inf
+    upper = sum(_old_pmf(i, n_bits, p_b) for i in range(t + 1, n_bits + 1))
+    if upper < 0.5:
+        return math.log1p(-upper)
+    direct = _old_block_success(p_b, n_bits, t)
+    return math.log(direct) if direct > 0.0 else -math.inf
+
+
+class TestTailsMatchPerTermForm:
+    # The tails take log(p_b) and log1p(-p_b) once and sum the same terms in
+    # the same order, so they must equal the per-term form bit for bit.
+    P_GRID = [0.0, 1.0, *(float(p) for p in np.logspace(-300, math.log10(0.5), 2000))]
+
+    @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
+    def test_block_success(self, n_bits, t):
+        for p in self.P_GRID:
+            assert bch_block_success(p, (n_bits, t)) == _old_block_success(p, n_bits, t), p
+
+    @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
+    def test_block_log_success(self, n_bits, t):
+        for p in self.P_GRID:
+            assert bch_block_log_success(p, (n_bits, t)) == _old_block_log_success(p, n_bits, t), p
+
+
 class TestPpduSuccess:
     # The PPDU is composed once, in ModeMetrics; single_pb_metrics puts every
     # section at the same bit error probability.
     def test_error_free_channel(self):
         mm = single_pb_metrics(0.0)
-        for value in (mm.p_kasami, mm.p_shr, mm.p_phr, mm.p_cw, mm.success(630)):
+        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr, mm.p_cw, mm.success(630)):
             assert value == 1.0
 
     def test_hopeless_channel(self):
@@ -99,7 +141,7 @@ class TestPpduSuccess:
         # p_psdu = P(Bin(63, 0.005) <= 2)^10, cross-checked by Monte Carlo in
         # the acceptance suite.
         mm = single_pb_metrics(0.005)
-        assert mm.header_success == mm.p_shr * mm.p_phr
+        assert mm.header_success == mm.header.p_shr * mm.header.p_phr
         assert mm.success(630) == pytest.approx(mm.header_success * 0.9610134067081701, rel=1e-10)
 
     def test_monotone_in_bit_errors_and_size(self):
@@ -119,5 +161,5 @@ class TestPpduSuccess:
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=130))
     def test_probabilities_stay_in_unit_interval(self, p_b, k):
         mm = single_pb_metrics(p_b)
-        for value in (mm.p_kasami, mm.p_shr, mm.p_phr, mm.p_cw, mm.success(63 * k)):
+        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr, mm.p_cw, mm.success(63 * k)):
             assert 0.0 <= value <= 1.0

@@ -71,6 +71,8 @@ class TestScenarioParsing:
             ("energy.p_syn = inf", "energy"),
             ("energy.eps_p = nan", "energy"),
             ("seed = 1\nseed = 2", "seed"),
+            ("solver.n_t_max = 258049", "solver.n_t_max"),
+            ("solver.n_t_max = 62", "solver.n_t_max"),
         ],
     )
     def test_errors_carry_key_path(self, text, key):
@@ -239,6 +241,13 @@ class TestCli:
         bad.write_text("qos.r0 = nan\n")
         assert main(["optimize", "--distance", "4.0", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("config-error: qos: ")
+
+    def test_search_ceiling_bounded(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("solver.n_t_max = 258049\n")
+        assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config-error: solver.n_t_max: must be <= 258048")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_and_shadowing_overrides(self, tmp_path):
         cfg_file = tmp_path / "scenario.cfg"
