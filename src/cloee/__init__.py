@@ -47,7 +47,7 @@ from .optimizer import (
 )
 from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
 from .scenario import DEFAULT_DISTANCES, DEFAULT_STRATEGIES, Scenario, load_scenario, parse_scenario
-from .sweep import SweepRow, emit_curves, parse_rows, run_sweep, rows_to_csv
+from .sweep import SweepRow, emit_curves, run_sweep, rows_to_csv
 
 __version__ = "0.1.0"
 
@@ -60,8 +60,7 @@ __all__ = [
     "bch_block_log_success", "bch_block_success", "bit_error_prob", "cloee",
     "emit_curves", "energy_breakdown", "exhaustive_search", "kasami_success",
     "link_budget", "load_scenario", "log_q_function", "mode_for",
-    "nt_ee_closed_form", "nt_thr_closed_form", "overhead_energy", "parse_rows",
-    "parse_scenario", "path_loss_db", "payload_energy_per_bit", "q_function",
-    "rows_to_csv", "run_sweep", "shr_success", "snap_to_grid", "solve_mode",
-    "startup_energy",
+    "nt_ee_closed_form", "nt_thr_closed_form", "overhead_energy", "parse_scenario",
+    "path_loss_db", "payload_energy_per_bit", "q_function", "rows_to_csv",
+    "run_sweep", "shr_success", "snap_to_grid", "solve_mode", "startup_energy",
 ]

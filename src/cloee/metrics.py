@@ -10,9 +10,10 @@ distance.  By default each frame section is evaluated at its own burst order
 section-specific constants of the energy model; uniform_section_ber=True
 evaluates all three sections at the payload's bit error rate instead.
 
-LinkModel.env(d, chi) is the one per-distance builder: with section-specific
-rates the SHR/PHR bit error rates and header success do not depend on the
-payload mode, so it computes them once and shares them across the six modes.
+LinkModel.env(d, chi) is the one builder: it takes the six payload bit error
+rates of a distance once, and with section-specific rates the header success
+does not depend on the payload mode, so it reuses the rates of the modes at
+n_cpb_shr and n_cpb_phr and shares one header across the six modes.
 """
 
 from __future__ import annotations
@@ -24,16 +25,7 @@ import numpy as np
 
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_prob, link_budget
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams, energy_breakdown
-from .frame import (
-    FRAME_CONSTANTS,
-    MODE_TABLE,
-    PHR_CODE,
-    PSDU_CODE,
-    BchCode,
-    FrameConstants,
-    PhyMode,
-    mode_for,
-)
+from .frame import FRAME_CONSTANTS, MODE_TABLE, PHR_CODE, PSDU_CODE, FrameConstants, PhyMode
 from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
 
 
@@ -66,11 +58,10 @@ class HeaderSuccess:
     p_phr: float
 
     @classmethod
-    def at(cls, p_b_shr: float, p_b_phr: float, consts: FrameConstants,
-           phr_code: BchCode) -> HeaderSuccess:
+    def at(cls, p_b_shr: float, p_b_phr: float, consts: FrameConstants) -> HeaderSuccess:
         p_kasami = kasami_success(p_b_shr, consts.rho_sensitivity, consts.kasami_len)
         return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami, consts.kasami_count),
-                   bch_block_success(p_b_phr, (consts.n_phr, phr_code.t)))
+                   bch_block_success(p_b_phr, (consts.n_phr, PHR_CODE.t)))
 
     @property
     def success(self) -> float:
@@ -81,35 +72,29 @@ class HeaderSuccess:
 class ModeMetrics:
     """Everything the optimizer needs about one (distance, mode) pair.
 
-    Link reliabilities and energies are computed once; eta()/rate() then
-    evaluate the grid objectives (codeword-count exponent ceil(n_t/n)) for
-    scalar or array n_t, while eta_cont()/rate_cont() use the relaxed
-    exponent n_t/n that the closed forms differentiate.  The two agree
-    exactly at multiples of n.
+    Link reliabilities and energies are computed once.  success()/eta()/rate()
+    evaluate the grid objectives, whose codeword count is ceil(n_t/n); eta and
+    rate take an int or an int array, and grid() evaluates both on every
+    codeword multiple.  success_cont()/rate_cont() use the relaxed exponent
+    n_t/n that the closed forms differentiate; the two agree exactly at
+    multiples of n.
     """
 
-    def __init__(self, mode: PhyMode, distance: float, chi: float, p_b: float,
-                 header: HeaderSuccess, energy: EnergyBreakdown,
-                 consts: FrameConstants, code: BchCode):
+    def __init__(self, mode: PhyMode, distance: float, p_b: float, header: HeaderSuccess,
+                 energy: EnergyBreakdown, consts: FrameConstants):
         self.mode = mode
         self.distance = distance
-        self.chi = chi
         self.p_b = p_b
         self.header = header
         self.energy = energy
         self.consts = consts
-        self.code = code
-        self.n = code.n
-        self.p_cw = bch_block_success(p_b, (code.n, code.t))
-        self.log_p_cw = bch_block_log_success(p_b, (code.n, code.t))
+        self.n = PSDU_CODE.n
+        self.log_p_cw = bch_block_log_success(p_b, (PSDU_CODE.n, PSDU_CODE.t))
         self.header_success = header.success
         self.t_sym = mode.t_sym
         self.t_oh = consts.t_overhead
 
     # -- grid objectives (integer frame sizes, whole codewords) ----------
-
-    def n_cw(self, n_t):
-        return np.ceil(np.asarray(n_t, dtype=float) / self.n)
 
     def success(self, n_t: int) -> float:
         """P(PPDU delivered) at one integer frame size: both header sections
@@ -117,27 +102,30 @@ class ModeMetrics:
         n_cw = -(-int(n_t) // self.n)
         return self.header_success * math.exp(n_cw * self.log_p_cw)
 
+    def _delivered_over(self, n_t, denom):
+        """Delivered payload bits n_t * P(PPDU delivered) over denom; a float
+        for an int n_t, an array for an array."""
+        out = n_t * self.header_success * np.exp(-(-n_t // self.n) * self.log_p_cw) / denom
+        return out if isinstance(out, np.ndarray) else float(out)
+
     def eta(self, n_t):
         """Energy efficiency in bits/Joule at integer frame size(s)."""
-        nt = np.asarray(n_t, dtype=float)
-        out = nt * self.header_success * np.exp(self.n_cw(n_t) * self.log_p_cw) \
-            / self.energy.total(nt)
-        return float(out) if np.ndim(n_t) == 0 else out
+        return self._delivered_over(n_t, self.energy.total(n_t))
 
     def rate(self, n_t):
         """Throughput in bits/s at integer frame size(s)."""
-        nt = np.asarray(n_t, dtype=float)
-        out = nt * self.header_success * np.exp(self.n_cw(n_t) * self.log_p_cw) \
-            / (self.t_oh + nt * self.t_sym)
-        return float(out) if np.ndim(n_t) == 0 else out
+        return self._delivered_over(n_t, self.t_oh + n_t * self.t_sym)
+
+    def grid(self, n_t_max: int):
+        """Every codeword multiple up to n_t_max with its eta and rate:
+        (nts, etas, rates), three arrays."""
+        nts = np.arange(1, n_t_max // self.n + 1) * self.n
+        return nts, self.eta(nts), self.rate(nts)
 
     # -- continuous relaxation (exponent n_t/n) --------------------------
 
     def success_cont(self, x: float) -> float:
         return self.header_success * math.exp(x * self.log_p_cw / self.n)
-
-    def eta_cont(self, x: float) -> float:
-        return x * self.success_cont(x) / self.energy.total(x)
 
     def rate_cont(self, x: float) -> float:
         return x * self.success_cont(x) / (self.t_oh + x * self.t_sym)
@@ -149,7 +137,8 @@ class ModeMetrics:
         return self.success_cont(x) * beta / (denom * denom)
 
     def eta_cont_grad(self, x: float) -> float:
-        """d(eta_cont)/d(n_t); zero exactly at the closed-form optimum."""
+        """d/dx of the relaxed efficiency x * success_cont(x) / energy.total(x);
+        zero exactly at the closed-form optimum."""
         return self._grad(x, self.energy.eps_b, self.energy.eps_fixed)
 
     def rate_cont_grad(self, x: float) -> float:
@@ -163,8 +152,6 @@ class LinkModel:
     channel: ChannelParams = DEFAULT_CHANNEL
     energy: EnergyParams = DEFAULT_ENERGY
     consts: FrameConstants = FRAME_CONSTANTS
-    code: BchCode = PSDU_CODE
-    phr_code: BchCode = PHR_CODE
     uniform_section_ber: bool = False
     integration_per_pulse: bool = False
 
@@ -173,38 +160,20 @@ class LinkModel:
                          self.integration_per_pulse)
         return bit_error_prob(lb, mode)
 
-    def _header(self, p_b_shr: float, p_b_phr: float) -> HeaderSuccess:
-        return HeaderSuccess.at(p_b_shr, p_b_phr, self.consts, self.phr_code)
-
-    def _shared_header(self, distance: float, chi: float) -> HeaderSuccess | None:
-        """The header every mode shares at this distance; None under
-        uniform_section_ber, where each mode's header runs at its own p_b."""
-        if self.uniform_section_ber:
-            return None
-        return self._header(self.bit_error(distance, mode_for(self.consts.n_cpb_shr), chi),
-                            self.bit_error(distance, mode_for(self.consts.n_cpb_phr), chi))
-
-    def _build(self, distance: float, mode: PhyMode, chi: float,
-               header: HeaderSuccess | None) -> ModeMetrics:
-        p_b = self.bit_error(distance, mode, chi)
-        return ModeMetrics(
-            mode=mode,
-            distance=distance,
-            chi=chi,
-            p_b=p_b,
-            header=self._header(p_b, p_b) if header is None else header,
-            energy=energy_breakdown(mode, self.energy, self.consts),
-            consts=self.consts,
-            code=self.code,
-        )
-
-    def mode_metrics(self, distance: float, mode: PhyMode, chi: float = 0.0) -> ModeMetrics:
-        """One mode's metrics; the same values env() gives for that mode."""
-        return self._build(distance, mode, chi, self._shared_header(distance, chi))
-
     def env(self, distance: float, chi: float = 0.0) -> tuple[ModeMetrics, ...]:
         """Metrics for all six burst modes at one distance, ascending n_cpb.
 
-        The header reliability is built once and shared by the six modes."""
-        header = self._shared_header(distance, chi)
-        return tuple(self._build(distance, m, chi, header) for m in MODE_TABLE)
+        One bit error rate per mode.  With section-specific rates the header
+        runs at the payload rates of the modes at n_cpb_shr and n_cpb_phr and
+        is built once for all six modes; under uniform_section_ber each mode's
+        header runs at its own payload rate.
+        """
+        consts = self.consts
+        p_b = {m.n_cpb: self.bit_error(distance, m, chi) for m in MODE_TABLE}
+        shared = None if self.uniform_section_ber else \
+            HeaderSuccess.at(p_b[consts.n_cpb_shr], p_b[consts.n_cpb_phr], consts)
+        return tuple(
+            ModeMetrics(m, distance, p_b[m.n_cpb],
+                        shared or HeaderSuccess.at(p_b[m.n_cpb], p_b[m.n_cpb], consts),
+                        energy_breakdown(m, self.energy, consts), consts)
+            for m in MODE_TABLE)

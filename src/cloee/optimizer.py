@@ -85,37 +85,36 @@ class OptResult:
 # closed forms
 
 
-def _closed_form(per_unit: float, fixed: float, p_cw: float, n: int,
-                 log_p_cw: Optional[float]) -> float:
+def _closed_form(per_unit: float, fixed: float, n: int, log_p_cw: float) -> float:
     if per_unit <= 0:
         raise ValueError(f"per-unit cost must be > 0, got {per_unit}")
-    lp = math.log(p_cw) if log_p_cw is None else log_p_cw
-    if lp >= 0.0:
+    if log_p_cw >= 0.0:
         return math.inf          # error-free codewords: no interior optimum
-    if math.isinf(lp):
+    if math.isinf(log_p_cw):
         return 0.0               # hopeless codewords: shrink to nothing
     half = fixed / (2.0 * per_unit)
-    denom = per_unit * lp
+    denom = per_unit * log_p_cw
     if denom == 0.0:
         return math.inf          # log_p_cw underflows: effectively error-free
     return math.sqrt(half * half - n * fixed / denom) - half
 
 
-def nt_ee_closed_form(eps_b: float, eps_oh: float, eps_st: float, p_cw: float,
-                      n: int = 63, log_p_cw: Optional[float] = None) -> float:
+def nt_ee_closed_form(eps_b: float, eps_oh: float, eps_st: float, log_p_cw: float,
+                      n: int = 63) -> float:
     """Real-valued frame size maximizing the relaxed energy efficiency.
 
-    Zero of d(eta)/d(n_t) for eta = n_t*A*p_cw^(n_t/n) / (n_t*eps_b + e1)
-    with e1 = eps_oh + eps_st.  Returns inf when p_cw >= 1 (caller clamps to
-    the search ceiling) and 0 when p_cw -> 0 (caller clamps to one codeword).
+    Zero of d(eta)/d(n_t) for eta = n_t*A*exp(log_p_cw*n_t/n) / (n_t*eps_b + e1)
+    with e1 = eps_oh + eps_st.  Returns inf when log_p_cw >= 0 (caller clamps
+    to the search ceiling) and 0 when log_p_cw = -inf (caller clamps to one
+    codeword).
     """
-    return _closed_form(eps_b, eps_oh + eps_st, p_cw, n, log_p_cw)
+    return _closed_form(eps_b, eps_oh + eps_st, n, log_p_cw)
 
 
-def nt_thr_closed_form(t_shr: float, t_phr: float, t_sym: float, p_cw: float,
-                       n: int = 63, log_p_cw: Optional[float] = None) -> float:
+def nt_thr_closed_form(t_shr: float, t_phr: float, t_sym: float, log_p_cw: float,
+                       n: int = 63) -> float:
     """Real-valued frame size maximizing the relaxed throughput."""
-    return _closed_form(t_sym, t_shr + t_phr, p_cw, n, log_p_cw)
+    return _closed_form(t_sym, t_shr + t_phr, n, log_p_cw)
 
 
 def snap_to_grid(x_cont: float, objective: Callable[[int], float],
@@ -163,11 +162,6 @@ class ModeSolution:
     kkt_rate: Optional[float]
 
 
-def _mode_grid(mm: ModeMetrics, cfg: SolverConfig):
-    nts = np.arange(1, cfg.n_t_max // mm.n + 1, dtype=float) * mm.n
-    return nts, mm.eta(nts), mm.rate(nts)
-
-
 def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
     """Crossing of rate_cont = r0ns, bracketed by [lo, hi]."""
     f_lo = mm.rate_cont(lo) - r0ns
@@ -187,10 +181,10 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution
     r0ns = qos.aggregate_rate
 
     nee_cont = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
-                                 mm.p_cw, mm.n, log_p_cw=mm.log_p_cw)
+                                 mm.log_p_cw, mm.n)
     nee = snap_to_grid(nee_cont, mm.eta, mm.n, cfg.n_t_max)
     nthr_cont = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
-                                   mm.p_cw, mm.n, log_p_cw=mm.log_p_cw)
+                                   mm.log_p_cw, mm.n)
     nthr = snap_to_grid(nthr_cont, mm.rate, mm.n, cfg.n_t_max)
 
     if mm.rate(nee) >= r0ns:
@@ -280,7 +274,7 @@ def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) ->
     best_rate = None
     evaluated = 0
     for mm in env:
-        nts, etas, rates = _mode_grid(mm, cfg)
+        nts, etas, rates = mm.grid(cfg.n_t_max)
         evaluated += len(nts)
         feas = rates >= r0ns
         if feas.any():

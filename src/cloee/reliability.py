@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import math
 
-from .frame import FRAME_CONSTANTS, BchCode
-
-_CodeLike = BchCode | tuple[int, int]
+from .frame import FRAME_CONSTANTS
 
 
-def _block_params(code: _CodeLike) -> tuple[int, int]:
-    if isinstance(code, BchCode):
-        return code.n, code.t
-    n_bits, t = code
-    return int(n_bits), int(t)
+def _block_params(code: tuple[int, int]) -> tuple[int, int]:
+    n_bits, t = (int(v) for v in code)
+    if not 0 <= t < n_bits:
+        raise ValueError(f"correctable errors t={t} must be in [0, {n_bits}) for a "
+                         f"{n_bits}-bit block")
+    return n_bits, t
 
 
 def _check_p(p_b: float) -> None:
@@ -44,11 +43,9 @@ def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
                for i in range(lo, hi))
 
 
-def bch_block_success(p_b: float, code: _CodeLike) -> float:
-    """P(block of N bits decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i)."""
+def bch_block_success(p_b: float, code: tuple[int, int]) -> float:
+    """P(block of N bits decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i); code = (N, t)."""
     n_bits, t = _block_params(code)
-    if t >= n_bits:
-        raise ValueError(f"correctable errors t={t} must be < block size {n_bits}")
     _check_p(p_b)
     if p_b == 0.0:
         return 1.0
@@ -57,7 +54,7 @@ def bch_block_success(p_b: float, code: _CodeLike) -> float:
     return min(1.0, _tail(p_b, n_bits, 0, t + 1))
 
 
-def bch_block_log_success(p_b: float, code: _CodeLike) -> float:
+def bch_block_log_success(p_b: float, code: tuple[int, int]) -> float:
     """log of bch_block_success, accurate when the success probability is ~1.
 
     For small p_b the direct sum rounds to 1.0 and its log to 0; here the
@@ -70,7 +67,7 @@ def bch_block_log_success(p_b: float, code: _CodeLike) -> float:
     if p_b == 0.0:
         return 0.0
     if p_b == 1.0:
-        return math.log(bch_block_success(p_b, (n_bits, t))) if t >= n_bits else -math.inf
+        return -math.inf
     upper = _tail(p_b, n_bits, t + 1, n_bits + 1)
     if upper < 0.5:
         return math.log1p(-upper)

@@ -33,6 +33,9 @@ from .frame import VALID_N_CPB
 from .metrics import LinkModel, QosSpec
 from .optimizer import SolverConfig
 
+# A range expands to at most MAX_RANGE_STEPS + 1 distances; the count is
+# checked before the tuple is built, so a tiny step cannot exhaust memory.
+MAX_RANGE_STEPS = 100_000
 DEFAULT_DISTANCES: tuple[float, ...] = tuple(round(1.0 + 0.1 * i, 9) for i in range(91))
 # Fixed benchmark strategies: lowest/highest burst orders plus two mid modes,
 # all at the 2616-bit frame the static comparisons use.
@@ -122,9 +125,13 @@ def _parse_distances(key: str, raw: str) -> tuple[float, ...]:
             raise ConfigError(key, f"range bounds must be finite, got {raw!r}")
         if step <= 0:
             raise ConfigError(key, f"range step must be > 0, got {step}")
-        count = int(round((stop - start) / step)) + 1
-        if count < 1 or start + (count - 1) * step > stop + 1e-9 * step:
-            count = max(1, int((stop - start) / step + 1e-9) + 1)
+        span = max(0.0, (stop - start) / step)    # inf when the quotient overflows
+        if span > MAX_RANGE_STEPS:
+            raise ConfigError(key, f"a range may take at most {MAX_RANGE_STEPS} steps, "
+                                   f"got {raw!r}")
+        count = int(round(span)) + 1
+        if start + (count - 1) * step > stop + 1e-9 * step:
+            count = int(span + 1e-9) + 1
         return tuple(round(start + i * step, 9) for i in range(count))
     return tuple(_parse_float(key, p) for p in raw.split(",") if p.strip())
 

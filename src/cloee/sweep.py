@@ -40,21 +40,6 @@ class SweepRow:
         ))
 
 
-def parse_rows(text: str) -> list[SweepRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[:1]}")
-    rows = []
-    for ln in lines[1:]:
-        d, strategy, n_cpb, n_t, eta, rate, p_ppdu, feasible, branch = ln.split(",")
-        rows.append(SweepRow(
-            distance=float(d), strategy=strategy, n_cpb=int(n_cpb), n_t=int(n_t),
-            eta=float(eta), rate=float(rate), p_ppdu=float(p_ppdu),
-            feasible=feasible == "true", branch=branch,
-        ))
-    return rows
-
-
 def _static_row(mm: ModeMetrics, n_t: int, qos: QosSpec) -> SweepRow:
     rate = mm.rate(n_t)
     return SweepRow(
@@ -114,6 +99,11 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join([CSV_HEADER, *(r.to_csv() for r in rows)]) + "\n"
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in ("csv", "svg"):
+        raise ValueError(f"format must be csv|svg, got {fmt!r}")
+
+
 def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "sweep",
                 fmt: str = "csv") -> list[Path]:
     """Write rows as CSV (and optional SVG line charts); returns written paths.
@@ -122,8 +112,7 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "swee
     """
     if not rows:
         raise ValueError("no rows to emit")
-    if fmt not in ("csv", "svg"):
-        raise ValueError(f"format must be csv|svg, got {fmt!r}")
+    _check_format(fmt)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -157,47 +146,41 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
                    cfg: SolverConfig, chi: float = 0.0):
     """Per-mode eta/rate curves over the codeword grid plus the solution marks.
 
-    Returns (curve_lines, mark_lines) as CSV strings without headers.
+    Returns one (ModeSolution, nts, etas, rates) per mode, ascending n_cpb;
+    the arrays are ModeMetrics.grid(cfg.n_t_max).
     """
-    curve_lines: list[str] = []
-    mark_lines: list[str] = []
-    for mm in model.env(distance, chi):
-        k_max = cfg.n_t_max // mm.n
-        for k in range(1, k_max + 1):
-            n_t = k * mm.n
-            curve_lines.append(
-                f"{mm.mode.n_cpb},{n_t},{mm.eta(n_t)!r},{mm.rate(n_t)!r}")
-        sol = solve_mode(mm, qos, cfg)
-        mark_lines.append(
-            f"{mm.mode.n_cpb},{sol.nee},{sol.nthr},{sol.n_t},{sol.branch},"
-            f"{'true' if sol.feasible else 'false'}")
-    return curve_lines, mark_lines
+    return [(solve_mode(mm, qos, cfg), *mm.grid(cfg.n_t_max))
+            for mm in model.env(distance, chi)]
 
 
 def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
                                cfg: SolverConfig, out_dir: str | Path,
                                fmt: str = "csv", chi: float = 0.0) -> list[Path]:
-    curve_lines, mark_lines = compute_curves(model, distance, qos, cfg, chi)
-    if not curve_lines:
-        raise ValueError("no curve points to emit")
+    """Write curves.csv and curve_marks.csv (plus curves_eta.svg and
+    curves_rate.svg for fmt="svg"); returns the written paths."""
+    _check_format(fmt)
+    curve_lines, mark_lines = [CURVE_HEADER], [MARKS_HEADER]
+    series: dict[str, list] = {"eta": [], "rate": []}
+    for sol, nts, etas, rates in compute_curves(model, distance, qos, cfg, chi):
+        n_cpb = sol.mm.mode.n_cpb
+        nts, etas, rates = nts.tolist(), etas.tolist(), rates.tolist()
+        curve_lines += [f"{n_cpb},{n_t},{eta!r},{rate!r}"
+                        for n_t, eta, rate in zip(nts, etas, rates)]
+        mark_lines.append(f"{n_cpb},{sol.nee},{sol.nthr},{sol.n_t},{sol.branch},"
+                          f"{'true' if sol.feasible else 'false'}")
+        series["eta"].append((f"n_cpb={n_cpb}", nts, etas))
+        series["rate"].append((f"n_cpb={n_cpb}", nts, rates))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves_path = out_dir / "curves.csv"
-    curves_path.write_text("\n".join([CURVE_HEADER, *curve_lines]) + "\n")
+    curves_path.write_text("\n".join(curve_lines) + "\n")
     marks_path = out_dir / "curve_marks.csv"
-    marks_path.write_text("\n".join([MARKS_HEADER, *mark_lines]) + "\n")
+    marks_path.write_text("\n".join(mark_lines) + "\n")
     paths = [curves_path, marks_path]
     if fmt == "svg":
-        by_mode: dict[int, list[tuple[int, float, float]]] = {}
-        for line in curve_lines:
-            n_cpb, n_t, eta, rate = line.split(",")
-            by_mode.setdefault(int(n_cpb), []).append((int(n_t), float(eta), float(rate)))
-        for metric, idx, label in (("eta", 1, "bits/Joule"), ("rate", 2, "bits/s")):
-            series = [
-                (f"n_cpb={n_cpb}", [p[0] for p in pts], [p[idx] for p in pts])
-                for n_cpb, pts in sorted(by_mode.items())
-            ]
-            svg = svgplot.render_lines(series, title=f"{metric} vs frame size at {distance} m",
+        for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s")):
+            svg = svgplot.render_lines(series[metric],
+                                       title=f"{metric} vs frame size at {distance} m",
                                        x_label="n_t (bits)", y_label=label)
             path = out_dir / f"curves_{metric}.svg"
             path.write_text(svg)

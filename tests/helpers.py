@@ -4,22 +4,44 @@ import numpy as np
 
 from cloee import (
     FRAME_CONSTANTS,
-    PHR_CODE,
-    PSDU_CODE,
     HeaderSuccess,
+    LinkModel,
     ModeMetrics,
     PhyMode,
+    SweepRow,
     energy_breakdown,
     mode_for,
 )
+from cloee.sweep import CSV_HEADER
 
 
 def single_pb_metrics(p_b: float, mode: PhyMode = mode_for(1)) -> ModeMetrics:
     """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
     probability; its success(n_t) is the textbook single-p_b PPDU success."""
-    return ModeMetrics(mode=mode, distance=1.0, chi=0.0, p_b=p_b,
-                       header=HeaderSuccess.at(p_b, p_b, FRAME_CONSTANTS, PHR_CODE),
-                       energy=energy_breakdown(mode), consts=FRAME_CONSTANTS, code=PSDU_CODE)
+    return ModeMetrics(mode=mode, distance=1.0, p_b=p_b,
+                       header=HeaderSuccess.at(p_b, p_b, FRAME_CONSTANTS),
+                       energy=energy_breakdown(mode), consts=FRAME_CONSTANTS)
+
+
+def metrics_at(model: LinkModel, distance: float, n_cpb: int, chi: float = 0.0) -> ModeMetrics:
+    """The n_cpb mode of model.env(distance, chi)."""
+    return next(mm for mm in model.env(distance, chi) if mm.mode.n_cpb == n_cpb)
+
+
+def parse_rows(text: str) -> list[SweepRow]:
+    """SweepRows back from a sweep CSV (the inverse of rows_to_csv)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header: {lines[:1]}")
+    rows = []
+    for ln in lines[1:]:
+        d, strategy, n_cpb, n_t, eta, rate, p_ppdu, feasible, branch = ln.split(",")
+        rows.append(SweepRow(
+            distance=float(d), strategy=strategy, n_cpb=int(n_cpb), n_t=int(n_t),
+            eta=float(eta), rate=float(rate), p_ppdu=float(p_ppdu),
+            feasible=feasible == "true", branch=branch,
+        ))
+    return rows
 
 
 def sign_changes(values, rel_tol: float = 1e-12) -> int:

@@ -28,7 +28,7 @@ from cloee import (
     snap_to_grid,
     solve_mode,
 )
-from helpers import grid_argmax, is_unimodal_max, single_pb_metrics
+from helpers import grid_argmax, is_unimodal_max, metrics_at, single_pb_metrics
 
 N_DRAWS = 200
 DRAW_SEED = 20250808
@@ -74,7 +74,7 @@ def _random_draws(seed: int = DRAW_SEED, count: int = N_DRAWS):
         model = LinkModel(energy=energy)
         distance = float(rng.uniform(1.0, 10.0))
         mode = MODE_TABLE[int(rng.integers(0, 6))]
-        yield model.mode_metrics(distance, mode)
+        yield metrics_at(model, distance, mode.n_cpb)
 
 
 def test_c1_mode_table_reproduction():
@@ -117,11 +117,11 @@ def test_c3_closed_forms_match_brute_force():
     checked_stationarity = 0
     for mm in _random_draws():
         nee_cont = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh,
-                                     mm.energy.eps_st, mm.p_cw, log_p_cw=mm.log_p_cw)
+                                     mm.energy.eps_st, mm.log_p_cw)
         nee = snap_to_grid(nee_cont, mm.eta)
         assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
         nthr_cont = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
-                                       mm.p_cw, log_p_cw=mm.log_p_cw)
+                                       mm.log_p_cw)
         nthr = snap_to_grid(nthr_cont, mm.rate)
         assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,18 +82,20 @@ class TestCodewordCount:
     # raises the codeword success to that power.
     def test_exact_fit(self):
         mm = single_pb_metrics(0.01)
-        assert mm.n_cw(63) == 1
-        assert mm.success(63) == pytest.approx(mm.header_success * mm.p_cw, rel=1e-12)
+        assert -(-63 // 63) == 1
+        assert mm.success(63) == pytest.approx(mm.header_success * math.exp(mm.log_p_cw), rel=1e-12)
 
     def test_ceiling(self):
         mm = single_pb_metrics(0.01)
-        assert mm.n_cw(64) == 2
+        assert -(-64 // 63) == 2
+        assert mm.success(64) == pytest.approx(
+            mm.header_success * math.exp(2 * mm.log_p_cw), rel=1e-12)
         assert mm.success(64) == mm.success(126) < mm.success(63)
 
     def test_static_benchmark_size(self):
         # 2616 bits is not a codeword multiple; the ceiling still applies.
         mm = single_pb_metrics(0.01)
-        assert mm.n_cw(2616) == 42
+        assert -(-2616 // 63) == 42
         assert mm.success(2616) == mm.success(42 * 63) < mm.success(41 * 63)
 
 

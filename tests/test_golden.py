@@ -1,4 +1,10 @@
-"""Byte-identity pins: sha256 of sweep CSVs that must not move by accident.
+"""Byte-identity pins: sha256 of outputs that must not move by accident.
+
+Pinned: the default sweep CSV, nine hospital sweep CSVs (three model
+variants x three shadowing seeds), and the four files `cloee curves --format
+svg` writes (curves.csv, curve_marks.csv, curves_eta.svg, curves_rate.svg) at
+2.0, 6.5 and 8.4 m with the default config and at 6.5 m with the hospital
+config.
 
 The pins were computed with Python 3.11, numpy 2.4 and glibc 2.36's libm on
 x86-64 Linux.  Another numpy or libm may round a transcendental function
@@ -10,12 +16,15 @@ floating-point work) must re-pin every value here and state the largest
 relative difference between the old and new CSVs.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 
 import pytest
 
 from cloee import Scenario, parse_scenario, rows_to_csv, run_sweep
+from cloee.cli import main
 
 # perfbench/scenarios/hospital.conf, the paper's headline scenario.
 HOSPITAL = """
@@ -58,3 +67,47 @@ def test_hospital_sweep_csv(variant, seed):
         overrides[variant] = True
     scenario = dataclasses.replace(parse_scenario(HOSPITAL), **overrides)
     assert _sha(scenario) == HOSPITAL_SWEEPS[variant, seed]
+
+
+CURVE_FILES = ("curves.csv", "curve_marks.csv", "curves_eta.svg", "curves_rate.svg")
+
+CURVES = {
+    ("default", "2.0"): (
+        "3d7a4d016c74f547de8ecc7e655c7ae4fab109e3031ce4513601729592333cc3",
+        "d45278c7a513e45a27b584f961df3c696b9d360864a97b65e2a9d2d6d628bc37",
+        "5fdda89149ad8d276fa2fb439fe1a8e1eb55c17341e003899a9eefa4b1d1e58c",
+        "512ee81110e438c0b5b96ef611428b6835418a3fe4f144dd981ccc825f941e22",
+    ),
+    ("default", "6.5"): (
+        "589749dce57d528ec1e2b47bd630a4d323f7e2f16f37966a41d7309a73bba9b4",
+        "41c019480f6a7aced2394fda4aa1ee31637ce97825e1cf0484cb14e88b9d4a61",
+        "25d02560960ebc4c78c59a6d7eba75ef30081097bc52f02a794d6960ac77f7c2",
+        "5aaad6e5778530ebacd52725007ba2b37c55eb2b477251d3d9a19b50ff69c06b",
+    ),
+    ("default", "8.4"): (
+        "26e42abd3d78114d4f62495e14c68ebd295d9b97dc737085c771b1953096d11c",
+        "6d1ccdb932c318abfc98dc06ab5d04f3bf2786fd9f372c379a04fb4c79fc94ee",
+        "9a8d528b7b78fa9fb650261d51557ee7e27062f445ddc678523d540eef9d2424",
+        "795bd203981a105c3181f3773967220edd452e3d2d9c517b70bff56124b8d1b7",
+    ),
+    ("hospital", "6.5"): (
+        "163f6b4233d9d64edf9d108024842870ae9b9794a3cfda447c4c8a89af1af4d8",
+        "6d1ccdb932c318abfc98dc06ab5d04f3bf2786fd9f372c379a04fb4c79fc94ee",
+        "99d82964418974f2a2873603463da5f4edf4e899597b1a3c503ccf1a3d2984c5",
+        "b8d0799032727eddb5060d40c3d3f52be63404fcda951a0bd2ac27d626279ee6",
+    ),
+}
+
+
+@pytest.mark.parametrize("config,distance", sorted(CURVES))
+def test_curves_svg(tmp_path, config, distance):
+    argv = ["curves", "--distance", distance, "--format", "svg", "--out", str(tmp_path)]
+    if config == "hospital":
+        conf = tmp_path / "hospital.conf"
+        conf.write_text(HOSPITAL)
+        argv += ["--config", str(conf)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in CURVE_FILES)
+    assert digests == CURVES[config, distance]

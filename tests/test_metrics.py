@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from cloee import MODE_TABLE, LinkModel, QosSpec, mode_for
-from helpers import is_unimodal_max, single_pb_metrics
+from cloee import LinkModel, QosSpec
+from helpers import is_unimodal_max, metrics_at, single_pb_metrics
+
+
+def _eta_cont(mm, x):
+    """The relaxed efficiency whose derivative eta_cont_grad is."""
+    return x * mm.success_cont(x) / mm.energy.total(x)
 
 
 class TestQosSpec:
@@ -18,19 +25,18 @@ class TestQosSpec:
 class TestObjectives:
     def test_error_free_ceiling(self, model):
         # At 1 cm every section is error-free, so only energy and time remain.
-        mm = model.mode_metrics(0.01, mode_for(32))
+        mm = metrics_at(model, 0.01, 32)
         assert mm.success(630) == 1.0
         assert mm.eta(630) == pytest.approx(630 / mm.energy.total(630), rel=1e-12)
         assert mm.rate(63) == pytest.approx(250395.02955786936, rel=1e-9)
 
     def test_rate_approaches_uncoded_rate(self, model):
-        mm = model.mode_metrics(0.01, mode_for(1))
+        mm = metrics_at(model, 0.01, 1)
         assert mm.rate(10_000_000) > 0.999 / mm.t_sym
 
     def test_upper_bounds(self, model):
         for d in (1.0, 5.0, 8.0):
-            for mode in MODE_TABLE:
-                mm = model.mode_metrics(d, mode)
+            for mm in model.env(d):
                 nts = np.arange(1, 131) * 63.0
                 assert np.all(mm.eta(nts) <= 1.0 / mm.energy.eps_b + 1e-9)
                 assert np.all(mm.rate(nts) <= 1.0 / mm.t_sym + 1e-9)
@@ -38,8 +44,7 @@ class TestObjectives:
     def test_unimodal_over_frame_size(self, model):
         nts = np.arange(1, 131) * 63.0
         for d in (2.0, 5.0, 6.5, 7.5):
-            for mode in MODE_TABLE:
-                mm = model.mode_metrics(d, mode)
+            for mm in model.env(d):
                 assert is_unimodal_max(mm.eta(nts))
                 assert is_unimodal_max(mm.rate(nts))
 
@@ -48,17 +53,19 @@ class TestSectionComposition:
     def test_strict_mode_matches_single_pb_composition(self):
         strict = LinkModel(uniform_section_ber=True)
         for d, n_cpb in ((6.0, 8), (7.5, 32), (8.4, 16)):
-            mm = strict.mode_metrics(d, mode_for(n_cpb))
+            mm = metrics_at(strict, d, n_cpb)
             ref = single_pb_metrics(mm.p_b)
             for field in ("p_kasami", "p_shr", "p_phr", "success"):
                 assert getattr(mm.header, field) == pytest.approx(getattr(ref.header, field), rel=1e-12)
-            assert mm.p_cw == pytest.approx(ref.p_cw, rel=1e-12)
+            assert mm.log_p_cw == pytest.approx(ref.log_p_cw, rel=1e-12)
             assert mm.success(630) == pytest.approx(ref.success(630), rel=1e-12)
 
     def test_default_mode_uses_section_burst_orders(self, model):
-        mm = model.mode_metrics(7.0, mode_for(1))
-        assert mm.header.p_b_shr == pytest.approx(model.bit_error(7.0, mode_for(4)), rel=1e-12)
-        assert mm.header.p_b_phr == pytest.approx(model.bit_error(7.0, mode_for(32)), rel=1e-12)
+        env = {mm.mode.n_cpb: mm for mm in model.env(7.0)}
+        mm = env[1]
+        # the header reuses the payload bit error rates of modes 4 and 32
+        assert mm.header.p_b_shr == env[4].p_b
+        assert mm.header.p_b_phr == env[32].p_b
         # payload at n_cpb=1 is far worse than the fixed 32-pulse header
         assert mm.p_b > mm.header.p_b_phr
 
@@ -74,23 +81,49 @@ class TestSectionComposition:
 
 class TestContinuousRelaxation:
     def test_agrees_on_codeword_multiples(self, model):
-        mm = model.mode_metrics(6.5, mode_for(16))
+        mm = metrics_at(model, 6.5, 16)
         for k in (1, 2, 10, 100, 130):
-            assert mm.eta_cont(63 * k) == pytest.approx(mm.eta(63 * k), rel=1e-12)
+            assert _eta_cont(mm, 63 * k) == pytest.approx(mm.eta(63 * k), rel=1e-12)
             assert mm.rate_cont(63 * k) == pytest.approx(mm.rate(63 * k), rel=1e-12)
 
     def test_grid_below_relaxation_between_multiples(self, model):
-        mm = model.mode_metrics(6.5, mode_for(16))
+        mm = metrics_at(model, 6.5, 16)
         for n_t in (100, 500, 2616):
-            grid, cont = mm.eta(n_t), mm.eta_cont(n_t)
+            grid, cont = mm.eta(n_t), _eta_cont(mm, n_t)
             assert grid <= cont * (1 + 1e-12)
-            assert grid >= cont * mm.p_cw * (1 - 1e-12)
+            assert grid >= cont * math.exp(mm.log_p_cw) * (1 - 1e-12)
 
     def test_gradient_matches_finite_differences(self, model):
-        mm = model.mode_metrics(6.8, mode_for(16))
+        mm = metrics_at(model, 6.8, 16)
         for x in (150.0, 400.0, 1200.0):
             h = x * 1e-6
-            fd_eta = (mm.eta_cont(x + h) - mm.eta_cont(x - h)) / (2 * h)
+            fd_eta = (_eta_cont(mm, x + h) - _eta_cont(mm, x - h)) / (2 * h)
             fd_rate = (mm.rate_cont(x + h) - mm.rate_cont(x - h)) / (2 * h)
             assert mm.eta_cont_grad(x) == pytest.approx(fd_eta, rel=1e-5)
             assert mm.rate_cont_grad(x) == pytest.approx(fd_rate, rel=1e-5)
+
+
+class TestGrid:
+    # grid() is the one array evaluator; its values must equal the scalar
+    # calls bit for bit, because the curves CSV writes them with repr.
+    @pytest.mark.parametrize("variant", [{}, {"uniform_section_ber": True},
+                                         {"integration_per_pulse": True}])
+    def test_matches_scalar_calls(self, variant):
+        model = LinkModel(**variant)
+        for d, chi in ((1.5, 0.0), (4.2, -3.1), (6.5, 0.0), (7.9, 2.4), (9.6, 0.0)):
+            for mm in model.env(d, chi):
+                nts, etas, rates = mm.grid(63 * 130)
+                assert nts.tolist() == [63 * k for k in range(1, 131)]
+                assert etas.tolist() == [mm.eta(n) for n in nts.tolist()]
+                assert rates.tolist() == [mm.rate(n) for n in nts.tolist()]
+
+    def test_scalar_input_gives_plain_float(self, model):
+        mm = metrics_at(model, 6.5, 8)
+        assert type(mm.eta(630)) is float
+        assert type(mm.rate(630)) is float
+        assert isinstance(mm.eta(np.array([63, 630])), np.ndarray)
+
+    def test_ceiling_is_inclusive(self, model):
+        mm = metrics_at(model, 6.5, 8)
+        assert mm.grid(126)[0].tolist() == [63, 126]
+        assert mm.grid(188)[0].tolist() == [63, 126]

@@ -14,7 +14,6 @@ from cloee import (
     SolverConfig,
     cloee,
     exhaustive_search,
-    mode_for,
     nt_ee_closed_form,
     nt_thr_closed_form,
     run_sweep,
@@ -22,7 +21,7 @@ from cloee import (
     solve_mode,
 )
 from cloee.optimizer import search_env, solve_env
-from helpers import grid_argmax
+from helpers import grid_argmax, metrics_at
 
 
 def _grid(mm, cfg):
@@ -31,17 +30,18 @@ def _grid(mm, cfg):
 
 class TestClosedForms:
     def test_reduces_to_smallest_frame_without_fixed_costs(self, model):
-        mm = model.mode_metrics(6.0, mode_for(8))
-        assert nt_ee_closed_form(mm.energy.eps_b, 0.0, 0.0, mm.p_cw) == pytest.approx(0.0, abs=1e-9)
+        mm = metrics_at(model, 6.0, 8)
+        x = nt_ee_closed_form(mm.energy.eps_b, 0.0, 0.0, mm.log_p_cw)
+        assert x == pytest.approx(0.0, abs=1e-9)
 
     def test_error_free_codewords_push_to_ceiling(self):
-        assert math.isinf(nt_ee_closed_form(1e-9, 1e-6, 1e-6, 1.0))
-        assert nt_ee_closed_form(1e-9, 1e-6, 1e-6, 1e-300) < 63
+        assert math.isinf(nt_ee_closed_form(1e-9, 1e-6, 1e-6, 0.0))
+        assert nt_ee_closed_form(1e-9, 1e-6, 1e-6, math.log(1e-300)) < 63
 
     def test_underflowing_codeword_log_counts_as_error_free(self, model, qos, cfg):
         # per_unit * log_p_cw underflows to 0 at this log_p_cw; the n_cpb=32
         # mode reaches it at 1.3 m with this shadowing draw.
-        assert math.isinf(nt_ee_closed_form(1e-9, 1e-6, 1e-6, 1.0, log_p_cw=-1.962e-319))
+        assert math.isinf(nt_ee_closed_form(1e-9, 1e-6, 1e-6, -1.962e-319))
         chi = 1.8499590474882945
         res = cloee(model, 1.3, qos, cfg, chi)
         oracle = exhaustive_search(model, 1.3, qos, cfg, chi)
@@ -50,18 +50,16 @@ class TestClosedForms:
 
     def test_efficiency_stationarity(self, model):
         # Anchor: mid-range point where the optimum is interior.
-        mm = model.mode_metrics(4.0, mode_for(8))
-        x = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
-                              mm.p_cw, log_p_cw=mm.log_p_cw)
+        mm = metrics_at(model, 4.0, 8)
+        x = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st, mm.log_p_cw)
         c = mm.log_p_cw / 63
         e1 = mm.energy.eps_fixed
         terms = (c * x * x * mm.energy.eps_b, c * x * e1, e1)
         assert abs(sum(terms)) / sum(abs(t) for t in terms) < 1e-6
 
     def test_throughput_stationarity(self, model):
-        mm = model.mode_metrics(8.4, mode_for(32))
-        x = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
-                               mm.p_cw, log_p_cw=mm.log_p_cw)
+        mm = metrics_at(model, 8.4, 32)
+        x = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym, mm.log_p_cw)
         c = mm.log_p_cw / 63
         t1 = mm.t_oh
         terms = (c * x * x * mm.t_sym, c * x * t1, t1)
@@ -70,15 +68,14 @@ class TestClosedForms:
     def test_matches_brute_force_argmax(self, model, cfg):
         nts = _grid(None, cfg)
         for d, n_cpb in ((4.0, 8), (6.0, 16), (6.8, 16), (8.4, 32)):
-            mm = model.mode_metrics(d, mode_for(n_cpb))
+            mm = metrics_at(model, d, n_cpb)
             nee = snap_to_grid(
                 nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
-                                  mm.p_cw, log_p_cw=mm.log_p_cw),
+                                  mm.log_p_cw),
                 mm.eta, n_t_max=cfg.n_t_max)
             assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
             nthr = snap_to_grid(
-                nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
-                                   mm.p_cw, log_p_cw=mm.log_p_cw),
+                nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym, mm.log_p_cw),
                 mm.rate, n_t_max=cfg.n_t_max)
             assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 
@@ -273,7 +270,7 @@ class TestCloee:
 
 
 class TestSharedEnvironment:
-    @pytest.mark.parametrize("uniform,bit_errors", [(False, 8), (True, 6)])
+    @pytest.mark.parametrize("uniform,bit_errors", [(False, 6), (True, 6)])
     def test_sweep_builds_one_environment_per_distance(self, monkeypatch, uniform, bit_errors):
         builds, calls = [], []
         init, bit_error = ModeMetrics.__init__, LinkModel.bit_error
@@ -291,8 +288,8 @@ class TestSharedEnvironment:
         distances = (2.0, 6.5, 8.4)
         run_sweep(Scenario(distances=distances, shadowing=True, seed=3,
                            uniform_section_ber=uniform))
-        # Six modes per distance; with section-specific rates the SHR and PHR
-        # bit error rates come on top, once per distance.
+        # Six modes and six bit error rates per distance; with section-specific
+        # rates the header reuses the payload rates of modes 4 and 32.
         assert builds == [d for d in distances for _ in range(6)]
         assert sorted(calls) == [d for d in distances for _ in range(bit_errors)]
 

@@ -54,10 +54,6 @@ class TestBchBlockSuccess:
             assert bch_block_success(float(p), (n_bits, t)) == pytest.approx(
                 float(binom.cdf(t, n_bits, p)), rel=1e-12)
 
-    def test_accepts_code_object(self):
-        from cloee import PSDU_CODE
-        assert bch_block_success(0.01, PSDU_CODE) == bch_block_success(0.01, (63, 2))
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             bch_block_success(-0.1, (63, 2))
@@ -82,6 +78,27 @@ class TestLogSuccess:
     def test_degenerate_limits(self):
         assert bch_block_log_success(0.0, (63, 2)) == 0.0
         assert bch_block_log_success(1.0, (63, 2)) == -math.inf
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            bch_block_log_success(-0.1, (63, 2))
+        with pytest.raises(ValueError):
+            bch_block_log_success(1.5, (63, 2))
+
+
+class TestBlockParams:
+    # Both tails share one check, 0 <= t < n_bits, whatever p_b is.
+    @pytest.mark.parametrize("tail", [bch_block_success, bch_block_log_success])
+    @pytest.mark.parametrize("p_b", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("code", [(2, 2), (63, 63), (63, 64), (63, -1)])
+    def test_rejected(self, tail, p_b, code):
+        with pytest.raises(ValueError, match="correctable errors"):
+            tail(p_b, code)
+
+    @pytest.mark.parametrize("tail", [bch_block_success, bch_block_log_success])
+    def test_edge_of_range_accepted(self, tail):
+        assert math.isfinite(tail(0.1, (63, 0)))
+        assert math.isfinite(tail(0.1, (63, 62)))
 
 
 def _old_pmf(i, n_bits, p_b):
@@ -131,7 +148,8 @@ class TestPpduSuccess:
     # section at the same bit error probability.
     def test_error_free_channel(self):
         mm = single_pb_metrics(0.0)
-        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr, mm.p_cw, mm.success(630)):
+        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr,
+                      math.exp(mm.log_p_cw), mm.success(630)):
             assert value == 1.0
 
     def test_hopeless_channel(self):
@@ -161,5 +179,6 @@ class TestPpduSuccess:
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=130))
     def test_probabilities_stay_in_unit_interval(self, p_b, k):
         mm = single_pb_metrics(p_b)
-        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr, mm.p_cw, mm.success(63 * k)):
+        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr,
+                      math.exp(mm.log_p_cw), mm.success(63 * k)):
             assert 0.0 <= value <= 1.0

@@ -4,15 +4,19 @@ import pytest
 
 from cloee import (
     ConfigError,
+    LinkModel,
+    QosSpec,
     Scenario,
+    SolverConfig,
     emit_curves,
-    parse_rows,
     parse_scenario,
     rows_to_csv,
     run_sweep,
 )
 from cloee.cli import main
-from cloee.sweep import CSV_HEADER
+from cloee.scenario import MAX_RANGE_STEPS
+from cloee.sweep import CSV_HEADER, emit_fixed_distance_curves
+from helpers import parse_rows
 
 SMALL_CONFIG = """
 # two distances, one static strategy
@@ -80,6 +84,16 @@ class TestScenarioParsing:
             parse_scenario(text)
         assert key in str(err.value)
 
+    def test_range_expansion_bounded(self):
+        # The step count is checked before any distance is built.
+        with pytest.raises(ConfigError) as err:
+            parse_scenario("distances = 1:1e9:1e-9")
+        assert str(err.value).startswith("distances: ")
+        with pytest.raises(ConfigError):
+            parse_scenario(f"distances = 0:{MAX_RANGE_STEPS + 1}:1")
+        sc = parse_scenario(f"distances = 1:{MAX_RANGE_STEPS + 1}:1")
+        assert len(sc.distances) == MAX_RANGE_STEPS + 1
+
     def test_line_without_assignment(self):
         with pytest.raises(ConfigError) as err:
             parse_scenario("just words\n")
@@ -146,6 +160,12 @@ class TestCsvEmission:
     def test_empty_rows_refused(self, tmp_path):
         with pytest.raises(ValueError):
             emit_curves([], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_fixed_distance_format_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="format must be"):
+            emit_fixed_distance_curves(LinkModel(), 6.5, QosSpec(), SolverConfig(),
+                                       tmp_path / "out", fmt="pdf")
         assert not (tmp_path / "out").exists()
 
     def test_svg_output(self, tmp_path):
@@ -247,6 +267,13 @@ class TestCli:
         bad.write_text("solver.n_t_max = 258049\n")
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config-error: solver.n_t_max: must be <= 258048")
+        assert not (tmp_path / "out").exists()
+
+    def test_distance_range_bounded(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("distances = 1:1e9:1e-9\n")
+        assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config-error: distances: ")
         assert not (tmp_path / "out").exists()
 
     def test_seed_and_shadowing_overrides(self, tmp_path):
