@@ -4,7 +4,10 @@ Pinned: the default sweep CSV, nine hospital sweep CSVs (three model
 variants x three shadowing seeds), and the four files `cloee curves --format
 svg` writes (curves.csv, curve_marks.csv, curves_eta.svg, curves_rate.svg) at
 2.0, 6.5 and 8.4 m with the default config and at 6.5 m with the hospital
-config.
+config; `cloee optimize` stdout at 2.0 m (unconstrained) and 8.4 m
+(throughput-fallback) with the default config and at 4.273 m with a rate
+floor that makes the dual branch print its certificate; and the two files
+`cloee dump-modes --out` writes.
 
 The pins were computed with Python 3.11, numpy 2.4 and glibc 2.36's libm on
 x86-64 Linux.  Another numpy or libm may round a transcendental function
@@ -111,3 +114,39 @@ def test_curves_svg(tmp_path, config, distance):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in CURVE_FILES)
     assert digests == CURVES[config, distance]
+
+
+OPTIMIZE = {
+    ("2.0", ""): "35b2d5b42ccfc5ae92cea0fee63efd9e0d35f68cda9c5597c7b8e250b0f3d36e",
+    ("8.4", ""): "e45271301e823e43d244dea322a6bdb18c7ee29eaafeb7a45e279f001db7cc40",
+    # Binding rate floor: the dual branch sets lambda, kkt_rate and iterations.
+    ("4.273", "qos.r0 = 133703.0\nqos.n_s = 31\n"):
+        "6b8dc4be8b4a024beadd6079c05aeb3bf5c1c2d31d7d115b1c58a66df3ee6613",
+}
+
+
+@pytest.mark.parametrize("distance,config", sorted(OPTIMIZE))
+def test_optimize_stdout(tmp_path, distance, config):
+    argv = ["optimize", "--distance", distance]
+    if config:
+        conf = tmp_path / "scenario.conf"
+        conf.write_text(config)
+        argv += ["--config", str(conf)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == OPTIMIZE[distance, config]
+
+
+DUMP_MODES = {
+    "modes.csv": "ee3750d588ace830870322eccc5143e72ba05ce048473e6759063a1d37d2028f",
+    "frame_constants.csv": "e98981a716ca92b3902cf547f2d2d0f996e40f62ce1cc144d0277ed0c312679c",
+}
+
+
+def test_dump_modes_files(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["dump-modes", "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DUMP_MODES}
+    assert digests == DUMP_MODES
