@@ -31,7 +31,6 @@ from .frame import (
     BchCode,
     FrameConstants,
     PhyMode,
-    mode_for,
 )
 from .metrics import HeaderSuccess, LinkModel, ModeMetrics, QosSpec
 from .optimizer import (
@@ -40,8 +39,7 @@ from .optimizer import (
     SolverConfig,
     cloee,
     exhaustive_search,
-    nt_ee_closed_form,
-    nt_thr_closed_form,
+    nt_closed_form,
     snap_to_grid,
     solve_mode,
 )
@@ -59,8 +57,8 @@ __all__ = [
     "PhyMode", "QosSpec", "Scenario", "SolverConfig", "SweepRow",
     "bch_block_log_success", "bch_block_success", "bit_error_prob", "cloee",
     "emit_curves", "energy_breakdown", "exhaustive_search", "kasami_success",
-    "link_budget", "load_scenario", "log_q_function", "mode_for",
-    "nt_ee_closed_form", "nt_thr_closed_form", "overhead_energy", "parse_scenario",
-    "path_loss_db", "payload_energy_per_bit", "q_function", "rows_to_csv",
-    "run_sweep", "shr_success", "snap_to_grid", "solve_mode", "startup_energy",
+    "link_budget", "load_scenario", "log_q_function", "nt_closed_form",
+    "overhead_energy", "parse_scenario", "path_loss_db", "payload_energy_per_bit",
+    "q_function", "rows_to_csv", "run_sweep", "shr_success", "snap_to_grid",
+    "solve_mode", "startup_energy",
 ]

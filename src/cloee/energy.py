@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frame import FRAME_CONSTANTS, FrameConstants, PhyMode
+from .frame import FRAME_CONSTANTS, PhyMode
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class EnergyParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.eps_p == 0:
+            raise ValueError(f"eps_p must be > 0, got {self.eps_p}")
         if self.m_fingers < 0:
             raise ValueError(f"m_fingers must be >= 0, got {self.m_fingers}")
         if self.rho_r not in (0, 1) or self.rho_c not in (0, 1):
@@ -67,11 +69,11 @@ def payload_energy_per_bit(mode: PhyMode, ep: EnergyParams = DEFAULT_ENERGY) -> 
     return ep.eps_p * mode.n_cpb + (ep.p_syn + ep.rx_chain_power) * mode.t_sym
 
 
-def overhead_energy(consts: FrameConstants = FRAME_CONSTANTS,
-                    ep: EnergyParams = DEFAULT_ENERGY) -> float:
+def overhead_energy(ep: EnergyParams = DEFAULT_ENERGY) -> float:
     """Joules spent on the SHR + PHR by transmitter and receiver together."""
-    pulses = consts.n_cpb_shr * consts.n_shr + consts.n_cpb_phr * consts.n_phr
-    return pulses * ep.eps_p + (ep.p_syn + ep.rx_chain_power) * consts.t_overhead
+    c = FRAME_CONSTANTS
+    pulses = c.n_cpb_shr * c.n_shr + c.n_cpb_phr * c.n_phr
+    return pulses * ep.eps_p + (ep.p_syn + ep.rx_chain_power) * c.t_overhead
 
 
 def startup_energy(ep: EnergyParams = DEFAULT_ENERGY) -> float:
@@ -96,10 +98,9 @@ class EnergyBreakdown:
         return n_t * self.eps_b + self.eps_oh + self.eps_st
 
 
-def energy_breakdown(mode: PhyMode, ep: EnergyParams = DEFAULT_ENERGY,
-                     consts: FrameConstants = FRAME_CONSTANTS) -> EnergyBreakdown:
+def energy_breakdown(mode: PhyMode, ep: EnergyParams = DEFAULT_ENERGY) -> EnergyBreakdown:
     return EnergyBreakdown(
         eps_b=payload_energy_per_bit(mode, ep),
-        eps_oh=overhead_energy(consts, ep),
+        eps_oh=overhead_energy(ep),
         eps_st=startup_energy(ep),
     )

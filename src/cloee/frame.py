@@ -83,16 +83,6 @@ MODE_TABLE: tuple[PhyMode, ...] = (
     _mode(32, 0.395),
 )
 
-_MODE_BY_NCPB = {m.n_cpb: m for m in MODE_TABLE}
-
-
-def mode_for(n_cpb: int) -> PhyMode:
-    try:
-        return _MODE_BY_NCPB[n_cpb]
-    except KeyError:
-        raise ValueError(f"no PHY mode with n_cpb={n_cpb}; valid: {VALID_N_CPB}") from None
-
-
 @dataclass(frozen=True)
 class FrameConstants:
     """Fixed header/preamble parameters of the UWB PPDU.
@@ -106,7 +96,7 @@ class FrameConstants:
     t_shr: float = 5 * 63 * 128e-9          # 40.32 us
     t_phr: float = 40 * 2051.3e-9           # 82.052 us
     n_shr: int = 5 * 63                     # bits, five Kasami sequences
-    n_phr: int = 40
+    n_phr: int = PHR_CODE.n                 # bits, one PHR codeword
     n_mh_plus_fcs: int = 72                 # MAC header + FCS bits
     kasami_len: int = 63
     kasami_count: int = 4                   # preamble repetitions (SFD excluded)

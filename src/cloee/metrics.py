@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_prob, link_budget
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams, energy_breakdown
-from .frame import FRAME_CONSTANTS, MODE_TABLE, PHR_CODE, PSDU_CODE, FrameConstants, PhyMode
+from .frame import FRAME_CONSTANTS, MODE_TABLE, PHR_CODE, PSDU_CODE, PhyMode
 from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
 
 
@@ -58,10 +58,11 @@ class HeaderSuccess:
     p_phr: float
 
     @classmethod
-    def at(cls, p_b_shr: float, p_b_phr: float, consts: FrameConstants) -> HeaderSuccess:
-        p_kasami = kasami_success(p_b_shr, consts.rho_sensitivity, consts.kasami_len)
-        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami, consts.kasami_count),
-                   bch_block_success(p_b_phr, (consts.n_phr, PHR_CODE.t)))
+    def at(cls, p_b_shr: float, p_b_phr: float) -> HeaderSuccess:
+        c = FRAME_CONSTANTS
+        p_kasami = kasami_success(p_b_shr, c.rho_sensitivity, c.kasami_len)
+        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami, c.kasami_count),
+                   bch_block_success(p_b_phr, (PHR_CODE.n, PHR_CODE.t)))
 
     @property
     def success(self) -> float:
@@ -81,18 +82,17 @@ class ModeMetrics:
     """
 
     def __init__(self, mode: PhyMode, distance: float, p_b: float, header: HeaderSuccess,
-                 energy: EnergyBreakdown, consts: FrameConstants):
+                 energy: EnergyBreakdown):
         self.mode = mode
         self.distance = distance
         self.p_b = p_b
         self.header = header
         self.energy = energy
-        self.consts = consts
         self.n = PSDU_CODE.n
         self.log_p_cw = bch_block_log_success(p_b, (PSDU_CODE.n, PSDU_CODE.t))
         self.header_success = header.success
         self.t_sym = mode.t_sym
-        self.t_oh = consts.t_overhead
+        self.t_oh = FRAME_CONSTANTS.t_overhead
 
     # -- grid objectives (integer frame sizes, whole codewords) ----------
 
@@ -151,7 +151,6 @@ class LinkModel:
 
     channel: ChannelParams = DEFAULT_CHANNEL
     energy: EnergyParams = DEFAULT_ENERGY
-    consts: FrameConstants = FRAME_CONSTANTS
     uniform_section_ber: bool = False
     integration_per_pulse: bool = False
 
@@ -168,12 +167,11 @@ class LinkModel:
         is built once for all six modes; under uniform_section_ber each mode's
         header runs at its own payload rate.
         """
-        consts = self.consts
         p_b = {m.n_cpb: self.bit_error(distance, m, chi) for m in MODE_TABLE}
         shared = None if self.uniform_section_ber else \
-            HeaderSuccess.at(p_b[consts.n_cpb_shr], p_b[consts.n_cpb_phr], consts)
+            HeaderSuccess.at(p_b[FRAME_CONSTANTS.n_cpb_shr], p_b[FRAME_CONSTANTS.n_cpb_phr])
         return tuple(
             ModeMetrics(m, distance, p_b[m.n_cpb],
-                        shared or HeaderSuccess.at(p_b[m.n_cpb], p_b[m.n_cpb], consts),
-                        energy_breakdown(m, self.energy, consts), consts)
+                        shared or HeaderSuccess.at(p_b[m.n_cpb], p_b[m.n_cpb]),
+                        energy_breakdown(m, self.energy))
             for m in MODE_TABLE)

@@ -4,10 +4,11 @@ The problem: maximize energy efficiency eta(n_t, n_cpb) subject to
 throughput R(n_t, n_cpb) >= r0 * n_s, over n_t in [63, n_t_max] and
 n_cpb in {1, 2, 4, 8, 16, 32}.
 
-Per burst mode, eta and R are strictly quasiconcave in n_t and their
-unconstrained maximizers have closed forms (nt_ee_closed_form /
-nt_thr_closed_form).  The CLOEE solver handles each mode with one of three
-branches:
+Per burst mode, eta and R are strictly quasiconcave in n_t.  Both are
+delivered bits over a cost linear in n_t (energy eps_b * n_t + eps_fixed, time
+t_sym * n_t + t_oh), so one closed form, nt_closed_form, gives both
+unconstrained maximizers.  The CLOEE solver handles each mode with one of
+three branches:
 
   unconstrained        the efficiency optimum already meets the rate target;
   dual                 the efficiency optimum is rate-infeasible but the
@@ -85,7 +86,14 @@ class OptResult:
 # closed forms
 
 
-def _closed_form(per_unit: float, fixed: float, n: int, log_p_cw: float) -> float:
+def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float, n: int = 63) -> float:
+    """Real-valued frame size maximizing n_t * A * exp(log_p_cw * n_t / n) / cost
+    for the linear cost per_unit * n_t + fixed.
+
+    Efficiency takes (eps_b, eps_fixed), throughput (t_sym, t_oh).  Returns
+    inf when log_p_cw >= 0 (caller clamps to the search ceiling) and 0 when
+    log_p_cw = -inf (caller clamps to one codeword).
+    """
     if per_unit <= 0:
         raise ValueError(f"per-unit cost must be > 0, got {per_unit}")
     if log_p_cw >= 0.0:
@@ -97,24 +105,6 @@ def _closed_form(per_unit: float, fixed: float, n: int, log_p_cw: float) -> floa
     if denom == 0.0:
         return math.inf          # log_p_cw underflows: effectively error-free
     return math.sqrt(half * half - n * fixed / denom) - half
-
-
-def nt_ee_closed_form(eps_b: float, eps_oh: float, eps_st: float, log_p_cw: float,
-                      n: int = 63) -> float:
-    """Real-valued frame size maximizing the relaxed energy efficiency.
-
-    Zero of d(eta)/d(n_t) for eta = n_t*A*exp(log_p_cw*n_t/n) / (n_t*eps_b + e1)
-    with e1 = eps_oh + eps_st.  Returns inf when log_p_cw >= 0 (caller clamps
-    to the search ceiling) and 0 when log_p_cw = -inf (caller clamps to one
-    codeword).
-    """
-    return _closed_form(eps_b, eps_oh + eps_st, n, log_p_cw)
-
-
-def nt_thr_closed_form(t_shr: float, t_phr: float, t_sym: float, log_p_cw: float,
-                       n: int = 63) -> float:
-    """Real-valued frame size maximizing the relaxed throughput."""
-    return _closed_form(t_sym, t_shr + t_phr, n, log_p_cw)
 
 
 def snap_to_grid(x_cont: float, objective: Callable[[int], float],
@@ -180,12 +170,10 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution:
     r0ns = qos.aggregate_rate
 
-    nee_cont = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
-                                 mm.log_p_cw, mm.n)
+    nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw, mm.n)
     nee = snap_to_grid(nee_cont, mm.eta, mm.n, cfg.n_t_max)
-    nthr_cont = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
-                                   mm.log_p_cw, mm.n)
-    nthr = snap_to_grid(nthr_cont, mm.rate, mm.n, cfg.n_t_max)
+    nthr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw, mm.n),
+                        mm.rate, mm.n, cfg.n_t_max)
 
     if mm.rate(nee) >= r0ns:
         return ModeSolution(mm, nee, nthr, nee, mm.eta(nee), mm.rate(nee), True,

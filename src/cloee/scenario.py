@@ -21,7 +21,7 @@ so sweeps stay reproducible from the file alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +125,9 @@ def _parse_distances(key: str, raw: str) -> tuple[float, ...]:
             raise ConfigError(key, f"range bounds must be finite, got {raw!r}")
         if step <= 0:
             raise ConfigError(key, f"range step must be > 0, got {step}")
-        span = max(0.0, (stop - start) / step)    # inf when the quotient overflows
+        if stop < start:
+            raise ConfigError(key, f"range stop must be >= start, got {raw!r}")
+        span = (stop - start) / step              # inf when the quotient overflows
         if span > MAX_RANGE_STEPS:
             raise ConfigError(key, f"a range may take at most {MAX_RANGE_STEPS} steps, "
                                    f"got {raw!r}")
@@ -151,22 +153,27 @@ def _parse_strategies(key: str, raw: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-_FLOAT_KEYS = {
-    "channel.a", "channel.b", "channel.sigma", "channel.noise_density",
-    "channel.noise_figure", "channel.impl_margin", "channel.w_rx",
-    "energy.eps_p", "energy.p_cor", "energy.p_adc", "energy.p_lna",
-    "energy.p_vga", "energy.p_syn", "energy.p_gen", "energy.t_st",
-    "qos.r0",
+# Each section key sets a field of one of Scenario's section dataclasses and
+# is parsed by the type of the field's default; the top-level keys set the
+# Scenario field named after their last dotted part.
+_PARSE_BY_TYPE = {float: _parse_float, int: _parse_int}
+_SECTIONS = {f.name: type(f.default) for f in fields(Scenario) if is_dataclass(f.default)}
+_KEYS = {
+    f"{section}.{f.name}": _PARSE_BY_TYPE[type(f.default)]
+    for section, cls in _SECTIONS.items() for f in fields(cls)
+} | {
+    "seed": _parse_int,
+    "shadowing": _parse_bool,
+    "distances": _parse_distances,
+    "strategies": _parse_strategies,
+    "model.uniform_section_ber": _parse_bool,
+    "model.integration_per_pulse": _parse_bool,
 }
-_INT_KEYS = {
-    "energy.m_fingers", "energy.rho_r", "energy.rho_c",
-    "qos.n_s", "solver.n_t_max", "seed",
-}
-_BOOL_KEYS = {"shadowing", "model.uniform_section_ber", "model.integration_per_pulse"}
 
 
 def parse_scenario(text: str, source: str = "<config>") -> Scenario:
-    values: dict[str, object] = {}
+    given: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
+    top: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -174,50 +181,27 @@ def parse_scenario(text: str, source: str = "<config>") -> Scenario:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}", f"expected key = value, got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in values:
-            raise ConfigError(key, "duplicate key")
-        if key in _FLOAT_KEYS:
-            values[key] = _parse_float(key, raw)
-        elif key in _INT_KEYS:
-            values[key] = _parse_int(key, raw)
-        elif key in _BOOL_KEYS:
-            values[key] = _parse_bool(key, raw)
-        elif key == "distances":
-            values[key] = _parse_distances(key, raw)
-        elif key == "strategies":
-            values[key] = _parse_strategies(key, raw)
-        else:
+        if key not in _KEYS:
             raise ConfigError(key, "unknown key")
+        prefix, _, name = key.rpartition(".")
+        target = given.get(prefix, top)
+        if name in target:
+            raise ConfigError(key, "duplicate key")
+        target[name] = _KEYS[key](key, raw)
 
-    def section(prefix: str) -> dict[str, object]:
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in values.items() if k.startswith(prefix + ".")}
+    for section, cls in _SECTIONS.items():
+        top[section] = _build(section, cls, given[section])
+    return _build("scenario", Scenario, top)
 
-    def build(cls, prefix: str):
-        try:
-            return cls(**section(prefix))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(prefix, str(exc)) from None
 
+def _build(key: str, cls, kwargs: dict[str, object]):
+    """cls(**kwargs), with a plain ValueError reported as a ConfigError at key."""
     try:
-        return Scenario(
-            channel=build(ChannelParams, "channel"),
-            energy=build(EnergyParams, "energy"),
-            qos=build(QosSpec, "qos"),
-            solver=build(SolverConfig, "solver"),
-            distances=values.get("distances", DEFAULT_DISTANCES),
-            strategies=values.get("strategies", DEFAULT_STRATEGIES),
-            seed=values.get("seed", 0),
-            shadowing=values.get("shadowing", False),
-            uniform_section_ber=values.get("model.uniform_section_ber", False),
-            integration_per_pulse=values.get("model.integration_per_pulse", False),
-        )
+        return cls(**kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError("scenario", str(exc)) from None
+        raise ConfigError(key, str(exc)) from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -3,24 +3,30 @@
 import numpy as np
 
 from cloee import (
-    FRAME_CONSTANTS,
+    MODE_TABLE,
     HeaderSuccess,
     LinkModel,
     ModeMetrics,
     PhyMode,
     SweepRow,
     energy_breakdown,
-    mode_for,
 )
 from cloee.sweep import CSV_HEADER
+
+
+def mode_for(n_cpb: int) -> PhyMode:
+    """The MODE_TABLE row with burst order n_cpb."""
+    for mode in MODE_TABLE:
+        if mode.n_cpb == n_cpb:
+            return mode
+    raise ValueError(f"no PHY mode with n_cpb={n_cpb}")
 
 
 def single_pb_metrics(p_b: float, mode: PhyMode = mode_for(1)) -> ModeMetrics:
     """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
     probability; its success(n_t) is the textbook single-p_b PPDU success."""
-    return ModeMetrics(mode=mode, distance=1.0, p_b=p_b,
-                       header=HeaderSuccess.at(p_b, p_b, FRAME_CONSTANTS),
-                       energy=energy_breakdown(mode), consts=FRAME_CONSTANTS)
+    return ModeMetrics(mode=mode, distance=1.0, p_b=p_b, header=HeaderSuccess.at(p_b, p_b),
+                       energy=energy_breakdown(mode))
 
 
 def metrics_at(model: LinkModel, distance: float, n_cpb: int, chi: float = 0.0) -> ModeMetrics:

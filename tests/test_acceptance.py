@@ -21,8 +21,7 @@ from cloee import (
     LinkModel,
     QosSpec,
     Scenario,
-    nt_ee_closed_form,
-    nt_thr_closed_form,
+    nt_closed_form,
     run_sweep,
     rows_to_csv,
     snap_to_grid,
@@ -116,12 +115,10 @@ def test_c3_closed_forms_match_brute_force():
     nts = np.arange(1, 131, dtype=float) * 63
     checked_stationarity = 0
     for mm in _random_draws():
-        nee_cont = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh,
-                                     mm.energy.eps_st, mm.log_p_cw)
+        nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
         nee = snap_to_grid(nee_cont, mm.eta)
         assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
-        nthr_cont = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym,
-                                       mm.log_p_cw)
+        nthr_cont = nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw)
         nthr = snap_to_grid(nthr_cont, mm.rate)
         assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 

@@ -10,10 +10,10 @@ from cloee import (
     bit_error_prob,
     link_budget,
     log_q_function,
-    mode_for,
     path_loss_db,
     q_function,
 )
+from helpers import mode_for
 
 
 class TestPathLoss:

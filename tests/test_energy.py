@@ -3,15 +3,14 @@ import dataclasses
 import pytest
 
 from cloee import (
-    FRAME_CONSTANTS,
     MODE_TABLE,
     EnergyParams,
     energy_breakdown,
-    mode_for,
     overhead_energy,
     payload_energy_per_bit,
     startup_energy,
 )
+from helpers import mode_for
 
 ZERO_POWER = EnergyParams(eps_p=1e-12, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
                           p_syn=0, p_gen=0, t_st=0)
@@ -71,10 +70,6 @@ class TestOverheadEnergy:
         # receiver, so no ADC / generator / synthesizer terms on the rx side.
         assert overhead_energy() == pytest.approx(8.87137376e-6, rel=1e-12)
 
-    def test_zero_duration_headers(self):
-        consts = dataclasses.replace(FRAME_CONSTANTS, t_shr=0.0, t_phr=0.0)
-        assert overhead_energy(consts) == pytest.approx(2540 * 20e-12, rel=1e-12)
-
 
 class TestHomogeneity:
     def test_energy_scales_with_power_constants(self):
@@ -102,5 +97,7 @@ class TestEnergyBreakdown:
     def test_validation(self):
         with pytest.raises(ValueError):
             EnergyParams(eps_p=-1e-12)
+        with pytest.raises(ValueError, match="eps_p must be > 0"):
+            EnergyParams(eps_p=0.0)
         with pytest.raises(ValueError):
             EnergyParams(rho_r=2)

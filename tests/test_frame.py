@@ -10,9 +10,8 @@ from cloee import (
     PSDU_CODE,
     BchCode,
     PhyMode,
-    mode_for,
 )
-from helpers import single_pb_metrics
+from helpers import mode_for, single_pb_metrics
 
 # Printed rate table: (n_cpb, uncoded Mbps, coded Mbps).
 PRINTED_RATES = (

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from cloee import (
+    FRAME_CONSTANTS,
+    MODE_TABLE,
+    EnergyBreakdown,
     EnergyParams,
-    FrameConstants,
+    HeaderSuccess,
     LinkModel,
     ModeMetrics,
     QosSpec,
@@ -14,8 +17,8 @@ from cloee import (
     SolverConfig,
     cloee,
     exhaustive_search,
-    nt_ee_closed_form,
-    nt_thr_closed_form,
+    nt_closed_form,
+    payload_energy_per_bit,
     run_sweep,
     snap_to_grid,
     solve_mode,
@@ -31,17 +34,17 @@ def _grid(mm, cfg):
 class TestClosedForms:
     def test_reduces_to_smallest_frame_without_fixed_costs(self, model):
         mm = metrics_at(model, 6.0, 8)
-        x = nt_ee_closed_form(mm.energy.eps_b, 0.0, 0.0, mm.log_p_cw)
+        x = nt_closed_form(mm.energy.eps_b, 0.0, mm.log_p_cw)
         assert x == pytest.approx(0.0, abs=1e-9)
 
     def test_error_free_codewords_push_to_ceiling(self):
-        assert math.isinf(nt_ee_closed_form(1e-9, 1e-6, 1e-6, 0.0))
-        assert nt_ee_closed_form(1e-9, 1e-6, 1e-6, math.log(1e-300)) < 63
+        assert math.isinf(nt_closed_form(1e-9, 2e-6, 0.0))
+        assert nt_closed_form(1e-9, 2e-6, math.log(1e-300)) < 63
 
     def test_underflowing_codeword_log_counts_as_error_free(self, model, qos, cfg):
         # per_unit * log_p_cw underflows to 0 at this log_p_cw; the n_cpb=32
         # mode reaches it at 1.3 m with this shadowing draw.
-        assert math.isinf(nt_ee_closed_form(1e-9, 1e-6, 1e-6, -1.962e-319))
+        assert math.isinf(nt_closed_form(1e-9, 2e-6, -1.962e-319))
         chi = 1.8499590474882945
         res = cloee(model, 1.3, qos, cfg, chi)
         oracle = exhaustive_search(model, 1.3, qos, cfg, chi)
@@ -51,7 +54,7 @@ class TestClosedForms:
     def test_efficiency_stationarity(self, model):
         # Anchor: mid-range point where the optimum is interior.
         mm = metrics_at(model, 4.0, 8)
-        x = nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st, mm.log_p_cw)
+        x = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
         c = mm.log_p_cw / 63
         e1 = mm.energy.eps_fixed
         terms = (c * x * x * mm.energy.eps_b, c * x * e1, e1)
@@ -59,7 +62,7 @@ class TestClosedForms:
 
     def test_throughput_stationarity(self, model):
         mm = metrics_at(model, 8.4, 32)
-        x = nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym, mm.log_p_cw)
+        x = nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw)
         c = mm.log_p_cw / 63
         t1 = mm.t_oh
         terms = (c * x * x * mm.t_sym, c * x * t1, t1)
@@ -69,14 +72,11 @@ class TestClosedForms:
         nts = _grid(None, cfg)
         for d, n_cpb in ((4.0, 8), (6.0, 16), (6.8, 16), (8.4, 32)):
             mm = metrics_at(model, d, n_cpb)
-            nee = snap_to_grid(
-                nt_ee_closed_form(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
-                                  mm.log_p_cw),
-                mm.eta, n_t_max=cfg.n_t_max)
+            nee = snap_to_grid(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
+                               mm.eta, n_t_max=cfg.n_t_max)
             assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
-            nthr = snap_to_grid(
-                nt_thr_closed_form(mm.consts.t_shr, mm.consts.t_phr, mm.t_sym, mm.log_p_cw),
-                mm.rate, n_t_max=cfg.n_t_max)
+            nthr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
+                                mm.rate, n_t_max=cfg.n_t_max)
             assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 
 
@@ -207,18 +207,26 @@ class TestCloee:
         # Pulse energy only, headers at one pulse per bit: overhead is cheap
         # in energy but not in time, so the efficiency optimum can sit left of
         # the throughput optimum and the dual bisection runs rightwards.  The
-        # binding targets come from grid scans, never from the solver.
-        model = LinkModel(
-            consts=FrameConstants(n_cpb_shr=1, n_cpb_phr=1),
-            energy=EnergyParams(eps_p=1e-9, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
-                                p_syn=0, p_gen=0, t_st=0, m_fingers=0))
+        # binding targets come from grid scans, never from the solver.  The
+        # headers' burst order is a frame constant, so the environment is
+        # built by hand: both header sections at the n_cpb = 1 bit error rate,
+        # and (n_shr + n_phr) pulses of overhead energy.
+        ep = EnergyParams(eps_p=1e-9, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
+                          p_syn=0, p_gen=0, t_st=0, m_fingers=0)
+        model = LinkModel(energy=ep)
+        eps_oh = (FRAME_CONSTANTS.n_shr + FRAME_CONSTANTS.n_phr) * ep.eps_p
         cfg = SolverConfig()
         nts = _grid(None, cfg)
         rng = random.Random(20161103)
         cases = 0
         for d in np.arange(1.0, 40.01, 0.25):
             d = float(d)
-            for mm in model.env(d):
+            p_b = [model.bit_error(d, m) for m in MODE_TABLE]
+            header = HeaderSuccess.at(p_b[0], p_b[0])
+            env = tuple(ModeMetrics(m, d, p, header,
+                                    EnergyBreakdown(payload_energy_per_bit(m, ep), eps_oh, 0.0))
+                        for m, p in zip(MODE_TABLE, p_b))
+            for mm in env:
                 etas, rates = mm.eta(nts), mm.rate(nts)
                 i_eta, i_rate = int(np.argmax(etas)), int(np.argmax(rates))
                 if i_eta >= i_rate:
@@ -233,8 +241,7 @@ class TestCloee:
                 assert sol.branch == "dual" and sol.nee < sol.nthr
                 feasible = rates >= qos.aggregate_rate
                 assert sol.n_t == grid_argmax(np.where(feasible, etas, -np.inf), nts)
-                res = cloee(model, d, qos, cfg)
-                oracle = exhaustive_search(model, d, qos, cfg)
+                res, oracle = solve_env(env, qos, cfg), search_env(env, qos, cfg)
                 assert (res.n_t_star, res.n_cpb_star, res.eta, res.rate, res.feasible) == \
                     (oracle.n_t_star, oracle.n_cpb_star, oracle.eta, oracle.rate, oracle.feasible), \
                     f"d={d!r}, n_cpb={mm.mode.n_cpb}, r0={qos.r0!r}, n_s={n_s}"

@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from cloee import (
+    ChannelParams,
     ConfigError,
+    EnergyParams,
     LinkModel,
     QosSpec,
     Scenario,
@@ -23,6 +25,37 @@ SMALL_CONFIG = """
 distances = 2.0, 4.0
 strategies = 32:2616
 seed = 7
+"""
+
+# Every key a config may set, each at a value other than its default.
+ALL_KEYS = """
+channel.a = 18.5
+channel.b = 4.25
+channel.sigma = 3.5
+channel.noise_density = -170.0
+channel.noise_figure = 7.5
+channel.impl_margin = 2.5
+channel.w_rx = 250e6
+energy.eps_p = 15e-12
+energy.p_cor = 5e-3
+energy.p_adc = 1.5e-3
+energy.p_lna = 8e-3
+energy.p_vga = 20e-3
+energy.p_syn = 25e-3
+energy.p_gen = 2e-3
+energy.t_st = 300e-6
+energy.m_fingers = 2
+energy.rho_r = 1
+energy.rho_c = 1
+qos.r0 = 20e3
+qos.n_s = 12
+solver.n_t_max = 4095
+distances = 2.0:3.0:0.5
+strategies = 8:630
+seed = 5
+shadowing = on
+model.uniform_section_ber = on
+model.integration_per_pulse = on
 """
 
 
@@ -51,6 +84,48 @@ class TestScenarioParsing:
         assert sc.strategies == ((8, 630), (32, 2616))
         assert sc.shadowing and sc.uniform_section_ber
 
+    def test_every_key_parses_to_its_value(self):
+        sc = parse_scenario(ALL_KEYS)
+        assert sc == Scenario(
+            channel=ChannelParams(a=18.5, b=4.25, sigma=3.5, noise_density=-170.0,
+                                  noise_figure=7.5, impl_margin=2.5, w_rx=250e6),
+            energy=EnergyParams(eps_p=15e-12, p_cor=5e-3, p_adc=1.5e-3, p_lna=8e-3,
+                                p_vga=20e-3, p_syn=25e-3, p_gen=2e-3, t_st=300e-6,
+                                m_fingers=2, rho_r=1, rho_c=1),
+            qos=QosSpec(r0=20e3, n_s=12),
+            solver=SolverConfig(n_t_max=4095),
+            distances=(2.0, 2.5, 3.0),
+            strategies=((8, 630),),
+            seed=5,
+            shadowing=True,
+            uniform_section_ber=True,
+            integration_per_pulse=True,
+        )
+        # Each of the 27 keys moved its field off the default, with the
+        # default's type, so no key is dropped or parsed as another type.
+        assert len([ln for ln in ALL_KEYS.splitlines() if ln]) == 27
+        default = Scenario()
+        for f in dataclasses.fields(Scenario):
+            value, base = getattr(sc, f.name), getattr(default, f.name)
+            assert value != base, f.name
+            if dataclasses.is_dataclass(base):
+                for g in dataclasses.fields(base):
+                    v, b = getattr(value, g.name), getattr(base, g.name)
+                    assert v != b and type(v) is type(b), f"{f.name}.{g.name}"
+            else:
+                assert type(value) is type(base), f.name
+
+    @pytest.mark.parametrize("key", [
+        "channel.c", "energy.eps_b", "energy.rx_chain_power", "qos.aggregate_rate",
+        "qos.n_t_max", "solver.r0", "uniform_section_ber", "integration_per_pulse",
+        "model.seed", "model.shadowing", "channel", "channel.channel.a", "scenario.seed",
+        "frame.n_phr", "Channel.a", "seeds",
+    ])
+    def test_any_other_key_is_unknown(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(f"{ALL_KEYS}{key} = 1\n")
+        assert str(err.value) == f"{key}: unknown key"
+
     @pytest.mark.parametrize(
         "text,key",
         [
@@ -74,6 +149,8 @@ class TestScenarioParsing:
             ("channel.noise_figure = inf", "channel"),
             ("energy.p_syn = inf", "energy"),
             ("energy.eps_p = nan", "energy"),
+            ("energy.eps_p = 0", "energy: eps_p must be > 0"),
+            ("distances = 5:1:0.5", "distances: range stop must be >= start"),
             ("seed = 1\nseed = 2", "seed"),
             ("solver.n_t_max = 258049", "solver.n_t_max"),
             ("solver.n_t_max = 62", "solver.n_t_max"),
@@ -93,6 +170,9 @@ class TestScenarioParsing:
             parse_scenario(f"distances = 0:{MAX_RANGE_STEPS + 1}:1")
         sc = parse_scenario(f"distances = 1:{MAX_RANGE_STEPS + 1}:1")
         assert len(sc.distances) == MAX_RANGE_STEPS + 1
+
+    def test_single_point_range(self):
+        assert parse_scenario("distances = 1:1:0.5").distances == (1.0,)
 
     def test_line_without_assignment(self):
         with pytest.raises(ConfigError) as err:
@@ -274,6 +354,19 @@ class TestCli:
         bad.write_text("distances = 1:1e9:1e-9\n")
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config-error: distances: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,prefix", [
+        ("distances = 5:1:0.5\n", "config-error: distances: "),
+        ("energy.eps_p = 0\n", "config-error: energy: "),
+    ])
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        argv = [command, "--config", str(bad), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--distance", "4.0"] if command == "optimize" else [])) == 2
+        assert capsys.readouterr().err.startswith(prefix)
         assert not (tmp_path / "out").exists()
 
     def test_seed_and_shadowing_overrides(self, tmp_path):
