@@ -34,7 +34,6 @@ from .frame import (
 )
 from .metrics import HeaderSuccess, LinkModel, ModeMetrics, QosSpec
 from .optimizer import (
-    ModeSolution,
     OptResult,
     SolverConfig,
     cloee,
@@ -44,17 +43,16 @@ from .optimizer import (
     solve_mode,
 )
 from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
-from .scenario import DEFAULT_DISTANCES, DEFAULT_STRATEGIES, Scenario, load_scenario, parse_scenario
+from .scenario import Scenario, load_scenario, parse_scenario
 from .sweep import SweepRow, emit_curves, run_sweep, rows_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BchCode", "ChannelParams", "ConfigError", "DEFAULT_DISTANCES",
-    "DEFAULT_STRATEGIES", "EnergyBreakdown", "EnergyParams", "FRAME_CONSTANTS",
-    "FrameConstants", "HeaderSuccess", "LinkBudget", "LinkModel", "MODE_TABLE",
-    "ModeMetrics", "ModeSolution", "OptResult", "PHR_CODE", "PSDU_CODE",
-    "PhyMode", "QosSpec", "Scenario", "SolverConfig", "SweepRow",
+    "BchCode", "ChannelParams", "ConfigError", "EnergyBreakdown", "EnergyParams",
+    "FRAME_CONSTANTS", "FrameConstants", "HeaderSuccess", "LinkBudget", "LinkModel",
+    "MODE_TABLE", "ModeMetrics", "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode",
+    "QosSpec", "Scenario", "SolverConfig", "SweepRow",
     "bch_block_log_success", "bch_block_success", "bit_error_prob", "cloee",
     "emit_curves", "energy_breakdown", "exhaustive_search", "kasami_success",
     "link_budget", "load_scenario", "log_q_function", "nt_closed_form",

@@ -47,16 +47,16 @@ def _load(args) -> Scenario:
     return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
-def _distance(args) -> float:
+def _point(args) -> tuple[float, Scenario, float]:
+    """The checked --distance, the scenario and its first shadowing draw (chi)."""
     if not (math.isfinite(args.distance) and args.distance > 0):
         raise ConfigError("--distance", f"must be finite and > 0, got {args.distance}")
-    return args.distance
+    scenario = _load(args)
+    return args.distance, scenario, scenario.shadowing_draws()[0]
 
 
 def _cmd_optimize(args) -> int:
-    distance = _distance(args)
-    scenario = _load(args)
-    chi = scenario.shadowing_draws()[0] if scenario.shadowing else 0.0
+    distance, scenario, chi = _point(args)
     res = cloee(scenario.link_model(), distance, scenario.qos, scenario.solver, chi)
     lines = [OPT_HEADER, _result_csv(distance, res)]
     print("\n".join(lines))
@@ -77,9 +77,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    distance = _distance(args)
-    scenario = _load(args)
-    chi = scenario.shadowing_draws()[0] if scenario.shadowing else 0.0
+    distance, scenario, chi = _point(args)
     paths = emit_fixed_distance_curves(scenario.link_model(), distance,
                                        scenario.qos, scenario.solver, args.out,
                                        fmt=args.format, chi=chi)

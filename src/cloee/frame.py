@@ -32,10 +32,6 @@ class BchCode:
         if self.t < 1:
             raise ValueError(f"BCH code needs t >= 1, got t={self.t}")
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
 
 # Default-mode codes.
 PSDU_CODE = BchCode(n=63, k=51, t=2)

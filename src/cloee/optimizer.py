@@ -60,15 +60,19 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Solver output.
+    """A solved operating point: one burst mode's (solve_mode), the winning
+    mode's (cloee) or the grid scan's (exhaustive_search).
 
     lambda_ and kkt_rate form the optimality certificate of the dual branch:
     kkt_rate is the rate at the continuous constrained optimum, where
     complementary slackness lambda_ * (kkt_rate - r0*n_s) ~ 0 holds.  The
     reported rate/eta belong to the returned integer frame size, which sits
     on the codeword grid and can exceed the rate target by a discrete step.
-    iterations counts the dual branch's bisection probes (cloee) or the
-    evaluated grid points (exhaustive_search).
+    iterations counts the dual branch's bisection probes (0 on the other
+    branches) or, for exhaustive_search, the evaluated grid points.
+    nee and nthr are the mode's efficiency- and throughput-optimal grid
+    frame sizes (closed form snapped to the codeword grid) that the branch
+    was chosen from; exhaustive_search snaps nothing and leaves them None.
     """
 
     n_t_star: int
@@ -80,6 +84,8 @@ class OptResult:
     iterations: int
     branch: str
     kkt_rate: Optional[float] = None
+    nee: Optional[int] = None
+    nthr: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +137,6 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
 # per-mode solve
 
 
-@dataclass(frozen=True)
-class ModeSolution:
-    """One burst mode's solved operating point and its solve diagnostics.
-
-    nee and nthr are the efficiency- and throughput-optimal grid frame sizes
-    (closed form snapped to the codeword grid) the branch was chosen from.
-    """
-
-    mm: ModeMetrics
-    nee: int
-    nthr: int
-    n_t: int
-    eta: float
-    rate: float
-    feasible: bool
-    branch: str
-    lam: float
-    iterations: int
-    kkt_rate: Optional[float]
-
-
 def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
     """Crossing of rate_cont = r0ns, bracketed by [lo, hi]."""
     f_lo = mm.rate_cont(lo) - r0ns
@@ -167,8 +152,8 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution:
-    r0ns = qos.aggregate_rate
+def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
+    r0ns, n_cpb = qos.aggregate_rate, mm.mode.n_cpb
 
     nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw, mm.n)
     nee = snap_to_grid(nee_cont, mm.eta, mm.n, cfg.n_t_max)
@@ -176,14 +161,14 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution
                         mm.rate, mm.n, cfg.n_t_max)
 
     if mm.rate(nee) >= r0ns:
-        return ModeSolution(mm, nee, nthr, nee, mm.eta(nee), mm.rate(nee), True,
-                            "unconstrained", 0.0, 0, None)
+        return OptResult(nee, n_cpb, mm.eta(nee), mm.rate(nee), 0.0, True, 0,
+                         "unconstrained", None, nee, nthr)
 
     rate_thr = mm.rate(nthr)
     if rate_thr < r0ns:
         # No frame size can meet the rate target in this mode.
-        return ModeSolution(mm, nee, nthr, nthr, mm.eta(nthr), rate_thr, False,
-                            "throughput-fallback", 0.0, 0, None)
+        return OptResult(nthr, n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
+                         "throughput-fallback", None, nee, nthr)
 
     # Dual branch.  The grid rate is unimodal with its peak at nthr (C4), so
     # the rate-feasible codeword multiples form an interval around nthr and
@@ -215,44 +200,30 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> ModeSolution
         lam_star = max(0.0, -mm.eta_cont_grad(n_c) / mm.rate_cont_grad(n_c))
         kkt_rate = mm.rate_cont(n_c)
 
-    return ModeSolution(mm, nee, nthr, n_star, mm.eta(n_star), mm.rate(n_star), True,
-                        "dual", lam_star, probes, kkt_rate)
+    return OptResult(n_star, n_cpb, mm.eta(n_star), mm.rate(n_star), lam_star, True, probes,
+                     "dual", kkt_rate, nee, nthr)
 
 
 # ---------------------------------------------------------------------------
 # cross-mode selection
 
 
-def _select(cands: list[ModeSolution]) -> tuple[ModeSolution, bool]:
+def _select(cands: list[OptResult]) -> OptResult:
+    """The best-efficiency feasible solve; the best-rate solve if none is.
+
+    The winner's own feasible flag is the overall verdict: it is True exactly
+    when some mode is feasible.  max keeps the first of equal values, so ties
+    go to the smaller n_cpb.
+    """
     feasible = [c for c in cands if c.feasible]
     if feasible:
-        best = feasible[0]
-        for c in feasible[1:]:
-            if c.eta > best.eta:      # ties keep the earlier (smaller) n_cpb
-                best = c
-        return best, True
-    best = cands[0]
-    for c in cands[1:]:
-        if c.rate > best.rate:
-            best = c
-    return best, False
+        return max(feasible, key=lambda c: c.eta)
+    return max(cands, key=lambda c: c.rate)
 
 
 def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
     """cloee on one distance's environment (LinkModel.env)."""
-    cands = [solve_mode(mm, qos, cfg) for mm in env]
-    best, feasible = _select(cands)
-    return OptResult(
-        n_t_star=best.n_t,
-        n_cpb_star=best.mm.mode.n_cpb,
-        eta=best.eta,
-        rate=best.rate,
-        lambda_=best.lam,
-        feasible=feasible,
-        iterations=best.iterations,
-        branch=best.branch,
-        kkt_rate=best.kkt_rate,
-    )
+    return _select([solve_mode(mm, qos, cfg) for mm in env])
 
 
 def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
@@ -274,17 +245,7 @@ def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) ->
             best_rate = (float(etas[i]), int(nts[i]), float(rates[i]), mm.mode.n_cpb)
     pick, feasible = (best_feas, True) if best_feas is not None else (best_rate, False)
     eta, n_t, rate, n_cpb = pick
-    return OptResult(
-        n_t_star=n_t,
-        n_cpb_star=n_cpb,
-        eta=eta,
-        rate=rate,
-        lambda_=0.0,
-        feasible=feasible,
-        iterations=evaluated,
-        branch="exhaustive",
-        kkt_rate=None,
-    )
+    return OptResult(n_t, n_cpb, eta, rate, 0.0, feasible, evaluated, "exhaustive")
 
 
 def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),

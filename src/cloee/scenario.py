@@ -60,6 +60,8 @@ class Scenario:
     integration_per_pulse: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if not self.distances:
             raise ConfigError("distances", "must not be empty")
         for d in self.distances:

@@ -104,6 +104,22 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"format must be csv|svg, got {fmt!r}")
 
 
+def _write(out_dir: str | Path, texts: dict[str, str], fmt: str, prefix: str,
+           series, title: str, x_label: str) -> list[Path]:
+    """Write each named text and, for fmt="svg", the eta and rate line charts
+    <prefix>_<metric>.svg of series(metric); returns the paths in that order."""
+    if fmt == "svg":
+        texts = texts | {f"{prefix}_{metric}.svg": svgplot.render_lines(
+                             series(metric), title=f"{metric} vs {title}",
+                             x_label=x_label, y_label=label)
+                         for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s"))}
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
+    return [out_dir / name for name in texts]
+
+
 def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "sweep",
                 fmt: str = "csv") -> list[Path]:
     """Write rows as CSV (and optional SVG line charts); returns written paths.
@@ -113,25 +129,15 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "swee
     if not rows:
         raise ValueError("no rows to emit")
     _check_format(fmt)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    csv_path = out_dir / f"{basename}.csv"
-    csv_path.write_text(rows_to_csv(rows))
-    paths.append(csv_path)
-    if fmt == "svg":
-        strategies = sorted({r.strategy for r in rows})
-        for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s")):
-            series = []
-            for strat in strategies:
-                pts = [(r.distance, getattr(r, metric)) for r in rows if r.strategy == strat]
-                series.append((strat, [p[0] for p in pts], [p[1] for p in pts]))
-            svg = svgplot.render_lines(series, title=f"{metric} vs distance",
-                                       x_label="distance (m)", y_label=label)
-            path = out_dir / f"{basename}_{metric}.svg"
-            path.write_text(svg)
-            paths.append(path)
-    return paths
+    strategies = sorted({r.strategy for r in rows})
+
+    def series(metric: str) -> list:
+        return [(strat, [r.distance for r in rows if r.strategy == strat],
+                 [getattr(r, metric) for r in rows if r.strategy == strat])
+                for strat in strategies]
+
+    return _write(out_dir, {f"{basename}.csv": rows_to_csv(rows)}, fmt, basename, series,
+                  "distance", "distance (m)")
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +152,8 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
                    cfg: SolverConfig, chi: float = 0.0):
     """Per-mode eta/rate curves over the codeword grid plus the solution marks.
 
-    Returns one (ModeSolution, nts, etas, rates) per mode, ascending n_cpb;
-    the arrays are ModeMetrics.grid(cfg.n_t_max).
+    Returns one (OptResult, nts, etas, rates) per mode, ascending n_cpb: the
+    mode's solve_mode result and ModeMetrics.grid(cfg.n_t_max).
     """
     return [(solve_mode(mm, qos, cfg), *mm.grid(cfg.n_t_max))
             for mm in model.env(distance, chi)]
@@ -162,27 +168,15 @@ def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
     curve_lines, mark_lines = [CURVE_HEADER], [MARKS_HEADER]
     series: dict[str, list] = {"eta": [], "rate": []}
     for sol, nts, etas, rates in compute_curves(model, distance, qos, cfg, chi):
-        n_cpb = sol.mm.mode.n_cpb
+        n_cpb = sol.n_cpb_star
         nts, etas, rates = nts.tolist(), etas.tolist(), rates.tolist()
         curve_lines += [f"{n_cpb},{n_t},{eta!r},{rate!r}"
                         for n_t, eta, rate in zip(nts, etas, rates)]
-        mark_lines.append(f"{n_cpb},{sol.nee},{sol.nthr},{sol.n_t},{sol.branch},"
+        mark_lines.append(f"{n_cpb},{sol.nee},{sol.nthr},{sol.n_t_star},{sol.branch},"
                           f"{'true' if sol.feasible else 'false'}")
         series["eta"].append((f"n_cpb={n_cpb}", nts, etas))
         series["rate"].append((f"n_cpb={n_cpb}", nts, rates))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curves_path = out_dir / "curves.csv"
-    curves_path.write_text("\n".join(curve_lines) + "\n")
-    marks_path = out_dir / "curve_marks.csv"
-    marks_path.write_text("\n".join(mark_lines) + "\n")
-    paths = [curves_path, marks_path]
-    if fmt == "svg":
-        for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s")):
-            svg = svgplot.render_lines(series[metric],
-                                       title=f"{metric} vs frame size at {distance} m",
-                                       x_label="n_t (bits)", y_label=label)
-            path = out_dir / f"curves_{metric}.svg"
-            path.write_text(svg)
-            paths.append(path)
-    return paths
+    texts = {"curves.csv": "\n".join(curve_lines) + "\n",
+             "curve_marks.csv": "\n".join(mark_lines) + "\n"}
+    return _write(out_dir, texts, fmt, "curves", series.__getitem__,
+                  f"frame size at {distance} m", "n_t (bits)")

@@ -159,14 +159,14 @@ def test_c5_dual_branch_kkt(cfg):
             for mm in model.env(float(d)):
                 sol = solve_mode(mm, qos, cfg)
                 if sol.branch == "unconstrained":
-                    assert sol.lam == 0.0
+                    assert sol.lambda_ == 0.0
                 if sol.branch != "dual":
                     continue
                 duals += 1
-                assert sol.lam >= 0.0
+                assert sol.lambda_ >= 0.0
                 assert sol.rate >= r0ns * (1 - 1e-6)
                 assert sol.kkt_rate >= r0ns * (1 - 1e-6)
-                slack = abs(sol.lam * (sol.kkt_rate - r0ns))
+                slack = abs(sol.lambda_ * (sol.kkt_rate - r0ns))
                 worst_slack = max(worst_slack, slack / r0ns)
                 assert slack <= 1e-6 * r0ns
     assert duals >= 8

@@ -27,7 +27,6 @@ PRINTED_RATES = (
 class TestBchCode:
     def test_default_codes(self):
         assert (PSDU_CODE.n, PSDU_CODE.k, PSDU_CODE.t) == (63, 51, 2)
-        assert PSDU_CODE.rate == 51 / 63
 
     @pytest.mark.parametrize("n,k,t", [(63, 63, 2), (63, 0, 2), (63, 51, 0), (40, 41, 2)])
     def test_invalid_codes_rejected(self, n, k, t):

@@ -4,7 +4,9 @@ Pinned: the default sweep CSV, nine hospital sweep CSVs (three model
 variants x three shadowing seeds), and the four files `cloee curves --format
 svg` writes (curves.csv, curve_marks.csv, curves_eta.svg, curves_rate.svg) at
 2.0, 6.5 and 8.4 m with the default config and at 6.5 m with the hospital
-config; `cloee optimize` stdout at 2.0 m (unconstrained) and 8.4 m
+config; the three files `cloee sweep --format svg` writes (sweep.csv,
+sweep_eta.svg, sweep_rate.svg) with the default and the hospital config;
+`cloee optimize` stdout at 2.0 m (unconstrained) and 8.4 m
 (throughput-fallback) with the default config and at 4.273 m with a rate
 floor that makes the dual branch print its certificate; and the two files
 `cloee dump-modes --out` writes.
@@ -114,6 +116,39 @@ def test_curves_svg(tmp_path, config, distance):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in CURVE_FILES)
     assert digests == CURVES[config, distance]
+
+
+SWEEP_FILES = ("sweep.csv", "sweep_eta.svg", "sweep_rate.svg")
+
+SWEEP_SVG = {
+    "default": (
+        "a36b134a09907a6fc40cc357d11cea5cce4336be6a2b8f39e0138471e0904d04",
+        "8fcdfb5943c607d9bd972ab688ea97a0fc7375bd84aa701920755c1211f67a23",
+        "3147fcb6bc6d59844977cb8e79aa26bdd01cc456ca350f8409169572709dcae2",
+    ),
+    "hospital": (
+        "4f81ea5daeac04cf3e42589f55e009a3470c84762693b2bdfaeeaf5a24c6c953",
+        "c4e7a30c4121f2f0c115782fad5ac2e20093b14761161b0f4dc8f045620d2571",
+        "1a4f51d90a0fe3a754f0cd1c1a29cbf1b3056f39bd2bbd973474d05df75a0b67",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(SWEEP_SVG))
+def test_sweep_svg(tmp_path, config):
+    out = tmp_path / "out"
+    argv = ["sweep", "--format", "svg", "--out", str(out)]
+    if config == "hospital":
+        conf = tmp_path / "hospital.conf"
+        conf.write_text(HOSPITAL)
+        argv += ["--config", str(conf)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    assert buf.getvalue().split() == [str(out / name) for name in SWEEP_FILES]
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in SWEEP_FILES)
+    assert digests == SWEEP_SVG[config]
 
 
 OPTIMIZE = {

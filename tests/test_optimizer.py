@@ -153,12 +153,12 @@ class TestCloee:
                         continue
                     found += 1
                     r0ns = qos.aggregate_rate
-                    assert sol.lam >= 0.0
+                    assert sol.lambda_ >= 0.0
                     assert sol.iterations <= (cfg.n_t_max // 63).bit_length()
                     assert sol.feasible
                     assert sol.rate >= r0ns * (1 - 1e-6)
                     assert sol.kkt_rate >= r0ns * (1 - 1e-6)
-                    assert abs(sol.lam * (sol.kkt_rate - r0ns)) <= 1e-6 * r0ns
+                    assert abs(sol.lambda_ * (sol.kkt_rate - r0ns)) <= 1e-6 * r0ns
         assert found >= 8
 
     def test_dual_regime_matches_oracle(self):
@@ -240,12 +240,41 @@ class TestCloee:
                 sol = solve_mode(mm, qos, cfg)
                 assert sol.branch == "dual" and sol.nee < sol.nthr
                 feasible = rates >= qos.aggregate_rate
-                assert sol.n_t == grid_argmax(np.where(feasible, etas, -np.inf), nts)
+                assert sol.n_t_star == grid_argmax(np.where(feasible, etas, -np.inf), nts)
                 res, oracle = solve_env(env, qos, cfg), search_env(env, qos, cfg)
                 assert (res.n_t_star, res.n_cpb_star, res.eta, res.rate, res.feasible) == \
                     (oracle.n_t_star, oracle.n_cpb_star, oracle.eta, oracle.rate, oracle.feasible), \
                     f"d={d!r}, n_cpb={mm.mode.n_cpb}, r0={qos.r0!r}, n_s={n_s}"
         assert cases >= 100, f"{cases} binding cases with the efficiency optimum on the left"
+
+    def test_result_is_the_winning_modes_solve(self, model, qos, cfg):
+        # cloee returns one mode's own solve_mode value, compared whole with
+        # ==, and its feasible flag is the verdict over all modes.  Default
+        # QoS reaches the unconstrained and throughput-fallback winners (all
+        # modes infeasible far out); binding targets from grid scans, as in
+        # test_dual_regime_matches_oracle, reach dual winners.
+        cases = [(d, 0.0, qos) for d in (2.0, 4.0, 6.5, 8.4, 12.0)]
+        rng = random.Random(20161018)
+        nts = _grid(None, cfg)
+        while len(cases) < 80:
+            d, chi = rng.uniform(1.0, 10.0), rng.gauss(0.0, 4.4)
+            bands = [(float(rates[int(np.argmax(etas))]), float(np.max(rates)))
+                     for etas, rates in ((mm.eta(nts), mm.rate(nts)) for mm in model.env(d, chi))]
+            lo, hi = rng.choice(bands)
+            n_s = rng.randint(1, 64)
+            binding = QosSpec(r0=(lo + rng.uniform(0.02, 0.98) * (hi - lo)) / n_s, n_s=n_s)
+            if lo < binding.aggregate_rate < hi:
+                cases.append((d, chi, binding))
+        winners = set()
+        for d, chi, q in cases:
+            res = cloee(model, d, q, cfg, chi)
+            sols = {mm.mode.n_cpb: solve_mode(mm, q, cfg) for mm in model.env(d, chi)}
+            assert res == sols[res.n_cpb_star]
+            assert res.feasible == any(sol.feasible for sol in sols.values())
+            oracle = exhaustive_search(model, d, q, cfg, chi)
+            assert oracle.nee is None and oracle.nthr is None
+            winners.add(res.branch)
+        assert winners == {"unconstrained", "dual", "throughput-fallback"}
 
     def test_deterministic(self, model, qos, cfg):
         assert cloee(model, 6.8, qos, cfg) == cloee(model, 6.8, qos, cfg)
@@ -262,8 +291,8 @@ class TestCloee:
                 parallel = list(pool.map(lambda mm: solve_mode(mm, qos, cfg), env))
             sequential = [solve_mode(mm, qos, cfg) for mm in env]
             for a, b in zip(parallel, sequential):
-                assert (a.n_t, a.eta, a.rate, a.lam, a.branch, a.kkt_rate) == \
-                    (b.n_t, b.eta, b.rate, b.lam, b.branch, b.kkt_rate)
+                assert (a.n_t_star, a.eta, a.rate, a.lambda_, a.branch, a.kkt_rate) == \
+                    (b.n_t_star, b.eta, b.rate, b.lambda_, b.branch, b.kkt_rate)
 
     def test_monotone_link_adaptation(self, model, qos, cfg):
         results = [cloee(model, round(1.0 + 0.25 * i, 9), qos, cfg) for i in range(37)]

@@ -154,6 +154,7 @@ class TestScenarioParsing:
             ("seed = 1\nseed = 2", "seed"),
             ("solver.n_t_max = 258049", "solver.n_t_max"),
             ("solver.n_t_max = 62", "solver.n_t_max"),
+            ("seed = -1", "seed: must be >= 0"),
         ],
     )
     def test_errors_carry_key_path(self, text, key):
@@ -359,6 +360,7 @@ class TestCli:
     @pytest.mark.parametrize("text,prefix", [
         ("distances = 5:1:0.5\n", "config-error: distances: "),
         ("energy.eps_p = 0\n", "config-error: energy: "),
+        ("seed = -1\nshadowing = on\n", "config-error: seed: "),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
@@ -367,6 +369,13 @@ class TestCli:
         argv = [command, "--config", str(bad), "--out", str(tmp_path / "out")]
         assert main(argv + (["--distance", "4.0"] if command == "optimize" else [])) == 2
         assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "curves"])
+    def test_negative_seed_option_fails(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "-1", "--shadowing", "on", "--out", str(tmp_path / "out")]
+        assert main(argv + (["--distance", "4.0"] if command == "optimize" else [])) == 2
+        assert capsys.readouterr().err.startswith("config-error: seed: must be >= 0")
         assert not (tmp_path / "out").exists()
 
     def test_seed_and_shadowing_overrides(self, tmp_path):
