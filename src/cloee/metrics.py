@@ -19,7 +19,7 @@ n_cpb_shr and n_cpb_phr and shares one header across the six modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,15 +70,20 @@ class HeaderSuccess:
         return self.p_shr * self.p_phr
 
 
+def _delivered(n_t, header_success, log_p_cw):
+    """Delivered payload bits n_t * P(PPDU delivered); a float for an int n_t."""
+    out = n_t * header_success * np.exp(-(-n_t // PSDU_CODE.n) * log_p_cw)
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
 class ModeMetrics:
     """Everything the optimizer needs about one (distance, mode) pair.
 
     Link reliabilities and energies are computed once.  success()/eta()/rate()
     evaluate the grid objectives, whose codeword count is ceil(n_t/n); eta and
-    rate take an int or an int array, and grid() evaluates both on every
-    codeword multiple.  success_cont()/rate_cont() use the relaxed exponent
-    n_t/n that the closed forms differentiate; the two agree exactly at
-    multiples of n.
+    rate take an int or an int array (grid() takes a whole environment).
+    success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
+    forms differentiate; the two agree exactly at multiples of n.
     """
 
     def __init__(self, mode: PhyMode, distance: float, p_b: float, header: HeaderSuccess,
@@ -102,25 +107,13 @@ class ModeMetrics:
         n_cw = -(-int(n_t) // self.n)
         return self.header_success * math.exp(n_cw * self.log_p_cw)
 
-    def _delivered_over(self, n_t, denom):
-        """Delivered payload bits n_t * P(PPDU delivered) over denom; a float
-        for an int n_t, an array for an array."""
-        out = n_t * self.header_success * np.exp(-(-n_t // self.n) * self.log_p_cw) / denom
-        return out if isinstance(out, np.ndarray) else float(out)
-
     def eta(self, n_t):
         """Energy efficiency in bits/Joule at integer frame size(s)."""
-        return self._delivered_over(n_t, self.energy.total(n_t))
+        return _delivered(n_t, self.header_success, self.log_p_cw) / self.energy.total(n_t)
 
     def rate(self, n_t):
         """Throughput in bits/s at integer frame size(s)."""
-        return self._delivered_over(n_t, self.t_oh + n_t * self.t_sym)
-
-    def grid(self, n_t_max: int):
-        """Every codeword multiple up to n_t_max with its eta and rate:
-        (nts, etas, rates), three arrays."""
-        nts = np.arange(1, n_t_max // self.n + 1) * self.n
-        return nts, self.eta(nts), self.rate(nts)
+        return _delivered(n_t, self.header_success, self.log_p_cw) / (self.t_oh + n_t * self.t_sym)
 
     # -- continuous relaxation (exponent n_t/n) --------------------------
 
@@ -153,6 +146,12 @@ class LinkModel:
     energy: EnergyParams = DEFAULT_ENERGY
     uniform_section_ber: bool = False
     integration_per_pulse: bool = False
+    # The six modes' energy breakdowns: per model, not per distance or chi.
+    _breakdowns: tuple[EnergyBreakdown, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_breakdowns",
+                           tuple(energy_breakdown(m, self.energy) for m in MODE_TABLE))
 
     def bit_error(self, distance: float, mode: PhyMode, chi: float = 0.0) -> float:
         lb = link_budget(distance, mode, self.energy.eps_p, self.channel, chi,
@@ -170,8 +169,19 @@ class LinkModel:
         p_b = {m.n_cpb: self.bit_error(distance, m, chi) for m in MODE_TABLE}
         shared = None if self.uniform_section_ber else \
             HeaderSuccess.at(p_b[FRAME_CONSTANTS.n_cpb_shr], p_b[FRAME_CONSTANTS.n_cpb_phr])
-        return tuple(
-            ModeMetrics(m, distance, p_b[m.n_cpb],
-                        shared or HeaderSuccess.at(p_b[m.n_cpb], p_b[m.n_cpb]),
-                        energy_breakdown(m, self.energy))
-            for m in MODE_TABLE)
+        return tuple(ModeMetrics(m, distance, p_b[m.n_cpb],
+                                 shared or HeaderSuccess.at(p_b[m.n_cpb], p_b[m.n_cpb]), energy)
+                     for m, energy in zip(MODE_TABLE, self._breakdowns))
+
+
+def grid(env: tuple[ModeMetrics, ...], n_t_max: int):
+    """(nts, etas, rates): every codeword multiple up to n_t_max, and one row
+    of eta and one of rate per mode of env, each element equal to the scalar
+    eta/rate call bit for bit (the same expressions over per-mode columns)."""
+    nts = np.arange(1, n_t_max // PSDU_CODE.n + 1) * PSDU_CODE.n
+    hs, log_p_cw, eps_b, eps_oh, eps_st, t_oh, t_sym = np.array(
+        [(mm.header_success, mm.log_p_cw, mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
+          mm.t_oh, mm.t_sym) for mm in env]).T[:, :, None]
+    delivered = _delivered(nts, hs, log_p_cw)
+    return (nts, delivered / EnergyBreakdown(eps_b, eps_oh, eps_st).total(nts),
+            delivered / (t_oh + nts * t_sym))

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import LinkModel, ModeMetrics, QosSpec
+from .metrics import LinkModel, ModeMetrics, QosSpec, grid
 
 
 # The oracle and the curves scan every codeword multiple up to n_t_max, so
@@ -160,8 +160,9 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
     nthr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw, mm.n),
                         mm.rate, mm.n, cfg.n_t_max)
 
-    if mm.rate(nee) >= r0ns:
-        return OptResult(nee, n_cpb, mm.eta(nee), mm.rate(nee), 0.0, True, 0,
+    rate_ee = mm.rate(nee)
+    if rate_ee >= r0ns:
+        return OptResult(nee, n_cpb, mm.eta(nee), rate_ee, 0.0, True, 0,
                          "unconstrained", None, nee, nthr)
 
     rate_thr = mm.rate(nthr)
@@ -227,25 +228,14 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
 
 
 def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
-    """exhaustive_search on one distance's environment (LinkModel.env)."""
-    r0ns = qos.aggregate_rate
-    best_feas = None   # (eta, n_t, rate, n_cpb)
-    best_rate = None
-    evaluated = 0
-    for mm in env:
-        nts, etas, rates = mm.grid(cfg.n_t_max)
-        evaluated += len(nts)
-        feas = rates >= r0ns
-        if feas.any():
-            i = int(np.argmax(np.where(feas, etas, -np.inf)))
-            if best_feas is None or etas[i] > best_feas[0]:
-                best_feas = (float(etas[i]), int(nts[i]), float(rates[i]), mm.mode.n_cpb)
-        i = int(np.argmax(rates))
-        if best_rate is None or rates[i] > best_rate[2]:
-            best_rate = (float(etas[i]), int(nts[i]), float(rates[i]), mm.mode.n_cpb)
-    pick, feasible = (best_feas, True) if best_feas is not None else (best_rate, False)
-    eta, n_t, rate, n_cpb = pick
-    return OptResult(n_t, n_cpb, eta, rate, 0.0, feasible, evaluated, "exhaustive")
+    """exhaustive_search on one distance's environment (LinkModel.env): the
+    best-eta feasible grid point, else the best-rate one.  argmax keeps the
+    first maximum in row-major order: ties go to the smaller n_cpb, then n_t."""
+    nts, etas, rates = grid(env, cfg.n_t_max)
+    feas = rates >= qos.aggregate_rate
+    m, k = divmod(int(np.argmax(np.where(feas, etas, -np.inf) if feas.any() else rates)), len(nts))
+    return OptResult(int(nts[k]), env[m].mode.n_cpb, float(etas[m, k]), float(rates[m, k]), 0.0,
+                     bool(feas[m, k]), etas.size, "exhaustive")
 
 
 def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),

@@ -36,11 +36,19 @@ def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
 
     Exact integer binomial coefficients, probabilities combined in log space
     so the tail stays accurate from p_b ~ 1e-300 up to 0.5.  The two logs are
-    taken once per tail; the terms are summed in ascending i.
+    taken once per tail.  The terms are added one by one in ascending i, so
+    the bits do not depend on the interpreter (sum() compensates from Python
+    3.12 on).  Past the binomial mode the terms fall: once one is at most
+    2**-54 of the sum, below half its ulp, no later term can change the sum.
     """
     lp, lq = math.log(p_b), math.log1p(-p_b)
-    return sum(math.comb(n_bits, i) * math.exp(i * lp + (n_bits - i) * lq)
-               for i in range(lo, hi))
+    s, peak = 0.0, (n_bits + 1) * p_b
+    for i in range(lo, hi):
+        term = math.comb(n_bits, i) * math.exp(i * lp + (n_bits - i) * lq)
+        s += term
+        if i > peak and term <= s * 2.0 ** -54:
+            break
+    return s
 
 
 def bch_block_success(p_b: float, code: tuple[int, int]) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .metrics import LinkModel, ModeMetrics, QosSpec
+from .metrics import LinkModel, ModeMetrics, QosSpec, grid
 from .optimizer import OptResult, SolverConfig, search_env, solve_env, solve_mode
 from .scenario import Scenario
 from . import svgplot
@@ -153,10 +153,12 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
     """Per-mode eta/rate curves over the codeword grid plus the solution marks.
 
     Returns one (OptResult, nts, etas, rates) per mode, ascending n_cpb: the
-    mode's solve_mode result and ModeMetrics.grid(cfg.n_t_max).
+    mode's solve_mode result and its row of grid(env, cfg.n_t_max).
     """
-    return [(solve_mode(mm, qos, cfg), *mm.grid(cfg.n_t_max))
-            for mm in model.env(distance, chi)]
+    env = model.env(distance, chi)
+    nts, etas, rates = grid(env, cfg.n_t_max)
+    return [(solve_mode(mm, qos, cfg), nts, eta_row, rate_row)
+            for mm, eta_row, rate_row in zip(env, etas, rates)]
 
 
 def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,

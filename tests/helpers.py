@@ -7,6 +7,7 @@ from cloee import (
     HeaderSuccess,
     LinkModel,
     ModeMetrics,
+    OptResult,
     PhyMode,
     SweepRow,
     energy_breakdown,
@@ -89,3 +90,28 @@ def grid_argmax(values, nts) -> int:
     """First-occurrence argmax over a frame-size grid."""
     values = np.asarray(values, dtype=float)
     return int(np.asarray(nts)[int(np.argmax(values))])
+
+
+def reference_search_env(env, qos, cfg) -> OptResult:
+    """The oracle as a per-mode loop, the reference for optimizer.search_env.
+
+    Each mode's codeword grid is scanned on its own with array eta/rate
+    calls; a later mode replaces the kept point only when strictly better, so
+    ties go to the smaller n_cpb, and within a mode to the smaller n_t.
+    """
+    r0ns = qos.aggregate_rate
+    nts = np.arange(1, cfg.n_t_max // 63 + 1) * 63
+    best_feas = best_rate = None   # (eta, n_t, rate, n_cpb)
+    for mm in env:
+        etas, rates = mm.eta(nts), mm.rate(nts)
+        feas = rates >= r0ns
+        if feas.any():
+            i = int(np.argmax(np.where(feas, etas, -np.inf)))
+            if best_feas is None or etas[i] > best_feas[0]:
+                best_feas = (float(etas[i]), int(nts[i]), float(rates[i]), mm.mode.n_cpb)
+        i = int(np.argmax(rates))
+        if best_rate is None or rates[i] > best_rate[2]:
+            best_rate = (float(etas[i]), int(nts[i]), float(rates[i]), mm.mode.n_cpb)
+    (eta, n_t, rate, n_cpb), feasible = \
+        (best_feas, True) if best_feas is not None else (best_rate, False)
+    return OptResult(n_t, n_cpb, eta, rate, 0.0, feasible, len(nts) * len(env), "exhaustive")

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cloee import LinkModel, QosSpec
+from cloee import MODE_TABLE, EnergyParams, LinkModel, QosSpec, energy_breakdown
+from cloee.metrics import grid
 from helpers import is_unimodal_max, metrics_at, single_pb_metrics
 
 
@@ -104,18 +106,23 @@ class TestContinuousRelaxation:
 
 
 class TestGrid:
-    # grid() is the one array evaluator; its values must equal the scalar
-    # calls bit for bit, because the curves CSV writes them with repr.
+    # grid(env, n_t_max) is the one array evaluator; each row must equal its
+    # mode's scalar calls bit for bit, because the curves CSV writes them
+    # with repr and the oracle compares them with the solver's.
     @pytest.mark.parametrize("variant", [{}, {"uniform_section_ber": True},
                                          {"integration_per_pulse": True}])
     def test_matches_scalar_calls(self, variant):
         model = LinkModel(**variant)
         for d, chi in ((1.5, 0.0), (4.2, -3.1), (6.5, 0.0), (7.9, 2.4), (9.6, 0.0)):
-            for mm in model.env(d, chi):
-                nts, etas, rates = mm.grid(63 * 130)
-                assert nts.tolist() == [63 * k for k in range(1, 131)]
-                assert etas.tolist() == [mm.eta(n) for n in nts.tolist()]
-                assert rates.tolist() == [mm.rate(n) for n in nts.tolist()]
+            env = model.env(d, chi)
+            nts, etas, rates = grid(env, 63 * 130)
+            assert nts.tolist() == [63 * k for k in range(1, 131)]
+            assert etas.shape == rates.shape == (6, 130)
+            for mm, eta_row, rate_row in zip(env, etas, rates):
+                assert eta_row.tolist() == [mm.eta(n) for n in nts.tolist()]
+                assert rate_row.tolist() == [mm.rate(n) for n in nts.tolist()]
+                assert eta_row.tolist() == mm.eta(nts).tolist()
+                assert rate_row.tolist() == mm.rate(nts).tolist()
 
     def test_scalar_input_gives_plain_float(self, model):
         mm = metrics_at(model, 6.5, 8)
@@ -124,6 +131,35 @@ class TestGrid:
         assert isinstance(mm.eta(np.array([63, 630])), np.ndarray)
 
     def test_ceiling_is_inclusive(self, model):
-        mm = metrics_at(model, 6.5, 8)
-        assert mm.grid(126)[0].tolist() == [63, 126]
-        assert mm.grid(188)[0].tolist() == [63, 126]
+        env = model.env(6.5)
+        assert grid(env, 126)[0].tolist() == [63, 126]
+        assert grid(env, 188)[0].tolist() == [63, 126]
+        assert grid(env, 63)[1].shape == (6, 1)
+
+    def test_rows_follow_the_given_modes(self, model):
+        env = model.env(7.2)
+        nts, etas, rates = grid(env, 630)
+        sub_nts, sub_etas, sub_rates = grid(env[3:1:-1], 630)
+        assert sub_nts.tolist() == nts.tolist()
+        assert sub_etas.tolist() == etas[3:1:-1].tolist()
+        assert sub_rates.tolist() == rates[3:1:-1].tolist()
+
+
+class TestEnergyBreakdowns:
+    # A LinkModel builds its six energy breakdowns once; they are not part of
+    # its value, so equality, hashing and repr see only the four settings.
+    def test_built_once_per_model(self):
+        model = LinkModel(energy=EnergyParams(t_st=200e-6))
+        envs = [model.env(d, chi) for d, chi in ((1.0, 0.0), (6.5, 2.0), (9.0, -1.0))]
+        for env in envs:
+            assert [mm.energy for mm in env] == [energy_breakdown(m, model.energy)
+                                                 for m in MODE_TABLE]
+            assert all(a.energy is b.energy for a, b in zip(env, envs[0]))
+
+    def test_value_semantics_unchanged(self):
+        assert LinkModel() == LinkModel()
+        assert hash(LinkModel()) == hash(LinkModel())
+        assert LinkModel() != LinkModel(uniform_section_ber=True)
+        assert "_breakdowns" not in repr(LinkModel())
+        changed = dataclasses.replace(LinkModel(), energy=EnergyParams(p_syn=1e-3))
+        assert changed.env(5.0)[0].energy == energy_breakdown(MODE_TABLE[0], changed.energy)

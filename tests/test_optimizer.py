@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -24,7 +25,7 @@ from cloee import (
     solve_mode,
 )
 from cloee.optimizer import search_env, solve_env
-from helpers import grid_argmax, metrics_at
+from helpers import grid_argmax, metrics_at, mode_for, reference_search_env
 
 
 def _grid(mm, cfg):
@@ -369,6 +370,78 @@ class TestExhaustiveSearch:
         res = exhaustive_search(model, 5.0, qos, cfg)
         assert res.iterations == 6 * (cfg.n_t_max // 63)
         assert res.branch == "exhaustive"
+
+
+class TestSearchEnvMatchesReference:
+    # search_env picks from one batched grid with one flat argmax; the
+    # per-mode loop it replaced (helpers.reference_search_env) must give the
+    # same OptResult, compared whole with ==.
+    @pytest.mark.parametrize("variant", [{}, {"uniform_section_ber": True},
+                                         {"integration_per_pulse": True}])
+    @pytest.mark.parametrize("n_t_max", [63, 63 * 130, 63 * 4096])
+    def test_default_binding_and_unreachable_targets(self, variant, n_t_max):
+        model, cfg = LinkModel(**variant), SolverConfig(n_t_max=n_t_max)
+        nts = _grid(None, cfg)
+        rng = random.Random(n_t_max)
+        seen = set()
+        for d in (1.0, 3.5, 5.0, 6.5, 7.5, 9.0, 12.0):
+            env = model.env(d, rng.gauss(0.0, 4.0))
+            targets = [("default", QosSpec())]
+            for mm in env:
+                sol = solve_mode(mm, QosSpec(), cfg)
+                lo, hi = mm.rate(sol.nee), mm.rate(sol.nthr)
+                if lo < hi:
+                    targets.append(("binding", QosSpec(r0=(lo + hi) / 2 / 24)))
+            top = max(float(np.max(mm.rate(nts))) for mm in env)
+            targets.append(("unreachable", QosSpec(r0=2 * top / 24)))
+            for kind, qos in targets:
+                res = search_env(env, qos, cfg)
+                assert res == reference_search_env(env, qos, cfg), (d, kind, qos)
+                if kind == "binding":
+                    assert "dual" in {solve_mode(mm, qos, cfg).branch for mm in env}
+                if kind == "unreachable":
+                    assert not res.feasible and res.rate == top
+                seen.add((kind, res.feasible))
+        assert {("default", True), ("unreachable", False)} <= seen
+        if n_t_max > 63:
+            assert ("binding", True) in seen
+
+    def test_identical_modes_tie_goes_to_the_first(self, model, cfg):
+        # Two modes with one bit error rate, header, energy and symbol time
+        # have equal eta and rate on the whole grid; the first of them in
+        # environment order wins, feasible or not.
+        p_b = model.bit_error(6.5, mode_for(2))
+        header = HeaderSuccess.at(p_b, p_b)
+        energy = model.env(6.5)[1].energy
+        low = mode_for(2)
+        high = dataclasses.replace(mode_for(8), t_sym=low.t_sym)
+        env = tuple(ModeMetrics(m, 6.5, p_b, header, energy) for m in (low, high))
+        for qos in (QosSpec(r0=1.0, n_s=1), QosSpec(r0=1e9, n_s=64)):
+            res = search_env(env, qos, cfg)
+            assert res == reference_search_env(env, qos, cfg)
+            assert res.n_cpb_star == 2
+            flipped = search_env(env[::-1], qos, cfg)
+            assert flipped == reference_search_env(env[::-1], qos, cfg)
+            assert dataclasses.replace(flipped, n_cpb_star=2) == res
+
+    def test_equal_eta_tie_goes_to_the_smaller_n_cpb(self):
+        # Error-free links at 1 J/bit with no fixed energy have eta = 1.0
+        # exactly at every frame size, so every feasible point ties.  The
+        # n_cpb = 2 mode is made slow: it meets the rate floor only from some
+        # n_t > 63 on, while the fast n_cpb = 8 mode meets it everywhere.  The
+        # tie goes to the smaller n_cpb first and the smaller n_t second, so
+        # the winner is the slow mode's smallest feasible frame.
+        header, energy = HeaderSuccess.at(0.0, 0.0), EnergyBreakdown(1.0, 0.0, 0.0)
+        slow = dataclasses.replace(mode_for(2), t_sym=mode_for(32).t_sym)
+        fast = dataclasses.replace(mode_for(8), t_sym=mode_for(1).t_sym)
+        env = tuple(ModeMetrics(m, 1.0, 0.0, header, energy) for m in (slow, fast))
+        cfg, qos = SolverConfig(n_t_max=630), QosSpec(r0=350e3, n_s=1)
+        assert env[0].rate(63) < qos.aggregate_rate <= env[1].rate(63)
+        res = search_env(env, qos, cfg)
+        assert res == reference_search_env(env, qos, cfg)
+        first_feasible = next(n for n in range(63, 631, 63) if env[0].rate(n) >= 350e3)
+        assert (res.n_cpb_star, res.n_t_star, res.eta, res.feasible) == \
+            (2, first_feasible, 1.0, True)
 
 
 class TestSolverConfig:

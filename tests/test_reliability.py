@@ -111,8 +111,17 @@ def _old_pmf(i, n_bits, p_b):
     return math.comb(n_bits, i) * math.exp(log_term)
 
 
+def _full_sum(p_b, n_bits, lo, hi):
+    # Every term, added one by one in ascending i: builtin sum() compensates
+    # from Python 3.12 on, and the tails must not depend on the interpreter.
+    s = 0.0
+    for i in range(lo, hi):
+        s += _old_pmf(i, n_bits, p_b)
+    return s
+
+
 def _old_block_success(p_b, n_bits, t):
-    return min(1.0, sum(_old_pmf(i, n_bits, p_b) for i in range(t + 1)))
+    return min(1.0, _full_sum(p_b, n_bits, 0, t + 1))
 
 
 def _old_block_log_success(p_b, n_bits, t):
@@ -120,7 +129,7 @@ def _old_block_log_success(p_b, n_bits, t):
         return 0.0
     if p_b == 1.0:
         return -math.inf
-    upper = sum(_old_pmf(i, n_bits, p_b) for i in range(t + 1, n_bits + 1))
+    upper = _full_sum(p_b, n_bits, t + 1, n_bits + 1)
     if upper < 0.5:
         return math.log1p(-upper)
     direct = _old_block_success(p_b, n_bits, t)
@@ -128,18 +137,25 @@ def _old_block_log_success(p_b, n_bits, t):
 
 
 class TestTailsMatchPerTermForm:
-    # The tails take log(p_b) and log1p(-p_b) once and sum the same terms in
-    # the same order, so they must equal the per-term form bit for bit.
+    # The tails take log(p_b) and log1p(-p_b) once and add the same terms in
+    # the same order, stopping past the binomial mode once a term is at most
+    # 2**-54 of the partial sum, where no later term can change it.  So they
+    # must equal the full per-term sum bit for bit: on a log grid, and on 10k
+    # seeded random p_b in [1e-300, 0.5], half spread evenly over the decades
+    # and half evenly over the interval.
     P_GRID = [0.0, 1.0, *(float(p) for p in np.logspace(-300, math.log10(0.5), 2000))]
+    _RNG = np.random.default_rng(20261018)
+    RANDOM_P = [*(10.0 ** _RNG.uniform(-300, math.log10(0.5), 5_000)).tolist(),
+                *_RNG.uniform(1e-300, 0.5, 5_000).tolist()]
 
-    @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
+    @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6), (63, 0), (5, 4)])
     def test_block_success(self, n_bits, t):
-        for p in self.P_GRID:
+        for p in self.P_GRID + self.RANDOM_P:
             assert bch_block_success(p, (n_bits, t)) == _old_block_success(p, n_bits, t), p
 
-    @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
+    @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6), (63, 0), (5, 4)])
     def test_block_log_success(self, n_bits, t):
-        for p in self.P_GRID:
+        for p in self.P_GRID + self.RANDOM_P:
             assert bch_block_log_success(p, (n_bits, t)) == _old_block_log_success(p, n_bits, t), p
 
 
