@@ -138,14 +138,23 @@ def link_budget(
     eps_p is the transmitted energy per pulse, so the per-bit energy is
     n_cpb * eps_p.
     """
+    return link_budgets(d, (mode,), eps_p, params, chi, integration_per_pulse)[0]
+
+
+def link_budgets(d: float, modes: tuple[PhyMode, ...], eps_p: float,
+                 params: ChannelParams = DEFAULT_CHANNEL, chi: float = 0.0,
+                 integration_per_pulse: bool = False) -> list[LinkBudget]:
+    """link_budget for each of modes at one distance: the path loss and the
+    gains are taken once, and each mode adds only its ebn0 and t_int."""
     if eps_p <= 0:
         raise ValueError(f"per-pulse energy must be > 0, got {eps_p}")
     loss = path_loss_db(d, params, chi)
     h = 10.0 ** (-loss / 10.0)
     h_eff = 10.0 ** (-(loss + params.noise_figure + params.impl_margin) / 10.0)
-    ebn0 = h_eff * (mode.n_cpb * eps_p) / params.noise_density_joules
-    t_int = mode.t_w / mode.n_cpb if integration_per_pulse else mode.t_w
-    return LinkBudget(distance=d, h=h, h_eff=h_eff, ebn0=ebn0, t_int=t_int, w_rx=params.w_rx)
+    n0 = params.noise_density_joules
+    return [LinkBudget(d, h, h_eff, h_eff * (m.n_cpb * eps_p) / n0,
+                       m.t_w / m.n_cpb if integration_per_pulse else m.t_w, params.w_rx)
+            for m in modes]
 
 
 def bit_error_prob(lb: LinkBudget, mode: PhyMode) -> float:

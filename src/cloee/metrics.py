@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_prob, link_budget
+from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_prob, link_budgets
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams, energy_breakdown
 from .frame import FRAME_CONSTANTS, MODE_TABLE, PHR_CODE, PSDU_CODE, PhyMode
 from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
@@ -153,20 +153,17 @@ class LinkModel:
         object.__setattr__(self, "_breakdowns",
                            tuple(energy_breakdown(m, self.energy) for m in MODE_TABLE))
 
-    def bit_error(self, distance: float, mode: PhyMode, chi: float = 0.0) -> float:
-        lb = link_budget(distance, mode, self.energy.eps_p, self.channel, chi,
-                         self.integration_per_pulse)
-        return bit_error_prob(lb, mode)
-
     def env(self, distance: float, chi: float = 0.0) -> tuple[ModeMetrics, ...]:
         """Metrics for all six burst modes at one distance, ascending n_cpb.
 
-        One bit error rate per mode.  With section-specific rates the header
-        runs at the payload rates of the modes at n_cpb_shr and n_cpb_phr and
-        is built once for all six modes; under uniform_section_ber each mode's
-        header runs at its own payload rate.
+        One path loss, and one bit error rate per mode.  With section-specific
+        rates the header runs at the payload rates of the modes at n_cpb_shr
+        and n_cpb_phr and is built once for all six modes; under
+        uniform_section_ber each mode's header runs at its own payload rate.
         """
-        p_b = {m.n_cpb: self.bit_error(distance, m, chi) for m in MODE_TABLE}
+        budgets = link_budgets(distance, MODE_TABLE, self.energy.eps_p, self.channel, chi,
+                               self.integration_per_pulse)
+        p_b = {m.n_cpb: bit_error_prob(lb, m) for m, lb in zip(MODE_TABLE, budgets)}
         shared = None if self.uniform_section_ber else \
             HeaderSuccess.at(p_b[FRAME_CONSTANTS.n_cpb_shr], p_b[FRAME_CONSTANTS.n_cpb_phr])
         return tuple(ModeMetrics(m, distance, p_b[m.n_cpb],

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class SolverConfig:
             raise ConfigError("solver.n_t_max", f"must be <= {N_T_MAX_LIMIT}, got {self.n_t_max!r}")
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     """A solved operating point: one burst mode's (solve_mode), the winning
     mode's (cloee) or the grid scan's (exhaustive_search).
 
@@ -114,22 +113,21 @@ def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float, n: int = 63) 
 
 
 def snap_to_grid(x_cont: float, objective: Callable[[int], float],
-                 n: int = 63, n_t_max: int = 63 * 130) -> int:
-    """Round a continuous frame size to the better of its two codeword multiples.
+                 n: int = 63, n_t_max: int = 63 * 130) -> tuple[int, float]:
+    """Round a continuous frame size to the better of the two codeword
+    multiples around it; returns (n_t, objective(n_t)).
 
     Clamps into [n, n_t_max]; ties prefer the smaller size.
     """
     k_max = n_t_max // n
     if math.isinf(x_cont) or x_cont >= k_max * n:
-        return k_max * n
-    k = max(1, min(int(x_cont // n), k_max))
-    cands = sorted({k * n, min((k + 1) * n, k_max * n), max(n, (k - 1) * n)})
-    best = cands[0]
-    best_val = objective(best)
-    for c in cands[1:]:
-        v = objective(c)
-        if v > best_val:
-            best, best_val = c, v
+        return k_max * n, objective(k_max * n)
+    k = max(1, int(x_cont // n))
+    best = (k * n, objective(k * n))
+    if k < k_max:
+        v = objective((k + 1) * n)
+        if v > best[1]:
+            best = ((k + 1) * n, v)
     return best
 
 
@@ -140,32 +138,30 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
 def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
     """Crossing of rate_cont = r0ns, bracketed by [lo, hi]."""
     f_lo = mm.rate_cont(lo) - r0ns
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-9 * max(1.0, abs(mid)):
-            break
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-9 * max(1.0, abs(mid)):
         f_mid = mm.rate_cont(mid) - r0ns
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
     r0ns, n_cpb = qos.aggregate_rate, mm.mode.n_cpb
 
     nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw, mm.n)
-    nee = snap_to_grid(nee_cont, mm.eta, mm.n, cfg.n_t_max)
-    nthr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw, mm.n),
-                        mm.rate, mm.n, cfg.n_t_max)
+    nee, eta_ee = snap_to_grid(nee_cont, mm.eta, mm.n, cfg.n_t_max)
+    nthr, rate_thr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw, mm.n),
+                                  mm.rate, mm.n, cfg.n_t_max)
 
     rate_ee = mm.rate(nee)
     if rate_ee >= r0ns:
-        return OptResult(nee, n_cpb, mm.eta(nee), rate_ee, 0.0, True, 0,
+        return OptResult(nee, n_cpb, eta_ee, rate_ee, 0.0, True, 0,
                          "unconstrained", None, nee, nthr)
 
-    rate_thr = mm.rate(nthr)
     if rate_thr < r0ns:
         # No frame size can meet the rate target in this mode.
         return OptResult(nthr, n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,

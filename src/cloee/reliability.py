@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 
-from .frame import FRAME_CONSTANTS
+from .frame import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE
 
 
 def _block_params(code: tuple[int, int]) -> tuple[int, int]:
-    n_bits, t = (int(v) for v in code)
+    n_bits, t = map(int, code)
     if not 0 <= t < n_bits:
         raise ValueError(f"correctable errors t={t} must be in [0, {n_bits}) for a "
                          f"{n_bits}-bit block")
@@ -31,20 +31,28 @@ def _check_p(p_b: float) -> None:
         raise ValueError(f"bit error probability must be in [0, 1], got {p_b}")
 
 
+# C(N, i) as correctly rounded floats for the frame's fixed block lengths.
+_COMB_ROWS = {n: tuple(float(math.comb(n, i)) for i in range(n + 1))
+              for n in (PSDU_CODE.n, FRAME_CONSTANTS.kasami_len, PHR_CODE.n)}
+
+
 def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
     """sum_{lo <= i < hi} C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1.
 
-    Exact integer binomial coefficients, probabilities combined in log space
-    so the tail stays accurate from p_b ~ 1e-300 up to 0.5.  The two logs are
-    taken once per tail.  The terms are added one by one in ascending i, so
-    the bits do not depend on the interpreter (sum() compensates from Python
-    3.12 on).  Past the binomial mode the terms fall: once one is at most
-    2**-54 of the sum, below half its ulp, no later term can change the sum.
+    C(N,i) is the exact integer, or for 63 and 40 bits its correctly rounded
+    float; int * float rounds the integer the same way, so the terms match.
+    The probabilities are combined in log space (the two logs taken once per
+    tail), so the tail stays accurate from p_b ~ 1e-300 up to 0.5.  Terms are
+    added one by one in ascending i, so the bits do not depend on the
+    interpreter (sum() compensates from Python 3.12 on).  Past the binomial
+    mode the terms fall: once one is at most 2**-54 of the sum, below half its
+    ulp, no later term can change the sum.
     """
     lp, lq = math.log(p_b), math.log1p(-p_b)
+    comb = _COMB_ROWS.get(n_bits) or [math.comb(n_bits, i) for i in range(hi)]
     s, peak = 0.0, (n_bits + 1) * p_b
     for i in range(lo, hi):
-        term = math.comb(n_bits, i) * math.exp(i * lp + (n_bits - i) * lq)
+        term = comb[i] * math.exp(i * lp + (n_bits - i) * lq)
         s += term
         if i > peak and term <= s * 2.0 ** -54:
             break

@@ -7,8 +7,8 @@ before emission.  The reserved strategy ids are "cloee" (the solver) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .metrics import LinkModel, ModeMetrics, QosSpec, grid
 from .optimizer import OptResult, SolverConfig, search_env, solve_env, solve_mode
@@ -20,8 +20,7 @@ CSV_COLUMNS = ("distance", "strategy", "n_cpb", "n_t", "eta_bits_per_joule",
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     distance: float
     strategy: str
     n_cpb: int

@@ -1,5 +1,8 @@
 """Shared test utilities, built on the package's public API only."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 
 from cloee import (
@@ -9,10 +12,16 @@ from cloee import (
     ModeMetrics,
     OptResult,
     PhyMode,
+    QosSpec,
     SweepRow,
     energy_breakdown,
 )
 from cloee.sweep import CSV_HEADER
+
+# Frozen (distance, chi, r0, n_s) inputs whose rate floor binds in some mode,
+# read only; they reach all three solve_mode branches.
+BINDING_CSV = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "solve_binding.csv"
+MODEL_VARIANTS = ({}, {"uniform_section_ber": True}, {"integration_per_pulse": True})
 
 
 def mode_for(n_cpb: int) -> PhyMode:
@@ -115,3 +124,35 @@ def reference_search_env(env, qos, cfg) -> OptResult:
     (eta, n_t, rate, n_cpb), feasible = \
         (best_feas, True) if best_feas is not None else (best_rate, False)
     return OptResult(n_t, n_cpb, eta, rate, 0.0, feasible, len(nts) * len(env), "exhaustive")
+
+
+def binding_envs(count: int = 256):
+    """(environment, qos) for the first count rows of BINDING_CSV under each
+    model variant: one LinkModel.env per (row, variant)."""
+    lines = BINDING_CSV.read_text().splitlines()
+    assert lines[0] == "distance,chi,r0,n_s"
+    rows = [line.split(",") for line in lines[1:count + 1]]
+    for variant in MODEL_VARIANTS:
+        model = LinkModel(**variant)
+        for d, chi, r0, n_s in rows:
+            yield model.env(float(d), float(chi)), QosSpec(r0=float(r0), n_s=int(n_s))
+
+
+def reference_snap(x_cont: float, objective, n: int = 63, n_t_max: int = 63 * 130) -> int:
+    """The three-candidate snap, the reference for optimizer.snap_to_grid.
+
+    Clamps into [n, n_t_max] and keeps the best of the codeword multiples
+    (k-1)*n, k*n and (k+1)*n around x_cont; ties prefer the smaller size.
+    """
+    k_max = n_t_max // n
+    if math.isinf(x_cont) or x_cont >= k_max * n:
+        return k_max * n
+    k = max(1, min(int(x_cont // n), k_max))
+    cands = sorted({k * n, min((k + 1) * n, k_max * n), max(n, (k - 1) * n)})
+    best = cands[0]
+    best_val = objective(best)
+    for c in cands[1:]:
+        v = objective(c)
+        if v > best_val:
+            best, best_val = c, v
+    return best

@@ -8,8 +8,10 @@ config; the three files `cloee sweep --format svg` writes (sweep.csv,
 sweep_eta.svg, sweep_rate.svg) with the default and the hospital config;
 `cloee optimize` stdout at 2.0 m (unconstrained) and 8.4 m
 (throughput-fallback) with the default config and at 4.273 m with a rate
-floor that makes the dual branch print its certificate; and the two files
-`cloee dump-modes --out` writes.
+floor that makes the dual branch print its certificate; the two files
+`cloee dump-modes --out` writes; and the repr of every solver result
+(six solve_mode results, solve_env and search_env) on binding inputs under
+three model variants and three grid sizes.
 
 The pins were computed with Python 3.11, numpy 2.4 and glibc 2.36's libm on
 x86-64 Linux.  Another numpy or libm may round a transcendental function
@@ -28,8 +30,10 @@ import io
 
 import pytest
 
-from cloee import Scenario, parse_scenario, rows_to_csv, run_sweep
+from cloee import Scenario, SolverConfig, parse_scenario, rows_to_csv, run_sweep, solve_mode
 from cloee.cli import main
+from cloee.optimizer import search_env, solve_env
+from helpers import binding_envs
 
 # perfbench/scenarios/hospital.conf, the paper's headline scenario.
 HOSPITAL = """
@@ -185,3 +189,21 @@ def test_dump_modes_files(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DUMP_MODES}
     assert digests == DUMP_MODES
+
+
+# The first 256 rows of perfbench/data/solve_binding.csv x the three model
+# variants x n_t_max in {63, 8190, 63 * 4096}: one line per environment and
+# grid size with the repr of its six solve_mode results, solve_env and
+# search_env.  Every bit of every field of every branch is pinned.
+SOLVER_RESULTS = "45847411d5504412567533729fced842adc8db328360d8a07af6df51d31f3c56"
+
+
+def test_solver_results():
+    cfgs = [SolverConfig(n_t_max=n) for n in (63, 8190, 63 * 4096)]
+    digest = hashlib.sha256()
+    for env, qos in binding_envs():
+        for cfg in cfgs:
+            results = [solve_mode(mm, qos, cfg) for mm in env]
+            results += [solve_env(env, qos, cfg), search_env(env, qos, cfg)]
+            digest.update((repr(results) + "\n").encode())
+    assert digest.hexdigest() == SOLVER_RESULTS

@@ -8,6 +8,7 @@ import pytest
 from cloee import (
     FRAME_CONSTANTS,
     MODE_TABLE,
+    ChannelParams,
     EnergyBreakdown,
     EnergyParams,
     HeaderSuccess,
@@ -24,8 +25,10 @@ from cloee import (
     snap_to_grid,
     solve_mode,
 )
+from cloee import channel, metrics
 from cloee.optimizer import search_env, solve_env
-from helpers import grid_argmax, metrics_at, mode_for, reference_search_env
+from helpers import (MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at, mode_for,
+                     reference_search_env, reference_snap)
 
 
 def _grid(mm, cfg):
@@ -74,24 +77,69 @@ class TestClosedForms:
         for d, n_cpb in ((4.0, 8), (6.0, 16), (6.8, 16), (8.4, 32)):
             mm = metrics_at(model, d, n_cpb)
             nee = snap_to_grid(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
-                               mm.eta, n_t_max=cfg.n_t_max)
+                               mm.eta, n_t_max=cfg.n_t_max)[0]
             assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
             nthr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
-                                mm.rate, n_t_max=cfg.n_t_max)
+                                mm.rate, n_t_max=cfg.n_t_max)[0]
             assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 
 
 class TestSnapToGrid:
     def test_clamps_into_range(self):
-        assert snap_to_grid(math.inf, lambda n: 0.0, n_t_max=630) == 630
-        assert snap_to_grid(1.0, lambda n: -n, n_t_max=630) == 63
+        assert snap_to_grid(math.inf, lambda n: 0.0, n_t_max=630)[0] == 630
+        assert snap_to_grid(1.0, lambda n: -n, n_t_max=630)[0] == 63
 
     def test_keeps_better_neighbor(self):
-        assert snap_to_grid(100.0, lambda n: -abs(n - 126), n_t_max=8190) == 126
-        assert snap_to_grid(100.0, lambda n: -abs(n - 63), n_t_max=8190) == 63
+        assert snap_to_grid(100.0, lambda n: -abs(n - 126), n_t_max=8190)[0] == 126
+        assert snap_to_grid(100.0, lambda n: -abs(n - 63), n_t_max=8190)[0] == 63
 
     def test_tie_prefers_smaller(self):
-        assert snap_to_grid(94.5, lambda n: 0.0, n_t_max=8190) == 63
+        assert snap_to_grid(94.5, lambda n: 0.0, n_t_max=8190)[0] == 63
+
+    def test_returns_the_objective_at_the_snap(self):
+        assert snap_to_grid(100.0, lambda n: -abs(n - 126), n_t_max=8190) == (126, 0)
+        assert snap_to_grid(math.inf, float, n_t_max=630) == (630, 630.0)
+        assert snap_to_grid(10.0, float, n_t_max=63) == (63, 63.0)
+
+    @staticmethod
+    def _both_snaps(mm, cfg):
+        for per_unit, fixed, objective in ((mm.energy.eps_b, mm.energy.eps_fixed, mm.eta),
+                                           (mm.t_sym, mm.t_oh, mm.rate)):
+            x = nt_closed_form(per_unit, fixed, mm.log_p_cw, mm.n)
+            yield (snap_to_grid(x, objective, mm.n, cfg.n_t_max),
+                   reference_snap(x, objective, mm.n, cfg.n_t_max), objective)
+
+    def test_matches_three_candidate_reference_on_binding_inputs(self):
+        # The (k-1)*63 candidate the reference also tries never wins.
+        cfgs = [SolverConfig(n_t_max=n) for n in (63, 8190, 63 * 4096)]
+        checked = 0
+        for env, _ in binding_envs():
+            for mm in env:
+                for cfg in cfgs:
+                    for (n_t, value), ref, objective in self._both_snaps(mm, cfg):
+                        assert n_t == ref and value == objective(n_t)
+                        checked += 1
+        assert checked == 256 * 3 * 6 * 3 * 2
+
+    def test_matches_three_candidate_reference_on_random_links(self):
+        rng = np.random.default_rng(2718)
+        base = EnergyParams()
+        for _ in range(300):
+            energy = EnergyParams(
+                eps_p=base.eps_p * 10.0 ** rng.uniform(-1.0, 1.0),
+                p_cor=base.p_cor * 10.0 ** rng.uniform(-1.0, 1.0),
+                p_syn=base.p_syn * 10.0 ** rng.uniform(-1.0, 1.0),
+                t_st=base.t_st * 10.0 ** rng.uniform(-1.0, 1.0),
+            )
+            channel_params = ChannelParams(sigma=float(rng.uniform(0.0, 8.0)),
+                                           impl_margin=float(rng.uniform(0.0, 10.0)))
+            variant = MODEL_VARIANTS[int(rng.integers(len(MODEL_VARIANTS)))]
+            model = LinkModel(channel=channel_params, energy=energy, **variant)
+            env = model.env(float(rng.uniform(0.5, 12.0)), float(rng.normal(0.0, 4.0)))
+            cfg = SolverConfig(n_t_max=63 * int(rng.integers(1, 4097)))
+            for mm in env:
+                for (n_t, value), ref, objective in self._both_snaps(mm, cfg):
+                    assert n_t == ref and value == objective(n_t)
 
 
 class TestCloee:
@@ -222,7 +270,7 @@ class TestCloee:
         cases = 0
         for d in np.arange(1.0, 40.01, 0.25):
             d = float(d)
-            p_b = [model.bit_error(d, m) for m in MODE_TABLE]
+            p_b = [mm.p_b for mm in model.env(d)]
             header = HeaderSuccess.at(p_b[0], p_b[0])
             env = tuple(ModeMetrics(m, d, p, header,
                                     EnergyBreakdown(payload_energy_per_bit(m, ep), eps_oh, 0.0))
@@ -309,26 +357,33 @@ class TestCloee:
 class TestSharedEnvironment:
     @pytest.mark.parametrize("uniform,bit_errors", [(False, 6), (True, 6)])
     def test_sweep_builds_one_environment_per_distance(self, monkeypatch, uniform, bit_errors):
-        builds, calls = [], []
-        init, bit_error = ModeMetrics.__init__, LinkModel.bit_error
+        builds, calls, losses = [], [], []
+        init = ModeMetrics.__init__
 
         def counting_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             builds.append(self.distance)
 
-        def counting_bit_error(self, *args, **kwargs):
-            calls.append(args[0])
-            return bit_error(self, *args, **kwargs)
+        def counting(log, fn, distance_of):
+            def wrapper(*args, **kwargs):
+                log.append(distance_of(args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
 
         monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
-        monkeypatch.setattr(LinkModel, "bit_error", counting_bit_error)
+        monkeypatch.setattr(metrics, "bit_error_prob",
+                            counting(calls, metrics.bit_error_prob, lambda lb: lb.distance))
+        monkeypatch.setattr(channel, "path_loss_db",
+                            counting(losses, channel.path_loss_db, lambda d: d))
         distances = (2.0, 6.5, 8.4)
         run_sweep(Scenario(distances=distances, shadowing=True, seed=3,
                            uniform_section_ber=uniform))
         # Six modes and six bit error rates per distance; with section-specific
-        # rates the header reuses the payload rates of modes 4 and 32.
+        # rates the header reuses the payload rates of modes 4 and 32.  The
+        # path loss is taken once per distance.
         assert builds == [d for d in distances for _ in range(6)]
         assert sorted(calls) == [d for d in distances for _ in range(bit_errors)]
+        assert losses == list(distances)
 
     def test_wrappers_equal_environment_bodies(self, model, cfg):
         # Default targets plus, per mode, one between its rates at the snapped
@@ -410,7 +465,7 @@ class TestSearchEnvMatchesReference:
         # Two modes with one bit error rate, header, energy and symbol time
         # have equal eta and rate on the whole grid; the first of them in
         # environment order wins, feasible or not.
-        p_b = model.bit_error(6.5, mode_for(2))
+        p_b = metrics_at(model, 6.5, 2).p_b
         header = HeaderSuccess.at(p_b, p_b)
         energy = model.env(6.5)[1].energy
         low = mode_for(2)
@@ -422,7 +477,7 @@ class TestSearchEnvMatchesReference:
             assert res.n_cpb_star == 2
             flipped = search_env(env[::-1], qos, cfg)
             assert flipped == reference_search_env(env[::-1], qos, cfg)
-            assert dataclasses.replace(flipped, n_cpb_star=2) == res
+            assert flipped._replace(n_cpb_star=2) == res
 
     def test_equal_eta_tie_goes_to_the_smaller_n_cpb(self):
         # Error-free links at 1 J/bit with no fixed energy have eta = 1.0
