@@ -5,30 +5,14 @@ transceiver energy, and jointly optimizes the PSDU size and pulses-per-burst
 for energy efficiency under an aggregate minimum-rate constraint.
 """
 
-from .channel import (
-    ChannelParams,
-    LinkBudget,
-    bit_error_prob,
-    link_budget,
-    log_q_function,
-    path_loss_db,
-    q_function,
-)
-from .energy import (
-    EnergyBreakdown,
-    EnergyParams,
-    energy_breakdown,
-    overhead_energy,
-    payload_energy_per_bit,
-    startup_energy,
-)
+from .channel import ChannelParams, bit_error_prob, bit_error_probs
+from .energy import EnergyBreakdown, EnergyParams, energy_breakdown
 from .errors import ConfigError
 from .frame import (
     FRAME_CONSTANTS,
     MODE_TABLE,
     PHR_CODE,
     PSDU_CODE,
-    BchCode,
     FrameConstants,
     PhyMode,
 )
@@ -42,21 +26,20 @@ from .optimizer import (
     snap_to_grid,
     solve_mode,
 )
-from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
+from .reliability import bch_block_log_success, bch_block_success
 from .scenario import Scenario, load_scenario, parse_scenario
 from .sweep import SweepRow, emit_curves, run_sweep, rows_to_csv
 
 __version__ = "0.1.0"
 
+# The supported library; other module-level names are internal.
 __all__ = [
-    "BchCode", "ChannelParams", "ConfigError", "EnergyBreakdown", "EnergyParams",
-    "FRAME_CONSTANTS", "FrameConstants", "HeaderSuccess", "LinkBudget", "LinkModel",
+    "ChannelParams", "ConfigError", "EnergyBreakdown", "EnergyParams",
+    "FRAME_CONSTANTS", "FrameConstants", "HeaderSuccess", "LinkModel",
     "MODE_TABLE", "ModeMetrics", "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode",
     "QosSpec", "Scenario", "SolverConfig", "SweepRow",
-    "bch_block_log_success", "bch_block_success", "bit_error_prob", "cloee",
-    "emit_curves", "energy_breakdown", "exhaustive_search", "kasami_success",
-    "link_budget", "load_scenario", "log_q_function", "nt_closed_form",
-    "overhead_energy", "parse_scenario", "path_loss_db", "payload_energy_per_bit",
-    "q_function", "rows_to_csv", "run_sweep", "shr_success", "snap_to_grid",
-    "solve_mode", "startup_energy",
+    "bch_block_log_success", "bch_block_success", "bit_error_prob", "bit_error_probs",
+    "cloee", "emit_curves", "energy_breakdown", "exhaustive_search", "load_scenario",
+    "nt_closed_form", "parse_scenario", "rows_to_csv", "run_sweep", "snap_to_grid",
+    "solve_mode",
 ]

@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .frame import PhyMode
+from .frame import MODE_TABLE
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # erfc starts losing headroom near its underflow around x ~ 37; switch to the
-# asymptotic tail expansion well before that so log-domain values stay exact.
+# asymptotic tail expansion well before that.
 _Q_ASYMPTOTIC_X = 30.0
 
 
@@ -57,6 +57,13 @@ class ChannelParams:
             raise ValueError(f"shadowing sigma must be >= 0, got {self.sigma}")
         if self.w_rx <= 0:
             raise ValueError(f"receiver bandwidth must be > 0, got {self.w_rx}")
+        try:
+            n0 = self.noise_density_joules
+        except OverflowError:
+            n0 = math.inf
+        if not 0.0 < n0 < math.inf:
+            raise ValueError(f"noise_density must give a positive finite N0, got "
+                             f"{self.noise_density} dBm/Hz (N0 = {n0} W/Hz)")
 
     @property
     def noise_density_joules(self) -> float:
@@ -67,102 +74,60 @@ class ChannelParams:
 DEFAULT_CHANNEL = ChannelParams()
 
 
-def path_loss_db(d: float, params: ChannelParams = DEFAULT_CHANNEL, chi: float = 0.0) -> float:
-    """Path loss in dB at distance d meters (the model's fit uses millimeters)."""
-    if d <= 0:
-        raise ValueError(f"distance must be > 0 m, got {d}")
-    return params.a * math.log10(d * 1e3) + params.b + chi
-
-
 def q_function(x: float) -> float:
-    """Gaussian tail probability Q(x) = P(N(0,1) > x).
+    """Gaussian tail probability Q(x) = P(N(0,1) > x) for x >= 0.
 
-    Uses 0.5*erfc(x/sqrt(2)) in the bulk and the asymptotic expansion beyond
-    x = 30 so the result underflows as late as floating point allows.
+    Uses 0.5*erfc(x/sqrt(2)) in the bulk and the asymptotic expansion
+    Q(x) ~ phi(x)/x * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...) beyond x = 30, so
+    the result underflows as late as floating point allows; seven terms give
+    ~1e-14 relative accuracy at x = 30 and improve with x.
     """
-    if x < 0.0:
-        return 1.0 - q_function(-x)
     if x <= _Q_ASYMPTOTIC_X:
         return 0.5 * math.erfc(x / _SQRT2)
-    return math.exp(log_q_function(x))
-
-
-def log_q_function(x: float) -> float:
-    """log Q(x), finite far beyond the point where Q(x) underflows to 0."""
-    if x <= _Q_ASYMPTOTIC_X:
-        q = 0.5 * math.erfc(x / _SQRT2)
-        return math.log(q) if q > 0.0 else _log_q_asymptotic(x)
-    return _log_q_asymptotic(x)
-
-
-def _log_q_asymptotic(x: float) -> float:
-    # Q(x) ~ phi(x)/x * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...); seven terms give
-    # ~1e-14 relative accuracy at x = 30 and improve with x.
     inv_x2 = 1.0 / (x * x)
     series = 0.0
     term = 1.0
     for k in range(1, 8):
         term *= -(2 * k - 1) * inv_x2
         series += term
-    return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(series)
+    return math.exp(-0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(series))
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Per-link, per-mode SNR inputs to the bit-error formula.
+def bit_error_prob(ebn0: float, noise_tb: float) -> float:
+    """Energy-detector bit error probability, in [0, 0.5], at the integrated
+    per-bit SNR ebn0 and the noise time-bandwidth product n_cpb*t_int*w_rx."""
+    if ebn0 < 0:
+        raise ValueError(f"ebn0 must be >= 0, got {ebn0}")
+    if ebn0 == 0.0:
+        return 0.5
+    return q_function(math.sqrt(0.5 * ebn0 * ebn0 / (ebn0 + noise_tb)))
 
-    h is the raw channel power gain; h_eff additionally absorbs the noise
-    figure and implementation margin.  ebn0 = h_eff * n_cpb * eps_p / N0 is
-    the integrated per-bit SNR (linear); t_int is the detector integration
-    interval for this mode.
+
+def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHANNEL,
+                    chi: float = 0.0, integration_per_pulse: bool = False) -> list[float]:
+    """Bit error rate of each MODE_TABLE burst mode at distance d meters.
+
+    The path loss (the model's fit uses millimeters) and the effective gain
+    h_eff, which also absorbs the noise figure and implementation margin, are
+    taken once.  Per mode, ebn0 = h_eff * n_cpb * eps_p / N0 with eps_p the
+    transmitted energy per pulse, and t_int is the burst (or, per pulse, one
+    pulse) integration interval.
     """
-
-    distance: float
-    h: float
-    h_eff: float
-    ebn0: float
-    t_int: float
-    w_rx: float
-
-
-def link_budget(
-    d: float,
-    mode: PhyMode,
-    eps_p: float,
-    params: ChannelParams = DEFAULT_CHANNEL,
-    chi: float = 0.0,
-    integration_per_pulse: bool = False,
-) -> LinkBudget:
-    """Compose path loss and noise into the link budget for one PHY mode.
-
-    eps_p is the transmitted energy per pulse, so the per-bit energy is
-    n_cpb * eps_p.
-    """
-    return link_budgets(d, (mode,), eps_p, params, chi, integration_per_pulse)[0]
-
-
-def link_budgets(d: float, modes: tuple[PhyMode, ...], eps_p: float,
-                 params: ChannelParams = DEFAULT_CHANNEL, chi: float = 0.0,
-                 integration_per_pulse: bool = False) -> list[LinkBudget]:
-    """link_budget for each of modes at one distance: the path loss and the
-    gains are taken once, and each mode adds only its ebn0 and t_int."""
+    if not d > 0:
+        raise ValueError(f"distance must be > 0 m, got {d}")
     if eps_p <= 0:
         raise ValueError(f"per-pulse energy must be > 0, got {eps_p}")
-    loss = path_loss_db(d, params, chi)
-    h = 10.0 ** (-loss / 10.0)
-    h_eff = 10.0 ** (-(loss + params.noise_figure + params.impl_margin) / 10.0)
+    loss = params.a * math.log10(d * 1e3) + params.b + chi
+    try:
+        h_eff = 10.0 ** (-(loss + params.noise_figure + params.impl_margin) / 10.0)
+    except OverflowError:
+        h_eff = math.inf
     n0 = params.noise_density_joules
-    return [LinkBudget(d, h, h_eff, h_eff * (m.n_cpb * eps_p) / n0,
-                       m.t_w / m.n_cpb if integration_per_pulse else m.t_w, params.w_rx)
-            for m in modes]
-
-
-def bit_error_prob(lb: LinkBudget, mode: PhyMode) -> float:
-    """Energy-detector bit error probability for one burst mode, in [0, 0.5]."""
-    e = lb.ebn0
-    if e < 0:
-        raise ValueError(f"ebn0 must be >= 0, got {e}")
-    if e == 0.0:
-        return 0.5
-    noise_tb = mode.n_cpb * lb.t_int * lb.w_rx
-    return q_function(math.sqrt(0.5 * e * e / (e + noise_tb)))
+    probs = []
+    for m in MODE_TABLE:
+        ebn0 = h_eff * (m.n_cpb * eps_p) / n0
+        if ebn0 == math.inf:
+            raise ValueError(f"the link gain at distance {d!r} m overflows a float")
+        t_int = m.t_w / m.n_cpb if integration_per_pulse else m.t_w
+        probs.append(bit_error_prob(ebn0, m.n_cpb * t_int * params.w_rx))
+    return probs

@@ -16,13 +16,12 @@ import argparse
 import dataclasses
 import math
 import sys
-from pathlib import Path
 
 from .errors import ConfigError
 from .frame import FRAME_CONSTANTS, MODE_TABLE
 from .optimizer import OptResult, cloee
 from .scenario import Scenario, load_scenario
-from .sweep import emit_curves, emit_fixed_distance_curves, run_sweep
+from .sweep import _write, emit_curves, emit_fixed_distance_curves, run_sweep
 
 OPT_HEADER = ("distance,n_t,n_cpb,eta_bits_per_joule,rate_bps,lambda,"
               "feasible,iterations,branch,kkt_rate")
@@ -58,12 +57,10 @@ def _point(args) -> tuple[float, Scenario, float]:
 def _cmd_optimize(args) -> int:
     distance, scenario, chi = _point(args)
     res = cloee(scenario.link_model(), distance, scenario.qos, scenario.solver, chi)
-    lines = [OPT_HEADER, _result_csv(distance, res)]
-    print("\n".join(lines))
+    text = "\n".join([OPT_HEADER, _result_csv(distance, res)])
+    print(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "optimize.csv").write_text("\n".join(lines) + "\n")
+        _write(args.out, {"optimize.csv": text + "\n"})
     return 0
 
 
@@ -95,12 +92,9 @@ def _cmd_dump_modes(args) -> int:
     for field in dataclasses.fields(FRAME_CONSTANTS):
         const_lines.append(f"{field.name},{getattr(FRAME_CONSTANTS, field.name)!r}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "modes.csv").write_text("\n".join(mode_lines) + "\n")
-        (out / "frame_constants.csv").write_text("\n".join(const_lines) + "\n")
-        print(out / "modes.csv")
-        print(out / "frame_constants.csv")
+        for p in _write(args.out, {"modes.csv": "\n".join(mode_lines) + "\n",
+                                   "frame_constants.csv": "\n".join(const_lines) + "\n"}):
+            print(p)
     else:
         print("\n".join(mode_lines))
     return 0

@@ -59,28 +59,6 @@ class EnergyParams:
 DEFAULT_ENERGY = EnergyParams()
 
 
-def payload_energy_per_bit(mode: PhyMode, ep: EnergyParams = DEFAULT_ENERGY) -> float:
-    """Joules to transmit and receive one payload bit.
-
-    Both the transmit and receive frame energies are linear in the payload
-    size (on-air time is n_t * t_sym), so the per-bit cost is independent of
-    the frame length.
-    """
-    return ep.eps_p * mode.n_cpb + (ep.p_syn + ep.rx_chain_power) * mode.t_sym
-
-
-def overhead_energy(ep: EnergyParams = DEFAULT_ENERGY) -> float:
-    """Joules spent on the SHR + PHR by transmitter and receiver together."""
-    c = FRAME_CONSTANTS
-    pulses = c.n_cpb_shr * c.n_shr + c.n_cpb_phr * c.n_phr
-    return pulses * ep.eps_p + (ep.p_syn + ep.rx_chain_power) * c.t_overhead
-
-
-def startup_energy(ep: EnergyParams = DEFAULT_ENERGY) -> float:
-    """Joules for both radios to start up: 2 * p_syn * t_st."""
-    return 2.0 * ep.p_syn * ep.t_st
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Energy cost of one PPDU exchange: eps_b per payload bit plus fixed terms."""
@@ -99,8 +77,18 @@ class EnergyBreakdown:
 
 
 def energy_breakdown(mode: PhyMode, ep: EnergyParams = DEFAULT_ENERGY) -> EnergyBreakdown:
+    """The energy costs of one PPDU exchange in burst mode `mode`.
+
+    eps_b: both the transmit and receive frame energies are linear in the
+    payload size (on-air time is n_t * t_sym), so the per-bit cost does not
+    depend on the frame length.  eps_oh: the SHR + PHR pulses and on-air time
+    of both radios.  eps_st: both radios start up, 2 * p_syn * t_st.
+    """
+    c = FRAME_CONSTANTS
+    on_power = ep.p_syn + ep.rx_chain_power
     return EnergyBreakdown(
-        eps_b=payload_energy_per_bit(mode, ep),
-        eps_oh=overhead_energy(ep),
-        eps_st=startup_energy(ep),
+        eps_b=ep.eps_p * mode.n_cpb + on_power * mode.t_sym,
+        eps_oh=(c.n_cpb_shr * c.n_shr + c.n_cpb_phr * c.n_phr) * ep.eps_p
+        + on_power * c.t_overhead,
+        eps_st=2.0 * ep.p_syn * ep.t_st,
     )

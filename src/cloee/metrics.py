@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_prob, link_budgets
+from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams, energy_breakdown
 from .frame import FRAME_CONSTANTS, MODE_TABLE, PHR_CODE, PSDU_CODE, PhyMode
 from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
@@ -161,9 +161,9 @@ class LinkModel:
         and n_cpb_phr and is built once for all six modes; under
         uniform_section_ber each mode's header runs at its own payload rate.
         """
-        budgets = link_budgets(distance, MODE_TABLE, self.energy.eps_p, self.channel, chi,
-                               self.integration_per_pulse)
-        p_b = {m.n_cpb: bit_error_prob(lb, m) for m, lb in zip(MODE_TABLE, budgets)}
+        p_b = dict(zip((m.n_cpb for m in MODE_TABLE),
+                       bit_error_probs(distance, self.energy.eps_p, self.channel, chi,
+                                       self.integration_per_pulse)))
         shared = None if self.uniform_section_ber else \
             HeaderSuccess.at(p_b[FRAME_CONSTANTS.n_cpb_shr], p_b[FRAME_CONSTANTS.n_cpb_phr])
         return tuple(ModeMetrics(m, distance, p_b[m.n_cpb],

@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError
+from .frame import PSDU_CODE
 from .metrics import LinkModel, ModeMetrics, QosSpec, grid
 
 
@@ -91,9 +92,9 @@ class OptResult(NamedTuple):
 # closed forms
 
 
-def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float, n: int = 63) -> float:
+def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float) -> float:
     """Real-valued frame size maximizing n_t * A * exp(log_p_cw * n_t / n) / cost
-    for the linear cost per_unit * n_t + fixed.
+    for the linear cost per_unit * n_t + fixed, with n = PSDU_CODE.n.
 
     Efficiency takes (eps_b, eps_fixed), throughput (t_sym, t_oh).  Returns
     inf when log_p_cw >= 0 (caller clamps to the search ceiling) and 0 when
@@ -109,16 +110,17 @@ def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float, n: int = 63) 
     denom = per_unit * log_p_cw
     if denom == 0.0:
         return math.inf          # log_p_cw underflows: effectively error-free
-    return math.sqrt(half * half - n * fixed / denom) - half
+    return math.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
 
 
 def snap_to_grid(x_cont: float, objective: Callable[[int], float],
-                 n: int = 63, n_t_max: int = 63 * 130) -> tuple[int, float]:
+                 n_t_max: int) -> tuple[int, float]:
     """Round a continuous frame size to the better of the two codeword
     multiples around it; returns (n_t, objective(n_t)).
 
-    Clamps into [n, n_t_max]; ties prefer the smaller size.
+    Clamps into [n, n_t_max] with n = PSDU_CODE.n; ties prefer the smaller size.
     """
+    n = PSDU_CODE.n
     k_max = n_t_max // n
     if math.isinf(x_cont) or x_cont >= k_max * n:
         return k_max * n, objective(k_max * n)
@@ -152,10 +154,10 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
     r0ns, n_cpb = qos.aggregate_rate, mm.mode.n_cpb
 
-    nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw, mm.n)
-    nee, eta_ee = snap_to_grid(nee_cont, mm.eta, mm.n, cfg.n_t_max)
-    nthr, rate_thr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw, mm.n),
-                                  mm.rate, mm.n, cfg.n_t_max)
+    nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
+    nee, eta_ee = snap_to_grid(nee_cont, mm.eta, cfg.n_t_max)
+    nthr, rate_thr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
+                                  mm.rate, cfg.n_t_max)
 
     rate_ee = mm.rate(nee)
     if rate_ee >= r0ns:

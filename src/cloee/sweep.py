@@ -103,20 +103,26 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"format must be csv|svg, got {fmt!r}")
 
 
-def _write(out_dir: str | Path, texts: dict[str, str], fmt: str, prefix: str,
-           series, title: str, x_label: str) -> list[Path]:
-    """Write each named text and, for fmt="svg", the eta and rate line charts
-    <prefix>_<metric>.svg of series(metric); returns the paths in that order."""
-    if fmt == "svg":
-        texts = texts | {f"{prefix}_{metric}.svg": svgplot.render_lines(
-                             series(metric), title=f"{metric} vs {title}",
-                             x_label=x_label, y_label=label)
-                         for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s"))}
+def _write(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:
+    """Write each named text into out_dir, made if missing; returns the paths
+    in the order of texts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (out_dir / name).write_text(text)
     return [out_dir / name for name in texts]
+
+
+def _with_charts(texts: dict[str, str], fmt: str, prefix: str, series, title: str,
+                 x_label: str) -> dict[str, str]:
+    """texts plus, for fmt="svg", the eta and rate line charts
+    <prefix>_<metric>.svg of series(metric)."""
+    if fmt != "svg":
+        return texts
+    return texts | {f"{prefix}_{metric}.svg": svgplot.render_lines(
+                        series(metric), title=f"{metric} vs {title}",
+                        x_label=x_label, y_label=label)
+                    for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s"))}
 
 
 def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "sweep",
@@ -135,8 +141,8 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "swee
                  [getattr(r, metric) for r in rows if r.strategy == strat])
                 for strat in strategies]
 
-    return _write(out_dir, {f"{basename}.csv": rows_to_csv(rows)}, fmt, basename, series,
-                  "distance", "distance (m)")
+    return _write(out_dir, _with_charts({f"{basename}.csv": rows_to_csv(rows)}, fmt, basename,
+                                        series, "distance", "distance (m)"))
 
 
 # --------------------------------------------------------------------------
@@ -179,5 +185,5 @@ def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
         series["rate"].append((f"n_cpb={n_cpb}", nts, rates))
     texts = {"curves.csv": "\n".join(curve_lines) + "\n",
              "curve_marks.csv": "\n".join(mark_lines) + "\n"}
-    return _write(out_dir, texts, fmt, "curves", series.__getitem__,
-                  f"frame size at {distance} m", "n_t (bits)")
+    return _write(out_dir, _with_charts(texts, fmt, "curves", series.__getitem__,
+                                        f"frame size at {distance} m", "n_t (bits)"))

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 from cloee import LinkModel, QosSpec, SolverConfig
 
 settings.register_profile(
-    "suite", max_examples=100, deadline=None,
+    "suite", max_examples=100, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

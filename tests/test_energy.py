@@ -2,14 +2,7 @@ import dataclasses
 
 import pytest
 
-from cloee import (
-    MODE_TABLE,
-    EnergyParams,
-    energy_breakdown,
-    overhead_energy,
-    payload_energy_per_bit,
-    startup_energy,
-)
+from cloee import MODE_TABLE, EnergyParams, energy_breakdown
 from helpers import mode_for
 
 ZERO_POWER = EnergyParams(eps_p=1e-12, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
@@ -18,57 +11,63 @@ ZERO_POWER = EnergyParams(eps_p=1e-12, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
 
 class TestStartupEnergy:
     def test_default(self):
-        assert startup_energy() == pytest.approx(24.48e-6, rel=1e-12)
+        assert energy_breakdown(mode_for(1)).eps_st == pytest.approx(24.48e-6, rel=1e-12)
 
     def test_zero_cases(self):
-        assert startup_energy(dataclasses.replace(EnergyParams(), t_st=0.0)) == 0.0
-        assert startup_energy(dataclasses.replace(EnergyParams(), p_syn=0.0)) == 0.0
+        for ep in (dataclasses.replace(EnergyParams(), t_st=0.0),
+                   dataclasses.replace(EnergyParams(), p_syn=0.0)):
+            assert energy_breakdown(mode_for(1), ep).eps_st == 0.0
 
 
 class TestPayloadEnergy:
     def test_reference_point(self):
         # 20 pJ pulse + 72.08 mW of circuits over one 64.1 ns symbol
-        assert payload_energy_per_bit(mode_for(1)) == pytest.approx(4.640500992e-9, rel=1e-12)
+        assert energy_breakdown(mode_for(1)).eps_b == pytest.approx(4.640500992e-9, rel=1e-12)
 
     def test_pulse_energy_only(self):
-        assert payload_energy_per_bit(mode_for(8), ZERO_POWER) == pytest.approx(8e-12, rel=1e-12)
+        assert energy_breakdown(mode_for(8), ZERO_POWER).eps_b == pytest.approx(8e-12, rel=1e-12)
 
     def test_monotone_in_burst_order(self):
-        values = [payload_energy_per_bit(m) for m in MODE_TABLE]
+        values = [energy_breakdown(m).eps_b for m in MODE_TABLE]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_scales_linearly_across_mode_table(self):
         # Fixed 1/32 duty cycle makes t_sym proportional to n_cpb, so both the
         # pulse and circuit terms scale together: eps_b is exactly linear in
         # n_cpb along the table rows.
-        base = payload_energy_per_bit(mode_for(1))
+        base = energy_breakdown(mode_for(1)).eps_b
         for mode in MODE_TABLE:
-            assert payload_energy_per_bit(mode) == pytest.approx(mode.n_cpb * base, rel=1e-12)
+            assert energy_breakdown(mode).eps_b == pytest.approx(mode.n_cpb * base, rel=1e-12)
 
     def test_soft_decision_term_presence(self):
         mode = mode_for(4)
         ep = EnergyParams()
         soft = dataclasses.replace(ep, rho_c=1)
-        assert payload_energy_per_bit(mode, soft) - payload_energy_per_bit(mode, ep) == \
+        assert energy_breakdown(mode, soft).eps_b - energy_breakdown(mode, ep).eps_b == \
             pytest.approx(ep.p_adc * mode.t_sym, rel=1e-12)
 
     def test_coherent_term_presence(self):
         mode = mode_for(4)
         ep = EnergyParams()
         coherent = dataclasses.replace(ep, rho_r=1)
-        assert payload_energy_per_bit(mode, coherent) - payload_energy_per_bit(mode, ep) == \
+        assert energy_breakdown(mode, coherent).eps_b - energy_breakdown(mode, ep).eps_b == \
             pytest.approx((ep.p_gen + ep.p_syn) * mode.t_sym, rel=1e-12)
 
 
 class TestOverheadEnergy:
     def test_pulse_count_only(self):
         # 4*315 preamble pulses + 32*40 header pulses at 1 pJ each
-        assert overhead_energy(ep=ZERO_POWER) == pytest.approx(2540e-12, rel=1e-12)
+        assert energy_breakdown(mode_for(1), ZERO_POWER).eps_oh == \
+            pytest.approx(2540e-12, rel=1e-12)
 
     def test_reference_point(self):
         # pulses + (p_syn + rx chain) * 122.372 us; hard-decision non-coherent
         # receiver, so no ADC / generator / synthesizer terms on the rx side.
-        assert overhead_energy() == pytest.approx(8.87137376e-6, rel=1e-12)
+        assert energy_breakdown(mode_for(1)).eps_oh == pytest.approx(8.87137376e-6, rel=1e-12)
+
+    def test_fixed_terms_do_not_depend_on_the_mode(self):
+        fixed = {(b.eps_oh, b.eps_st) for b in (energy_breakdown(m) for m in MODE_TABLE)}
+        assert len(fixed) == 1
 
 
 class TestHomogeneity:
@@ -80,10 +79,10 @@ class TestHomogeneity:
             p_gen=3 * ep.p_gen, t_st=ep.t_st,
         )
         mode = mode_for(16)
-        assert payload_energy_per_bit(mode, scaled) == pytest.approx(
-            3 * payload_energy_per_bit(mode, ep), rel=1e-12)
-        assert overhead_energy(ep=scaled) == pytest.approx(3 * overhead_energy(ep=ep), rel=1e-12)
-        assert startup_energy(scaled) == pytest.approx(3 * startup_energy(ep), rel=1e-12)
+        base, tripled = energy_breakdown(mode, ep), energy_breakdown(mode, scaled)
+        assert tripled.eps_b == pytest.approx(3 * base.eps_b, rel=1e-12)
+        assert tripled.eps_oh == pytest.approx(3 * base.eps_oh, rel=1e-12)
+        assert tripled.eps_st == pytest.approx(3 * base.eps_st, rel=1e-12)
 
 
 class TestEnergyBreakdown:

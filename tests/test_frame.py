@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cloee import (
-    FRAME_CONSTANTS,
-    MODE_TABLE,
-    PSDU_CODE,
-    BchCode,
-    PhyMode,
-)
+from cloee import FRAME_CONSTANTS, MODE_TABLE, PSDU_CODE, PhyMode
+from cloee.frame import BchCode
 from helpers import mode_for, single_pb_metrics
 
 # Printed rate table: (n_cpb, uncoded Mbps, coded Mbps).

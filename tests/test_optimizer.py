@@ -18,9 +18,9 @@ from cloee import (
     Scenario,
     SolverConfig,
     cloee,
+    energy_breakdown,
     exhaustive_search,
     nt_closed_form,
-    payload_energy_per_bit,
     run_sweep,
     snap_to_grid,
     solve_mode,
@@ -105,8 +105,8 @@ class TestSnapToGrid:
     def _both_snaps(mm, cfg):
         for per_unit, fixed, objective in ((mm.energy.eps_b, mm.energy.eps_fixed, mm.eta),
                                            (mm.t_sym, mm.t_oh, mm.rate)):
-            x = nt_closed_form(per_unit, fixed, mm.log_p_cw, mm.n)
-            yield (snap_to_grid(x, objective, mm.n, cfg.n_t_max),
+            x = nt_closed_form(per_unit, fixed, mm.log_p_cw)
+            yield (snap_to_grid(x, objective, cfg.n_t_max),
                    reference_snap(x, objective, mm.n, cfg.n_t_max), objective)
 
     def test_matches_three_candidate_reference_on_binding_inputs(self):
@@ -273,7 +273,7 @@ class TestCloee:
             p_b = [mm.p_b for mm in model.env(d)]
             header = HeaderSuccess.at(p_b[0], p_b[0])
             env = tuple(ModeMetrics(m, d, p, header,
-                                    EnergyBreakdown(payload_energy_per_bit(m, ep), eps_oh, 0.0))
+                                    EnergyBreakdown(energy_breakdown(m, ep).eps_b, eps_oh, 0.0))
                         for m, p in zip(MODE_TABLE, p_b))
             for mm in env:
                 etas, rates = mm.eta(nts), mm.rate(nts)
@@ -359,28 +359,29 @@ class TestSharedEnvironment:
     def test_sweep_builds_one_environment_per_distance(self, monkeypatch, uniform, bit_errors):
         builds, calls, losses = [], [], []
         init = ModeMetrics.__init__
+        probs, prob = metrics.bit_error_probs, channel.bit_error_prob
 
         def counting_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             builds.append(self.distance)
 
-        def counting(log, fn, distance_of):
-            def wrapper(*args, **kwargs):
-                log.append(distance_of(args[0]))
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting_probs(d, *args, **kwargs):
+            losses.append(d)
+            return probs(d, *args, **kwargs)
+
+        def counting_prob(*args):
+            calls.append(losses[-1])
+            return prob(*args)
 
         monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
-        monkeypatch.setattr(metrics, "bit_error_prob",
-                            counting(calls, metrics.bit_error_prob, lambda lb: lb.distance))
-        monkeypatch.setattr(channel, "path_loss_db",
-                            counting(losses, channel.path_loss_db, lambda d: d))
+        monkeypatch.setattr(metrics, "bit_error_probs", counting_probs)
+        monkeypatch.setattr(channel, "bit_error_prob", counting_prob)
         distances = (2.0, 6.5, 8.4)
         run_sweep(Scenario(distances=distances, shadowing=True, seed=3,
                            uniform_section_ber=uniform))
         # Six modes and six bit error rates per distance; with section-specific
         # rates the header reuses the payload rates of modes 4 and 32.  The
-        # path loss is taken once per distance.
+        # path loss is taken once per distance, in its one bit_error_probs call.
         assert builds == [d for d in distances for _ in range(6)]
         assert sorted(calls) == [d for d in distances for _ in range(bit_errors)]
         assert losses == list(distances)

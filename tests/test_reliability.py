@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from cloee import bch_block_log_success, bch_block_success, kasami_success, shr_success
+from cloee import bch_block_log_success, bch_block_success
+from cloee.reliability import kasami_success, shr_success
 from helpers import single_pb_metrics
 
 

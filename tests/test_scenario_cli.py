@@ -155,6 +155,8 @@ class TestScenarioParsing:
             ("solver.n_t_max = 258049", "solver.n_t_max"),
             ("solver.n_t_max = 62", "solver.n_t_max"),
             ("seed = -1", "seed: must be >= 0"),
+            ("channel.noise_density = -4000", "channel: noise_density"),
+            ("channel.noise_density = 1e6", "channel: noise_density"),
         ],
     )
     def test_errors_carry_key_path(self, text, key):
@@ -361,6 +363,9 @@ class TestCli:
         ("distances = 5:1:0.5\n", "config-error: distances: "),
         ("energy.eps_p = 0\n", "config-error: energy: "),
         ("seed = -1\nshadowing = on\n", "config-error: seed: "),
+        ("channel.noise_density = -4000\n", "config-error: channel: noise_density"),
+        ("channel.noise_density = 1e6\n", "config-error: channel: noise_density"),
+        ("channel.b = -1e6\n", "value-error: the link gain at distance "),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
@@ -368,7 +373,16 @@ class TestCli:
         bad.write_text(text)
         argv = [command, "--config", str(bad), "--out", str(tmp_path / "out")]
         assert main(argv + (["--distance", "4.0"] if command == "optimize" else [])) == 2
-        assert capsys.readouterr().err.startswith(prefix)
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "curves"])
+    def test_overflowing_link_gain_fails(self, tmp_path, capsys, command):
+        # Finite and > 0, but the gain at 1e-300 m overflows a float.
+        assert main([command, "--distance", "1e-300", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "value-error: the link gain at distance 1e-300 m overflows a float\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["optimize", "sweep", "curves"])
