@@ -80,8 +80,9 @@ class ModeMetrics:
     """Everything the optimizer needs about one (distance, mode) pair.
 
     Link reliabilities and energies are computed once.  success()/eta()/rate()
-    evaluate the grid objectives, whose codeword count is ceil(n_t/n); eta and
-    rate take an int or an int array (grid() takes a whole environment).
+    evaluate the grid objectives, whose codeword count is ceil(n_t/n); eta,
+    rate and eta_rate take an int or an int array (grid() takes a whole
+    environment).
     success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
     forms differentiate; the two agree exactly at multiples of n.
     """
@@ -114,6 +115,11 @@ class ModeMetrics:
     def rate(self, n_t):
         """Throughput in bits/s at integer frame size(s)."""
         return _delivered(n_t, self.header_success, self.log_p_cw) / (self.t_oh + n_t * self.t_sym)
+
+    def eta_rate(self, n_t):
+        """(eta(n_t), rate(n_t)) from one numerator, bit for bit the two calls."""
+        delivered = _delivered(n_t, self.header_success, self.log_p_cw)
+        return delivered / self.energy.total(n_t), delivered / (self.t_oh + n_t * self.t_sym)
 
     # -- continuous relaxation (exponent n_t/n) --------------------------
 

@@ -24,6 +24,22 @@ The mode with the best efficiency wins; a rate-feasible mode always beats an
 infeasible one, and when nothing is feasible the best-throughput point is
 returned.  exhaustive_search scans the whole grid and is the oracle the
 solver is tested against.
+
+solve_mode and solve_env share one helper per stage (throughput peak,
+efficiency peak, each branch).  solve_env returns what selecting over the
+six solve_mode results returns, but skips the solves that cannot be selected:
+
+  screen     a mode first gets only its throughput peak (nthr, R(nthr)).  nthr
+             is the grid maximum of the mode's unimodal rate (C4), so
+             R(nthr) < r0*n_s means no frame size is feasible: the mode is a
+             throughput fallback and loses to any passing mode, which is
+             feasible.  If no mode passes, only the first mode with the
+             highest R(nthr) is finished, the one the selection would pick.
+  dominance  a dual answer is a grid point other than the eta maximum nee,
+             so its eta <= eta(nee).  A dual solve runs only when eta(nee)
+             is not below the best unconstrained eta of the environment; a
+             skipped one would have lost strictly, so the first-of-equals
+             tie rule is unchanged.
 """
 
 from __future__ import annotations
@@ -151,29 +167,46 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
     return mid
 
 
-def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
-    r0ns, n_cpb = qos.aggregate_rate, mm.mode.n_cpb
+def _thr_peak(mm: ModeMetrics, cfg: SolverConfig) -> tuple[int, float]:
+    """(nthr, rate(nthr)): the throughput optimum snapped to the grid, which is
+    the grid maximum of the mode's unimodal rate (C4)."""
+    return snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, cfg.n_t_max)
 
+
+def _ee_peak(mm: ModeMetrics, cfg: SolverConfig) -> tuple[float, int, float]:
+    """(nee_cont, nee, eta(nee)): the efficiency optimum and its grid snap."""
     nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
-    nee, eta_ee = snap_to_grid(nee_cont, mm.eta, cfg.n_t_max)
-    nthr, rate_thr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
-                                  mm.rate, cfg.n_t_max)
+    return (nee_cont, *snap_to_grid(nee_cont, mm.eta, cfg.n_t_max))
 
+
+def _fallback(mm: ModeMetrics, cfg: SolverConfig, nthr: int, rate_thr: float) -> OptResult:
+    """The throughput-fallback result of a mode whose rate peak misses the target."""
+    nee = _ee_peak(mm, cfg)[1]
+    return OptResult(nthr, mm.mode.n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
+                     "throughput-fallback", None, nee, nthr)
+
+
+def _unconstrained(mm: ModeMetrics, r0ns: float, ee: tuple[float, int, float],
+                   nthr: int) -> Optional[OptResult]:
+    """The unconstrained result if the efficiency optimum meets the target, else None."""
+    _, nee, eta_ee = ee
     rate_ee = mm.rate(nee)
     if rate_ee >= r0ns:
-        return OptResult(nee, n_cpb, eta_ee, rate_ee, 0.0, True, 0,
+        return OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
                          "unconstrained", None, nee, nthr)
+    return None
 
-    if rate_thr < r0ns:
-        # No frame size can meet the rate target in this mode.
-        return OptResult(nthr, n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
-                         "throughput-fallback", None, nee, nthr)
 
-    # Dual branch.  The grid rate is unimodal with its peak at nthr (C4), so
-    # the rate-feasible codeword multiples form an interval around nthr and
-    # the infeasible nee lies outside it.  eta is unimodal too, so the
-    # constrained optimum is the end of that interval facing nee: bisect for
-    # it between k_in (feasible) and k_out (infeasible).
+def _dual(mm: ModeMetrics, r0ns: float, cfg: SolverConfig, ee: tuple[float, int, float],
+          nthr: int) -> OptResult:
+    """The dual result of a mode whose rate peak meets the target and whose
+    efficiency optimum does not."""
+    nee_cont, nee, _ = ee
+    # The grid rate is unimodal with its peak at nthr (C4), so the
+    # rate-feasible codeword multiples form an interval around nthr and the
+    # infeasible nee lies outside it.  eta is unimodal too, so the constrained
+    # optimum is the end of that interval facing nee: bisect for it between
+    # k_in (feasible) and k_out (infeasible).
     k_in, k_out = nthr // mm.n, nee // mm.n
     probes = 0
     while abs(k_out - k_in) > 1:
@@ -199,8 +232,20 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
         lam_star = max(0.0, -mm.eta_cont_grad(n_c) / mm.rate_cont_grad(n_c))
         kkt_rate = mm.rate_cont(n_c)
 
-    return OptResult(n_star, n_cpb, mm.eta(n_star), mm.rate(n_star), lam_star, True, probes,
+    eta, rate = mm.eta_rate(n_star)
+    return OptResult(n_star, mm.mode.n_cpb, eta, rate, lam_star, True, probes,
                      "dual", kkt_rate, nee, nthr)
+
+
+def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
+    """One burst mode's three-branch solve."""
+    r0ns = qos.aggregate_rate
+    nthr, rate_thr = _thr_peak(mm, cfg)
+    if rate_thr < r0ns:
+        # No frame size can meet the rate target in this mode.
+        return _fallback(mm, cfg, nthr, rate_thr)
+    ee = _ee_peak(mm, cfg)
+    return _unconstrained(mm, r0ns, ee, nthr) or _dual(mm, r0ns, cfg, ee, nthr)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +266,21 @@ def _select(cands: list[OptResult]) -> OptResult:
 
 
 def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
-    """cloee on one distance's environment (LinkModel.env)."""
-    return _select([solve_mode(mm, qos, cfg) for mm in env])
+    """cloee on one distance's environment (LinkModel.env): _select of the six
+    solve_mode results, without the solves that the screen and the dominance
+    rule (module docstring) show cannot be selected."""
+    r0ns = qos.aggregate_rate
+    peaks = [_thr_peak(mm, cfg) for mm in env]
+    if all(rate_thr < r0ns for _, rate_thr in peaks):
+        m = max(range(len(env)), key=lambda m: peaks[m][1])
+        return _fallback(env[m], cfg, *peaks[m])
+    passing = [(mm, nthr, _ee_peak(mm, cfg))
+               for mm, (nthr, rate_thr) in zip(env, peaks) if not rate_thr < r0ns]
+    unconstrained = [_unconstrained(mm, r0ns, ee, nthr) for mm, nthr, ee in passing]
+    best = max((res.eta for res in unconstrained if res), default=-math.inf)
+    return _select([res or _dual(mm, r0ns, cfg, ee, nthr)
+                    for res, (mm, nthr, ee) in zip(unconstrained, passing)
+                    if res or not ee[2] < best])
 
 
 def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:

@@ -31,16 +31,23 @@ def _check_p(p_b: float) -> None:
         raise ValueError(f"bit error probability must be in [0, 1], got {p_b}")
 
 
-# C(N, i) as correctly rounded floats for the frame's fixed block lengths.
-_COMB_ROWS = {n: tuple(float(math.comb(n, i)) for i in range(n + 1))
-              for n in (PSDU_CODE.n, FRAME_CONSTANTS.kasami_len, PHR_CODE.n)}
+def _rows(n_bits: int) -> tuple[tuple[float, float, float], ...]:
+    """(C(N,i), i, N-i) as floats for i = 0..N.
+
+    C(N,i) is the correctly rounded float of the exact integer; int * float
+    rounds the integer the same way, so the terms match the integer form.
+    """
+    return tuple((float(math.comb(n_bits, i)), float(i), float(n_bits - i))
+                 for i in range(n_bits + 1))
+
+
+# The rows of the frame's fixed block lengths.
+_ROWS = {n: _rows(n) for n in (PSDU_CODE.n, FRAME_CONSTANTS.kasami_len, PHR_CODE.n)}
 
 
 def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
     """sum_{lo <= i < hi} C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1.
 
-    C(N,i) is the exact integer, or for 63 and 40 bits its correctly rounded
-    float; int * float rounds the integer the same way, so the terms match.
     The probabilities are combined in log space (the two logs taken once per
     tail), so the tail stays accurate from p_b ~ 1e-300 up to 0.5.  Terms are
     added one by one in ascending i, so the bits do not depend on the
@@ -49,10 +56,10 @@ def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
     ulp, no later term can change the sum.
     """
     lp, lq = math.log(p_b), math.log1p(-p_b)
-    comb = _COMB_ROWS.get(n_bits) or [math.comb(n_bits, i) for i in range(hi)]
+    rows = _ROWS.get(n_bits) or _rows(n_bits)
     s, peak = 0.0, (n_bits + 1) * p_b
-    for i in range(lo, hi):
-        term = comb[i] * math.exp(i * lp + (n_bits - i) * lq)
+    for comb, i, rest in rows[lo:hi]:
+        term = comb * math.exp(i * lp + rest * lq)
         s += term
         if i > peak and term <= s * 2.0 ** -54:
             break
@@ -73,10 +80,15 @@ def bch_block_success(p_b: float, code: tuple[int, int]) -> float:
 def bch_block_log_success(p_b: float, code: tuple[int, int]) -> float:
     """log of bch_block_success, accurate when the success probability is ~1.
 
-    For small p_b the direct sum rounds to 1.0 and its log to 0; here the
+    For small p_b the direct sum D rounds to 1.0 and its log to 0; there the
     failure tail U = P(more than t errors) is summed instead and the result
     is log1p(-U), which keeps the tiny -U resolution the frame-size optimum
-    depends on.
+    depends on.  The rule is log1p(-U) when U < 0.5, else log(D).
+
+    D has t+1 terms and U up to N-t, so D is summed first.  D + U = 1, and
+    either sum is within ~1e-13 of its exact value, so D < 0.5 - 1e-9 implies
+    U >= 0.5: the answer is log(D) and U is not summed.  For (63, 2) the
+    crossover U = 0.5 lies at p_b ~ 0.0422.
     """
     n_bits, t = _block_params(code)
     _check_p(p_b)
@@ -84,10 +96,11 @@ def bch_block_log_success(p_b: float, code: tuple[int, int]) -> float:
         return 0.0
     if p_b == 1.0:
         return -math.inf
-    upper = _tail(p_b, n_bits, t + 1, n_bits + 1)
-    if upper < 0.5:
-        return math.log1p(-upper)
-    direct = bch_block_success(p_b, (n_bits, t))
+    direct = _tail(p_b, n_bits, 0, t + 1)
+    if direct >= 0.5 - 1e-9:
+        upper = _tail(p_b, n_bits, t + 1, n_bits + 1)
+        if upper < 0.5:
+            return math.log1p(-upper)
     return math.log(direct) if direct > 0.0 else -math.inf
 
 

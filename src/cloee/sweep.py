@@ -40,13 +40,13 @@ class SweepRow(NamedTuple):
 
 
 def _static_row(mm: ModeMetrics, n_t: int, qos: QosSpec) -> SweepRow:
-    rate = mm.rate(n_t)
+    eta, rate = mm.eta_rate(n_t)
     return SweepRow(
         distance=mm.distance,
         strategy=f"static_{mm.mode.n_cpb}_{n_t}",
         n_cpb=mm.mode.n_cpb,
         n_t=n_t,
-        eta=mm.eta(n_t),
+        eta=eta,
         rate=rate,
         p_ppdu=mm.success(n_t),
         feasible=rate >= qos.aggregate_rate,

@@ -15,6 +15,7 @@ from cloee import (
     QosSpec,
     SweepRow,
     energy_breakdown,
+    solve_mode,
 )
 from cloee.sweep import CSV_HEADER
 
@@ -124,6 +125,17 @@ def reference_search_env(env, qos, cfg) -> OptResult:
     (eta, n_t, rate, n_cpb), feasible = \
         (best_feas, True) if best_feas is not None else (best_rate, False)
     return OptResult(n_t, n_cpb, eta, rate, 0.0, feasible, len(nts) * len(env), "exhaustive")
+
+
+def reference_solve_env(env, qos, cfg) -> OptResult:
+    """cloee as the selection over all six solve_mode results, the reference
+    for optimizer.solve_env: the best-eta feasible solve, else the best-rate
+    one; max keeps the first of equals, so ties go to the smaller n_cpb."""
+    sols = [solve_mode(mm, qos, cfg) for mm in env]
+    feasible = [sol for sol in sols if sol.feasible]
+    if feasible:
+        return max(feasible, key=lambda sol: sol.eta)
+    return max(sols, key=lambda sol: sol.rate)
 
 
 def binding_envs(count: int = 256):

@@ -28,7 +28,7 @@ from cloee import (
 from cloee import channel, metrics
 from cloee.optimizer import search_env, solve_env
 from helpers import (MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at, mode_for,
-                     reference_search_env, reference_snap)
+                     reference_search_env, reference_snap, reference_solve_env)
 
 
 def _grid(mm, cfg):
@@ -406,6 +406,58 @@ class TestSharedEnvironment:
                 assert exhaustive_search(model, d, qos, cfg, chi) == search_env(env, qos, cfg)
                 branches.add(res.branch)
         assert branches == {"unconstrained", "dual", "throughput-fallback"}
+
+
+class TestSolveEnvMatchesReference:
+    # solve_env skips the solves whose result cannot be selected: it screens
+    # out modes whose rate peak misses the target and dual solves dominated
+    # by an unconstrained mode.  It must return the reference's OptResult
+    # whole, on inputs that reach every branch and skip dominated duals.
+    COUNTED = ("unconstrained", "dual", "throughput-fallback", "dominated", "none feasible")
+
+    @staticmethod
+    def _check(env, qos, cfg, counts):
+        assert solve_env(env, qos, cfg) == reference_solve_env(env, qos, cfg)
+        sols = [solve_mode(mm, qos, cfg) for mm in env]
+        for sol in sols:
+            counts[sol.branch] += 1
+        best = max((sol.eta for sol in sols if sol.branch == "unconstrained"), default=-math.inf)
+        counts["dominated"] += sum(mm.eta(sol.nee) < best
+                                   for mm, sol in zip(env, sols) if sol.branch == "dual")
+        counts["none feasible"] += not any(sol.feasible for sol in sols)
+
+    def test_binding_inputs(self):
+        counts = dict.fromkeys(self.COUNTED, 0)
+        cfgs = [SolverConfig(n_t_max=n) for n in (126, 8190, 63 * 4096)]
+        for env, qos in binding_envs(256):
+            for cfg in cfgs:
+                self._check(env, qos, cfg, counts)
+        assert min(counts.values()) >= 100, counts
+
+    def test_dual_biased_random_links(self):
+        # Energy powers scaled by 10**U(-2, 2), distances 0.5-20 m, shadowing,
+        # all three model variants, and r0 between one mode's rates at its
+        # efficiency and throughput optima, so that mode takes the dual branch.
+        rng = random.Random(12)
+        powers = ("p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen")
+        counts = dict.fromkeys(self.COUNTED, 0)
+        cases = 0
+        while cases < 300:
+            ep = EnergyParams(**{k: getattr(EnergyParams(), k) * 10 ** rng.uniform(-2, 2)
+                                 for k in powers})
+            model = LinkModel(energy=ep, **rng.choice(MODEL_VARIANTS))
+            cfg = SolverConfig(n_t_max=rng.choice((126, 8190, 63 * 4096)))
+            env = model.env(rng.uniform(0.5, 20.0), rng.gauss(0.0, 4.4))
+            mm = rng.choice(env)
+            sol = solve_mode(mm, QosSpec(), cfg)
+            lo, hi = mm.rate(sol.nee), mm.rate(sol.nthr)
+            n_s = rng.randint(1, 64)
+            qos = QosSpec(r0=(lo + rng.uniform(0.0, 1.0) * (hi - lo)) / n_s, n_s=n_s)
+            if not lo < qos.aggregate_rate <= hi:
+                continue
+            cases += 1
+            self._check(env, qos, cfg, counts)
+        assert counts["dual"] >= cases and counts["dominated"] >= 20, counts
 
 
 class TestExhaustiveSearch:

@@ -160,6 +160,48 @@ class TestTailsMatchPerTermForm:
             assert bch_block_log_success(p, (n_bits, t)) == _old_block_log_success(p, n_bits, t), p
 
 
+def _crossover(n_bits, t):
+    """The smallest float p_b whose upper tail (more than t errors) is >= 0.5."""
+    lo, hi = 1e-6, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _full_sum(mid, n_bits, t + 1, n_bits + 1) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestShortSideFirst:
+    # bch_block_log_success sums the t+1 direct terms D first and skips the
+    # upper tail U when D < 0.5 - 1e-9; _old_block_log_success sums U first
+    # and reads D only when U >= 0.5.  They must agree bit for bit, -inf
+    # included: in steps of 2**-40 relative around the crossover U = 0.5,
+    # which reaches all three outcomes (log1p(-U); log(D) with U summed;
+    # log(D) with U skipped).  TestTailsMatchPerTermForm compares the two on
+    # seeded log-uniform p_b.
+    @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
+    def test_dense_scan_around_crossover(self, n_bits, t):
+        p_c = _crossover(n_bits, t)
+        outcomes = set()
+        for k in range(-2048, 2049):
+            p = p_c * (1.0 + k * 2.0 ** -40)
+            assert bch_block_log_success(p, (n_bits, t)) == _old_block_log_success(p, n_bits, t), p
+            direct = bch_block_success(p, (n_bits, t))
+            outcomes.add("skip" if direct < 0.5 - 1e-9 else
+                         "upper" if _full_sum(p, n_bits, t + 1, n_bits + 1) < 0.5 else "direct")
+        assert outcomes == {"skip", "upper", "direct"}
+
+    def test_crossover_of_the_psdu_code(self):
+        assert _crossover(63, 2) == pytest.approx(0.0422, abs=1e-4)
+
+    def test_hopeless_block_is_minus_inf(self):
+        # Every direct term underflows: D = 0 and the log is -inf either way.
+        p = 1.0 - 2.0 ** -53
+        assert bch_block_log_success(p, (63, 2)) == _old_block_log_success(p, 63, 2) == -math.inf
+
+
 class TestPpduSuccess:
     # The PPDU is composed once, in ModeMetrics; single_pb_metrics puts every
     # section at the same bit error probability.
