@@ -67,7 +67,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = _load(args)
     rows = run_sweep(scenario)
-    paths = emit_curves(rows, args.out, basename="sweep", fmt=args.format)
+    paths = emit_curves(rows, args.out, fmt=args.format)
     for p in paths:
         print(p)
     return 0

@@ -83,9 +83,10 @@ MODE_TABLE: tuple[PhyMode, ...] = (
 class FrameConstants:
     """Fixed header/preamble parameters of the UWB PPDU.
 
-    The MAC header and FCS sizes only ever enter the math through their sum,
-    so they are stored as one 72-bit constant (the 56/16 split printed in
-    some sources is inconsistent; the sum is not).  t_phr uses the rounded
+    The MAC header and FCS are stored as one 72-bit constant, n_mh_plus_fcs
+    (the 56/16 split printed in some sources is inconsistent; the sum is
+    not).  No formula reads it, only dump-modes prints it: efficiency and
+    rate count all n_t PSDU bits as delivered.  t_phr uses the rounded
     2051.3 ns PHR chip time so that t_phr = 82.052 us exactly.
     """
 

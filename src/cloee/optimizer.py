@@ -7,8 +7,8 @@ n_cpb in {1, 2, 4, 8, 16, 32}.
 Per burst mode, eta and R are strictly quasiconcave in n_t.  Both are
 delivered bits over a cost linear in n_t (energy eps_b * n_t + eps_fixed, time
 t_sym * n_t + t_oh), so one closed form, nt_closed_form, gives both
-unconstrained maximizers.  The CLOEE solver handles each mode with one of
-three branches:
+unconstrained maximizers.  solve_env is the CLOEE solver on one distance's
+environment.  Each mode it finishes takes one of three branches:
 
   unconstrained        the efficiency optimum already meets the rate target;
   dual                 the efficiency optimum is rate-infeasible but the
@@ -20,26 +20,26 @@ three branches:
   throughput-fallback  no frame size meets the rate target: keep the
                        throughput-optimal size and mark the mode infeasible.
 
-The mode with the best efficiency wins; a rate-feasible mode always beats an
-infeasible one, and when nothing is feasible the best-throughput point is
-returned.  exhaustive_search scans the whole grid and is the oracle the
-solver is tested against.
+The feasible mode with the best efficiency wins, the first of equals in
+environment order; when nothing is feasible the best-throughput fallback is
+returned.  solve_env finishes only the modes that can win:
 
-solve_mode and solve_env share one helper per stage (throughput peak,
-efficiency peak, each branch).  solve_env returns what selecting over the
-six solve_mode results returns, but skips the solves that cannot be selected:
-
-  screen     a mode first gets only its throughput peak (nthr, R(nthr)).  nthr
-             is the grid maximum of the mode's unimodal rate (C4), so
+  screen     every mode first gets only its throughput peak (nthr, R(nthr)).
+             nthr is the grid maximum of the mode's unimodal rate (C4), so
              R(nthr) < r0*n_s means no frame size is feasible: the mode is a
-             throughput fallback and loses to any passing mode, which is
-             feasible.  If no mode passes, only the first mode with the
-             highest R(nthr) is finished, the one the selection would pick.
+             throughput fallback and loses to any passing mode, which ends
+             unconstrained or dual and so is feasible.  If no mode passes,
+             only the first mode with the highest R(nthr) is finished.
   dominance  a dual answer is a grid point other than the eta maximum nee,
              so its eta <= eta(nee).  A dual solve runs only when eta(nee)
              is not below the best unconstrained eta of the environment; a
              skipped one would have lost strictly, so the first-of-equals
-             tie rule is unchanged.
+             tie rule holds.
+
+solve_mode is solve_env on a one-mode environment: its one mode is never
+screened out and its dominance bound is -inf, so it gets the full three-branch
+solve.  exhaustive_search scans the whole grid and is the oracle the solver is
+tested against.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ class SolverConfig:
 
 
 class OptResult(NamedTuple):
-    """A solved operating point: one burst mode's (solve_mode), the winning
-    mode's (cloee) or the grid scan's (exhaustive_search).
+    """A solved operating point: the winning mode's own three-branch solve
+    (solve_env and cloee; solve_mode is solve_env on one mode) or the grid
+    scan's best point (search_env and exhaustive_search).
 
     lambda_ and kkt_rate form the optimality certificate of the dual branch:
     kkt_rate is the rate at the continuous constrained optimum, where
@@ -167,41 +168,16 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
     return mid
 
 
-def _thr_peak(mm: ModeMetrics, cfg: SolverConfig) -> tuple[int, float]:
-    """(nthr, rate(nthr)): the throughput optimum snapped to the grid, which is
-    the grid maximum of the mode's unimodal rate (C4)."""
-    return snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, cfg.n_t_max)
-
-
 def _ee_peak(mm: ModeMetrics, cfg: SolverConfig) -> tuple[float, int, float]:
     """(nee_cont, nee, eta(nee)): the efficiency optimum and its grid snap."""
     nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
     return (nee_cont, *snap_to_grid(nee_cont, mm.eta, cfg.n_t_max))
 
 
-def _fallback(mm: ModeMetrics, cfg: SolverConfig, nthr: int, rate_thr: float) -> OptResult:
-    """The throughput-fallback result of a mode whose rate peak misses the target."""
-    nee = _ee_peak(mm, cfg)[1]
-    return OptResult(nthr, mm.mode.n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
-                     "throughput-fallback", None, nee, nthr)
-
-
-def _unconstrained(mm: ModeMetrics, r0ns: float, ee: tuple[float, int, float],
-                   nthr: int) -> Optional[OptResult]:
-    """The unconstrained result if the efficiency optimum meets the target, else None."""
-    _, nee, eta_ee = ee
-    rate_ee = mm.rate(nee)
-    if rate_ee >= r0ns:
-        return OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
-                         "unconstrained", None, nee, nthr)
-    return None
-
-
-def _dual(mm: ModeMetrics, r0ns: float, cfg: SolverConfig, ee: tuple[float, int, float],
+def _dual(mm: ModeMetrics, r0ns: float, n_t_max: int, nee_cont: float, nee: int,
           nthr: int) -> OptResult:
     """The dual result of a mode whose rate peak meets the target and whose
     efficiency optimum does not."""
-    nee_cont, nee, _ = ee
     # The grid rate is unimodal with its peak at nthr (C4), so the
     # rate-feasible codeword multiples form an interval around nthr and the
     # infeasible nee lies outside it.  eta is unimodal too, so the constrained
@@ -222,7 +198,7 @@ def _dual(mm: ModeMetrics, r0ns: float, cfg: SolverConfig, ee: tuple[float, int,
     # optimum is rate-feasible (the grid constraint was an artifact of
     # rounding, lambda* = 0) or the constraint is active and lambda* follows
     # from stationarity d(eta)/dn + lambda * d(R)/dn = 0 at the boundary.
-    x_peak = min(nee_cont, float(cfg.n_t_max))
+    x_peak = min(nee_cont, float(n_t_max))
     if mm.rate_cont(x_peak) >= r0ns:
         lam_star = 0.0
         kkt_rate = mm.rate_cont(x_peak)
@@ -237,50 +213,43 @@ def _dual(mm: ModeMetrics, r0ns: float, cfg: SolverConfig, ee: tuple[float, int,
                      "dual", kkt_rate, nee, nthr)
 
 
-def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
-    """One burst mode's three-branch solve."""
-    r0ns = qos.aggregate_rate
-    nthr, rate_thr = _thr_peak(mm, cfg)
-    if rate_thr < r0ns:
-        # No frame size can meet the rate target in this mode.
-        return _fallback(mm, cfg, nthr, rate_thr)
-    ee = _ee_peak(mm, cfg)
-    return _unconstrained(mm, r0ns, ee, nthr) or _dual(mm, r0ns, cfg, ee, nthr)
-
-
 # ---------------------------------------------------------------------------
-# cross-mode selection
-
-
-def _select(cands: list[OptResult]) -> OptResult:
-    """The best-efficiency feasible solve; the best-rate solve if none is.
-
-    The winner's own feasible flag is the overall verdict: it is True exactly
-    when some mode is feasible.  max keeps the first of equal values, so ties
-    go to the smaller n_cpb.
-    """
-    feasible = [c for c in cands if c.feasible]
-    if feasible:
-        return max(feasible, key=lambda c: c.eta)
-    return max(cands, key=lambda c: c.rate)
+# CLOEE
 
 
 def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
-    """cloee on one distance's environment (LinkModel.env): _select of the six
-    solve_mode results, without the solves that the screen and the dominance
-    rule (module docstring) show cannot be selected."""
+    """cloee on an environment (LinkModel.env, or any tuple of modes): the
+    three-branch solve of each mode that can win, then the best of them
+    (module docstring)."""
     r0ns = qos.aggregate_rate
-    peaks = [_thr_peak(mm, cfg) for mm in env]
+    peaks = [snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, cfg.n_t_max)
+             for mm in env]
     if all(rate_thr < r0ns for _, rate_thr in peaks):
+        # No mode can meet the rate target: the first with the best rate
+        # peak falls back to it.
         m = max(range(len(env)), key=lambda m: peaks[m][1])
-        return _fallback(env[m], cfg, *peaks[m])
-    passing = [(mm, nthr, _ee_peak(mm, cfg))
+        mm, (nthr, rate_thr) = env[m], peaks[m]
+        return OptResult(nthr, mm.mode.n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
+                         "throughput-fallback", None, _ee_peak(mm, cfg)[1], nthr)
+    passing = [(mm, nthr, *_ee_peak(mm, cfg))
                for mm, (nthr, rate_thr) in zip(env, peaks) if not rate_thr < r0ns]
-    unconstrained = [_unconstrained(mm, r0ns, ee, nthr) for mm, nthr, ee in passing]
-    best = max((res.eta for res in unconstrained if res), default=-math.inf)
-    return _select([res or _dual(mm, r0ns, cfg, ee, nthr)
-                    for res, (mm, nthr, ee) in zip(unconstrained, passing)
-                    if res or not ee[2] < best])
+    rates_ee = [mm.rate(nee) for mm, _, _, nee, _ in passing]
+    best = max((eta_ee for (*_, eta_ee), rate_ee in zip(passing, rates_ee) if rate_ee >= r0ns),
+               default=-math.inf)
+    cands = []
+    for (mm, nthr, nee_cont, nee, eta_ee), rate_ee in zip(passing, rates_ee):
+        if rate_ee >= r0ns:
+            cands.append(OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
+                                   "unconstrained", None, nee, nthr))
+        elif not eta_ee < best:
+            cands.append(_dual(mm, r0ns, cfg.n_t_max, nee_cont, nee, nthr))
+    # Every candidate is feasible; max keeps the first of equals.
+    return max(cands, key=lambda res: res.eta)
+
+
+def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
+    """One burst mode's three-branch solve: solve_env on that mode alone."""
+    return solve_env((mm,), qos, cfg)
 
 
 def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
@@ -298,10 +267,11 @@ def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
           cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
     """Pick (n_t, n_cpb) maximizing efficiency under the aggregate-rate floor.
 
-    Runs the three-branch per-mode solve over all six burst modes and keeps
-    the best feasible mode (best-throughput mode if none is feasible).  The
-    per-mode solves are independent and evaluated in fixed ascending n_cpb
-    order, so results are deterministic.
+    solve_env on the six modes of the environment at distance: the
+    best-efficiency feasible mode's own three-branch solve, or the
+    best-throughput fallback if no mode is feasible.  Modes that cannot win
+    are not solved (module docstring).  Modes are taken in ascending n_cpb
+    order and ties go to the first, so results are deterministic.
     """
     return solve_env(model.env(distance, chi), qos, cfg)
 

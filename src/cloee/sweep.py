@@ -125,9 +125,9 @@ def _with_charts(texts: dict[str, str], fmt: str, prefix: str, series, title: st
                     for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s"))}
 
 
-def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "sweep",
-                fmt: str = "csv") -> list[Path]:
-    """Write rows as CSV (and optional SVG line charts); returns written paths.
+def emit_curves(rows: list[SweepRow], out_dir: str | Path, fmt: str = "csv") -> list[Path]:
+    """Write rows as sweep.csv (plus sweep_eta.svg and sweep_rate.svg for
+    fmt="svg"); returns the written paths.
 
     Refuses to create files for an empty row set.
     """
@@ -141,7 +141,7 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, basename: str = "swee
                  [getattr(r, metric) for r in rows if r.strategy == strat])
                 for strat in strategies]
 
-    return _write(out_dir, _with_charts({f"{basename}.csv": rows_to_csv(rows)}, fmt, basename,
+    return _write(out_dir, _with_charts({"sweep.csv": rows_to_csv(rows)}, fmt, "sweep",
                                         series, "distance", "distance (m)"))
 
 
@@ -158,7 +158,9 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
     """Per-mode eta/rate curves over the codeword grid plus the solution marks.
 
     Returns one (OptResult, nts, etas, rates) per mode, ascending n_cpb: the
-    mode's solve_mode result and its row of grid(env, cfg.n_t_max).
+    mode's own three-branch solve (solve_mode, which is solve_env on that
+    mode alone, so no mode is screened out) and its row of
+    grid(env, cfg.n_t_max).
     """
     env = model.env(distance, chi)
     nts, etas, rates = grid(env, cfg.n_t_max)

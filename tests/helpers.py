@@ -128,9 +128,12 @@ def reference_search_env(env, qos, cfg) -> OptResult:
 
 
 def reference_solve_env(env, qos, cfg) -> OptResult:
-    """cloee as the selection over all six solve_mode results, the reference
-    for optimizer.solve_env: the best-eta feasible solve, else the best-rate
-    one; max keeps the first of equals, so ties go to the smaller n_cpb."""
+    """cloee as the selection over every mode's solve_mode result, the
+    reference for optimizer.solve_env's screen and dominance rule: the
+    best-eta feasible solve, else the best-rate one; max keeps the first of
+    equals, so ties go to the earlier mode.  solve_mode is solve_env on one
+    mode, which neither rule touches; cloee's comparisons with the oracle
+    and acceptance check C5 test its answers."""
     sols = [solve_mode(mm, qos, cfg) for mm in env]
     feasible = [sol for sol in sols if sol.feasible]
     if feasible:

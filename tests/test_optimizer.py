@@ -413,18 +413,46 @@ class TestSolveEnvMatchesReference:
     # out modes whose rate peak misses the target and dual solves dominated
     # by an unconstrained mode.  It must return the reference's OptResult
     # whole, on inputs that reach every branch and skip dominated duals.
-    COUNTED = ("unconstrained", "dual", "throughput-fallback", "dominated", "none feasible")
+    # Each environment is also checked on sub-tuples of its modes (each mode
+    # alone, every other mode, the upper half and adjacent pairs), which
+    # reach the all-fail and dominance rules on mode mixes that lack the
+    # environment's feasible modes or its best unconstrained mode.
+    COUNTED = ("unconstrained", "dual", "throughput-fallback", "dominated", "none feasible",
+               "sub dominated", "sub none feasible")
 
     @staticmethod
-    def _check(env, qos, cfg, counts):
+    def _subsets(n):
+        idx = tuple(range(n))
+        return [idx[m:m + 1] for m in idx] + [idx[::2], idx[3:]] + [idx[m:m + 2] for m in idx[:-1]]
+
+    @classmethod
+    def _check(cls, env, qos, cfg, counts):
         assert solve_env(env, qos, cfg) == reference_solve_env(env, qos, cfg)
         sols = [solve_mode(mm, qos, cfg) for mm in env]
         for sol in sols:
             counts[sol.branch] += 1
-        best = max((sol.eta for sol in sols if sol.branch == "unconstrained"), default=-math.inf)
-        counts["dominated"] += sum(mm.eta(sol.nee) < best
-                                   for mm, sol in zip(env, sols) if sol.branch == "dual")
-        counts["none feasible"] += not any(sol.feasible for sol in sols)
+
+        def best(sub):
+            return max((sols[m].eta for m in sub if sols[m].branch == "unconstrained"),
+                       default=-math.inf)
+
+        def dominated(sub):
+            return sum(env[m].eta(sols[m].nee) < best(sub)
+                       for m in sub if sols[m].branch == "dual")
+
+        def none_feasible(sub):
+            return not any(sols[m].feasible for m in sub)
+
+        everything = range(len(env))
+        counts["dominated"] += dominated(everything)
+        counts["none feasible"] += none_feasible(everything)
+        for sub in cls._subsets(len(env)):
+            modes = tuple(env[m] for m in sub)
+            assert solve_env(modes, qos, cfg) == reference_solve_env(modes, qos, cfg), sub
+            if len(sub) > 1 and best(sub) < best(everything):
+                counts["sub dominated"] += dominated(sub)
+            if len(sub) > 1 and not none_feasible(everything):
+                counts["sub none feasible"] += none_feasible(sub)
 
     def test_binding_inputs(self):
         counts = dict.fromkeys(self.COUNTED, 0)
@@ -458,6 +486,7 @@ class TestSolveEnvMatchesReference:
             cases += 1
             self._check(env, qos, cfg, counts)
         assert counts["dual"] >= cases and counts["dominated"] >= 20, counts
+        assert counts["sub dominated"] >= 20, counts
 
 
 class TestExhaustiveSearch:

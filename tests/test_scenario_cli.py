@@ -253,7 +253,7 @@ class TestCsvEmission:
 
     def test_svg_output(self, tmp_path):
         rows = run_sweep(parse_scenario(SMALL_CONFIG))
-        paths = emit_curves(rows, tmp_path, basename="sweep", fmt="svg")
+        paths = emit_curves(rows, tmp_path, fmt="svg")
         assert [p.name for p in paths] == ["sweep.csv", "sweep_eta.svg", "sweep_rate.svg"]
         for svg in paths[1:]:
             assert svg.read_text().startswith("<svg")
