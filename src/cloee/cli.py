@@ -19,21 +19,12 @@ import sys
 
 from .errors import ConfigError
 from .frame import FRAME_CONSTANTS, MODE_TABLE
-from .optimizer import OptResult, cloee
+from .optimizer import cloee
 from .scenario import Scenario, load_scenario
-from .sweep import _write, emit_curves, emit_fixed_distance_curves, run_sweep
+from .sweep import _csv, _write, emit_curves, emit_fixed_distance_curves, run_sweep
 
 OPT_HEADER = ("distance,n_t,n_cpb,eta_bits_per_joule,rate_bps,lambda,"
               "feasible,iterations,branch,kkt_rate")
-
-
-def _result_csv(distance: float, res: OptResult) -> str:
-    kkt = "" if res.kkt_rate is None else repr(res.kkt_rate)
-    return ",".join((
-        repr(distance), str(res.n_t_star), str(res.n_cpb_star), repr(res.eta),
-        repr(res.rate), repr(res.lambda_), "true" if res.feasible else "false",
-        str(res.iterations), res.branch, kkt,
-    ))
 
 
 def _load(args) -> Scenario:
@@ -57,10 +48,12 @@ def _point(args) -> tuple[float, Scenario, float]:
 def _cmd_optimize(args) -> int:
     distance, scenario, chi = _point(args)
     res = cloee(scenario.link_model(), distance, scenario.qos, scenario.solver, chi)
-    text = "\n".join([OPT_HEADER, _result_csv(distance, res)])
-    print(text)
+    text = _csv(OPT_HEADER, [(distance, res.n_t_star, res.n_cpb_star, res.eta, res.rate,
+                              res.lambda_, res.feasible, res.iterations, res.branch,
+                              res.kkt_rate)])
+    print(text, end="")
     if args.out:
-        _write(args.out, {"optimize.csv": text + "\n"})
+        _write(args.out, {"optimize.csv": text})
     return 0
 
 
@@ -84,19 +77,15 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_dump_modes(args) -> int:
-    mode_lines = ["n_cpb,t_w_s,t_sym_s,rate_uncoded_bps,rate_coded_bps"]
-    for m in MODE_TABLE:
-        mode_lines.append(f"{m.n_cpb},{m.t_w!r},{m.t_sym!r},"
-                          f"{m.rate_uncoded!r},{m.rate_coded!r}")
-    const_lines = ["name,value"]
-    for field in dataclasses.fields(FRAME_CONSTANTS):
-        const_lines.append(f"{field.name},{getattr(FRAME_CONSTANTS, field.name)!r}")
+    modes = _csv("n_cpb,t_w_s,t_sym_s,rate_uncoded_bps,rate_coded_bps",
+                 [(m.n_cpb, m.t_w, m.t_sym, m.rate_uncoded, m.rate_coded) for m in MODE_TABLE])
     if args.out:
-        for p in _write(args.out, {"modes.csv": "\n".join(mode_lines) + "\n",
-                                   "frame_constants.csv": "\n".join(const_lines) + "\n"}):
+        constants = _csv("name,value", [(f.name, getattr(FRAME_CONSTANTS, f.name))
+                                        for f in dataclasses.fields(FRAME_CONSTANTS)])
+        for p in _write(args.out, {"modes.csv": modes, "frame_constants.csv": constants}):
             print(p)
     else:
-        print("\n".join(mode_lines))
+        print(modes, end="")
     return 0
 
 

@@ -31,7 +31,7 @@ from .energy import EnergyParams
 from .errors import ConfigError
 from .frame import VALID_N_CPB
 from .metrics import LinkModel, QosSpec
-from .optimizer import SolverConfig
+from .optimizer import N_T_MAX_LIMIT, SolverConfig
 
 # A range expands to at most MAX_RANGE_STEPS + 1 distances; the count is
 # checked before the tuple is built, so a tiny step cannot exhaust memory.
@@ -70,8 +70,9 @@ class Scenario:
         for n_cpb, n_t in self.strategies:
             if n_cpb not in VALID_N_CPB:
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
-            if n_t < 63:
-                raise ConfigError("strategies", f"static n_t must be >= 63, got {n_t}")
+            if not (isinstance(n_t, int) and 63 <= n_t <= N_T_MAX_LIMIT):
+                raise ConfigError("strategies", f"static n_t must be an integer in "
+                                                f"[63, {N_T_MAX_LIMIT}], got {n_t}")
 
     def link_model(self) -> LinkModel:
         return LinkModel(

@@ -15,9 +15,7 @@ from .optimizer import OptResult, SolverConfig, search_env, solve_env, solve_mod
 from .scenario import Scenario
 from . import svgplot
 
-CSV_COLUMNS = ("distance", "strategy", "n_cpb", "n_t", "eta_bits_per_joule",
-               "rate_bps", "p_ppdu", "feasible", "branch")
-CSV_HEADER = ",".join(CSV_COLUMNS)
+CSV_HEADER = "distance,strategy,n_cpb,n_t,eta_bits_per_joule,rate_bps,p_ppdu,feasible,branch"
 
 
 class SweepRow(NamedTuple):
@@ -30,13 +28,6 @@ class SweepRow(NamedTuple):
     p_ppdu: float
     feasible: bool
     branch: str
-
-    def to_csv(self) -> str:
-        return ",".join((
-            repr(self.distance), self.strategy, str(self.n_cpb), str(self.n_t),
-            repr(self.eta), repr(self.rate), repr(self.p_ppdu),
-            "true" if self.feasible else "false", self.branch,
-        ))
 
 
 def _static_row(mm: ModeMetrics, n_t: int, qos: QosSpec) -> SweepRow:
@@ -94,8 +85,20 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     return rows
 
 
+def _csv(header: str, rows) -> str:
+    """header plus one line per row, newline-terminated: the one cell rule of
+    every CSV the CLI writes.  True/False are true/false, None is an empty
+    cell and any other value is str(v), for a float its shortest repr."""
+    # A column at a time: one comprehension per column instead of one per
+    # row, which on CPython 3.11 costs a function call each.
+    columns = [["true" if v is True else "false" if v is False
+                else "" if v is None else str(v) for v in column]
+               for column in zip(*rows)]
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    return "\n".join([CSV_HEADER, *(r.to_csv() for r in rows)]) + "\n"
+    return _csv(CSV_HEADER, rows)
 
 
 def _check_format(fmt: str) -> None:
@@ -174,18 +177,16 @@ def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
     """Write curves.csv and curve_marks.csv (plus curves_eta.svg and
     curves_rate.svg for fmt="svg"); returns the written paths."""
     _check_format(fmt)
-    curve_lines, mark_lines = [CURVE_HEADER], [MARKS_HEADER]
+    curve_rows, mark_rows = [], []
     series: dict[str, list] = {"eta": [], "rate": []}
     for sol, nts, etas, rates in compute_curves(model, distance, qos, cfg, chi):
         n_cpb = sol.n_cpb_star
         nts, etas, rates = nts.tolist(), etas.tolist(), rates.tolist()
-        curve_lines += [f"{n_cpb},{n_t},{eta!r},{rate!r}"
-                        for n_t, eta, rate in zip(nts, etas, rates)]
-        mark_lines.append(f"{n_cpb},{sol.nee},{sol.nthr},{sol.n_t_star},{sol.branch},"
-                          f"{'true' if sol.feasible else 'false'}")
+        curve_rows += zip([n_cpb] * len(nts), nts, etas, rates)
+        mark_rows.append((n_cpb, sol.nee, sol.nthr, sol.n_t_star, sol.branch, sol.feasible))
         series["eta"].append((f"n_cpb={n_cpb}", nts, etas))
         series["rate"].append((f"n_cpb={n_cpb}", nts, rates))
-    texts = {"curves.csv": "\n".join(curve_lines) + "\n",
-             "curve_marks.csv": "\n".join(mark_lines) + "\n"}
+    texts = {"curves.csv": _csv(CURVE_HEADER, curve_rows),
+             "curve_marks.csv": _csv(MARKS_HEADER, mark_rows)}
     return _write(out_dir, _with_charts(texts, fmt, "curves", series.__getitem__,
                                         f"frame size at {distance} m", "n_t (bits)"))

@@ -19,6 +19,7 @@ from cloee.cli import main
 from cloee.scenario import MAX_RANGE_STEPS
 from cloee.sweep import CSV_HEADER, emit_fixed_distance_curves
 from helpers import parse_rows
+from test_golden import OPTIMIZE
 
 SMALL_CONFIG = """
 # two distances, one static strategy
@@ -134,6 +135,11 @@ class TestScenarioParsing:
             ("qos.n_s = 99", "qos"),
             ("strategies = 3:2616", "strategies"),
             ("strategies = 8x630", "strategies"),
+            ("strategies = 1:62", "strategies: static n_t must be an integer in [63, 258048]"),
+            ("strategies = 1:258049", "strategies: static n_t must be an integer in [63, 258048]"),
+            pytest.param("strategies = 1:1" + "0" * 400,
+                         "strategies: static n_t must be an integer in [63, 258048]",
+                         id="strategies-n_t-1e400"),
             ("distances = -1.0", "distances"),
             ("distances = nan", "distances"),
             ("distances = 1.0, inf", "distances"),
@@ -176,6 +182,11 @@ class TestScenarioParsing:
 
     def test_single_point_range(self):
         assert parse_scenario("distances = 1:1:0.5").distances == (1.0,)
+
+    def test_static_n_t_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match=r"^strategies: static n_t must be an integer"):
+            Scenario(strategies=((2, 2616.0),))
+        Scenario(strategies=((2, 63), (2, 63 * 4096)))         # both bounds are valid
 
     def test_line_without_assignment(self):
         with pytest.raises(ConfigError) as err:
@@ -273,6 +284,13 @@ class TestCli:
         assert constants.startswith("name,value")
         assert "rho_sensitivity,6" in constants
 
+    def test_dump_modes_stdout_is_modes_csv(self, tmp_path, capsys):
+        # test_golden.py pins modes.csv; stdout must be the same bytes.
+        assert main(["dump-modes"]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["dump-modes", "--out", str(tmp_path)]) == 0
+        assert stdout.encode() == (tmp_path / "modes.csv").read_bytes()
+
     def test_optimize_csv_row(self, capsys):
         assert main(["optimize", "--distance", "8.4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -280,6 +298,16 @@ class TestCli:
         fields = lines[1].split(",")
         assert fields[0] == "8.4"
         assert fields[8] in ("unconstrained", "dual", "throughput-fallback")
+
+    @pytest.mark.parametrize("distance,config", sorted(OPTIMIZE))
+    def test_optimize_out_file_is_stdout(self, tmp_path, capsys, distance, config):
+        # test_golden.py pins this stdout; optimize.csv must be the same bytes.
+        conf = tmp_path / "scenario.conf"
+        conf.write_text(config)
+        out_dir = tmp_path / "out"
+        assert main(["optimize", "--distance", distance, "--config", str(conf),
+                     "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out.encode() == (out_dir / "optimize.csv").read_bytes()
 
     def test_sweep_end_to_end(self, tmp_path, capsys):
         cfg_file = tmp_path / "scenario.cfg"
@@ -366,6 +394,9 @@ class TestCli:
         ("channel.noise_density = -4000\n", "config-error: channel: noise_density"),
         ("channel.noise_density = 1e6\n", "config-error: channel: noise_density"),
         ("channel.b = -1e6\n", "value-error: the link gain at distance "),
+        pytest.param("strategies = 1:1" + "0" * 400 + "\n", "config-error: strategies: ",
+                     id="strategies-n_t-1e400"),
+        ("strategies = 1:258049\n", "config-error: strategies: "),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
