@@ -39,7 +39,8 @@ returned.  solve_env finishes only the modes that can win:
 solve_mode is solve_env on a one-mode environment: its one mode is never
 screened out and its dominance bound is -inf, so it gets the full three-branch
 solve.  exhaustive_search scans the whole grid and is the oracle the solver is
-tested against.
+tested against; search_envs runs it on a block of environments from one
+grid, and search_env is search_envs on one environment.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -252,15 +253,31 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
     return solve_env((mm,), qos, cfg)
 
 
-def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
-    """exhaustive_search on one distance's environment (LinkModel.env): the
-    best-eta feasible grid point, else the best-rate one.  argmax keeps the
-    first maximum in row-major order: ties go to the smaller n_cpb, then n_t."""
-    nts, etas, rates = grid(env, cfg.n_t_max)
+def search_envs(envs: Sequence[tuple[ModeMetrics, ...]], qos: QosSpec,
+                cfg: SolverConfig) -> list[OptResult]:
+    """exhaustive_search on each of a block of environments with one mode
+    count, from one grid call: per environment the best-eta feasible grid
+    point, else the best-rate one.  argmax keeps the first maximum of each
+    environment's modes in row-major order: ties go to the smaller n_cpb,
+    then n_t."""
+    nts, etas, rates = grid(tuple(mm for env in envs for mm in env), cfg.n_t_max)
+    etas, rates = etas.reshape(len(envs), -1), rates.reshape(len(envs), -1)
     feas = rates >= qos.aggregate_rate
-    m, k = divmod(int(np.argmax(np.where(feas, etas, -np.inf) if feas.any() else rates)), len(nts))
-    return OptResult(int(nts[k]), env[m].mode.n_cpb, float(etas[m, k]), float(rates[m, k]), 0.0,
-                     bool(feas[m, k]), etas.size, "exhaustive")
+    rows = np.arange(len(envs))
+    picks = np.where(feas.any(axis=1), np.argmax(np.where(feas, etas, -np.inf), axis=1),
+                     np.argmax(rates, axis=1))
+    return [OptResult(n_t, env[m].mode.n_cpb, eta, rate, 0.0, feasible, etas.shape[1],
+                      "exhaustive")
+            for env, m, n_t, eta, rate, feasible in zip(
+                envs, (picks // len(nts)).tolist(), nts[picks % len(nts)].tolist(),
+                etas[rows, picks].tolist(), rates[rows, picks].tolist(),
+                feas[rows, picks].tolist())]
+
+
+def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
+    """exhaustive_search on one distance's environment (LinkModel.env):
+    search_envs on a block of one."""
+    return search_envs((env,), qos, cfg)[0]
 
 
 def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),

@@ -67,12 +67,14 @@ class Scenario:
         for d in self.distances:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError("distances", f"distances must be finite and > 0, got {d}")
-        for n_cpb, n_t in self.strategies:
+        for i, (n_cpb, n_t) in enumerate(self.strategies):
             if n_cpb not in VALID_N_CPB:
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
             if not (isinstance(n_t, int) and 63 <= n_t <= N_T_MAX_LIMIT):
                 raise ConfigError("strategies", f"static n_t must be an integer in "
                                                 f"[63, {N_T_MAX_LIMIT}], got {n_t}")
+            if (n_cpb, n_t) in self.strategies[:i]:
+                raise ConfigError("strategies", f"duplicate static strategy {n_cpb}:{n_t}")
 
     def link_model(self) -> LinkModel:
         return LinkModel(

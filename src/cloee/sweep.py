@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .metrics import LinkModel, ModeMetrics, QosSpec, grid
-from .optimizer import OptResult, SolverConfig, search_env, solve_env, solve_mode
+from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, search_envs, solve_env, solve_mode
 from .scenario import Scenario
 from . import svgplot
 
@@ -59,14 +59,14 @@ def _result_row(mm: ModeMetrics, strategy: str, res: OptResult) -> SweepRow:
     )
 
 
-def _distance_rows(scenario: Scenario, model: LinkModel, distance: float,
-                   chi: float) -> list[SweepRow]:
-    """Every row of one distance, all read from its one environment."""
-    env = model.env(distance, chi)
+def _distance_rows(scenario: Scenario, env: tuple[ModeMetrics, ...],
+                   oracle: OptResult) -> list[SweepRow]:
+    """Every row of one distance, all read from its one environment; oracle
+    is search_env's result on env."""
     by_cpb = {mm.mode.n_cpb: mm for mm in env}
     rows = [_static_row(by_cpb[n_cpb], n_t, scenario.qos) for n_cpb, n_t in scenario.strategies]
-    for strategy, solve in (("cloee", solve_env), ("oracle", search_env)):
-        res = solve(env, scenario.qos, scenario.solver)
+    for strategy, res in (("cloee", solve_env(env, scenario.qos, scenario.solver)),
+                          ("oracle", oracle)):
         rows.append(_result_row(by_cpb[res.n_cpb_star], strategy, res))
     return rows
 
@@ -74,13 +74,21 @@ def _distance_rows(scenario: Scenario, model: LinkModel, distance: float,
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Evaluate every strategy plus cloee and the oracle on the distance grid.
 
+    The oracle takes a block of distances per grid call.  A block holds
+    N_T_MAX_LIMIT // n_t_max distances (n_t_max <= N_T_MAX_LIMIT, so at least
+    one), so its grid has at most 6 * 4096 cells, the grid of one distance at
+    the largest n_t_max.
     Deterministic for a given scenario and seed: shadowing draws are made
     up-front in distance order and rows are sorted before return.
     """
-    model = scenario.link_model()
-    rows = [row
-            for d, chi in zip(scenario.distances, scenario.shadowing_draws())
-            for row in _distance_rows(scenario, model, d, chi)]
+    model, qos, cfg = scenario.link_model(), scenario.qos, scenario.solver
+    points = list(zip(scenario.distances, scenario.shadowing_draws()))
+    block = N_T_MAX_LIMIT // cfg.n_t_max
+    rows = []
+    for start in range(0, len(points), block):
+        envs = [model.env(d, chi) for d, chi in points[start:start + block]]
+        for env, oracle in zip(envs, search_envs(envs, qos, cfg)):
+            rows += _distance_rows(scenario, env, oracle)
     rows.sort(key=lambda r: (r.distance, r.strategy))
     return rows
 

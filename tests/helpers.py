@@ -1,4 +1,5 @@
-"""Shared test utilities, built on the package's public API only."""
+"""Shared test utilities and reference forms, built on the package's public
+API plus optimizer.solve_env/search_env and sweep.CSV_HEADER."""
 
 import math
 from pathlib import Path
@@ -17,6 +18,7 @@ from cloee import (
     energy_breakdown,
     solve_mode,
 )
+from cloee.optimizer import search_env, solve_env
 from cloee.sweep import CSV_HEADER
 
 # Frozen (distance, chi, r0, n_s) inputs whose rate floor binds in some mode,
@@ -125,6 +127,29 @@ def reference_search_env(env, qos, cfg) -> OptResult:
     (eta, n_t, rate, n_cpb), feasible = \
         (best_feas, True) if best_feas is not None else (best_rate, False)
     return OptResult(n_t, n_cpb, eta, rate, 0.0, feasible, len(nts) * len(env), "exhaustive")
+
+
+def reference_sweep(scenario) -> list[SweepRow]:
+    """run_sweep as one loop over the distances, the reference for its
+    blocked oracle: each distance builds its environment and reads its static
+    rows, one cloee solve and one oracle search (search_env) from it."""
+    model, qos, cfg = scenario.link_model(), scenario.qos, scenario.solver
+    rows = []
+    for d, chi in zip(scenario.distances, scenario.shadowing_draws()):
+        env = model.env(d, chi)
+        by_cpb = {mm.mode.n_cpb: mm for mm in env}
+        for n_cpb, n_t in scenario.strategies:
+            mm = by_cpb[n_cpb]
+            eta, rate = mm.eta_rate(n_t)
+            rows.append(SweepRow(d, f"static_{n_cpb}_{n_t}", n_cpb, n_t, eta, rate,
+                                 mm.success(n_t), rate >= qos.aggregate_rate, "static"))
+        for strategy, solve in (("cloee", solve_env), ("oracle", search_env)):
+            res = solve(env, qos, cfg)
+            rows.append(SweepRow(d, strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
+                                 by_cpb[res.n_cpb_star].success(res.n_t_star), res.feasible,
+                                 res.branch))
+    rows.sort(key=lambda r: (r.distance, r.strategy))
+    return rows
 
 
 def reference_solve_env(env, qos, cfg) -> OptResult:

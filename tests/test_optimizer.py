@@ -21,14 +21,16 @@ from cloee import (
     energy_breakdown,
     exhaustive_search,
     nt_closed_form,
+    rows_to_csv,
     run_sweep,
     snap_to_grid,
     solve_mode,
 )
-from cloee import channel, metrics
-from cloee.optimizer import search_env, solve_env
+from cloee import channel, metrics, optimizer
+from cloee.optimizer import N_T_MAX_LIMIT, search_env, search_envs, solve_env
 from helpers import (MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at, mode_for,
-                     reference_search_env, reference_snap, reference_solve_env)
+                     reference_search_env, reference_snap, reference_solve_env,
+                     reference_sweep)
 
 
 def _grid(mm, cfg):
@@ -408,6 +410,45 @@ class TestSharedEnvironment:
         assert branches == {"unconstrained", "dual", "throughput-fallback"}
 
 
+class TestBlockedSweep:
+    # run_sweep evaluates the oracle of a block of distances with one grid
+    # call; its CSV must equal the per-distance loop's (helpers.reference_sweep)
+    # where the block edges fall awkwardly.
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    @pytest.mark.parametrize("n_t_max,count", [
+        (63 * 130, 63),     # blocks of 31, 31 and 1
+        (63 * 4096, 3),     # blocks of one
+        (63, 63),           # one block
+    ])
+    def test_csv_equals_per_distance_loop(self, variant, n_t_max, count):
+        sc = Scenario(solver=SolverConfig(n_t_max=n_t_max), shadowing=True, seed=11,
+                      distances=tuple(round(1.0 + 0.15 * i, 9) for i in range(count)),
+                      **variant)
+        assert rows_to_csv(run_sweep(sc)) == rows_to_csv(reference_sweep(sc))
+
+    @pytest.mark.parametrize("n_t_max,calls", [
+        (63, 1), (63 * 100 + 5, 3), (63 * 130, 3), (63 * 1024, 23), (63 * 4096, 91),
+    ])
+    def test_grid_calls_stay_within_one_largest_grid(self, monkeypatch, n_t_max, calls):
+        # The 91-distance hospital sweep (default QoS, shadowing on, seed 1)
+        # comes in blocks of N_T_MAX_LIMIT // n_t_max distances: 31, 31 and 29
+        # at the default 8190.
+        cells = []
+        grid = optimizer.grid
+
+        def counting_grid(env, n):
+            out = grid(env, n)
+            cells.append(out[1].size)
+            return out
+
+        monkeypatch.setattr(optimizer, "grid", counting_grid)
+        sc = Scenario(solver=SolverConfig(n_t_max=n_t_max), shadowing=True, seed=1)
+        run_sweep(sc)
+        assert len(cells) == calls
+        assert max(cells) <= len(MODE_TABLE) * (N_T_MAX_LIMIT // 63)
+        assert sum(cells) == len(sc.distances) * len(MODE_TABLE) * (n_t_max // 63)
+
+
 class TestSolveEnvMatchesReference:
     # solve_env skips the solves whose result cannot be selected: it screens
     # out modes whose rate peak misses the target and dual solves dominated
@@ -579,6 +620,27 @@ class TestSearchEnvMatchesReference:
         first_feasible = next(n for n in range(63, 631, 63) if env[0].rate(n) >= 350e3)
         assert (res.n_cpb_star, res.n_t_star, res.eta, res.feasible) == \
             (2, first_feasible, 1.0, True)
+
+
+class TestSearchEnvs:
+    # search_envs picks each environment's point from one grid over a block
+    # of environments; every result must equal the per-mode loop's
+    # (helpers.reference_search_env) on that environment alone.  The rate
+    # floor is the median of the environments' best rates, so the block
+    # mixes feasible environments with ones that fall back to the best rate.
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    @pytest.mark.parametrize("n_t_max", [63, 63 * 130])
+    def test_block_equals_per_environment_reference(self, variant, n_t_max):
+        model, cfg = LinkModel(**variant), SolverConfig(n_t_max=n_t_max)
+        rng = random.Random(n_t_max)
+        envs = [model.env(float(d), rng.gauss(0.0, 4.0)) for d in range(1, 15)]
+        nts = _grid(None, cfg)
+        tops = sorted(max(float(np.max(mm.rate(nts))) for mm in env) for env in envs)
+        qos = QosSpec(r0=tops[len(tops) // 2] / 24)
+        for block in (envs, envs[::-1]):
+            res = search_envs(block, qos, cfg)
+            assert res == [reference_search_env(env, qos, cfg) for env in block]
+            assert {r.feasible for r in res} == {True, False}
 
 
 class TestSolverConfig:

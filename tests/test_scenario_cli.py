@@ -140,6 +140,9 @@ class TestScenarioParsing:
             pytest.param("strategies = 1:1" + "0" * 400,
                          "strategies: static n_t must be an integer in [63, 258048]",
                          id="strategies-n_t-1e400"),
+            ("strategies = 2:2616, 2:2616", "strategies: duplicate static strategy 2:2616"),
+            ("strategies = 2:2616, 4:630, 2:2616",
+             "strategies: duplicate static strategy 2:2616"),
             ("distances = -1.0", "distances"),
             ("distances = nan", "distances"),
             ("distances = 1.0, inf", "distances"),
@@ -187,6 +190,13 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r"^strategies: static n_t must be an integer"):
             Scenario(strategies=((2, 2616.0),))
         Scenario(strategies=((2, 63), (2, 63 * 4096)))         # both bounds are valid
+
+    def test_repeated_static_strategy_rejected(self):
+        # Two equal pairs would give two identical static_<n_cpb>_<n_t> rows
+        # per distance; one n_cpb or one n_t may repeat.
+        with pytest.raises(ConfigError, match=r"^strategies: duplicate static strategy 2:2616$"):
+            Scenario(strategies=((2, 2616), (4, 2616), (2, 2616)))
+        Scenario(strategies=((2, 2616), (2, 630), (4, 2616)))
 
     def test_line_without_assignment(self):
         with pytest.raises(ConfigError) as err:
@@ -397,6 +407,8 @@ class TestCli:
         pytest.param("strategies = 1:1" + "0" * 400 + "\n", "config-error: strategies: ",
                      id="strategies-n_t-1e400"),
         ("strategies = 1:258049\n", "config-error: strategies: "),
+        ("strategies = 2:2616, 2:2616\n",
+         "config-error: strategies: duplicate static strategy 2:2616\n"),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
