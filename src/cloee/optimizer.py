@@ -22,25 +22,20 @@ environment.  Each mode it finishes takes one of three branches:
 
 The feasible mode with the best efficiency wins, the first of equals in
 environment order; when nothing is feasible the best-throughput fallback is
-returned.  solve_env finishes only the modes that can win:
+returned.  solve_env finishes only the modes that can still win.  A mode's
+eta bound is its relaxed efficiency x * success_cont(x) / energy.total(x) at
+the closed-form optimum clamped to [n, n_t_max], which is at least every grid
+eta of the mode: the grid lies in that interval, where the relaxed and grid
+objectives agree.  Modes are visited in decreasing bound (a stable sort)
+until a bound, raised by a 1e-12 relative margin for rounding, is strictly
+below the best feasible eta so far; a dual solve runs only when eta(nee) is
+not below that best.  Nothing skipped could have won or tied.
 
-  screen     every mode first gets only its throughput peak (nthr, R(nthr)).
-             nthr is the grid maximum of the mode's unimodal rate (C4), so
-             R(nthr) < r0*n_s means no frame size is feasible: the mode is a
-             throughput fallback and loses to any passing mode, which ends
-             unconstrained or dual and so is feasible.  If no mode passes,
-             only the first mode with the highest R(nthr) is finished.
-  dominance  a dual answer is a grid point other than the eta maximum nee,
-             so its eta <= eta(nee).  A dual solve runs only when eta(nee)
-             is not below the best unconstrained eta of the environment; a
-             skipped one would have lost strictly, so the first-of-equals
-             tie rule holds.
-
-solve_mode is solve_env on a one-mode environment: its one mode is never
-screened out and its dominance bound is -inf, so it gets the full three-branch
-solve.  exhaustive_search scans the whole grid and is the oracle the solver is
-tested against; search_envs runs it on a block of environments from one
-grid, and search_env is search_envs on one environment.
+solve_mode is solve_env on a one-mode environment, which is always visited
+and so gets the full three-branch solve.  exhaustive_search scans the whole
+grid and is the oracle the solver is tested against; search_envs runs it on a
+block of environments from one grid, and search_env is search_envs on one
+environment.
 """
 
 from __future__ import annotations
@@ -169,12 +164,6 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
     return mid
 
 
-def _ee_peak(mm: ModeMetrics, cfg: SolverConfig) -> tuple[float, int, float]:
-    """(nee_cont, nee, eta(nee)): the efficiency optimum and its grid snap."""
-    nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
-    return (nee_cont, *snap_to_grid(nee_cont, mm.eta, cfg.n_t_max))
-
-
 def _dual(mm: ModeMetrics, r0ns: float, n_t_max: int, nee_cont: float, nee: int,
           nthr: int) -> OptResult:
     """The dual result of a mode whose rate peak meets the target and whose
@@ -220,32 +209,43 @@ def _dual(mm: ModeMetrics, r0ns: float, n_t_max: int, nee_cont: float, nee: int,
 
 def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
     """cloee on an environment (LinkModel.env, or any tuple of modes): the
-    three-branch solve of each mode that can win, then the best of them
-    (module docstring)."""
-    r0ns = qos.aggregate_rate
-    peaks = [snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, cfg.n_t_max)
-             for mm in env]
-    if all(rate_thr < r0ns for _, rate_thr in peaks):
-        # No mode can meet the rate target: the first with the best rate
-        # peak falls back to it.
-        m = max(range(len(env)), key=lambda m: peaks[m][1])
-        mm, (nthr, rate_thr) = env[m], peaks[m]
-        return OptResult(nthr, mm.mode.n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
-                         "throughput-fallback", None, _ee_peak(mm, cfg)[1], nthr)
-    passing = [(mm, nthr, *_ee_peak(mm, cfg))
-               for mm, (nthr, rate_thr) in zip(env, peaks) if not rate_thr < r0ns]
-    rates_ee = [mm.rate(nee) for mm, _, _, nee, _ in passing]
-    best = max((eta_ee for (*_, eta_ee), rate_ee in zip(passing, rates_ee) if rate_ee >= r0ns),
-               default=-math.inf)
-    cands = []
-    for (mm, nthr, nee_cont, nee, eta_ee), rate_ee in zip(passing, rates_ee):
-        if rate_ee >= r0ns:
-            cands.append(OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
-                                   "unconstrained", None, nee, nthr))
-        elif not eta_ee < best:
-            cands.append(_dual(mm, r0ns, cfg.n_t_max, nee_cont, nee, nthr))
-    # Every candidate is feasible; max keeps the first of equals.
-    return max(cands, key=lambda res: res.eta)
+    three-branch solve of each mode whose eta bound can still win, then the
+    best of them (module docstring)."""
+    r0ns, n_t_max = qos.aggregate_rate, cfg.n_t_max
+    x_hi = float(n_t_max // PSDU_CODE.n * PSDU_CODE.n)
+    nee_conts = [nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw) for mm in env]
+    bounds = []
+    for mm, nee_cont in zip(env, nee_conts):
+        x = min(max(nee_cont, float(PSDU_CODE.n)), x_hi)
+        bounds.append(x * mm.success_cont(x) / mm.energy.total(x))
+    best, peaks, cands = -math.inf, [None] * len(env), [None] * len(env)
+    for m in sorted(range(len(env)), key=bounds.__getitem__, reverse=True):
+        if bounds[m] * (1.0 + 1e-12) < best:
+            break                    # this mode and every later one lose strictly
+        mm = env[m]
+        nthr, rate_thr = peaks[m] = snap_to_grid(
+            nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, n_t_max)
+        if rate_thr < r0ns:
+            continue                 # the grid rate peaks at nthr (C4): infeasible
+        nee, eta_ee = snap_to_grid(nee_conts[m], mm.eta, n_t_max)
+        rate_ee = mm.rate(nee)
+        if rate_ee < r0ns and eta_ee < best:
+            continue                 # a dual answer's eta is at most eta(nee)
+        cands[m] = (OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
+                              "unconstrained", None, nee, nthr) if rate_ee >= r0ns
+                    else _dual(mm, r0ns, n_t_max, nee_conts[m], nee, nthr))
+        best = max(best, cands[m].eta)
+    feasible = [res for res in cands if res is not None]
+    if feasible:
+        # max in mode order keeps the first of equals.
+        return max(feasible, key=lambda res: res.eta)
+    # No mode can meet the rate target, and every mode was visited: the
+    # first with the best rate peak falls back to it.
+    m = max(range(len(env)), key=lambda m: peaks[m][1])
+    mm, (nthr, rate_thr) = env[m], peaks[m]
+    return OptResult(nthr, mm.mode.n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
+                     "throughput-fallback", None,
+                     snap_to_grid(nee_conts[m], mm.eta, n_t_max)[0], nthr)
 
 
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:

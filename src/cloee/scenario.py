@@ -64,17 +64,25 @@ class Scenario:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if not self.distances:
             raise ConfigError("distances", "must not be empty")
+        # A repeated distance or strategy would give rows that cannot be told
+        # apart; the seen sets keep both checks linear in the count.
+        seen = set()
         for d in self.distances:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError("distances", f"distances must be finite and > 0, got {d}")
-        for i, (n_cpb, n_t) in enumerate(self.strategies):
+            if d in seen:
+                raise ConfigError("distances", f"duplicate distance {d}")
+            seen.add(d)
+        seen = set()
+        for n_cpb, n_t in self.strategies:
             if n_cpb not in VALID_N_CPB:
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
             if not (isinstance(n_t, int) and 63 <= n_t <= N_T_MAX_LIMIT):
                 raise ConfigError("strategies", f"static n_t must be an integer in "
                                                 f"[63, {N_T_MAX_LIMIT}], got {n_t}")
-            if (n_cpb, n_t) in self.strategies[:i]:
+            if (n_cpb, n_t) in seen:
                 raise ConfigError("strategies", f"duplicate static strategy {n_cpb}:{n_t}")
+            seen.add((n_cpb, n_t))
 
     def link_model(self) -> LinkModel:
         return LinkModel(

@@ -170,7 +170,7 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
 
     Returns one (OptResult, nts, etas, rates) per mode, ascending n_cpb: the
     mode's own three-branch solve (solve_mode, which is solve_env on that
-    mode alone, so no mode is screened out) and its row of
+    mode alone, so no mode is pruned) and its row of
     grid(env, cfg.n_t_max).
     """
     env = model.env(distance, chi)

@@ -1,8 +1,10 @@
 """Shared test utilities and reference forms, built on the package's public
-API plus optimizer.solve_env/search_env and sweep.CSV_HEADER."""
+API plus optimizer.solve_env/search_env (and the optimizer.snap_to_grid name
+that solve_env looks up) and sweep.CSV_HEADER."""
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from cloee import (
     QosSpec,
     SweepRow,
     energy_breakdown,
+    optimizer,
+    snap_to_grid,
     solve_mode,
 )
 from cloee.optimizer import search_env, solve_env
@@ -154,16 +158,32 @@ def reference_sweep(scenario) -> list[SweepRow]:
 
 def reference_solve_env(env, qos, cfg) -> OptResult:
     """cloee as the selection over every mode's solve_mode result, the
-    reference for optimizer.solve_env's screen and dominance rule: the
-    best-eta feasible solve, else the best-rate one; max keeps the first of
-    equals, so ties go to the earlier mode.  solve_mode is solve_env on one
-    mode, which neither rule touches; cloee's comparisons with the oracle
-    and acceptance check C5 test its answers."""
+    reference for optimizer.solve_env's eta-bound pruning: the best-eta
+    feasible solve, else the best-rate one; max keeps the first of equals, so
+    ties go to the earlier mode.  solve_mode is solve_env on one mode, which
+    is never pruned; cloee's comparisons with the oracle and acceptance check
+    C5 test its answers."""
     sols = [solve_mode(mm, qos, cfg) for mm in env]
     feasible = [sol for sol in sols if sol.feasible]
     if feasible:
         return max(feasible, key=lambda sol: sol.eta)
     return max(sols, key=lambda sol: sol.rate)
+
+
+def solve_env_pruned(env, qos, cfg) -> tuple[OptResult, int]:
+    """(solve_env(env, qos, cfg), the number of its modes pruned by their eta
+    bound).  A visited mode's first step is its throughput snap, so the
+    pruned modes are those whose rate solve_env never snapped."""
+    snapped = []
+
+    def counting_snap(x_cont, objective, n_t_max):
+        snapped.append(objective)
+        return snap_to_grid(x_cont, objective, n_t_max)
+
+    with mock.patch.object(optimizer, "snap_to_grid", counting_snap):
+        res = solve_env(env, qos, cfg)
+    rated = {id(obj.__self__) for obj in snapped if obj.__name__ == "rate"}
+    return res, sum(id(mm) not in rated for mm in env)
 
 
 def binding_envs(count: int = 256):

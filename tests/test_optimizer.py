@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloee import (
     FRAME_CONSTANTS,
@@ -30,7 +33,7 @@ from cloee import channel, metrics, optimizer
 from cloee.optimizer import N_T_MAX_LIMIT, search_env, search_envs, solve_env
 from helpers import (MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at, mode_for,
                      reference_search_env, reference_snap, reference_solve_env,
-                     reference_sweep)
+                     reference_sweep, single_pb_metrics, solve_env_pruned)
 
 
 def _grid(mm, cfg):
@@ -450,14 +453,15 @@ class TestBlockedSweep:
 
 
 class TestSolveEnvMatchesReference:
-    # solve_env skips the solves whose result cannot be selected: it screens
-    # out modes whose rate peak misses the target and dual solves dominated
-    # by an unconstrained mode.  It must return the reference's OptResult
-    # whole, on inputs that reach every branch and skip dominated duals.
-    # Each environment is also checked on sub-tuples of its modes (each mode
-    # alone, every other mode, the upper half and adjacent pairs), which
-    # reach the all-fail and dominance rules on mode mixes that lack the
-    # environment's feasible modes or its best unconstrained mode.
+    # solve_env skips the solves whose result cannot be selected: it visits
+    # modes in decreasing eta bound and stops at the first bound below the
+    # best feasible eta so far, and it skips dual solves whose eta(nee) is
+    # below that best.  It must return the reference's OptResult whole, on
+    # inputs that reach every branch and reach dual solves an unconstrained
+    # mode dominates.  Each environment is also checked on sub-tuples of its
+    # modes (each mode alone, every other mode, the upper half and adjacent
+    # pairs), which reach the all-fail and pruning rules on mode mixes that
+    # lack the environment's feasible modes or its best unconstrained mode.
     COUNTED = ("unconstrained", "dual", "throughput-fallback", "dominated", "none feasible",
                "sub dominated", "sub none feasible")
 
@@ -528,6 +532,110 @@ class TestSolveEnvMatchesReference:
             self._check(env, qos, cfg, counts)
         assert counts["dual"] >= cases and counts["dominated"] >= 20, counts
         assert counts["sub dominated"] >= 20, counts
+
+
+class TestBoundPruning:
+    # solve_env visits modes in decreasing eta bound and stops at the first
+    # bound strictly below the best feasible eta so far; the bound is the
+    # relaxed efficiency at the clamped closed-form optimum.
+    def test_prunes_modes_on_binding_inputs(self):
+        pruned = 0
+        cfgs = [SolverConfig(n_t_max=n) for n in (126, 8190, 63 * 4096)]
+        for env, qos in binding_envs(256):
+            for cfg in cfgs:
+                res, n = solve_env_pruned(env, qos, cfg)
+                assert res == reference_solve_env(env, qos, cfg)
+                pruned += n
+        assert pruned >= 100, pruned
+
+    @staticmethod
+    def _twins():
+        # Two error-free modes that differ only in their n_cpb label: eta
+        # rises with n_t, so both bounds sit at the ceiling and equal the
+        # grid eta there exactly.
+        first = single_pb_metrics(0.0, mode_for(2))
+        twin = copy.copy(first)
+        twin.mode = dataclasses.replace(first.mode, n_cpb=8)
+        return first, twin
+
+    @pytest.mark.parametrize("n_t_max", [63, 8190, 8200])
+    def test_identical_modes_tie_goes_to_the_first(self, n_t_max):
+        first, twin = self._twins()
+        cfg = SolverConfig(n_t_max=n_t_max)
+        x = float(n_t_max // 63 * 63)
+        assert x * first.success_cont(x) / first.energy.total(x) == first.eta(int(x))
+        for qos in (QosSpec(r0=1.0, n_s=1), QosSpec(r0=1e9, n_s=64)):
+            for env, n_cpb in (((first, twin), 2), ((twin, first), 8)):
+                res, pruned = solve_env_pruned(env, qos, cfg)
+                assert res == reference_solve_env(env, qos, cfg)
+                assert res.n_cpb_star == n_cpb
+                # The second mode's bound equals the best eta so far, so
+                # it is visited, not pruned.
+                assert pruned == 0
+
+    def test_bound_equal_to_the_best_is_visited(self):
+        # An error-free mode's bound is its grid eta at the ceiling; a
+        # second mode scaled to that same bound is visited after it, and a
+        # third, one part in 1e9 lower, is pruned.
+        first, twin = self._twins()
+        low = copy.copy(first)
+        low.mode = dataclasses.replace(first.mode, n_cpb=32)
+        low.header_success = first.header_success * (1 - 1e-9)
+        env, cfg, qos = (first, twin, low), SolverConfig(), QosSpec(r0=1.0, n_s=1)
+        res, pruned = solve_env_pruned(env, qos, cfg)
+        assert res == reference_solve_env(env, qos, cfg)
+        assert (res.n_cpb_star, res.branch, pruned) == (2, "unconstrained", 1)
+
+
+class TestCloeeEqualsOracleProperty:
+    # cloee must pick the oracle's grid point over the model space: energy
+    # powers and start-up time scaled by 10**U(-2, 2), 1-14 m (across the
+    # modes' error-rate cliffs), shadowing, all three model variants and
+    # ceilings from one codeword to the largest.  Three in four rate floors
+    # are drawn inside a dual band read off the oracle's own grid: between a
+    # mode's rate at its eta-argmax and its peak rate, in the mode with the
+    # highest grid eta that has such a band.  The others are 10**U(2, 6) per
+    # node.
+    POWERS = ("p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen", "t_st")
+
+    def test_cloee_equals_oracle(self):
+        counts = dict.fromkeys(("unconstrained", "dual", "throughput-fallback", "pruned"), 0)
+        exponent = st.floats(min_value=-2.0, max_value=2.0)
+
+        @settings(max_examples=800)
+        @given(variant=st.sampled_from(MODEL_VARIANTS),
+               scales=st.tuples(*(exponent for _ in self.POWERS)),
+               distance=st.floats(min_value=1.0, max_value=14.0),
+               chi=st.floats(min_value=-13.0, max_value=13.0),
+               n_t_max=st.sampled_from((8190, 2616, 8200, 63 * 1024, N_T_MAX_LIMIT,
+                                        N_T_MAX_LIMIT - 1, 1000, 200, 63)),
+               n_s=st.integers(min_value=1, max_value=64),
+               in_band=st.sampled_from((True, True, True, False)),
+               u=st.floats(min_value=0.0, max_value=1.0),
+               log_r0=st.floats(min_value=2.0, max_value=6.0))
+        def check(variant, scales, distance, chi, n_t_max, n_s, in_band, u, log_r0):
+            base = EnergyParams()
+            ep = EnergyParams(**{k: getattr(base, k) * 10 ** e
+                                 for k, e in zip(self.POWERS, scales)})
+            env = LinkModel(energy=ep, **variant).env(distance, chi)
+            cfg = SolverConfig(n_t_max=n_t_max)
+            r0 = 10 ** log_r0
+            _, etas, rates = metrics.grid(env, n_t_max)
+            los, his = rates[np.arange(len(env)), np.argmax(etas, axis=1)], rates.max(axis=1)
+            banded = [m for m in np.argsort(-etas.max(axis=1), kind="stable") if los[m] < his[m]]
+            if in_band and banded:
+                r0 = float(los[banded[0]] + u * (his[banded[0]] - los[banded[0]])) / n_s
+            qos = QosSpec(r0=r0, n_s=n_s)
+            res, pruned = solve_env_pruned(env, qos, cfg)
+            oracle = search_env(env, qos, cfg)
+            assert (res.n_t_star, res.n_cpb_star, res.eta, res.feasible) == \
+                (oracle.n_t_star, oracle.n_cpb_star, oracle.eta, oracle.feasible)
+            counts[res.branch] += 1
+            counts["pruned"] += pruned
+
+        check()
+        pruned = counts.pop("pruned")
+        assert min(counts.values()) >= 25 and pruned >= 1000, (counts, pruned)
 
 
 class TestExhaustiveSearch:

@@ -198,6 +198,14 @@ class TestScenarioParsing:
             Scenario(strategies=((2, 2616), (4, 2616), (2, 2616)))
         Scenario(strategies=((2, 2616), (2, 630), (4, 2616)))
 
+    def test_repeated_distance_rejected(self):
+        # Rows of a repeated distance could not be told apart.  The config
+        # forms, a list and a range whose 9-decimal rounding folds steps
+        # together, are rows of test_bad_value_fails_at_its_key.
+        with pytest.raises(ConfigError, match=r"^distances: duplicate distance 2\.5$"):
+            Scenario(distances=(1.0, 2.5, 3.0, 2.5))
+        Scenario(distances=(1.0, 1.0 + 1e-9, 2.0))
+
     def test_line_without_assignment(self):
         with pytest.raises(ConfigError) as err:
             parse_scenario("just words\n")
@@ -409,6 +417,9 @@ class TestCli:
         ("strategies = 1:258049\n", "config-error: strategies: "),
         ("strategies = 2:2616, 2:2616\n",
          "config-error: strategies: duplicate static strategy 2:2616\n"),
+        ("distances = 2.0, 2.0, 1.0\n", "config-error: distances: duplicate distance 2.0\n"),
+        ("distances = 1:1.000000001:1e-10\n",
+         "config-error: distances: duplicate distance 1.0\n"),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
