@@ -11,9 +11,10 @@ energy detector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .frame import FRAME_CONSTANTS, PhyMode
+from .frame import FRAME_CONSTANTS, MODE_TABLE, PhyMode
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,21 @@ class EnergyParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.eps_p == 0:
             raise ValueError(f"eps_p must be > 0, got {self.eps_p}")
+        for name in ("m_fingers", "rho_r", "rho_c"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m_fingers < 0:
             raise ValueError(f"m_fingers must be >= 0, got {self.m_fingers}")
         if self.rho_r not in (0, 1) or self.rho_c not in (0, 1):
             raise ValueError("rho_r and rho_c must be 0 or 1")
+        # Finite settings can still overflow a cost, or the cost ratio the
+        # solver's closed form takes, and the solver would then fail on a NaN.
+        for mode in MODE_TABLE:
+            b = energy_breakdown(mode, self)
+            if not all(map(math.isfinite, (b.eps_b, b.eps_oh, b.eps_st, b.eps_fixed / b.eps_b))):
+                raise ValueError(f"the energy costs of burst mode n_cpb={mode.n_cpb} "
+                                 f"overflow a float")
 
     @property
     def rx_chain_power(self) -> float:
@@ -54,9 +66,6 @@ class EnergyParams:
             + self.p_vga
             + self.rho_r * (self.p_gen + self.p_syn)
         )
-
-
-DEFAULT_ENERGY = EnergyParams()
 
 
 @dataclass(frozen=True)
@@ -76,14 +85,16 @@ class EnergyBreakdown:
         return n_t * self.eps_b + self.eps_oh + self.eps_st
 
 
-def energy_breakdown(mode: PhyMode, ep: EnergyParams = DEFAULT_ENERGY) -> EnergyBreakdown:
+def energy_breakdown(mode: PhyMode, ep: EnergyParams | None = None) -> EnergyBreakdown:
     """The energy costs of one PPDU exchange in burst mode `mode`.
 
     eps_b: both the transmit and receive frame energies are linear in the
     payload size (on-air time is n_t * t_sym), so the per-bit cost does not
     depend on the frame length.  eps_oh: the SHR + PHR pulses and on-air time
     of both radios.  eps_st: both radios start up, 2 * p_syn * t_st.
+    ep defaults to DEFAULT_ENERGY.
     """
+    ep = DEFAULT_ENERGY if ep is None else ep
     c = FRAME_CONSTANTS
     on_power = ep.p_syn + ep.rx_chain_power
     return EnergyBreakdown(
@@ -92,3 +103,6 @@ def energy_breakdown(mode: PhyMode, ep: EnergyParams = DEFAULT_ENERGY) -> Energy
         + on_power * c.t_overhead,
         eps_st=2.0 * ep.p_syn * ep.t_st,
     )
+
+
+DEFAULT_ENERGY = EnergyParams()

@@ -19,6 +19,7 @@ n_cpb_shr and n_cpb_phr and shares one header across the six modes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ class QosSpec:
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
+        if not isinstance(self.n_s, numbers.Integral):
+            raise ValueError(f"n_s must be an integer, got {self.n_s!r}")
         if not 1 <= self.n_s <= 64:
             raise ValueError(f"a hub serves 1..64 nodes, got n_s={self.n_s}")
 

@@ -28,8 +28,8 @@ the closed-form optimum clamped to [n, n_t_max], which is at least every grid
 eta of the mode: the grid lies in that interval, where the relaxed and grid
 objectives agree.  Modes are visited in decreasing bound (a stable sort)
 until a bound, raised by a 1e-12 relative margin for rounding, is strictly
-below the best feasible eta so far; a dual solve runs only when eta(nee) is
-not below that best.  Nothing skipped could have won or tied.
+below the best feasible eta so far, and each visited mode gets its full
+three-branch solve.  Nothing skipped could have won or tied.
 
 solve_mode is solve_env on a one-mode environment, which is always visited
 and so gets the full three-branch solve.  exhaustive_search scans the whole
@@ -131,7 +131,7 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
     """Round a continuous frame size to the better of the two codeword
     multiples around it; returns (n_t, objective(n_t)).
 
-    Clamps into [n, n_t_max] with n = PSDU_CODE.n; ties prefer the smaller size.
+    Clamps into [n, (n_t_max // n) * n] with n = PSDU_CODE.n; ties prefer the smaller size.
     """
     n = PSDU_CODE.n
     k_max = n_t_max // n
@@ -229,8 +229,6 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
             continue                 # the grid rate peaks at nthr (C4): infeasible
         nee, eta_ee = snap_to_grid(nee_conts[m], mm.eta, n_t_max)
         rate_ee = mm.rate(nee)
-        if rate_ee < r0ns and eta_ee < best:
-            continue                 # a dual answer's eta is at most eta(nee)
         cands[m] = (OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
                               "unconstrained", None, nee, nthr) if rate_ee >= r0ns
                     else _dual(mm, r0ns, n_t_max, nee_conts[m], nee, nthr))

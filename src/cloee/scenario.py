@@ -21,6 +21,7 @@ so sweeps stay reproducible from the file alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -60,6 +61,8 @@ class Scenario:
     integration_per_pulse: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral):
+            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if not self.distances:

@@ -30,45 +30,23 @@ class SweepRow(NamedTuple):
     branch: str
 
 
-def _static_row(mm: ModeMetrics, n_t: int, qos: QosSpec) -> SweepRow:
-    eta, rate = mm.eta_rate(n_t)
-    return SweepRow(
-        distance=mm.distance,
-        strategy=f"static_{mm.mode.n_cpb}_{n_t}",
-        n_cpb=mm.mode.n_cpb,
-        n_t=n_t,
-        eta=eta,
-        rate=rate,
-        p_ppdu=mm.success(n_t),
-        feasible=rate >= qos.aggregate_rate,
-        branch="static",
-    )
-
-
-def _result_row(mm: ModeMetrics, strategy: str, res: OptResult) -> SweepRow:
-    return SweepRow(
-        distance=mm.distance,
-        strategy=strategy,
-        n_cpb=res.n_cpb_star,
-        n_t=res.n_t_star,
-        eta=res.eta,
-        rate=res.rate,
-        p_ppdu=mm.success(res.n_t_star),
-        feasible=res.feasible,
-        branch=res.branch,
-    )
-
-
 def _distance_rows(scenario: Scenario, env: tuple[ModeMetrics, ...],
                    oracle: OptResult) -> list[SweepRow]:
     """Every row of one distance, all read from its one environment; oracle
     is search_env's result on env."""
     by_cpb = {mm.mode.n_cpb: mm for mm in env}
-    rows = [_static_row(by_cpb[n_cpb], n_t, scenario.qos) for n_cpb, n_t in scenario.strategies]
+    r0ns = scenario.qos.aggregate_rate
+    picks = []
+    for n_cpb, n_t in scenario.strategies:
+        eta, rate = by_cpb[n_cpb].eta_rate(n_t)
+        picks.append((f"static_{n_cpb}_{n_t}", n_cpb, n_t, eta, rate, rate >= r0ns, "static"))
     for strategy, res in (("cloee", solve_env(env, scenario.qos, scenario.solver)),
                           ("oracle", oracle)):
-        rows.append(_result_row(by_cpb[res.n_cpb_star], strategy, res))
-    return rows
+        picks.append((strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
+                      res.feasible, res.branch))
+    return [SweepRow(env[0].distance, strategy, n_cpb, n_t, eta, rate,
+                     by_cpb[n_cpb].success(n_t), feasible, branch)
+            for strategy, n_cpb, n_t, eta, rate, feasible, branch in picks]
 
 
 def run_sweep(scenario: Scenario) -> list[SweepRow]:

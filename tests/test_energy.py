@@ -100,3 +100,11 @@ class TestEnergyBreakdown:
             EnergyParams(eps_p=0.0)
         with pytest.raises(ValueError):
             EnergyParams(rho_r=2)
+        for name, value in (("m_fingers", 1.5), ("rho_r", 1.0), ("rho_c", 0.5)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                EnergyParams(**{name: value})
+        # Finite settings: the start-up energy 2 * p_syn * t_st overflows, or
+        # every cost is finite but eps_fixed / eps_b overflows.
+        for name in ("p_syn", "t_st"):
+            with pytest.raises(ValueError, match="overflow a float"):
+                EnergyParams(**{name: 1e308})

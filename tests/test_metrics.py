@@ -18,7 +18,8 @@ class TestQosSpec:
     def test_default_aggregate_rate(self):
         assert QosSpec().aggregate_rate == pytest.approx(360e3, rel=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [dict(r0=0.0), dict(n_s=0), dict(n_s=65)])
+    @pytest.mark.parametrize("kwargs", [dict(r0=0.0), dict(n_s=0), dict(n_s=65),
+                                        dict(n_s=2.5)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QosSpec(**kwargs)

@@ -31,8 +31,8 @@ from cloee import (
 )
 from cloee import channel, metrics, optimizer
 from cloee.optimizer import N_T_MAX_LIMIT, search_env, search_envs, solve_env
-from helpers import (MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at, mode_for,
-                     reference_search_env, reference_snap, reference_solve_env,
+from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
+                     mode_for, reference_search_env, reference_snap, reference_solve_env,
                      reference_sweep, single_pb_metrics, solve_env_pruned)
 
 
@@ -455,10 +455,9 @@ class TestBlockedSweep:
 class TestSolveEnvMatchesReference:
     # solve_env skips the solves whose result cannot be selected: it visits
     # modes in decreasing eta bound and stops at the first bound below the
-    # best feasible eta so far, and it skips dual solves whose eta(nee) is
-    # below that best.  It must return the reference's OptResult whole, on
-    # inputs that reach every branch and reach dual solves an unconstrained
-    # mode dominates.  Each environment is also checked on sub-tuples of its
+    # best feasible eta so far.  It must return the reference's OptResult
+    # whole, on inputs that reach every branch and reach dual solves an
+    # unconstrained mode dominates.  Each environment is also checked on sub-tuples of its
     # modes (each mode alone, every other mode, the upper half and adjacent
     # pairs), which reach the all-fail and pruning rules on mode mixes that
     # lack the environment's feasible modes or its best unconstrained mode.
@@ -532,6 +531,25 @@ class TestSolveEnvMatchesReference:
             self._check(env, qos, cfg, counts)
         assert counts["dual"] >= cases and counts["dominated"] >= 20, counts
         assert counts["sub dominated"] >= 20, counts
+
+
+class TestDominatedDual:
+    # Binding rows (0-based past the header) where, at n_t_max = 8190, a mode
+    # that solve_env visits takes the dual branch at an eta below the
+    # winner's: it gets its full three-branch solve and loses the max-eta
+    # pick.  test_binding_inputs reads only the first 256 rows.
+    @pytest.mark.parametrize("row,variant,n_cpb", [
+        (267, 0, 16), (677, 0, 16), (2005, 0, 16), (3158, 0, 32), (4059, 0, 32),
+        (493, 1, 32), (2060, 1, 16), (2777, 1, 16), (2861, 1, 32),
+    ])
+    def test_dual_below_the_winner(self, row, variant, n_cpb):
+        d, chi, r0, n_s = BINDING_CSV.read_text().splitlines()[row + 1].split(",")
+        env = LinkModel(**MODEL_VARIANTS[variant]).env(float(d), float(chi))
+        qos, cfg = QosSpec(r0=float(r0), n_s=int(n_s)), SolverConfig(n_t_max=8190)
+        res = solve_env(env, qos, cfg)
+        assert res == reference_solve_env(env, qos, cfg)
+        sol = solve_mode(next(mm for mm in env if mm.mode.n_cpb == n_cpb), qos, cfg)
+        assert sol.branch == "dual" and sol.eta < res.eta
 
 
 class TestBoundPruning:

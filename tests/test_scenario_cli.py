@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,11 @@ class TestScenarioParsing:
             Scenario(strategies=((2, 2616.0),))
         Scenario(strategies=((2, 63), (2, 63 * 4096)))         # both bounds are valid
 
+    def test_seed_must_be_an_integer(self):
+        # The config parser reads seed as an int; a library caller may not.
+        with pytest.raises(ConfigError, match=r"^seed: must be an integer, got 1\.5$"):
+            Scenario(seed=1.5, shadowing=True)
+
     def test_repeated_static_strategy_rejected(self):
         # Two equal pairs would give two identical static_<n_cpb>_<n_t> rows
         # per distance; one n_cpb or one n_t may repeat.
@@ -309,6 +318,24 @@ class TestCli:
         assert main(["dump-modes", "--out", str(tmp_path)]) == 0
         assert stdout.encode() == (tmp_path / "modes.csv").read_bytes()
 
+    def test_module_entry_point_exit_codes(self, tmp_path, capsys):
+        # python -m cloee.cli runs sys.exit(main()) in a fresh interpreter.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "cloee.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        done = run("dump-modes")
+        assert main(["dump-modes"]) == 0
+        assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+        done = run("optimize", "--distance", "nan")
+        assert done.returncode == 2 and done.stderr.startswith("config-error: --distance:")
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        done = run("sweep", "--out", str(existing))
+        assert done.returncode == 3 and done.stderr.startswith("io-error:")
+
     def test_optimize_csv_row(self, capsys):
         assert main(["optimize", "--distance", "8.4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -420,6 +447,9 @@ class TestCli:
         ("distances = 2.0, 2.0, 1.0\n", "config-error: distances: duplicate distance 2.0\n"),
         ("distances = 1:1.000000001:1e-10\n",
          "config-error: distances: duplicate distance 1.0\n"),
+        # Finite settings whose costs, or their ratio, overflow a float.
+        ("energy.p_syn = 1e308\n", "config-error: energy: "),
+        ("energy.t_st = 1e308\n", "config-error: energy: "),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
