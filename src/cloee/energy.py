@@ -51,8 +51,13 @@ class EnergyParams:
         # Finite settings can still overflow a cost, or the cost ratio the
         # solver's closed form takes, and the solver would then fail on a NaN.
         for mode in MODE_TABLE:
-            b = energy_breakdown(mode, self)
-            if not all(map(math.isfinite, (b.eps_b, b.eps_oh, b.eps_st, b.eps_fixed / b.eps_b))):
+            try:
+                b = energy_breakdown(mode, self)
+                finite = all(map(math.isfinite,
+                                 (b.eps_b, b.eps_oh, b.eps_st, b.eps_fixed / b.eps_b)))
+            except OverflowError:        # an integer too large to convert to a float
+                finite = False
+            if not finite:
                 raise ValueError(f"the energy costs of burst mode n_cpb={mode.n_cpb} "
                                  f"overflow a float")
 

@@ -16,7 +16,10 @@ environment.  Each mode it finishes takes one of three branches:
                        so the answer is the end of the rate-feasible interval
                        of codeword multiples that faces the efficiency optimum,
                        found by bisection; the rate multiplier follows from
-                       stationarity at the continuous rate boundary;
+                       stationarity at the continuous rate boundary, found by
+                       a second bisection.  Both keep a rate-feasible end, so
+                       a target equal to the answer's grid rate gives
+                       kkt_rate at it, within the bisection tolerance;
   throughput-fallback  no frame size meets the rate target: keep the
                        throughput-optimal size and mark the mode infeasible.
 
@@ -24,9 +27,9 @@ The feasible mode with the best efficiency wins, the first of equals in
 environment order; when nothing is feasible the best-throughput fallback is
 returned.  solve_env finishes only the modes that can still win.  A mode's
 eta bound is its relaxed efficiency x * success_cont(x) / energy.total(x) at
-the closed-form optimum clamped to [n, n_t_max], which is at least every grid
-eta of the mode: the grid lies in that interval, where the relaxed and grid
-objectives agree.  Modes are visited in decreasing bound (a stable sort)
+the closed-form optimum x clamped to the grid's span [n, n * (n_t_max // n)],
+which is at least every grid eta of the mode: the relaxed and grid objectives
+agree on the grid.  Modes are visited in decreasing bound (a stable sort)
 until a bound, raised by a 1e-12 relative margin for rounding, is strictly
 below the best feasible eta so far, and each visited mode gets its full
 three-branch solve.  Nothing skipped could have won or tied.
@@ -150,31 +153,27 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
 # per-mode solve
 
 
-def _rate_boundary(mm: ModeMetrics, r0ns: float, lo: float, hi: float) -> float:
-    """Crossing of rate_cont = r0ns, bracketed by [lo, hi]."""
-    f_lo = mm.rate_cont(lo) - r0ns
-    mid = 0.5 * (lo + hi)
-    while hi - lo > 1e-9 * max(1.0, abs(mid)):
-        f_mid = mm.rate_cont(mid) - r0ns
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+def _rate_boundary(mm: ModeMetrics, r0ns: float, x_in: float, x_out: float) -> float:
+    """Crossing of rate_cont = r0ns between a rate-feasible x_in and an infeasible x_out."""
+    mid = 0.5 * (x_in + x_out)
+    while abs(x_out - x_in) > 1e-9 * max(1.0, abs(mid)):
+        if mm.rate_cont(mid) >= r0ns:
+            x_in = mid
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+            x_out = mid
+        mid = 0.5 * (x_in + x_out)
     return mid
 
 
-def _dual(mm: ModeMetrics, r0ns: float, n_t_max: int, nee_cont: float, nee: int,
-          nthr: int) -> OptResult:
+def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> OptResult:
     """The dual result of a mode whose rate peak meets the target and whose
-    efficiency optimum does not."""
+    efficiency optimum (x_ee, clamped to the grid's span) does not."""
     # The grid rate is unimodal with its peak at nthr (C4), so the
     # rate-feasible codeword multiples form an interval around nthr and the
     # infeasible nee lies outside it.  eta is unimodal too, so the constrained
     # optimum is the end of that interval facing nee: bisect for it between
     # k_in (feasible) and k_out (infeasible).
-    k_in, k_out = nthr // mm.n, nee // mm.n
-    probes = 0
+    k_in, k_out, probes = nthr // mm.n, nee // mm.n, 0
     while abs(k_out - k_in) > 1:
         k_mid = (k_in + k_out) // 2
         probes += 1
@@ -188,19 +187,15 @@ def _dual(mm: ModeMetrics, r0ns: float, n_t_max: int, nee_cont: float, nee: int,
     # optimum is rate-feasible (the grid constraint was an artifact of
     # rounding, lambda* = 0) or the constraint is active and lambda* follows
     # from stationarity d(eta)/dn + lambda * d(R)/dn = 0 at the boundary.
-    x_peak = min(nee_cont, float(n_t_max))
-    if mm.rate_cont(x_peak) >= r0ns:
-        lam_star = 0.0
-        kkt_rate = mm.rate_cont(x_peak)
+    if mm.rate_cont(x_ee) >= r0ns:
+        lam_star, n_c = 0.0, x_ee
     else:
-        lo, hi = sorted((float(n_star), float(k_out * mm.n)))
-        n_c = _rate_boundary(mm, r0ns, lo, hi)
+        n_c = _rate_boundary(mm, r0ns, float(n_star), float(k_out * mm.n))
         lam_star = max(0.0, -mm.eta_cont_grad(n_c) / mm.rate_cont_grad(n_c))
-        kkt_rate = mm.rate_cont(n_c)
 
     eta, rate = mm.eta_rate(n_star)
     return OptResult(n_star, mm.mode.n_cpb, eta, rate, lam_star, True, probes,
-                     "dual", kkt_rate, nee, nthr)
+                     "dual", mm.rate_cont(n_c), nee, nthr)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +207,12 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
     three-branch solve of each mode whose eta bound can still win, then the
     best of them (module docstring)."""
     r0ns, n_t_max = qos.aggregate_rate, cfg.n_t_max
-    x_hi = float(n_t_max // PSDU_CODE.n * PSDU_CODE.n)
-    nee_conts = [nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw) for mm in env]
-    bounds = []
-    for mm, nee_cont in zip(env, nee_conts):
-        x = min(max(nee_cont, float(PSDU_CODE.n)), x_hi)
-        bounds.append(x * mm.success_cont(x) / mm.energy.total(x))
+    x_lo, x_hi = float(PSDU_CODE.n), float(n_t_max // PSDU_CODE.n * PSDU_CODE.n)
+    # Each mode's efficiency closed form, clamped once to the grid's span:
+    # the eta bound, the efficiency snap, the fallback's nee and _dual read it.
+    xs = [min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw), x_lo), x_hi)
+          for mm in env]
+    bounds = [x * mm.success_cont(x) / mm.energy.total(x) for mm, x in zip(env, xs)]
     best, peaks, cands = -math.inf, [None] * len(env), [None] * len(env)
     for m in sorted(range(len(env)), key=bounds.__getitem__, reverse=True):
         if bounds[m] * (1.0 + 1e-12) < best:
@@ -227,11 +222,11 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
             nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, n_t_max)
         if rate_thr < r0ns:
             continue                 # the grid rate peaks at nthr (C4): infeasible
-        nee, eta_ee = snap_to_grid(nee_conts[m], mm.eta, n_t_max)
+        nee, eta_ee = snap_to_grid(xs[m], mm.eta, n_t_max)
         rate_ee = mm.rate(nee)
         cands[m] = (OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
                               "unconstrained", None, nee, nthr) if rate_ee >= r0ns
-                    else _dual(mm, r0ns, n_t_max, nee_conts[m], nee, nthr))
+                    else _dual(mm, r0ns, xs[m], nee, nthr))
         best = max(best, cands[m].eta)
     feasible = [res for res in cands if res is not None]
     if feasible:
@@ -242,8 +237,7 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
     m = max(range(len(env)), key=lambda m: peaks[m][1])
     mm, (nthr, rate_thr) = env[m], peaks[m]
     return OptResult(nthr, mm.mode.n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
-                     "throughput-fallback", None,
-                     snap_to_grid(nee_conts[m], mm.eta, n_t_max)[0], nthr)
+                     "throughput-fallback", None, snap_to_grid(xs[m], mm.eta, n_t_max)[0], nthr)
 
 
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:

@@ -14,12 +14,16 @@ PPDU is composed from these pieces in metrics.ModeMetrics.
 from __future__ import annotations
 
 import math
+import operator
 
 from .frame import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE
 
 
 def _block_params(code: tuple[int, int]) -> tuple[int, int]:
-    n_bits, t = map(int, code)
+    try:
+        n_bits, t = map(operator.index, code)     # integers only: 2.9 is not truncated
+    except TypeError:
+        raise ValueError(f"a block code (N, t) takes integers, got {code!r}") from None
     if not 0 <= t < n_bits:
         raise ValueError(f"correctable errors t={t} must be in [0, {n_bits}) for a "
                          f"{n_bits}-bit block")

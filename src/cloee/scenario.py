@@ -223,7 +223,7 @@ def _build(key: str, cls, kwargs: dict[str, object]):
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     return parse_scenario(text, source=str(path))

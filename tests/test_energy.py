@@ -108,3 +108,6 @@ class TestEnergyBreakdown:
         for name in ("p_syn", "t_st"):
             with pytest.raises(ValueError, match="overflow a float"):
                 EnergyParams(**{name: 1e308})
+        # An integer too large to convert to a float fails the same way.
+        with pytest.raises(ValueError, match="overflow a float"):
+            EnergyParams(m_fingers=10**400)

@@ -40,6 +40,16 @@ def _grid(mm, cfg):
     return np.arange(1, cfg.n_t_max // 63 + 1, dtype=float) * 63
 
 
+def _assert_dual_certificate(sol, r0ns, cfg):
+    # The dual branch's answer and its optimality certificate (lambda_, kkt_rate).
+    assert sol.lambda_ >= 0.0
+    assert sol.iterations <= (cfg.n_t_max // 63).bit_length()
+    assert sol.feasible
+    assert sol.rate >= r0ns * (1 - 1e-6)
+    assert sol.kkt_rate >= r0ns * (1 - 1e-6)
+    assert abs(sol.lambda_ * (sol.kkt_rate - r0ns)) <= 1e-6 * r0ns
+
+
 class TestClosedForms:
     def test_reduces_to_smallest_frame_without_fixed_costs(self, model):
         mm = metrics_at(model, 6.0, 8)
@@ -203,17 +213,24 @@ class TestCloee:
             for d in np.arange(4.6, 7.41, 0.2):
                 for mm in model.env(float(d)):
                     sol = solve_mode(mm, qos, cfg)
-                    if sol.branch != "dual":
-                        continue
-                    found += 1
-                    r0ns = qos.aggregate_rate
-                    assert sol.lambda_ >= 0.0
-                    assert sol.iterations <= (cfg.n_t_max // 63).bit_length()
-                    assert sol.feasible
-                    assert sol.rate >= r0ns * (1 - 1e-6)
-                    assert sol.kkt_rate >= r0ns * (1 - 1e-6)
-                    assert abs(sol.lambda_ * (sol.kkt_rate - r0ns)) <= 1e-6 * r0ns
+                    if sol.branch == "dual":
+                        found += 1
+                        _assert_dual_certificate(sol, qos.aggregate_rate, cfg)
         assert found >= 8
+        # Exact floors: r0 * n_s is each grid rate strictly between a mode's
+        # eta and rate argmaxes, so the answer's grid rate is the floor itself
+        # and the continuous boundary sits at, or an ulp off, the feasible end.
+        nts, exact = _grid(None, cfg), 0
+        for d in np.arange(4.6, 7.41, 0.2):
+            for mm in model.env(float(d)):
+                etas, rates = mm.eta(nts), mm.rate(nts)
+                lo, hi = sorted((int(np.argmax(etas)), int(np.argmax(rates))))
+                for rate in rates[lo + 1:hi].tolist():
+                    sol = solve_mode(mm, QosSpec(r0=rate, n_s=1), cfg)
+                    if sol.branch == "dual":
+                        exact += 1
+                        _assert_dual_certificate(sol, rate, cfg)
+        assert exact >= 400
 
     def test_dual_regime_matches_oracle(self):
         # Binding targets come from a full grid scan, never from the solver:
@@ -272,7 +289,7 @@ class TestCloee:
         cfg = SolverConfig()
         nts = _grid(None, cfg)
         rng = random.Random(20161103)
-        cases = 0
+        cases = exact = 0
         for d in np.arange(1.0, 40.01, 0.25):
             d = float(d)
             p_b = [mm.p_b for mm in model.env(d)]
@@ -285,6 +302,13 @@ class TestCloee:
                 i_eta, i_rate = int(np.argmax(etas)), int(np.argmax(rates))
                 if i_eta >= i_rate:
                     continue
+                # Exact floors, each grid rate strictly between the argmaxes:
+                # the certificate's bisection runs leftwards from n_star.
+                for rate in rates[i_eta + 1:i_rate].tolist():
+                    sol = solve_mode(mm, QosSpec(r0=rate, n_s=1), cfg)
+                    assert sol.branch == "dual"
+                    _assert_dual_certificate(sol, rate, cfg)
+                    exact += 1
                 lo, hi = float(rates[i_eta]), float(rates[i_rate])
                 n_s = rng.randint(1, 64)
                 qos = QosSpec(r0=(lo + rng.uniform(0.02, 0.98) * (hi - lo)) / n_s, n_s=n_s)
@@ -300,6 +324,7 @@ class TestCloee:
                     (oracle.n_t_star, oracle.n_cpb_star, oracle.eta, oracle.rate, oracle.feasible), \
                     f"d={d!r}, n_cpb={mm.mode.n_cpb}, r0={qos.r0!r}, n_s={n_s}"
         assert cases >= 100, f"{cases} binding cases with the efficiency optimum on the left"
+        assert exact >= 2000, f"{exact} exact floors with the efficiency optimum on the left"
 
     def test_result_is_the_winning_modes_solve(self, model, qos, cfg):
         # cloee returns one mode's own solve_mode value, compared whole with

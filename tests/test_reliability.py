@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ class TestBlockParams:
     def test_rejected(self, tail, p_b, code):
         with pytest.raises(ValueError, match="correctable errors"):
             tail(p_b, code)
+
+    @pytest.mark.parametrize("tail", [bch_block_success, bch_block_log_success])
+    @pytest.mark.parametrize("code", [(63, 2.9), (63.9, 2)])
+    def test_non_integral_rejected(self, tail, code):
+        # Not truncated to (63, 2): the pair is named instead.
+        with pytest.raises(ValueError, match=re.escape(f"got {code!r}")):
+            tail(1e-3, code)
 
     @pytest.mark.parametrize("tail", [bch_block_success, bch_block_log_success])
     def test_edge_of_range_accepted(self, tail):

@@ -401,10 +401,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config-error: --distance: ")
         assert not (tmp_path / "out").exists()
 
-    def test_missing_config_fails_with_category(self, tmp_path, capsys):
-        assert main(["optimize", "--distance", "2.0",
-                     "--config", str(tmp_path / "nope.cfg")]) == 2
-        assert capsys.readouterr().err.startswith("config-error:")
+    @pytest.mark.parametrize("content", [None, b"qos.r0 = 1\xff\n"], ids=["missing", "not-utf8"])
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_unreadable_config_fails_at_its_path(self, tmp_path, capsys, command, content):
+        cfg = tmp_path / "bad.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--distance", "4.0"] if command == "optimize" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config-error: {cfg}: cannot read config: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_value_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -450,6 +457,8 @@ class TestCli:
         # Finite settings whose costs, or their ratio, overflow a float.
         ("energy.p_syn = 1e308\n", "config-error: energy: "),
         ("energy.t_st = 1e308\n", "config-error: energy: "),
+        pytest.param("energy.m_fingers = 1" + "0" * 400 + "\n", "config-error: energy: ",
+                     id="energy-m_fingers-1e400"),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
