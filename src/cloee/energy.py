@@ -10,6 +10,7 @@ energy detector.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,16 +51,18 @@ class EnergyParams:
             raise ValueError("rho_r and rho_c must be 0 or 1")
         # Finite settings can still overflow a cost, or the cost ratio the
         # solver's closed form takes, and the solver would then fail on a NaN.
-        for mode in MODE_TABLE:
-            try:
-                b = energy_breakdown(mode, self)
-                finite = all(map(math.isfinite,
-                                 (b.eps_b, b.eps_oh, b.eps_st, b.eps_fixed / b.eps_b)))
-            except OverflowError:        # an integer too large to convert to a float
-                finite = False
-            if not finite:
-                raise ValueError(f"the energy costs of burst mode n_cpb={mode.n_cpb} "
-                                 f"overflow a float")
+        try:
+            bad = [m.n_cpb for m, b in zip(MODE_TABLE, self.breakdowns) if not all(
+                map(math.isfinite, (b.eps_b, b.eps_oh, b.eps_st, b.eps_fixed / b.eps_b)))]
+        except OverflowError:            # an integer too large to convert to a float
+            bad = [m.n_cpb for m in MODE_TABLE]
+        if bad:
+            raise ValueError(f"the energy costs of burst mode n_cpb={bad[0]} overflow a float")
+
+    @functools.cached_property
+    def breakdowns(self) -> tuple[EnergyBreakdown, ...]:
+        """Each MODE_TABLE mode's energy_breakdown; not a field, so ==, hash and repr skip it."""
+        return tuple(energy_breakdown(mode, self) for mode in MODE_TABLE)
 
     @property
     def rx_chain_power(self) -> float:
@@ -90,16 +93,14 @@ class EnergyBreakdown:
         return n_t * self.eps_b + self.eps_oh + self.eps_st
 
 
-def energy_breakdown(mode: PhyMode, ep: EnergyParams | None = None) -> EnergyBreakdown:
+def energy_breakdown(mode: PhyMode, ep: EnergyParams) -> EnergyBreakdown:
     """The energy costs of one PPDU exchange in burst mode `mode`.
 
     eps_b: both the transmit and receive frame energies are linear in the
     payload size (on-air time is n_t * t_sym), so the per-bit cost does not
     depend on the frame length.  eps_oh: the SHR + PHR pulses and on-air time
     of both radios.  eps_st: both radios start up, 2 * p_syn * t_st.
-    ep defaults to DEFAULT_ENERGY.
     """
-    ep = DEFAULT_ENERGY if ep is None else ep
     c = FRAME_CONSTANTS
     on_power = ep.p_syn + ep.rx_chain_power
     return EnergyBreakdown(

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
-from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams, energy_breakdown
+from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
 from .frame import FRAME_CONSTANTS, MODE_TABLE, PHR_CODE, PSDU_CODE, PhyMode
 from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
 
@@ -47,7 +47,7 @@ class QosSpec:
 
     @property
     def aggregate_rate(self) -> float:
-        return self.r0 * self.n_s
+        return float(self.r0 * self.n_s)        # a Python float, also for numpy r0 or n_s
 
 
 @dataclass(frozen=True)
@@ -155,20 +155,14 @@ class LinkModel:
     energy: EnergyParams = DEFAULT_ENERGY
     uniform_section_ber: bool = False
     integration_per_pulse: bool = False
-    # The six modes' energy breakdowns: per model, not per distance or chi.
-    _breakdowns: tuple[EnergyBreakdown, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_breakdowns",
-                           tuple(energy_breakdown(m, self.energy) for m in MODE_TABLE))
 
     def env(self, distance: float, chi: float = 0.0) -> tuple[ModeMetrics, ...]:
         """Metrics for all six burst modes at one distance, ascending n_cpb.
 
-        One path loss, and one bit error rate per mode.  With section-specific
-        rates the header runs at the payload rates of the modes at n_cpb_shr
-        and n_cpb_phr and is built once for all six modes; under
-        uniform_section_ber each mode's header runs at its own payload rate.
+        One path loss, one bit error rate per mode, and the energy costs in
+        self.energy.breakdowns.  With section-specific rates the header runs at the
+        payload rates of the modes at n_cpb_shr and n_cpb_phr and is built once
+        for all six modes; uniform_section_ber gives each mode a header at its rate.
         """
         p_b = dict(zip((m.n_cpb for m in MODE_TABLE),
                        bit_error_probs(distance, self.energy.eps_p, self.channel, chi,
@@ -177,7 +171,7 @@ class LinkModel:
             HeaderSuccess.at(p_b[FRAME_CONSTANTS.n_cpb_shr], p_b[FRAME_CONSTANTS.n_cpb_phr])
         return tuple(ModeMetrics(m, distance, p_b[m.n_cpb],
                                  shared or HeaderSuccess.at(p_b[m.n_cpb], p_b[m.n_cpb]), energy)
-                     for m, energy in zip(MODE_TABLE, self._breakdowns))
+                     for m, energy in zip(MODE_TABLE, self.energy.breakdowns))
 
 
 def grid(env: tuple[ModeMetrics, ...], n_t_max: int):

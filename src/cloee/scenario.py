@@ -45,6 +45,10 @@ DEFAULT_STRATEGIES: tuple[tuple[int, int], ...] = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything a sweep needs: models, QoS, solver knobs, grid and seed."""
@@ -78,9 +82,9 @@ class Scenario:
             seen.add(d)
         seen = set()
         for n_cpb, n_t in self.strategies:
-            if n_cpb not in VALID_N_CPB:
+            if not (_is_int(n_cpb) and n_cpb in VALID_N_CPB):
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
-            if not (isinstance(n_t, int) and 63 <= n_t <= N_T_MAX_LIMIT):
+            if not (_is_int(n_t) and 63 <= n_t <= N_T_MAX_LIMIT):
                 raise ConfigError("strategies", f"static n_t must be an integer in "
                                                 f"[63, {N_T_MAX_LIMIT}], got {n_t}")
             if (n_cpb, n_t) in seen:
@@ -223,7 +227,7 @@ def _build(key: str, cls, kwargs: dict[str, object]):
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")     # drops a leading BOM
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     return parse_scenario(text, source=str(path))

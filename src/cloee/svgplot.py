@@ -21,14 +21,13 @@ def _fmt(v: float) -> str:
 def render_lines(series: list[tuple[str, list[float], list[float]]],
                  title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render (label, xs, ys) series into a standalone SVG document."""
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-           if math.isfinite(x) and math.isfinite(y)]
+    lines = [(label, [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)])
+             for label, xs, ys in series]
+    pts = [p for _, line in lines for p in line]
     if not pts:
         raise ValueError("nothing to plot")
-    x_min = min(p[0] for p in pts)
-    x_max = max(p[0] for p in pts)
-    y_min = min(p[1] for p in pts)
-    y_max = max(p[1] for p in pts)
+    xs, ys = zip(*pts)
+    x_min, x_max, y_min, y_max = min(xs), max(xs), min(ys), max(ys)
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
@@ -67,12 +66,9 @@ def render_lines(series: list[tuple[str, list[float], list[float]]],
     out.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
                f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">{y_label}</text>')
     # series
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, line) in enumerate(lines):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in line)
         if coords:
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        'stroke-width="1.6"/>')

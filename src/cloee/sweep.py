@@ -30,16 +30,16 @@ class SweepRow(NamedTuple):
     branch: str
 
 
-def _distance_rows(scenario: Scenario, env: tuple[ModeMetrics, ...],
-                   oracle: OptResult) -> list[SweepRow]:
-    """Every row of one distance, all read from its one environment; oracle
-    is search_env's result on env."""
+def _distance_rows(scenario: Scenario, statics: list[tuple[str, int, int]],
+                   env: tuple[ModeMetrics, ...], oracle: OptResult) -> list[SweepRow]:
+    """Every row of one distance, read from its one environment: one per entry
+    of statics, then cloee and oracle (search_env's result on env)."""
     by_cpb = {mm.mode.n_cpb: mm for mm in env}
     r0ns = scenario.qos.aggregate_rate
     picks = []
-    for n_cpb, n_t in scenario.strategies:
+    for strategy, n_cpb, n_t in statics:
         eta, rate = by_cpb[n_cpb].eta_rate(n_t)
-        picks.append((f"static_{n_cpb}_{n_t}", n_cpb, n_t, eta, rate, rate >= r0ns, "static"))
+        picks.append((strategy, n_cpb, n_t, eta, rate, rate >= r0ns, "static"))
     for strategy, res in (("cloee", solve_env(env, scenario.qos, scenario.solver)),
                           ("oracle", oracle)):
         picks.append((strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
@@ -62,11 +62,13 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     model, qos, cfg = scenario.link_model(), scenario.qos, scenario.solver
     points = list(zip(scenario.distances, scenario.shadowing_draws()))
     block = N_T_MAX_LIMIT // cfg.n_t_max
+    # Static rows' names and plain-int entries (a Scenario takes numpy's too), once.
+    statics = [(f"static_{a}_{b}", int(a), int(b)) for a, b in scenario.strategies]
     rows = []
     for start in range(0, len(points), block):
         envs = [model.env(d, chi) for d, chi in points[start:start + block]]
         for env, oracle in zip(envs, search_envs(envs, qos, cfg)):
-            rows += _distance_rows(scenario, env, oracle)
+            rows += _distance_rows(scenario, statics, env, oracle)
     rows.sort(key=lambda r: (r.distance, r.strategy))
     return rows
 
@@ -87,11 +89,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return _csv(CSV_HEADER, rows)
 
 
-def _check_format(fmt: str) -> None:
-    if fmt not in ("csv", "svg"):
-        raise ValueError(f"format must be csv|svg, got {fmt!r}")
-
-
 def _write(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:
     """Write each named text into out_dir, made if missing; returns the paths
     in the order of texts."""
@@ -105,9 +102,11 @@ def _write(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:
 def _with_charts(texts: dict[str, str], fmt: str, prefix: str, series, title: str,
                  x_label: str) -> dict[str, str]:
     """texts plus, for fmt="svg", the eta and rate line charts
-    <prefix>_<metric>.svg of series(metric)."""
-    if fmt != "svg":
+    <prefix>_<metric>.svg of series(metric); a fmt other than csv|svg raises."""
+    if fmt == "csv":
         return texts
+    if fmt != "svg":
+        raise ValueError(f"format must be csv|svg, got {fmt!r}")
     return texts | {f"{prefix}_{metric}.svg": svgplot.render_lines(
                         series(metric), title=f"{metric} vs {title}",
                         x_label=x_label, y_label=label)
@@ -122,7 +121,6 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, fmt: str = "csv") -> 
     """
     if not rows:
         raise ValueError("no rows to emit")
-    _check_format(fmt)
     strategies = sorted({r.strategy for r in rows})
 
     def series(metric: str) -> list:
@@ -162,7 +160,6 @@ def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
                                fmt: str = "csv", chi: float = 0.0) -> list[Path]:
     """Write curves.csv and curve_marks.csv (plus curves_eta.svg and
     curves_rate.svg for fmt="svg"); returns the written paths."""
-    _check_format(fmt)
     curve_rows, mark_rows = [], []
     series: dict[str, list] = {"eta": [], "rate": []}
     for sol, nts, etas, rates in compute_curves(model, distance, qos, cfg, chi):

@@ -22,6 +22,7 @@ from cloee import (
     snap_to_grid,
     solve_mode,
 )
+from cloee.energy import DEFAULT_ENERGY
 from cloee.optimizer import search_env, solve_env
 from cloee.sweep import CSV_HEADER
 
@@ -43,7 +44,7 @@ def single_pb_metrics(p_b: float, mode: PhyMode = mode_for(1)) -> ModeMetrics:
     """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
     probability; its success(n_t) is the textbook single-p_b PPDU success."""
     return ModeMetrics(mode=mode, distance=1.0, p_b=p_b, header=HeaderSuccess.at(p_b, p_b),
-                       energy=energy_breakdown(mode))
+                       energy=energy_breakdown(mode, DEFAULT_ENERGY))
 
 
 def metrics_at(model: LinkModel, distance: float, n_cpb: int, chi: float = 0.0) -> ModeMetrics:
@@ -65,22 +66,6 @@ def parse_rows(text: str) -> list[SweepRow]:
             feasible=feasible == "true", branch=branch,
         ))
     return rows
-
-
-def sign_changes(values, rel_tol: float = 1e-12) -> int:
-    """Sign changes in the first differences of a sequence.
-
-    Differences below rel_tol of the largest magnitude count as zero so a
-    flat floating-point plateau is not read as oscillation.
-    """
-    diffs = np.diff(np.asarray(values, dtype=float))
-    if diffs.size == 0:
-        return 0
-    scale = float(np.max(np.abs(diffs)))
-    if scale == 0.0:
-        return 0
-    signs = [int(np.sign(d)) for d in diffs if abs(d) > rel_tol * scale]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def is_unimodal_max(values, rel_tol: float = 1e-12) -> bool:

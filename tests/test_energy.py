@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from cloee import MODE_TABLE, EnergyParams, energy_breakdown
+from cloee.energy import DEFAULT_ENERGY
 from helpers import mode_for
 
 ZERO_POWER = EnergyParams(eps_p=1e-12, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
@@ -11,7 +12,8 @@ ZERO_POWER = EnergyParams(eps_p=1e-12, p_cor=0, p_adc=0, p_lna=0, p_vga=0,
 
 class TestStartupEnergy:
     def test_default(self):
-        assert energy_breakdown(mode_for(1)).eps_st == pytest.approx(24.48e-6, rel=1e-12)
+        assert energy_breakdown(mode_for(1), DEFAULT_ENERGY).eps_st == \
+            pytest.approx(24.48e-6, rel=1e-12)
 
     def test_zero_cases(self):
         for ep in (dataclasses.replace(EnergyParams(), t_st=0.0),
@@ -22,22 +24,24 @@ class TestStartupEnergy:
 class TestPayloadEnergy:
     def test_reference_point(self):
         # 20 pJ pulse + 72.08 mW of circuits over one 64.1 ns symbol
-        assert energy_breakdown(mode_for(1)).eps_b == pytest.approx(4.640500992e-9, rel=1e-12)
+        assert energy_breakdown(mode_for(1), DEFAULT_ENERGY).eps_b == \
+            pytest.approx(4.640500992e-9, rel=1e-12)
 
     def test_pulse_energy_only(self):
         assert energy_breakdown(mode_for(8), ZERO_POWER).eps_b == pytest.approx(8e-12, rel=1e-12)
 
     def test_monotone_in_burst_order(self):
-        values = [energy_breakdown(m).eps_b for m in MODE_TABLE]
+        values = [energy_breakdown(m, DEFAULT_ENERGY).eps_b for m in MODE_TABLE]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_scales_linearly_across_mode_table(self):
         # Fixed 1/32 duty cycle makes t_sym proportional to n_cpb, so both the
         # pulse and circuit terms scale together: eps_b is exactly linear in
         # n_cpb along the table rows.
-        base = energy_breakdown(mode_for(1)).eps_b
+        base = energy_breakdown(mode_for(1), DEFAULT_ENERGY).eps_b
         for mode in MODE_TABLE:
-            assert energy_breakdown(mode).eps_b == pytest.approx(mode.n_cpb * base, rel=1e-12)
+            assert energy_breakdown(mode, DEFAULT_ENERGY).eps_b == \
+                pytest.approx(mode.n_cpb * base, rel=1e-12)
 
     def test_soft_decision_term_presence(self):
         mode = mode_for(4)
@@ -63,10 +67,12 @@ class TestOverheadEnergy:
     def test_reference_point(self):
         # pulses + (p_syn + rx chain) * 122.372 us; hard-decision non-coherent
         # receiver, so no ADC / generator / synthesizer terms on the rx side.
-        assert energy_breakdown(mode_for(1)).eps_oh == pytest.approx(8.87137376e-6, rel=1e-12)
+        assert energy_breakdown(mode_for(1), DEFAULT_ENERGY).eps_oh == \
+            pytest.approx(8.87137376e-6, rel=1e-12)
 
     def test_fixed_terms_do_not_depend_on_the_mode(self):
-        fixed = {(b.eps_oh, b.eps_st) for b in (energy_breakdown(m) for m in MODE_TABLE)}
+        fixed = {(b.eps_oh, b.eps_st)
+                 for b in (energy_breakdown(m, DEFAULT_ENERGY) for m in MODE_TABLE)}
         assert len(fixed) == 1
 
 
@@ -87,7 +93,7 @@ class TestHomogeneity:
 
 class TestEnergyBreakdown:
     def test_total_composition(self):
-        b = energy_breakdown(mode_for(32))
+        b = energy_breakdown(mode_for(32), DEFAULT_ENERGY)
         assert b.eps_st == pytest.approx(24.48e-6, rel=1e-12)
         assert b.total(1000) == pytest.approx(1000 * b.eps_b + b.eps_oh + b.eps_st, rel=1e-12)
         assert b.total(2000) > b.total(1000)

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cloee import MODE_TABLE, EnergyParams, LinkModel, QosSpec, energy_breakdown
+from cloee import MODE_TABLE, EnergyParams, LinkModel, QosSpec, energy, energy_breakdown
 from cloee.metrics import grid
 from helpers import is_unimodal_max, metrics_at, single_pb_metrics
 
@@ -17,6 +20,13 @@ def _eta_cont(mm, x):
 class TestQosSpec:
     def test_default_aggregate_rate(self):
         assert QosSpec().aggregate_rate == pytest.approx(360e3, rel=1e-12)
+
+    def test_aggregate_rate_is_a_python_float(self):
+        # The sweep's static feasible cell is rate >= aggregate_rate; a numpy
+        # float here would make it a numpy bool, which the CSV spells True.
+        for qos in (QosSpec(n_s=np.int64(24)), QosSpec(r0=np.float64(15e3))):
+            assert type(qos.aggregate_rate) is float
+            assert qos.aggregate_rate == QosSpec().aggregate_rate
 
     @pytest.mark.parametrize("kwargs", [dict(r0=0.0), dict(n_s=0), dict(n_s=65),
                                         dict(n_s=2.5)])
@@ -147,8 +157,41 @@ class TestGrid:
 
 
 class TestEnergyBreakdowns:
-    # A LinkModel builds its six energy breakdowns once; they are not part of
-    # its value, so equality, hashing and repr see only the four settings.
+    # EnergyParams builds its six energy breakdowns once, when it checks them
+    # for overflow, and every LinkModel.env reads them from there; they are
+    # not a field, so equality, hashing and repr see only the settings.
+    def test_six_builds_for_a_model_and_its_environments(self):
+        original = energy.energy_breakdown
+        calls = []
+
+        def counting(mode, ep):
+            calls.append(mode.n_cpb)
+            return original(mode, ep)
+
+        # Every module binding of the name, whichever one a caller goes through.
+        bound = [m for name, m in sorted(sys.modules.items())
+                 if name.startswith("cloee") and getattr(m, "energy_breakdown", None) is original]
+        assert energy in bound
+        with contextlib.ExitStack() as stack:
+            for module in bound:
+                stack.enter_context(mock.patch.object(module, "energy_breakdown", counting))
+            model = LinkModel(energy=EnergyParams(t_st=200e-6))
+            for d, chi in ((1.0, 0.0), (6.5, 2.0), (9.0, -1.0)):
+                model.env(d, chi)
+        assert calls == [m.n_cpb for m in MODE_TABLE]
+
+    def test_energy_params_value_unchanged(self):
+        ep = EnergyParams()
+        assert ep.breakdowns == tuple(energy_breakdown(m, ep) for m in MODE_TABLE)
+        assert repr(ep) == repr(EnergyParams()) and "breakdowns" not in repr(ep)
+        assert ep == EnergyParams() and hash(ep) == hash(EnergyParams())
+        assert [f.name for f in dataclasses.fields(EnergyParams)] == [
+            "eps_p", "p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen", "t_st",
+            "m_fingers", "rho_r", "rho_c"]
+        changed = dataclasses.replace(ep, t_st=200e-6)
+        assert changed.breakdowns == tuple(energy_breakdown(m, changed) for m in MODE_TABLE)
+        assert changed.breakdowns != ep.breakdowns
+
     def test_built_once_per_model(self):
         model = LinkModel(energy=EnergyParams(t_st=200e-6))
         envs = [model.env(d, chi) for d, chi in ((1.0, 0.0), (6.5, 2.0), (9.0, -1.0))]
@@ -161,6 +204,6 @@ class TestEnergyBreakdowns:
         assert LinkModel() == LinkModel()
         assert hash(LinkModel()) == hash(LinkModel())
         assert LinkModel() != LinkModel(uniform_section_ber=True)
-        assert "_breakdowns" not in repr(LinkModel())
+        assert "breakdowns" not in repr(LinkModel())
         changed = dataclasses.replace(LinkModel(), energy=EnergyParams(p_syn=1e-3))
         assert changed.env(5.0)[0].energy == energy_breakdown(MODE_TABLE[0], changed.energy)

@@ -60,6 +60,13 @@ class TestClosedForms:
         assert math.isinf(nt_closed_form(1e-9, 2e-6, 0.0))
         assert nt_closed_form(1e-9, 2e-6, math.log(1e-300)) < 63
 
+    def test_hopeless_codewords_shrink_to_nothing(self):
+        assert nt_closed_form(1e-9, 2e-6, -math.inf) == 0.0
+
+    def test_per_unit_cost_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^per-unit cost must be > 0, got 0\.0$"):
+            nt_closed_form(0.0, 1.0, -1e-3)
+
     def test_underflowing_codeword_log_counts_as_error_free(self, model, qos, cfg):
         # per_unit * log_p_cw underflows to 0 at this log_p_cw; the n_cpb=32
         # mode reaches it at 1.3 m with this shadowing draw.

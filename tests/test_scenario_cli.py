@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cloee import (
@@ -15,6 +16,7 @@ from cloee import (
     Scenario,
     SolverConfig,
     emit_curves,
+    load_scenario,
     parse_scenario,
     rows_to_csv,
     run_sweep,
@@ -190,10 +192,48 @@ class TestScenarioParsing:
     def test_single_point_range(self):
         assert parse_scenario("distances = 1:1:0.5").distances == (1.0,)
 
+    def test_range_stop_off_the_step_grid(self):
+        # 1.26 is not on the 0.1 grid from 1, so the last step is the one below it.
+        assert parse_scenario("distances = 1:1.26:0.1").distances == (1.0, 1.1, 1.2)
+
+    def test_trailing_comma_after_a_strategy(self):
+        assert parse_scenario("strategies = 1:2616,").strategies == ((1, 2616),)
+
+    @pytest.mark.parametrize("raw", ["off", "false", "no", "0", "OFF"])
+    def test_false_spellings(self, raw):
+        assert parse_scenario(f"shadowing = {raw}\nseed = 3").shadowing is False
+
     def test_static_n_t_must_be_an_integer(self):
         with pytest.raises(ConfigError, match=r"^strategies: static n_t must be an integer"):
             Scenario(strategies=((2, 2616.0),))
         Scenario(strategies=((2, 63), (2, 63 * 4096)))         # both bounds are valid
+
+    @pytest.mark.parametrize("pair,message", [
+        ((1.0, 2616), "n_cpb must be one of (1, 2, 4, 8, 16, 32), got 1.0"),
+        ((True, 2616), "n_cpb must be one of (1, 2, 4, 8, 16, 32), got True"),
+        ((np.float64(2.0), 2616), "n_cpb must be one of (1, 2, 4, 8, 16, 32), got 2.0"),
+        ((1, True), "static n_t must be an integer in [63, 258048], got True"),
+        ((1, np.float64(2616.0)), "static n_t must be an integer in [63, 258048], got 2616.0"),
+    ])
+    def test_strategy_entries_must_be_integers(self, pair, message):
+        # One integer rule for both entries: a bool or a float equal to an
+        # integer would otherwise name a static_1.0_2616 or static_True_2616 row.
+        with pytest.raises(ConfigError) as err:
+            Scenario(strategies=(pair,))
+        assert str(err.value) == f"strategies: {message}"
+
+    def test_numpy_integer_strategy_gives_the_plain_rows(self):
+        plain = rows_to_csv(run_sweep(Scenario(distances=(2.0, 8.0), strategies=((1, 2616),))))
+        for pair in ((1, np.int64(2616)), (np.int64(1), 2616), (np.int32(1), np.uint16(2616))):
+            sc = Scenario(distances=(2.0, 8.0), strategies=(pair,))
+            assert rows_to_csv(run_sweep(sc)) == plain, pair
+
+    @pytest.mark.parametrize("qos", [QosSpec(n_s=np.int64(24)), QosSpec(r0=np.float64(15e3))],
+                             ids=["n_s", "r0"])
+    def test_numpy_qos_gives_the_plain_csv(self, qos):
+        plain = rows_to_csv(run_sweep(Scenario(distances=(2.0, 8.0))))
+        assert ",true,static" in plain and ",false,static" in plain
+        assert rows_to_csv(run_sweep(Scenario(distances=(2.0, 8.0), qos=qos))) == plain
 
     def test_seed_must_be_an_integer(self):
         # The config parser reads seed as an int; a library caller may not.
@@ -287,6 +327,12 @@ class TestCsvEmission:
         with pytest.raises(ValueError, match="format must be"):
             emit_fixed_distance_curves(LinkModel(), 6.5, QosSpec(), SolverConfig(),
                                        tmp_path / "out", fmt="pdf")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_format_checked(self, tmp_path):
+        rows = run_sweep(parse_scenario(SMALL_CONFIG))
+        with pytest.raises(ValueError, match=r"^format must be csv\|svg, got 'pdf'$"):
+            emit_curves(rows, tmp_path / "out", fmt="pdf")
         assert not (tmp_path / "out").exists()
 
     def test_svg_output(self, tmp_path):
@@ -413,6 +459,20 @@ class TestCli:
         assert err.startswith(f"config-error: {cfg}: cannot read config: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_config_with_a_bom_parses_as_plain(self, tmp_path, capsys):
+        # Many editors on Windows start a UTF-8 file with a byte order mark.
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(ALL_KEYS, encoding="utf-8")
+        bom.write_text(ALL_KEYS, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load_scenario(bom) == load_scenario(plain) == parse_scenario(ALL_KEYS)
+        bom.write_bytes(b"\xef\xbb\xbfqos.r0 = 15e3\n")
+        assert main(["optimize", "--distance", "4.0", "--config", str(bom)]) == 0
+        assert main(["optimize", "--distance", "4.0"]) == 0
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert not out.err and len(lines) == 4 and lines[:2] == lines[2:]
+
     def test_invalid_config_value_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("strategies = 5:2616\n")
@@ -459,6 +519,12 @@ class TestCli:
         ("energy.t_st = 1e308\n", "config-error: energy: "),
         pytest.param("energy.m_fingers = 1" + "0" * 400 + "\n", "config-error: energy: ",
                      id="energy-m_fingers-1e400"),
+        ("energy.m_fingers = -1\n", "config-error: energy: m_fingers must be >= 0, got -1\n"),
+        ("distances = ,\n", "config-error: distances: must not be empty\n"),
+        ("qos.n_s = two\n", "config-error: qos.n_s: expected an integer, got 'two'\n"),
+        ("distances = 1:2:0\n", "config-error: distances: range step must be > 0, got 0.0\n"),
+        ("strategies = ,\n",
+         "config-error: strategies: expected at least one n_cpb:n_t pair\n"),
     ])
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bad_value_fails_at_its_key(self, tmp_path, capsys, command, text, prefix):
