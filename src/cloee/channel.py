@@ -98,6 +98,15 @@ def bit_error_prob(ebn0: float, noise_tb: float) -> float:
     per-bit SNR ebn0 and the noise time-bandwidth product n_cpb*t_int*w_rx."""
     if ebn0 < 0:
         raise ValueError(f"ebn0 must be >= 0, got {ebn0}")
+    if not math.isfinite(ebn0):
+        raise ValueError(f"ebn0 must be finite, got {ebn0}")
+    if not (math.isfinite(noise_tb) and noise_tb >= 0):
+        raise ValueError(f"noise_tb must be finite and >= 0, got {noise_tb}")
+    return _bit_error(ebn0, noise_tb)
+
+
+def _bit_error(ebn0: float, noise_tb: float) -> float:
+    """bit_error_prob for a finite ebn0 >= 0 and a finite noise_tb >= 0, unchecked."""
     if ebn0 == 0.0:
         return 0.5
     return q_function(math.sqrt(0.5 * ebn0 * ebn0 / (ebn0 + noise_tb)))
@@ -111,7 +120,9 @@ def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHAN
     h_eff, which also absorbs the noise figure and implementation margin, are
     taken once.  Per mode, ebn0 = h_eff * n_cpb * eps_p / N0 with eps_p the
     transmitted energy per pulse, and t_int is the burst (or, per pulse, one
-    pulse) integration interval.
+    pulse) integration interval.  Both arguments of the Q step are built here,
+    non-negative and (ebn0 after its overflow check) finite, so they skip
+    bit_error_prob's argument checks.
     """
     if not d > 0:
         raise ValueError(f"distance must be > 0 m, got {d}")
@@ -129,5 +140,5 @@ def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHAN
         if ebn0 == math.inf:
             raise ValueError(f"the link gain at distance {d!r} m overflows a float")
         t_int = m.t_w / m.n_cpb if integration_per_pulse else m.t_w
-        probs.append(bit_error_prob(ebn0, m.n_cpb * t_int * params.w_rx))
+        probs.append(_bit_error(ebn0, m.n_cpb * t_int * params.w_rx))
     return probs

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
+from .errors import is_int
 from .frame import FRAME_CONSTANTS, MODE_TABLE, PhyMode
 
 
@@ -43,7 +43,7 @@ class EnergyParams:
             raise ValueError(f"eps_p must be > 0, got {self.eps_p}")
         for name in ("m_fingers", "rho_r", "rho_c"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m_fingers < 0:
             raise ValueError(f"m_fingers must be >= 0, got {self.m_fingers}")

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer rule shared across the package."""
+
+import numbers
+
+
+def is_int(value) -> bool:
+    """An integer setting: any numbers.Integral except bool, so True is not 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):

@@ -19,15 +19,23 @@ n_cpb_shr and n_cpb_phr and shares one header across the six modes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
-from .frame import FRAME_CONSTANTS, MODE_TABLE, PHR_CODE, PSDU_CODE, PhyMode
-from .reliability import bch_block_log_success, bch_block_success, kasami_success, shr_success
+from .errors import is_int
+from .frame import FRAME_CONSTANTS, MODE_TABLE, PSDU_CODE, PhyMode
+from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success, block_success,
+                          shr_success)
+
+
+# Read once, since FRAME_CONSTANTS is frozen: the SHR + PHR air time, and the
+# MODE_TABLE positions of the SHR's and the PHR's burst orders.
+_T_OH = FRAME_CONSTANTS.t_overhead
+_I_SHR, _I_PHR = ([m.n_cpb for m in MODE_TABLE].index(n)
+                  for n in (FRAME_CONSTANTS.n_cpb_shr, FRAME_CONSTANTS.n_cpb_phr))
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ class QosSpec:
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
-        if not isinstance(self.n_s, numbers.Integral):
+        if not is_int(self.n_s):
             raise ValueError(f"n_s must be an integer, got {self.n_s!r}")
         if not 1 <= self.n_s <= 64:
             raise ValueError(f"a hub serves 1..64 nodes, got n_s={self.n_s}")
@@ -62,10 +70,9 @@ class HeaderSuccess:
 
     @classmethod
     def at(cls, p_b_shr: float, p_b_phr: float) -> HeaderSuccess:
-        c = FRAME_CONSTANTS
-        p_kasami = kasami_success(p_b_shr, c.rho_sensitivity, c.kasami_len)
-        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami, c.kasami_count),
-                   bch_block_success(p_b_phr, (PHR_CODE.n, PHR_CODE.t)))
+        p_kasami = block_success(p_b_shr, KASAMI_BLOCK)
+        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami, FRAME_CONSTANTS.kasami_count),
+                   block_success(p_b_phr, PHR_BLOCK))
 
     @property
     def success(self) -> float:
@@ -98,10 +105,10 @@ class ModeMetrics:
         self.header = header
         self.energy = energy
         self.n = PSDU_CODE.n
-        self.log_p_cw = bch_block_log_success(p_b, (PSDU_CODE.n, PSDU_CODE.t))
+        self.log_p_cw = block_log_success(p_b, PSDU_BLOCK)
         self.header_success = header.success
         self.t_sym = mode.t_sym
-        self.t_oh = FRAME_CONSTANTS.t_overhead
+        self.t_oh = _T_OH
 
     # -- grid objectives (integer frame sizes, whole codewords) ----------
 
@@ -161,17 +168,17 @@ class LinkModel:
 
         One path loss, one bit error rate per mode, and the energy costs in
         self.energy.breakdowns.  With section-specific rates the header runs at the
-        payload rates of the modes at n_cpb_shr and n_cpb_phr and is built once
-        for all six modes; uniform_section_ber gives each mode a header at its rate.
+        payload rates of the modes at n_cpb_shr and n_cpb_phr, read from the rate
+        list by MODE_TABLE position, and is built once for all six modes;
+        uniform_section_ber gives each mode a header at its rate.  Every tail runs
+        on the frame codes reliability checked at import, so only each p_b is
+        checked here, and each p_b's two logs are taken once per code.
         """
-        p_b = dict(zip((m.n_cpb for m in MODE_TABLE),
-                       bit_error_probs(distance, self.energy.eps_p, self.channel, chi,
-                                       self.integration_per_pulse)))
-        shared = None if self.uniform_section_ber else \
-            HeaderSuccess.at(p_b[FRAME_CONSTANTS.n_cpb_shr], p_b[FRAME_CONSTANTS.n_cpb_phr])
-        return tuple(ModeMetrics(m, distance, p_b[m.n_cpb],
-                                 shared or HeaderSuccess.at(p_b[m.n_cpb], p_b[m.n_cpb]), energy)
-                     for m, energy in zip(MODE_TABLE, self.energy.breakdowns))
+        p_b = bit_error_probs(distance, self.energy.eps_p, self.channel, chi,
+                              self.integration_per_pulse)
+        shared = None if self.uniform_section_ber else HeaderSuccess.at(p_b[_I_SHR], p_b[_I_PHR])
+        return tuple(ModeMetrics(m, distance, p, shared or HeaderSuccess.at(p, p), energy)
+                     for m, p, energy in zip(MODE_TABLE, p_b, self.energy.breakdowns))
 
 
 def grid(env: tuple[ModeMetrics, ...], n_t_max: int):

@@ -44,13 +44,12 @@ environment.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .frame import PSDU_CODE
 from .metrics import LinkModel, ModeMetrics, QosSpec, grid
 
@@ -68,7 +67,7 @@ class SolverConfig:
     n_t_max: int = 63 * 130
 
     def __post_init__(self):
-        if not isinstance(self.n_t_max, numbers.Integral) or self.n_t_max < 63:
+        if not is_int(self.n_t_max) or self.n_t_max < 63:
             raise ConfigError("solver.n_t_max", f"must be an integer >= 63, got {self.n_t_max!r}")
         if self.n_t_max > N_T_MAX_LIMIT:
             raise ConfigError("solver.n_t_max", f"must be <= {N_T_MAX_LIMIT}, got {self.n_t_max!r}")

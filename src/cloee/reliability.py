@@ -9,12 +9,19 @@ and at least one of the four preamble repetitions (kasami_count) is,
 (The stricter all-four-repetitions reading, P_Kasami^4, is deliberately not
 used; the any-of-four form is what the detection model states.)  The whole
 PPDU is composed from these pieces in metrics.ModeMetrics.
+
+The frame's three block codes, PSDU (63, 2), Kasami (63, 6) and PHR (40, 2),
+are checked and split into their rows once, at import (PSDU_BLOCK,
+KASAMI_BLOCK, PHR_BLOCK).  block_success and block_log_success check only
+p_b and take log(p_b) and log1p(-p_b) once per call; the public functions
+check their code as well, then run the same two.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from typing import NamedTuple
 
 from .frame import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE
 
@@ -49,20 +56,38 @@ def _rows(n_bits: int) -> tuple[tuple[float, float, float], ...]:
 _ROWS = {n: _rows(n) for n in (PSDU_CODE.n, FRAME_CONSTANTS.kasami_len, PHR_CODE.n)}
 
 
-def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
-    """sum_{lo <= i < hi} C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1.
+class Block(NamedTuple):
+    """A checked block code (N, t): its rows i <= t, its rows i > t, and N + 1."""
 
-    The probabilities are combined in log space (the two logs taken once per
-    tail), so the tail stays accurate from p_b ~ 1e-300 up to 0.5.  Terms are
-    added one by one in ascending i, so the bits do not depend on the
-    interpreter (sum() compensates from Python 3.12 on).  Past the binomial
-    mode the terms fall: once one is at most 2**-54 of the sum, below half its
-    ulp, no later term can change the sum.
-    """
-    lp, lq = math.log(p_b), math.log1p(-p_b)
+    direct: tuple[tuple[float, float, float], ...]
+    upper: tuple[tuple[float, float, float], ...]
+    n_plus_1: int
+
+
+def _block(code: tuple[int, int]) -> Block:
+    n_bits, t = _block_params(code)
     rows = _ROWS.get(n_bits) or _rows(n_bits)
-    s, peak = 0.0, (n_bits + 1) * p_b
-    for comb, i, rest in rows[lo:hi]:
+    return Block(rows[:t + 1], rows[t + 1:], n_bits + 1)
+
+
+PSDU_BLOCK = _block((PSDU_CODE.n, PSDU_CODE.t))
+KASAMI_BLOCK = _block((FRAME_CONSTANTS.kasami_len, FRAME_CONSTANTS.rho_sensitivity))
+PHR_BLOCK = _block((PHR_CODE.n, PHR_CODE.t))
+
+
+def _tail(rows, lp: float, lq: float, peak: float) -> float:
+    """sum of C(N,i) p^i (1-p)^(N-i) over rows, from lp = log(p_b),
+    lq = log1p(-p_b) and the binomial mode bound peak = (N + 1) * p_b.
+
+    The probabilities are combined in log space, so the tail stays accurate
+    from p_b ~ 1e-300 up to 0.5.  Terms are added one by one in ascending i,
+    so the bits do not depend on the interpreter (sum() compensates from
+    Python 3.12 on).  Past the binomial mode the terms fall: once one is at
+    most 2**-54 of the sum, below half its ulp, no later term can change the
+    sum.
+    """
+    s = 0.0
+    for comb, i, rest in rows:
         term = comb * math.exp(i * lp + rest * lq)
         s += term
         if i > peak and term <= s * 2.0 ** -54:
@@ -70,19 +95,18 @@ def _tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
     return s
 
 
-def bch_block_success(p_b: float, code: tuple[int, int]) -> float:
-    """P(block of N bits decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i); code = (N, t)."""
-    n_bits, t = _block_params(code)
+def block_success(p_b: float, block: Block) -> float:
+    """P(block decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i) for a checked block."""
     _check_p(p_b)
     if p_b == 0.0:
         return 1.0
     if p_b == 1.0:
         return 0.0
-    return min(1.0, _tail(p_b, n_bits, 0, t + 1))
+    return min(1.0, _tail(block.direct, math.log(p_b), math.log1p(-p_b), block.n_plus_1 * p_b))
 
 
-def bch_block_log_success(p_b: float, code: tuple[int, int]) -> float:
-    """log of bch_block_success, accurate when the success probability is ~1.
+def block_log_success(p_b: float, block: Block) -> float:
+    """log of block_success, accurate when the success probability is ~1.
 
     For small p_b the direct sum D rounds to 1.0 and its log to 0; there the
     failure tail U = P(more than t errors) is summed instead and the result
@@ -92,20 +116,32 @@ def bch_block_log_success(p_b: float, code: tuple[int, int]) -> float:
     D has t+1 terms and U up to N-t, so D is summed first.  D + U = 1, and
     either sum is within ~1e-13 of its exact value, so D < 0.5 - 1e-9 implies
     U >= 0.5: the answer is log(D) and U is not summed.  For (63, 2) the
-    crossover U = 0.5 lies at p_b ~ 0.0422.
+    crossover U = 0.5 lies at p_b ~ 0.0422.  Both sums share one log(p_b),
+    one log1p(-p_b) and one peak.
     """
-    n_bits, t = _block_params(code)
     _check_p(p_b)
     if p_b == 0.0:
         return 0.0
     if p_b == 1.0:
         return -math.inf
-    direct = _tail(p_b, n_bits, 0, t + 1)
+    lp, lq, peak = math.log(p_b), math.log1p(-p_b), block.n_plus_1 * p_b
+    direct = _tail(block.direct, lp, lq, peak)
     if direct >= 0.5 - 1e-9:
-        upper = _tail(p_b, n_bits, t + 1, n_bits + 1)
+        upper = _tail(block.upper, lp, lq, peak)
         if upper < 0.5:
             return math.log1p(-upper)
     return math.log(direct) if direct > 0.0 else -math.inf
+
+
+def bch_block_success(p_b: float, code: tuple[int, int]) -> float:
+    """P(block of N bits decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i); code = (N, t)."""
+    return block_success(p_b, _block(code))
+
+
+def bch_block_log_success(p_b: float, code: tuple[int, int]) -> float:
+    """log of bch_block_success, accurate when the success probability is ~1
+    (see block_log_success); code = (N, t)."""
+    return block_log_success(p_b, _block(code))
 
 
 def kasami_success(p_b: float, rho: int = FRAME_CONSTANTS.rho_sensitivity,

@@ -21,7 +21,6 @@ so sweeps stay reproducible from the file alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelParams
 from .energy import EnergyParams
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .frame import VALID_N_CPB
 from .metrics import LinkModel, QosSpec
 from .optimizer import N_T_MAX_LIMIT, SolverConfig
@@ -43,10 +42,6 @@ DEFAULT_DISTANCES: tuple[float, ...] = tuple(round(1.0 + 0.1 * i, 9) for i in ra
 DEFAULT_STRATEGIES: tuple[tuple[int, int], ...] = (
     (1, 2616), (2, 2616), (4, 2616), (16, 2616), (32, 2616),
 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,7 @@ class Scenario:
     integration_per_pulse: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral):
+        if not is_int(self.seed):
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
@@ -82,9 +77,9 @@ class Scenario:
             seen.add(d)
         seen = set()
         for n_cpb, n_t in self.strategies:
-            if not (_is_int(n_cpb) and n_cpb in VALID_N_CPB):
+            if not (is_int(n_cpb) and n_cpb in VALID_N_CPB):
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
-            if not (_is_int(n_t) and 63 <= n_t <= N_T_MAX_LIMIT):
+            if not (is_int(n_t) and 63 <= n_t <= N_T_MAX_LIMIT):
                 raise ConfigError("strategies", f"static n_t must be an integer in "
                                                 f"[63, {N_T_MAX_LIMIT}], got {n_t}")
             if (n_cpb, n_t) in seen:

@@ -2,6 +2,7 @@
 API plus optimizer.solve_env/search_env (and the optimizer.snap_to_grid name
 that solve_env looks up) and sweep.CSV_HEADER."""
 
+import functools
 import math
 from pathlib import Path
 from unittest import mock
@@ -201,3 +202,48 @@ def reference_snap(x_cont: float, objective, n: int = 63, n_t_max: int = 63 * 13
         if v > best_val:
             best, best_val = c, v
     return best
+
+
+@functools.cache
+def _binomial_rows(n_bits: int) -> tuple[tuple[float, float, float], ...]:
+    return tuple((float(math.comb(n_bits, i)), float(i), float(n_bits - i))
+                 for i in range(n_bits + 1))
+
+
+def reference_tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
+    """sum_{lo <= i < hi} C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1, the per-tail
+    form the reliability kernel replaced: each tail takes its own log(p_b) and
+    log1p(-p_b) and slices its own rows, then adds the terms in ascending i
+    and stops past the binomial mode once a term is at most 2**-54 of the sum."""
+    lp, lq = math.log(p_b), math.log1p(-p_b)
+    s, peak = 0.0, (n_bits + 1) * p_b
+    for comb, i, rest in _binomial_rows(n_bits)[lo:hi]:
+        term = comb * math.exp(i * lp + rest * lq)
+        s += term
+        if i > peak and term <= s * 2.0 ** -54:
+            break
+    return s
+
+
+def reference_block_success(p_b: float, n_bits: int, t: int) -> float:
+    """P(at most t of n_bits bits in error) from reference_tail."""
+    if p_b == 0.0:
+        return 1.0
+    if p_b == 1.0:
+        return 0.0
+    return min(1.0, reference_tail(p_b, n_bits, 0, t + 1))
+
+
+def reference_block_log_success(p_b: float, n_bits: int, t: int) -> float:
+    """log1p(-U) when the upper tail U < 0.5, else log(D), from reference_tail,
+    which takes the two logs again for U."""
+    if p_b == 0.0:
+        return 0.0
+    if p_b == 1.0:
+        return -math.inf
+    direct = reference_tail(p_b, n_bits, 0, t + 1)
+    if direct >= 0.5 - 1e-9:
+        upper = reference_tail(p_b, n_bits, t + 1, n_bits + 1)
+        if upper < 0.5:
+            return math.log1p(-upper)
+    return math.log(direct) if direct > 0.0 else -math.inf

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,5 +160,20 @@ class TestBitErrorProb:
         assert all(a > b for a, b in zip(probs, probs[1:]))
 
     def test_negative_snr_rejected(self):
-        with pytest.raises(ValueError):
-            bit_error_prob(-1.0, T_P * W_RX)
+        for ebn0 in (-1.0, -math.inf):
+            with pytest.raises(ValueError, match=f"^ebn0 must be >= 0, got {ebn0}$"):
+                bit_error_prob(ebn0, T_P * W_RX)
+
+    @pytest.mark.parametrize("ebn0,noise_tb,message", [
+        (math.nan, 1.0, "ebn0 must be finite, got nan"),
+        (math.inf, 1.0, "ebn0 must be finite, got inf"),
+        (1.0, -1.0, "noise_tb must be finite and >= 0, got -1.0"),
+        (1.0, -2.0, "noise_tb must be finite and >= 0, got -2.0"),
+        (1.0, math.nan, "noise_tb must be finite and >= 0, got nan"),
+        (1.0, math.inf, "noise_tb must be finite and >= 0, got inf"),
+    ])
+    def test_bad_arguments_rejected(self, ebn0, noise_tb, message):
+        # Each fails up front, naming its argument, instead of a late
+        # ZeroDivisionError or math domain error, or a NaN returned.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bit_error_prob(ebn0, noise_tb)

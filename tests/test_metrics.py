@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import math
@@ -7,7 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cloee import MODE_TABLE, EnergyParams, LinkModel, QosSpec, energy, energy_breakdown
+from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, energy, energy_breakdown,
+                   reliability)
 from cloee.metrics import grid
 from helpers import is_unimodal_max, metrics_at, single_pb_metrics
 
@@ -90,6 +92,41 @@ class TestSectionComposition:
         assert len(headers) == 1
         # ... so env() builds it once and every mode holds the same object.
         assert all(mm.header is envs[0].header for mm in envs)
+
+
+class TestEnvironmentWork:
+    def test_codes_checked_once_and_logs_taken_once_per_p_b(self, model):
+        # LinkModel.env runs every tail on the frame codes reliability split
+        # at import, so no block code is checked per environment (8 checks
+        # each before), and each (code, p_b) pair takes one log(p_b) and one
+        # log1p(-p_b), also when the log form sums both tails.
+        calls = collections.Counter()
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                calls["log", x] += 1
+                return math.log(x)
+
+            def log1p(self, x):
+                calls["log1p", x] += 1
+                return math.log1p(x)
+
+        with mock.patch.object(reliability, "_block_params",
+                               wraps=reliability._block_params) as checks, \
+                mock.patch.object(reliability, "math", CountingMath()):
+            envs = [model.env(d) for d in (4.0, 6.5, 8.4)]
+        assert checks.call_count == 0
+        pairs = collections.Counter()
+        for env in envs:
+            # One PSDU tail per mode, and the shared Kasami and PHR tails.
+            for p in [mm.p_b for mm in env] + [env[0].header.p_b_shr, env[0].header.p_b_phr]:
+                pairs[p] += 0.0 < p < 1.0
+        assert sum(pairs.values()) >= 20
+        for p, count in pairs.items():
+            assert (calls["log", p], calls["log1p", -p]) == (count, count), p
 
 
 class TestContinuousRelaxation:

@@ -396,7 +396,7 @@ class TestSharedEnvironment:
     def test_sweep_builds_one_environment_per_distance(self, monkeypatch, uniform, bit_errors):
         builds, calls, losses = [], [], []
         init = ModeMetrics.__init__
-        probs, prob = metrics.bit_error_probs, channel.bit_error_prob
+        probs, prob = metrics.bit_error_probs, channel._bit_error
 
         def counting_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
@@ -412,7 +412,7 @@ class TestSharedEnvironment:
 
         monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
         monkeypatch.setattr(metrics, "bit_error_probs", counting_probs)
-        monkeypatch.setattr(channel, "bit_error_prob", counting_prob)
+        monkeypatch.setattr(channel, "_bit_error", counting_prob)
         distances = (2.0, 6.5, 8.4)
         run_sweep(Scenario(distances=distances, shadowing=True, seed=3,
                            uniform_section_ber=uniform))

@@ -7,9 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from cloee import bch_block_log_success, bch_block_success
-from cloee.reliability import kasami_success, shr_success
-from helpers import single_pb_metrics
+from cloee import (EnergyParams, HeaderSuccess, ModeMetrics, bch_block_log_success,
+                   bch_block_success, energy_breakdown)
+from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _tail, block_log_success,
+                               block_success, kasami_success, shr_success)
+from helpers import (mode_for, reference_block_log_success, reference_block_success,
+                     single_pb_metrics)
 
 
 class TestKasami:
@@ -208,6 +211,72 @@ class TestShortSideFirst:
         # Every direct term underflows: D = 0 and the log is -inf either way.
         p = 1.0 - 2.0 ** -53
         assert bch_block_log_success(p, (63, 2)) == _old_block_log_success(p, 63, 2) == -math.inf
+
+
+# The frame's three codes, checked and split at import: (code, block).
+FRAME_BLOCKS = [((63, 2), PSDU_BLOCK), ((63, 6), KASAMI_BLOCK), ((40, 2), PHR_BLOCK)]
+
+
+def _kernel_p():
+    """Seeded p_b over [0, 1]: the ends, the smallest subnormal and 0.5;
+    2,000 draws spread evenly over [0, 1] and over the decades down to 1e-300;
+    and for each code, steps of 1e-6 across +-2e-4 of its nominal crossover
+    (0.0422, 0.1053, 0.0663) and steps of 2**-40 relative around the exact one."""
+    rng = np.random.default_rng(20261019)
+    ps = [0.0, 1.0, 5e-324, 0.5, *rng.uniform(0.0, 1.0, 1_000).tolist(),
+          *(10.0 ** rng.uniform(-300, 0, 1_000)).tolist()]
+    for (n_bits, t), nominal in zip((code for code, _ in FRAME_BLOCKS), (0.0422, 0.1053, 0.0663)):
+        ps += [nominal + k * 1e-6 for k in range(-200, 201)]
+        p_c = _crossover(n_bits, t)
+        ps += [p_c * (1.0 + k * 2.0 ** -40) for k in range(-128, 129)]
+    return ps
+
+
+class TestFrameCodeKernel:
+    # ModeMetrics and HeaderSuccess call block_success/block_log_success on
+    # the pre-split frame codes, with one log(p_b) and one log1p(-p_b) for
+    # both of the log form's sums.  They must equal the per-tail reference
+    # form (its own logs and slice per tail) and the public functions, which
+    # check the code and then run the same kernel, bit for bit.
+    P = _kernel_p()
+
+    @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
+    def test_equals_reference_and_public(self, code, block):
+        n_bits, t = code
+        for p in self.P:
+            lin = block_success(p, block)
+            assert lin == reference_block_success(p, n_bits, t) == bch_block_success(p, code), p
+            log = block_log_success(p, block)
+            assert log == reference_block_log_success(p, n_bits, t) == \
+                bch_block_log_success(p, code), p
+            if block is KASAMI_BLOCK:
+                assert kasami_success(p) == lin, p
+
+    @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
+    def test_early_stop_equals_full_sum(self, code, block):
+        # README's half-ulp argument: past the binomial mode, once a term is
+        # at most 2**-54 of the partial sum no later term changes it, so the
+        # early-stopped sum equals the sum of every term.
+        for p in self.P:
+            if not 0.0 < p < 1.0:
+                continue
+            lp, lq, peak = math.log(p), math.log1p(-p), block.n_plus_1 * p
+            for rows in (block.direct, block.upper):
+                full = 0.0
+                for comb, i, rest in rows:
+                    full += comb * math.exp(i * lp + rest * lq)
+                assert _tail(rows, lp, lq, peak) == full, (p, rows[0][1])
+
+    def test_frame_callers_keep_the_p_b_check(self):
+        msg = "bit error probability must be in [0, 1], got "
+        mode = mode_for(1)
+        with pytest.raises(ValueError, match=re.escape(msg + "nan")):
+            ModeMetrics(mode, 1.0, math.nan, HeaderSuccess.at(0.1, 0.1),
+                        energy_breakdown(mode, EnergyParams()))
+        with pytest.raises(ValueError, match=re.escape(msg + "1.5")):
+            HeaderSuccess.at(1.5, 0.1)
+        with pytest.raises(ValueError, match=re.escape(msg + "-0.5")):
+            HeaderSuccess.at(0.1, -0.5)
 
 
 class TestPpduSuccess:

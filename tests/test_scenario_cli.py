@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,20 @@ class TestScenarioParsing:
         # The config parser reads seed as an int; a library caller may not.
         with pytest.raises(ConfigError, match=r"^seed: must be an integer, got 1\.5$"):
             Scenario(seed=1.5, shadowing=True)
+
+    @pytest.mark.parametrize("cls,field,value,message", [
+        (Scenario, "seed", True, "seed: must be an integer, got True"),
+        (QosSpec, "n_s", True, "n_s must be an integer, got True"),
+        (EnergyParams, "m_fingers", True, "m_fingers must be an integer, got True"),
+        (EnergyParams, "rho_r", True, "rho_r must be an integer, got True"),
+        (EnergyParams, "rho_c", False, "rho_c must be an integer, got False"),
+        (SolverConfig, "n_t_max", True, "solver.n_t_max: must be an integer >= 63, got True"),
+    ], ids=["seed", "n_s", "m_fingers", "rho_r", "rho_c", "n_t_max"])
+    def test_bool_is_not_an_integer(self, cls, field, value, message):
+        # bool is a numbers.Integral; every integer setting shares
+        # errors.is_int, which rejects it, as the strategy entries do.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{field: value})
 
     def test_repeated_static_strategy_rejected(self):
         # Two equal pairs would give two identical static_<n_cpb>_<n_t> rows
