@@ -5,7 +5,7 @@ transceiver energy, and jointly optimizes the PSDU size and pulses-per-burst
 for energy efficiency under an aggregate minimum-rate constraint.
 """
 
-from .channel import ChannelParams, bit_error_prob, bit_error_probs
+from .channel import ChannelParams, bit_error_probs
 from .energy import EnergyBreakdown, EnergyParams, energy_breakdown
 from .errors import ConfigError
 from .frame import (
@@ -26,7 +26,6 @@ from .optimizer import (
     snap_to_grid,
     solve_mode,
 )
-from .reliability import bch_block_log_success, bch_block_success
 from .scenario import Scenario, load_scenario, parse_scenario
 from .sweep import SweepRow, emit_curves, run_sweep, rows_to_csv
 
@@ -37,9 +36,8 @@ __all__ = [
     "ChannelParams", "ConfigError", "EnergyBreakdown", "EnergyParams",
     "FRAME_CONSTANTS", "FrameConstants", "HeaderSuccess", "LinkModel",
     "MODE_TABLE", "ModeMetrics", "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode",
-    "QosSpec", "Scenario", "SolverConfig", "SweepRow",
-    "bch_block_log_success", "bch_block_success", "bit_error_prob", "bit_error_probs",
-    "cloee", "emit_curves", "energy_breakdown", "exhaustive_search", "load_scenario",
+    "QosSpec", "Scenario", "SolverConfig", "SweepRow", "bit_error_probs", "cloee",
+    "emit_curves", "energy_breakdown", "exhaustive_search", "load_scenario",
     "nt_closed_form", "parse_scenario", "rows_to_csv", "run_sweep", "snap_to_grid",
     "solve_mode",
 ]

@@ -93,20 +93,10 @@ def q_function(x: float) -> float:
     return math.exp(-0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(series))
 
 
-def bit_error_prob(ebn0: float, noise_tb: float) -> float:
-    """Energy-detector bit error probability, in [0, 0.5], at the integrated
-    per-bit SNR ebn0 and the noise time-bandwidth product n_cpb*t_int*w_rx."""
-    if ebn0 < 0:
-        raise ValueError(f"ebn0 must be >= 0, got {ebn0}")
-    if not math.isfinite(ebn0):
-        raise ValueError(f"ebn0 must be finite, got {ebn0}")
-    if not (math.isfinite(noise_tb) and noise_tb >= 0):
-        raise ValueError(f"noise_tb must be finite and >= 0, got {noise_tb}")
-    return _bit_error(ebn0, noise_tb)
-
-
 def _bit_error(ebn0: float, noise_tb: float) -> float:
-    """bit_error_prob for a finite ebn0 >= 0 and a finite noise_tb >= 0, unchecked."""
+    """Energy-detector bit error probability, in [0, 0.5], at the integrated
+    per-bit SNR ebn0 and the noise time-bandwidth product noise_tb =
+    n_cpb*t_int*w_rx; both finite and >= 0, which the caller ensures."""
     if ebn0 == 0.0:
         return 0.5
     return q_function(math.sqrt(0.5 * ebn0 * ebn0 / (ebn0 + noise_tb)))
@@ -120,12 +110,13 @@ def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHAN
     h_eff, which also absorbs the noise figure and implementation margin, are
     taken once.  Per mode, ebn0 = h_eff * n_cpb * eps_p / N0 with eps_p the
     transmitted energy per pulse, and t_int is the burst (or, per pulse, one
-    pulse) integration interval.  Both arguments of the Q step are built here,
-    non-negative and (ebn0 after its overflow check) finite, so they skip
-    bit_error_prob's argument checks.
+    pulse) integration interval.  Both arguments of _bit_error are built here,
+    non-negative and (ebn0 after its overflow check) finite.
     """
-    if not d > 0:
-        raise ValueError(f"distance must be > 0 m, got {d}")
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"distance must be > 0 m and finite, got {d}")
+    if not -math.inf < chi < math.inf:
+        raise ValueError(f"shadowing chi must be finite, got {chi} dB")
     if eps_p <= 0:
         raise ValueError(f"per-pulse energy must be > 0, got {eps_p}")
     loss = params.a * math.log10(d * 1e3) + params.b + chi

@@ -71,7 +71,7 @@ class HeaderSuccess:
     @classmethod
     def at(cls, p_b_shr: float, p_b_phr: float) -> HeaderSuccess:
         p_kasami = block_success(p_b_shr, KASAMI_BLOCK)
-        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami, FRAME_CONSTANTS.kasami_count),
+        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami),
                    block_success(p_b_phr, PHR_BLOCK))
 
     @property
@@ -171,7 +171,7 @@ class LinkModel:
         payload rates of the modes at n_cpb_shr and n_cpb_phr, read from the rate
         list by MODE_TABLE position, and is built once for all six modes;
         uniform_section_ber gives each mode a header at its rate.  Every tail runs
-        on the frame codes reliability checked at import, so only each p_b is
+        on the frame codes reliability split at import, so only each p_b is
         checked here, and each p_b's two logs are taken once per code.
         """
         p_b = bit_error_probs(distance, self.energy.eps_p, self.channel, chi,

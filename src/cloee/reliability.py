@@ -11,30 +11,17 @@ used; the any-of-four form is what the detection model states.)  The whole
 PPDU is composed from these pieces in metrics.ModeMetrics.
 
 The frame's three block codes, PSDU (63, 2), Kasami (63, 6) and PHR (40, 2),
-are checked and split into their rows once, at import (PSDU_BLOCK,
-KASAMI_BLOCK, PHR_BLOCK).  block_success and block_log_success check only
-p_b and take log(p_b) and log1p(-p_b) once per call; the public functions
-check their code as well, then run the same two.
+are split into their rows once, at import (PSDU_BLOCK, KASAMI_BLOCK,
+PHR_BLOCK).  block_success and block_log_success check p_b and take log(p_b)
+and log1p(-p_b) once per call.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
 from .frame import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE
-
-
-def _block_params(code: tuple[int, int]) -> tuple[int, int]:
-    try:
-        n_bits, t = map(operator.index, code)     # integers only: 2.9 is not truncated
-    except TypeError:
-        raise ValueError(f"a block code (N, t) takes integers, got {code!r}") from None
-    if not 0 <= t < n_bits:
-        raise ValueError(f"correctable errors t={t} must be in [0, {n_bits}) for a "
-                         f"{n_bits}-bit block")
-    return n_bits, t
 
 
 def _check_p(p_b: float) -> None:
@@ -52,27 +39,23 @@ def _rows(n_bits: int) -> tuple[tuple[float, float, float], ...]:
                  for i in range(n_bits + 1))
 
 
-# The rows of the frame's fixed block lengths.
-_ROWS = {n: _rows(n) for n in (PSDU_CODE.n, FRAME_CONSTANTS.kasami_len, PHR_CODE.n)}
-
-
 class Block(NamedTuple):
-    """A checked block code (N, t): its rows i <= t, its rows i > t, and N + 1."""
+    """A block code (N, t): its rows i <= t, its rows i > t, and N + 1."""
 
     direct: tuple[tuple[float, float, float], ...]
     upper: tuple[tuple[float, float, float], ...]
     n_plus_1: int
 
 
-def _block(code: tuple[int, int]) -> Block:
-    n_bits, t = _block_params(code)
-    rows = _ROWS.get(n_bits) or _rows(n_bits)
+def _block(n_bits: int, t: int) -> Block:
+    """The Block of code (n_bits, t), for integers 0 <= t < n_bits, unchecked."""
+    rows = _rows(n_bits)
     return Block(rows[:t + 1], rows[t + 1:], n_bits + 1)
 
 
-PSDU_BLOCK = _block((PSDU_CODE.n, PSDU_CODE.t))
-KASAMI_BLOCK = _block((FRAME_CONSTANTS.kasami_len, FRAME_CONSTANTS.rho_sensitivity))
-PHR_BLOCK = _block((PHR_CODE.n, PHR_CODE.t))
+PSDU_BLOCK = _block(PSDU_CODE.n, PSDU_CODE.t)
+KASAMI_BLOCK = _block(FRAME_CONSTANTS.kasami_len, FRAME_CONSTANTS.rho_sensitivity)
+PHR_BLOCK = _block(PHR_CODE.n, PHR_CODE.t)
 
 
 def _tail(rows, lp: float, lq: float, peak: float) -> float:
@@ -96,7 +79,7 @@ def _tail(rows, lp: float, lq: float, peak: float) -> float:
 
 
 def block_success(p_b: float, block: Block) -> float:
-    """P(block decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i) for a checked block."""
+    """P(block decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i)."""
     _check_p(p_b)
     if p_b == 0.0:
         return 1.0
@@ -133,24 +116,8 @@ def block_log_success(p_b: float, block: Block) -> float:
     return math.log(direct) if direct > 0.0 else -math.inf
 
 
-def bch_block_success(p_b: float, code: tuple[int, int]) -> float:
-    """P(block of N bits decodes) = sum_{i<=t} C(N,i) p^i (1-p)^(N-i); code = (N, t)."""
-    return block_success(p_b, _block(code))
-
-
-def bch_block_log_success(p_b: float, code: tuple[int, int]) -> float:
-    """log of bch_block_success, accurate when the success probability is ~1
-    (see block_log_success); code = (N, t)."""
-    return block_log_success(p_b, _block(code))
-
-
-def kasami_success(p_b: float, rho: int = FRAME_CONSTANTS.rho_sensitivity,
-                   length: int = FRAME_CONSTANTS.kasami_len) -> float:
-    """P(63-bit Kasami sequence detected): at most rho bit errors tolerated."""
-    return bch_block_success(p_b, (length, rho))
-
-
-def shr_success(p_kasami: float, count: int = FRAME_CONSTANTS.kasami_count) -> float:
-    """SHR success from the Kasami detection probability (any-of-count preamble + SFD)."""
+def shr_success(p_kasami: float) -> float:
+    """SHR success from the Kasami detection probability (any-of-kasami_count
+    preamble + SFD)."""
     _check_p(p_kasami)
-    return p_kasami * (1.0 - (1.0 - p_kasami) ** count)
+    return p_kasami * (1.0 - (1.0 - p_kasami) ** FRAME_CONSTANTS.kasami_count)

@@ -1,6 +1,9 @@
 """Shared test utilities and reference forms, built on the package's public
 API plus optimizer.solve_env/search_env (and the optimizer.snap_to_grid name
-that solve_env looks up) and sweep.CSV_HEADER."""
+that solve_env looks up) and sweep.CSV_HEADER.
+
+The reference tails take any block code (N, t) as a pair; the package's tails
+take a reliability.Block, which the tests build with reliability._block."""
 
 import functools
 import math

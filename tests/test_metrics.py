@@ -97,9 +97,9 @@ class TestSectionComposition:
 class TestEnvironmentWork:
     def test_codes_checked_once_and_logs_taken_once_per_p_b(self, model):
         # LinkModel.env runs every tail on the frame codes reliability split
-        # at import, so no block code is checked per environment (8 checks
-        # each before), and each (code, p_b) pair takes one log(p_b) and one
-        # log1p(-p_b), also when the log form sums both tails.
+        # at import, so no block code is built per environment, and each
+        # (code, p_b) pair takes one log(p_b) and one log1p(-p_b), also when
+        # the log form sums both tails.
         calls = collections.Counter()
 
         class CountingMath:
@@ -114,11 +114,10 @@ class TestEnvironmentWork:
                 calls["log1p", x] += 1
                 return math.log1p(x)
 
-        with mock.patch.object(reliability, "_block_params",
-                               wraps=reliability._block_params) as checks, \
+        with mock.patch.object(reliability, "_block", wraps=reliability._block) as builds, \
                 mock.patch.object(reliability, "math", CountingMath()):
             envs = [model.env(d) for d in (4.0, 6.5, 8.4)]
-        assert checks.call_count == 0
+        assert builds.call_count == 0
         pairs = collections.Counter()
         for env in envs:
             # One PSDU tail per mode, and the shared Kasami and PHR tails.

@@ -181,6 +181,11 @@ class TestCloee:
         assert max_rate_low < max_rate_high
         assert cloee(model, 8.4, qos, cfg).n_cpb_star >= 8
 
+    def test_infinite_distance_rejected(self, model, qos, cfg):
+        # Not a throughput-fallback result at six coin-flip bit error rates.
+        with pytest.raises(ValueError, match=r"^distance must be > 0 m and finite, got inf$"):
+            cloee(model, math.inf, qos, cfg)
+
     @pytest.mark.parametrize("d", [1.0, 2.5, 4.0, 5.5, 6.5, 6.8, 7.0, 8.4, 10.0])
     def test_matches_exhaustive_oracle(self, model, qos, cfg, d):
         res = cloee(model, d, qos, cfg)

@@ -7,28 +7,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from cloee import (EnergyParams, HeaderSuccess, ModeMetrics, bch_block_log_success,
-                   bch_block_success, energy_breakdown)
-from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _tail, block_log_success,
-                               block_success, kasami_success, shr_success)
+from cloee import EnergyParams, HeaderSuccess, ModeMetrics, energy_breakdown
+from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _tail,
+                               block_log_success, block_success, shr_success)
 from helpers import (mode_for, reference_block_log_success, reference_block_success,
                      single_pb_metrics)
 
 
 class TestKasami:
     def test_error_free(self):
-        assert kasami_success(0.0) == 1.0
+        assert block_success(0.0, KASAMI_BLOCK) == 1.0
 
     def test_all_bits_flipped(self):
-        assert kasami_success(1.0) == 0.0
+        assert block_success(1.0, KASAMI_BLOCK) == 0.0
 
     def test_reference_point(self):
         # binomial-CDF oracle: P(Bin(63, 0.05) <= 6)
-        assert kasami_success(0.05) == pytest.approx(0.9625554217454397, rel=1e-10)
+        assert block_success(0.05, KASAMI_BLOCK) == pytest.approx(0.9625554217454397, rel=1e-10)
 
     def test_matches_cdf_oracle(self):
         for p in (1e-6, 1e-3, 0.02, 0.1, 0.3, 0.5):
-            assert kasami_success(p) == pytest.approx(float(binom.cdf(6, 63, p)), rel=1e-12)
+            assert block_success(p, KASAMI_BLOCK) == pytest.approx(
+                float(binom.cdf(6, 63, p)), rel=1e-12)
 
 
 class TestShrSuccess:
@@ -46,71 +46,56 @@ class TestShrSuccess:
 
 class TestBchBlockSuccess:
     def test_error_free(self):
-        assert bch_block_success(0.0, (63, 2)) == 1.0
+        assert block_success(0.0, PSDU_BLOCK) == 1.0
 
     def test_reference_points(self):
         # binomial-CDF oracle values at p_b = 0.01
-        assert bch_block_success(0.01, (63, 2)) == pytest.approx(0.9745456201719668, rel=1e-10)
-        assert bch_block_success(0.01, (40, 2)) == pytest.approx(0.992502636604604, rel=1e-10)
+        assert block_success(0.01, PSDU_BLOCK) == pytest.approx(0.9745456201719668, rel=1e-10)
+        assert block_success(0.01, PHR_BLOCK) == pytest.approx(0.992502636604604, rel=1e-10)
 
     @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
     def test_matches_cdf_oracle(self, n_bits, t):
+        block = _block(n_bits, t)
         for p in np.logspace(-12, math.log10(0.5), 25):
-            assert bch_block_success(float(p), (n_bits, t)) == pytest.approx(
+            assert block_success(float(p), block) == pytest.approx(
                 float(binom.cdf(t, n_bits, p)), rel=1e-12)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            bch_block_success(-0.1, (63, 2))
-        with pytest.raises(ValueError):
-            bch_block_success(0.1, (2, 2))
+            block_success(-0.1, PSDU_BLOCK)
 
 
 class TestLogSuccess:
     def test_consistent_with_linear(self):
         for p in np.logspace(-12, math.log10(0.5), 25):
-            direct = bch_block_success(float(p), (63, 2))
-            assert math.exp(bch_block_log_success(float(p), (63, 2))) == pytest.approx(
+            direct = block_success(float(p), PSDU_BLOCK)
+            assert math.exp(block_log_success(float(p), PSDU_BLOCK)) == pytest.approx(
                 direct, rel=1e-12)
 
     def test_resolves_tiny_failure_tails(self):
         # At p_b = 1e-6 the success probability rounds to 1.0 in linear space
         # but the log keeps the ~C(63,3) p^3 failure tail.
-        log_p = bch_block_log_success(1e-6, (63, 2))
+        log_p = block_log_success(1e-6, PSDU_BLOCK)
         assert log_p < 0.0
         assert log_p == pytest.approx(-math.comb(63, 3) * 1e-18, rel=1e-2)
 
     def test_degenerate_limits(self):
-        assert bch_block_log_success(0.0, (63, 2)) == 0.0
-        assert bch_block_log_success(1.0, (63, 2)) == -math.inf
+        assert block_log_success(0.0, PSDU_BLOCK) == 0.0
+        assert block_log_success(1.0, PSDU_BLOCK) == -math.inf
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            bch_block_log_success(-0.1, (63, 2))
+            block_log_success(-0.1, PSDU_BLOCK)
         with pytest.raises(ValueError):
-            bch_block_log_success(1.5, (63, 2))
+            block_log_success(1.5, PSDU_BLOCK)
 
 
-class TestBlockParams:
-    # Both tails share one check, 0 <= t < n_bits, whatever p_b is.
-    @pytest.mark.parametrize("tail", [bch_block_success, bch_block_log_success])
-    @pytest.mark.parametrize("p_b", [0.0, 0.1, 1.0])
-    @pytest.mark.parametrize("code", [(2, 2), (63, 63), (63, 64), (63, -1)])
-    def test_rejected(self, tail, p_b, code):
-        with pytest.raises(ValueError, match="correctable errors"):
-            tail(p_b, code)
-
-    @pytest.mark.parametrize("tail", [bch_block_success, bch_block_log_success])
-    @pytest.mark.parametrize("code", [(63, 2.9), (63.9, 2)])
-    def test_non_integral_rejected(self, tail, code):
-        # Not truncated to (63, 2): the pair is named instead.
-        with pytest.raises(ValueError, match=re.escape(f"got {code!r}")):
-            tail(1e-3, code)
-
-    @pytest.mark.parametrize("tail", [bch_block_success, bch_block_log_success])
+class TestOffFrameCodes:
+    # The tails run on any code 0 <= t < n_bits, not only the frame's three.
+    @pytest.mark.parametrize("tail", [block_success, block_log_success])
     def test_edge_of_range_accepted(self, tail):
-        assert math.isfinite(tail(0.1, (63, 0)))
-        assert math.isfinite(tail(0.1, (63, 62)))
+        assert math.isfinite(tail(0.1, _block(63, 0)))
+        assert math.isfinite(tail(0.1, _block(63, 62)))
 
 
 def _old_pmf(i, n_bits, p_b):
@@ -162,13 +147,15 @@ class TestTailsMatchPerTermForm:
 
     @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6), (63, 0), (5, 4)])
     def test_block_success(self, n_bits, t):
+        block = _block(n_bits, t)
         for p in self.P_GRID + self.RANDOM_P:
-            assert bch_block_success(p, (n_bits, t)) == _old_block_success(p, n_bits, t), p
+            assert block_success(p, block) == _old_block_success(p, n_bits, t), p
 
     @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6), (63, 0), (5, 4)])
     def test_block_log_success(self, n_bits, t):
+        block = _block(n_bits, t)
         for p in self.P_GRID + self.RANDOM_P:
-            assert bch_block_log_success(p, (n_bits, t)) == _old_block_log_success(p, n_bits, t), p
+            assert block_log_success(p, block) == _old_block_log_success(p, n_bits, t), p
 
 
 def _crossover(n_bits, t):
@@ -185,7 +172,7 @@ def _crossover(n_bits, t):
 
 
 class TestShortSideFirst:
-    # bch_block_log_success sums the t+1 direct terms D first and skips the
+    # block_log_success sums the t+1 direct terms D first and skips the
     # upper tail U when D < 0.5 - 1e-9; _old_block_log_success sums U first
     # and reads D only when U >= 0.5.  They must agree bit for bit, -inf
     # included: in steps of 2**-40 relative around the crossover U = 0.5,
@@ -194,12 +181,12 @@ class TestShortSideFirst:
     # seeded log-uniform p_b.
     @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
     def test_dense_scan_around_crossover(self, n_bits, t):
-        p_c = _crossover(n_bits, t)
+        p_c, block = _crossover(n_bits, t), _block(n_bits, t)
         outcomes = set()
         for k in range(-2048, 2049):
             p = p_c * (1.0 + k * 2.0 ** -40)
-            assert bch_block_log_success(p, (n_bits, t)) == _old_block_log_success(p, n_bits, t), p
-            direct = bch_block_success(p, (n_bits, t))
+            assert block_log_success(p, block) == _old_block_log_success(p, n_bits, t), p
+            direct = block_success(p, block)
             outcomes.add("skip" if direct < 0.5 - 1e-9 else
                          "upper" if _full_sum(p, n_bits, t + 1, n_bits + 1) < 0.5 else "direct")
         assert outcomes == {"skip", "upper", "direct"}
@@ -210,10 +197,10 @@ class TestShortSideFirst:
     def test_hopeless_block_is_minus_inf(self):
         # Every direct term underflows: D = 0 and the log is -inf either way.
         p = 1.0 - 2.0 ** -53
-        assert bch_block_log_success(p, (63, 2)) == _old_block_log_success(p, 63, 2) == -math.inf
+        assert block_log_success(p, PSDU_BLOCK) == _old_block_log_success(p, 63, 2) == -math.inf
 
 
-# The frame's three codes, checked and split at import: (code, block).
+# The frame's three codes, split at import: (code, block).
 FRAME_BLOCKS = [((63, 2), PSDU_BLOCK), ((63, 6), KASAMI_BLOCK), ((40, 2), PHR_BLOCK)]
 
 
@@ -236,21 +223,16 @@ class TestFrameCodeKernel:
     # ModeMetrics and HeaderSuccess call block_success/block_log_success on
     # the pre-split frame codes, with one log(p_b) and one log1p(-p_b) for
     # both of the log form's sums.  They must equal the per-tail reference
-    # form (its own logs and slice per tail) and the public functions, which
-    # check the code and then run the same kernel, bit for bit.
+    # form (its own logs and slice per tail) bit for bit.
     P = _kernel_p()
 
     @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
-    def test_equals_reference_and_public(self, code, block):
+    def test_equals_reference(self, code, block):
         n_bits, t = code
+        assert block == _block(n_bits, t)
         for p in self.P:
-            lin = block_success(p, block)
-            assert lin == reference_block_success(p, n_bits, t) == bch_block_success(p, code), p
-            log = block_log_success(p, block)
-            assert log == reference_block_log_success(p, n_bits, t) == \
-                bch_block_log_success(p, code), p
-            if block is KASAMI_BLOCK:
-                assert kasami_success(p) == lin, p
+            assert block_success(p, block) == reference_block_success(p, n_bits, t), p
+            assert block_log_success(p, block) == reference_block_log_success(p, n_bits, t), p
 
     @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
     def test_early_stop_equals_full_sum(self, code, block):
