@@ -1,8 +1,9 @@
-"""Dependency-free SVG line charts, just enough to eyeball sweep output."""
+"""SVG line charts with no plotting library, just enough to eyeball sweep
+output; each series is mapped and formatted as numpy arrays."""
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
             "#8c564b", "#17becf", "#7f7f7f")
@@ -18,16 +19,20 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def render_lines(series: list[tuple[str, list[float], list[float]]],
-                 title: str = "", x_label: str = "", y_label: str = "") -> str:
-    """Render (label, xs, ys) series into a standalone SVG document."""
-    lines = [(label, [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)])
-             for label, xs, ys in series]
-    pts = [p for _, line in lines for p in line]
-    if not pts:
+def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
+    """Render (label, xs, ys) series, xs and ys lists or arrays of one length,
+    into a standalone SVG document; non-finite points are dropped."""
+    lines = []
+    for label, xs, ys in series:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if xs.shape != ys.shape:
+            raise ValueError(f"series {label}: xs and ys differ in length")
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        lines.append((label, xs[keep], ys[keep]))
+    if not any(xs.size for _, xs, _ in lines):
         raise ValueError("nothing to plot")
-    xs, ys = zip(*pts)
-    x_min, x_max, y_min, y_max = min(xs), max(xs), min(ys), max(ys)
+    xs, ys = (np.concatenate([line[k] for line in lines]) for k in (1, 2))
+    x_min, x_max, y_min, y_max = float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
@@ -36,10 +41,10 @@ def render_lines(series: list[tuple[str, list[float], list[float]]],
     plot_w = _W - _MARGIN_L - _MARGIN_R
     plot_h = _H - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + plot_h - (y - y_min) / (y_max - y_min) * plot_h
 
     out = [
@@ -66,10 +71,11 @@ def render_lines(series: list[tuple[str, list[float], list[float]]],
     out.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
                f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">{y_label}</text>')
     # series
-    for i, (label, line) in enumerate(lines):
+    for i, (label, xs, ys) in enumerate(lines):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in line)
-        if coords:
+        if xs.size:
+            coords = " ".join(["%.2f,%.2f"] * xs.size) % tuple(
+                np.column_stack((sx(xs), sy(ys))).ravel().tolist())
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        'stroke-width="1.6"/>')
         ly = _MARGIN_T + 14 + i * 16

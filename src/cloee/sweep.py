@@ -164,8 +164,7 @@ def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
     series: dict[str, list] = {"eta": [], "rate": []}
     for sol, nts, etas, rates in compute_curves(model, distance, qos, cfg, chi):
         n_cpb = sol.n_cpb_star
-        nts, etas, rates = nts.tolist(), etas.tolist(), rates.tolist()
-        curve_rows += zip([n_cpb] * len(nts), nts, etas, rates)
+        curve_rows += zip([n_cpb] * len(nts), nts.tolist(), etas.tolist(), rates.tolist())
         mark_rows.append((n_cpb, sol.nee, sol.nthr, sol.n_t_star, sol.branch, sol.feasible))
         series["eta"].append((f"n_cpb={n_cpb}", nts, etas))
         series["rate"].append((f"n_cpb={n_cpb}", nts, rates))

@@ -1,6 +1,6 @@
 """Shared test utilities and reference forms, built on the package's public
 API plus optimizer.solve_env/search_env (and the optimizer.snap_to_grid name
-that solve_env looks up) and sweep.CSV_HEADER.
+that solve_env looks up), sweep.CSV_HEADER and svgplot's layout constants.
 
 The reference tails take any block code (N, t) as a pair; the package's tails
 take a reliability.Block, which the tests build with reliability._block."""
@@ -28,6 +28,7 @@ from cloee import (
 )
 from cloee.energy import DEFAULT_ENERGY
 from cloee.optimizer import search_env, solve_env
+from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
 from cloee.sweep import CSV_HEADER
 
 # Frozen (distance, chi, r0, n_s) inputs whose rate floor binds in some mode,
@@ -250,3 +251,66 @@ def reference_block_log_success(p_b: float, n_bits: int, t: int) -> float:
         if upper < 0.5:
             return math.log1p(-upper)
     return math.log(direct) if direct > 0.0 else -math.inf
+
+
+def reference_render_lines(series: list[tuple[str, list[float], list[float]]],
+                           title: str = "", x_label: str = "", y_label: str = "") -> str:
+    """svgplot.render_lines point by point: filter, map and format each
+    (x, y) with Python floats; zip truncates xs and ys to the shorter."""
+    lines = [(label, [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)])
+             for label, xs, ys in series]
+    pts = [p for _, line in lines for p in line]
+    if not pts:
+        raise ValueError("nothing to plot")
+    xs, ys = zip(*pts)
+    x_min, x_max, y_min, y_max = min(xs), max(xs), min(ys), max(ys)
+    if x_max == x_min:
+        x_max = x_min + 1.0
+    if y_max == y_min:
+        y_max = y_min + 1.0
+
+    plot_w = _W - _MARGIN_L - _MARGIN_R
+    plot_h = _H - _MARGIN_T - _MARGIN_B
+
+    def sx(x: float) -> float:
+        return _MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+
+    def sy(y: float) -> float:
+        return _MARGIN_T + plot_h - (y - y_min) / (y_max - y_min) * plot_h
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+    ]
+    # axes and ticks
+    out.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+               'fill="none" stroke="#333"/>')
+    for i in range(5):
+        fx = x_min + (x_max - x_min) * i / 4
+        fy = y_min + (y_max - y_min) * i / 4
+        out.append(f'<text x="{sx(fx):.1f}" y="{_H - _MARGIN_B + 18}" '
+                   f'text-anchor="middle" fill="#333">{_fmt(fx)}</text>')
+        out.append(f'<text x="{_MARGIN_L - 6}" y="{sy(fy) + 4:.1f}" '
+                   f'text-anchor="end" fill="#333">{_fmt(fy)}</text>')
+        if i > 0:
+            out.append(f'<line x1="{_MARGIN_L}" y1="{sy(fy):.1f}" x2="{_MARGIN_L + plot_w}" '
+                       f'y2="{sy(fy):.1f}" stroke="#ddd"/>')
+    out.append(f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_H - 10}" '
+               f'text-anchor="middle">{x_label}</text>')
+    out.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
+               f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">{y_label}</text>')
+    # series
+    for i, (label, line) in enumerate(lines):
+        color = _PALETTE[i % len(_PALETTE)]
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in line)
+        if coords:
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                       'stroke-width="1.6"/>')
+        ly = _MARGIN_T + 14 + i * 16
+        out.append(f'<line x1="{_W - _MARGIN_R + 10}" y1="{ly - 4}" '
+                   f'x2="{_W - _MARGIN_R + 30}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+        out.append(f'<text x="{_W - _MARGIN_R + 34}" y="{ly}">{label}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -1,8 +1,18 @@
 import math
+import os
+import platform
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cloee.svgplot import render_lines
+from helpers import reference_render_lines
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_nothing_finite_to_plot():
@@ -31,3 +41,109 @@ def test_series_without_a_finite_point_keeps_its_legend():
     svg = render_lines([("a", [1.0, 2.0], [1.0, 2.0]), ("b", [math.nan], [math.nan])])
     assert svg.count("<polyline") == 1
     assert ">b</text>" in svg
+
+
+def test_mismatched_lengths_fail_loudly():
+    with pytest.raises(ValueError, match="^series b: xs and ys differ in length$"):
+        render_lines([("a", [1.0, 2.0], [1.0, 2.0]), ("b", [1.0, 2.0, 3.0], [1.0, 2.0])])
+
+
+def _values(rng: random.Random, n: int, lo: float, hi: float, plot: int) -> list:
+    """n values in [lo, hi]: one value n times (a constant axis), values that
+    map to a rounding tie of %.2f when [lo, hi] spans a plot side of plot
+    pixels, or uniform values of which some are +-inf, nan or +-0.0."""
+    kind = rng.random()
+    if kind < 0.15:
+        return [lo] * n
+    if kind < 0.5:
+        return [lo + (hi - lo) * ((rng.randrange(100 * plot) + 0.5) / 100 / plot)
+                for _ in range(n)]
+    specials = (math.inf, -math.inf, math.nan, 0.0, -0.0)
+    return [rng.choice(specials) if rng.random() < 0.1 else lo + (hi - lo) * rng.random()
+            for _ in range(n)]
+
+
+def _container(rng: random.Random, values: list):
+    """values as a list, a float64 array, or Python ints (all or some)."""
+    kind = rng.randrange(4)
+    if kind == 1:
+        return np.array(values)
+    if kind >= 2:
+        ints = [int(v) if math.isfinite(v) and abs(v) < 2 ** 53 else v for v in values]
+        return ints if kind == 2 else [rng.choice(pair) for pair in zip(ints, values)]
+    return values
+
+
+def _random_series(rng: random.Random) -> list:
+    """1-10 (label, xs, ys) series on one random [lo, hi] per axis, at
+    magnitudes 1e-300 to 1e303; series may be empty, single points, constant
+    or without a finite point, and a last series often pins the bounds to
+    [lo, hi] so that the values aimed at rounding ties hit them."""
+    axes = []
+    for plot in (490, 390):
+        scale = 10.0 ** rng.uniform(-300, 300)
+        lo = rng.choice((0.0, -scale, scale * rng.uniform(-1e3, 1e3)))
+        axes.append((lo, lo + scale, plot))
+    series = []
+    for k in range(rng.randint(1, 10)):
+        n = rng.choice((0, 1, 1, 2, rng.randint(3, 40)))
+        xs, ys = (_values(rng, n, *axis) for axis in axes)
+        if rng.random() < 0.05:
+            ys = [math.nan] * n
+        series.append((f"s{k}", _container(rng, xs), _container(rng, ys)))
+    if rng.random() < 0.6:
+        series.append(("bounds", *([lo, hi] for lo, hi, _ in axes)))
+    return series
+
+
+def _outcome(render, series, seed: int):
+    """render's SVG text, or the type and message of what it raised."""
+    try:
+        return render(series, title=f"t{seed}", x_label="x", y_label="y")
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def check_against_reference(seeds: range) -> tuple[int, int]:
+    """Assert that render_lines gives reference_render_lines' text, or raises
+    as it does, on one random series set per seed; returns the counts (drawn,
+    nothing to plot). A constant axis at a value v with v + 1.0 == v leaves
+    no span after padding, and both raise ZeroDivisionError there."""
+    drawn = empty = 0
+    for seed in seeds:
+        series = _random_series(random.Random(seed))
+        # The reference maps Python numbers, so it gets each array's tolist().
+        as_lists = [(label, *(v.tolist() if isinstance(v, np.ndarray) else v for v in xy))
+                    for label, *xy in series]
+        expect = _outcome(reference_render_lines, as_lists, seed)
+        assert _outcome(render_lines, series, seed) == expect, f"seed {seed}"
+        drawn += isinstance(expect, str)
+        empty += expect == (ValueError, "nothing to plot")
+    return drawn, empty
+
+
+def test_matches_reference_renderer_byte_for_byte():
+    drawn, empty = check_against_reference(range(600))
+    assert drawn >= 500 and empty >= 3
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        render_lines([])
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x has no numpy._core.__cpu_features__")
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the disabled features are x86-64 AVX-512 ones")
+def test_matches_reference_without_avx512_dispatch():
+    # The map is IEEE + - * / only, so it must not depend on numpy's SIMD
+    # dispatch; the child fails if numpy ignored the disabled feature names.
+    child = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+             "assert __cpu_features__['AVX512_SKX'] is False\n"
+             "import test_svgplot\n"
+             "print(*test_svgplot.check_against_reference(range(600)))\n")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join((str(TESTS), str(TESTS.parent / "src")))}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    drawn, empty = map(int, done.stdout.split())
+    assert drawn >= 500 and empty >= 3
