@@ -97,6 +97,8 @@ class ModeMetrics:
     forms differentiate; the two agree exactly at multiples of n.
     """
 
+    n = PSDU_CODE.n     # for readers outside the package (perfbench/gen_binding.py)
+
     def __init__(self, mode: PhyMode, distance: float, p_b: float, header: HeaderSuccess,
                  energy: EnergyBreakdown):
         self.mode = mode
@@ -104,7 +106,6 @@ class ModeMetrics:
         self.p_b = p_b
         self.header = header
         self.energy = energy
-        self.n = PSDU_CODE.n
         self.log_p_cw = block_log_success(p_b, PSDU_BLOCK)
         self.header_success = header.success
         self.t_sym = mode.t_sym
@@ -115,7 +116,7 @@ class ModeMetrics:
     def success(self, n_t: int) -> float:
         """P(PPDU delivered) at one integer frame size: both header sections
         and all ceil(n_t/n) codewords survive."""
-        n_cw = -(-int(n_t) // self.n)
+        n_cw = -(-int(n_t) // PSDU_CODE.n)
         return self.header_success * math.exp(n_cw * self.log_p_cw)
 
     def eta(self, n_t):
@@ -134,13 +135,13 @@ class ModeMetrics:
     # -- continuous relaxation (exponent n_t/n) --------------------------
 
     def success_cont(self, x: float) -> float:
-        return self.header_success * math.exp(x * self.log_p_cw / self.n)
+        return self.header_success * math.exp(x * self.log_p_cw / PSDU_CODE.n)
 
     def rate_cont(self, x: float) -> float:
         return x * self.success_cont(x) / (self.t_oh + x * self.t_sym)
 
     def _grad(self, x: float, per_unit: float, fixed: float) -> float:
-        c = self.log_p_cw / self.n
+        c = self.log_p_cw / PSDU_CODE.n
         denom = per_unit * x + fixed
         beta = c * x * x * per_unit + c * x * fixed + fixed
         return self.success_cont(x) * beta / (denom * denom)

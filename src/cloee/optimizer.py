@@ -36,9 +36,8 @@ three-branch solve.  Nothing skipped could have won or tied.
 
 solve_mode is solve_env on a one-mode environment, which is always visited
 and so gets the full three-branch solve.  exhaustive_search scans the whole
-grid and is the oracle the solver is tested against; search_envs runs it on a
-block of environments from one grid, and search_env is search_envs on one
-environment.
+grid and is the oracle the solver is tested against; it is search_envs, which
+scans a block of environments from one grid, on a block of one.
 """
 
 from __future__ import annotations
@@ -57,18 +56,19 @@ from .metrics import LinkModel, ModeMetrics, QosSpec, grid
 # The oracle and the curves scan every codeword multiple up to n_t_max, so
 # their memory and time grow with it.  4096 codewords (258,048 bits) is far
 # beyond any frame the model favours and keeps a scan to 4096 points per mode.
-N_T_MAX_LIMIT = 63 * 4096
+N_T_MAX_LIMIT = PSDU_CODE.n * 4096
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Frame-size search ceiling: n_t ranges over codeword multiples up to n_t_max."""
 
-    n_t_max: int = 63 * 130
+    n_t_max: int = PSDU_CODE.n * 130
 
     def __post_init__(self):
-        if not is_int(self.n_t_max) or self.n_t_max < 63:
-            raise ConfigError("solver.n_t_max", f"must be an integer >= 63, got {self.n_t_max!r}")
+        if not is_int(self.n_t_max) or self.n_t_max < PSDU_CODE.n:
+            raise ConfigError("solver.n_t_max",
+                              f"must be an integer >= {PSDU_CODE.n}, got {self.n_t_max!r}")
         if self.n_t_max > N_T_MAX_LIMIT:
             raise ConfigError("solver.n_t_max", f"must be <= {N_T_MAX_LIMIT}, got {self.n_t_max!r}")
 
@@ -76,7 +76,7 @@ class SolverConfig:
 class OptResult(NamedTuple):
     """A solved operating point: the winning mode's own three-branch solve
     (solve_env and cloee; solve_mode is solve_env on one mode) or the grid
-    scan's best point (search_env and exhaustive_search).
+    scan's best point (search_envs and exhaustive_search).
 
     lambda_ and kkt_rate form the optimality certificate of the dual branch:
     kkt_rate is the rate at the continuous constrained optimum, where
@@ -172,15 +172,15 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
     # infeasible nee lies outside it.  eta is unimodal too, so the constrained
     # optimum is the end of that interval facing nee: bisect for it between
     # k_in (feasible) and k_out (infeasible).
-    k_in, k_out, probes = nthr // mm.n, nee // mm.n, 0
+    k_in, k_out, probes = nthr // PSDU_CODE.n, nee // PSDU_CODE.n, 0
     while abs(k_out - k_in) > 1:
         k_mid = (k_in + k_out) // 2
         probes += 1
-        if mm.rate(k_mid * mm.n) >= r0ns:
+        if mm.rate(k_mid * PSDU_CODE.n) >= r0ns:
             k_in = k_mid
         else:
             k_out = k_mid
-    n_star = k_in * mm.n
+    n_star = k_in * PSDU_CODE.n
 
     # Exact certificate for the continuous problem: either the efficiency
     # optimum is rate-feasible (the grid constraint was an artifact of
@@ -189,7 +189,7 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
     if mm.rate_cont(x_ee) >= r0ns:
         lam_star, n_c = 0.0, x_ee
     else:
-        n_c = _rate_boundary(mm, r0ns, float(n_star), float(k_out * mm.n))
+        n_c = _rate_boundary(mm, r0ns, float(n_star), float(k_out * PSDU_CODE.n))
         lam_star = max(0.0, -mm.eta_cont_grad(n_c) / mm.rate_cont_grad(n_c))
 
     eta, rate = mm.eta_rate(n_star)
@@ -265,12 +265,6 @@ def search_envs(envs: Sequence[tuple[ModeMetrics, ...]], qos: QosSpec,
                 feas[rows, picks].tolist())]
 
 
-def search_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
-    """exhaustive_search on one distance's environment (LinkModel.env):
-    search_envs on a block of one."""
-    return search_envs((env,), qos, cfg)[0]
-
-
 def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
           cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
     """Pick (n_t, n_cpb) maximizing efficiency under the aggregate-rate floor.
@@ -287,4 +281,4 @@ def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
 def exhaustive_search(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
                       cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
     """Scan every (burst mode, codeword multiple) pair; the acceptance oracle."""
-    return search_env(model.env(distance, chi), qos, cfg)
+    return search_envs((model.env(distance, chi),), qos, cfg)[0]

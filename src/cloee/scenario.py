@@ -29,7 +29,7 @@ import numpy as np
 from .channel import ChannelParams
 from .energy import EnergyParams
 from .errors import ConfigError, is_int
-from .frame import VALID_N_CPB
+from .frame import PSDU_CODE, VALID_N_CPB
 from .metrics import LinkModel, QosSpec
 from .optimizer import N_T_MAX_LIMIT, SolverConfig
 
@@ -79,9 +79,9 @@ class Scenario:
         for n_cpb, n_t in self.strategies:
             if not (is_int(n_cpb) and n_cpb in VALID_N_CPB):
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
-            if not (is_int(n_t) and 63 <= n_t <= N_T_MAX_LIMIT):
+            if not (is_int(n_t) and PSDU_CODE.n <= n_t <= N_T_MAX_LIMIT):
                 raise ConfigError("strategies", f"static n_t must be an integer in "
-                                                f"[63, {N_T_MAX_LIMIT}], got {n_t}")
+                                                f"[{PSDU_CODE.n}, {N_T_MAX_LIMIT}], got {n_t}")
             if (n_cpb, n_t) in seen:
                 raise ConfigError("strategies", f"duplicate static strategy {n_cpb}:{n_t}")
             seen.add((n_cpb, n_t))

@@ -3,6 +3,8 @@ output; each series is mapped and formatted as numpy arrays."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -19,6 +21,27 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _padded(lo: float, hi: float) -> tuple[float, float]:
+    """An axis's (lo, hi).  A constant axis gets hi = lo + 1.0, or the next
+    float up where that rounds back to lo; where the next float up overflows,
+    lo moves to the next float down instead."""
+    if hi != lo:
+        return lo, hi
+    hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+    return (lo, hi) if hi < math.inf else (math.nextafter(lo, -math.inf), lo)
+
+
+def _frac(v, lo: float, hi: float, s: float):
+    """(v - lo) / (hi - lo) for a value or an array, at the axis scale s."""
+    return (v * s - lo * s) / (hi * s - lo * s)
+
+
+def _ticks(lo: float, hi: float, s: float) -> list[float]:
+    """Five ticks from lo to hi at the axis scale s, held to hi, as rounding
+    can carry the last past it (and past the largest float)."""
+    return [min((lo * s + (hi * s - lo * s) * i / 4) / s, hi) for i in range(5)]
+
+
 def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render (label, xs, ys) series, xs and ys lists or arrays of one length,
     into a standalone SVG document; non-finite points are dropped."""
@@ -31,21 +54,22 @@ def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") 
         lines.append((label, xs[keep], ys[keep]))
     if not any(xs.size for _, xs, _ in lines):
         raise ValueError("nothing to plot")
-    xs, ys = (np.concatenate([line[k] for line in lines]) for k in (1, 2))
-    x_min, x_max, y_min, y_max = float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    if y_max == y_min:
-        y_max = y_min + 1.0
+    (x_min, x_max), (y_min, y_max) = (
+        _padded(float(v.min()), float(v.max()))
+        for v in (np.concatenate([line[k] for line in lines]) for k in (1, 2)))
+    # An axis whose tick span * 4 would overflow a float is taken at the exact
+    # scale 2**-4 (_frac, _ticks); every other axis at 1.0.
+    x_s, y_s = (1.0 if (hi - lo) * 4 < math.inf else 2.0 ** -4
+                for lo, hi in ((x_min, x_max), (y_min, y_max)))
 
     plot_w = _W - _MARGIN_L - _MARGIN_R
     plot_h = _H - _MARGIN_T - _MARGIN_B
 
     def sx(x):
-        return _MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+        return _MARGIN_L + _frac(x, x_min, x_max, x_s) * plot_w
 
     def sy(y):
-        return _MARGIN_T + plot_h - (y - y_min) / (y_max - y_min) * plot_h
+        return _MARGIN_T + plot_h - _frac(y, y_min, y_max, y_s) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -56,9 +80,7 @@ def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") 
     # axes and ticks
     out.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                'fill="none" stroke="#333"/>')
-    for i in range(5):
-        fx = x_min + (x_max - x_min) * i / 4
-        fy = y_min + (y_max - y_min) * i / 4
+    for i, (fx, fy) in enumerate(zip(_ticks(x_min, x_max, x_s), _ticks(y_min, y_max, y_s))):
         out.append(f'<text x="{sx(fx):.1f}" y="{_H - _MARGIN_B + 18}" '
                    f'text-anchor="middle" fill="#333">{_fmt(fx)}</text>')
         out.append(f'<text x="{_MARGIN_L - 6}" y="{sy(fy) + 4:.1f}" '

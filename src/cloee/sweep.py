@@ -33,7 +33,7 @@ class SweepRow(NamedTuple):
 def _distance_rows(scenario: Scenario, statics: list[tuple[str, int, int]],
                    env: tuple[ModeMetrics, ...], oracle: OptResult) -> list[SweepRow]:
     """Every row of one distance, read from its one environment: one per entry
-    of statics, then cloee and oracle (search_env's result on env)."""
+    of statics, then cloee and the oracle (search_envs' result for env)."""
     by_cpb = {mm.mode.n_cpb: mm for mm in env}
     r0ns = scenario.qos.aggregate_rate
     picks = []

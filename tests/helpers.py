@@ -1,5 +1,5 @@
 """Shared test utilities and reference forms, built on the package's public
-API plus optimizer.solve_env/search_env (and the optimizer.snap_to_grid name
+API plus optimizer.solve_env/search_envs (and the optimizer.snap_to_grid name
 that solve_env looks up), sweep.CSV_HEADER and svgplot's layout constants.
 
 The reference tails take any block code (N, t) as a pair; the package's tails
@@ -27,7 +27,7 @@ from cloee import (
     solve_mode,
 )
 from cloee.energy import DEFAULT_ENERGY
-from cloee.optimizer import search_env, solve_env
+from cloee.optimizer import search_envs, solve_env
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
 from cloee.sweep import CSV_HEADER
 
@@ -98,8 +98,14 @@ def grid_argmax(values, nts) -> int:
     return int(np.asarray(nts)[int(np.argmax(values))])
 
 
+def search_env(env, qos, cfg) -> OptResult:
+    """exhaustive_search on one environment (LinkModel.env): the package's
+    optimizer.search_envs on a block of one."""
+    return search_envs((env,), qos, cfg)[0]
+
+
 def reference_search_env(env, qos, cfg) -> OptResult:
-    """The oracle as a per-mode loop, the reference for optimizer.search_env.
+    """The oracle as a per-mode loop, the reference for search_env.
 
     Each mode's codeword grid is scanned on its own with array eta/rate
     calls; a later mode replaces the kept point only when strictly better, so
@@ -256,7 +262,11 @@ def reference_block_log_success(p_b: float, n_bits: int, t: int) -> float:
 def reference_render_lines(series: list[tuple[str, list[float], list[float]]],
                            title: str = "", x_label: str = "", y_label: str = "") -> str:
     """svgplot.render_lines point by point: filter, map and format each
-    (x, y) with Python floats; zip truncates xs and ys to the shorter."""
+    (x, y) with Python floats; zip truncates xs and ys to the shorter.  A
+    constant axis at v runs to v + 1.0, or to the next float up where that
+    rounds back to v, or from the next float down where that overflows.
+    There is no overflow scaling, so an axis whose span * 4 overflows a
+    float gives inf or nan here."""
     lines = [(label, [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)])
              for label, xs, ys in series]
     pts = [p for _, line in lines for p in line]
@@ -265,9 +275,13 @@ def reference_render_lines(series: list[tuple[str, list[float], list[float]]],
     xs, ys = zip(*pts)
     x_min, x_max, y_min, y_max = min(xs), max(xs), min(ys), max(ys)
     if x_max == x_min:
-        x_max = x_min + 1.0
+        x_max = max(x_min + 1.0, math.nextafter(x_min, math.inf))
+        if x_max == math.inf:
+            x_min, x_max = math.nextafter(x_min, -math.inf), x_min
     if y_max == y_min:
-        y_max = y_min + 1.0
+        y_max = max(y_min + 1.0, math.nextafter(y_min, math.inf))
+        if y_max == math.inf:
+            y_min, y_max = math.nextafter(y_min, -math.inf), y_min
 
     plot_w = _W - _MARGIN_L - _MARGIN_R
     plot_h = _H - _MARGIN_T - _MARGIN_B

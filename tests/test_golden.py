@@ -10,8 +10,8 @@ sweep_eta.svg, sweep_rate.svg) with the default and the hospital config;
 (throughput-fallback) with the default config and at 4.273 m with a rate
 floor that makes the dual branch print its certificate; the two files
 `cloee dump-modes --out` writes; and the repr of every solver result
-(six solve_mode results, solve_env and search_env) on binding inputs under
-three model variants and three grid sizes.
+(six solve_mode results, solve_env and the oracle as helpers.search_env) on
+binding inputs under three model variants and three grid sizes.
 
 The pins were computed with Python 3.11, numpy 2.4 and glibc 2.36's libm on
 x86-64 Linux.  Another numpy or libm may round a transcendental function
@@ -32,8 +32,8 @@ import pytest
 
 from cloee import Scenario, SolverConfig, parse_scenario, rows_to_csv, run_sweep, solve_mode
 from cloee.cli import main
-from cloee.optimizer import search_env, solve_env
-from helpers import binding_envs
+from cloee.optimizer import solve_env
+from helpers import binding_envs, search_env
 
 # perfbench/scenarios/hospital.conf, the paper's headline scenario.
 HOSPITAL = """

@@ -434,6 +434,22 @@ class TestCli:
             outs.append((out_dir / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_sweep_svg_with_a_constant_eta_beyond_2_pow_53(self, tmp_path, capsys):
+        # No noise, no circuit power and a tiny pulse energy: every eta of the
+        # chart is 7.63e19, where the constant axis's pad of 1.0 rounds away.
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text("channel.noise_density = -300\nenergy.eps_p = 1e-20\n"
+                            + "".join(f"energy.p_{p} = 0\n"
+                                      for p in ("cor", "adc", "lna", "vga", "syn", "gen"))
+                            + "distances = 2.0\nstrategies = 1:8190\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out_dir),
+                     "--format", "svg"]) == 0
+        names = ("sweep.csv", "sweep_eta.svg", "sweep_rate.svg")
+        assert capsys.readouterr().out.split() == [str(out_dir / name) for name in names]
+        assert all((out_dir / name).is_file() for name in names)
+        assert all(row.eta > 2.0 ** 53 for row in parse_rows((out_dir / "sweep.csv").read_text()))
+
     def test_curves_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "curves"
         assert main(["curves", "--distance", "8.4", "--out", str(out_dir),

@@ -4,12 +4,13 @@ import platform
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cloee.svgplot import render_lines
+from cloee.svgplot import _padded, render_lines
 from helpers import reference_render_lines
 
 TESTS = Path(__file__).resolve().parent
@@ -100,15 +101,16 @@ def _outcome(render, series, seed: int):
     """render's SVG text, or the type and message of what it raised."""
     try:
         return render(series, title=f"t{seed}", x_label="x", y_label="y")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
 def check_against_reference(seeds: range) -> tuple[int, int]:
     """Assert that render_lines gives reference_render_lines' text, or raises
     as it does, on one random series set per seed; returns the counts (drawn,
-    nothing to plot). A constant axis at a value v with v + 1.0 == v leaves
-    no span after padding, and both raise ZeroDivisionError there."""
+    nothing to plot). Both pad a constant axis by svgplot's rule, which
+    leaves a span also where v + 1.0 == v, so nothing but "nothing to plot"
+    is raised."""
     drawn = empty = 0
     for seed in seeds:
         series = _random_series(random.Random(seed))
@@ -147,3 +149,40 @@ def test_matches_reference_without_avx512_dispatch():
     assert done.returncode == 0, done.stderr
     drawn, empty = map(int, done.stdout.split())
     assert drawn >= 500 and empty >= 3
+
+
+def test_constant_axis_beyond_2_pow_53_keeps_a_span():
+    # 1e20 + 1.0 == 1e20, so the axis runs to the next float up instead.
+    svg = render_lines([("a", [1e20, 1e20], [0.0, 1.0])])
+    assert '<polyline points="70.00,430.00 70.00,40.00"' in svg
+    assert svg.count(">1e+20</text>") == 5
+
+
+def test_constant_axis_padding_is_plus_one_wherever_that_leaves_a_span():
+    for v in (0.0, -0.0, 2.0, -7.5, 1e-300, 2.0 ** 52 + 1, 1.5 * 2.0 ** 52, 2.0 ** 53 + 2,
+              -(2.0 ** 53 + 2)):
+        assert _padded(v, v) == (v, v + 1.0), v
+    for v in (2.0 ** 53, 1e20, -1e20, 1.797e308):
+        assert _padded(v, v) == (v, math.nextafter(v, math.inf)), v
+    top = sys.float_info.max
+    assert _padded(top, top) == (math.nextafter(top, -math.inf), top)
+    assert _padded(1.0, 3.0) == (1.0, 3.0)
+
+
+@pytest.mark.parametrize("xs,ys,points", [
+    ([-1e308, 1e308], [0.0, 1.0], "70.00,430.00 560.00,40.00"),
+    ([0.0, 1e308], [5.0, 5.0], "70.00,430.00 560.00,430.00"),
+    ([-1.797e308, 1.797e308], [-1.797e308, 1.797e308], "70.00,430.00 560.00,40.00"),
+    ([sys.float_info.max] * 2, [-sys.float_info.max, sys.float_info.max],
+     "560.00,430.00 560.00,40.00"),
+    # Unclamped, the top y tick rounds past the largest float.
+    ([0.0, 1.0], [-1e308, sys.float_info.max], "70.00,430.00 560.00,40.00"),
+])
+def test_spans_beyond_the_largest_float_map_to_finite_coordinates(xs, ys, points):
+    # A span, or a tick's span * 4, that overflows a float is mapped at a
+    # power of two below it; no subtraction overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_lines([("a", xs, ys)])
+    assert "nan" not in svg and "inf" not in svg
+    assert f'<polyline points="{points}"' in svg
