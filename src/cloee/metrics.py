@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -81,9 +82,19 @@ class HeaderSuccess:
 
 
 def _delivered(n_t, header_success, log_p_cw):
-    """Delivered payload bits n_t * P(PPDU delivered); a float for an int n_t."""
-    out = n_t * header_success * np.exp(-(-n_t // PSDU_CODE.n) * log_p_cw)
-    return out if isinstance(out, np.ndarray) else float(out)
+    """Delivered payload bits n_t * P(PPDU delivered); a float for an int n_t.
+
+    On an array the codeword powers are taken in place and then scaled by
+    n_t * header_success, which is the scalar expression's product with its
+    factors swapped: multiplication commutes exactly, so every element keeps
+    its bits.
+    """
+    powers = -(-n_t // PSDU_CODE.n) * log_p_cw
+    if not isinstance(powers, np.ndarray):
+        return float(n_t * header_success * np.exp(powers))
+    np.exp(powers, out=powers)
+    powers *= n_t * header_success
+    return powers
 
 
 class ModeMetrics:
@@ -91,8 +102,8 @@ class ModeMetrics:
 
     Link reliabilities and energies are computed once.  success()/eta()/rate()
     evaluate the grid objectives, whose codeword count is ceil(n_t/n); eta,
-    rate and eta_rate take an int or an int array (grid() takes a whole
-    environment).
+    rate and eta_rate take an int or an int array (grid() takes a block of
+    environments).
     success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
     forms differentiate; the two agree exactly at multiples of n.
     """
@@ -182,14 +193,31 @@ class LinkModel:
                      for m, p, energy in zip(MODE_TABLE, p_b, self.energy.breakdowns))
 
 
-def grid(env: tuple[ModeMetrics, ...], n_t_max: int):
-    """(nts, etas, rates): every codeword multiple up to n_t_max, and one row
-    of eta and one of rate per mode of env, each element equal to the scalar
-    eta/rate call bit for bit (the same expressions over per-mode columns)."""
+def grid(envs: Sequence[tuple[ModeMetrics, ...]], n_t_max: int):
+    """(nts, etas, rates) for a block of environments of one LinkModel: every
+    codeword multiple up to n_t_max, and etas and rates shaped (environments,
+    modes, codeword multiples), each element equal to the scalar eta/rate
+    call of its mode bit for bit (the same expressions over per-mode columns).
+
+    A mode's energy and air time depend on the mode alone, so they are built
+    once per block, from the first environment, as one row per mode; an
+    environment whose j-th mode or energy breakdown differs from the first
+    environment's raises ValueError.  The numerator is one block array, and
+    the two divisions make at most one more.
+    """
+    first = envs[0]
+    costs = [(mm.mode, mm.energy) for mm in first]
+    if any([(mm.mode, mm.energy) for mm in env] != costs for env in envs):
+        raise ValueError("grid takes environments of one LinkModel: every environment "
+                         "needs the first one's modes and energy breakdowns, in its order")
     nts = np.arange(1, n_t_max // PSDU_CODE.n + 1) * PSDU_CODE.n
-    hs, log_p_cw, eps_b, eps_oh, eps_st, t_oh, t_sym = np.array(
-        [(mm.header_success, mm.log_p_cw, mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st,
-          mm.t_oh, mm.t_sym) for mm in env]).T[:, :, None]
+    eps_b, eps_oh, eps_st, t_oh, t_sym = np.array(
+        [(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st, mm.t_oh, mm.t_sym)
+         for mm in first]).T[:, :, None]
+    # numpy builds an array from a flat list of floats faster than from nested tuples.
+    shape = (len(envs), len(first), 1)
+    hs = np.array([mm.header_success for env in envs for mm in env]).reshape(shape)
+    log_p_cw = np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape)
     delivered = _delivered(nts, hs, log_p_cw)
-    return (nts, delivered / EnergyBreakdown(eps_b, eps_oh, eps_st).total(nts),
-            delivered / (t_oh + nts * t_sym))
+    etas = delivered / EnergyBreakdown(eps_b, eps_oh, eps_st).total(nts)
+    return nts, etas, np.divide(delivered, t_oh + nts * t_sym, out=delivered)

@@ -246,17 +246,19 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
 
 def search_envs(envs: Sequence[tuple[ModeMetrics, ...]], qos: QosSpec,
                 cfg: SolverConfig) -> list[OptResult]:
-    """exhaustive_search on each of a block of environments with one mode
-    count, from one grid call: per environment the best-eta feasible grid
+    """exhaustive_search on each of a block of environments of one LinkModel,
+    from one grid call: per environment the best-eta feasible grid
     point, else the best-rate one.  argmax keeps the first maximum of each
     environment's modes in row-major order: ties go to the smaller n_cpb,
     then n_t."""
-    nts, etas, rates = grid(tuple(mm for env in envs for mm in env), cfg.n_t_max)
+    nts, etas, rates = grid(envs, cfg.n_t_max)
     etas, rates = etas.reshape(len(envs), -1), rates.reshape(len(envs), -1)
     feas = rates >= qos.aggregate_rate
-    rows = np.arange(len(envs))
-    picks = np.where(feas.any(axis=1), np.argmax(np.where(feas, etas, -np.inf), axis=1),
-                     np.argmax(rates, axis=1))
+    rows, any_feas = np.arange(len(envs)), feas.any(axis=1)
+    # Mask the infeasible etas in place, on the rows with a feasible cell only:
+    # a row without one reads its eta at its rate peak.
+    np.copyto(etas, -np.inf, where=feas < any_feas[:, None])
+    picks = np.where(any_feas, np.argmax(etas, axis=1), np.argmax(rates, axis=1))
     return [OptResult(n_t, env[m].mode.n_cpb, eta, rate, 0.0, feasible, etas.shape[1],
                       "exhaustive")
             for env, m, n_t, eta, rate, feasible in zip(

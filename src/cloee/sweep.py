@@ -121,12 +121,15 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, fmt: str = "csv") -> 
     """
     if not rows:
         raise ValueError("no rows to emit")
-    strategies = sorted({r.strategy for r in rows})
+    groups: dict[str, list[SweepRow]] = {}
+    for r in rows:
+        groups.setdefault(r.strategy, []).append(r)
+    columns = [(strat, [r.distance for r in groups[strat]], groups[strat])
+               for strat in sorted(groups)]
 
     def series(metric: str) -> list:
-        return [(strat, [r.distance for r in rows if r.strategy == strat],
-                 [getattr(r, metric) for r in rows if r.strategy == strat])
-                for strat in strategies]
+        return [(strat, distances, [getattr(r, metric) for r in group])
+                for strat, distances, group in columns]
 
     return _write(out_dir, _with_charts({"sweep.csv": rows_to_csv(rows)}, fmt, "sweep",
                                         series, "distance", "distance (m)"))
@@ -146,13 +149,13 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
 
     Returns one (OptResult, nts, etas, rates) per mode, ascending n_cpb: the
     mode's own three-branch solve (solve_mode, which is solve_env on that
-    mode alone, so no mode is pruned) and its row of
-    grid(env, cfg.n_t_max).
+    mode alone, so no mode is pruned) and its row of grid on the block of one
+    environment.
     """
     env = model.env(distance, chi)
-    nts, etas, rates = grid(env, cfg.n_t_max)
+    nts, etas, rates = grid((env,), cfg.n_t_max)
     return [(solve_mode(mm, qos, cfg), nts, eta_row, rate_row)
-            for mm, eta_row, rate_row in zip(env, etas, rates)]
+            for mm, eta_row, rate_row in zip(env, etas[0], rates[0])]
 
 
 def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,

@@ -8,10 +8,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, energy, energy_breakdown,
-                   reliability)
+from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, Scenario, energy,
+                   energy_breakdown, reliability)
 from cloee.metrics import grid
-from helpers import is_unimodal_max, metrics_at, single_pb_metrics
+from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metrics
 
 
 def _eta_cont(mm, x):
@@ -153,23 +153,38 @@ class TestContinuousRelaxation:
 
 
 class TestGrid:
-    # grid(env, n_t_max) is the one array evaluator; each row must equal its
-    # mode's scalar calls bit for bit, because the curves CSV writes them
+    # grid(envs, n_t_max) is the one array evaluator; each element must equal
+    # its mode's scalar calls bit for bit, because the curves CSV writes them
     # with repr and the oracle compares them with the solver's.
-    @pytest.mark.parametrize("variant", [{}, {"uniform_section_ber": True},
-                                         {"integration_per_pulse": True}])
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
     def test_matches_scalar_calls(self, variant):
         model = LinkModel(**variant)
-        for d, chi in ((1.5, 0.0), (4.2, -3.1), (6.5, 0.0), (7.9, 2.4), (9.6, 0.0)):
-            env = model.env(d, chi)
-            nts, etas, rates = grid(env, 63 * 130)
-            assert nts.tolist() == [63 * k for k in range(1, 131)]
-            assert etas.shape == rates.shape == (6, 130)
-            for mm, eta_row, rate_row in zip(env, etas, rates):
+        envs = [model.env(d, chi)
+                for d, chi in ((1.5, 0.0), (4.2, -3.1), (6.5, 0.0), (7.9, 2.4), (9.6, 0.0))]
+        nts, etas, rates = grid(envs, 63 * 130)
+        assert nts.tolist() == [63 * k for k in range(1, 131)]
+        assert etas.shape == rates.shape == (5, 6, 130)
+        for env, env_etas, env_rates in zip(envs, etas, rates):
+            for mm, eta_row, rate_row in zip(env, env_etas, env_rates):
                 assert eta_row.tolist() == [mm.eta(n) for n in nts.tolist()]
                 assert rate_row.tolist() == [mm.rate(n) for n in nts.tolist()]
                 assert eta_row.tolist() == mm.eta(nts).tolist()
                 assert rate_row.tolist() == mm.rate(nts).tolist()
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_block_equals_blocks_of_one(self, variant):
+        # The 31 distances of a hospital sweep block at n_t_max 8190, shadowed.
+        sc = Scenario(shadowing=True, seed=5, distances=tuple(round(1.0 + 0.1 * i, 9)
+                                                               for i in range(31)), **variant)
+        model = sc.link_model()
+        envs = [model.env(d, chi) for d, chi in zip(sc.distances, sc.shadowing_draws())]
+        nts, etas, rates = grid(envs, 8190)
+        assert etas.shape == rates.shape == (31, 6, 130)
+        for env, env_etas, env_rates in zip(envs, etas, rates):
+            one_nts, (one_etas,), (one_rates,) = grid((env,), 8190)
+            assert one_nts.tolist() == nts.tolist()
+            assert env_etas.tolist() == one_etas.tolist()
+            assert env_rates.tolist() == one_rates.tolist()
 
     def test_scalar_input_gives_plain_float(self, model):
         mm = metrics_at(model, 6.5, 8)
@@ -178,18 +193,36 @@ class TestGrid:
         assert isinstance(mm.eta(np.array([63, 630])), np.ndarray)
 
     def test_ceiling_is_inclusive(self, model):
-        env = model.env(6.5)
-        assert grid(env, 126)[0].tolist() == [63, 126]
-        assert grid(env, 188)[0].tolist() == [63, 126]
-        assert grid(env, 63)[1].shape == (6, 1)
+        envs = (model.env(6.5),)
+        assert grid(envs, 126)[0].tolist() == [63, 126]
+        assert grid(envs, 188)[0].tolist() == [63, 126]
+        assert grid(envs, 63)[1].shape == (1, 6, 1)
 
     def test_rows_follow_the_given_modes(self, model):
         env = model.env(7.2)
-        nts, etas, rates = grid(env, 630)
-        sub_nts, sub_etas, sub_rates = grid(env[3:1:-1], 630)
+        nts, (etas,), (rates,) = grid((env,), 630)
+        sub_nts, (sub_etas,), (sub_rates,) = grid((env[3:1:-1],), 630)
         assert sub_nts.tolist() == nts.tolist()
         assert sub_etas.tolist() == etas[3:1:-1].tolist()
         assert sub_rates.tolist() == rates[3:1:-1].tolist()
+
+    def test_block_of_two_link_models_raises(self, model):
+        # The energy and air-time rows come from the first environment, so
+        # an environment with other energy breakdowns cannot share them.
+        other = LinkModel(energy=EnergyParams(t_st=1e-3))
+        with pytest.raises(ValueError, match="one LinkModel"):
+            grid((model.env(6.5), other.env(6.5)), 630)
+        # An equal model with its own breakdown objects shares them.
+        same = LinkModel(energy=EnergyParams())
+        assert same.energy.breakdowns is not model.energy.breakdowns
+        assert grid((model.env(6.5), same.env(6.5)), 630)[1].shape == (2, 6, 10)
+
+    @pytest.mark.parametrize("modes", [slice(0, 5), slice(None, None, -1), slice(1, 6)],
+                             ids=["prefix", "reversed", "shifted"])
+    def test_block_of_other_mode_tuples_raises(self, model, modes):
+        env = model.env(6.5)
+        with pytest.raises(ValueError, match="one LinkModel"):
+            grid((env, model.env(7.0)[modes]), 630)
 
 
 class TestEnergyBreakdowns:

@@ -1,7 +1,13 @@
 import copy
 import dataclasses
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from cloee import (
     cloee,
     energy_breakdown,
     exhaustive_search,
+    load_scenario,
     nt_closed_form,
     rows_to_csv,
     run_sweep,
@@ -34,6 +41,30 @@ from cloee.optimizer import N_T_MAX_LIMIT, search_envs, solve_env
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
                      reference_sweep, search_env, single_pb_metrics, solve_env_pruned)
+
+
+TESTS = Path(__file__).resolve().parent
+HOSPITAL_CONF = TESTS.parent / "perfbench" / "scenarios" / "hospital.conf"
+
+
+def check_grid_and_sweep_bits() -> int:
+    """Assert, on each model variant's hospital sweep, that the grid of its
+    first block equals the scalar eta/rate calls bit for bit and that
+    run_sweep's CSV equals reference_sweep's; returns the cells checked."""
+    cells = 0
+    for variant in MODEL_VARIANTS:
+        sc = dataclasses.replace(load_scenario(HOSPITAL_CONF), **variant)
+        model, block = sc.link_model(), N_T_MAX_LIMIT // sc.solver.n_t_max
+        envs = [model.env(d, chi) for d, chi in
+                list(zip(sc.distances, sc.shadowing_draws()))[:block]]
+        nts, etas, rates = metrics.grid(envs, sc.solver.n_t_max)
+        for env, env_etas, env_rates in zip(envs, etas, rates):
+            for mm, eta_row, rate_row in zip(env, env_etas, env_rates):
+                assert eta_row.tolist() == [mm.eta(n) for n in nts.tolist()]
+                assert rate_row.tolist() == [mm.rate(n) for n in nts.tolist()]
+                cells += eta_row.size
+        assert rows_to_csv(run_sweep(sc)) == rows_to_csv(reference_sweep(sc))
+    return cells
 
 
 def _grid(mm, cfg):
@@ -476,8 +507,8 @@ class TestBlockedSweep:
         cells = []
         grid = optimizer.grid
 
-        def counting_grid(env, n):
-            out = grid(env, n)
+        def counting_grid(envs, n):
+            out = grid(envs, n)
             cells.append(out[1].size)
             return out
 
@@ -487,6 +518,49 @@ class TestBlockedSweep:
         assert len(cells) == calls
         assert max(cells) <= len(MODE_TABLE) * (N_T_MAX_LIMIT // 63)
         assert sum(cells) == len(sc.distances) * len(MODE_TABLE) * (n_t_max // 63)
+
+
+    def test_search_envs_peak_stays_under_three_block_arrays(self):
+        # The first block of the hospital sweep: 31 distances at n_t_max
+        # 8190.  numpy reports its buffers to tracemalloc, so the peak is a
+        # count of block arrays.  It is reached in metrics._delivered: the
+        # numerator (later divided in place into the rates), the product
+        # n_t * header_success that scales it, and numpy's int-to-float
+        # casting buffers, 2.72 in all.
+        sc = load_scenario(HOSPITAL_CONF)
+        model, qos, cfg = sc.link_model(), sc.qos, sc.solver
+        block = N_T_MAX_LIMIT // cfg.n_t_max
+        envs = [model.env(d, chi) for d, chi in
+                list(zip(sc.distances, sc.shadowing_draws()))[:block]]
+        expect = search_envs(envs, qos, cfg)
+        tracemalloc.start()
+        try:
+            assert search_envs(envs, qos, cfg) == expect
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_array = block * len(MODE_TABLE) * (cfg.n_t_max // 63) * 8
+        assert block == 31 and block_array == 193_440
+        assert peak < 3 * block_array, peak / block_array
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1.x has no numpy._core.__cpu_features__")
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the disabled features are x86-64 AVX-512 ones")
+    def test_matches_without_avx512_dispatch(self):
+        # grid takes the codeword powers in place (np.exp(..., out=)), the
+        # scalar calls on a number; the two must agree on either SIMD
+        # dispatch.  The child fails if numpy ignored the disabled names.
+        child = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+                 "assert __cpu_features__['AVX512_SKX'] is False\n"
+                 "import test_optimizer\n"
+                 "print(test_optimizer.check_grid_and_sweep_bits())\n")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+               "PYTHONPATH": os.pathsep.join((str(TESTS), str(TESTS.parent / "src")))}
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == len(MODEL_VARIANTS) * 31 * len(MODE_TABLE) * 130
 
 
 class TestSolveEnvMatchesReference:
@@ -675,7 +749,7 @@ class TestCloeeEqualsOracleProperty:
             env = LinkModel(energy=ep, **variant).env(distance, chi)
             cfg = SolverConfig(n_t_max=n_t_max)
             r0 = 10 ** log_r0
-            _, etas, rates = metrics.grid(env, n_t_max)
+            _, (etas,), (rates,) = metrics.grid((env,), n_t_max)
             los, his = rates[np.arange(len(env)), np.argmax(etas, axis=1)], rates.max(axis=1)
             banded = [m for m in np.argsort(-etas.max(axis=1), kind="stable") if los[m] < his[m]]
             if in_band and banded:
