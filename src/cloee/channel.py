@@ -18,6 +18,7 @@ t_int = t_p, which makes the term linear in n_cpb.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -65,9 +66,9 @@ class ChannelParams:
             raise ValueError(f"noise_density must give a positive finite N0, got "
                              f"{self.noise_density} dBm/Hz (N0 = {n0} W/Hz)")
 
-    @property
+    @functools.cached_property
     def noise_density_joules(self) -> float:
-        """One-sided noise spectral density in J (W/Hz)."""
+        """One-sided noise spectral density in J (W/Hz), built once; not a field."""
         return 10.0 ** ((self.noise_density - 30.0) / 10.0)
 
 

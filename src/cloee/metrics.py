@@ -32,9 +32,8 @@ from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success
                           shr_success)
 
 
-# Read once, since FRAME_CONSTANTS is frozen: the SHR + PHR air time, and the
-# MODE_TABLE positions of the SHR's and the PHR's burst orders.
-_T_OH = FRAME_CONSTANTS.t_overhead
+# Read once, since FRAME_CONSTANTS is frozen: the MODE_TABLE positions of the
+# SHR's and the PHR's burst orders.
 _I_SHR, _I_PHR = ([m.n_cpb for m in MODE_TABLE].index(n)
                   for n in (FRAME_CONSTANTS.n_cpb_shr, FRAME_CONSTANTS.n_cpb_phr))
 
@@ -109,6 +108,7 @@ class ModeMetrics:
     """
 
     n = PSDU_CODE.n     # for readers outside the package (perfbench/gen_binding.py)
+    t_oh = FRAME_CONSTANTS.t_overhead       # the SHR + PHR air time of every mode
 
     def __init__(self, mode: PhyMode, distance: float, p_b: float, header: HeaderSuccess,
                  energy: EnergyBreakdown):
@@ -120,7 +120,6 @@ class ModeMetrics:
         self.log_p_cw = block_log_success(p_b, PSDU_BLOCK)
         self.header_success = header.success
         self.t_sym = mode.t_sym
-        self.t_oh = _T_OH
 
     # -- grid objectives (integer frame sizes, whole codewords) ----------
 

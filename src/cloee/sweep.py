@@ -1,7 +1,7 @@
 """Distance sweeps, static-strategy comparison and CSV emission.
 
-Every evaluation lands in a SweepRow; rows are sorted by (distance, strategy)
-before emission.  The reserved strategy ids are "cloee" (the solver) and
+Every evaluation lands in a SweepRow; rows are built in (distance, strategy)
+order.  The reserved strategy ids are "cloee" (the solver) and
 "oracle" (exhaustive search); static strategies are named static_<n_cpb>_<n_t>.
 """
 
@@ -30,21 +30,19 @@ class SweepRow(NamedTuple):
     branch: str
 
 
-def _distance_rows(scenario: Scenario, statics: list[tuple[str, int, int]],
-                   env: tuple[ModeMetrics, ...], oracle: OptResult) -> list[SweepRow]:
-    """Every row of one distance, read from its one environment: one per entry
-    of statics, then cloee and the oracle (search_envs' result for env)."""
+def _distance_rows(distance: float, statics: list[tuple[str, int, int]],
+                   env: tuple[ModeMetrics, ...], cloee: OptResult, oracle: OptResult,
+                   r0ns: float) -> list[SweepRow]:
+    """Every row of one distance, read from its one environment, in strategy
+    order: cloee, the oracle, then one per entry of statics (sorted by name;
+    every static_ name sorts after cloee and oracle)."""
     by_cpb = {mm.mode.n_cpb: mm for mm in env}
-    r0ns = scenario.qos.aggregate_rate
-    picks = []
+    picks = [(strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate, res.feasible,
+              res.branch) for strategy, res in (("cloee", cloee), ("oracle", oracle))]
     for strategy, n_cpb, n_t in statics:
         eta, rate = by_cpb[n_cpb].eta_rate(n_t)
         picks.append((strategy, n_cpb, n_t, eta, rate, rate >= r0ns, "static"))
-    for strategy, res in (("cloee", solve_env(env, scenario.qos, scenario.solver)),
-                          ("oracle", oracle)):
-        picks.append((strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
-                      res.feasible, res.branch))
-    return [SweepRow(env[0].distance, strategy, n_cpb, n_t, eta, rate,
+    return [SweepRow(distance, strategy, n_cpb, n_t, eta, rate,
                      by_cpb[n_cpb].success(n_t), feasible, branch)
             for strategy, n_cpb, n_t, eta, rate, feasible, branch in picks]
 
@@ -57,19 +55,20 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     one), so its grid has at most 6 * 4096 cells, the grid of one distance at
     the largest n_t_max.
     Deterministic for a given scenario and seed: shadowing draws are made
-    up-front in distance order and rows are sorted before return.
+    up-front in config order, and rows come out in (distance, strategy) order,
+    as the points are taken by (distinct) distance and the statics by name.
     """
     model, qos, cfg = scenario.link_model(), scenario.qos, scenario.solver
-    points = list(zip(scenario.distances, scenario.shadowing_draws()))
-    block = N_T_MAX_LIMIT // cfg.n_t_max
-    # Static rows' names and plain-int entries (a Scenario takes numpy's too), once.
-    statics = [(f"static_{a}_{b}", int(a), int(b)) for a, b in scenario.strategies]
+    points = sorted(zip(scenario.distances, scenario.shadowing_draws()), key=lambda p: p[0])
+    block, r0ns = N_T_MAX_LIMIT // cfg.n_t_max, qos.aggregate_rate
+    # Static rows' names and plain-int entries (a Scenario takes numpy's too), by name.
+    statics = sorted((f"static_{a}_{b}", int(a), int(b)) for a, b in scenario.strategies)
     rows = []
     for start in range(0, len(points), block):
-        envs = [model.env(d, chi) for d, chi in points[start:start + block]]
-        for env, oracle in zip(envs, search_envs(envs, qos, cfg)):
-            rows += _distance_rows(scenario, statics, env, oracle)
-    rows.sort(key=lambda r: (r.distance, r.strategy))
+        chunk = points[start:start + block]
+        envs = [model.env(d, chi) for d, chi in chunk]
+        for (d, _), env, oracle in zip(chunk, envs, search_envs(envs, qos, cfg)):
+            rows += _distance_rows(d, statics, env, solve_env(env, qos, cfg), oracle, r0ns)
     return rows
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from cloee import (
     MODE_TABLE,
+    PSDU_CODE,
     EnergyParams,
     LinkModel,
     QosSpec,
@@ -122,7 +123,7 @@ def test_c3_closed_forms_match_brute_force():
         nthr = snap_to_grid(nthr_cont, mm.rate, 63 * 130)[0]
         assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 
-        c = mm.log_p_cw / mm.n
+        c = mm.log_p_cw / PSDU_CODE.n
         for x, per_unit, fixed in ((nee_cont, mm.energy.eps_b, mm.energy.eps_fixed),
                                    (nthr_cont, mm.t_sym, mm.t_oh)):
             if not (63.0 < x < 8190.0) or not math.isfinite(x):

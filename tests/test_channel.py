@@ -1,11 +1,14 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import special
 
-from cloee import MODE_TABLE, ChannelParams, bit_error_probs
+from cloee import MODE_TABLE, ChannelParams, Scenario, bit_error_probs, run_sweep
 from cloee.channel import _bit_error, q_function
+from cloee.cli import main
 
 T_P = 2.0032e-9     # pulse duration, s
 W_RX = 499.2e6      # receiver noise bandwidth, Hz
@@ -75,6 +78,53 @@ class TestPathLoss:
     def test_overflowing_gain_names_the_distance(self, d, params):
         with pytest.raises(ValueError, match=f"distance {d!r} m overflows"):
             bit_error_probs(d, 20e-12, params)
+
+
+class TestNoiseDensity:
+    # ChannelParams builds N0 once, when it checks it, and every
+    # bit_error_probs call of a sweep reads it from there; it is not a field,
+    # so equality, hashing and repr see only the settings.
+    def test_cached_by_validation(self):
+        params = ChannelParams(noise_density=-170.0)
+        assert vars(params)["noise_density_joules"] == 10 ** ((-170.0 - 30) / 10)
+        assert params.noise_density_joules == 10 ** ((-170.0 - 30) / 10)
+
+    def test_one_build_for_a_sweep(self):
+        prop = vars(ChannelParams)["noise_density_joules"]
+        original, calls = prop.func, []
+
+        def counting(params):
+            calls.append(params.noise_density)
+            return original(params)
+
+        with mock.patch.object(prop, "func", counting):
+            sc = Scenario(channel=ChannelParams(noise_density=-170.0),
+                          distances=(1.0, 4.0, 9.0), shadowing=True)
+            run_sweep(sc)
+        assert calls == [-170.0]
+
+    def test_value_semantics_unchanged(self):
+        params = ChannelParams()
+        assert repr(params) == repr(ChannelParams()) and "noise_density_joules" not in repr(params)
+        assert params == ChannelParams() and hash(params) == hash(ChannelParams())
+        assert [f.name for f in dataclasses.fields(ChannelParams)] == [
+            "a", "b", "sigma", "noise_density", "noise_figure", "impl_margin", "w_rx"]
+        changed = dataclasses.replace(params, noise_density=-160.0)
+        assert changed.noise_density_joules == 10 ** ((-160.0 - 30) / 10)
+        assert changed != params and params.noise_density_joules == 10 ** ((-174.0 - 30) / 10)
+
+    @pytest.mark.parametrize("noise_density,n0", [(-4000.0, "0.0"), (1e6, "inf")])
+    def test_overflow_and_underflow_still_rejected(self, tmp_path, capsys, noise_density, n0):
+        message = (f"noise_density must give a positive finite N0, got {noise_density} "
+                   f"dBm/Hz (N0 = {n0} W/Hz)")
+        with pytest.raises(ValueError) as err:
+            ChannelParams(noise_density=noise_density)
+        assert str(err.value) == message
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"channel.noise_density = {noise_density}\n")
+        assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config-error: channel: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestQFunction:

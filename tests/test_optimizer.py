@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cloee import (
     FRAME_CONSTANTS,
     MODE_TABLE,
+    PSDU_CODE,
     ChannelParams,
     EnergyBreakdown,
     EnergyParams,
@@ -160,7 +161,7 @@ class TestSnapToGrid:
                                            (mm.t_sym, mm.t_oh, mm.rate)):
             x = nt_closed_form(per_unit, fixed, mm.log_p_cw)
             yield (snap_to_grid(x, objective, cfg.n_t_max),
-                   reference_snap(x, objective, mm.n, cfg.n_t_max), objective)
+                   reference_snap(x, objective, PSDU_CODE.n, cfg.n_t_max), objective)
 
     def test_matches_three_candidate_reference_on_binding_inputs(self):
         # The (k-1)*63 candidate the reference also tries never wins.
@@ -483,18 +484,24 @@ class TestSharedEnvironment:
 
 class TestBlockedSweep:
     # run_sweep evaluates the oracle of a block of distances with one grid
-    # call; its CSV must equal the per-distance loop's (helpers.reference_sweep)
-    # where the block edges fall awkwardly.
+    # call and builds its rows in (distance, strategy) order; its CSV must
+    # equal the per-distance loop's (helpers.reference_sweep, which sorts its
+    # rows) where the block edges fall awkwardly and on unsorted input.
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
-    @pytest.mark.parametrize("n_t_max,count", [
-        (63 * 130, 63),     # blocks of 31, 31 and 1
-        (63 * 4096, 3),     # blocks of one
-        (63, 63),           # one block
+    @pytest.mark.parametrize("n_t_max,count,shuffled", [
+        pytest.param(63 * 130, 63, False, id="8190-63"),     # blocks of 31, 31 and 1
+        pytest.param(63 * 4096, 3, False, id="258048-3"),    # blocks of one
+        pytest.param(63, 63, False, id="63-63"),             # one block
+        # Blocks of 4 over shuffled distances, the statics out of name order.
+        pytest.param(63 * 1024, 60, True, id="64512-60-shuffled"),
     ])
-    def test_csv_equals_per_distance_loop(self, variant, n_t_max, count):
+    def test_csv_equals_per_distance_loop(self, variant, n_t_max, count, shuffled):
+        distances, statics = [round(1.0 + 0.15 * i, 9) for i in range(count)], {}
+        if shuffled:
+            random.Random(25).shuffle(distances)
+            statics = {"strategies": ((32, 2616), (1, 2616), (16, 630), (2, 8190))}
         sc = Scenario(solver=SolverConfig(n_t_max=n_t_max), shadowing=True, seed=11,
-                      distances=tuple(round(1.0 + 0.15 * i, 9) for i in range(count)),
-                      **variant)
+                      distances=tuple(distances), **statics, **variant)
         assert rows_to_csv(run_sweep(sc)) == rows_to_csv(reference_sweep(sc))
 
     @pytest.mark.parametrize("n_t_max,calls", [

@@ -1,7 +1,9 @@
-"""Every function in cloee.__all__ is used by the package itself.
+"""Every function in cloee.__all__, and every private module-level name, is
+used by the package itself.
 
 A public function that no module of src/cloee reads is test-only or dead; it
-belongs in the tests or nowhere.
+belongs in the tests or nowhere.  So is a module-level `_name` that no module
+loads.
 """
 
 import ast
@@ -48,3 +50,59 @@ def test_every_public_function_is_used_by_the_package():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     public = {name: getattr(cloee, name) for name in cloee.__all__ if name not in EXEMPT}
     assert unused_public_functions(public, sources) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """The module-level names of source with one leading underscore that a
+    def, a class or an assignment binds."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def loaded_names(source: str) -> set[str]:
+    """The names that source loads, bare (`_f`) or as an attribute (`mod._f`);
+    a binding (def, class, assignment or import) is not a load."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def unused_private_names(sources: list[str]) -> list[str]:
+    """The private module-level names of sources that no source loads, sorted."""
+    loaded = set().union(*map(loaded_names, sources))
+    return sorted(set().union(*map(private_definitions, sources)) - loaded)
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = ["import math as _m\n"
+               "__all__ = ['f']\n"
+               "_LIMIT = 3\n"
+               "_A, (_B, _C) = 1, (2, 3)\n"
+               "_count: int = 0\n"
+               "_count += 1\n"
+               "_stored = 1\n"
+               "_stored = 2\n"
+               "def _helper(x: _Kind) -> int:\n"
+               "    '''_Dead, in a docstring'''\n"
+               "    return _LIMIT + _B\n"
+               "class _Kind: ...\n"
+               "class _Dead: ...\n"
+               "def f():\n"
+               "    def _inner(): ...\n"
+               "    _local = 1\n"
+               "    return _m.pi\n",
+               "from .a import _LIMIT\n"
+               "x = mod._helper(1)\n"
+               "obj._C = 3\n"]
+    assert unused_private_names(sources) == ["_A", "_C", "_Dead", "_count", "_stored"]
+
+
+def test_every_private_module_name_is_used_by_the_package():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_names(sources) == []
