@@ -22,6 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 
+from .errors import ConfigError
 from .frame import MODE_TABLE
 
 _SQRT2 = math.sqrt(2.0)
@@ -53,18 +54,18 @@ class ChannelParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"channel.{f.name}", f"must be finite, got {value}")
         if self.sigma < 0:
-            raise ValueError(f"shadowing sigma must be >= 0, got {self.sigma}")
+            raise ConfigError("channel.sigma", f"must be >= 0, got {self.sigma}")
         if self.w_rx <= 0:
-            raise ValueError(f"receiver bandwidth must be > 0, got {self.w_rx}")
+            raise ConfigError("channel.w_rx", f"must be > 0, got {self.w_rx}")
         try:
             n0 = self.noise_density_joules
         except OverflowError:
             n0 = math.inf
         if not 0.0 < n0 < math.inf:
-            raise ValueError(f"noise_density must give a positive finite N0, got "
-                             f"{self.noise_density} dBm/Hz (N0 = {n0} W/Hz)")
+            raise ConfigError("channel.noise_density", f"must give a positive finite N0, got "
+                              f"{self.noise_density} dBm/Hz (N0 = {n0} W/Hz)")
 
     @functools.cached_property
     def noise_density_joules(self) -> float:

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import is_int
+from .errors import ConfigError, is_int
 from .frame import FRAME_CONSTANTS, MODE_TABLE, PhyMode
 
 
@@ -38,17 +38,18 @@ class EnergyParams:
         for name in ("eps_p", "p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen", "t_st"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ConfigError(f"energy.{name}", f"must be finite and >= 0, got {value}")
         if self.eps_p == 0:
-            raise ValueError(f"eps_p must be > 0, got {self.eps_p}")
+            raise ConfigError("energy.eps_p", f"must be > 0, got {self.eps_p}")
         for name in ("m_fingers", "rho_r", "rho_c"):
             value = getattr(self, name)
             if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"energy.{name}", f"must be an integer, got {value!r}")
         if self.m_fingers < 0:
-            raise ValueError(f"m_fingers must be >= 0, got {self.m_fingers}")
-        if self.rho_r not in (0, 1) or self.rho_c not in (0, 1):
-            raise ValueError("rho_r and rho_c must be 0 or 1")
+            raise ConfigError("energy.m_fingers", f"must be >= 0, got {self.m_fingers}")
+        for name in ("rho_r", "rho_c"):
+            if getattr(self, name) not in (0, 1):
+                raise ConfigError(f"energy.{name}", f"must be 0 or 1, got {getattr(self, name)}")
         # Finite settings can still overflow a cost, or the cost ratio the
         # solver's closed form takes, and the solver would then fail on a NaN.
         try:
@@ -57,7 +58,8 @@ class EnergyParams:
         except OverflowError:            # an integer too large to convert to a float
             bad = [m.n_cpb for m in MODE_TABLE]
         if bad:
-            raise ValueError(f"the energy costs of burst mode n_cpb={bad[0]} overflow a float")
+            raise ConfigError("energy", f"the energy costs of burst mode n_cpb={bad[0]} "
+                                        "overflow a float")
 
     @functools.cached_property
     def breakdowns(self) -> tuple[EnergyBreakdown, ...]:

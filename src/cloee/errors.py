@@ -9,7 +9,9 @@ def is_int(value) -> bool:
 
 
 class ConfigError(ValueError):
-    """Raised on scenario config problems; message carries the offending key path."""
+    """A setting the scenario rejects, raised by the setting's owner at its key
+    path ("<section>.<field>"; "energy" for costs that overflow together).  A
+    ValueError, so callers that catch ValueError get the key the CLI prints."""
 
     def __init__(self, key: str, message: str):
         self.key = key

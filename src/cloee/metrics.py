@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
-from .errors import is_int
+from .errors import ConfigError, is_int
 from .frame import FRAME_CONSTANTS, MODE_TABLE, PSDU_CODE, PhyMode
 from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success, block_success,
                           shr_success)
@@ -47,11 +47,11 @@ class QosSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 0):
-            raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
+            raise ConfigError("qos.r0", f"must be finite and > 0, got {self.r0}")
         if not is_int(self.n_s):
-            raise ValueError(f"n_s must be an integer, got {self.n_s!r}")
+            raise ConfigError("qos.n_s", f"must be an integer, got {self.n_s!r}")
         if not 1 <= self.n_s <= 64:
-            raise ValueError(f"a hub serves 1..64 nodes, got n_s={self.n_s}")
+            raise ConfigError("qos.n_s", f"a hub serves 1..64 nodes, got {self.n_s}")
 
     @property
     def aggregate_rate(self) -> float:

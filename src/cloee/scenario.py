@@ -205,18 +205,8 @@ def parse_scenario(text: str, source: str = "<config>") -> Scenario:
         target[name] = _KEYS[key](key, raw)
 
     for section, cls in _SECTIONS.items():
-        top[section] = _build(section, cls, given[section])
-    return _build("scenario", Scenario, top)
-
-
-def _build(key: str, cls, kwargs: dict[str, object]):
-    """cls(**kwargs), with a plain ValueError reported as a ConfigError at key."""
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
+        top[section] = cls(**given[section])
+    return Scenario(**top)
 
 
 def load_scenario(path: str | Path) -> Scenario:

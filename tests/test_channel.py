@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from cloee import MODE_TABLE, ChannelParams, Scenario, bit_error_probs, run_sweep
+from cloee import MODE_TABLE, ChannelParams, ConfigError, Scenario, bit_error_probs, run_sweep
 from cloee.channel import _bit_error, q_function
 from cloee.cli import main
 
@@ -115,15 +115,16 @@ class TestNoiseDensity:
 
     @pytest.mark.parametrize("noise_density,n0", [(-4000.0, "0.0"), (1e6, "inf")])
     def test_overflow_and_underflow_still_rejected(self, tmp_path, capsys, noise_density, n0):
-        message = (f"noise_density must give a positive finite N0, got {noise_density} "
+        message = (f"must give a positive finite N0, got {noise_density} "
                    f"dBm/Hz (N0 = {n0} W/Hz)")
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(ConfigError) as err:
             ChannelParams(noise_density=noise_density)
-        assert str(err.value) == message
+        assert err.value.key == "channel.noise_density"
+        assert str(err.value) == f"channel.noise_density: {message}"
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"channel.noise_density = {noise_density}\n")
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config-error: channel: {message}\n"
+        assert capsys.readouterr().err == f"config-error: channel.noise_density: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cloee import MODE_TABLE, EnergyParams, energy_breakdown
+from cloee import MODE_TABLE, ConfigError, EnergyParams, energy_breakdown
 from cloee.energy import DEFAULT_ENERGY
 from helpers import mode_for
 
@@ -100,20 +100,23 @@ class TestEnergyBreakdown:
         assert b.eps_fixed == b.eps_oh + b.eps_st
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EnergyParams(eps_p=-1e-12)
-        with pytest.raises(ValueError, match="eps_p must be > 0"):
-            EnergyParams(eps_p=0.0)
-        with pytest.raises(ValueError):
-            EnergyParams(rho_r=2)
-        for name, value in (("m_fingers", 1.5), ("rho_r", 1.0), ("rho_c", 0.5)):
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                EnergyParams(**{name: value})
-        # Finite settings: the start-up energy 2 * p_syn * t_st overflows, or
-        # every cost is finite but eps_fixed / eps_b overflows.
-        for name in ("p_syn", "t_st"):
-            with pytest.raises(ValueError, match="overflow a float"):
-                EnergyParams(**{name: 1e308})
-        # An integer too large to convert to a float fails the same way.
-        with pytest.raises(ValueError, match="overflow a float"):
-            EnergyParams(m_fingers=10**400)
+        # Each setting fails at its own key; the cost overflow, which spans
+        # several fields, fails at the section.
+        overflow = "the energy costs of burst mode n_cpb=1 overflow a float"
+        for kwargs, key, message in (
+            (dict(eps_p=-1e-12), "energy.eps_p", "must be finite and >= 0, got -1e-12"),
+            (dict(eps_p=0.0), "energy.eps_p", "must be > 0, got 0.0"),
+            (dict(rho_r=2), "energy.rho_r", "must be 0 or 1, got 2"),
+            (dict(m_fingers=1.5), "energy.m_fingers", "must be an integer, got 1.5"),
+            (dict(rho_r=1.0), "energy.rho_r", "must be an integer, got 1.0"),
+            (dict(rho_c=0.5), "energy.rho_c", "must be an integer, got 0.5"),
+            # Finite settings: the start-up energy 2 * p_syn * t_st overflows,
+            # or every cost is finite but eps_fixed / eps_b overflows.
+            (dict(p_syn=1e308), "energy", overflow),
+            (dict(t_st=1e308), "energy", overflow),
+            # An integer too large to convert to a float fails the same way.
+            (dict(m_fingers=10**400), "energy", overflow),
+        ):
+            with pytest.raises(ConfigError) as err:
+                EnergyParams(**kwargs)
+            assert (err.value.key, str(err.value)) == (key, f"{key}: {message}")

@@ -28,6 +28,14 @@ from cloee.sweep import CSV_HEADER, emit_fixed_distance_curves
 from helpers import parse_rows
 from test_golden import OPTIMIZE
 
+
+
+def _same_id(text: str, expected: str, was: str):
+    """A row that expects the exact key, under the id of its section-level
+    label `was` ("<text>-<was>"), so that the test ids stay stable."""
+    return pytest.param(text, expected, id=f"{text}-{was}")
+
+
 SMALL_CONFIG = """
 # two distances, one static strategy
 distances = 2.0, 4.0
@@ -135,11 +143,11 @@ class TestScenarioParsing:
         assert str(err.value) == f"{key}: unknown key"
 
     @pytest.mark.parametrize(
-        "text,key",
+        "text,expected",
         [
             ("channel.a = fast", "channel.a"),
             ("nonsense.key = 1", "nonsense.key"),
-            ("qos.n_s = 99", "qos"),
+            _same_id("qos.n_s = 99", "qos.n_s: a hub serves 1..64 nodes, got 99", "qos"),
             ("strategies = 3:2616", "strategies"),
             ("strategies = 8x630", "strategies"),
             ("strategies = 1:62", "strategies: static n_t must be an integer in [63, 258048]"),
@@ -154,31 +162,41 @@ class TestScenarioParsing:
             ("distances = nan", "distances"),
             ("distances = 1.0, inf", "distances"),
             ("distances = 1.0:inf:0.5", "distances"),
-            ("qos.r0 = nan", "qos"),
-            ("qos.r0 = inf", "qos"),
+            _same_id("qos.r0 = nan", "qos.r0: must be finite and > 0, got nan", "qos"),
+            _same_id("qos.r0 = inf", "qos.r0: must be finite and > 0, got inf", "qos"),
             ("solver.alpha0 = auto", "solver.alpha0"),
             ("distances = 1:2", "distances"),
             ("shadowing = maybe", "shadowing"),
-            ("workers = 2", "unknown key"),
-            ("channel.a = nan", "channel"),
-            ("channel.sigma = nan", "channel"),
-            ("channel.noise_figure = inf", "channel"),
-            ("energy.p_syn = inf", "energy"),
-            ("energy.eps_p = nan", "energy"),
-            ("energy.eps_p = 0", "energy: eps_p must be > 0"),
+            _same_id("workers = 2", "workers: unknown key", "unknown key"),
+            _same_id("channel.a = nan", "channel.a: must be finite, got nan", "channel"),
+            _same_id("channel.sigma = nan", "channel.sigma: must be finite, got nan", "channel"),
+            _same_id("channel.noise_figure = inf", "channel.noise_figure: must be finite, got inf",
+                     "channel"),
+            _same_id("energy.p_syn = inf", "energy.p_syn: must be finite and >= 0, got inf",
+                     "energy"),
+            _same_id("energy.eps_p = nan", "energy.eps_p: must be finite and >= 0, got nan",
+                     "energy"),
+            _same_id("energy.eps_p = 0", "energy.eps_p: must be > 0, got 0.0",
+                     "energy: eps_p must be > 0"),
             ("distances = 5:1:0.5", "distances: range stop must be >= start"),
             ("seed = 1\nseed = 2", "seed"),
             ("solver.n_t_max = 258049", "solver.n_t_max"),
             ("solver.n_t_max = 62", "solver.n_t_max"),
             ("seed = -1", "seed: must be >= 0"),
-            ("channel.noise_density = -4000", "channel: noise_density"),
-            ("channel.noise_density = 1e6", "channel: noise_density"),
+            _same_id("channel.noise_density = -4000",
+                     "channel.noise_density: must give a positive finite N0",
+                     "channel: noise_density"),
+            _same_id("channel.noise_density = 1e6",
+                     "channel.noise_density: must give a positive finite N0",
+                     "channel: noise_density"),
         ],
     )
-    def test_errors_carry_key_path(self, text, key):
+    def test_errors_carry_key_path(self, text, expected):
+        # expected is the exact key, or the key and the start of the message.
         with pytest.raises(ConfigError) as err:
             parse_scenario(text)
-        assert key in str(err.value)
+        assert err.value.key == expected.split(": ", 1)[0]
+        assert str(err.value).startswith(expected)
 
     def test_range_expansion_bounded(self):
         # The step count is checked before any distance is built.
@@ -243,17 +261,18 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("cls,field,value,message", [
         (Scenario, "seed", True, "seed: must be an integer, got True"),
-        (QosSpec, "n_s", True, "n_s must be an integer, got True"),
-        (EnergyParams, "m_fingers", True, "m_fingers must be an integer, got True"),
-        (EnergyParams, "rho_r", True, "rho_r must be an integer, got True"),
-        (EnergyParams, "rho_c", False, "rho_c must be an integer, got False"),
+        (QosSpec, "n_s", True, "qos.n_s: must be an integer, got True"),
+        (EnergyParams, "m_fingers", True, "energy.m_fingers: must be an integer, got True"),
+        (EnergyParams, "rho_r", True, "energy.rho_r: must be an integer, got True"),
+        (EnergyParams, "rho_c", False, "energy.rho_c: must be an integer, got False"),
         (SolverConfig, "n_t_max", True, "solver.n_t_max: must be an integer >= 63, got True"),
     ], ids=["seed", "n_s", "m_fingers", "rho_r", "rho_c", "n_t_max"])
     def test_bool_is_not_an_integer(self, cls, field, value, message):
         # bool is a numbers.Integral; every integer setting shares
         # errors.is_int, which rejects it, as the strategy entries do.
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ConfigError) as err:
             cls(**{field: value})
+        assert str(err.value) == message and message.startswith(f"{err.value.key}: ")
 
     def test_repeated_static_strategy_rejected(self):
         # Two equal pairs would give two identical static_<n_cpb>_<n_t> rows
@@ -514,7 +533,7 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("qos.r0 = nan\n")
         assert main(["optimize", "--distance", "4.0", "--config", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith("config-error: qos: ")
+        assert capsys.readouterr().err == "config-error: qos.r0: must be finite and > 0, got nan\n"
 
     def test_search_ceiling_bounded(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -532,10 +551,17 @@ class TestCli:
 
     @pytest.mark.parametrize("text,prefix", [
         ("distances = 5:1:0.5\n", "config-error: distances: "),
-        ("energy.eps_p = 0\n", "config-error: energy: "),
+        _same_id("energy.eps_p = 0\n", "config-error: energy.eps_p: must be > 0, got 0.0\n",
+                 "config-error: energy: "),
         ("seed = -1\nshadowing = on\n", "config-error: seed: "),
-        ("channel.noise_density = -4000\n", "config-error: channel: noise_density"),
-        ("channel.noise_density = 1e6\n", "config-error: channel: noise_density"),
+        _same_id("channel.noise_density = -4000\n",
+                 "config-error: channel.noise_density: must give a positive finite N0, "
+                 "got -4000.0",
+                 "config-error: channel: noise_density"),
+        _same_id("channel.noise_density = 1e6\n",
+                 "config-error: channel.noise_density: must give a positive finite N0, "
+                 "got 1000000.0",
+                 "config-error: channel: noise_density"),
         ("channel.b = -1e6\n", "value-error: the link gain at distance "),
         pytest.param("strategies = 1:1" + "0" * 400 + "\n", "config-error: strategies: ",
                      id="strategies-n_t-1e400"),
@@ -550,7 +576,9 @@ class TestCli:
         ("energy.t_st = 1e308\n", "config-error: energy: "),
         pytest.param("energy.m_fingers = 1" + "0" * 400 + "\n", "config-error: energy: ",
                      id="energy-m_fingers-1e400"),
-        ("energy.m_fingers = -1\n", "config-error: energy: m_fingers must be >= 0, got -1\n"),
+        _same_id("energy.m_fingers = -1\n",
+                 "config-error: energy.m_fingers: must be >= 0, got -1\n",
+                 "config-error: energy: m_fingers must be >= 0, got -1\n"),
         ("distances = ,\n", "config-error: distances: must not be empty\n"),
         ("qos.n_s = two\n", "config-error: qos.n_s: expected an integer, got 'two'\n"),
         ("distances = 1:2:0\n", "config-error: distances: range step must be > 0, got 0.0\n"),
