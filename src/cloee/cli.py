@@ -20,7 +20,7 @@ import sys
 from .errors import ConfigError
 from .frame import FRAME_CONSTANTS, MODE_TABLE
 from .optimizer import cloee
-from .scenario import Scenario, load_scenario
+from .scenario import _KEYS, Scenario, _parse_float, load_scenario
 from .sweep import _csv, _write, emit_curves, emit_fixed_distance_curves, run_sweep
 
 OPT_HEADER = ("distance,n_t,n_cpb,eta_bits_per_joule,rate_bps,lambda,"
@@ -29,20 +29,18 @@ OPT_HEADER = ("distance,n_t,n_cpb,eta_bits_per_joule,rate_bps,lambda,"
 
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config) if args.config else Scenario()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shadowing is not None:
-        overrides["shadowing"] = args.shadowing == "on"
+    overrides = {key: _KEYS[key](key, raw) for key in ("seed", "shadowing")
+                 if (raw := getattr(args, key)) is not None}
     return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
 def _point(args) -> tuple[float, Scenario, float]:
     """The checked --distance, the scenario and its first shadowing draw (chi)."""
-    if not (math.isfinite(args.distance) and args.distance > 0):
-        raise ConfigError("--distance", f"must be finite and > 0, got {args.distance}")
+    distance = _parse_float("--distance", args.distance)
+    if not (math.isfinite(distance) and distance > 0):
+        raise ConfigError("--distance", f"must be finite and > 0, got {distance}")
     scenario = _load(args)
-    return args.distance, scenario, scenario.shadowing_draws()[0]
+    return distance, scenario, scenario.shadowing_draws()[0]
 
 
 def _cmd_optimize(args) -> int:
@@ -91,8 +89,8 @@ def _cmd_dump_modes(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="scenario config file")
-    sub.add_argument("--seed", type=int, default=None, help="shadowing RNG seed")
-    sub.add_argument("--shadowing", choices=("on", "off"), default=None,
+    sub.add_argument("--seed", help="shadowing RNG seed")
+    sub.add_argument("--shadowing", metavar="on|off",
                      help="lognormal shadowing draws (default: scenario setting)")
 
 
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="solve a single distance")
-    p_opt.add_argument("--distance", type=float, required=True, metavar="METERS")
+    p_opt.add_argument("--distance", required=True, metavar="METERS")
     p_opt.add_argument("--out", metavar="DIR", help="also write optimize.csv here")
     _add_common(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)
@@ -116,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_curves = sub.add_parser("curves", help="eta/rate vs frame size at one distance")
-    p_curves.add_argument("--distance", type=float, default=8.4, metavar="METERS")
+    p_curves.add_argument("--distance", default="8.4", metavar="METERS")
     p_curves.add_argument("--out", metavar="DIR", default=".", help="output directory")
     p_curves.add_argument("--format", choices=("csv", "svg"), default="csv")
     _add_common(p_curves)

@@ -64,13 +64,19 @@ class Scenario:
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        # A truthy non-bool such as "off" would switch its model on.
+        for key, value in (("shadowing", self.shadowing),
+                           ("model.uniform_section_ber", self.uniform_section_ber),
+                           ("model.integration_per_pulse", self.integration_per_pulse)):
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(key, f"must be a bool, got {value!r}")
         if not self.distances:
             raise ConfigError("distances", "must not be empty")
         # A repeated distance or strategy would give rows that cannot be told
         # apart; the seen sets keep both checks linear in the count.
         seen = set()
         for d in self.distances:
-            if not (math.isfinite(d) and d > 0):
+            if isinstance(d, (bool, np.bool_)) or not (math.isfinite(d) and d > 0):
                 raise ConfigError("distances", f"distances must be finite and > 0, got {d}")
             if d in seen:
                 raise ConfigError("distances", f"duplicate distance {d}")

@@ -142,13 +142,14 @@ def configs(draw):
 @st.composite
 def options(draw):
     """The drawn --distance of optimize and curves, and the drawn --seed and
-    --shadowing overrides, by the key each sets."""
-    distance = draw(DISTANCES)
+    --shadowing overrides, by the key each sets; each flag takes text that its
+    parser rejects too."""
+    distance = draw(st.one_of(DISTANCES, st.sampled_from(("True", "x", ""))))
     overrides = {}
     if draw(st.booleans()):
-        overrides["seed"] = draw(st.sampled_from(("0", "3", "-1", "1" + "0" * 400)))
+        overrides["seed"] = draw(st.sampled_from(INTS + ("x", "")))
     if draw(st.booleans()):
-        overrides["shadowing"] = draw(st.sampled_from(("on", "off")))
+        overrides["shadowing"] = draw(st.sampled_from(BOOLS + ("",)))
     return distance, overrides
 
 

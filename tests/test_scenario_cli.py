@@ -274,6 +274,24 @@ class TestScenarioParsing:
             cls(**{field: value})
         assert str(err.value) == message and message.startswith(f"{err.value.key}: ")
 
+    @pytest.mark.parametrize("field,value,line", [
+        ("shadowing", "off", "shadowing: must be a bool, got 'off'"),
+        ("uniform_section_ber", "no", "model.uniform_section_ber: must be a bool, got 'no'"),
+        ("integration_per_pulse", 1, "model.integration_per_pulse: must be a bool, got 1"),
+        ("distances", (True, 2.0), "distances: distances must be finite and > 0, got True"),
+    ], ids=["shadowing", "uniform_section_ber", "integration_per_pulse", "distances"])
+    def test_bool_settings_take_only_bools(self, field, value, line):
+        # A truthy string would switch its model on, and a bool distance
+        # would sweep 1 m under a `true` label.
+        with pytest.raises(ConfigError) as err:
+            Scenario(**{field: value})
+        assert str(err.value) == line and line.startswith(f"{err.value.key}: ")
+
+    def test_numpy_bool_setting_is_a_bool(self):
+        plain = Scenario(distances=(4.0,), shadowing=True, seed=3)
+        assert Scenario(distances=(4.0,), shadowing=np.bool_(True), seed=3).shadowing_draws() \
+            == plain.shadowing_draws() != (0.0,)
+
     def test_repeated_static_strategy_rejected(self):
         # Two equal pairs would give two identical static_<n_cpb>_<n_t> rows
         # per distance; one n_cpb or one n_t may repeat.
@@ -609,6 +627,29 @@ class TestCli:
         assert main(argv + (["--distance", "4.0"] if command == "optimize" else [])) == 2
         assert capsys.readouterr().err.startswith("config-error: seed: must be >= 0")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,line", [
+        (["optimize", "--distance", "True"],
+         "config-error: --distance: expected a number, got 'True'\n"),
+        (["sweep", "--seed", "x"], "config-error: seed: expected an integer, got 'x'\n"),
+        (["curves", "--shadowing", "maybe"],
+         "config-error: shadowing: expected on|off, got 'maybe'\n"),
+    ], ids=["distance", "seed", "shadowing"])
+    def test_bad_option_text_fails_at_its_key(self, tmp_path, capsys, argv, line):
+        # Each option's text goes through its config key's parser; --distance,
+        # which has no key, fails at its own name.
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "out").exists()
+
+    def test_shadowing_option_takes_the_key_spellings(self, tmp_path):
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text(SMALL_CONFIG)
+        for flag in ("on", "yes", "off"):
+            assert main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / flag),
+                         "--shadowing", flag, "--seed", "3"]) == 0
+        on, yes, off = ((tmp_path / f / "sweep.csv").read_bytes() for f in ("on", "yes", "off"))
+        assert on == yes != off
 
     def test_seed_and_shadowing_overrides(self, tmp_path):
         cfg_file = tmp_path / "scenario.cfg"
