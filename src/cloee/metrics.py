@@ -14,13 +14,17 @@ LinkModel.env(d, chi) is the one builder: it takes the six payload bit error
 rates of a distance once, and with section-specific rates the header success
 does not depend on the payload mode, so it reuses the rates of the modes at
 n_cpb_shr and n_cpb_phr and shares one header across the six modes.
+
+columns(envs) reads a block of environments of one LinkModel once, as
+Columns, which the array evaluators (grid, the oracle, the block cloee pass
+and the sweep's static rows) share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,8 +105,8 @@ class ModeMetrics:
 
     Link reliabilities and energies are computed once.  success()/eta()/rate()
     evaluate the grid objectives, whose codeword count is ceil(n_t/n); eta,
-    rate and eta_rate take an int or an int array (grid() takes a block of
-    environments).
+    rate and eta_rate take an int or an int array (Columns.eta_rate takes a
+    block of environments).
     success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
     forms differentiate; the two agree exactly at multiples of n.
     """
@@ -192,31 +196,56 @@ class LinkModel:
                      for m, p, energy in zip(MODE_TABLE, p_b, self.energy.breakdowns))
 
 
-def grid(envs: Sequence[tuple[ModeMetrics, ...]], n_t_max: int):
-    """(nts, etas, rates) for a block of environments of one LinkModel: every
-    codeword multiple up to n_t_max, and etas and rates shaped (environments,
-    modes, codeword multiples), each element equal to the scalar eta/rate
-    call of its mode bit for bit (the same expressions over per-mode columns).
+class Columns(NamedTuple):
+    """A block of environments of one LinkModel as (environments, modes, 1)
+    columns and per-mode (modes, 1) rows: the one input of the array
+    evaluators (grid, optimizer.search_envs and optimizer.solve_envs, and the
+    sweep's static rows).  The trailing axis takes the frame sizes."""
 
-    A mode's energy and air time depend on the mode alone, so they are built
-    once per block, from the first environment, as one row per mode; an
-    environment whose j-th mode or energy breakdown differs from the first
-    environment's raises ValueError.  The numerator is one block array, and
-    the two divisions make at most one more.
+    envs: Sequence[tuple[ModeMetrics, ...]]
+    header_success: np.ndarray
+    log_p_cw: np.ndarray
+    energy: EnergyBreakdown          # eps_b, eps_oh and eps_st rows
+    t_sym: np.ndarray
+
+    def eta_rate(self, nts):
+        """(etas, rates) at the frame sizes nts, an int array broadcast against
+        (environments, modes, 1), from one numerator; each element equals the
+        scalar eta/rate call of its mode bit for bit (the same expressions over
+        the columns).  The divisions make at most one more array."""
+        delivered = _delivered(nts, self.header_success, self.log_p_cw)
+        etas = delivered / self.energy.total(nts)
+        return etas, np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered)
+
+
+def columns(envs: Sequence[tuple[ModeMetrics, ...]]) -> Columns:
+    """The Columns of a block of environments of one LinkModel.
+
+    A mode's energy and air time depend on the mode alone, so they are read
+    once, from the first environment, as one row per mode; an environment
+    whose j-th mode or energy breakdown differs from the first environment's
+    raises ValueError.
     """
     first = envs[0]
     costs = [(mm.mode, mm.energy) for mm in first]
     if any([(mm.mode, mm.energy) for mm in env] != costs for env in envs):
-        raise ValueError("grid takes environments of one LinkModel: every environment "
+        raise ValueError("a block takes environments of one LinkModel: every environment "
                          "needs the first one's modes and energy breakdowns, in its order")
-    nts = np.arange(1, n_t_max // PSDU_CODE.n + 1) * PSDU_CODE.n
-    eps_b, eps_oh, eps_st, t_oh, t_sym = np.array(
-        [(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st, mm.t_oh, mm.t_sym)
+    eps_b, eps_oh, eps_st, t_sym = np.array(
+        [(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st, mm.t_sym)
          for mm in first]).T[:, :, None]
     # numpy builds an array from a flat list of floats faster than from nested tuples.
     shape = (len(envs), len(first), 1)
-    hs = np.array([mm.header_success for env in envs for mm in env]).reshape(shape)
-    log_p_cw = np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape)
-    delivered = _delivered(nts, hs, log_p_cw)
-    etas = delivered / EnergyBreakdown(eps_b, eps_oh, eps_st).total(nts)
-    return nts, etas, np.divide(delivered, t_oh + nts * t_sym, out=delivered)
+    return Columns(envs,
+                   np.array([mm.header_success for env in envs for mm in env]).reshape(shape),
+                   np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape),
+                   EnergyBreakdown(eps_b, eps_oh, eps_st), t_sym)
+
+
+def grid(cols: Columns, n_t_max: int):
+    """(nts, etas, rates) for a block's Columns at every codeword multiple up
+    to n_t_max, etas and rates shaped (environments, modes, codeword
+    multiples): the numerator is one block array, and the two divisions make
+    at most one more."""
+    nts = np.arange(1, n_t_max // PSDU_CODE.n + 1) * PSDU_CODE.n
+    return (nts, *cols.eta_rate(nts))

@@ -8,7 +8,8 @@ Per burst mode, eta and R are strictly quasiconcave in n_t.  Both are
 delivered bits over a cost linear in n_t (energy eps_b * n_t + eps_fixed, time
 t_sym * n_t + t_oh), so one closed form, nt_closed_form, gives both
 unconstrained maximizers.  solve_env is the CLOEE solver on one distance's
-environment.  Each mode it finishes takes one of three branches:
+environment, and solve_envs on a block of them.  Each mode they finish takes
+one of three branches:
 
   unconstrained        the efficiency optimum already meets the rate target;
   dual                 the efficiency optimum is rate-infeasible but the
@@ -25,7 +26,7 @@ environment.  Each mode it finishes takes one of three branches:
 
 The feasible mode with the best efficiency wins, the first of equals in
 environment order; when nothing is feasible the best-throughput fallback is
-returned.  solve_env finishes only the modes that can still win.  A mode's
+returned.  Only the modes that can still win are finished.  A mode's
 eta bound is its relaxed efficiency x * success_cont(x) / energy.total(x) at
 the closed-form optimum x clamped to the grid's span [n, n * (n_t_max // n)],
 which is at least every grid eta of the mode: the relaxed and grid objectives
@@ -33,6 +34,14 @@ agree on the grid.  Modes are visited in decreasing bound (a stable sort)
 until a bound, raised by a 1e-12 relative margin for rounding, is strictly
 below the best feasible eta so far, and each visited mode gets its full
 three-branch solve.  Nothing skipped could have won or tied.
+
+_decide is the one place this decision and the cross-mode pick are
+written, over per-mode values that one of two suppliers gives it.
+solve_env computes each value when the decision asks for it (scalar snaps),
+so pruning saves work; cloee and solve_mode run it.  solve_envs, the
+sweep's block pass, reads them from (environments, modes) arrays of a
+block's Columns, and only a mode sent to the dual branch runs scalar code;
+each of its results equals solve_env's bit for bit.
 
 solve_mode is solve_env on a one-mode environment, which is always visited
 and so gets the full three-branch solve.  exhaustive_search scans the whole
@@ -44,13 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError, is_int
 from .frame import PSDU_CODE
-from .metrics import LinkModel, ModeMetrics, QosSpec, grid
+from .metrics import Columns, LinkModel, ModeMetrics, QosSpec, columns, grid
 
 
 # The oracle and the curves scan every codeword multiple up to n_t_max, so
@@ -201,42 +210,64 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
 # CLOEE
 
 
+def _decide(env: tuple[ModeMetrics, ...], bounds: list[float], r0ns: float,
+            peak: Callable[[int], tuple[int, float]],
+            efficiency: Callable[[int], tuple[float, int, float, float]],
+            fallback: Callable[[int, int], tuple[int, float]]) -> OptResult:
+    """The three-branch solve of each mode of env whose eta bound can still
+    win, then the best of them (module docstring), over per-mode values that
+    the caller supplies: the eta bounds, then, for a mode m that the decision
+    visits, peak(m) = (nthr, rate(nthr)) and efficiency(m) = (x, nee,
+    eta(nee), rate(nee)), x being the clamped efficiency closed form, and for
+    the all-infeasible fallback fallback(m, nthr) = (nee, eta(nthr))."""
+    best, winner, peaks = -math.inf, None, [None] * len(env)
+    for m in sorted(range(len(env)), key=bounds.__getitem__, reverse=True):
+        if bounds[m] * (1.0 + 1e-12) < best:
+            break                    # this mode and every later one lose strictly
+        nthr, rate_thr = peaks[m] = peak(m)
+        if rate_thr < r0ns:
+            continue                 # the grid rate peaks at nthr (C4): infeasible
+        x, nee, eta_ee, rate_ee = efficiency(m)
+        res = (OptResult(nee, env[m].mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
+                         "unconstrained", None, nee, nthr) if rate_ee >= r0ns
+               else _dual(env[m], r0ns, x, nee, nthr))
+        # The best eta wins, the first of equals in mode order.
+        if res.eta > best or res.eta == best and m < winner[0]:
+            best, winner = res.eta, (m, res)
+    if winner:
+        return winner[1]
+    # No mode can meet the rate target, and every mode was visited: the
+    # first with the best rate peak falls back to it.
+    m = max(range(len(env)), key=lambda m: peaks[m][1])
+    (nthr, rate_thr), (nee, eta_thr) = peaks[m], fallback(m, peaks[m][0])
+    return OptResult(nthr, env[m].mode.n_cpb, eta_thr, rate_thr, 0.0, False, 0,
+                     "throughput-fallback", None, nee, nthr)
+
+
 def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
     """cloee on an environment (LinkModel.env, or any tuple of modes): the
-    three-branch solve of each mode whose eta bound can still win, then the
-    best of them (module docstring)."""
-    r0ns, n_t_max = qos.aggregate_rate, cfg.n_t_max
+    decision over values computed when it asks for them, so a pruned or
+    rate-infeasible mode costs no snap it does not need."""
+    n_t_max = cfg.n_t_max
     x_lo, x_hi = float(PSDU_CODE.n), float(n_t_max // PSDU_CODE.n * PSDU_CODE.n)
     # Each mode's efficiency closed form, clamped once to the grid's span:
     # the eta bound, the efficiency snap, the fallback's nee and _dual read it.
     xs = [min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw), x_lo), x_hi)
           for mm in env]
-    bounds = [x * mm.success_cont(x) / mm.energy.total(x) for mm, x in zip(env, xs)]
-    best, peaks, cands = -math.inf, [None] * len(env), [None] * len(env)
-    for m in sorted(range(len(env)), key=bounds.__getitem__, reverse=True):
-        if bounds[m] * (1.0 + 1e-12) < best:
-            break                    # this mode and every later one lose strictly
+
+    def peak(m):
         mm = env[m]
-        nthr, rate_thr = peaks[m] = snap_to_grid(
-            nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, n_t_max)
-        if rate_thr < r0ns:
-            continue                 # the grid rate peaks at nthr (C4): infeasible
-        nee, eta_ee = snap_to_grid(xs[m], mm.eta, n_t_max)
-        rate_ee = mm.rate(nee)
-        cands[m] = (OptResult(nee, mm.mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
-                              "unconstrained", None, nee, nthr) if rate_ee >= r0ns
-                    else _dual(mm, r0ns, xs[m], nee, nthr))
-        best = max(best, cands[m].eta)
-    feasible = [res for res in cands if res is not None]
-    if feasible:
-        # max in mode order keeps the first of equals.
-        return max(feasible, key=lambda res: res.eta)
-    # No mode can meet the rate target, and every mode was visited: the
-    # first with the best rate peak falls back to it.
-    m = max(range(len(env)), key=lambda m: peaks[m][1])
-    mm, (nthr, rate_thr) = env[m], peaks[m]
-    return OptResult(nthr, mm.mode.n_cpb, mm.eta(nthr), rate_thr, 0.0, False, 0,
-                     "throughput-fallback", None, snap_to_grid(xs[m], mm.eta, n_t_max)[0], nthr)
+        return snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, n_t_max)
+
+    def efficiency(m):
+        nee, eta_ee = snap_to_grid(xs[m], env[m].eta, n_t_max)
+        return xs[m], nee, eta_ee, env[m].rate(nee)
+
+    def fallback(m, nthr):
+        return snap_to_grid(xs[m], env[m].eta, n_t_max)[0], env[m].eta(nthr)
+
+    return _decide(env, [x * mm.success_cont(x) / mm.energy.total(x) for mm, x in zip(env, xs)],
+                   qos.aggregate_rate, peak, efficiency, fallback)
 
 
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
@@ -244,14 +275,73 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
     return solve_env((mm,), qos, cfg)
 
 
-def search_envs(envs: Sequence[tuple[ModeMetrics, ...]], qos: QosSpec,
-                cfg: SolverConfig) -> list[OptResult]:
-    """exhaustive_search on each of a block of environments of one LinkModel,
-    from one grid call: per environment the best-eta feasible grid
-    point, else the best-rate one.  argmax keeps the first maximum of each
-    environment's modes in row-major order: ties go to the smaller n_cpb,
-    then n_t."""
-    nts, etas, rates = grid(envs, cfg.n_t_max)
+def _closed_forms(per_unit, fixed, log_p_cw):
+    """nt_closed_form over arrays, element for element: the same IEEE
+    operations, so the same bits, with an overflow to inf and an inf - inf to
+    nan as in Python floats, and inf and 0 where nt_closed_form returns them
+    early (those lanes are computed, then overwritten, so nothing warns)."""
+    with np.errstate(all="ignore"):
+        half = fixed / (2.0 * per_unit)
+        denom = per_unit * log_p_cw
+        x = np.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
+    # per_unit > 0, so denom >= 0 where log_p_cw >= 0 or denom == 0, and
+    # denom = -inf where log_p_cw = -inf.
+    np.copyto(x, math.inf, where=denom >= 0.0)
+    np.copyto(x, 0.0, where=log_p_cw == -math.inf)
+    return x
+
+
+def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult]:
+    """solve_env on each environment of a block, bit for bit: each decision
+    reads its values from (environments, modes) arrays of the block's
+    Columns, and only a mode the decision sends to the dual branch runs
+    scalar code (_dual)."""
+    r0ns, n, k_max = qos.aggregate_rate, PSDU_CODE.n, cfg.n_t_max // PSDU_CODE.n
+    energy, log_p_cw = cols.energy, cols.log_p_cw
+    # Both closed forms on the last axis, efficiency then throughput, clamped
+    # to the grid's span: the first is xs.  k = x // n, then k + 1 up to
+    # k_max, are snap_to_grid's two candidates (clamping x to n is its
+    # max(1, k), and to n * k_max its ceiling; for x >= 0, floor(x) // n is
+    # its int(x // n)).
+    x = np.minimum(np.maximum(_closed_forms(
+        np.concatenate((energy.eps_b, cols.t_sym), axis=1),
+        np.concatenate((energy.eps_fixed, np.full_like(cols.t_sym, ModeMetrics.t_oh)), axis=1),
+        log_p_cw), float(n)), float(k_max * n))
+    xs = x[..., :1]
+    # The bounds take libm's exp, as success_cont does, so they are
+    # solve_env's to the bit: where the closed form has lost the optimum
+    # (ROADMAP item 3) a bound is no bound, and one ulp of it can change
+    # which modes the decision visits, and so its answer.
+    success = np.fromiter(map(math.exp, (xs * log_p_cw / n).ravel().tolist()), float, xs.size)
+    bounds = xs * (cols.header_success * success.reshape(xs.shape)) / energy.total(xs)
+    k = x.astype(np.int64) // n
+    etas, rates = cols.eta_rate(np.concatenate((k, np.minimum(k + 1, k_max)), axis=2) * n)
+    up = np.stack((etas[..., 2] > etas[..., 0], rates[..., 3] > rates[..., 1]), axis=2)
+    # The snapped values, [..., 0] at nee and [..., 1] at nthr.  Each
+    # decision reads its bounds and rate peaks as lists, and the values of
+    # the few modes it solves or falls back to one by one (item gives a
+    # Python int or float).
+    nts = (k + up) * n
+    etas = np.where(up, etas[..., 2:], etas[..., :2])
+    rates = np.where(up, rates[..., 2:], rates[..., :2])
+    results = []
+    for e, (env, bound, nthr, rate_thr) in enumerate(zip(
+            cols.envs, bounds[..., 0].tolist(), nts[..., 1].tolist(), rates[..., 1].tolist())):
+        results.append(_decide(
+            env, bound, r0ns, lambda m: (nthr[m], rate_thr[m]),
+            lambda m: (xs.item(e, m, 0), nts.item(e, m, 0), etas.item(e, m, 0),
+                       rates.item(e, m, 0)),
+            lambda m, _: (nts.item(e, m, 0), etas.item(e, m, 1))))
+    return results
+
+
+def search_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult]:
+    """exhaustive_search on each environment of a block, from one grid call on
+    its Columns: per environment the best-eta feasible grid point, else the
+    best-rate one.  argmax keeps the first maximum of each environment's
+    modes in row-major order: ties go to the smaller n_cpb, then n_t."""
+    envs = cols.envs
+    nts, etas, rates = grid(cols, cfg.n_t_max)
     etas, rates = etas.reshape(len(envs), -1), rates.reshape(len(envs), -1)
     feas = rates >= qos.aggregate_rate
     rows, any_feas = np.arange(len(envs)), feas.any(axis=1)
@@ -283,4 +373,4 @@ def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
 def exhaustive_search(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
                       cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
     """Scan every (burst mode, codeword multiple) pair; the acceptance oracle."""
-    return search_envs((model.env(distance, chi),), qos, cfg)[0]
+    return search_envs(columns((model.env(distance, chi),)), qos, cfg)[0]

@@ -76,13 +76,24 @@ class Scenario:
         # apart; the seen sets keep both checks linear in the count.
         seen = set()
         for d in self.distances:
-            if isinstance(d, (bool, np.bool_)) or not (math.isfinite(d) and d > 0):
+            try:
+                valid = not isinstance(d, (bool, np.bool_)) and math.isfinite(d) and d > 0
+            except OverflowError:        # an int too large for a float
+                valid = False
+            except TypeError:
+                raise ConfigError("distances", f"distances must be numbers, got {d!r}") from None
+            if not valid:
                 raise ConfigError("distances", f"distances must be finite and > 0, got {d}")
             if d in seen:
                 raise ConfigError("distances", f"duplicate distance {d}")
             seen.add(d)
         seen = set()
-        for n_cpb, n_t in self.strategies:
+        for pair in self.strategies:
+            try:
+                n_cpb, n_t = pair
+            except (TypeError, ValueError):
+                raise ConfigError("strategies", f"each strategy must be an (n_cpb, n_t) pair, "
+                                                f"got {pair!r}") from None
             if not (is_int(n_cpb) and n_cpb in VALID_N_CPB):
                 raise ConfigError("strategies", f"n_cpb must be one of {VALID_N_CPB}, got {n_cpb}")
             if not (is_int(n_t) and PSDU_CODE.n <= n_t <= N_T_MAX_LIMIT):

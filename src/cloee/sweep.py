@@ -10,8 +10,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .metrics import LinkModel, ModeMetrics, QosSpec, grid
-from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, search_envs, solve_env, solve_mode
+import numpy as np
+
+from .frame import MODE_TABLE
+from .metrics import LinkModel, ModeMetrics, QosSpec, columns, grid
+from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, search_envs, solve_envs, solve_mode
 from .scenario import Scenario
 from . import svgplot
 
@@ -32,16 +35,17 @@ class SweepRow(NamedTuple):
 
 def _distance_rows(distance: float, statics: list[tuple[str, int, int]],
                    env: tuple[ModeMetrics, ...], cloee: OptResult, oracle: OptResult,
+                   static_etas: list[float], static_rates: list[float],
                    r0ns: float) -> list[SweepRow]:
-    """Every row of one distance, read from its one environment, in strategy
-    order: cloee, the oracle, then one per entry of statics (sorted by name;
-    every static_ name sorts after cloee and oracle)."""
+    """Every row of one distance, in strategy order: cloee, the oracle, then
+    one per entry of statics (sorted by name; every static_ name sorts after
+    cloee and oracle), at the etas and rates given in that order.  p_ppdu
+    comes from the distance's one environment."""
     by_cpb = {mm.mode.n_cpb: mm for mm in env}
     picks = [(strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate, res.feasible,
               res.branch) for strategy, res in (("cloee", cloee), ("oracle", oracle))]
-    for strategy, n_cpb, n_t in statics:
-        eta, rate = by_cpb[n_cpb].eta_rate(n_t)
-        picks.append((strategy, n_cpb, n_t, eta, rate, rate >= r0ns, "static"))
+    picks += [(strategy, n_cpb, n_t, eta, rate, rate >= r0ns, "static")
+              for (strategy, n_cpb, n_t), eta, rate in zip(statics, static_etas, static_rates)]
     return [SweepRow(distance, strategy, n_cpb, n_t, eta, rate,
                      by_cpb[n_cpb].success(n_t), feasible, branch)
             for strategy, n_cpb, n_t, eta, rate, feasible, branch in picks]
@@ -50,10 +54,11 @@ def _distance_rows(distance: float, statics: list[tuple[str, int, int]],
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Evaluate every strategy plus cloee and the oracle on the distance grid.
 
-    The oracle takes a block of distances per grid call.  A block holds
-    N_T_MAX_LIMIT // n_t_max distances (n_t_max <= N_T_MAX_LIMIT, so at least
-    one), so its grid has at most 6 * 4096 cells, the grid of one distance at
-    the largest n_t_max.
+    Each block of distances is read as one Columns build, which cloee
+    (solve_envs), the oracle (search_envs, one grid call) and the static
+    rows share.  A block holds N_T_MAX_LIMIT // n_t_max distances (n_t_max
+    <= N_T_MAX_LIMIT, so at least one), so its grid has at most 6 * 4096
+    cells, the grid of one distance at the largest n_t_max.
     Deterministic for a given scenario and seed: shadowing draws are made
     up-front in config order, and rows come out in (distance, strategy) order,
     as the points are taken by (distinct) distance and the statics by name.
@@ -63,12 +68,22 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     block, r0ns = N_T_MAX_LIMIT // cfg.n_t_max, qos.aggregate_rate
     # Static rows' names and plain-int entries (a Scenario takes numpy's too), by name.
     statics = sorted((f"static_{a}_{b}", int(a), int(b)) for a, b in scenario.strategies)
+    # The statics are read off the block evaluated at their distinct frame
+    # sizes: static s is (mode modes[s], frame size sizes[s]).
+    n_ts = sorted({n_t for _, _, n_t in statics})
+    cpbs = [mode.n_cpb for mode in MODE_TABLE]
+    modes = [cpbs.index(n_cpb) for _, n_cpb, _ in statics]
+    sizes = [n_ts.index(n_t) for _, _, n_t in statics]
     rows = []
     for start in range(0, len(points), block):
         chunk = points[start:start + block]
-        envs = [model.env(d, chi) for d, chi in chunk]
-        for (d, _), env, oracle in zip(chunk, envs, search_envs(envs, qos, cfg)):
-            rows += _distance_rows(d, statics, env, solve_env(env, qos, cfg), oracle, r0ns)
+        cols = columns([model.env(d, chi) for d, chi in chunk])
+        etas, rates = cols.eta_rate(np.array(n_ts))
+        for (d, _), env, cloee, oracle, static_etas, static_rates in zip(
+                chunk, cols.envs, solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg),
+                etas[:, modes, sizes].tolist(), rates[:, modes, sizes].tolist()):
+            rows += _distance_rows(d, statics, env, cloee, oracle, static_etas, static_rates,
+                                   r0ns)
     return rows
 
 
@@ -152,7 +167,7 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
     environment.
     """
     env = model.env(distance, chi)
-    nts, etas, rates = grid((env,), cfg.n_t_max)
+    nts, etas, rates = grid(columns((env,)), cfg.n_t_max)
     return [(solve_mode(mm, qos, cfg), nts, eta_row, rate_row)
             for mm, eta_row, rate_row in zip(env, etas[0], rates[0])]
 

@@ -27,6 +27,7 @@ from cloee import (
     solve_mode,
 )
 from cloee.energy import DEFAULT_ENERGY
+from cloee.metrics import columns
 from cloee.optimizer import search_envs, solve_env
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
 from cloee.sweep import CSV_HEADER
@@ -101,7 +102,7 @@ def grid_argmax(values, nts) -> int:
 def search_env(env, qos, cfg) -> OptResult:
     """exhaustive_search on one environment (LinkModel.env): the package's
     optimizer.search_envs on a block of one."""
-    return search_envs((env,), qos, cfg)[0]
+    return search_envs(columns((env,)), qos, cfg)[0]
 
 
 def reference_search_env(env, qos, cfg) -> OptResult:

@@ -53,6 +53,23 @@ REJECTED = {
 }
 
 
+# Values that only a library caller can pass, since the parser never builds
+# them: one row per case, each rejected at its key.
+REJECTED_IN_LIBRARY = [
+    ("distances", ("x",)),
+    ("distances", (10 ** 400,)),
+    ("strategies", ((1,),)),
+    ("strategies", ((1, 2616, 3),)),
+]
+
+
+@pytest.mark.parametrize("key,value", REJECTED_IN_LIBRARY)
+def test_library_values_reject_at_their_key(key, value):
+    with pytest.raises(ConfigError) as err:
+        Scenario(**{key: value})
+    assert err.value.key == key
+
+
 def test_every_key_has_a_rejected_value():
     assert sorted(REJECTED) == sorted(_KEYS)
 

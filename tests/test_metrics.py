@@ -10,7 +10,7 @@ import pytest
 
 from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, Scenario, energy,
                    energy_breakdown, reliability)
-from cloee.metrics import grid
+from cloee.metrics import columns, grid
 from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metrics
 
 
@@ -153,7 +153,7 @@ class TestContinuousRelaxation:
 
 
 class TestGrid:
-    # grid(envs, n_t_max) is the one array evaluator; each element must equal
+    # grid(columns(envs), n_t_max) is the one grid evaluator; each element must equal
     # its mode's scalar calls bit for bit, because the curves CSV writes them
     # with repr and the oracle compares them with the solver's.
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
@@ -161,7 +161,7 @@ class TestGrid:
         model = LinkModel(**variant)
         envs = [model.env(d, chi)
                 for d, chi in ((1.5, 0.0), (4.2, -3.1), (6.5, 0.0), (7.9, 2.4), (9.6, 0.0))]
-        nts, etas, rates = grid(envs, 63 * 130)
+        nts, etas, rates = grid(columns(envs), 63 * 130)
         assert nts.tolist() == [63 * k for k in range(1, 131)]
         assert etas.shape == rates.shape == (5, 6, 130)
         for env, env_etas, env_rates in zip(envs, etas, rates):
@@ -178,10 +178,10 @@ class TestGrid:
                                                                for i in range(31)), **variant)
         model = sc.link_model()
         envs = [model.env(d, chi) for d, chi in zip(sc.distances, sc.shadowing_draws())]
-        nts, etas, rates = grid(envs, 8190)
+        nts, etas, rates = grid(columns(envs), 8190)
         assert etas.shape == rates.shape == (31, 6, 130)
         for env, env_etas, env_rates in zip(envs, etas, rates):
-            one_nts, (one_etas,), (one_rates,) = grid((env,), 8190)
+            one_nts, (one_etas,), (one_rates,) = grid(columns((env,)), 8190)
             assert one_nts.tolist() == nts.tolist()
             assert env_etas.tolist() == one_etas.tolist()
             assert env_rates.tolist() == one_rates.tolist()
@@ -194,14 +194,14 @@ class TestGrid:
 
     def test_ceiling_is_inclusive(self, model):
         envs = (model.env(6.5),)
-        assert grid(envs, 126)[0].tolist() == [63, 126]
-        assert grid(envs, 188)[0].tolist() == [63, 126]
-        assert grid(envs, 63)[1].shape == (1, 6, 1)
+        assert grid(columns(envs), 126)[0].tolist() == [63, 126]
+        assert grid(columns(envs), 188)[0].tolist() == [63, 126]
+        assert grid(columns(envs), 63)[1].shape == (1, 6, 1)
 
     def test_rows_follow_the_given_modes(self, model):
         env = model.env(7.2)
-        nts, (etas,), (rates,) = grid((env,), 630)
-        sub_nts, (sub_etas,), (sub_rates,) = grid((env[3:1:-1],), 630)
+        nts, (etas,), (rates,) = grid(columns((env,)), 630)
+        sub_nts, (sub_etas,), (sub_rates,) = grid(columns((env[3:1:-1],)), 630)
         assert sub_nts.tolist() == nts.tolist()
         assert sub_etas.tolist() == etas[3:1:-1].tolist()
         assert sub_rates.tolist() == rates[3:1:-1].tolist()
@@ -211,18 +211,18 @@ class TestGrid:
         # an environment with other energy breakdowns cannot share them.
         other = LinkModel(energy=EnergyParams(t_st=1e-3))
         with pytest.raises(ValueError, match="one LinkModel"):
-            grid((model.env(6.5), other.env(6.5)), 630)
+            grid(columns((model.env(6.5), other.env(6.5))), 630)
         # An equal model with its own breakdown objects shares them.
         same = LinkModel(energy=EnergyParams())
         assert same.energy.breakdowns is not model.energy.breakdowns
-        assert grid((model.env(6.5), same.env(6.5)), 630)[1].shape == (2, 6, 10)
+        assert grid(columns((model.env(6.5), same.env(6.5))), 630)[1].shape == (2, 6, 10)
 
     @pytest.mark.parametrize("modes", [slice(0, 5), slice(None, None, -1), slice(1, 6)],
                              ids=["prefix", "reversed", "shifted"])
     def test_block_of_other_mode_tuples_raises(self, model, modes):
         env = model.env(6.5)
         with pytest.raises(ValueError, match="one LinkModel"):
-            grid((env, model.env(7.0)[modes]), 630)
+            grid(columns((env, model.env(7.0)[modes])), 630)
 
 
 class TestEnergyBreakdowns:

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import math
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +39,9 @@ from cloee import (
     snap_to_grid,
     solve_mode,
 )
-from cloee import channel, metrics, optimizer
-from cloee.optimizer import N_T_MAX_LIMIT, search_envs, solve_env
+from cloee import channel, metrics, optimizer, sweep
+from cloee.metrics import columns
+from cloee.optimizer import N_T_MAX_LIMIT, search_envs, solve_env, solve_envs
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
                      reference_sweep, search_env, single_pb_metrics, solve_env_pruned)
@@ -58,7 +61,7 @@ def check_grid_and_sweep_bits() -> int:
         model, block = sc.link_model(), N_T_MAX_LIMIT // sc.solver.n_t_max
         envs = [model.env(d, chi) for d, chi in
                 list(zip(sc.distances, sc.shadowing_draws()))[:block]]
-        nts, etas, rates = metrics.grid(envs, sc.solver.n_t_max)
+        nts, etas, rates = metrics.grid(columns(envs), sc.solver.n_t_max)
         for env, env_etas, env_rates in zip(envs, etas, rates):
             for mm, eta_row, rate_row in zip(env, env_etas, env_rates):
                 assert eta_row.tolist() == [mm.eta(n) for n in nts.tolist()]
@@ -514,8 +517,8 @@ class TestBlockedSweep:
         cells = []
         grid = optimizer.grid
 
-        def counting_grid(envs, n):
-            out = grid(envs, n)
+        def counting_grid(cols, n):
+            out = grid(cols, n)
             cells.append(out[1].size)
             return out
 
@@ -525,6 +528,40 @@ class TestBlockedSweep:
         assert len(cells) == calls
         assert max(cells) <= len(MODE_TABLE) * (N_T_MAX_LIMIT // 63)
         assert sum(cells) == len(sc.distances) * len(MODE_TABLE) * (n_t_max // 63)
+
+    def test_sweep_solves_no_environment_with_scalar_calls(self, monkeypatch):
+        # run_sweep reads cloee, the oracle and the static rows off each
+        # block's arrays: outside a dual solve (_dual, the one scalar stage
+        # of the block pass) no scalar solve, snap or eta/rate call runs.
+        calls, in_dual = [], [False]
+        dual = optimizer._dual
+
+        def flagged_dual(*args):
+            in_dual[0] = True
+            try:
+                return dual(*args)
+            finally:
+                in_dual[0] = False
+
+        def watch(owner, name):
+            function = getattr(owner, name)
+
+            def watched(*args, **kwargs):
+                if not in_dual[0]:
+                    calls.append(name)
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, watched)
+
+        monkeypatch.setattr(optimizer, "_dual", flagged_dual)
+        for module in (optimizer, sweep):
+            for name in ("solve_env", "snap_to_grid"):
+                if hasattr(module, name):
+                    watch(module, name)
+        for name in ("eta", "rate", "eta_rate"):
+            watch(ModeMetrics, name)
+        rows = run_sweep(dataclasses.replace(load_scenario(HOSPITAL_CONF), seed=1))
+        assert len(rows) == 91 * 7 and calls == []
 
 
     def test_search_envs_peak_stays_under_three_block_arrays(self):
@@ -539,10 +576,10 @@ class TestBlockedSweep:
         block = N_T_MAX_LIMIT // cfg.n_t_max
         envs = [model.env(d, chi) for d, chi in
                 list(zip(sc.distances, sc.shadowing_draws()))[:block]]
-        expect = search_envs(envs, qos, cfg)
+        expect = search_envs(columns(envs), qos, cfg)
         tracemalloc.start()
         try:
-            assert search_envs(envs, qos, cfg) == expect
+            assert search_envs(columns(envs), qos, cfg) == expect
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,6 +688,104 @@ class TestSolveEnvMatchesReference:
         assert counts["sub dominated"] >= 20, counts
 
 
+class TestSolveEnvsEqualsSolveEnv:
+    # solve_envs, the sweep's block pass, reads each environment's values from
+    # (environments, modes) arrays and runs the decision that solve_env runs.
+    # Its results must equal solve_env's by repr, with warnings as errors, on
+    # inputs that reach every branch and dual solves that lose: the binding
+    # rows, the hospital sweeps, and wide seeded draws, among them start-up
+    # times where cloee and the oracle disagree (ROADMAP item 3) but the two
+    # cloee paths may not.
+
+    @pytest.fixture
+    def duals(self, monkeypatch):
+        made, dual = [], optimizer._dual
+
+        def recording_dual(*args):
+            made.append(dual(*args))
+            return made[-1]
+
+        monkeypatch.setattr(optimizer, "_dual", recording_dual)
+        return made
+
+    @staticmethod
+    def _check(envs, qos, cfg, duals, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            duals.clear()
+            block = solve_envs(columns(envs), qos, cfg)
+            # A dual solve that the block does not return lost to a better mode.
+            counts["dominated dual"] += len({id(res) for res in duals} - {id(res) for res in block})
+            assert list(map(repr, block)) == [repr(solve_env(env, qos, cfg)) for env in envs]
+        counts["environments"] += len(envs)
+        counts.update(res.branch for res in block)
+
+    def test_binding_rows(self, duals):
+        # Blocks of 1, 7 and 31 consecutive rows of one model variant, each
+        # under the rate floor of its first, middle and last row.
+        counts = collections.Counter()
+        rows = list(binding_envs(256))
+        for n_t_max in (126, 8190, 63 * 4096):
+            cfg = SolverConfig(n_t_max=n_t_max)
+            for variant in range(len(MODEL_VARIANTS)):
+                for size in (1, 7, 31):
+                    for start in range(variant * 256, (variant + 1) * 256, size):
+                        chunk = rows[start:min(start + size, (variant + 1) * 256)]
+                        for qos in dict.fromkeys(q for _, q in (chunk[0], chunk[len(chunk) // 2],
+                                                                chunk[-1])):
+                            self._check([env for env, _ in chunk], qos, cfg, duals, counts)
+        assert min(counts[k] for k in ("dual", "throughput-fallback", "unconstrained")) >= 100, \
+            counts
+        assert counts["dominated dual"] >= 20, counts
+
+    def test_hospital_sweeps(self, duals):
+        # The blocks of run_sweep on the hospital sweeps of seeds 1-10.
+        counts = collections.Counter()
+        for seed in range(1, 11):
+            sc = dataclasses.replace(load_scenario(HOSPITAL_CONF), seed=seed)
+            model, block = sc.link_model(), N_T_MAX_LIMIT // sc.solver.n_t_max
+            points = sorted(zip(sc.distances, sc.shadowing_draws()))
+            for start in range(0, len(points), block):
+                self._check([model.env(d, chi) for d, chi in points[start:start + block]],
+                            sc.qos, sc.solver, duals, counts)
+        assert counts["environments"] == 910, counts
+        assert min(counts["unconstrained"], counts["throughput-fallback"]) >= 100, counts
+
+    def test_wide_draws(self, duals):
+        # One LinkModel per draw: the six powers log-uniform in 10**[-12, 12],
+        # t_st up to 1e150 s, eps_p in 10**[-15, -6], and a block of five
+        # distances in 0.1-20 m, shadowed.  Half the rate floors are drawn
+        # between the rates at the efficiency and throughput optima of the
+        # first distance's mode with the best eta that has such a band, which
+        # sends that mode to the dual branch; the others as r0 in 10**[0, 7]
+        # per node.  Most draws have t_st beyond 1e3 s, where the modes' etas
+        # agree to many digits and a visited dual hardly ever loses (the
+        # binding rows count those), and where the bounds can sit below the
+        # grid etas (ROADMAP item 3), so the block pass must prune exactly as
+        # solve_env does.
+        rng = random.Random(28)
+        powers = ("p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen")
+        counts = collections.Counter()
+        while counts["draws"] < 400:
+            ep = EnergyParams(eps_p=10 ** rng.uniform(-15, -6), t_st=10 ** rng.uniform(-12, 150),
+                              **{k: 10 ** rng.uniform(-12, 12) for k in powers})
+            model = LinkModel(energy=ep, **rng.choice(MODEL_VARIANTS))
+            cfg = SolverConfig(n_t_max=rng.choice((126, 8190, 63 * 4096)))
+            envs = [model.env(rng.uniform(0.1, 20.0), rng.gauss(0.0, 4.4)) for _ in range(5)]
+            n_s, r0 = rng.randint(1, 64), 10 ** rng.uniform(0, 7)
+            if rng.random() < 0.5:
+                snaps = [(mm.eta(sol.nee), mm.rate(sol.nee), mm.rate(sol.nthr))
+                         for mm, sol in ((mm, solve_mode(mm, QosSpec(), cfg)) for mm in envs[0])]
+                bands = [(lo, hi) for _, lo, hi in sorted(snaps, reverse=True) if lo < hi]
+                if bands:
+                    lo, hi = bands[0]
+                    r0 = (lo + rng.uniform(0.0, 1.0) * (hi - lo)) / n_s
+            counts["draws"] += 1
+            self._check(envs, QosSpec(r0=r0, n_s=n_s), cfg, duals, counts)
+        assert min(counts[k] for k in ("dual", "throughput-fallback", "unconstrained")) >= 20, \
+            counts
+
+
 class TestDominatedDual:
     # Binding rows (0-based past the header) where, at n_t_max = 8190, a mode
     # that solve_env visits takes the dual branch at an eta below the
@@ -756,7 +891,7 @@ class TestCloeeEqualsOracleProperty:
             env = LinkModel(energy=ep, **variant).env(distance, chi)
             cfg = SolverConfig(n_t_max=n_t_max)
             r0 = 10 ** log_r0
-            _, (etas,), (rates,) = metrics.grid((env,), n_t_max)
+            _, (etas,), (rates,) = metrics.grid(columns((env,)), n_t_max)
             los, his = rates[np.arange(len(env)), np.argmax(etas, axis=1)], rates.max(axis=1)
             banded = [m for m in np.argsort(-etas.max(axis=1), kind="stable") if los[m] < his[m]]
             if in_band and banded:
@@ -899,7 +1034,7 @@ class TestSearchEnvs:
         tops = sorted(max(float(np.max(mm.rate(nts))) for mm in env) for env in envs)
         qos = QosSpec(r0=tops[len(tops) // 2] / 24)
         for block in (envs, envs[::-1]):
-            res = search_envs(block, qos, cfg)
+            res = search_envs(columns(block), qos, cfg)
             assert res == [reference_search_env(env, qos, cfg) for env in block]
             assert {r.feasible for r in res} == {True, False}
 
