@@ -78,6 +78,8 @@ MODE_TABLE: tuple[PhyMode, ...] = (
     _mode(16, 0.790),
     _mode(32, 0.395),
 )
+# The one n_cpb -> MODE_TABLE position rule.
+MODE_POSITION = {m.n_cpb: i for i, m in enumerate(MODE_TABLE)}
 
 @dataclass(frozen=True)
 class FrameConstants:

@@ -31,15 +31,14 @@ import numpy as np
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
 from .errors import ConfigError, is_int
-from .frame import FRAME_CONSTANTS, MODE_TABLE, PSDU_CODE, PhyMode
+from .frame import FRAME_CONSTANTS, MODE_POSITION, MODE_TABLE, PSDU_CODE, PhyMode
 from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success, block_success,
                           shr_success)
 
 
-# Read once, since FRAME_CONSTANTS is frozen: the MODE_TABLE positions of the
-# SHR's and the PHR's burst orders.
-_I_SHR, _I_PHR = ([m.n_cpb for m in MODE_TABLE].index(n)
-                  for n in (FRAME_CONSTANTS.n_cpb_shr, FRAME_CONSTANTS.n_cpb_phr))
+# The MODE_TABLE positions of the SHR's and the PHR's burst orders.
+_I_SHR = MODE_POSITION[FRAME_CONSTANTS.n_cpb_shr]
+_I_PHR = MODE_POSITION[FRAME_CONSTANTS.n_cpb_phr]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frame import MODE_TABLE
-from .metrics import LinkModel, ModeMetrics, QosSpec, columns, grid
-from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, search_envs, solve_envs, solve_mode
+from .frame import MODE_POSITION
+from .metrics import LinkModel, QosSpec, columns, grid
+from .optimizer import N_T_MAX_LIMIT, SolverConfig, search_envs, solve_envs, solve_mode
 from .scenario import Scenario
 from . import svgplot
 
@@ -33,57 +33,51 @@ class SweepRow(NamedTuple):
     branch: str
 
 
-def _distance_rows(distance: float, statics: list[tuple[str, int, int]],
-                   env: tuple[ModeMetrics, ...], cloee: OptResult, oracle: OptResult,
-                   static_etas: list[float], static_rates: list[float],
-                   r0ns: float) -> list[SweepRow]:
-    """Every row of one distance, in strategy order: cloee, the oracle, then
-    one per entry of statics (sorted by name; every static_ name sorts after
-    cloee and oracle), at the etas and rates given in that order.  p_ppdu
-    comes from the distance's one environment."""
-    by_cpb = {mm.mode.n_cpb: mm for mm in env}
-    picks = [(strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate, res.feasible,
-              res.branch) for strategy, res in (("cloee", cloee), ("oracle", oracle))]
-    picks += [(strategy, n_cpb, n_t, eta, rate, rate >= r0ns, "static")
-              for (strategy, n_cpb, n_t), eta, rate in zip(statics, static_etas, static_rates)]
-    return [SweepRow(distance, strategy, n_cpb, n_t, eta, rate,
-                     by_cpb[n_cpb].success(n_t), feasible, branch)
-            for strategy, n_cpb, n_t, eta, rate, feasible, branch in picks]
-
-
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Evaluate every strategy plus cloee and the oracle on the distance grid.
 
     Each block of distances is read as one Columns build, which cloee
     (solve_envs), the oracle (search_envs, one grid call) and the static
-    rows share.  A block holds N_T_MAX_LIMIT // n_t_max distances (n_t_max
-    <= N_T_MAX_LIMIT, so at least one), so its grid has at most 6 * 4096
-    cells, the grid of one distance at the largest n_t_max.
+    rows (one Columns.eta_rate at each static's own frame size) share; the
+    block loop builds every row of the block, each p_ppdu from the scalar
+    ModeMetrics.success.  A block holds N_T_MAX_LIMIT // n_t_max distances
+    (n_t_max <= N_T_MAX_LIMIT, so at least one), so its grid has at most
+    6 * 4096 cells, the grid of one distance at the largest n_t_max.
     Deterministic for a given scenario and seed: shadowing draws are made
     up-front in config order, and rows come out in (distance, strategy) order,
-    as the points are taken by (distinct) distance and the statics by name.
+    as the points are taken by (distinct) distance and each distance's rows
+    are cloee, the oracle, then the statics by name (every static_ name sorts
+    after cloee and oracle).
     """
     model, qos, cfg = scenario.link_model(), scenario.qos, scenario.solver
     points = sorted(zip(scenario.distances, scenario.shadowing_draws()), key=lambda p: p[0])
     block, r0ns = N_T_MAX_LIMIT // cfg.n_t_max, qos.aggregate_rate
-    # Static rows' names and plain-int entries (a Scenario takes numpy's too), by name.
-    statics = sorted((f"static_{a}_{b}", int(a), int(b)) for a, b in scenario.strategies)
-    # The statics are read off the block evaluated at their distinct frame
-    # sizes: static s is (mode modes[s], frame size sizes[s]).
-    n_ts = sorted({n_t for _, _, n_t in statics})
-    cpbs = [mode.n_cpb for mode in MODE_TABLE]
-    modes = [cpbs.index(n_cpb) for _, n_cpb, _ in statics]
-    sizes = [n_ts.index(n_t) for _, _, n_t in statics]
+    # Each static as (name, MODE_TABLE position, n_cpb, n_t), by name, with
+    # plain-int entries (a Scenario takes numpy's too).
+    statics = sorted((f"static_{a}_{b}", MODE_POSITION[a], int(a), int(b))
+                     for a, b in scenario.strategies)
+    # Static s is read at its mode's position and at the s-th frame size.
+    sizes = np.array([n_t for _, _, _, n_t in statics])
+    positions, own = [i for _, i, _, _ in statics], range(len(statics))
     rows = []
     for start in range(0, len(points), block):
         chunk = points[start:start + block]
         cols = columns([model.env(d, chi) for d, chi in chunk])
-        etas, rates = cols.eta_rate(np.array(n_ts))
+        # Read the statics before the solvers run: holding these arrays across
+        # them makes every block fault the oracle's grid in again (~190 minor
+        # faults per hospital sweep instead of ~13, ~0.3 ms).
+        static_values = [a[:, positions, own].tolist() for a in cols.eta_rate(sizes)]
         for (d, _), env, cloee, oracle, static_etas, static_rates in zip(
                 chunk, cols.envs, solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg),
-                etas[:, modes, sizes].tolist(), rates[:, modes, sizes].tolist()):
-            rows += _distance_rows(d, statics, env, cloee, oracle, static_etas, static_rates,
-                                   r0ns)
+                *static_values):
+            rows += [SweepRow(d, strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
+                              env[MODE_POSITION[res.n_cpb_star]].success(res.n_t_star),
+                              res.feasible, res.branch)
+                     for strategy, res in (("cloee", cloee), ("oracle", oracle))]
+            rows += [SweepRow(d, name, n_cpb, n_t, eta, rate, env[i].success(n_t),
+                              rate >= r0ns, "static")
+                     for (name, i, n_cpb, n_t), eta, rate in zip(statics, static_etas,
+                                                                 static_rates)]
     return rows
 
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloee import FRAME_CONSTANTS, MODE_TABLE, PSDU_CODE, PhyMode
-from cloee.frame import BchCode
+from cloee.frame import MODE_POSITION, BchCode
 from helpers import mode_for, single_pb_metrics
 
 # Printed rate table: (n_cpb, uncoded Mbps, coded Mbps).
@@ -32,6 +32,7 @@ class TestBchCode:
 class TestModeTable:
     def test_six_modes_ascending(self):
         assert [m.n_cpb for m in MODE_TABLE] == [1, 2, 4, 8, 16, 32]
+        assert MODE_POSITION == {1: 0, 2: 1, 4: 2, 8: 3, 16: 4, 32: 5}
 
     @pytest.mark.parametrize("mode", MODE_TABLE, ids=lambda m: f"ncpb{m.n_cpb}")
     def test_timing_consistency(self, mode):

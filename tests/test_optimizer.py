@@ -491,18 +491,23 @@ class TestBlockedSweep:
     # equal the per-distance loop's (helpers.reference_sweep, which sorts its
     # rows) where the block edges fall awkwardly and on unsorted input.
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
-    @pytest.mark.parametrize("n_t_max,count,shuffled", [
-        pytest.param(63 * 130, 63, False, id="8190-63"),     # blocks of 31, 31 and 1
-        pytest.param(63 * 4096, 3, False, id="258048-3"),    # blocks of one
-        pytest.param(63, 63, False, id="63-63"),             # one block
-        # Blocks of 4 over shuffled distances, the statics out of name order.
-        pytest.param(63 * 1024, 60, True, id="64512-60-shuffled"),
+    @pytest.mark.parametrize("n_t_max,count,strategies", [
+        pytest.param(63 * 130, 63, None, id="8190-63"),     # blocks of 31, 31 and 1
+        pytest.param(63 * 4096, 3, None, id="258048-3"),    # blocks of one
+        pytest.param(63, 63, None, id="63-63"),             # one block
+        # Given statics run over shuffled distances.  Blocks of 4, the statics
+        # out of name order:
+        pytest.param(63 * 1024, 60, ((32, 2616), (1, 2616), (16, 630), (2, 8190)),
+                     id="64512-60-shuffled"),
+        # one static per mode, at off-grid and grid-edge sizes and one above n_t_max:
+        pytest.param(63 * 130, 40, ((32, 2616), (16, 258048), (8, 8190), (4, 2616), (2, 64),
+                                    (1, 63)), id="8190-40-every-mode"),
     ])
-    def test_csv_equals_per_distance_loop(self, variant, n_t_max, count, shuffled):
+    def test_csv_equals_per_distance_loop(self, variant, n_t_max, count, strategies):
         distances, statics = [round(1.0 + 0.15 * i, 9) for i in range(count)], {}
-        if shuffled:
+        if strategies:
             random.Random(25).shuffle(distances)
-            statics = {"strategies": ((32, 2616), (1, 2616), (16, 630), (2, 8190))}
+            statics = {"strategies": strategies}
         sc = Scenario(solver=SolverConfig(n_t_max=n_t_max), shadowing=True, seed=11,
                       distances=tuple(distances), **statics, **variant)
         assert rows_to_csv(run_sweep(sc)) == rows_to_csv(reference_sweep(sc))
@@ -560,8 +565,18 @@ class TestBlockedSweep:
                     watch(module, name)
         for name in ("eta", "rate", "eta_rate"):
             watch(ModeMetrics, name)
+        # Each row's p_ppdu is one scalar success call, and nothing else calls it.
+        successes = []
+        success = ModeMetrics.success
+
+        def counted_success(self, n_t):
+            successes.append(n_t)
+            return success(self, n_t)
+
+        monkeypatch.setattr(ModeMetrics, "success", counted_success)
         rows = run_sweep(dataclasses.replace(load_scenario(HOSPITAL_CONF), seed=1))
         assert len(rows) == 91 * 7 and calls == []
+        assert len(successes) == len(rows)
 
 
     def test_search_envs_peak_stays_under_three_block_arrays(self):

@@ -1,9 +1,9 @@
-"""Every function in cloee.__all__, and every private module-level name, is
+"""Every function in cloee.__all__, and every other module-level name, is
 used by the package itself.
 
 A public function that no module of src/cloee reads is test-only or dead; it
-belongs in the tests or nowhere.  So is a module-level `_name` that no module
-loads.
+belongs in the tests or nowhere.  So is a module-level name outside
+cloee.__all__, private or not, that no module loads.
 """
 
 import ast
@@ -52,9 +52,9 @@ def test_every_public_function_is_used_by_the_package():
     assert unused_public_functions(public, sources) == []
 
 
-def private_definitions(source: str) -> set[str]:
-    """The module-level names of source with one leading underscore that a
-    def, a class or an assignment binds."""
+def module_definitions(source: str) -> set[str]:
+    """The module-level names of source, dunders aside, that a def, a class
+    or an assignment binds."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -62,7 +62,7 @@ def private_definitions(source: str) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
 def loaded_names(source: str) -> set[str]:
@@ -73,26 +73,31 @@ def loaded_names(source: str) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
-def unused_private_names(sources: list[str]) -> list[str]:
-    """The private module-level names of sources that no source loads, sorted."""
+def unused_module_names(sources: list[str], public: set[str]) -> list[str]:
+    """The module-level names of sources outside public that no source
+    loads, sorted."""
     loaded = set().union(*map(loaded_names, sources))
-    return sorted(set().union(*map(private_definitions, sources)) - loaded)
+    return sorted(set().union(*map(module_definitions, sources)) - public - loaded)
 
 
-def test_the_check_finds_an_unused_private_name():
+def test_the_check_finds_an_unused_module_name():
     sources = ["import math as _m\n"
                "__all__ = ['f']\n"
+               "__version__ = '1'\n"
                "_LIMIT = 3\n"
                "_A, (_B, _C) = 1, (2, 3)\n"
                "_count: int = 0\n"
                "_count += 1\n"
                "_stored = 1\n"
                "_stored = 2\n"
+               "HEADER = 'a,b'\n"
+               "TABLE = {}\n"
                "def _helper(x: _Kind) -> int:\n"
-               "    '''_Dead, in a docstring'''\n"
-               "    return _LIMIT + _B\n"
+               "    '''_Dead and Dead, in a docstring'''\n"
+               "    return _LIMIT + _B + len(TABLE)\n"
                "class _Kind: ...\n"
                "class _Dead: ...\n"
+               "class Dead: ...\n"
                "def f():\n"
                "    def _inner(): ...\n"
                "    _local = 1\n"
@@ -100,9 +105,10 @@ def test_the_check_finds_an_unused_private_name():
                "from .a import _LIMIT\n"
                "x = mod._helper(1)\n"
                "obj._C = 3\n"]
-    assert unused_private_names(sources) == ["_A", "_C", "_Dead", "_count", "_stored"]
+    assert unused_module_names(sources, {"f"}) == \
+        ["Dead", "HEADER", "_A", "_C", "_Dead", "_count", "_stored", "x"]
 
 
-def test_every_private_module_name_is_used_by_the_package():
+def test_every_internal_module_name_is_used_by_the_package():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
-    assert unused_private_names(sources) == []
+    assert unused_module_names(sources, set(cloee.__all__)) == []
