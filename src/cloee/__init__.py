@@ -16,7 +16,7 @@ from .frame import (
     FrameConstants,
     PhyMode,
 )
-from .metrics import HeaderSuccess, LinkModel, ModeMetrics, QosSpec
+from .metrics import LinkModel, ModeMetrics, QosSpec
 from .optimizer import (
     OptResult,
     SolverConfig,
@@ -34,10 +34,9 @@ __version__ = "0.1.0"
 # The supported library; other module-level names are internal.
 __all__ = [
     "ChannelParams", "ConfigError", "EnergyBreakdown", "EnergyParams",
-    "FRAME_CONSTANTS", "FrameConstants", "HeaderSuccess", "LinkModel",
-    "MODE_TABLE", "ModeMetrics", "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode",
-    "QosSpec", "Scenario", "SolverConfig", "SweepRow", "bit_error_probs", "cloee",
-    "emit_curves", "energy_breakdown", "exhaustive_search", "load_scenario",
-    "nt_closed_form", "parse_scenario", "rows_to_csv", "run_sweep", "snap_to_grid",
-    "solve_mode",
+    "FRAME_CONSTANTS", "FrameConstants", "LinkModel", "MODE_TABLE", "ModeMetrics",
+    "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode", "QosSpec", "Scenario",
+    "SolverConfig", "SweepRow", "bit_error_probs", "cloee", "emit_curves",
+    "energy_breakdown", "exhaustive_search", "load_scenario", "nt_closed_form",
+    "parse_scenario", "rows_to_csv", "run_sweep", "snap_to_grid", "solve_mode",
 ]

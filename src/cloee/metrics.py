@@ -13,7 +13,8 @@ evaluates all three sections at the payload's bit error rate instead.
 LinkModel.env(d, chi) is the one builder: it takes the six payload bit error
 rates of a distance once, and with section-specific rates the header success
 does not depend on the payload mode, so it reuses the rates of the modes at
-n_cpb_shr and n_cpb_phr and shares one header across the six modes.
+n_cpb_shr and n_cpb_phr and computes one header success (a float) for the six
+modes.
 
 columns(envs) reads a block of environments of one LinkModel once, as
 Columns, which the array evaluators (grid, the oracle, the block cloee pass
@@ -61,26 +62,9 @@ class QosSpec:
         return float(self.r0 * self.n_s)        # a Python float, also for numpy r0 or n_s
 
 
-@dataclass(frozen=True)
-class HeaderSuccess:
-    """Delivery probabilities of the SHR and PHR at their bit error rates."""
-
-    p_b_shr: float
-    p_b_phr: float
-    p_kasami: float
-    p_shr: float
-    p_phr: float
-
-    @classmethod
-    def at(cls, p_b_shr: float, p_b_phr: float) -> HeaderSuccess:
-        p_kasami = block_success(p_b_shr, KASAMI_BLOCK)
-        return cls(p_b_shr, p_b_phr, p_kasami, shr_success(p_kasami),
-                   block_success(p_b_phr, PHR_BLOCK))
-
-    @property
-    def success(self) -> float:
-        """Both header sections survive."""
-        return self.p_shr * self.p_phr
+def _header_success(p_b_shr: float, p_b_phr: float) -> float:
+    """P(SHR and PHR delivered) at their bit error rates."""
+    return shr_success(block_success(p_b_shr, KASAMI_BLOCK)) * block_success(p_b_phr, PHR_BLOCK)
 
 
 def _delivered(n_t, header_success, log_p_cw):
@@ -102,26 +86,27 @@ def _delivered(n_t, header_success, log_p_cw):
 class ModeMetrics:
     """Everything the optimizer needs about one (distance, mode) pair.
 
-    Link reliabilities and energies are computed once.  success()/eta()/rate()
-    evaluate the grid objectives, whose codeword count is ceil(n_t/n); eta,
-    rate and eta_rate take an int or an int array (Columns.eta_rate takes a
-    block of environments).
+    Reliability is two floats, computed once: header_success (SHR and PHR)
+    and log_p_cw, the log success of one PSDU codeword at the payload p_b,
+    which is not stored.  success()/eta()/rate() evaluate the grid
+    objectives, whose codeword count is ceil(n_t/n); eta, rate and eta_rate
+    take an int or an int array (Columns.eta_rate takes a block of
+    environments).
     success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
     forms differentiate; the two agree exactly at multiples of n.
     """
 
+    __slots__ = ("mode", "distance", "energy", "log_p_cw", "header_success", "t_sym")
     n = PSDU_CODE.n     # for readers outside the package (perfbench/gen_binding.py)
     t_oh = FRAME_CONSTANTS.t_overhead       # the SHR + PHR air time of every mode
 
-    def __init__(self, mode: PhyMode, distance: float, p_b: float, header: HeaderSuccess,
+    def __init__(self, mode: PhyMode, distance: float, p_b: float, header_success: float,
                  energy: EnergyBreakdown):
         self.mode = mode
         self.distance = distance
-        self.p_b = p_b
-        self.header = header
         self.energy = energy
         self.log_p_cw = block_log_success(p_b, PSDU_BLOCK)
-        self.header_success = header.success
+        self.header_success = header_success
         self.t_sym = mode.t_sym
 
     # -- grid objectives (integer frame sizes, whole codewords) ----------
@@ -183,16 +168,19 @@ class LinkModel:
         One path loss, one bit error rate per mode, and the energy costs in
         self.energy.breakdowns.  With section-specific rates the header runs at the
         payload rates of the modes at n_cpb_shr and n_cpb_phr, read from the rate
-        list by MODE_TABLE position, and is built once for all six modes;
-        uniform_section_ber gives each mode a header at its rate.  Every tail runs
-        on the frame codes reliability split at import, so only each p_b is
-        checked here, and each p_b's two logs are taken once per code.
+        list by MODE_TABLE position, and its success is computed once for all six
+        modes; uniform_section_ber gives each mode a header at its rate.  Every
+        tail runs on the frame codes reliability split at import, so only each p_b
+        is checked here, and each p_b's two logs are taken once per code.
         """
         p_b = bit_error_probs(distance, self.energy.eps_p, self.channel, chi,
                               self.integration_per_pulse)
-        shared = None if self.uniform_section_ber else HeaderSuccess.at(p_b[_I_SHR], p_b[_I_PHR])
-        return tuple(ModeMetrics(m, distance, p, shared or HeaderSuccess.at(p, p), energy)
-                     for m, p, energy in zip(MODE_TABLE, p_b, self.energy.breakdowns))
+        if self.uniform_section_ber:
+            headers = map(_header_success, p_b, p_b)
+        else:
+            headers = [_header_success(p_b[_I_SHR], p_b[_I_PHR])] * len(p_b)
+        return tuple(ModeMetrics(m, distance, p, header, energy) for m, p, header, energy
+                     in zip(MODE_TABLE, p_b, headers, self.energy.breakdowns))
 
 
 class Columns(NamedTuple):

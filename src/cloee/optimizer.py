@@ -121,19 +121,17 @@ def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float) -> float:
     for the linear cost per_unit * n_t + fixed, with n = PSDU_CODE.n.
 
     Efficiency takes (eps_b, eps_fixed), throughput (t_sym, t_oh).  Returns
-    inf when log_p_cw >= 0 (caller clamps to the search ceiling) and 0 when
-    log_p_cw = -inf (caller clamps to one codeword).
+    0 when log_p_cw = -inf (caller clamps to one codeword) and inf when
+    per_unit * log_p_cw >= 0 (caller clamps to the search ceiling).
     """
     if per_unit <= 0:
         raise ValueError(f"per-unit cost must be > 0, got {per_unit}")
-    if log_p_cw >= 0.0:
-        return math.inf          # error-free codewords: no interior optimum
-    if math.isinf(log_p_cw):
+    if log_p_cw == -math.inf:
         return 0.0               # hopeless codewords: shrink to nothing
     half = fixed / (2.0 * per_unit)
     denom = per_unit * log_p_cw
-    if denom == 0.0:
-        return math.inf          # log_p_cw underflows: effectively error-free
+    if denom >= 0.0:
+        return math.inf          # error-free codewords, or a log that underflows
     return math.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
 
 
@@ -162,9 +160,10 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
 
 
 def _rate_boundary(mm: ModeMetrics, r0ns: float, x_in: float, x_out: float) -> float:
-    """Crossing of rate_cont = r0ns between a rate-feasible x_in and an infeasible x_out."""
+    """Crossing of rate_cont = r0ns between a rate-feasible x_in and an infeasible x_out,
+    both codeword multiples, so mid >= n and the stop is relative to it."""
     mid = 0.5 * (x_in + x_out)
-    while abs(x_out - x_in) > 1e-9 * max(1.0, abs(mid)):
+    while abs(x_out - x_in) > 1e-9 * mid:
         if mm.rate_cont(mid) >= r0ns:
             x_in = mid
         else:
@@ -284,8 +283,6 @@ def _closed_forms(per_unit, fixed, log_p_cw):
         half = fixed / (2.0 * per_unit)
         denom = per_unit * log_p_cw
         x = np.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
-    # per_unit > 0, so denom >= 0 where log_p_cw >= 0 or denom == 0, and
-    # denom = -inf where log_p_cw = -inf.
     np.copyto(x, math.inf, where=denom >= 0.0)
     np.copyto(x, 0.0, where=log_p_cw == -math.inf)
     return x

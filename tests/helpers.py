@@ -1,6 +1,7 @@
 """Shared test utilities and reference forms, built on the package's public
 API plus optimizer.solve_env/search_envs (and the optimizer.snap_to_grid name
-that solve_env looks up), sweep.CSV_HEADER and svgplot's layout constants.
+that solve_env looks up), metrics._header_success, sweep.CSV_HEADER and
+svgplot's layout constants.
 
 The reference tails take any block code (N, t) as a pair; the package's tails
 take a reliability.Block, which the tests build with reliability._block."""
@@ -14,7 +15,6 @@ import numpy as np
 
 from cloee import (
     MODE_TABLE,
-    HeaderSuccess,
     LinkModel,
     ModeMetrics,
     OptResult,
@@ -27,7 +27,7 @@ from cloee import (
     solve_mode,
 )
 from cloee.energy import DEFAULT_ENERGY
-from cloee.metrics import columns
+from cloee.metrics import _header_success, columns
 from cloee.optimizer import search_envs, solve_env
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
 from cloee.sweep import CSV_HEADER
@@ -49,7 +49,8 @@ def mode_for(n_cpb: int) -> PhyMode:
 def single_pb_metrics(p_b: float, mode: PhyMode = mode_for(1)) -> ModeMetrics:
     """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
     probability; its success(n_t) is the textbook single-p_b PPDU success."""
-    return ModeMetrics(mode=mode, distance=1.0, p_b=p_b, header=HeaderSuccess.at(p_b, p_b),
+    return ModeMetrics(mode=mode, distance=1.0, p_b=p_b,
+                       header_success=_header_success(p_b, p_b),
                        energy=energy_breakdown(mode, DEFAULT_ENERGY))
 
 

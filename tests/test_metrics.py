@@ -8,9 +8,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, Scenario, energy,
-                   energy_breakdown, reliability)
-from cloee.metrics import columns, grid
+from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, Scenario, bit_error_probs,
+                   energy, energy_breakdown, metrics, reliability)
+from cloee.frame import MODE_POSITION
+from cloee.metrics import _I_PHR, _I_SHR, _header_success, columns, grid
+from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
 from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metrics
 
 
@@ -69,29 +71,45 @@ class TestSectionComposition:
         strict = LinkModel(uniform_section_ber=True)
         for d, n_cpb in ((6.0, 8), (7.5, 32), (8.4, 16)):
             mm = metrics_at(strict, d, n_cpb)
-            ref = single_pb_metrics(mm.p_b)
-            for field in ("p_kasami", "p_shr", "p_phr", "success"):
-                assert getattr(mm.header, field) == pytest.approx(getattr(ref.header, field), rel=1e-12)
+            p_b = bit_error_probs(d, strict.energy.eps_p)[MODE_POSITION[n_cpb]]
+            ref = single_pb_metrics(p_b)
+            # Kasami, SHR and PHR all at the payload's bit error rate.
+            p_kasami = block_success(p_b, KASAMI_BLOCK)
+            p_shr, p_phr = shr_success(p_kasami), block_success(p_b, PHR_BLOCK)
+            assert 0.0 < p_shr * p_phr < 1.0
+            for header_success in (mm.header_success, ref.header_success):
+                assert header_success == pytest.approx(p_shr * p_phr, rel=1e-12)
             assert mm.log_p_cw == pytest.approx(ref.log_p_cw, rel=1e-12)
             assert mm.success(630) == pytest.approx(ref.success(630), rel=1e-12)
 
     def test_default_mode_uses_section_burst_orders(self, model):
-        env = {mm.mode.n_cpb: mm for mm in model.env(7.0)}
-        mm = env[1]
+        p_b = bit_error_probs(7.0, model.energy.eps_p)
+        i_1, i_4, i_32 = (MODE_POSITION[n_cpb] for n_cpb in (1, 4, 32))
+        mm = model.env(7.0)[i_1]
         # the header reuses the payload bit error rates of modes 4 and 32
-        assert mm.header.p_b_shr == env[4].p_b
-        assert mm.header.p_b_phr == env[32].p_b
+        assert mm.header_success == _header_success(p_b[i_4], p_b[i_32])
         # payload at n_cpb=1 is far worse than the fixed 32-pulse header
-        assert mm.p_b > mm.header.p_b_phr
+        assert p_b[i_1] > p_b[i_32]
+        assert mm.header_success > _header_success(p_b[i_1], p_b[i_1])
 
     def test_header_probability_shared_across_modes(self, model):
         # With section-specific burst orders, SHR/PHR success is independent
         # of the payload mode at a given distance.
         envs = model.env(6.5)
-        headers = {round(mm.header_success, 15) for mm in envs}
-        assert len(headers) == 1
-        # ... so env() builds it once and every mode holds the same object.
-        assert all(mm.header is envs[0].header for mm in envs)
+        p_b = bit_error_probs(6.5, model.energy.eps_p)
+        assert [mm.header_success for mm in envs] == \
+            [_header_success(p_b[_I_SHR], p_b[_I_PHR])] * 6
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_kasami_tail_once_per_env_unless_uniform(self, uniform):
+        # ... so env() takes the Kasami tail once for the six modes, and
+        # uniform_section_ber once per mode, at the mode's own rate.
+        model = LinkModel(uniform_section_ber=uniform)
+        with mock.patch.object(metrics, "block_success", wraps=block_success) as tails:
+            model.env(6.5)
+        kasami = [args[0] for args, _ in tails.call_args_list if args[1] is KASAMI_BLOCK]
+        p_b = bit_error_probs(6.5, model.energy.eps_p)
+        assert kasami == (p_b if uniform else [p_b[_I_SHR]])     # six tails, or one
 
 
 class TestEnvironmentWork:
@@ -114,14 +132,17 @@ class TestEnvironmentWork:
                 calls["log1p", x] += 1
                 return math.log1p(x)
 
+        distances = (4.0, 6.5, 8.4)
         with mock.patch.object(reliability, "_block", wraps=reliability._block) as builds, \
                 mock.patch.object(reliability, "math", CountingMath()):
-            envs = [model.env(d) for d in (4.0, 6.5, 8.4)]
+            for d in distances:
+                model.env(d)
         assert builds.call_count == 0
         pairs = collections.Counter()
-        for env in envs:
+        for d in distances:
             # One PSDU tail per mode, and the shared Kasami and PHR tails.
-            for p in [mm.p_b for mm in env] + [env[0].header.p_b_shr, env[0].header.p_b_phr]:
+            p_b = bit_error_probs(d, model.energy.eps_p)
+            for p in p_b + [p_b[_I_SHR], p_b[_I_PHR]]:
                 pairs[p] += 0.0 < p < 1.0
         assert sum(pairs.values()) >= 20
         for p, count in pairs.items():

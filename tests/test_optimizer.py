@@ -23,12 +23,12 @@ from cloee import (
     ChannelParams,
     EnergyBreakdown,
     EnergyParams,
-    HeaderSuccess,
     LinkModel,
     ModeMetrics,
     QosSpec,
     Scenario,
     SolverConfig,
+    bit_error_probs,
     cloee,
     energy_breakdown,
     exhaustive_search,
@@ -40,7 +40,8 @@ from cloee import (
     solve_mode,
 )
 from cloee import channel, metrics, optimizer, sweep
-from cloee.metrics import columns
+from cloee.frame import MODE_POSITION
+from cloee.metrics import _header_success, columns
 from cloee.optimizer import N_T_MAX_LIMIT, search_envs, solve_env, solve_envs
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
@@ -111,6 +112,18 @@ class TestClosedForms:
         oracle = exhaustive_search(model, 1.3, qos, cfg, chi)
         assert (res.n_t_star, res.n_cpb_star) == (oracle.n_t_star, oracle.n_cpb_star) == (8190, 1)
         assert res.eta == oracle.eta
+
+    def test_array_form_equals_scalar_lane_for_lane(self):
+        # solve_envs takes the closed forms as arrays (_closed_forms); each
+        # lane must be nt_closed_form's float, also at the edges: signed and
+        # subnormal logs, an underflowing or overflowing product, inf and nan.
+        lanes = [(p, f, lg) for p in (5e-324, 1e-300, 1e-9, 1.0, 1e300, math.inf)
+                 for f in (0.0, 5e-324, 2e-6, 1.0, 1e300, math.inf)
+                 for lg in (0.0, -0.0, 5e-324, -5e-324, -1.962e-319, -1e-3, -700.0,
+                            -1e300, -math.inf, 1e-3, math.inf, math.nan)]
+        per_unit, fixed, log_p_cw = map(np.array, zip(*lanes))
+        array = optimizer._closed_forms(per_unit, fixed, log_p_cw).tolist()
+        assert [repr(nt_closed_form(*lane)) for lane in lanes] == list(map(repr, array))
 
     def test_efficiency_stationarity(self, model):
         # Anchor: mid-range point where the optimum is interior.
@@ -339,8 +352,8 @@ class TestCloee:
         cases = exact = 0
         for d in np.arange(1.0, 40.01, 0.25):
             d = float(d)
-            p_b = [mm.p_b for mm in model.env(d)]
-            header = HeaderSuccess.at(p_b[0], p_b[0])
+            p_b = bit_error_probs(d, ep.eps_p)
+            header = _header_success(p_b[0], p_b[0])
             env = tuple(ModeMetrics(m, d, p, header,
                                     EnergyBreakdown(energy_breakdown(m, ep).eps_b, eps_oh, 0.0))
                         for m, p in zip(MODE_TABLE, p_b))
@@ -999,8 +1012,8 @@ class TestSearchEnvMatchesReference:
         # Two modes with one bit error rate, header, energy and symbol time
         # have equal eta and rate on the whole grid; the first of them in
         # environment order wins, feasible or not.
-        p_b = metrics_at(model, 6.5, 2).p_b
-        header = HeaderSuccess.at(p_b, p_b)
+        p_b = bit_error_probs(6.5, model.energy.eps_p)[MODE_POSITION[2]]
+        header = _header_success(p_b, p_b)
         energy = model.env(6.5)[1].energy
         low = mode_for(2)
         high = dataclasses.replace(mode_for(8), t_sym=low.t_sym)
@@ -1020,7 +1033,7 @@ class TestSearchEnvMatchesReference:
         # n_t > 63 on, while the fast n_cpb = 8 mode meets it everywhere.  The
         # tie goes to the smaller n_cpb first and the smaller n_t second, so
         # the winner is the slow mode's smallest feasible frame.
-        header, energy = HeaderSuccess.at(0.0, 0.0), EnergyBreakdown(1.0, 0.0, 0.0)
+        header, energy = _header_success(0.0, 0.0), EnergyBreakdown(1.0, 0.0, 0.0)
         slow = dataclasses.replace(mode_for(2), t_sym=mode_for(32).t_sym)
         fast = dataclasses.replace(mode_for(8), t_sym=mode_for(1).t_sym)
         env = tuple(ModeMetrics(m, 1.0, 0.0, header, energy) for m in (slow, fast))

@@ -112,3 +112,38 @@ def test_the_check_finds_an_unused_module_name():
 def test_every_internal_module_name_is_used_by_the_package():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unused_module_names(sources, set(cloee.__all__)) == []
+
+
+def attribute_loads(source: str) -> set[str]:
+    """The attribute names that source loads (`obj.f`); a bare name or a
+    store (`obj.f = …`) is not an attribute load."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_slots(slots: tuple[str, ...], sources: list[str]) -> list[str]:
+    """The slots that no source loads as an attribute, in slot order."""
+    loaded = set().union(*map(attribute_loads, sources))
+    return [name for name in slots if name not in loaded]
+
+
+def test_the_check_finds_an_unread_slot():
+    sources = ["class M:\n"
+               "    __slots__ = ('a', 'b', 'c', 'd')\n"
+               "    def __init__(self, a, b, c, d):\n"
+               "        self.a, self.b, self.c, self.d = a, b, c, d\n"
+               "    def f(self, c):\n"
+               "        '''reads self.d'''\n"
+               "        return self.a + c\n",
+               "def g(m, b):\n"
+               "    m.c = b\n"
+               "    return getattr(m, 'd')\n"]
+    assert unread_slots(("a", "b", "c", "d"), sources) == ["b", "c", "d"]
+
+
+def test_every_mode_metrics_slot_is_read_by_the_package():
+    # distance is read only by the benchmark's tracer, by its string name.
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    slots = tuple(name for name in cloee.ModeMetrics.__slots__ if name != "distance")
+    assert unread_slots(slots, sources) == []
+    assert not hasattr(cloee.LinkModel().env(1.0)[0], "__dict__")

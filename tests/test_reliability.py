@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from cloee import EnergyParams, HeaderSuccess, ModeMetrics, energy_breakdown
+from cloee import EnergyParams, ModeMetrics, energy_breakdown
+from cloee.metrics import _header_success
 from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _tail,
                                block_log_success, block_success, shr_success)
 from helpers import (mode_for, reference_block_log_success, reference_block_success,
@@ -220,10 +221,10 @@ def _kernel_p():
 
 
 class TestFrameCodeKernel:
-    # ModeMetrics and HeaderSuccess call block_success/block_log_success on
-    # the pre-split frame codes, with one log(p_b) and one log1p(-p_b) for
-    # both of the log form's sums.  They must equal the per-tail reference
-    # form (its own logs and slice per tail) bit for bit.
+    # ModeMetrics and metrics._header_success call block_success/
+    # block_log_success on the pre-split frame codes, with one log(p_b) and
+    # one log1p(-p_b) for both of the log form's sums.  They must equal the
+    # per-tail reference form (its own logs and slice per tail) bit for bit.
     P = _kernel_p()
 
     @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
@@ -253,12 +254,18 @@ class TestFrameCodeKernel:
         msg = "bit error probability must be in [0, 1], got "
         mode = mode_for(1)
         with pytest.raises(ValueError, match=re.escape(msg + "nan")):
-            ModeMetrics(mode, 1.0, math.nan, HeaderSuccess.at(0.1, 0.1),
+            ModeMetrics(mode, 1.0, math.nan, _header_success(0.1, 0.1),
                         energy_breakdown(mode, EnergyParams()))
         with pytest.raises(ValueError, match=re.escape(msg + "1.5")):
-            HeaderSuccess.at(1.5, 0.1)
+            _header_success(1.5, 0.1)
         with pytest.raises(ValueError, match=re.escape(msg + "-0.5")):
-            HeaderSuccess.at(0.1, -0.5)
+            _header_success(0.1, -0.5)
+
+
+def _sections(p_b: float) -> tuple[float, float, float]:
+    """(p_kasami, p_shr, p_phr) with both header sections at p_b."""
+    p_kasami = block_success(p_b, KASAMI_BLOCK)
+    return p_kasami, shr_success(p_kasami), block_success(p_b, PHR_BLOCK)
 
 
 class TestPpduSuccess:
@@ -266,8 +273,8 @@ class TestPpduSuccess:
     # section at the same bit error probability.
     def test_error_free_channel(self):
         mm = single_pb_metrics(0.0)
-        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr,
-                      math.exp(mm.log_p_cw), mm.success(630)):
+        for value in (*_sections(0.0), mm.header_success, math.exp(mm.log_p_cw),
+                      mm.success(630)):
             assert value == 1.0
 
     def test_hopeless_channel(self):
@@ -277,7 +284,8 @@ class TestPpduSuccess:
         # p_psdu = P(Bin(63, 0.005) <= 2)^10, cross-checked by Monte Carlo in
         # the acceptance suite.
         mm = single_pb_metrics(0.005)
-        assert mm.header_success == mm.header.p_shr * mm.header.p_phr
+        _, p_shr, p_phr = _sections(0.005)
+        assert mm.header_success == p_shr * p_phr
         assert mm.success(630) == pytest.approx(mm.header_success * 0.9610134067081701, rel=1e-10)
 
     def test_monotone_in_bit_errors_and_size(self):
@@ -297,6 +305,6 @@ class TestPpduSuccess:
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=130))
     def test_probabilities_stay_in_unit_interval(self, p_b, k):
         mm = single_pb_metrics(p_b)
-        for value in (mm.header.p_kasami, mm.header.p_shr, mm.header.p_phr,
-                      math.exp(mm.log_p_cw), mm.success(63 * k)):
+        for value in (*_sections(p_b), mm.header_success, math.exp(mm.log_p_cw),
+                      mm.success(63 * k)):
             assert 0.0 <= value <= 1.0
