@@ -22,6 +22,8 @@ import functools
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ConfigError
 from .frame import MODE_TABLE
 
@@ -30,6 +32,11 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # erfc starts losing headroom near its underflow around x ~ 37; switch to the
 # asymptotic tail expansion well before that.
 _Q_ASYMPTOTIC_X = 30.0
+# Each MODE_TABLE mode's n_cpb * t_int, t_int being the burst integration
+# interval, or with integration_per_pulse one pulse: times w_rx, the noise
+# time-bandwidth product.
+_SPANS = {per_pulse: tuple(m.n_cpb * (m.t_w / m.n_cpb if per_pulse else m.t_w) for m in MODE_TABLE)
+          for per_pulse in (False, True)}
 
 
 @dataclass(frozen=True)
@@ -104,17 +111,10 @@ def _bit_error(ebn0: float, noise_tb: float) -> float:
     return q_function(math.sqrt(0.5 * ebn0 * ebn0 / (ebn0 + noise_tb)))
 
 
-def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHANNEL,
-                    chi: float = 0.0, integration_per_pulse: bool = False) -> list[float]:
-    """Bit error rate of each MODE_TABLE burst mode at distance d meters.
-
-    The path loss (the model's fit uses millimeters) and the effective gain
-    h_eff, which also absorbs the noise figure and implementation margin, are
-    taken once.  Per mode, ebn0 = h_eff * n_cpb * eps_p / N0 with eps_p the
-    transmitted energy per pulse, and t_int is the burst (or, per pulse, one
-    pulse) integration interval.  Both arguments of _bit_error are built here,
-    non-negative and (ebn0 after its overflow check) finite.
-    """
+def _gain(d: float, chi: float, eps_p: float, params: ChannelParams) -> float:
+    """The effective gain h_eff at distance d meters and shadowing chi dB,
+    inf where it overflows.  The path loss (the model's fit uses millimeters)
+    also absorbs the noise figure and implementation margin."""
     if not 0.0 < d < math.inf:
         raise ValueError(f"distance must be > 0 m and finite, got {d}")
     if not -math.inf < chi < math.inf:
@@ -123,15 +123,54 @@ def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHAN
         raise ValueError(f"per-pulse energy must be > 0, got {eps_p}")
     loss = params.a * math.log10(d * 1e3) + params.b + chi
     try:
-        h_eff = 10.0 ** (-(loss + params.noise_figure + params.impl_margin) / 10.0)
+        return 10.0 ** (-(loss + params.noise_figure + params.impl_margin) / 10.0)
     except OverflowError:
-        h_eff = math.inf
+        return math.inf
+
+
+def _overflow(d: float) -> ValueError:
+    return ValueError(f"the link gain at distance {d!r} m overflows a float")
+
+
+def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHANNEL,
+                    chi: float = 0.0, integration_per_pulse: bool = False) -> list[float]:
+    """Bit error rate of each MODE_TABLE burst mode at distance d meters.
+
+    The effective gain h_eff is taken once.  Per mode, ebn0 = h_eff * n_cpb *
+    eps_p / N0 with eps_p the transmitted energy per pulse, and the noise
+    time-bandwidth product is the mode's _SPANS entry times w_rx.  Both
+    arguments of _bit_error are built here, non-negative and (ebn0 after its
+    overflow check) finite.
+    """
+    h_eff = _gain(d, chi, eps_p, params)
     n0 = params.noise_density_joules
     probs = []
-    for m in MODE_TABLE:
+    for m, span in zip(MODE_TABLE, _SPANS[integration_per_pulse]):
         ebn0 = h_eff * (m.n_cpb * eps_p) / n0
         if ebn0 == math.inf:
-            raise ValueError(f"the link gain at distance {d!r} m overflows a float")
-        t_int = m.t_w / m.n_cpb if integration_per_pulse else m.t_w
-        probs.append(_bit_error(ebn0, m.n_cpb * t_int * params.w_rx))
+            raise _overflow(d)
+        probs.append(_bit_error(ebn0, span * params.w_rx))
+    return probs
+
+
+def bit_error_array(points, eps_p: float, params: ChannelParams = DEFAULT_CHANNEL,
+                    integration_per_pulse: bool = False) -> np.ndarray:
+    """bit_error_probs at each (d, chi) of points as a (points, modes) array,
+    element for element: the gains point by point, ebn0 and the argument of Q
+    with numpy's IEEE operations in the scalar order, and q_function (libm's
+    erfc, exp and log) over the lanes.  The first point that fails raises
+    bit_error_probs's error.  An argument of Q whose square overflows is inf,
+    and Q of it 0, as in bit_error_probs; a lane with ebn0 = 0 is 0.5.
+    """
+    h_eff = np.array([_gain(d, chi, eps_p, params) for d, chi in points])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ebn0 = h_eff[:, None] * np.array([m.n_cpb * eps_p for m in MODE_TABLE]) \
+            / params.noise_density_joules
+        x = np.sqrt(0.5 * ebn0 * ebn0
+                    / (ebn0 + np.array(_SPANS[integration_per_pulse]) * params.w_rx))
+    overflow = np.isinf(ebn0).any(axis=1)
+    if overflow.any():
+        raise _overflow(points[overflow.argmax()][0])
+    probs = np.fromiter(map(q_function, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    probs[ebn0 == 0.0] = 0.5
     return probs

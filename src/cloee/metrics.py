@@ -1,8 +1,9 @@
 """Objective functions: energy efficiency (bits/Joule) and throughput (bits/s).
 
 Both share the numerator n_t * P_SHR * P_PHR * P_CW^ceil(n_t/63): payload
-bits delivered only when every frame section survives.  Efficiency divides by
-the energy of one exchange, throughput by its on-air time.
+bits delivered only when every frame section survives (ppdu_success is the
+scalar success).  Efficiency divides by the energy of one exchange,
+throughput by its on-air time.
 
 LinkModel composes the channel, reliability and energy pieces for a given
 distance.  By default each frame section is evaluated at its own burst order
@@ -10,31 +11,34 @@ distance.  By default each frame section is evaluated at its own burst order
 section-specific constants of the energy model; uniform_section_ber=True
 evaluates all three sections at the payload's bit error rate instead.
 
-LinkModel.env(d, chi) is the one builder: it takes the six payload bit error
-rates of a distance once, and with section-specific rates the header success
-does not depend on the payload mode, so it reuses the rates of the modes at
-n_cpb_shr and n_cpb_phr and computes one header success (a float) for the six
-modes.
+LinkModel.env(d, chi) builds one distance's six ModeMetrics: it takes the six
+payload bit error rates once, and with section-specific rates the header
+success does not depend on the payload mode, so it reuses the rates of the
+modes at n_cpb_shr and n_cpb_phr and computes one header success (a float)
+for the six modes.
 
-columns(envs) reads a block of environments of one LinkModel once, as
-Columns, which the array evaluators (grid, the oracle, the block cloee pass
-and the sweep's static rows) share.
+Columns is a block of environments of one LinkModel as arrays, the one input
+of the array evaluators (grid, the oracle, the block cloee pass and the
+sweep's static rows).  columns(envs) reads built environments;
+LinkModel.block(points) builds the same Columns from arrays (the channel's
+and the tails' array forms), element for element, and makes a ModeMetrics
+only when one is asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
+from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_array, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
 from .errors import ConfigError, is_int
 from .frame import FRAME_CONSTANTS, MODE_POSITION, MODE_TABLE, PSDU_CODE, PhyMode
-from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success, block_success,
-                          shr_success)
+from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success,
+                          block_log_successes, block_success, block_successes, shr_success)
 
 
 # The MODE_TABLE positions of the SHR's and the PHR's burst orders.
@@ -65,6 +69,20 @@ class QosSpec:
 def _header_success(p_b_shr: float, p_b_phr: float) -> float:
     """P(SHR and PHR delivered) at their bit error rates."""
     return shr_success(block_success(p_b_shr, KASAMI_BLOCK)) * block_success(p_b_phr, PHR_BLOCK)
+
+
+def _header_successes(p_b_shr: np.ndarray, p_b_phr: np.ndarray) -> np.ndarray:
+    """_header_success over arrays, element for element (shr_success's ** is
+    libm's pow, so it is taken lane by lane)."""
+    kasami = block_successes(p_b_shr, KASAMI_BLOCK)
+    shr = np.fromiter(map(shr_success, kasami.ravel().tolist()), float, kasami.size)
+    return shr.reshape(kasami.shape) * block_successes(p_b_phr, PHR_BLOCK)
+
+
+def ppdu_success(header_success: float, log_p_cw: float, n_t: int) -> float:
+    """P(PPDU delivered) at one integer frame size: both header sections and
+    all ceil(n_t/n) codewords survive."""
+    return header_success * math.exp(-(-int(n_t) // PSDU_CODE.n) * log_p_cw)
 
 
 def _delivered(n_t, header_success, log_p_cw):
@@ -112,10 +130,8 @@ class ModeMetrics:
     # -- grid objectives (integer frame sizes, whole codewords) ----------
 
     def success(self, n_t: int) -> float:
-        """P(PPDU delivered) at one integer frame size: both header sections
-        and all ceil(n_t/n) codewords survive."""
-        n_cw = -(-int(n_t) // PSDU_CODE.n)
-        return self.header_success * math.exp(n_cw * self.log_p_cw)
+        """P(PPDU delivered) at one integer frame size (ppdu_success)."""
+        return ppdu_success(self.header_success, self.log_p_cw, n_t)
 
     def eta(self, n_t):
         """Energy efficiency in bits/Joule at integer frame size(s)."""
@@ -182,14 +198,40 @@ class LinkModel:
         return tuple(ModeMetrics(m, distance, p, header, energy) for m, p, header, energy
                      in zip(MODE_TABLE, p_b, headers, self.energy.breakdowns))
 
+    def block(self, points: Sequence[tuple[float, float]]) -> Columns:
+        """columns([self.env(d, chi) for d, chi in points]), element for
+        element, from arrays: the bit error rates by channel.bit_error_array,
+        and the header successes and codeword log successes by the tails'
+        array forms, one header success per point (or per mode under
+        uniform_section_ber).  No ModeMetrics is built until Columns.metrics
+        asks for one; a point that env rejects raises env's error.
+        """
+        p_b = bit_error_array(points, self.energy.eps_p, self.channel,
+                              self.integration_per_pulse)
+        if self.uniform_section_ber:
+            headers = _header_successes(p_b, p_b)
+        else:
+            headers = np.repeat(_header_successes(p_b[:, _I_SHR], p_b[:, _I_PHR]), p_b.shape[1])
+            headers = headers.reshape(p_b.shape)
+        distances, breakdowns = [d for d, _ in points], self.energy.breakdowns
+
+        def metrics(e: int, m: int) -> ModeMetrics:
+            return ModeMetrics(MODE_TABLE[m], distances[e], p_b.item(e, m), headers.item(e, m),
+                               breakdowns[m])
+
+        return _columns(MODE_TABLE, breakdowns, metrics, headers[..., None],
+                        block_log_successes(p_b, PSDU_BLOCK)[..., None])
+
 
 class Columns(NamedTuple):
     """A block of environments of one LinkModel as (environments, modes, 1)
     columns and per-mode (modes, 1) rows: the one input of the array
     evaluators (grid, optimizer.search_envs and optimizer.solve_envs, and the
-    sweep's static rows).  The trailing axis takes the frame sizes."""
+    sweep's static rows).  The trailing axis takes the frame sizes.
+    metrics(e, m) is environment e's ModeMetrics of modes[m]."""
 
-    envs: Sequence[tuple[ModeMetrics, ...]]
+    modes: Sequence[PhyMode]
+    metrics: Callable[[int, int], ModeMetrics]
     header_success: np.ndarray
     log_p_cw: np.ndarray
     energy: EnergyBreakdown          # eps_b, eps_oh and eps_st rows
@@ -203,6 +245,21 @@ class Columns(NamedTuple):
         delivered = _delivered(nts, self.header_success, self.log_p_cw)
         etas = delivered / self.energy.total(nts)
         return etas, np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered)
+
+    def part(self, start: int, stop: int) -> Columns:
+        """Environments start..stop-1 as a block of their own (views)."""
+        return self._replace(metrics=lambda e, m: self.metrics(start + e, m),
+                             header_success=self.header_success[start:stop],
+                             log_p_cw=self.log_p_cw[start:stop])
+
+
+def _columns(modes, breakdowns, metrics, header_success, log_p_cw) -> Columns:
+    """Columns with each mode's energy breakdown and air time as a (modes, 1) row."""
+    eps_b, eps_oh, eps_st, t_sym = np.array(
+        [(b.eps_b, b.eps_oh, b.eps_st, mode.t_sym) for mode, b in zip(modes, breakdowns)]
+    ).T[:, :, None]
+    return Columns(modes, metrics, header_success, log_p_cw,
+                   EnergyBreakdown(eps_b, eps_oh, eps_st), t_sym)
 
 
 def columns(envs: Sequence[tuple[ModeMetrics, ...]]) -> Columns:
@@ -218,15 +275,11 @@ def columns(envs: Sequence[tuple[ModeMetrics, ...]]) -> Columns:
     if any([(mm.mode, mm.energy) for mm in env] != costs for env in envs):
         raise ValueError("a block takes environments of one LinkModel: every environment "
                          "needs the first one's modes and energy breakdowns, in its order")
-    eps_b, eps_oh, eps_st, t_sym = np.array(
-        [(mm.energy.eps_b, mm.energy.eps_oh, mm.energy.eps_st, mm.t_sym)
-         for mm in first]).T[:, :, None]
     # numpy builds an array from a flat list of floats faster than from nested tuples.
     shape = (len(envs), len(first), 1)
-    return Columns(envs,
-                   np.array([mm.header_success for env in envs for mm in env]).reshape(shape),
-                   np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape),
-                   EnergyBreakdown(eps_b, eps_oh, eps_st), t_sym)
+    return _columns(*zip(*costs), lambda e, m: envs[e][m],
+                    np.array([mm.header_success for env in envs for mm in env]).reshape(shape),
+                    np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape))
 
 
 def grid(cols: Columns, n_t_max: int):

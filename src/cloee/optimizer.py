@@ -209,27 +209,29 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
 # CLOEE
 
 
-def _decide(env: tuple[ModeMetrics, ...], bounds: list[float], r0ns: float,
-            peak: Callable[[int], tuple[int, float]],
+def _decide(n_cpb: Callable[[int], int], metrics: Callable[[int], ModeMetrics],
+            bounds: list[float], r0ns: float, peak: Callable[[int], tuple[int, float]],
             efficiency: Callable[[int], tuple[float, int, float, float]],
             fallback: Callable[[int, int], tuple[int, float]]) -> OptResult:
-    """The three-branch solve of each mode of env whose eta bound can still
-    win, then the best of them (module docstring), over per-mode values that
-    the caller supplies: the eta bounds, then, for a mode m that the decision
-    visits, peak(m) = (nthr, rate(nthr)) and efficiency(m) = (x, nee,
-    eta(nee), rate(nee)), x being the clamped efficiency closed form, and for
-    the all-infeasible fallback fallback(m, nthr) = (nee, eta(nthr))."""
-    best, winner, peaks = -math.inf, None, [None] * len(env)
-    for m in sorted(range(len(env)), key=bounds.__getitem__, reverse=True):
+    """The three-branch solve of each mode of an environment whose eta bound
+    can still win, then the best of them (module docstring), over per-mode
+    values that the caller supplies: the eta bounds, one per mode, then, for
+    a mode m that the decision visits, peak(m) = (nthr, rate(nthr)) and
+    efficiency(m) = (x, nee, eta(nee), rate(nee)), x being the clamped
+    efficiency closed form, for the all-infeasible fallback fallback(m, nthr)
+    = (nee, eta(nthr)), for a dual solve the mode's ModeMetrics, metrics(m),
+    and for the result its burst order, n_cpb(m)."""
+    best, winner, peaks = -math.inf, None, [None] * len(bounds)
+    for m in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[m] * (1.0 + 1e-12) < best:
             break                    # this mode and every later one lose strictly
         nthr, rate_thr = peaks[m] = peak(m)
         if rate_thr < r0ns:
             continue                 # the grid rate peaks at nthr (C4): infeasible
         x, nee, eta_ee, rate_ee = efficiency(m)
-        res = (OptResult(nee, env[m].mode.n_cpb, eta_ee, rate_ee, 0.0, True, 0,
+        res = (OptResult(nee, n_cpb(m), eta_ee, rate_ee, 0.0, True, 0,
                          "unconstrained", None, nee, nthr) if rate_ee >= r0ns
-               else _dual(env[m], r0ns, x, nee, nthr))
+               else _dual(metrics(m), r0ns, x, nee, nthr))
         # The best eta wins, the first of equals in mode order.
         if res.eta > best or res.eta == best and m < winner[0]:
             best, winner = res.eta, (m, res)
@@ -237,9 +239,9 @@ def _decide(env: tuple[ModeMetrics, ...], bounds: list[float], r0ns: float,
         return winner[1]
     # No mode can meet the rate target, and every mode was visited: the
     # first with the best rate peak falls back to it.
-    m = max(range(len(env)), key=lambda m: peaks[m][1])
+    m = max(range(len(bounds)), key=lambda m: peaks[m][1])
     (nthr, rate_thr), (nee, eta_thr) = peaks[m], fallback(m, peaks[m][0])
-    return OptResult(nthr, env[m].mode.n_cpb, eta_thr, rate_thr, 0.0, False, 0,
+    return OptResult(nthr, n_cpb(m), eta_thr, rate_thr, 0.0, False, 0,
                      "throughput-fallback", None, nee, nthr)
 
 
@@ -265,7 +267,8 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
     def fallback(m, nthr):
         return snap_to_grid(xs[m], env[m].eta, n_t_max)[0], env[m].eta(nthr)
 
-    return _decide(env, [x * mm.success_cont(x) / mm.energy.total(x) for mm, x in zip(env, xs)],
+    return _decide(lambda m: env[m].mode.n_cpb, env.__getitem__,
+                   [x * mm.success_cont(x) / mm.energy.total(x) for mm, x in zip(env, xs)],
                    qos.aggregate_rate, peak, efficiency, fallback)
 
 
@@ -321,11 +324,12 @@ def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult
     nts = (k + up) * n
     etas = np.where(up, etas[..., 2:], etas[..., :2])
     rates = np.where(up, rates[..., 2:], rates[..., :2])
-    results = []
-    for e, (env, bound, nthr, rate_thr) in enumerate(zip(
-            cols.envs, bounds[..., 0].tolist(), nts[..., 1].tolist(), rates[..., 1].tolist())):
+    results, n_cpb = [], [mode.n_cpb for mode in cols.modes].__getitem__
+    for e, (bound, nthr, rate_thr) in enumerate(zip(
+            bounds[..., 0].tolist(), nts[..., 1].tolist(), rates[..., 1].tolist())):
         results.append(_decide(
-            env, bound, r0ns, lambda m: (nthr[m], rate_thr[m]),
+            n_cpb, lambda m: cols.metrics(e, m), bound, r0ns,
+            lambda m: (nthr[m], rate_thr[m]),
             lambda m: (xs.item(e, m, 0), nts.item(e, m, 0), etas.item(e, m, 0),
                        rates.item(e, m, 0)),
             lambda m, _: (nts.item(e, m, 0), etas.item(e, m, 1))))
@@ -337,19 +341,22 @@ def search_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResul
     its Columns: per environment the best-eta feasible grid point, else the
     best-rate one.  argmax keeps the first maximum of each environment's
     modes in row-major order: ties go to the smaller n_cpb, then n_t."""
-    envs = cols.envs
     nts, etas, rates = grid(cols, cfg.n_t_max)
-    etas, rates = etas.reshape(len(envs), -1), rates.reshape(len(envs), -1)
+    n_envs = len(etas)
+    etas, rates = etas.reshape(n_envs, -1), rates.reshape(n_envs, -1)
     feas = rates >= qos.aggregate_rate
-    rows, any_feas = np.arange(len(envs)), feas.any(axis=1)
+    rows, any_feas = np.arange(n_envs), feas.any(axis=1)
     # Mask the infeasible etas in place, on the rows with a feasible cell only:
-    # a row without one reads its eta at its rate peak.
+    # a row without one reads its eta at its rate peak, and only those rows
+    # take the argmax of their rates.
     np.copyto(etas, -np.inf, where=feas < any_feas[:, None])
-    picks = np.where(any_feas, np.argmax(etas, axis=1), np.argmax(rates, axis=1))
-    return [OptResult(n_t, env[m].mode.n_cpb, eta, rate, 0.0, feasible, etas.shape[1],
+    picks = np.argmax(etas, axis=1)
+    infeasible = np.flatnonzero(~any_feas)
+    picks[infeasible] = np.argmax(rates[infeasible], axis=1)
+    return [OptResult(n_t, cols.modes[m].n_cpb, eta, rate, 0.0, feasible, etas.shape[1],
                       "exhaustive")
-            for env, m, n_t, eta, rate, feasible in zip(
-                envs, (picks // len(nts)).tolist(), nts[picks % len(nts)].tolist(),
+            for m, n_t, eta, rate, feasible in zip(
+                (picks // len(nts)).tolist(), nts[picks % len(nts)].tolist(),
                 etas[rows, picks].tolist(), rates[rows, picks].tolist(),
                 feas[rows, picks].tolist())]
 

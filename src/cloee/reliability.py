@@ -8,20 +8,37 @@ and at least one of the four preamble repetitions (kasami_count) is,
 
 (The stricter all-four-repetitions reading, P_Kasami^4, is deliberately not
 used; the any-of-four form is what the detection model states.)  The whole
-PPDU is composed from these pieces in metrics.ModeMetrics.
+PPDU is composed from these pieces in metrics.ppdu_success.
 
 The frame's three block codes, PSDU (63, 2), Kasami (63, 6) and PHR (40, 2),
-are split into their rows once, at import (PSDU_BLOCK, KASAMI_BLOCK,
-PHR_BLOCK).  block_success and block_log_success check p_b and take log(p_b)
-and log1p(-p_b) once per call.
+are split into Blocks once, at import (PSDU_BLOCK, KASAMI_BLOCK, PHR_BLOCK).
+A tail is summed by term recurrence, T_{i+1} = T_i * r_i * odds with the
+ratios r_i = (N-i)/(i+1) stored on the Block and odds = p/(1-p), from two
+anchors computed directly with libm's pow: T_0 = (1-p)^N and T_t = C(N,t)
+p^t (1-p)^(N-t), each power of 1-p taken of fl(1-p) and corrected for its
+rounding.  The direct sum takes each term from the nearer anchor, and the
+upper tail runs on from T_t.  No term of the direct sum is more than t/2
+steps from an anchor, so the rounding of odds is not raised to the power t.
+
+block_success and block_log_success are the scalar form.  block_successes
+and block_log_successes take an array of p_b and equal them element for
+element: the same IEEE operations in the same order, with libm's pow and log
+mapped over the lanes (numpy's SIMD functions may round differently).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
+import numpy as np
+
 from .frame import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE
+
+# Past the binomial mode, a term at most this share of the sum is below half
+# its ulp: no later, smaller term can change the sum.
+_STOP = 2.0 ** -54
 
 
 def _check_p(p_b: float) -> None:
@@ -29,28 +46,28 @@ def _check_p(p_b: float) -> None:
         raise ValueError(f"bit error probability must be in [0, 1], got {p_b}")
 
 
-def _rows(n_bits: int) -> tuple[tuple[float, float, float], ...]:
-    """(C(N,i), i, N-i) as floats for i = 0..N.
-
-    C(N,i) is the correctly rounded float of the exact integer; int * float
-    rounds the integer the same way, so the terms match the integer form.
-    """
-    return tuple((float(math.comb(n_bits, i)), float(i), float(n_bits - i))
-                 for i in range(n_bits + 1))
-
-
 class Block(NamedTuple):
-    """A block code (N, t): its rows i <= t, its rows i > t, and N + 1."""
+    """A block code (N, t) and its recurrence: N, t and C(N,t) as a float;
+    the ratios r_0..r_{h-1} that lead up from T_0 to T_h, h = t // 2; the
+    ratios i/(N-i+1), i = t..h+1, that lead down from T_t, one term at a
+    time; the pairs (i, r_{i-1}) that lead up to each upper term T_i,
+    t < i <= N; and N + 1."""
 
-    direct: tuple[tuple[float, float, float], ...]
-    upper: tuple[tuple[float, float, float], ...]
+    n: int
+    t: int
+    comb_t: float
+    up: tuple[float, ...]
+    down: tuple[float, ...]
+    upper: tuple[tuple[int, float], ...]
     n_plus_1: int
 
 
 def _block(n_bits: int, t: int) -> Block:
     """The Block of code (n_bits, t), for integers 0 <= t < n_bits, unchecked."""
-    rows = _rows(n_bits)
-    return Block(rows[:t + 1], rows[t + 1:], n_bits + 1)
+    ratios = [(n_bits - i) / (i + 1) for i in range(n_bits)]
+    return Block(n_bits, t, float(math.comb(n_bits, t)), tuple(ratios[:t // 2]),
+                 tuple(i / (n_bits - i + 1) for i in range(t, t // 2, -1)),
+                 tuple(zip(range(t + 1, n_bits + 1), ratios[t:])), n_bits + 1)
 
 
 PSDU_BLOCK = _block(PSDU_CODE.n, PSDU_CODE.t)
@@ -58,22 +75,38 @@ KASAMI_BLOCK = _block(FRAME_CONSTANTS.kasami_len, FRAME_CONSTANTS.rho_sensitivit
 PHR_BLOCK = _block(PHR_CODE.n, PHR_CODE.t)
 
 
-def _tail(rows, lp: float, lq: float, peak: float) -> float:
-    """sum of C(N,i) p^i (1-p)^(N-i) over rows, from lp = log(p_b),
-    lq = log1p(-p_b) and the binomial mode bound peak = (N + 1) * p_b.
-
-    The probabilities are combined in log space, so the tail stays accurate
-    from p_b ~ 1e-300 up to 0.5.  Terms are added one by one in ascending i,
-    so the bits do not depend on the interpreter (sum() compensates from
-    Python 3.12 on).  Past the binomial mode the terms fall: once one is at
-    most 2**-54 of the sum, below half its ulp, no later term can change the
-    sum.
-    """
-    s = 0.0
-    for comb, i, rest in rows:
-        term = comb * math.exp(i * lp + rest * lq)
+def _direct(p_b: float, block: Block) -> tuple[float, float, float]:
+    """(D, T_t, odds) for 0 < p_b < 1.  D adds T_0..T_h up from T_0, then
+    T_t..T_{h+1} down from T_t, one by one (sum() compensates from Python
+    3.12 on, so its bits would depend on the interpreter).  The anchors take
+    (1-p)^k as a pow of q = fl(1-p) times 1 + k * eps, 1 - p = q * (1 + eps)."""
+    n, t, comb_t, up, down, _, _ = block
+    q = 1.0 - p_b
+    eps = ((1.0 - q) - p_b) / q      # 1 - q and the difference are exact
+    odds = p_b / q
+    power = math.pow(q, n)
+    term = s = power + power * (n * eps)
+    for r in up:
+        term = term * r * odds
         s += term
-        if i > peak and term <= s * 2.0 ** -54:
+    power = math.pow(q, n - t)
+    term = top = comb_t * math.pow(p_b, t) * (power + power * ((n - t) * eps))
+    for r in down:
+        s += term
+        term = term * r / odds
+    return s, top, odds
+
+
+def _upper(term: float, odds: float, peak: float, block: Block) -> float:
+    """U = T_{t+1} + T_{t+2} + ... from term = T_t.  Past the binomial mode
+    bound peak = (N + 1) * p_b the terms fall by a ratio well below 1, so once
+    one is at most 2**-54 of the sum the sum stops: it equals the sum of every
+    term to the bit."""
+    s = 0.0
+    for i, r in block.upper:
+        term = term * (r * odds)
+        s += term
+        if i > peak and term <= s * _STOP:
             break
     return s
 
@@ -85,7 +118,7 @@ def block_success(p_b: float, block: Block) -> float:
         return 1.0
     if p_b == 1.0:
         return 0.0
-    return min(1.0, _tail(block.direct, math.log(p_b), math.log1p(-p_b), block.n_plus_1 * p_b))
+    return min(1.0, _direct(p_b, block)[0])
 
 
 def block_log_success(p_b: float, block: Block) -> float:
@@ -97,23 +130,97 @@ def block_log_success(p_b: float, block: Block) -> float:
     depends on.  The rule is log1p(-U) when U < 0.5, else log(D).
 
     D has t+1 terms and U up to N-t, so D is summed first.  D + U = 1, and
-    either sum is within ~1e-13 of its exact value, so D < 0.5 - 1e-9 implies
+    either sum is within ~1e-15 of its exact value, so D < 0.5 - 1e-9 implies
     U >= 0.5: the answer is log(D) and U is not summed.  For (63, 2) the
-    crossover U = 0.5 lies at p_b ~ 0.0422.  Both sums share one log(p_b),
-    one log1p(-p_b) and one peak.
+    crossover U = 0.5 lies at p_b ~ 0.0422.
     """
     _check_p(p_b)
     if p_b == 0.0:
         return 0.0
     if p_b == 1.0:
         return -math.inf
-    lp, lq, peak = math.log(p_b), math.log1p(-p_b), block.n_plus_1 * p_b
-    direct = _tail(block.direct, lp, lq, peak)
+    direct, top, odds = _direct(p_b, block)
     if direct >= 0.5 - 1e-9:
-        upper = _tail(block.upper, lp, lq, peak)
+        upper = _upper(top, odds, block.n_plus_1 * p_b, block)
         if upper < 0.5:
             return math.log1p(-upper)
     return math.log(direct) if direct > 0.0 else -math.inf
+
+
+def _map(f, *args) -> np.ndarray:
+    """f (a libm function) over the lanes of flat arrays, a number repeated."""
+    lanes = next(a for a in args if isinstance(a, np.ndarray))
+    return np.fromiter(map(f, *(a.tolist() if isinstance(a, np.ndarray) else repeat(a)
+                                for a in args)), float, lanes.size)
+
+
+def _directs(p: np.ndarray, block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_direct over a flat array of p_b in (0, 1)."""
+    q = 1.0 - p
+    eps = ((1.0 - q) - p) / q
+    odds = p / q
+    n, t = block.n, block.t
+    power = _map(math.pow, q, n)
+    term = power + power * (n * eps)
+    s = term.copy()
+    for r in block.up:
+        term = term * r * odds
+        s += term
+    power = _map(math.pow, q, n - t)
+    term = top = block.comb_t * _map(math.pow, p, t) * (power + power * ((n - t) * eps))
+    for r in block.down:
+        s += term
+        term = term * r / odds
+    return s, top, odds
+
+
+def _inner(p_b: np.ndarray):
+    """p_b flat, with the lanes at 0 and 1 (which the callers set) read as 0.5,
+    and the masks of those lanes; the first p_b outside [0, 1], nan included,
+    raises _check_p's error."""
+    p = p_b.ravel()
+    outside = ~((p >= 0.0) & (p <= 1.0))
+    if outside.any():
+        _check_p(p[outside.argmax()])
+    zeros, ones = p == 0.0, p == 1.0
+    return np.where(zeros | ones, 0.5, p), zeros, ones
+
+
+def block_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
+    """block_success over an array of p_b in [0, 1], element for element."""
+    p, zeros, ones = _inner(p_b)
+    direct = np.minimum(_directs(p, block)[0], 1.0)
+    direct[zeros], direct[ones] = 1.0, 0.0
+    return direct.reshape(p_b.shape)
+
+
+def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
+    """block_log_success over an array of p_b in [0, 1], element for element.
+
+    U is summed on the lanes with D >= 0.5 - 1e-9 only, a term on all of them
+    at a time, until each lane has met _upper's stop, which is tested every
+    fourth term: a lane that met it earlier keeps its sum, as no later term
+    can change it.
+    """
+    p, zeros, ones = _inner(p_b)
+    direct, top, odds = _directs(p, block)
+    lanes = np.flatnonzero(direct >= 0.5 - 1e-9)
+    term, odds, upper = top[lanes], odds[lanes], np.zeros(lanes.size)
+    peak = (block.n_plus_1 * p[lanes]).max(initial=-math.inf)
+    for k, (i, r) in enumerate(block.upper):
+        term *= r * odds
+        upper += term
+        if k % 4 == 3 and i > peak and (term <= upper * _STOP).all():
+            break
+    # log1p(-U) on the lanes with U < 0.5, else log(D), -inf for D = 0.
+    out = np.full(p.size, -math.inf)
+    near_one = lanes[upper < 0.5]
+    out[near_one] = _map(math.log1p, -upper[upper < 0.5])
+    logs = direct > 0.0
+    logs[near_one] = False
+    out[logs] = _map(math.log, direct[logs])
+    out[zeros], out[ones] = 0.0, -math.inf
+    return out.reshape(p_b.shape)
 
 
 def shr_success(p_kasami: float) -> float:

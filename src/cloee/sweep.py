@@ -3,6 +3,8 @@
 Every evaluation lands in a SweepRow; rows are built in (distance, strategy)
 order.  The reserved strategy ids are "cloee" (the solver) and
 "oracle" (exhaustive search); static strategies are named static_<n_cpb>_<n_t>.
+A sweep builds its environments as one LinkModel.block, from arrays, and a
+ModeMetrics only for a mode that a dual solve reads.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frame import MODE_POSITION
-from .metrics import LinkModel, QosSpec, columns, grid
+from .metrics import LinkModel, QosSpec, columns, grid, ppdu_success
 from .optimizer import N_T_MAX_LIMIT, SolverConfig, search_envs, solve_envs, solve_mode
 from .scenario import Scenario
 from . import svgplot
@@ -36,11 +38,12 @@ class SweepRow(NamedTuple):
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Evaluate every strategy plus cloee and the oracle on the distance grid.
 
-    Each block of distances is read as one Columns build, which cloee
+    The environments of all points are built as one LinkModel.block, and
+    each block of distances reads its part of them, which cloee
     (solve_envs), the oracle (search_envs, one grid call) and the static
     rows (one Columns.eta_rate at each static's own frame size) share; the
-    block loop builds every row of the block, each p_ppdu from the scalar
-    ModeMetrics.success.  A block holds N_T_MAX_LIMIT // n_t_max distances
+    block loop builds every row of the block, each p_ppdu by ppdu_success
+    from the block's floats.  A block holds N_T_MAX_LIMIT // n_t_max distances
     (n_t_max <= N_T_MAX_LIMIT, so at least one), so its grid has at most
     6 * 4096 cells, the grid of one distance at the largest n_t_max.
     Deterministic for a given scenario and seed: shadowing draws are made
@@ -59,23 +62,25 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     # Static s is read at its mode's position and at the s-th frame size.
     sizes = np.array([n_t for _, _, _, n_t in statics])
     positions, own = [i for _, i, _, _ in statics], range(len(statics))
-    rows = []
+    rows, environments = [], model.block(points)
     for start in range(0, len(points), block):
         chunk = points[start:start + block]
-        cols = columns([model.env(d, chi) for d, chi in chunk])
-        # Read the statics before the solvers run: holding these arrays across
-        # them makes every block fault the oracle's grid in again (~190 minor
-        # faults per hospital sweep instead of ~13, ~0.3 ms).
+        cols = environments.part(start, start + block)
+        # Read the statics and the floats before the solvers run: holding
+        # arrays across them makes every block fault the oracle's grid in
+        # again (~190 minor faults per hospital sweep instead of ~13, ~0.3 ms).
         static_values = [a[:, positions, own].tolist() for a in cols.eta_rate(sizes)]
-        for (d, _), env, cloee, oracle, static_etas, static_rates in zip(
-                chunk, cols.envs, solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg),
+        floats = zip(cols.header_success[..., 0].tolist(), cols.log_p_cw[..., 0].tolist())
+        for (d, _), (headers, logs), cloee, oracle, static_etas, static_rates in zip(
+                chunk, floats, solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg),
                 *static_values):
             rows += [SweepRow(d, strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
-                              env[MODE_POSITION[res.n_cpb_star]].success(res.n_t_star),
+                              ppdu_success(headers[MODE_POSITION[res.n_cpb_star]],
+                                           logs[MODE_POSITION[res.n_cpb_star]], res.n_t_star),
                               res.feasible, res.branch)
                      for strategy, res in (("cloee", cloee), ("oracle", oracle))]
-            rows += [SweepRow(d, name, n_cpb, n_t, eta, rate, env[i].success(n_t),
-                              rate >= r0ns, "static")
+            rows += [SweepRow(d, name, n_cpb, n_t, eta, rate,
+                              ppdu_success(headers[i], logs[i], n_t), rate >= r0ns, "static")
                      for (name, i, n_cpb, n_t), eta, rate in zip(statics, static_etas,
                                                                  static_rates)]
     return rows

@@ -6,7 +6,6 @@ svgplot's layout constants.
 The reference tails take any block code (N, t) as a pair; the package's tails
 take a reliability.Block, which the tests build with reliability._block."""
 
-import functools
 import math
 from pathlib import Path
 from unittest import mock
@@ -216,46 +215,77 @@ def reference_snap(x_cont: float, objective, n: int = 63, n_t_max: int = 63 * 13
     return best
 
 
-@functools.cache
-def _binomial_rows(n_bits: int) -> tuple[tuple[float, float, float], ...]:
-    return tuple((float(math.comb(n_bits, i)), float(i), float(n_bits - i))
-                 for i in range(n_bits + 1))
+def reference_anchor(p_b: float, n_bits: int, i: int) -> float:
+    """T_i = C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1, as the reliability kernel
+    computes its anchors T_0 and T_t: libm's pow of p_b and of q = fl(1 - p_b),
+    the latter corrected by (N-i) * eps with 1 - p_b = q * (1 + eps).  For
+    i = 0 the factors C(N,0) and p_b**0 are 1.0, so this is the kernel's
+    shorter T_0 too."""
+    q = 1.0 - p_b
+    eps = ((1.0 - q) - p_b) / q
+    power = math.pow(q, n_bits - i)
+    return (float(math.comb(n_bits, i)) * math.pow(p_b, i)
+            * (power + power * ((n_bits - i) * eps)))
 
 
-def reference_tail(p_b: float, n_bits: int, lo: int, hi: int) -> float:
-    """sum_{lo <= i < hi} C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1, the per-tail
-    form the reliability kernel replaced: each tail takes its own log(p_b) and
-    log1p(-p_b) and slices its own rows, then adds the terms in ascending i
-    and stops past the binomial mode once a term is at most 2**-54 of the sum."""
-    lp, lq = math.log(p_b), math.log1p(-p_b)
-    s, peak = 0.0, (n_bits + 1) * p_b
-    for comb, i, rest in _binomial_rows(n_bits)[lo:hi]:
-        term = comb * math.exp(i * lp + rest * lq)
-        s += term
-        if i > peak and term <= s * 2.0 ** -54:
+def reference_terms(p_b: float, n_bits: int, t: int) -> list[float]:
+    """T_0..T_N of code (N, t) for 0 < p_b < 1, every term, each by the term
+    recurrence from the nearer anchor: T_1..T_h up from T_0 (h = t // 2),
+    T_{t-1}..T_{h+1} down from T_t, and T_{t+1}..T_N up from T_t, each of
+    these by one factor ratio * odds.  The odds
+    p/(1-p) and each ratio (N-i)/(i+1) or i/(N-i+1) are computed here."""
+    odds, h = p_b / (1.0 - p_b), t // 2
+    terms = [0.0] * (n_bits + 1)
+    terms[0], terms[t] = reference_anchor(p_b, n_bits, 0), reference_anchor(p_b, n_bits, t)
+    for i in range(h):
+        terms[i + 1] = terms[i] * ((n_bits - i) / (i + 1)) * odds
+    for i in range(t, h + 1, -1):
+        terms[i - 1] = terms[i] * (i / (n_bits - i + 1)) / odds
+    for i in range(t, n_bits):
+        terms[i + 1] = terms[i] * ((n_bits - i) / (i + 1) * odds)
+    return terms
+
+
+def reference_direct(terms: list[float], t: int) -> float:
+    """D = P(at most t errors) from reference_terms, added one by one in the
+    kernel's order: T_0..T_h, then T_t down to T_{h+1}."""
+    s = 0.0
+    for i in [*range(t // 2 + 1), *range(t, t // 2, -1)]:
+        s += terms[i]
+    return s
+
+
+def reference_upper(terms: list[float], p_b: float, t: int) -> float:
+    """U = P(more than t errors) from reference_terms, added in ascending i and
+    stopped past the binomial mode once a term is at most 2**-54 of the sum."""
+    s, peak = 0.0, (len(terms)) * p_b
+    for i in range(t + 1, len(terms)):
+        s += terms[i]
+        if i > peak and terms[i] <= s * 2.0 ** -54:
             break
     return s
 
 
 def reference_block_success(p_b: float, n_bits: int, t: int) -> float:
-    """P(at most t of n_bits bits in error) from reference_tail."""
+    """P(at most t of n_bits bits in error) from reference_terms."""
     if p_b == 0.0:
         return 1.0
     if p_b == 1.0:
         return 0.0
-    return min(1.0, reference_tail(p_b, n_bits, 0, t + 1))
+    return min(1.0, reference_direct(reference_terms(p_b, n_bits, t), t))
 
 
 def reference_block_log_success(p_b: float, n_bits: int, t: int) -> float:
-    """log1p(-U) when the upper tail U < 0.5, else log(D), from reference_tail,
-    which takes the two logs again for U."""
+    """log1p(-U) when the upper tail U < 0.5, else log(D), from
+    reference_terms; U is summed only when D >= 0.5 - 1e-9."""
     if p_b == 0.0:
         return 0.0
     if p_b == 1.0:
         return -math.inf
-    direct = reference_tail(p_b, n_bits, 0, t + 1)
+    terms = reference_terms(p_b, n_bits, t)
+    direct = reference_direct(terms, t)
     if direct >= 0.5 - 1e-9:
-        upper = reference_tail(p_b, n_bits, t + 1, n_bits + 1)
+        upper = reference_upper(terms, p_b, t)
         if upper < 0.5:
             return math.log1p(-upper)
     return math.log(direct) if direct > 0.0 else -math.inf

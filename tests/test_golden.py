@@ -46,18 +46,18 @@ seed = 1
 shadowing = on
 """
 
-DEFAULT_SWEEP = "a36b134a09907a6fc40cc357d11cea5cce4336be6a2b8f39e0138471e0904d04"
+DEFAULT_SWEEP = "906afbe0ec2bd440aeff6f43fc5cb52e74fe1ad234efc7e2a2a29fc1c359b45c"
 
 HOSPITAL_SWEEPS = {
-    ("default", 1): "4f81ea5daeac04cf3e42589f55e009a3470c84762693b2bdfaeeaf5a24c6c953",
-    ("default", 2): "a2fa4b82982b9e0958b3b25dfd41ee00034fe15a859448bcdd2f156a68dbf107",
-    ("default", 3): "7ae0cab0241d5f0bd9450924006a4d979a789cba0e9501d41f27f0540b4faeef",
-    ("uniform_section_ber", 1): "0682269f2cdf7cfbb58bffba5b3d88bb98930e2a10164f0ef574f029af96ebf4",
-    ("uniform_section_ber", 2): "88ffc5d22417ae8c75dfd108ce87561013b7d8397238d355d19ad06d53bf2747",
-    ("uniform_section_ber", 3): "737744837a1da7af937df1bda0a3eb514cd1ab607b2c8488fa40d9d155e91922",
-    ("integration_per_pulse", 1): "9d01be67f55ab7b74b4c9de0461012e8639762a32f5fed9d4c5ad64252f542ef",
-    ("integration_per_pulse", 2): "858cbc17764e3e28a713415577daad50c9c744c6bce50928ed34eaa7a8d9b578",
-    ("integration_per_pulse", 3): "43b5136649df52407275632f72e6ceb684b1b825605077c4ef9c7248a3d07778",
+    ("default", 1): "438ed40d8838d956f44603135939580e08d1a411367084618bf41e023a7d1d14",
+    ("default", 2): "c4fb40b3fe433b018a47c1a8c5d96b36ba2336dea8a85e5a4cf00d00ad672855",
+    ("default", 3): "f96db3d7d6b473614bc9c62856676f9bd3db2c95c5938e8bbffe630b33e46419",
+    ("uniform_section_ber", 1): "ae980a0d73e5c4a48b367b6c1e8f0fd9ece2dade7663c0ead644b7b92ff07d91",
+    ("uniform_section_ber", 2): "6ae8e4806cae3ba6d4898c80bb5eb47efb72a8c03d3c9673fa1e025675ee6ed5",
+    ("uniform_section_ber", 3): "ff90b9a2728a99f7601d41f55913fcd3f75f09e0f82081a071bbad1842127c21",
+    ("integration_per_pulse", 1): "e7f7423d8e801ada2e515b29a6890fc803c6e60f3a22c0d4dd421e28710444c9",
+    ("integration_per_pulse", 2): "438c8313f22919e0ca2c4fdd38b3943d4c4a40e4e1006d13cca66e92fc59671a",
+    ("integration_per_pulse", 3): "2faf0ef3c2686dad2220fd4df36dad7f0722de0fda1e84a439a87eb1f755dbcc",
 }
 
 
@@ -88,19 +88,19 @@ CURVES = {
         "512ee81110e438c0b5b96ef611428b6835418a3fe4f144dd981ccc825f941e22",
     ),
     ("default", "6.5"): (
-        "589749dce57d528ec1e2b47bd630a4d323f7e2f16f37966a41d7309a73bba9b4",
+        "053c1ce86c485dbdae0737e949b8d8d23594c4710f1cf6f82c4807ef13ea0338",
         "41c019480f6a7aced2394fda4aa1ee31637ce97825e1cf0484cb14e88b9d4a61",
         "25d02560960ebc4c78c59a6d7eba75ef30081097bc52f02a794d6960ac77f7c2",
         "5aaad6e5778530ebacd52725007ba2b37c55eb2b477251d3d9a19b50ff69c06b",
     ),
     ("default", "8.4"): (
-        "26e42abd3d78114d4f62495e14c68ebd295d9b97dc737085c771b1953096d11c",
+        "4e27de52344a4a2cf9a358d2f763b93065bdda11911778009768e6657b464e21",
         "6d1ccdb932c318abfc98dc06ab5d04f3bf2786fd9f372c379a04fb4c79fc94ee",
         "9a8d528b7b78fa9fb650261d51557ee7e27062f445ddc678523d540eef9d2424",
         "795bd203981a105c3181f3773967220edd452e3d2d9c517b70bff56124b8d1b7",
     ),
     ("hospital", "6.5"): (
-        "163f6b4233d9d64edf9d108024842870ae9b9794a3cfda447c4c8a89af1af4d8",
+        "b1ca6ca58bffa1301cf0c31ada17c1bf92860a4bd6764ee1ed3693d1dd080add",
         "6d1ccdb932c318abfc98dc06ab5d04f3bf2786fd9f372c379a04fb4c79fc94ee",
         "99d82964418974f2a2873603463da5f4edf4e899597b1a3c503ccf1a3d2984c5",
         "b8d0799032727eddb5060d40c3d3f52be63404fcda951a0bd2ac27d626279ee6",
@@ -126,12 +126,12 @@ SWEEP_FILES = ("sweep.csv", "sweep_eta.svg", "sweep_rate.svg")
 
 SWEEP_SVG = {
     "default": (
-        "a36b134a09907a6fc40cc357d11cea5cce4336be6a2b8f39e0138471e0904d04",
+        "906afbe0ec2bd440aeff6f43fc5cb52e74fe1ad234efc7e2a2a29fc1c359b45c",
         "8fcdfb5943c607d9bd972ab688ea97a0fc7375bd84aa701920755c1211f67a23",
         "3147fcb6bc6d59844977cb8e79aa26bdd01cc456ca350f8409169572709dcae2",
     ),
     "hospital": (
-        "4f81ea5daeac04cf3e42589f55e009a3470c84762693b2bdfaeeaf5a24c6c953",
+        "438ed40d8838d956f44603135939580e08d1a411367084618bf41e023a7d1d14",
         "c4e7a30c4121f2f0c115782fad5ac2e20093b14761161b0f4dc8f045620d2571",
         "1a4f51d90a0fe3a754f0cd1c1a29cbf1b3056f39bd2bbd973474d05df75a0b67",
     ),
@@ -160,7 +160,7 @@ OPTIMIZE = {
     ("8.4", ""): "e45271301e823e43d244dea322a6bdb18c7ee29eaafeb7a45e279f001db7cc40",
     # Binding rate floor: the dual branch sets lambda, kkt_rate and iterations.
     ("4.273", "qos.r0 = 133703.0\nqos.n_s = 31\n"):
-        "6b8dc4be8b4a024beadd6079c05aeb3bf5c1c2d31d7d115b1c58a66df3ee6613",
+        "d9b77fd1fcbc563afdd4a039c30439718cef5c647c96ab7f450d734a839d1a78",
 }
 
 
@@ -195,7 +195,7 @@ def test_dump_modes_files(tmp_path):
 # variants x n_t_max in {63, 8190, 63 * 4096}: one line per environment and
 # grid size with the repr of its six solve_mode results, solve_env and
 # search_env.  Every bit of every field of every branch is pinned.
-SOLVER_RESULTS = "45847411d5504412567533729fced842adc8db328360d8a07af6df51d31f3c56"
+SOLVER_RESULTS = "432f2866a4cca050c5a50c7d22f23fcc224d4a5617481bb673d7eebbe3492a24"
 
 
 def test_solver_results():

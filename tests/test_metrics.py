@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, Scenario, bit_error_probs,
-                   energy, energy_breakdown, metrics, reliability)
+                   channel, energy, energy_breakdown, metrics, reliability)
 from cloee.frame import MODE_POSITION
 from cloee.metrics import _I_PHR, _I_SHR, _header_success, columns, grid
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
@@ -116,20 +116,26 @@ class TestEnvironmentWork:
     def test_codes_checked_once_and_logs_taken_once_per_p_b(self, model):
         # LinkModel.env runs every tail on the frame codes reliability split
         # at import, so no block code is built per environment, and each
-        # (code, p_b) pair takes one log(p_b) and one log1p(-p_b), also when
-        # the log form sums both tails.
+        # (code, p_b) pair takes its two anchors once: three pows, of 1 - p_b
+        # twice and of p_b once, also when the log form sums both tails.  No
+        # log is taken but the one that ends each PSDU log success.
         calls = collections.Counter()
 
         class CountingMath:
             def __getattr__(self, name):
                 return getattr(math, name)
 
+            def pow(self, x, y):
+                calls["pow"] += 1
+                calls["pow", x] += 1
+                return math.pow(x, y)
+
             def log(self, x):
-                calls["log", x] += 1
+                calls["log"] += 1
                 return math.log(x)
 
             def log1p(self, x):
-                calls["log1p", x] += 1
+                calls["log"] += 1
                 return math.log1p(x)
 
         distances = (4.0, 6.5, 8.4)
@@ -138,15 +144,78 @@ class TestEnvironmentWork:
             for d in distances:
                 model.env(d)
         assert builds.call_count == 0
-        pairs = collections.Counter()
+        pairs, psdu = collections.Counter(), 0
         for d in distances:
             # One PSDU tail per mode, and the shared Kasami and PHR tails.
             p_b = bit_error_probs(d, model.energy.eps_p)
             for p in p_b + [p_b[_I_SHR], p_b[_I_PHR]]:
                 pairs[p] += 0.0 < p < 1.0
+            psdu += sum(0.0 < p < 1.0 for p in p_b)
         assert sum(pairs.values()) >= 20
         for p, count in pairs.items():
-            assert (calls["log", p], calls["log1p", -p]) == (count, count), p
+            assert calls["pow", p] == count, p
+        assert (calls["pow"], calls["log"]) == (3 * sum(pairs.values()), psdu)
+
+
+def _same_columns(block, cols):
+    """block and cols hold the same floats in every column and row, by repr,
+    the same modes, and metrics building equal ModeMetrics."""
+    assert block.modes == cols.modes
+    for name in ("header_success", "log_p_cw", "t_sym"):
+        a, b = getattr(block, name), getattr(cols, name)
+        assert a.shape == b.shape and repr(a.tolist()) == repr(b.tolist()), name
+    for name in ("eps_b", "eps_oh", "eps_st"):
+        a, b = getattr(block.energy, name), getattr(cols.energy, name)
+        assert repr(a.tolist()) == repr(b.tolist()), name
+    rows, modes = block.log_p_cw.shape[:2]
+    for e, m in ((0, 0), (rows - 1, modes - 1), (rows // 2, 3)):
+        built, env = block.metrics(e, m), cols.metrics(e, m)
+        assert (built.mode, built.distance, built.energy, repr(built.log_p_cw),
+                repr(built.header_success)) == (env.mode, env.distance, env.energy,
+                                                repr(env.log_p_cw), repr(env.header_success))
+
+
+class TestBlockEnvironments:
+    # LinkModel.block, the sweep's environments, builds a block's Columns from
+    # arrays; it must equal columns() of the block's environments by repr.
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_equals_columns_of_envs_on_hospital_sweeps(self, variant):
+        for seed in range(1, 11):
+            sc = Scenario(shadowing=True, seed=seed, distances=tuple(
+                round(1.0 + 0.1 * i, 9) for i in range(91)), **variant)
+            model, points = sc.link_model(), list(zip(sc.distances, sc.shadowing_draws()))
+            _same_columns(model.block(points), columns([model.env(d, chi) for d, chi in points]))
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_equals_columns_of_envs_on_wide_draws(self, variant):
+        # Distances from 1 mm to 1 km and shadowing from -300 to 3,500 dB:
+        # lanes where p_b underflows to 0, and lanes at p_b = 0.5, some where
+        # the gain underflows to 0 and so ebn0 = 0.
+        rng = np.random.default_rng(20261019)
+        model = LinkModel(**variant)
+        points = list(zip((10.0 ** rng.uniform(-3, 3, 400)).tolist(),
+                          rng.uniform(-300, 3500, 400).tolist()))
+        block = model.block(points)
+        _same_columns(block, columns([model.env(d, chi) for d, chi in points]))
+        p_b = np.array([bit_error_probs(d, model.energy.eps_p, model.channel, chi,
+                                        model.integration_per_pulse) for d, chi in points])
+        gains = [channel._gain(d, chi, model.energy.eps_p, model.channel) for d, chi in points]
+        assert (p_b == 0.0).any() and (p_b == 0.5).any() and 0.0 in gains
+
+    def test_overflowing_gain_raises_the_same_error(self, model):
+        # The gain overflows at the third point and the fourth; at the second
+        # it is finite but squares to inf in Q's argument, which gives p_b = 0.
+        points = [(5.0, 0.0), (5.0, -2000.0), (1e-3, -6000.0), (1e-300, 0.0)]
+        with pytest.raises(ValueError) as scalar:
+            columns([model.env(d, chi) for d, chi in points])
+        with pytest.raises(ValueError) as block:
+            model.block(points)
+        assert str(block.value) == str(scalar.value)
+        assert "link gain at distance 0.001 m overflows" in str(block.value)
+        block = model.block(points[:2])
+        _same_columns(block, columns([model.env(d, chi) for d, chi in points[:2]]))
+        assert block.log_p_cw[1].ravel().tolist() == [0.0] * 6
 
 
 class TestContinuousRelaxation:

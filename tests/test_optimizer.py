@@ -447,34 +447,39 @@ class TestCloee:
 class TestSharedEnvironment:
     @pytest.mark.parametrize("uniform,bit_errors", [(False, 6), (True, 6)])
     def test_sweep_builds_one_environment_per_distance(self, monkeypatch, uniform, bit_errors):
-        builds, calls, losses = [], [], []
-        init = ModeMetrics.__init__
-        probs, prob = metrics.bit_error_probs, channel._bit_error
+        # The sweep's environments are the rows of its blocks (LinkModel.block):
+        # each distance takes its gain once and one Q per mode, and no
+        # ModeMetrics is built outside a dual solve, also when every mode has
+        # its own header (uniform_section_ber).
+        builds, gains, qs, duals = [], [], [], []
+        init, gain, q, dual = ModeMetrics.__init__, channel._gain, channel.q_function, \
+            optimizer._dual
 
         def counting_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             builds.append(self.distance)
 
-        def counting_probs(d, *args, **kwargs):
-            losses.append(d)
-            return probs(d, *args, **kwargs)
+        def counting_gain(d, *args):
+            gains.append(d)
+            return gain(d, *args)
 
-        def counting_prob(*args):
-            calls.append(losses[-1])
-            return prob(*args)
+        def counting_q(x):
+            qs.append(x)
+            return q(x)
+
+        def counting_dual(mm, *args):
+            duals.append(mm.distance)
+            return dual(mm, *args)
 
         monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
-        monkeypatch.setattr(metrics, "bit_error_probs", counting_probs)
-        monkeypatch.setattr(channel, "_bit_error", counting_prob)
+        monkeypatch.setattr(channel, "_gain", counting_gain)
+        monkeypatch.setattr(channel, "q_function", counting_q)
+        monkeypatch.setattr(optimizer, "_dual", counting_dual)
         distances = (2.0, 6.5, 8.4)
         run_sweep(Scenario(distances=distances, shadowing=True, seed=3,
                            uniform_section_ber=uniform))
-        # Six modes and six bit error rates per distance; with section-specific
-        # rates the header reuses the payload rates of modes 4 and 32.  The
-        # path loss is taken once per distance, in its one bit_error_probs call.
-        assert builds == [d for d in distances for _ in range(6)]
-        assert sorted(calls) == [d for d in distances for _ in range(bit_errors)]
-        assert losses == list(distances)
+        assert builds == duals and gains == list(distances)
+        assert len(qs) == bit_errors * len(distances)
 
     def test_wrappers_equal_environment_bodies(self, model, cfg):
         # Default targets plus, per mode, one between its rates at the snapped
@@ -549,12 +554,16 @@ class TestBlockedSweep:
 
     def test_sweep_solves_no_environment_with_scalar_calls(self, monkeypatch):
         # run_sweep reads cloee, the oracle and the static rows off each
-        # block's arrays: outside a dual solve (_dual, the one scalar stage
-        # of the block pass) no scalar solve, snap or eta/rate call runs.
-        calls, in_dual = [], [False]
-        dual = optimizer._dual
+        # block's arrays (LinkModel.block): it calls no LinkModel.env, builds
+        # a ModeMetrics only for a dual solve (_dual, the one scalar stage of
+        # the block pass), and outside one no scalar solve, snap or eta/rate
+        # call runs.  Each row's p_ppdu is ppdu_success of the block's floats:
+        # the scalar ModeMetrics.success of its mode by repr.
+        calls, builds, duals, in_dual = [], [], [], [False]
+        dual, init = optimizer._dual, ModeMetrics.__init__
 
         def flagged_dual(*args):
+            duals.append(args[0])
             in_dual[0] = True
             try:
                 return dual(*args)
@@ -571,26 +580,37 @@ class TestBlockedSweep:
 
             monkeypatch.setattr(owner, name, watched)
 
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            builds.append(self)
+
         monkeypatch.setattr(optimizer, "_dual", flagged_dual)
+        monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
         for module in (optimizer, sweep):
             for name in ("solve_env", "snap_to_grid"):
                 if hasattr(module, name):
                     watch(module, name)
-        for name in ("eta", "rate", "eta_rate"):
+        for name in ("eta", "rate", "eta_rate", "success"):
             watch(ModeMetrics, name)
-        # Each row's p_ppdu is one scalar success call, and nothing else calls it.
-        successes = []
-        success = ModeMetrics.success
-
-        def counted_success(self, n_t):
-            successes.append(n_t)
-            return success(self, n_t)
-
-        monkeypatch.setattr(ModeMetrics, "success", counted_success)
-        rows = run_sweep(dataclasses.replace(load_scenario(HOSPITAL_CONF), seed=1))
-        assert len(rows) == 91 * 7 and calls == []
-        assert len(successes) == len(rows)
-
+        watch(LinkModel, "env")
+        base = dataclasses.replace(load_scenario(HOSPITAL_CONF), seed=1)
+        # The hospital floor, and a lower one under which two modes go dual.
+        sweeps = []
+        for qos in (base.qos, QosSpec(r0=3e4)):
+            builds.clear(), duals.clear()
+            scenario = dataclasses.replace(base, qos=qos)
+            sweeps.append((scenario, run_sweep(scenario)))
+            assert len(sweeps[-1][1]) == 91 * 7 and calls == []
+            assert [id(mm) for mm in builds] == [id(mm) for mm in duals]
+        assert len(duals) == 2
+        monkeypatch.undo()
+        for scenario, rows in sweeps:
+            model = scenario.link_model()
+            envs = {d: model.env(d, chi)
+                    for d, chi in zip(scenario.distances, scenario.shadowing_draws())}
+            assert [repr(r.p_ppdu) for r in rows] == \
+                [repr(envs[r.distance][MODE_POSITION[r.n_cpb]].success(r.n_t)) for r in rows]
+            assert rows_to_csv(rows) == rows_to_csv(reference_sweep(scenario))
 
     def test_search_envs_peak_stays_under_three_block_arrays(self):
         # The first block of the hospital sweep: 31 distances at n_t_max

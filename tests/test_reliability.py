@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,10 +10,11 @@ from scipy.stats import binom
 
 from cloee import EnergyParams, ModeMetrics, energy_breakdown
 from cloee.metrics import _header_success
-from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _tail,
-                               block_log_success, block_success, shr_success)
+from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _direct, _upper,
+                               block_log_success, block_log_successes, block_success,
+                               block_successes, shr_success)
 from helpers import (mode_for, reference_block_log_success, reference_block_success,
-                     single_pb_metrics)
+                     reference_direct, reference_terms, single_pb_metrics)
 
 
 class TestKasami:
@@ -100,7 +102,9 @@ class TestOffFrameCodes:
 
 
 def _old_pmf(i, n_bits, p_b):
-    # The per-term form the tails were first written in: both logs on every term.
+    # The log-space per-term form the tails were first written in, both logs
+    # on every term: an independent oracle where the recurrence's anchors
+    # underflow (p_b near 1).
     if p_b == 0.0:
         return 1.0 if i == 0 else 0.0
     if p_b == 1.0:
@@ -134,13 +138,38 @@ def _old_block_log_success(p_b, n_bits, t):
     return math.log(direct) if direct > 0.0 else -math.inf
 
 
+def _every_term_upper(p_b, n_bits, t):
+    # U from every upper term of the recurrence (helpers.reference_terms),
+    # with no stop.  For p_b near 1 the anchor T_t underflows and this reads
+    # 0, so it is used on p_b <= 0.5 only.
+    s = 0.0
+    for term in reference_terms(p_b, n_bits, t)[t + 1:]:
+        s += term
+    return s
+
+
+def _every_term_log_success(p_b, n_bits, t):
+    # The log form with U summed first, from every term: log1p(-U) when
+    # U < 0.5, else log(D).
+    if p_b == 0.0:
+        return 0.0
+    if p_b == 1.0:
+        return -math.inf
+    upper = _every_term_upper(p_b, n_bits, t)
+    if upper < 0.5:
+        return math.log1p(-upper)
+    direct = reference_direct(reference_terms(p_b, n_bits, t), t)
+    return math.log(direct) if direct > 0.0 else -math.inf
+
+
 class TestTailsMatchPerTermForm:
-    # The tails take log(p_b) and log1p(-p_b) once and add the same terms in
-    # the same order, stopping past the binomial mode once a term is at most
-    # 2**-54 of the partial sum, where no later term can change it.  So they
-    # must equal the full per-term sum bit for bit: on a log grid, and on 10k
-    # seeded random p_b in [1e-300, 0.5], half spread evenly over the decades
-    # and half evenly over the interval.
+    # The tails sum the same recurrence terms in the same order, the upper
+    # tail stopping past the binomial mode once a term is at most 2**-54 of
+    # the partial sum, where no later term can change it.  So they must equal
+    # the every-term recurrence (helpers.reference_terms, which recomputes
+    # the anchors, the odds and every ratio) bit for bit: on a log grid, and
+    # on 10k seeded random p_b in [1e-300, 0.5], half spread evenly over the
+    # decades and half evenly over the interval.
     P_GRID = [0.0, 1.0, *(float(p) for p in np.logspace(-300, math.log10(0.5), 2000))]
     _RNG = np.random.default_rng(20261018)
     RANDOM_P = [*(10.0 ** _RNG.uniform(-300, math.log10(0.5), 5_000)).tolist(),
@@ -150,13 +179,13 @@ class TestTailsMatchPerTermForm:
     def test_block_success(self, n_bits, t):
         block = _block(n_bits, t)
         for p in self.P_GRID + self.RANDOM_P:
-            assert block_success(p, block) == _old_block_success(p, n_bits, t), p
+            assert block_success(p, block) == reference_block_success(p, n_bits, t), p
 
     @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6), (63, 0), (5, 4)])
     def test_block_log_success(self, n_bits, t):
         block = _block(n_bits, t)
         for p in self.P_GRID + self.RANDOM_P:
-            assert block_log_success(p, block) == _old_block_log_success(p, n_bits, t), p
+            assert block_log_success(p, block) == _every_term_log_success(p, n_bits, t), p
 
 
 def _crossover(n_bits, t):
@@ -166,7 +195,7 @@ def _crossover(n_bits, t):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return hi
-        if _full_sum(mid, n_bits, t + 1, n_bits + 1) < 0.5:
+        if _every_term_upper(mid, n_bits, t) < 0.5:
             lo = mid
         else:
             hi = mid
@@ -174,22 +203,21 @@ def _crossover(n_bits, t):
 
 class TestShortSideFirst:
     # block_log_success sums the t+1 direct terms D first and skips the
-    # upper tail U when D < 0.5 - 1e-9; _old_block_log_success sums U first
-    # and reads D only when U >= 0.5.  They must agree bit for bit, -inf
-    # included: in steps of 2**-40 relative around the crossover U = 0.5,
-    # which reaches all three outcomes (log1p(-U); log(D) with U summed;
-    # log(D) with U skipped).  TestTailsMatchPerTermForm compares the two on
-    # seeded log-uniform p_b.
+    # upper tail U when D < 0.5 - 1e-9; _every_term_log_success sums U first
+    # and reads D only when U >= 0.5.  They must agree bit for bit: in steps
+    # of 2**-40 relative around the crossover U = 0.5, which reaches all three
+    # outcomes (log1p(-U); log(D) with U summed; log(D) with U skipped).
+    # TestTailsMatchPerTermForm compares the two on seeded log-uniform p_b.
     @pytest.mark.parametrize("n_bits,t", [(63, 2), (40, 2), (63, 6)])
     def test_dense_scan_around_crossover(self, n_bits, t):
         p_c, block = _crossover(n_bits, t), _block(n_bits, t)
         outcomes = set()
         for k in range(-2048, 2049):
             p = p_c * (1.0 + k * 2.0 ** -40)
-            assert block_log_success(p, block) == _old_block_log_success(p, n_bits, t), p
+            assert block_log_success(p, block) == _every_term_log_success(p, n_bits, t), p
             direct = block_success(p, block)
             outcomes.add("skip" if direct < 0.5 - 1e-9 else
-                         "upper" if _full_sum(p, n_bits, t + 1, n_bits + 1) < 0.5 else "direct")
+                         "upper" if _every_term_upper(p, n_bits, t) < 0.5 else "direct")
         assert outcomes == {"skip", "upper", "direct"}
 
     def test_crossover_of_the_psdu_code(self):
@@ -222,9 +250,10 @@ def _kernel_p():
 
 class TestFrameCodeKernel:
     # ModeMetrics and metrics._header_success call block_success/
-    # block_log_success on the pre-split frame codes, with one log(p_b) and
-    # one log1p(-p_b) for both of the log form's sums.  They must equal the
-    # per-tail reference form (its own logs and slice per tail) bit for bit.
+    # block_log_success on the pre-split frame codes, whose ratios are split
+    # at import, with one pair of anchors for both of the log form's sums.
+    # They must equal the reference recurrence (helpers.reference_terms, its
+    # own anchors, odds and ratios) bit for bit.
     P = _kernel_p()
 
     @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
@@ -237,18 +266,33 @@ class TestFrameCodeKernel:
 
     @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
     def test_early_stop_equals_full_sum(self, code, block):
-        # README's half-ulp argument: past the binomial mode, once a term is
-        # at most 2**-54 of the partial sum no later term changes it, so the
-        # early-stopped sum equals the sum of every term.
+        # README's half-ulp argument: past the binomial mode the recurrence's
+        # terms fall, so once a term is at most 2**-54 of the partial sum no
+        # later term changes it, and the early-stopped upper tail equals the
+        # sum of every term of the same recurrence from the same T_t.  (The
+        # direct sum has no stop.)
         for p in self.P:
             if not 0.0 < p < 1.0:
                 continue
-            lp, lq, peak = math.log(p), math.log1p(-p), block.n_plus_1 * p
-            for rows in (block.direct, block.upper):
-                full = 0.0
-                for comb, i, rest in rows:
-                    full += comb * math.exp(i * lp + rest * lq)
-                assert _tail(rows, lp, lq, peak) == full, (p, rows[0][1])
+            _, top, odds = _direct(p, block)
+            full, term = 0.0, top
+            for _, r in block.upper:
+                term = term * (r * odds)
+                full += term
+            assert _upper(top, odds, block.n_plus_1 * p, block) == full, p
+
+    @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
+    def test_array_form_equals_scalar_form(self, code, block):
+        # block_successes and block_log_successes, which the sweep's block
+        # environments use, take the scalar form's IEEE operations over the
+        # lanes: equal by repr, -0.0, subnormals and the ends included.
+        p = np.array(self.P)
+        assert list(map(repr, block_successes(p, block).tolist())) == \
+            [repr(block_success(x, block)) for x in self.P]
+        assert list(map(repr, block_log_successes(p.reshape(-1, 1), block).ravel().tolist())) == \
+            [repr(block_log_success(x, block)) for x in self.P]
+        with pytest.raises(ValueError, match=re.escape("must be in [0, 1], got nan")):
+            block_log_successes(np.array([0.1, math.nan, 1.5]), block)
 
     def test_frame_callers_keep_the_p_b_check(self):
         msg = "bit error probability must be in [0, 1], got "
@@ -308,3 +352,48 @@ class TestPpduSuccess:
         for value in (*_sections(p_b), mm.header_success, math.exp(mm.log_p_cw),
                       mm.success(63 * k)):
             assert 0.0 <= value <= 1.0
+
+
+def _mp_tails(p_b: float, n_bits: int, t: int):
+    """(D, log success) of code (N, t) at p_b from 80-digit mpmath: every term
+    by the recurrence in exact ratios, D and U each summed exactly enough,
+    and the log as log1p(-U) when U < 0.5, else log(D)."""
+    with mpmath.workdps(80):
+        p = mpmath.mpf(p_b)
+        odds, term = p / (1 - p), (1 - p) ** n_bits
+        terms = [term]
+        for i in range(n_bits):
+            term = term * (n_bits - i) / (i + 1) * odds
+            terms.append(term)
+        direct, upper = mpmath.fsum(terms[:t + 1]), mpmath.fsum(terms[t + 1:])
+        return direct, mpmath.log1p(-upper) if upper < 0.5 else mpmath.log(direct)
+
+
+class TestAccuracyBudgets:
+    # The tails against 80-digit mpmath on seeded p_b, 100 per band, spread
+    # evenly over the decades of each: at most 8 ulps where the result is a
+    # normal float (on p_b in [1e-100, 0.5] every result is), and at most
+    # 2**-1073 (two of the smallest subnormal) where the exact result is below
+    # the normal range, which only the log form's tiny failure tails reach.
+    # These draws stay within 5.0 ulps; denser ones reach 9.3 just below the
+    # log form's crossover U = 0.5 (ROADMAP item 9).
+    BANDS = [(1e-3, 0.5), (1e-8, 1e-3), (1e-30, 1e-8), (1e-100, 1e-30), (1e-300, 1e-100)]
+    ULPS, SUBNORMAL = 8.0, 2.0 ** -1073
+
+    def test_tails_within_budget(self):
+        rng = np.random.default_rng(20261019)
+        worst = {}
+        for (n_bits, t), block in FRAME_BLOCKS:
+            for lo, hi in self.BANDS:
+                for p in (10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 100)).tolist():
+                    exact = _mp_tails(p, n_bits, t)
+                    for name, value, ref in zip(("success", "log"), (block_success(p, block),
+                                                 block_log_success(p, block)), exact):
+                        error = abs(mpmath.mpf(value) - ref)
+                        if abs(ref) < 2.0 ** -1022:
+                            assert error <= self.SUBNORMAL, (n_bits, t, name, p, value)
+                            continue
+                        ulps = float(error / math.ulp(float(ref)))
+                        key = (n_bits, t, name, lo)
+                        worst[key] = max(worst.get(key, 0.0), ulps)
+        assert max(worst.values()) <= self.ULPS, {k: v for k, v in worst.items() if v > self.ULPS}
