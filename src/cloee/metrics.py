@@ -11,25 +11,25 @@ distance.  By default each frame section is evaluated at its own burst order
 section-specific constants of the energy model; uniform_section_ber=True
 evaluates all three sections at the payload's bit error rate instead.
 
-LinkModel.env(d, chi) builds one distance's six ModeMetrics: it takes the six
-payload bit error rates once, and with section-specific rates the header
-success does not depend on the payload mode, so it reuses the rates of the
-modes at n_cpb_shr and n_cpb_phr and computes one header success (a float)
-for the six modes.
+LinkModel.env(d, chi) builds one distance's six ModeMetrics, each value once:
+the six payload bit error rates, each mode's codeword log success and, with
+section-specific rates, one header success (a float) for the six modes, from
+the rates of the modes at n_cpb_shr and n_cpb_phr, as the header success does
+not depend on the payload mode.  A ModeMetrics computes nothing at build.
 
-Columns is a block of environments of one LinkModel as arrays, the one input
-of the array evaluators (grid, the oracle, the block cloee pass and the
+Columns is a block of environments of one LinkModel as plain arrays, the one
+input of the array evaluators (grid, the oracle, the block cloee pass and the
 sweep's static rows).  columns(envs) reads built environments;
 LinkModel.block(points) builds the same Columns from arrays (the channel's
-and the tails' array forms), element for element, and makes a ModeMetrics
-only when one is asked for.
+and the tails' array forms), element for element, and Columns.metrics(e, m)
+builds a ModeMetrics from the block's floats for a dual solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,9 +104,10 @@ def _delivered(n_t, header_success, log_p_cw):
 class ModeMetrics:
     """Everything the optimizer needs about one (distance, mode) pair.
 
-    Reliability is two floats, computed once: header_success (SHR and PHR)
-    and log_p_cw, the log success of one PSDU codeword at the payload p_b,
-    which is not stored.  success()/eta()/rate() evaluate the grid
+    Reliability is two floats, which its builder computes once:
+    header_success (SHR and PHR) and log_p_cw, the log success of one PSDU
+    codeword at the payload p_b (block_log_success(p_b, PSDU_BLOCK)), which
+    is not stored.  success()/eta()/rate() evaluate the grid
     objectives, whose codeword count is ceil(n_t/n); eta, rate and eta_rate
     take an int or an int array (Columns.eta_rate takes a block of
     environments).
@@ -118,12 +119,12 @@ class ModeMetrics:
     n = PSDU_CODE.n     # for readers outside the package (perfbench/gen_binding.py)
     t_oh = FRAME_CONSTANTS.t_overhead       # the SHR + PHR air time of every mode
 
-    def __init__(self, mode: PhyMode, distance: float, p_b: float, header_success: float,
+    def __init__(self, mode: PhyMode, distance: float, log_p_cw: float, header_success: float,
                  energy: EnergyBreakdown):
         self.mode = mode
         self.distance = distance
         self.energy = energy
-        self.log_p_cw = block_log_success(p_b, PSDU_BLOCK)
+        self.log_p_cw = log_p_cw
         self.header_success = header_success
         self.t_sym = mode.t_sym
 
@@ -195,8 +196,9 @@ class LinkModel:
             headers = map(_header_success, p_b, p_b)
         else:
             headers = [_header_success(p_b[_I_SHR], p_b[_I_PHR])] * len(p_b)
-        return tuple(ModeMetrics(m, distance, p, header, energy) for m, p, header, energy
-                     in zip(MODE_TABLE, p_b, headers, self.energy.breakdowns))
+        return tuple(ModeMetrics(m, distance, block_log_success(p, PSDU_BLOCK), header, energy)
+                     for m, p, header, energy in zip(MODE_TABLE, p_b, headers,
+                                                     self.energy.breakdowns))
 
     def block(self, points: Sequence[tuple[float, float]]) -> Columns:
         """columns([self.env(d, chi) for d, chi in points]), element for
@@ -204,7 +206,7 @@ class LinkModel:
         and the header successes and codeword log successes by the tails'
         array forms, one header success per point (or per mode under
         uniform_section_ber).  No ModeMetrics is built until Columns.metrics
-        asks for one; a point that env rejects raises env's error.
+        is called; a point that env rejects raises env's error.
         """
         p_b = bit_error_array(points, self.energy.eps_p, self.channel,
                               self.integration_per_pulse)
@@ -213,25 +215,19 @@ class LinkModel:
         else:
             headers = np.repeat(_header_successes(p_b[:, _I_SHR], p_b[:, _I_PHR]), p_b.shape[1])
             headers = headers.reshape(p_b.shape)
-        distances, breakdowns = [d for d, _ in points], self.energy.breakdowns
-
-        def metrics(e: int, m: int) -> ModeMetrics:
-            return ModeMetrics(MODE_TABLE[m], distances[e], p_b.item(e, m), headers.item(e, m),
-                               breakdowns[m])
-
-        return _columns(MODE_TABLE, breakdowns, metrics, headers[..., None],
-                        block_log_successes(p_b, PSDU_BLOCK)[..., None])
+        return _columns(MODE_TABLE, self.energy.breakdowns, [d for d, _ in points],
+                        headers[..., None], block_log_successes(p_b, PSDU_BLOCK)[..., None])
 
 
 class Columns(NamedTuple):
     """A block of environments of one LinkModel as (environments, modes, 1)
     columns and per-mode (modes, 1) rows: the one input of the array
     evaluators (grid, optimizer.search_envs and optimizer.solve_envs, and the
-    sweep's static rows).  The trailing axis takes the frame sizes.
-    metrics(e, m) is environment e's ModeMetrics of modes[m]."""
+    sweep's static rows).  The trailing axis takes the frame sizes, and
+    distances[e] is environment e's distance."""
 
     modes: Sequence[PhyMode]
-    metrics: Callable[[int, int], ModeMetrics]
+    distances: Sequence[float]
     header_success: np.ndarray
     log_p_cw: np.ndarray
     energy: EnergyBreakdown          # eps_b, eps_oh and eps_st rows
@@ -246,19 +242,28 @@ class Columns(NamedTuple):
         etas = delivered / self.energy.total(nts)
         return etas, np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered)
 
+    def metrics(self, e: int, m: int) -> ModeMetrics:
+        """Environment e's ModeMetrics of modes[m], from the block's floats: its
+        energy breakdown is rebuilt from the energy rows, equal to the mode's."""
+        energy = self.energy
+        return ModeMetrics(self.modes[m], self.distances[e], self.log_p_cw.item(e, m, 0),
+                           self.header_success.item(e, m, 0),
+                           EnergyBreakdown(energy.eps_b.item(m, 0), energy.eps_oh.item(m, 0),
+                                           energy.eps_st.item(m, 0)))
+
     def part(self, start: int, stop: int) -> Columns:
-        """Environments start..stop-1 as a block of their own (views)."""
-        return self._replace(metrics=lambda e, m: self.metrics(start + e, m),
+        """Environments start..stop-1 as a block of their own (array views)."""
+        return self._replace(distances=self.distances[start:stop],
                              header_success=self.header_success[start:stop],
                              log_p_cw=self.log_p_cw[start:stop])
 
 
-def _columns(modes, breakdowns, metrics, header_success, log_p_cw) -> Columns:
+def _columns(modes, breakdowns, distances, header_success, log_p_cw) -> Columns:
     """Columns with each mode's energy breakdown and air time as a (modes, 1) row."""
     eps_b, eps_oh, eps_st, t_sym = np.array(
         [(b.eps_b, b.eps_oh, b.eps_st, mode.t_sym) for mode, b in zip(modes, breakdowns)]
     ).T[:, :, None]
-    return Columns(modes, metrics, header_success, log_p_cw,
+    return Columns(modes, distances, header_success, log_p_cw,
                    EnergyBreakdown(eps_b, eps_oh, eps_st), t_sym)
 
 
@@ -277,7 +282,7 @@ def columns(envs: Sequence[tuple[ModeMetrics, ...]]) -> Columns:
                          "needs the first one's modes and energy breakdowns, in its order")
     # numpy builds an array from a flat list of floats faster than from nested tuples.
     shape = (len(envs), len(first), 1)
-    return _columns(*zip(*costs), lambda e, m: envs[e][m],
+    return _columns(*zip(*costs), [env[0].distance for env in envs],
                     np.array([mm.header_success for env in envs for mm in env]).reshape(shape),
                     np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape))
 

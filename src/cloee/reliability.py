@@ -20,15 +20,16 @@ rounding.  The direct sum takes each term from the nearer anchor, and the
 upper tail runs on from T_t.  No term of the direct sum is more than t/2
 steps from an anchor, so the rounding of odds is not raised to the power t.
 
-block_success and block_log_success are the scalar form.  block_successes
-and block_log_successes take an array of p_b and equal them element for
-element: the same IEEE operations in the same order, with libm's pow and log
-mapped over the lanes (numpy's SIMD functions may round differently).
+block_success and block_log_success are the scalar form; block_successes and
+block_log_successes take an array of p_b and equal them element for element,
+as the direct sum is one function for floats and lanes (libm's pow and log
+are mapped over the lanes: numpy's SIMD functions may round differently).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -75,24 +76,25 @@ KASAMI_BLOCK = _block(FRAME_CONSTANTS.kasami_len, FRAME_CONSTANTS.rho_sensitivit
 PHR_BLOCK = _block(PHR_CODE.n, PHR_CODE.t)
 
 
-def _direct(p_b: float, block: Block) -> tuple[float, float, float]:
-    """(D, T_t, odds) for 0 < p_b < 1.  D adds T_0..T_h up from T_0, then
-    T_t..T_{h+1} down from T_t, one by one (sum() compensates from Python
-    3.12 on, so its bits would depend on the interpreter).  The anchors take
-    (1-p)^k as a pow of q = fl(1-p) times 1 + k * eps, 1 - p = q * (1 + eps)."""
+def _direct(p, block: Block, pow):
+    """(D, T_t, odds) for p = p_b in (0, 1), a float with pow = math.pow or a
+    flat array of lanes with pow mapped over them.  D adds T_0..T_h up from
+    T_0, then T_t..T_{h+1} down from T_t, one by one (sum() compensates from
+    Python 3.12 on, so its bits would depend on the interpreter).  The anchors
+    take (1-p)^k as a pow of q = fl(1-p) times 1 + k * eps, 1 - p = q * (1 + eps)."""
     n, t, comb_t, up, down, _, _ = block
-    q = 1.0 - p_b
-    eps = ((1.0 - q) - p_b) / q      # 1 - q and the difference are exact
-    odds = p_b / q
-    power = math.pow(q, n)
+    q = 1.0 - p
+    eps = ((1.0 - q) - p) / q      # 1 - q and the difference are exact
+    odds = p / q
+    power = pow(q, n)
     term = s = power + power * (n * eps)
     for r in up:
         term = term * r * odds
-        s += term
-    power = math.pow(q, n - t)
-    term = top = comb_t * math.pow(p_b, t) * (power + power * ((n - t) * eps))
+        s = s + term
+    power = pow(q, n - t)
+    term = top = comb_t * pow(p, t) * (power + power * ((n - t) * eps))
     for r in down:
-        s += term
+        s = s + term
         term = term * r / odds
     return s, top, odds
 
@@ -118,7 +120,7 @@ def block_success(p_b: float, block: Block) -> float:
         return 1.0
     if p_b == 1.0:
         return 0.0
-    return min(1.0, _direct(p_b, block)[0])
+    return min(1.0, _direct(p_b, block, math.pow)[0])
 
 
 def block_log_success(p_b: float, block: Block) -> float:
@@ -139,7 +141,7 @@ def block_log_success(p_b: float, block: Block) -> float:
         return 0.0
     if p_b == 1.0:
         return -math.inf
-    direct, top, odds = _direct(p_b, block)
+    direct, top, odds = _direct(p_b, block, math.pow)
     if direct >= 0.5 - 1e-9:
         upper = _upper(top, odds, block.n_plus_1 * p_b, block)
         if upper < 0.5:
@@ -152,26 +154,6 @@ def _map(f, *args) -> np.ndarray:
     lanes = next(a for a in args if isinstance(a, np.ndarray))
     return np.fromiter(map(f, *(a.tolist() if isinstance(a, np.ndarray) else repeat(a)
                                 for a in args)), float, lanes.size)
-
-
-def _directs(p: np.ndarray, block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_direct over a flat array of p_b in (0, 1)."""
-    q = 1.0 - p
-    eps = ((1.0 - q) - p) / q
-    odds = p / q
-    n, t = block.n, block.t
-    power = _map(math.pow, q, n)
-    term = power + power * (n * eps)
-    s = term.copy()
-    for r in block.up:
-        term = term * r * odds
-        s += term
-    power = _map(math.pow, q, n - t)
-    term = top = block.comb_t * _map(math.pow, p, t) * (power + power * ((n - t) * eps))
-    for r in block.down:
-        s += term
-        term = term * r / odds
-    return s, top, odds
 
 
 def _inner(p_b: np.ndarray):
@@ -189,7 +171,7 @@ def _inner(p_b: np.ndarray):
 def block_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
     """block_success over an array of p_b in [0, 1], element for element."""
     p, zeros, ones = _inner(p_b)
-    direct = np.minimum(_directs(p, block)[0], 1.0)
+    direct = np.minimum(_direct(p, block, partial(_map, math.pow))[0], 1.0)
     direct[zeros], direct[ones] = 1.0, 0.0
     return direct.reshape(p_b.shape)
 
@@ -203,7 +185,7 @@ def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
     can change it.
     """
     p, zeros, ones = _inner(p_b)
-    direct, top, odds = _directs(p, block)
+    direct, top, odds = _direct(p, block, partial(_map, math.pow))
     lanes = np.flatnonzero(direct >= 0.5 - 1e-9)
     term, odds, upper = top[lanes], odds[lanes], np.zeros(lanes.size)
     peak = (block.n_plus_1 * p[lanes]).max(initial=-math.inf)

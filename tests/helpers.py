@@ -28,6 +28,7 @@ from cloee import (
 from cloee.energy import DEFAULT_ENERGY
 from cloee.metrics import _header_success, columns
 from cloee.optimizer import search_envs, solve_env
+from cloee.reliability import PSDU_BLOCK, block_log_success
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
 from cloee.sweep import CSV_HEADER
 
@@ -48,7 +49,8 @@ def mode_for(n_cpb: int) -> PhyMode:
 def single_pb_metrics(p_b: float, mode: PhyMode = mode_for(1)) -> ModeMetrics:
     """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
     probability; its success(n_t) is the textbook single-p_b PPDU success."""
-    return ModeMetrics(mode=mode, distance=1.0, p_b=p_b,
+    return ModeMetrics(mode=mode, distance=1.0,
+                       log_p_cw=block_log_success(p_b, PSDU_BLOCK),
                        header_success=_header_success(p_b, p_b),
                        energy=energy_breakdown(mode, DEFAULT_ENERGY))
 

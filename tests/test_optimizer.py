@@ -43,6 +43,7 @@ from cloee import channel, metrics, optimizer, sweep
 from cloee.frame import MODE_POSITION
 from cloee.metrics import _header_success, columns
 from cloee.optimizer import N_T_MAX_LIMIT, search_envs, solve_env, solve_envs
+from cloee.reliability import PSDU_BLOCK, block_log_success
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
                      reference_sweep, search_env, single_pb_metrics, solve_env_pruned)
@@ -354,7 +355,7 @@ class TestCloee:
             d = float(d)
             p_b = bit_error_probs(d, ep.eps_p)
             header = _header_success(p_b[0], p_b[0])
-            env = tuple(ModeMetrics(m, d, p, header,
+            env = tuple(ModeMetrics(m, d, block_log_success(p, PSDU_BLOCK), header,
                                     EnergyBreakdown(energy_breakdown(m, ep).eps_b, eps_oh, 0.0))
                         for m, p in zip(MODE_TABLE, p_b))
             for mm in env:
@@ -557,10 +558,12 @@ class TestBlockedSweep:
         # block's arrays (LinkModel.block): it calls no LinkModel.env, builds
         # a ModeMetrics only for a dual solve (_dual, the one scalar stage of
         # the block pass), and outside one no scalar solve, snap or eta/rate
-        # call runs.  Each row's p_ppdu is ppdu_success of the block's floats:
-        # the scalar ModeMetrics.success of its mode by repr.
-        calls, builds, duals, in_dual = [], [], [], [False]
-        dual, init = optimizer._dual, ModeMetrics.__init__
+        # call runs.  No scalar codeword tail runs, inside a dual solve
+        # either: its ModeMetrics takes the block's log_p_cw.  Each row's
+        # p_ppdu is ppdu_success of the block's floats: the scalar
+        # ModeMetrics.success of its mode by repr.
+        calls, builds, duals, tails, in_dual = [], [], [], [], [False]
+        dual, init, tail = optimizer._dual, ModeMetrics.__init__, metrics.block_log_success
 
         def flagged_dual(*args):
             duals.append(args[0])
@@ -584,8 +587,13 @@ class TestBlockedSweep:
             init(self, *args, **kwargs)
             builds.append(self)
 
+        def counting_tail(*args):
+            tails.append(args)
+            return tail(*args)
+
         monkeypatch.setattr(optimizer, "_dual", flagged_dual)
         monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
+        monkeypatch.setattr(metrics, "block_log_success", counting_tail)
         for module in (optimizer, sweep):
             for name in ("solve_env", "snap_to_grid"):
                 if hasattr(module, name):
@@ -602,7 +610,7 @@ class TestBlockedSweep:
             sweeps.append((scenario, run_sweep(scenario)))
             assert len(sweeps[-1][1]) == 91 * 7 and calls == []
             assert [id(mm) for mm in builds] == [id(mm) for mm in duals]
-        assert len(duals) == 2
+        assert len(duals) == 2 and tails == []
         monkeypatch.undo()
         for scenario, rows in sweeps:
             model = scenario.link_model()
@@ -1037,7 +1045,8 @@ class TestSearchEnvMatchesReference:
         energy = model.env(6.5)[1].energy
         low = mode_for(2)
         high = dataclasses.replace(mode_for(8), t_sym=low.t_sym)
-        env = tuple(ModeMetrics(m, 6.5, p_b, header, energy) for m in (low, high))
+        log_p_cw = block_log_success(p_b, PSDU_BLOCK)
+        env = tuple(ModeMetrics(m, 6.5, log_p_cw, header, energy) for m in (low, high))
         for qos in (QosSpec(r0=1.0, n_s=1), QosSpec(r0=1e9, n_s=64)):
             res = search_env(env, qos, cfg)
             assert res == reference_search_env(env, qos, cfg)
@@ -1056,7 +1065,8 @@ class TestSearchEnvMatchesReference:
         header, energy = _header_success(0.0, 0.0), EnergyBreakdown(1.0, 0.0, 0.0)
         slow = dataclasses.replace(mode_for(2), t_sym=mode_for(32).t_sym)
         fast = dataclasses.replace(mode_for(8), t_sym=mode_for(1).t_sym)
-        env = tuple(ModeMetrics(m, 1.0, 0.0, header, energy) for m in (slow, fast))
+        log_p_cw = block_log_success(0.0, PSDU_BLOCK)
+        env = tuple(ModeMetrics(m, 1.0, log_p_cw, header, energy) for m in (slow, fast))
         cfg, qos = SolverConfig(n_t_max=630), QosSpec(r0=350e3, n_s=1)
         assert env[0].rate(63) < qos.aggregate_rate <= env[1].rate(63)
         res = search_env(env, qos, cfg)
