@@ -179,6 +179,11 @@ class LinkModel:
     uniform_section_ber: bool = False
     integration_per_pulse: bool = False
 
+    def __post_init__(self):
+        for name in ("uniform_section_ber", "integration_per_pulse"):   # "off" is truthy
+            if not isinstance(value := getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"model.{name}", f"must be a bool, got {value!r}")
+
     def env(self, distance: float, chi: float = 0.0) -> tuple[ModeMetrics, ...]:
         """Metrics for all six burst modes at one distance, ascending n_cpb.
 
@@ -187,8 +192,8 @@ class LinkModel:
         payload rates of the modes at n_cpb_shr and n_cpb_phr, read from the rate
         list by MODE_TABLE position, and its success is computed once for all six
         modes; uniform_section_ber gives each mode a header at its rate.  Every
-        tail runs on the frame codes reliability split at import, so only each p_b
-        is checked here, and each p_b's two logs are taken once per code.
+        tail runs on the frame codes reliability split at import, so it checks only
+        its p_b, in the channel's [0, 0.5], and takes its anchors as pows of p_b.
         """
         p_b = bit_error_probs(distance, self.energy.eps_p, self.channel, chi,
                               self.integration_per_pulse)

@@ -20,6 +20,8 @@ rounding.  The direct sum takes each term from the nearer anchor, and the
 upper tail runs on from T_t.  No term of the direct sum is more than t/2
 steps from an anchor, so the rounding of odds is not raised to the power t.
 
+Every tail takes p_b in [0, 0.5], the range of the detector's Q(x), x >= 0,
+and raises ValueError outside it; there T_0 >= 2^-N > 0 (N <= 1074): log D is finite.
 block_success and block_log_success are the scalar form; block_successes and
 block_log_successes take an array of p_b and equal them element for element,
 as the direct sum is one function for floats and lanes (libm's pow and log
@@ -43,8 +45,8 @@ _STOP = 2.0 ** -54
 
 
 def _check_p(p_b: float) -> None:
-    if not 0.0 <= p_b <= 1.0:
-        raise ValueError(f"bit error probability must be in [0, 1], got {p_b}")
+    if not 0.0 <= p_b <= 0.5:
+        raise ValueError(f"bit error probability must be in [0, 0.5], got {p_b}")
 
 
 class Block(NamedTuple):
@@ -77,7 +79,7 @@ PHR_BLOCK = _block(PHR_CODE.n, PHR_CODE.t)
 
 
 def _direct(p, block: Block, pow):
-    """(D, T_t, odds) for p = p_b in (0, 1), a float with pow = math.pow or a
+    """(D, T_t, odds) for p = p_b in (0, 0.5], a float with pow = math.pow or a
     flat array of lanes with pow mapped over them.  D adds T_0..T_h up from
     T_0, then T_t..T_{h+1} down from T_t, one by one (sum() compensates from
     Python 3.12 on, so its bits would depend on the interpreter).  The anchors
@@ -118,8 +120,6 @@ def block_success(p_b: float, block: Block) -> float:
     _check_p(p_b)
     if p_b == 0.0:
         return 1.0
-    if p_b == 1.0:
-        return 0.0
     return min(1.0, _direct(p_b, block, math.pow)[0])
 
 
@@ -139,14 +139,12 @@ def block_log_success(p_b: float, block: Block) -> float:
     _check_p(p_b)
     if p_b == 0.0:
         return 0.0
-    if p_b == 1.0:
-        return -math.inf
     direct, top, odds = _direct(p_b, block, math.pow)
     if direct >= 0.5 - 1e-9:
         upper = _upper(top, odds, block.n_plus_1 * p_b, block)
         if upper < 0.5:
             return math.log1p(-upper)
-    return math.log(direct) if direct > 0.0 else -math.inf
+    return math.log(direct)
 
 
 def _map(f, *args) -> np.ndarray:
@@ -157,56 +155,53 @@ def _map(f, *args) -> np.ndarray:
 
 
 def _inner(p_b: np.ndarray):
-    """p_b flat, with the lanes at 0 and 1 (which the callers set) read as 0.5,
-    and the masks of those lanes; the first p_b outside [0, 1], nan included,
-    raises _check_p's error."""
+    """p_b flat with its lanes at 0 (which the callers set) read as 0.5, and their
+    mask; the first p_b outside [0, 0.5], nan included, raises _check_p's error."""
     p = p_b.ravel()
-    outside = ~((p >= 0.0) & (p <= 1.0))
+    outside = ~((p >= 0.0) & (p <= 0.5))
     if outside.any():
         _check_p(p[outside.argmax()])
-    zeros, ones = p == 0.0, p == 1.0
-    return np.where(zeros | ones, 0.5, p), zeros, ones
+    zeros = p == 0.0
+    return np.where(zeros, 0.5, p), zeros
 
 
 def block_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
-    """block_success over an array of p_b in [0, 1], element for element."""
-    p, zeros, ones = _inner(p_b)
+    """block_success over an array of p_b in [0, 0.5], element for element."""
+    p, zeros = _inner(p_b)
     direct = np.minimum(_direct(p, block, partial(_map, math.pow))[0], 1.0)
-    direct[zeros], direct[ones] = 1.0, 0.0
+    direct[zeros] = 1.0
     return direct.reshape(p_b.shape)
 
 
 def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
-    """block_log_success over an array of p_b in [0, 1], element for element.
+    """block_log_success over an array of p_b in [0, 0.5], element for element.
 
     U is summed on the lanes with D >= 0.5 - 1e-9 only, a term on all of them
     at a time, until each lane has met _upper's stop, which is tested every
     fourth term: a lane that met it earlier keeps its sum, as no later term
     can change it.
     """
-    p, zeros, ones = _inner(p_b)
+    p, zeros = _inner(p_b)
     direct, top, odds = _direct(p, block, partial(_map, math.pow))
     lanes = np.flatnonzero(direct >= 0.5 - 1e-9)
     term, odds, upper = top[lanes], odds[lanes], np.zeros(lanes.size)
-    peak = (block.n_plus_1 * p[lanes]).max(initial=-math.inf)
+    peak = (block.n_plus_1 * p[lanes]).max(initial=0.0)
     for k, (i, r) in enumerate(block.upper):
         term *= r * odds
         upper += term
         if k % 4 == 3 and i > peak and (term <= upper * _STOP).all():
             break
-    # log1p(-U) on the lanes with U < 0.5, else log(D), -inf for D = 0.
-    out = np.full(p.size, -math.inf)
+    # log1p(-U) on the lanes with U < 0.5, else log(D), each in place of D.
     near_one = lanes[upper < 0.5]
-    out[near_one] = _map(math.log1p, -upper[upper < 0.5])
-    logs = direct > 0.0
+    logs = np.full(p.size, True)
     logs[near_one] = False
-    out[logs] = _map(math.log, direct[logs])
-    out[zeros], out[ones] = 0.0, -math.inf
-    return out.reshape(p_b.shape)
+    direct[logs] = _map(math.log, direct[logs])
+    direct[near_one] = _map(math.log1p, -upper[upper < 0.5])
+    direct[zeros] = 0.0
+    return direct.reshape(p_b.shape)
 
 
 def shr_success(p_kasami: float) -> float:
     """SHR success from the Kasami detection probability (any-of-kasami_count
-    preamble + SFD)."""
-    _check_p(p_kasami)
+    preamble + SFD); p_kasami is a tail's output, so it is not checked."""
     return p_kasami * (1.0 - (1.0 - p_kasami) ** FRAME_CONSTANTS.kasami_count)

@@ -64,12 +64,9 @@ class Scenario:
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        # A truthy non-bool such as "off" would switch its model on.
-        for key, value in (("shadowing", self.shadowing),
-                           ("model.uniform_section_ber", self.uniform_section_ber),
-                           ("model.integration_per_pulse", self.integration_per_pulse)):
-            if not isinstance(value, (bool, np.bool_)):
-                raise ConfigError(key, f"must be a bool, got {value!r}")
+        if not isinstance(self.shadowing, (bool, np.bool_)):   # "off" is truthy
+            raise ConfigError("shadowing", f"must be a bool, got {self.shadowing!r}")
+        self.link_model()           # LinkModel checks the two model.* flags
         if not self.distances:
             raise ConfigError("distances", "must not be empty")
         # A repeated distance or strategy would give rows that cannot be told

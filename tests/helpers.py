@@ -218,7 +218,7 @@ def reference_snap(x_cont: float, objective, n: int = 63, n_t_max: int = 63 * 13
 
 
 def reference_anchor(p_b: float, n_bits: int, i: int) -> float:
-    """T_i = C(N,i) p^i (1-p)^(N-i) for 0 < p_b < 1, as the reliability kernel
+    """T_i = C(N,i) p^i (1-p)^(N-i) for 0 < p_b <= 0.5, as the reliability kernel
     computes its anchors T_0 and T_t: libm's pow of p_b and of q = fl(1 - p_b),
     the latter corrected by (N-i) * eps with 1 - p_b = q * (1 + eps).  For
     i = 0 the factors C(N,0) and p_b**0 are 1.0, so this is the kernel's
@@ -231,7 +231,7 @@ def reference_anchor(p_b: float, n_bits: int, i: int) -> float:
 
 
 def reference_terms(p_b: float, n_bits: int, t: int) -> list[float]:
-    """T_0..T_N of code (N, t) for 0 < p_b < 1, every term, each by the term
+    """T_0..T_N of code (N, t) for 0 < p_b <= 0.5, every term, each by the term
     recurrence from the nearer anchor: T_1..T_h up from T_0 (h = t // 2),
     T_{t-1}..T_{h+1} down from T_t, and T_{t+1}..T_N up from T_t, each of
     these by one factor ratio * odds.  The odds
@@ -272,8 +272,6 @@ def reference_block_success(p_b: float, n_bits: int, t: int) -> float:
     """P(at most t of n_bits bits in error) from reference_terms."""
     if p_b == 0.0:
         return 1.0
-    if p_b == 1.0:
-        return 0.0
     return min(1.0, reference_direct(reference_terms(p_b, n_bits, t), t))
 
 
@@ -282,15 +280,13 @@ def reference_block_log_success(p_b: float, n_bits: int, t: int) -> float:
     reference_terms; U is summed only when D >= 0.5 - 1e-9."""
     if p_b == 0.0:
         return 0.0
-    if p_b == 1.0:
-        return -math.inf
     terms = reference_terms(p_b, n_bits, t)
     direct = reference_direct(terms, t)
     if direct >= 0.5 - 1e-9:
         upper = reference_upper(terms, p_b, t)
         if upper < 0.5:
             return math.log1p(-upper)
-    return math.log(direct) if direct > 0.0 else -math.inf
+    return math.log(direct)
 
 
 def reference_render_lines(series: list[tuple[str, list[float], list[float]]],

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloee import ConfigError, Scenario, parse_scenario
+from cloee import ConfigError, LinkModel, Scenario, parse_scenario
 from cloee.cli import main
 from cloee.scenario import _KEYS, _SECTIONS
 
@@ -97,7 +97,7 @@ def test_every_key_rejects_at_its_key(tmp_path, capsys, key):
 def test_settings_raise_only_config_errors():
     # Each setting's owner raises ConfigError at the setting's key; a plain
     # ValueError from a __post_init__ would reach the CLI without a key.
-    for cls in (Scenario, *_SECTIONS.values()):
+    for cls in (Scenario, LinkModel, *_SECTIONS.values()):
         tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
         raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
         assert raises, cls.__name__

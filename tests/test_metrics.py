@@ -8,8 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cloee import (MODE_TABLE, EnergyParams, LinkModel, QosSpec, Scenario, bit_error_probs,
-                   channel, energy, energy_breakdown, metrics, reliability)
+from cloee import (MODE_TABLE, ConfigError, EnergyParams, LinkModel, QosSpec, Scenario,
+                   bit_error_probs, channel, energy, energy_breakdown, metrics, reliability)
 from cloee.frame import MODE_POSITION
 from cloee.metrics import _I_PHR, _I_SHR, _header_success, columns, grid
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
@@ -64,6 +64,26 @@ class TestObjectives:
             for mm in model.env(d):
                 assert is_unimodal_max(mm.eta(nts))
                 assert is_unimodal_max(mm.rate(nts))
+
+
+class TestLinkModelFlags:
+    @pytest.mark.parametrize("value", ["off", "no", 0, 1, None])
+    @pytest.mark.parametrize("flag", ["uniform_section_ber", "integration_per_pulse"])
+    def test_non_bools_rejected_at_their_key(self, flag, value):
+        # A truthy "off" would switch its reading on, and a flag that is not a
+        # bool could miss the channel's table of noise spans.  A Scenario
+        # builds its LinkModel, so both report the same line.
+        line = f"model.{flag}: must be a bool, got {value!r}"
+        for cls in (LinkModel, Scenario):
+            with pytest.raises(ConfigError) as err:
+                cls(**{flag: value})
+            assert str(err.value) == line and err.value.key == f"model.{flag}"
+
+    @pytest.mark.parametrize("flag", ["uniform_section_ber", "integration_per_pulse"])
+    def test_numpy_bools_accepted(self, flag):
+        envs = [LinkModel(**{flag: on}).env(6.0) for on in (np.bool_(True), True)]
+        assert [[(mm.log_p_cw, mm.header_success) for mm in env] for env in envs] \
+            == [[(mm.log_p_cw, mm.header_success) for mm in envs[1]]] * 2
 
 
 class TestSectionComposition:
@@ -191,7 +211,8 @@ class TestBlockEnvironments:
     def test_equals_columns_of_envs_on_wide_draws(self, variant):
         # Distances from 1 mm to 1 km and shadowing from -300 to 3,500 dB:
         # lanes where p_b underflows to 0, and lanes at p_b = 0.5, some where
-        # the gain underflows to 0 and so ebn0 = 0.
+        # the gain underflows to 0 and so ebn0 = 0.  Both widths' p_b stay in
+        # [0, 0.5], the range the tails accept, and reach both of its ends.
         rng = np.random.default_rng(20261019)
         model = LinkModel(**variant)
         points = list(zip((10.0 ** rng.uniform(-3, 3, 400)).tolist(),
@@ -200,8 +221,13 @@ class TestBlockEnvironments:
         _same_columns(block, columns([model.env(d, chi) for d, chi in points]))
         p_b = np.array([bit_error_probs(d, model.energy.eps_p, model.channel, chi,
                                         model.integration_per_pulse) for d, chi in points])
+        lanes = channel.bit_error_array(points, model.energy.eps_p, model.channel,
+                                        model.integration_per_pulse)
         gains = [channel._gain(d, chi, model.energy.eps_p, model.channel) for d, chi in points]
-        assert (p_b == 0.0).any() and (p_b == 0.5).any() and 0.0 in gains
+        assert 0.0 in gains
+        for probs in (p_b, lanes):
+            assert ((probs >= 0.0) & (probs <= 0.5)).all()
+            assert (probs == 0.0).any() and (probs == 0.5).any()
 
     def test_overflowing_gain_raises_the_same_error(self, model):
         # The gain overflows at the third point and the fourth; at the second

@@ -842,6 +842,42 @@ class TestSolveEnvsEqualsSolveEnv:
             counts
 
 
+class TestRateFloorAtEquality:
+    # Feasibility is R >= r0 * n_s.  With n_s = 1 the floor is r0 to the bit,
+    # so r0 can sit exactly on a rate that cloee compares with the floor: a
+    # mode's peak R(nthr) (_decide's feasibility test), the grid rate of a
+    # dual answer (_dual's bisection) and rate_cont(x_ee) of its mode (_dual's
+    # lambda* = 0 test).  A `>=` there turned into `>` moves an answer off the
+    # oracle's, whose `rates >= floor` is pinned, or makes lambda* nonzero
+    # where the continuous optimum x_ee meets the floor exactly.
+    def test_exact_floors_on_binding_rows(self):
+        cfg, n = SolverConfig(), PSDU_CODE.n
+        counts = collections.Counter()
+        for env, qos in binding_envs(256):
+            floors = [("peak", snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
+                                            mm.rate, cfg.n_t_max)[1], None) for mm in env]
+            res = solve_env(env, qos, cfg)
+            if res.branch == "dual":
+                mm = env[MODE_POSITION[res.n_cpb_star]]
+                x_ee = min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
+                               float(n)), float(cfg.n_t_max // n * n))
+                floors += [("grid", res.rate, None), ("x_ee", mm.rate_cont(x_ee), res.n_cpb_star)]
+            for kind, floor, n_cpb in floors:
+                exact = QosSpec(r0=floor, n_s=1)
+                assert exact.aggregate_rate == floor
+                res, oracle = solve_env(env, exact, cfg), search_env(env, exact, cfg)
+                assert (res.n_t_star, res.n_cpb_star, res.feasible, res.eta) == \
+                    (oracle.n_t_star, oracle.n_cpb_star, oracle.feasible, oracle.eta), (kind, floor)
+                assert repr(solve_envs(columns((env,)), exact, cfg)[0]) == repr(res)
+                if res.n_cpb_star == n_cpb:
+                    assert res.lambda_ == 0.0, floor
+                    counts["x_ee, same mode"] += 1
+                counts[kind] += 1
+                counts[res.branch] += 1
+        assert counts["peak"] == 6 * 768 and counts["grid"] == counts["x_ee"] >= 250, counts
+        assert counts["dual"] >= 900 and counts["x_ee, same mode"] >= 200, counts
+
+
 class TestDominatedDual:
     # Binding rows (0-based past the header) where, at n_t_max = 8190, a mode
     # that solve_env visits takes the dual branch at an eta below the

@@ -15,13 +15,29 @@ from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _dir
 from helpers import (reference_block_log_success, reference_block_success, reference_direct,
                      reference_terms, single_pb_metrics)
 
+# Bit error rates no channel gives, which every tail rejects at both widths:
+# just past 0.5, 0.75, the float below 1, 1 itself and nan.
+OUTSIDE = [math.nextafter(0.5, 1.0), 0.75, 1.0 - 2.0 ** -53, 1.0, math.nan]
+
+
+def _assert_rejected(scalar, array, block, ps=OUTSIDE):
+    """The scalar tail and its array form raise the same ValueError, naming
+    [0, 0.5], for each p in ps (in the array, after a valid lane)."""
+    for p in ps:
+        msg = re.escape(f"bit error probability must be in [0, 0.5], got {p}")
+        with pytest.raises(ValueError, match=msg):
+            scalar(p, block)
+        with pytest.raises(ValueError, match=msg):
+            array(np.array([0.1, p]), block)
+
 
 class TestKasami:
     def test_error_free(self):
         assert block_success(0.0, KASAMI_BLOCK) == 1.0
 
     def test_all_bits_flipped(self):
-        assert block_success(1.0, KASAMI_BLOCK) == 0.0
+        # p_b = 1 and everything above 0.5 are outside the channel's range.
+        _assert_rejected(block_success, block_successes, KASAMI_BLOCK)
 
     def test_reference_point(self):
         # binomial-CDF oracle: P(Bin(63, 0.05) <= 6)
@@ -40,10 +56,6 @@ class TestShrSuccess:
 
     def test_reference_point(self):
         assert shr_success(0.9) == pytest.approx(0.89991, rel=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            shr_success(1.5)
 
 
 class TestBchBlockSuccess:
@@ -83,7 +95,8 @@ class TestLogSuccess:
 
     def test_degenerate_limits(self):
         assert block_log_success(0.0, PSDU_BLOCK) == 0.0
-        assert block_log_success(1.0, PSDU_BLOCK) == -math.inf
+        assert block_log_successes(np.array([0.0]), PSDU_BLOCK).tolist() == [0.0]
+        _assert_rejected(block_log_success, block_log_successes, PSDU_BLOCK)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -100,47 +113,10 @@ class TestOffFrameCodes:
         assert math.isfinite(tail(0.1, _block(63, 62)))
 
 
-def _old_pmf(i, n_bits, p_b):
-    # The log-space per-term form the tails were first written in, both logs
-    # on every term: an independent oracle where the recurrence's anchors
-    # underflow (p_b near 1).
-    if p_b == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if p_b == 1.0:
-        return 1.0 if i == n_bits else 0.0
-    log_term = i * math.log(p_b) + (n_bits - i) * math.log1p(-p_b)
-    return math.comb(n_bits, i) * math.exp(log_term)
-
-
-def _full_sum(p_b, n_bits, lo, hi):
-    # Every term, added one by one in ascending i: builtin sum() compensates
-    # from Python 3.12 on, and the tails must not depend on the interpreter.
-    s = 0.0
-    for i in range(lo, hi):
-        s += _old_pmf(i, n_bits, p_b)
-    return s
-
-
-def _old_block_success(p_b, n_bits, t):
-    return min(1.0, _full_sum(p_b, n_bits, 0, t + 1))
-
-
-def _old_block_log_success(p_b, n_bits, t):
-    if p_b == 0.0:
-        return 0.0
-    if p_b == 1.0:
-        return -math.inf
-    upper = _full_sum(p_b, n_bits, t + 1, n_bits + 1)
-    if upper < 0.5:
-        return math.log1p(-upper)
-    direct = _old_block_success(p_b, n_bits, t)
-    return math.log(direct) if direct > 0.0 else -math.inf
-
-
 def _every_term_upper(p_b, n_bits, t):
     # U from every upper term of the recurrence (helpers.reference_terms),
-    # with no stop.  For p_b near 1 the anchor T_t underflows and this reads
-    # 0, so it is used on p_b <= 0.5 only.
+    # with no stop, added one by one in ascending i: builtin sum() compensates
+    # from Python 3.12 on, and the tails must not depend on the interpreter.
     s = 0.0
     for term in reference_terms(p_b, n_bits, t)[t + 1:]:
         s += term
@@ -152,13 +128,10 @@ def _every_term_log_success(p_b, n_bits, t):
     # U < 0.5, else log(D).
     if p_b == 0.0:
         return 0.0
-    if p_b == 1.0:
-        return -math.inf
     upper = _every_term_upper(p_b, n_bits, t)
     if upper < 0.5:
         return math.log1p(-upper)
-    direct = reference_direct(reference_terms(p_b, n_bits, t), t)
-    return math.log(direct) if direct > 0.0 else -math.inf
+    return math.log(reference_direct(reference_terms(p_b, n_bits, t), t))
 
 
 class TestTailsMatchPerTermForm:
@@ -169,7 +142,7 @@ class TestTailsMatchPerTermForm:
     # the anchors, the odds and every ratio) bit for bit: on a log grid, and
     # on 10k seeded random p_b in [1e-300, 0.5], half spread evenly over the
     # decades and half evenly over the interval.
-    P_GRID = [0.0, 1.0, *(float(p) for p in np.logspace(-300, math.log10(0.5), 2000))]
+    P_GRID = [0.0, *(float(p) for p in np.logspace(-300, math.log10(0.5), 2000))]
     _RNG = np.random.default_rng(20261018)
     RANDOM_P = [*(10.0 ** _RNG.uniform(-300, math.log10(0.5), 5_000)).tolist(),
                 *_RNG.uniform(1e-300, 0.5, 5_000).tolist()]
@@ -222,10 +195,11 @@ class TestShortSideFirst:
     def test_crossover_of_the_psdu_code(self):
         assert _crossover(63, 2) == pytest.approx(0.0422, abs=1e-4)
 
-    def test_hopeless_block_is_minus_inf(self):
-        # Every direct term underflows: D = 0 and the log is -inf either way.
-        p = 1.0 - 2.0 ** -53
-        assert block_log_success(p, PSDU_BLOCK) == _old_block_log_success(p, 63, 2) == -math.inf
+    def test_hopeless_block_is_rejected(self):
+        # Near p_b = 1 every direct term would underflow to D = 0; no channel
+        # gives such a p_b, and both widths reject it on every frame code.
+        for _, block in FRAME_BLOCKS:
+            _assert_rejected(block_log_success, block_log_successes, block)
 
 
 # The frame's three codes, split at import: (code, block).
@@ -233,13 +207,13 @@ FRAME_BLOCKS = [((63, 2), PSDU_BLOCK), ((63, 6), KASAMI_BLOCK), ((40, 2), PHR_BL
 
 
 def _kernel_p():
-    """Seeded p_b over [0, 1]: the ends, the smallest subnormal and 0.5;
-    2,000 draws spread evenly over [0, 1] and over the decades down to 1e-300;
+    """Seeded p_b over [0, 0.5]: the ends and the smallest subnormal; 2,000
+    draws spread evenly over [0, 0.5] and over the decades from 1e-300 to 0.5;
     and for each code, steps of 1e-6 across +-2e-4 of its nominal crossover
     (0.0422, 0.1053, 0.0663) and steps of 2**-40 relative around the exact one."""
     rng = np.random.default_rng(20261019)
-    ps = [0.0, 1.0, 5e-324, 0.5, *rng.uniform(0.0, 1.0, 1_000).tolist(),
-          *(10.0 ** rng.uniform(-300, 0, 1_000)).tolist()]
+    ps = [0.0, 5e-324, 0.5, *rng.uniform(0.0, 0.5, 1_000).tolist(),
+          *(10.0 ** rng.uniform(-300, math.log10(0.5), 1_000)).tolist()]
     for (n_bits, t), nominal in zip((code for code, _ in FRAME_BLOCKS), (0.0422, 0.1053, 0.0663)):
         ps += [nominal + k * 1e-6 for k in range(-200, 201)]
         p_c = _crossover(n_bits, t)
@@ -271,7 +245,7 @@ class TestFrameCodeKernel:
         # sum of every term of the same recurrence from the same T_t.  (The
         # direct sum has no stop.)
         for p in self.P:
-            if not 0.0 < p < 1.0:
+            if p == 0.0:
                 continue
             _, top, odds = _direct(p, block, math.pow)
             full, term = 0.0, top
@@ -284,19 +258,21 @@ class TestFrameCodeKernel:
     def test_array_form_equals_scalar_form(self, code, block):
         # block_successes and block_log_successes, which the sweep's block
         # environments use, take the scalar form's IEEE operations over the
-        # lanes: equal by repr, -0.0, subnormals and the ends included.
+        # lanes: equal by repr, -0.0, subnormals and 0 and 0.5 included.
         p = np.array(self.P)
         assert list(map(repr, block_successes(p, block).tolist())) == \
             [repr(block_success(x, block)) for x in self.P]
         assert list(map(repr, block_log_successes(p.reshape(-1, 1), block).ravel().tolist())) == \
             [repr(block_log_success(x, block)) for x in self.P]
-        with pytest.raises(ValueError, match=re.escape("must be in [0, 1], got nan")):
+        with pytest.raises(ValueError, match=re.escape("must be in [0, 0.5], got nan")):
             block_log_successes(np.array([0.1, math.nan, 1.5]), block)
+        _assert_rejected(block_success, block_successes, block, [-0.1, *OUTSIDE])
+        _assert_rejected(block_log_success, block_log_successes, block, [-0.1])
 
     def test_frame_callers_keep_the_p_b_check(self):
-        msg = "bit error probability must be in [0, 1], got "
-        with pytest.raises(ValueError, match=re.escape(msg + "1.5")):
-            _header_success(1.5, 0.1)
+        msg = "bit error probability must be in [0, 0.5], got "
+        with pytest.raises(ValueError, match=re.escape(msg + "0.75")):
+            _header_success(0.75, 0.1)
         with pytest.raises(ValueError, match=re.escape(msg + "-0.5")):
             _header_success(0.1, -0.5)
 
@@ -341,7 +317,7 @@ class TestPpduSuccess:
         for k in (2, 7, 40):
             assert math.log(mm.success(63 * k)) - log_header == pytest.approx(k * base, rel=1e-9)
 
-    @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=130))
+    @given(st.floats(min_value=0.0, max_value=0.5), st.integers(min_value=1, max_value=130))
     def test_probabilities_stay_in_unit_interval(self, p_b, k):
         mm = single_pb_metrics(p_b)
         for value in (*_sections(p_b), mm.header_success, math.exp(mm.log_p_cw),
@@ -370,8 +346,8 @@ class TestAccuracyBudgets:
     # normal float (on p_b in [1e-100, 0.5] every result is), and at most
     # 2**-1073 (two of the smallest subnormal) where the exact result is below
     # the normal range, which only the log form's tiny failure tails reach.
-    # These draws stay within 5.0 ulps; denser ones reach 9.3 just below the
-    # log form's crossover U = 0.5 (ROADMAP item 9).
+    # These draws stay within 5.0 ulps; denser ones reach 11.65 just below the
+    # log form's crossover U = 0.5 (test_known_breaches).
     BANDS = [(1e-3, 0.5), (1e-8, 1e-3), (1e-30, 1e-8), (1e-100, 1e-30), (1e-300, 1e-100)]
     ULPS, SUBNORMAL = 8.0, 2.0 ** -1073
 
@@ -392,3 +368,18 @@ class TestAccuracyBudgets:
                         key = (n_bits, t, name, lo)
                         worst[key] = max(worst.get(key, 0.0), ulps)
         assert max(worst.values()) <= self.ULPS, {k: v for k, v in worst.items() if v > self.ULPS}
+
+    # Denser draws find block_log_success over the budget just below the
+    # crossover U = 0.5, where U sums ~20 terms and the rounding of odds
+    # compounds along the recurrence (ROADMAP item 9).  The budget stays 8,
+    # so these are strict xfails: a fix flips them, and drops the marker.
+    @pytest.mark.xfail(reason="the log tail breaks its ulp budget below the crossover")
+    @pytest.mark.parametrize("p_b,code", [
+        (0.03435387526851489, (63, 2)),     # 9.51 ulps
+        (0.05195733187092809, (40, 2)),     # 8.79 ulps
+        (0.09173527180429249, (63, 6)),     # 11.65 ulps
+    ], ids=["psdu", "phr", "kasami"])
+    def test_known_breaches(self, p_b, code):
+        exact = _mp_tails(p_b, *code)[1]
+        error = abs(mpmath.mpf(block_log_success(p_b, _block(*code))) - exact)
+        assert float(error / math.ulp(float(exact))) <= self.ULPS
