@@ -153,21 +153,19 @@ class ModeMetrics:
         return self.header_success * math.exp(x * self.log_p_cw / PSDU_CODE.n)
 
     def rate_cont(self, x: float) -> float:
-        return x * self.success_cont(x) / (self.t_oh + x * self.t_sym)
+        return self.rate_cont_slopes(x)[0]
 
-    def _grad(self, x: float, per_unit: float, fixed: float) -> float:
-        c = self.log_p_cw / PSDU_CODE.n
-        denom = per_unit * x + fixed
-        beta = c * x * x * per_unit + c * x * fixed + fixed
-        return self.success_cont(x) * beta / (denom * denom)
-
-    def eta_cont_grad(self, x: float) -> float:
-        """d/dx of the relaxed efficiency x * success_cont(x) / energy.total(x);
-        zero exactly at the closed-form optimum."""
-        return self._grad(x, self.energy.eps_b, self.energy.eps_fixed)
-
-    def rate_cont_grad(self, x: float) -> float:
-        return self._grad(x, self.t_sym, self.t_oh)
+    def rate_cont_slopes(self, x: float) -> tuple[float, float, float]:
+        """(rate_cont(x), its d/dx, and d/dx of the relaxed efficiency
+        x * success_cont(x) / energy.total(x), zero exactly at the closed-form
+        optimum), all from one success_cont(x)."""
+        s = self.success_cont(x)
+        cx = self.log_p_cw / PSDU_CODE.n * x
+        t_sym, t_oh, energy = self.t_sym, self.t_oh, self.energy
+        eps_b, eps_fixed = energy.eps_b, energy.eps_fixed
+        air, cost = t_sym * x + t_oh, eps_b * x + eps_fixed
+        return (x * s / air, s * (cx * x * t_sym + cx * t_oh + t_oh) / (air * air),
+                s * (cx * x * eps_b + cx * eps_fixed + eps_fixed) / (cost * cost))
 
 
 @dataclass(frozen=True)

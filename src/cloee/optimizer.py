@@ -18,9 +18,9 @@ one of three branches:
                        of codeword multiples that faces the efficiency optimum,
                        found by bisection; the rate multiplier follows from
                        stationarity at the continuous rate boundary, found by
-                       a second bisection.  Both keep a rate-feasible end, so
+                       Newton's method.  Both keep a rate-feasible end, so
                        a target equal to the answer's grid rate gives
-                       kkt_rate at it, within the bisection tolerance;
+                       kkt_rate at it, within the 1e-9 relative tolerance;
   throughput-fallback  no frame size meets the rate target: keep the
                        throughput-optimal size and mark the mode infeasible.
 
@@ -89,11 +89,12 @@ class OptResult(NamedTuple):
 
     lambda_ and kkt_rate form the optimality certificate of the dual branch:
     kkt_rate is the rate at the continuous constrained optimum, where
-    complementary slackness lambda_ * (kkt_rate - r0*n_s) ~ 0 holds.  The
-    reported rate/eta belong to the returned integer frame size, which sits
-    on the codeword grid and can exceed the rate target by a discrete step.
-    iterations counts the dual branch's bisection probes (0 on the other
-    branches) or, for exhaustive_search, the evaluated grid points.
+    complementary slackness lambda_ * (kkt_rate - r0*n_s) ~ 0 holds (both
+    read at the Newton search's last probe).  The reported rate/eta belong
+    to the returned integer frame size, which sits on the codeword grid and
+    can exceed the rate target by a discrete step.  iterations counts the
+    dual branch's grid bisection probes (0 on the other branches) or, for
+    exhaustive_search, the evaluated grid points.
     nee and nthr are the mode's efficiency- and throughput-optimal grid
     frame sizes (closed form snapped to the codeword grid) that the branch
     was chosen from; exhaustive_search snaps nothing and leaves them None.
@@ -159,17 +160,26 @@ def snap_to_grid(x_cont: float, objective: Callable[[int], float],
 # per-mode solve
 
 
-def _rate_boundary(mm: ModeMetrics, r0ns: float, x_in: float, x_out: float) -> float:
-    """Crossing of rate_cont = r0ns between a rate-feasible x_in and an infeasible x_out,
-    both codeword multiples, so mid >= n and the stop is relative to it."""
-    mid = 0.5 * (x_in + x_out)
-    while abs(x_out - x_in) > 1e-9 * mid:
-        if mm.rate_cont(mid) >= r0ns:
-            x_in = mid
+def _rate_boundary(mm: ModeMetrics, r0ns: float, x_in: float, x_out: float) -> tuple:
+    """Crossing of rate_cont = r0ns between a rate-feasible x_in and an infeasible
+    x_out, both codeword multiples, so every probe x is >= n and the stop is
+    relative to it, by Newton's method kept inside the bracket (rtsafe): each
+    probe moves the end that rate >= r0ns says, as in _dual's grid search, and
+    the next is the Newton step if it lands strictly inside, else the midpoint.
+    Returns the last probe and its rate_cont_slopes, (x, rate, d rate, d eta)."""
+    x = 0.5 * (x_in + x_out)
+    while True:
+        rate, slope, eta_slope = mm.rate_cont_slopes(x)
+        if rate >= r0ns:
+            x_in = x
         else:
-            x_out = mid
-        mid = 0.5 * (x_in + x_out)
-    return mid
+            x_out = x
+        step = (rate - r0ns) / slope if slope else math.nan
+        if abs(step) <= 1e-9 * x or abs(x_out - x_in) <= 1e-9 * x:
+            return x, rate, slope, eta_slope
+        x -= step
+        if not (x - x_in) * (x - x_out) < 0.0:      # outside, or nan
+            x = 0.5 * (x_in + x_out)
 
 
 def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> OptResult:
@@ -194,15 +204,17 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
     # optimum is rate-feasible (the grid constraint was an artifact of
     # rounding, lambda* = 0) or the constraint is active and lambda* follows
     # from stationarity d(eta)/dn + lambda * d(R)/dn = 0 at the boundary.
-    if mm.rate_cont(x_ee) >= r0ns:
-        lam_star, n_c = 0.0, x_ee
+    kkt_rate = mm.rate_cont(x_ee)
+    if kkt_rate >= r0ns:
+        lam_star = 0.0
     else:
-        n_c = _rate_boundary(mm, r0ns, float(n_star), float(k_out * PSDU_CODE.n))
-        lam_star = max(0.0, -mm.eta_cont_grad(n_c) / mm.rate_cont_grad(n_c))
+        _, kkt_rate, rate_grad, eta_grad = _rate_boundary(
+            mm, r0ns, float(n_star), float(k_out * PSDU_CODE.n))
+        lam_star = max(0.0, -eta_grad / rate_grad)
 
     eta, rate = mm.eta_rate(n_star)
     return OptResult(n_star, mm.mode.n_cpb, eta, rate, lam_star, True, probes,
-                     "dual", mm.rate_cont(n_c), nee, nthr)
+                     "dual", kkt_rate, nee, nthr)
 
 
 # ---------------------------------------------------------------------------

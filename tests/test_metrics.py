@@ -17,7 +17,7 @@ from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metri
 
 
 def _eta_cont(mm, x):
-    """The relaxed efficiency whose derivative eta_cont_grad is."""
+    """The relaxed efficiency whose derivative rate_cont_slopes gives last."""
     return x * mm.success_cont(x) / mm.energy.total(x)
 
 
@@ -264,8 +264,10 @@ class TestContinuousRelaxation:
             h = x * 1e-6
             fd_eta = (_eta_cont(mm, x + h) - _eta_cont(mm, x - h)) / (2 * h)
             fd_rate = (mm.rate_cont(x + h) - mm.rate_cont(x - h)) / (2 * h)
-            assert mm.eta_cont_grad(x) == pytest.approx(fd_eta, rel=1e-5)
-            assert mm.rate_cont_grad(x) == pytest.approx(fd_rate, rel=1e-5)
+            rate, rate_grad, eta_grad = mm.rate_cont_slopes(x)
+            assert rate == mm.rate_cont(x)
+            assert eta_grad == pytest.approx(fd_eta, rel=1e-5)
+            assert rate_grad == pytest.approx(fd_rate, rel=1e-5)
 
 
 class TestGrid:

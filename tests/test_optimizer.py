@@ -5,11 +5,13 @@ import math
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,11 +81,14 @@ def _grid(mm, cfg):
 
 def _assert_dual_certificate(sol, r0ns, cfg):
     # The dual branch's answer and its optimality certificate (lambda_, kkt_rate).
+    # Each kkt bound is the tightest power of ten that every caller meets 10x
+    # over: the worst kkt_rate is 2.8e-10 below r0ns, and the worst
+    # |lambda_ * (kkt_rate - r0ns)| is 5.0e-8 * r0ns.
     assert sol.lambda_ >= 0.0
     assert sol.iterations <= (cfg.n_t_max // 63).bit_length()
     assert sol.feasible
     assert sol.rate >= r0ns * (1 - 1e-6)
-    assert sol.kkt_rate >= r0ns * (1 - 1e-6)
+    assert sol.kkt_rate >= r0ns * (1 - 1e-8)
     assert abs(sol.lambda_ * (sol.kkt_rate - r0ns)) <= 1e-6 * r0ns
 
 
@@ -876,6 +881,126 @@ class TestRateFloorAtEquality:
                 counts[res.branch] += 1
         assert counts["peak"] == 6 * 768 and counts["grid"] == counts["x_ee"] >= 250, counts
         assert counts["dual"] >= 900 and counts["x_ee, same mode"] >= 200, counts
+
+
+class _CountingMetrics(ModeMetrics):
+    # A ModeMetrics that counts its rate_cont_slopes calls, the one
+    # evaluation of the Newton search for the continuous rate boundary.
+    __slots__ = ()
+    calls = 0
+
+    def rate_cont_slopes(self, x):
+        _CountingMetrics.calls += 1
+        return super().rate_cont_slopes(x)
+
+
+class TestRateBoundaryNewton:
+    # _dual takes its certificate from optimizer._rate_boundary: Newton's
+    # method on rate_cont - r0 * n_s, each probe strictly inside the bracket
+    # [x_in, x_out] and moving the end that rate >= r0 * n_s says, with the
+    # midpoint where the Newton step leaves the bracket or has no slope to
+    # follow.  Its edges, called directly: a zero slope, a bracket with no
+    # sign change, the efficiency optimum on either side of nthr; and its cost.
+
+    @staticmethod
+    def _peaked(x_peak, fixed_over_eps_b):
+        # A mode whose relaxed rate peaks at x_peak, a power of two, with a
+        # slope of exactly 0.0 there: with t_sym = t_oh / x_peak and
+        # log_p_cw / n = -1 / (2 x_peak), every product in the slope's
+        # numerator is exact, and they cancel.  Its relaxed efficiency peaks
+        # above x_peak when eps_fixed / eps_b > x_peak, and below it otherwise.
+        return ModeMetrics(dataclasses.replace(mode_for(1), t_sym=ModeMetrics.t_oh / x_peak), 1.0,
+                           -PSDU_CODE.n / (2.0 * x_peak), 0.9,
+                           EnergyBreakdown(1e-9, fixed_over_eps_b * 1e-9, 0.0))
+
+    @pytest.mark.parametrize("x_in,x_out", [(1008.0, 1040.0), (1040.0, 1008.0)])
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_floor_on_the_peak_where_the_slope_is_zero(self, x_in, x_out, below):
+        mm = self._peaked(1024.0, 2048.0)
+        peak, slope, _ = mm.rate_cont_slopes(1024.0)
+        assert slope == 0.0
+        floor = math.nextafter(peak, 0.0) if below else peak
+        # The first probe, the midpoint, is the peak: it meets the floor, so
+        # it becomes the feasible end, and with no slope to follow the next
+        # probe is the midpoint toward x_out.  Every probe past the peak then
+        # keeps x_in at it (a `>` for `>=` would move x_out there instead and
+        # end on the other side of the peak).
+        x, rate, _, _ = optimizer._rate_boundary(mm, floor, x_in, x_out)
+        assert min(1024.0, x_out) < x < max(1024.0, x_out)
+        assert rate == mm.rate_cont(x) <= peak
+        assert abs(rate - floor) <= 1e-12 * floor
+
+    @pytest.mark.parametrize("x_peak,fixed_over_eps_b", [(1024.0, 2048.0), (2048.0, 512.0)])
+    def test_peak_inside_the_bracket(self, x_peak, fixed_over_eps_b):
+        # The floor is the grid rate peak R(nthr), or halfway down to the
+        # next grid rate toward nee, so nthr is the answer and the bracket
+        # (nthr, nthr +- n) holds the continuous peak: its efficiency
+        # optimum lies above nthr for x_peak = 1024 and below it for 2048.
+        cfg, n = SolverConfig(), PSDU_CODE.n
+        mm = self._peaked(x_peak, fixed_over_eps_b)
+        nthr, rate_thr = snap_to_grid(x_peak, mm.rate, cfg.n_t_max)
+        x_ee = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
+        nee = snap_to_grid(x_ee, mm.eta, cfg.n_t_max)[0]
+        side = 1 if nee > nthr else -1
+        assert side == (1 if x_peak == 1024.0 else -1) and 0 < (x_peak - nthr) * side < n
+        for floor in (rate_thr, 0.5 * (rate_thr + mm.rate(nthr + side * n))):
+            sol = optimizer._dual(mm, floor, x_ee, nee, nthr)
+            assert sol.n_t_star == search_env((mm,), QosSpec(r0=floor, n_s=1), cfg).n_t_star == nthr
+            _assert_dual_certificate(sol, floor, cfg)
+            x, rate, _, _ = optimizer._rate_boundary(mm, floor, float(nthr), float(nthr + side * n))
+            assert 0 < (x - x_peak) * side < n and rate == sol.kkt_rate
+
+    def test_exact_floor_with_no_sign_change(self):
+        # With the floor at the dual answer's grid rate and rate_cont an ulp
+        # or more below it there, the bracket (n_star, n_star +- n) has no
+        # crossing when it lies past nthr, whose codeword holds the continuous
+        # peak: every probe falls short (or, within an ulp of n_star, meets
+        # the floor), and the search ends next to n_star, its feasible end.
+        # (At n_star = nthr the peak can lie inside the bracket, which then
+        # holds a crossing past it.)
+        cfg, n, cases = SolverConfig(), PSDU_CODE.n, 0
+        for env, qos in binding_envs(256):
+            for mm in env:
+                sol = solve_mode(mm, qos, cfg)
+                floor = mm.rate(sol.n_t_star)
+                if (sol.branch != "dual" or sol.n_t_star == sol.nthr
+                        or not mm.rate_cont(float(sol.n_t_star)) < floor):
+                    continue
+                n_star = float(sol.n_t_star)
+                x_out = n_star + (n if sol.nee > sol.nthr else -n)
+                x, rate, _, _ = optimizer._rate_boundary(mm, floor, n_star, x_out)
+                # A probe that falls short moves x_out, so the bracket's width is
+                # its distance from n_star, and its Newton step is that distance
+                # up to the ulp-sized gap between n_star and the crossing: both
+                # stops hold the last probe to 1e-9 * x from n_star.
+                assert rate <= floor and 0 < (x - n_star) / (x_out - n_star) <= 1.0001e-9 * x / n
+                x_ee = min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
+                               float(n)), float(cfg.n_t_max // n * n))
+                exact = optimizer._dual(mm, floor, x_ee, sol.nee, sol.nthr)
+                assert (exact.n_t_star, exact.kkt_rate) == (sol.n_t_star, rate)
+                _assert_dual_certificate(exact, floor, cfg)
+                cases += 1
+        assert cases >= 40, cases
+
+    def test_newton_probes_per_boundary_on_the_binding_rows(self):
+        # A cost guard with no clock: the rate_cont_slopes calls of each
+        # _rate_boundary call that cloee makes on the binding rows.  The
+        # bisection it replaced took a median of 25.
+        counts = []
+
+        def counted(*args, boundary=optimizer._rate_boundary):
+            before = _CountingMetrics.calls
+            res = boundary(*args)
+            counts.append(_CountingMetrics.calls - before)
+            return res
+
+        with mock.patch.object(optimizer, "_rate_boundary", counted):
+            for env, qos in binding_envs(4096):
+                solve_env(tuple(_CountingMetrics(mm.mode, mm.distance, mm.log_p_cw,
+                                                 mm.header_success, mm.energy) for mm in env),
+                          qos, SolverConfig())
+        assert len(counts) >= 3000, len(counts)
+        assert statistics.median(counts) <= 5 and max(counts) <= 16, collections.Counter(counts)
 
 
 class TestDominatedDual:
