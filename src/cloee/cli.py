@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -49,9 +50,9 @@ def _cmd_optimize(args) -> int:
     text = _csv(OPT_HEADER, [(distance, res.n_t_star, res.n_cpb_star, res.eta, res.rate,
                               res.lambda_, res.feasible, res.iterations, res.branch,
                               res.kkt_rate)])
-    print(text, end="")
     if args.out:
         _write(args.out, {"optimize.csv": text})
+    print(text, end="")
     return 0
 
 
@@ -94,7 +95,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="lognormal shadowing draws (default: scenario setting)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args reads it and changes none of
+    its state, so every main call after the first reuses it."""
     parser = argparse.ArgumentParser(
         prog="cloee",
         description="Energy-efficiency link adaptation for IEEE 802.15.6 IR-UWB",

@@ -103,12 +103,12 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def _write(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:
-    """Write each named text into out_dir, made if missing; returns the paths
-    in the order of texts."""
+    """Write each named text into out_dir, made if missing, as UTF-8 (the
+    encoding configs are read in); returns the paths in the order of texts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_text(text, encoding="utf-8")
     return [out_dir / name for name in texts]
 
 

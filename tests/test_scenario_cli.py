@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import re
@@ -73,6 +74,28 @@ shadowing = on
 model.uniform_section_ber = on
 model.integration_per_pulse = on
 """
+
+
+COMMANDS = ("optimize", "sweep", "curves", "dump-modes")
+
+
+def _run_module(*argv, flags=()):
+    """python [flags] -m cloee.cli argv in a fresh interpreter, on this
+    checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, *flags, "-m", "cloee.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _streams(capsys, argv):
+    """(exit status, stdout, stderr) of main(argv), argparse's SystemExit
+    included."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    return status, out, err
 
 
 class TestScenarioParsing:
@@ -418,21 +441,41 @@ class TestCli:
 
     def test_module_entry_point_exit_codes(self, tmp_path, capsys):
         # python -m cloee.cli runs sys.exit(main()) in a fresh interpreter.
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-
-        def run(*argv):
-            return subprocess.run([sys.executable, "-m", "cloee.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
-
-        done = run("dump-modes")
+        done = _run_module("dump-modes")
         assert main(["dump-modes"]) == 0
         assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
-        done = run("optimize", "--distance", "nan")
+        done = _run_module("optimize", "--distance", "nan")
         assert done.returncode == 2 and done.stderr.startswith("config-error: --distance:")
         existing = tmp_path / "taken"
         existing.write_text("")
-        done = run("sweep", "--out", str(existing))
+        done = _run_module("sweep", "--out", str(existing))
         assert done.returncode == 3 and done.stderr.startswith("io-error:")
+
+    @pytest.mark.parametrize("argv", [["optimize", "--distance", "4.0"], ["sweep"], ["curves"],
+                                      ["dump-modes"]], ids=lambda argv: argv[0])
+    def test_out_on_a_file_is_an_io_error_with_empty_stdout(self, tmp_path, capsys, argv):
+        # Every command writes its files before it prints: a failed write
+        # leaves stdout empty.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(argv + ["--out", str(taken)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("io-error: ") and err.count("\n") == 1
+
+    def test_out_files_take_no_locale_encoding(self, tmp_path):
+        # Each --out command in an interpreter where a text file opened
+        # without an explicit encoding raises EncodingWarning as an error.
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+        for argv in (["optimize", "--distance", "4.0", "--config", str(cfg)],
+                     ["sweep", "--format", "svg", "--config", str(cfg)],
+                     ["curves", "--distance", "5", "--format", "svg", "--config", str(cfg)],
+                     ["dump-modes"]):
+            out_dir = tmp_path / argv[0]
+            done = _run_module(*argv, "--out", str(out_dir),
+                               flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
+            assert (done.returncode, done.stderr) == (0, ""), argv[0]
+            assert any(out_dir.iterdir())
 
     def test_optimize_csv_row(self, capsys):
         assert main(["optimize", "--distance", "8.4"]) == 0
@@ -660,3 +703,48 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out_b),
                      "--shadowing", "on", "--seed", "2"]) == 0
         assert (out_a / "sweep.csv").read_bytes() != (out_b / "sweep.csv").read_bytes()
+
+
+class TestCliParser:
+    # argparse's own paths (help and usage errors end in SystemExit), and the
+    # one parser that every main call of a process shares.
+    @pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS)],
+                             ids=["top", *COMMANDS])
+    def test_help_exits_0(self, capsys, argv):
+        first = _streams(capsys, argv)
+        status, out, err = first
+        assert status == 0 and out.startswith("usage: cloee") and err == ""
+        assert _streams(capsys, argv) == first
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["sweep", "--format", "png"], ["curves", "--format", "png"], ["optimize"],
+    ], ids=["no-command", "unknown-command", "sweep-png", "curves-png", "no-distance"])
+    def test_usage_error_exits_2(self, capsys, argv):
+        first = _streams(capsys, argv)
+        status, out, err = first
+        assert status == 2 and out == "" and err.startswith("usage: cloee") and "error:" in err
+        assert _streams(capsys, argv) == first
+
+    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        first = _streams(capsys, ["dump-modes"])
+        assert first[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        for argv, status in [
+            (["optimize", "--distance", "4.0"], 0),
+            (["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")], 0),
+            (["curves", "--distance", "6.5", "--out", str(tmp_path / "curves")], 0),
+            (["optimize", "--distance", "nan"], 2),     # config-error
+            (["optimize"], 2),                          # argparse's SystemExit
+        ]:
+            assert _streams(capsys, argv)[0] == status
+        assert _streams(capsys, ["dump-modes"]) == first
+        assert built == []
