@@ -16,11 +16,11 @@ one of three branches:
                        throughput optimum is not: the constraint is active,
                        so the answer is the end of the rate-feasible interval
                        of codeword multiples that faces the efficiency optimum,
-                       found by bisection; the rate multiplier follows from
-                       stationarity at the continuous rate boundary, found by
-                       Newton's method.  Both keep a rate-feasible end, so
-                       a target equal to the answer's grid rate gives
-                       kkt_rate at it, within the 1e-9 relative tolerance;
+                       which the grid rate reads beside the continuous rate
+                       boundary; there stationarity gives the rate multiplier,
+                       and Newton's method finds it unless lambda* = 0 (a
+                       target equal to the answer's grid rate gives kkt_rate
+                       at it, within the 1e-9 relative tolerance);
   throughput-fallback  no frame size meets the rate target: keep the
                        throughput-optimal size and mark the mode infeasible.
 
@@ -93,8 +93,8 @@ class OptResult(NamedTuple):
     read at the Newton search's last probe).  The reported rate/eta belong
     to the returned integer frame size, which sits on the codeword grid and
     can exceed the rate target by a discrete step.  iterations counts the
-    dual branch's grid bisection probes (0 on the other branches) or, for
-    exhaustive_search, the evaluated grid points.
+    dual branch's Newton probes (0 when lambda_ = 0 needs no search, and on
+    the other branches) or, for exhaustive_search, the evaluated grid points.
     nee and nthr are the mode's efficiency- and throughput-optimal grid
     frame sizes (closed form snapped to the codeword grid) that the branch
     was chosen from; exhaustive_search snaps nothing and leaves them None.
@@ -164,19 +164,20 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, x_in: float, x_out: float) -> t
     """Crossing of rate_cont = r0ns between a rate-feasible x_in and an infeasible
     x_out, both codeword multiples, so every probe x is >= n and the stop is
     relative to it, by Newton's method kept inside the bracket (rtsafe): each
-    probe moves the end that rate >= r0ns says, as in _dual's grid search, and
-    the next is the Newton step if it lands strictly inside, else the midpoint.
-    Returns the last probe and its rate_cont_slopes, (x, rate, d rate, d eta)."""
-    x = 0.5 * (x_in + x_out)
+    probe moves the end that rate >= r0ns says, and the next is the Newton
+    step if it lands strictly inside, else the midpoint.  Returns the last
+    probe, its rate_cont_slopes and the count, (x, rate, d rate, d eta, probes)."""
+    x, probes = 0.5 * (x_in + x_out), 0
     while True:
         rate, slope, eta_slope = mm.rate_cont_slopes(x)
+        probes += 1
         if rate >= r0ns:
             x_in = x
         else:
             x_out = x
         step = (rate - r0ns) / slope if slope else math.nan
         if abs(step) <= 1e-9 * x or abs(x_out - x_in) <= 1e-9 * x:
-            return x, rate, slope, eta_slope
+            return x, rate, slope, eta_slope, probes
         x -= step
         if not (x - x_in) * (x - x_out) < 0.0:      # outside, or nan
             x = 0.5 * (x_in + x_out)
@@ -185,35 +186,31 @@ def _rate_boundary(mm: ModeMetrics, r0ns: float, x_in: float, x_out: float) -> t
 def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> OptResult:
     """The dual result of a mode whose rate peak meets the target and whose
     efficiency optimum (x_ee, clamped to the grid's span) does not."""
-    # The grid rate is unimodal with its peak at nthr (C4), so the
-    # rate-feasible codeword multiples form an interval around nthr and the
-    # infeasible nee lies outside it.  eta is unimodal too, so the constrained
-    # optimum is the end of that interval facing nee: bisect for it between
-    # k_in (feasible) and k_out (infeasible).
-    k_in, k_out, probes = nthr // PSDU_CODE.n, nee // PSDU_CODE.n, 0
-    while abs(k_out - k_in) > 1:
-        k_mid = (k_in + k_out) // 2
-        probes += 1
-        if mm.rate(k_mid * PSDU_CODE.n) >= r0ns:
-            k_in = k_mid
-        else:
-            k_out = k_mid
-    n_star = k_in * PSDU_CODE.n
-
     # Exact certificate for the continuous problem: either the efficiency
     # optimum is rate-feasible (the grid constraint was an artifact of
     # rounding, lambda* = 0) or the constraint is active and lambda* follows
-    # from stationarity d(eta)/dn + lambda * d(R)/dn = 0 at the boundary.
-    kkt_rate = mm.rate_cont(x_ee)
-    if kkt_rate >= r0ns:
-        lam_star = 0.0
-    else:
-        _, kkt_rate, rate_grad, eta_grad = _rate_boundary(
-            mm, r0ns, float(n_star), float(k_out * PSDU_CODE.n))
+    # from stationarity d(eta)/dn + lambda * d(R)/dn = 0 at the boundary x
+    # between nthr (grid-feasible) and nee (grid-infeasible).
+    x, kkt_rate, lam_star, probes = x_ee, mm.rate_cont(x_ee), 0.0, 0
+    if kkt_rate < r0ns:
+        x, kkt_rate, rate_grad, eta_grad, probes = _rate_boundary(mm, r0ns, nthr, nee)
         lam_star = max(0.0, -eta_grad / rate_grad)
 
-    eta, rate = mm.eta_rate(n_star)
-    return OptResult(n_star, mm.mode.n_cpb, eta, rate, lam_star, True, probes,
+    # The grid rate is unimodal with its peak at nthr (C4), so the
+    # rate-feasible multiples form an interval around nthr, and eta is
+    # unimodal too: the answer is that interval's end facing nee, the
+    # multiple on nthr's side of x unless the grid rate says otherwise (x is
+    # the crossing to 1e-9 relative, and rate_cont at a multiple can be an
+    # ulp off the grid rate).  nthr and nee bound the walk.
+    n, side = PSDU_CODE.n, 1 if nee > nthr else -1
+    k = int(x // n) if side > 0 else int(-(-x // n))
+    while mm.rate(k * n) < r0ns:
+        k -= side
+    while mm.rate((k + side) * n) >= r0ns:
+        k += side
+
+    eta, rate = mm.eta_rate(k * n)
+    return OptResult(k * n, mm.mode.n_cpb, eta, rate, lam_star, True, probes,
                      "dual", kkt_rate, nee, nthr)
 
 

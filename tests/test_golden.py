@@ -160,7 +160,7 @@ OPTIMIZE = {
     ("8.4", ""): "e45271301e823e43d244dea322a6bdb18c7ee29eaafeb7a45e279f001db7cc40",
     # Binding rate floor: the dual branch sets lambda, kkt_rate and iterations.
     ("4.273", "qos.r0 = 133703.0\nqos.n_s = 31\n"):
-        "b5401360f73f824f5635e58584a317306941acf0aedec8a0f136ed3d6c7bc9e4",
+        "d972664ee5898e2ee35a69d97edbdb063bd01d16b6072563ae3c1574aee38921",
 }
 
 
@@ -195,7 +195,7 @@ def test_dump_modes_files(tmp_path):
 # variants x n_t_max in {63, 8190, 63 * 4096}: one line per environment and
 # grid size with the repr of its six solve_mode results, solve_env and
 # search_env.  Every bit of every field of every branch is pinned.
-SOLVER_RESULTS = "2c088064dfeb189e3197ab787db9726255c4e33c864a1480a595043e0a136a62"
+SOLVER_RESULTS = "4d206ec0fcc62acc3789cfb5d7420991de455f25cfeab508971b017e6c24e3a2"
 
 
 def test_solver_results():

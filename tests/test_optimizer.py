@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import functools
 import math
 import os
 import platform
@@ -79,13 +80,26 @@ def _grid(mm, cfg):
     return np.arange(1, cfg.n_t_max // 63 + 1, dtype=float) * 63
 
 
-def _assert_dual_certificate(sol, r0ns, cfg):
+# The most Newton probes a dual solve's rate boundary may take, at any grid
+# size (the most seen on the binding rows is 11).
+MAX_PROBES = 16
+
+
+def _x_ee(mm, cfg):
+    # The mode's efficiency closed form clamped to the grid's span, as
+    # solve_env hands it to _dual.
+    n = PSDU_CODE.n
+    return min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
+                   float(n)), float(cfg.n_t_max // n * n))
+
+
+def _assert_dual_certificate(sol, r0ns):
     # The dual branch's answer and its optimality certificate (lambda_, kkt_rate).
     # Each kkt bound is the tightest power of ten that every caller meets 10x
     # over: the worst kkt_rate is 2.8e-10 below r0ns, and the worst
     # |lambda_ * (kkt_rate - r0ns)| is 5.0e-8 * r0ns.
     assert sol.lambda_ >= 0.0
-    assert sol.iterations <= (cfg.n_t_max // 63).bit_length()
+    assert sol.iterations <= MAX_PROBES
     assert sol.feasible
     assert sol.rate >= r0ns * (1 - 1e-6)
     assert sol.kkt_rate >= r0ns * (1 - 1e-8)
@@ -281,7 +295,7 @@ class TestCloee:
                     sol = solve_mode(mm, qos, cfg)
                     if sol.branch == "dual":
                         found += 1
-                        _assert_dual_certificate(sol, qos.aggregate_rate, cfg)
+                        _assert_dual_certificate(sol, qos.aggregate_rate)
         assert found >= 8
         # Exact floors: r0 * n_s is each grid rate strictly between a mode's
         # eta and rate argmaxes, so the answer's grid rate is the floor itself
@@ -295,7 +309,7 @@ class TestCloee:
                     sol = solve_mode(mm, QosSpec(r0=rate, n_s=1), cfg)
                     if sol.branch == "dual":
                         exact += 1
-                        _assert_dual_certificate(sol, rate, cfg)
+                        _assert_dual_certificate(sol, rate)
         assert exact >= 400
 
     def test_dual_regime_matches_oracle(self):
@@ -332,7 +346,7 @@ class TestCloee:
                 sol = solve_mode(mm, qos, cfg)
                 if sol.branch == "dual":
                     duals += 1
-                    assert sol.iterations <= (cfg.n_t_max // 63).bit_length()
+                    assert sol.iterations <= MAX_PROBES
             res = cloee(model, d, qos, cfg, chi)
             oracle = exhaustive_search(model, d, qos, cfg, chi)
             assert (res.n_t_star, res.n_cpb_star, res.eta, res.rate, res.feasible) == \
@@ -343,7 +357,7 @@ class TestCloee:
     def test_dual_branch_left_of_throughput_optimum_matches_oracle(self):
         # Pulse energy only, headers at one pulse per bit: overhead is cheap
         # in energy but not in time, so the efficiency optimum can sit left of
-        # the throughput optimum and the dual bisection runs rightwards.  The
+        # the throughput optimum and the dual branch searches left of nthr.  The
         # binding targets come from grid scans, never from the solver.  The
         # headers' burst order is a frame constant, so the environment is
         # built by hand: both header sections at the n_cpb = 1 bit error rate,
@@ -369,11 +383,11 @@ class TestCloee:
                 if i_eta >= i_rate:
                     continue
                 # Exact floors, each grid rate strictly between the argmaxes:
-                # the certificate's bisection runs leftwards from n_star.
+                # the answer lies left of nthr, and so does the certificate's search.
                 for rate in rates[i_eta + 1:i_rate].tolist():
                     sol = solve_mode(mm, QosSpec(r0=rate, n_s=1), cfg)
                     assert sol.branch == "dual"
-                    _assert_dual_certificate(sol, rate, cfg)
+                    _assert_dual_certificate(sol, rate)
                     exact += 1
                 lo, hi = float(rates[i_eta]), float(rates[i_rate])
                 n_s = rng.randint(1, 64)
@@ -383,6 +397,11 @@ class TestCloee:
                 cases += 1
                 sol = solve_mode(mm, qos, cfg)
                 assert sol.branch == "dual" and sol.nee < sol.nthr
+                # The walk starts on nthr's side of the boundary and takes no step.
+                _CountingMetrics.log.clear()
+                assert optimizer._dual(_CountingMetrics.of(mm), qos.aggregate_rate,
+                                       _x_ee(mm, cfg), sol.nee, sol.nthr) == sol
+                assert [name for name, _ in _CountingMetrics.log] == _no_step_evaluations(sol)
                 feasible = rates >= qos.aggregate_rate
                 assert sol.n_t_star == grid_argmax(np.where(feasible, etas, -np.inf), nts)
                 res, oracle = solve_env(env, qos, cfg), search_env(env, qos, cfg)
@@ -851,12 +870,12 @@ class TestRateFloorAtEquality:
     # Feasibility is R >= r0 * n_s.  With n_s = 1 the floor is r0 to the bit,
     # so r0 can sit exactly on a rate that cloee compares with the floor: a
     # mode's peak R(nthr) (_decide's feasibility test), the grid rate of a
-    # dual answer (_dual's bisection) and rate_cont(x_ee) of its mode (_dual's
+    # dual answer (_dual's walk) and rate_cont(x_ee) of its mode (_dual's
     # lambda* = 0 test).  A `>=` there turned into `>` moves an answer off the
     # oracle's, whose `rates >= floor` is pinned, or makes lambda* nonzero
     # where the continuous optimum x_ee meets the floor exactly.
     def test_exact_floors_on_binding_rows(self):
-        cfg, n = SolverConfig(), PSDU_CODE.n
+        cfg = SolverConfig()
         counts = collections.Counter()
         for env, qos in binding_envs(256):
             floors = [("peak", snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
@@ -864,9 +883,8 @@ class TestRateFloorAtEquality:
             res = solve_env(env, qos, cfg)
             if res.branch == "dual":
                 mm = env[MODE_POSITION[res.n_cpb_star]]
-                x_ee = min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
-                               float(n)), float(cfg.n_t_max // n * n))
-                floors += [("grid", res.rate, None), ("x_ee", mm.rate_cont(x_ee), res.n_cpb_star)]
+                floors += [("grid", res.rate, None),
+                           ("x_ee", mm.rate_cont(_x_ee(mm, cfg)), res.n_cpb_star)]
             for kind, floor, n_cpb in floors:
                 exact = QosSpec(r0=floor, n_s=1)
                 assert exact.aggregate_rate == floor
@@ -884,14 +902,28 @@ class TestRateFloorAtEquality:
 
 
 class _CountingMetrics(ModeMetrics):
-    # A ModeMetrics that counts its rate_cont_slopes calls, the one
-    # evaluation of the Newton search for the continuous rate boundary.
+    # A ModeMetrics that logs the objective evaluations of the dual branch as
+    # (method, argument): rate_cont_slopes, the one evaluation of the Newton
+    # search for the continuous rate boundary (rate_cont reads it), and the
+    # grid rate and eta_rate.
     __slots__ = ()
-    calls = 0
+    log = []
+
+    @classmethod
+    def of(cls, mm):
+        return cls(mm.mode, mm.distance, mm.log_p_cw, mm.header_success, mm.energy)
 
     def rate_cont_slopes(self, x):
-        _CountingMetrics.calls += 1
+        self.log.append(("rate_cont_slopes", x))
         return super().rate_cont_slopes(x)
+
+    def rate(self, n_t):
+        self.log.append(("rate", n_t))
+        return super().rate(n_t)
+
+    def eta_rate(self, n_t):
+        self.log.append(("eta_rate", n_t))
+        return super().eta_rate(n_t)
 
 
 class TestRateBoundaryNewton:
@@ -925,7 +957,7 @@ class TestRateBoundaryNewton:
         # probe is the midpoint toward x_out.  Every probe past the peak then
         # keeps x_in at it (a `>` for `>=` would move x_out there instead and
         # end on the other side of the peak).
-        x, rate, _, _ = optimizer._rate_boundary(mm, floor, x_in, x_out)
+        x, rate, _, _, _ = optimizer._rate_boundary(mm, floor, x_in, x_out)
         assert min(1024.0, x_out) < x < max(1024.0, x_out)
         assert rate == mm.rate_cont(x) <= peak
         assert abs(rate - floor) <= 1e-12 * floor
@@ -933,9 +965,10 @@ class TestRateBoundaryNewton:
     @pytest.mark.parametrize("x_peak,fixed_over_eps_b", [(1024.0, 2048.0), (2048.0, 512.0)])
     def test_peak_inside_the_bracket(self, x_peak, fixed_over_eps_b):
         # The floor is the grid rate peak R(nthr), or halfway down to the
-        # next grid rate toward nee, so nthr is the answer and the bracket
-        # (nthr, nthr +- n) holds the continuous peak: its efficiency
-        # optimum lies above nthr for x_peak = 1024 and below it for 2048.
+        # next grid rate toward nee, so nthr is the answer and the codeword
+        # (nthr, nthr +- n) holds the continuous peak and the crossing past
+        # it: its efficiency optimum lies above nthr for x_peak = 1024 and
+        # below it for 2048.
         cfg, n = SolverConfig(), PSDU_CODE.n
         mm = self._peaked(x_peak, fixed_over_eps_b)
         nthr, rate_thr = snap_to_grid(x_peak, mm.rate, cfg.n_t_max)
@@ -946,9 +979,10 @@ class TestRateBoundaryNewton:
         for floor in (rate_thr, 0.5 * (rate_thr + mm.rate(nthr + side * n))):
             sol = optimizer._dual(mm, floor, x_ee, nee, nthr)
             assert sol.n_t_star == search_env((mm,), QosSpec(r0=floor, n_s=1), cfg).n_t_star == nthr
-            _assert_dual_certificate(sol, floor, cfg)
-            x, rate, _, _ = optimizer._rate_boundary(mm, floor, float(nthr), float(nthr + side * n))
+            _assert_dual_certificate(sol, floor)
+            x, rate, _, _, probes = optimizer._rate_boundary(mm, floor, nthr, nee)
             assert 0 < (x - x_peak) * side < n and rate == sol.kkt_rate
+            assert probes == sol.iterations
 
     def test_exact_floor_with_no_sign_change(self):
         # With the floor at the dual answer's grid rate and rate_cont an ulp
@@ -957,7 +991,8 @@ class TestRateBoundaryNewton:
         # peak: every probe falls short (or, within an ulp of n_star, meets
         # the floor), and the search ends next to n_star, its feasible end.
         # (At n_star = nthr the peak can lie inside the bracket, which then
-        # holds a crossing past it.)
+        # holds a crossing past it.)  _dual's own search, on (nthr, nee),
+        # ends within 1e-9 * x of n_star too, on either side of it.
         cfg, n, cases = SolverConfig(), PSDU_CODE.n, 0
         for env, qos in binding_envs(256):
             for mm in env:
@@ -968,17 +1003,17 @@ class TestRateBoundaryNewton:
                     continue
                 n_star = float(sol.n_t_star)
                 x_out = n_star + (n if sol.nee > sol.nthr else -n)
-                x, rate, _, _ = optimizer._rate_boundary(mm, floor, n_star, x_out)
+                x, rate, _, _, _ = optimizer._rate_boundary(mm, floor, n_star, x_out)
                 # A probe that falls short moves x_out, so the bracket's width is
                 # its distance from n_star, and its Newton step is that distance
                 # up to the ulp-sized gap between n_star and the crossing: both
                 # stops hold the last probe to 1e-9 * x from n_star.
                 assert rate <= floor and 0 < (x - n_star) / (x_out - n_star) <= 1.0001e-9 * x / n
-                x_ee = min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
-                               float(n)), float(cfg.n_t_max // n * n))
-                exact = optimizer._dual(mm, floor, x_ee, sol.nee, sol.nthr)
+                exact = optimizer._dual(mm, floor, _x_ee(mm, cfg), sol.nee, sol.nthr)
+                x, rate, _, _, _ = optimizer._rate_boundary(mm, floor, sol.nthr, sol.nee)
                 assert (exact.n_t_star, exact.kkt_rate) == (sol.n_t_star, rate)
-                _assert_dual_certificate(exact, floor, cfg)
+                assert abs(x - n_star) <= 1e-9 * x
+                _assert_dual_certificate(exact, floor)
                 cases += 1
         assert cases >= 40, cases
 
@@ -989,18 +1024,119 @@ class TestRateBoundaryNewton:
         counts = []
 
         def counted(*args, boundary=optimizer._rate_boundary):
-            before = _CountingMetrics.calls
+            _CountingMetrics.log.clear()
             res = boundary(*args)
-            counts.append(_CountingMetrics.calls - before)
+            counts.append(len(_CountingMetrics.log))
+            assert res[4] == counts[-1]
             return res
 
         with mock.patch.object(optimizer, "_rate_boundary", counted):
             for env, qos in binding_envs(4096):
-                solve_env(tuple(_CountingMetrics(mm.mode, mm.distance, mm.log_p_cw,
-                                                 mm.header_success, mm.energy) for mm in env),
-                          qos, SolverConfig())
+                solve_env(tuple(map(_CountingMetrics.of, env)), qos, SolverConfig())
         assert len(counts) >= 3000, len(counts)
-        assert statistics.median(counts) <= 5 and max(counts) <= 16, collections.Counter(counts)
+        assert statistics.median(counts) <= 5 and max(counts) <= MAX_PROBES, \
+            collections.Counter(counts)
+
+
+def _no_step_evaluations(res):
+    # The evaluations of a dual solve whose walk takes no step: one rate_cont
+    # at x_ee, its Newton probes (none when lambda* = 0), two grid-rate
+    # checks, the start and the next multiple toward nee, and the answer's
+    # eta_rate.
+    return ["rate_cont_slopes"] * (1 + res.iterations) + ["rate", "rate", "eta_rate"]
+
+
+@functools.cache
+def _dual_solves(rows, n_codewords):
+    """(mode, qos, result, evaluations) of each per-mode dual solve on the
+    first rows binding rows at n_t_max = n * n_codewords: every mode of
+    each environment gets solve_mode, and evaluations is the _CountingMetrics
+    log of its _dual call."""
+    cfg, solves, duals = SolverConfig(n_t_max=PSDU_CODE.n * n_codewords), [], []
+
+    def logged(*args, dual=optimizer._dual):
+        _CountingMetrics.log.clear()
+        res = dual(*args)
+        duals.append((res, tuple(_CountingMetrics.log)))
+        return res
+
+    with mock.patch.object(optimizer, "_dual", logged):
+        for env, qos in binding_envs(rows):
+            for mm in env:
+                duals.clear()
+                solve_mode(_CountingMetrics.of(mm), qos, cfg)
+                solves += [(mm, qos, *dual) for dual in duals]
+    return tuple(solves)
+
+
+class TestDualWalk:
+    # _dual takes its grid answer from the continuous boundary x (x_ee when
+    # lambda* = 0): it starts at the codeword multiple on nthr's side of x,
+    # steps toward nthr while that start is grid-infeasible and toward nee
+    # while the next multiple is grid-feasible.  rate_cont and the grid rate
+    # can differ by an ulp at a multiple, so a floor equal to a grid rate
+    # decides which way the walk goes.
+
+    @pytest.mark.parametrize("n_codewords", [8, 130, 4096])
+    def test_dual_equals_the_one_mode_oracle(self, n_codewords):
+        cfg = SolverConfig(n_t_max=PSDU_CODE.n * n_codewords)
+        solves = _dual_solves(1024, n_codewords)
+        assert len(solves) >= 400, len(solves)
+        for mm, qos, res, _ in solves:
+            oracle = search_env((mm,), qos, cfg)
+            assert (res.n_t_star, res.eta, res.rate, res.feasible) == \
+                (oracle.n_t_star, oracle.eta, oracle.rate, oracle.feasible)
+
+    @pytest.mark.parametrize("n_codewords", [8, 130, 4096])
+    def test_dual_evaluations_do_not_grow_with_the_grid(self, n_codewords):
+        # A cost guard with no clock: no dual solve on the binding rows takes
+        # a walk step, so each makes at most MAX_PROBES + 4 evaluations at
+        # every grid size.
+        solves = _dual_solves(1024, n_codewords)
+        for _, _, res, log in solves:
+            names = [name for name, _ in log]
+            assert names == _no_step_evaluations(res), (res, names)
+        most = max(len(log) for *_, log in solves)
+        assert most <= MAX_PROBES + 4, most
+
+    def test_walk_steps_both_ways(self):
+        # Floors at the dual answer's grid rate and at rate_cont(x_ee), and an
+        # ulp above each, on the 256 binding rows.  At the grid rate the
+        # search can end within 1e-9 * x short of n_star, on nthr's side,
+        # and the walk steps toward nee to it; an ulp above it n_star is
+        # grid-infeasible where rate_cont can still meet the floor, and the
+        # walk steps back toward nthr; so it does when lambda* = 0 and x_ee,
+        # clamped to the grid's top, is nee itself, whose grid rate is an ulp
+        # below rate_cont(x_ee).  An ulp above rate_cont(x_ee) the search can
+        # end past x_ee, where both slopes share a sign and lambda* is
+        # clamped to 0.  Each answer is the oracle's.  (Its probes are not
+        # bounded by MAX_PROBES here: with x_ee clamped to nee, a floor an ulp
+        # above rate_cont(x_ee) puts the crossing within ulps of the
+        # bracket's end, each Newton step overshoots it, and the search
+        # bisects, up to 26 probes.)
+        cfg, n = SolverConfig(), PSDU_CODE.n
+        steps = collections.Counter()
+        for env, qos in binding_envs(256):
+            for mm in env:
+                sol = solve_mode(mm, qos, cfg)
+                if sol.branch != "dual":
+                    continue
+                x_ee = _x_ee(mm, cfg)
+                grid_rate, cont_rate = mm.rate(sol.n_t_star), mm.rate_cont(x_ee)
+                for floor in (grid_rate, math.nextafter(grid_rate, math.inf),
+                              cont_rate, math.nextafter(cont_rate, math.inf)):
+                    if not mm.rate(sol.nee) < floor <= mm.rate(sol.nthr):
+                        continue             # not a dual solve
+                    _CountingMetrics.log.clear()
+                    res = optimizer._dual(_CountingMetrics.of(mm), floor, x_ee, sol.nee, sol.nthr)
+                    start = next(n_t for name, n_t in _CountingMetrics.log if name == "rate")
+                    toward_nee = (res.n_t_star - start) // n * (1 if sol.nee > sol.nthr else -1)
+                    steps[res.iterations == 0, toward_nee] += 1
+                    assert res.n_t_star == search_env((mm,), QosSpec(r0=floor, n_s=1), cfg).n_t_star
+                    assert res.lambda_ >= 0.0
+        # (no search ran, codewords stepped toward nee): never more than one.
+        assert {step for _, step in steps} <= {-1, 0, 1}, steps
+        assert steps[False, 1] >= 20 and steps[False, -1] >= 100 and steps[True, -1] >= 5, steps
 
 
 class TestDominatedDual:
