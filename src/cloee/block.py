@@ -1,0 +1,292 @@
+"""The array layer: every array form of the model, for blocks of environments.
+
+channel, reliability, metrics and optimizer are the scalar core, one distance
+at a time, and import no numpy at the top.  Each array form here is
+repr-equal, element for element, to its scalar twin: the same IEEE
+operations in the same order, with libm's functions mapped over the lanes
+(numpy's SIMD functions may round differently).  Columns is the one array
+format, a block of environments of one LinkModel, which solve_envs (the
+block cloee pass) and search_envs (the oracle) read.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from .channel import _SPANS, DEFAULT_CHANNEL, ChannelParams, _gain, _overflow, q_function
+from .energy import EnergyBreakdown
+from .frame import MODE_TABLE, PSDU_CODE, PhyMode
+from .metrics import _I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec, _delivered
+from .optimizer import OptResult, SolverConfig, _decide
+from .reliability import (_STOP, KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, Block, _check_p, _direct,
+                          shr_success)
+
+
+def bit_error_array(points, eps_p: float, params: ChannelParams = DEFAULT_CHANNEL,
+                    integration_per_pulse: bool = False) -> np.ndarray:
+    """bit_error_probs at each (d, chi) of points as a (points, modes) array,
+    element for element: the gains point by point, ebn0 and the argument of Q
+    with numpy's IEEE operations in the scalar order, and q_function (libm's
+    erfc, exp and log) over the lanes.  The first point that fails raises
+    bit_error_probs's error.  An argument of Q whose square overflows is inf,
+    and Q of it 0, as in bit_error_probs; a lane with ebn0 = 0 is 0.5.
+    """
+    h_eff = np.array([_gain(d, chi, eps_p, params) for d, chi in points])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ebn0 = h_eff[:, None] * np.array([m.n_cpb * eps_p for m in MODE_TABLE]) \
+            / params.noise_density_joules
+        x = np.sqrt(0.5 * ebn0 * ebn0
+                    / (ebn0 + np.array(_SPANS[integration_per_pulse]) * params.w_rx))
+    overflow = np.isinf(ebn0).any(axis=1)
+    if overflow.any():
+        raise _overflow(points[overflow.argmax()][0])
+    probs = np.fromiter(map(q_function, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    probs[ebn0 == 0.0] = 0.5
+    return probs
+
+
+def _map(f, *args) -> np.ndarray:
+    """f (a libm function) over the lanes of flat arrays, a number repeated."""
+    lanes = next(a for a in args if isinstance(a, np.ndarray))
+    return np.fromiter(map(f, *(a.tolist() if isinstance(a, np.ndarray) else repeat(a)
+                                for a in args)), float, lanes.size)
+
+
+def _inner(p_b: np.ndarray):
+    """p_b flat with its lanes at 0 (which the callers set) read as 0.5, and their
+    mask; the first p_b outside [0, 0.5], nan included, raises _check_p's error."""
+    p = p_b.ravel()
+    outside = ~((p >= 0.0) & (p <= 0.5))
+    if outside.any():
+        _check_p(p[outside.argmax()])
+    zeros = p == 0.0
+    return np.where(zeros, 0.5, p), zeros
+
+
+def block_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
+    """block_success over an array of p_b in [0, 0.5], element for element."""
+    p, zeros = _inner(p_b)
+    direct = np.minimum(_direct(p, block, partial(_map, math.pow))[0], 1.0)
+    direct[zeros] = 1.0
+    return direct.reshape(p_b.shape)
+
+
+def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
+    """block_log_success over an array of p_b in [0, 0.5], element for element.
+
+    U is summed on the lanes with D >= 0.5 - 1e-9 only, a term on all of them
+    at a time, until each lane has met _upper's stop, which is tested every
+    fourth term: a lane that met it earlier keeps its sum, as no later term
+    can change it.
+    """
+    p, zeros = _inner(p_b)
+    direct, top, odds = _direct(p, block, partial(_map, math.pow))
+    lanes = np.flatnonzero(direct >= 0.5 - 1e-9)
+    term, odds, upper = top[lanes], odds[lanes], np.zeros(lanes.size)
+    peak = (block.n_plus_1 * p[lanes]).max(initial=0.0)
+    for k, (i, r) in enumerate(block.upper):
+        term *= r * odds
+        upper += term
+        if k % 4 == 3 and i > peak and (term <= upper * _STOP).all():
+            break
+    # log1p(-U) on the lanes with U < 0.5, else log(D), each in place of D.
+    near_one = lanes[upper < 0.5]
+    logs = np.full(p.size, True)
+    logs[near_one] = False
+    direct[logs] = _map(math.log, direct[logs])
+    direct[near_one] = _map(math.log1p, -upper[upper < 0.5])
+    direct[zeros] = 0.0
+    return direct.reshape(p_b.shape)
+
+
+def _header_successes(p_b_shr: np.ndarray, p_b_phr: np.ndarray) -> np.ndarray:
+    """_header_success over arrays, element for element (shr_success's ** is
+    libm's pow, so it is taken lane by lane)."""
+    kasami = block_successes(p_b_shr, KASAMI_BLOCK)
+    shr = np.fromiter(map(shr_success, kasami.ravel().tolist()), float, kasami.size)
+    return shr.reshape(kasami.shape) * block_successes(p_b_phr, PHR_BLOCK)
+
+
+class Columns(NamedTuple):
+    """A block of environments of one LinkModel as (environments, modes, 1)
+    columns and per-mode (modes, 1) rows: the one input of the array
+    evaluators (grid, search_envs and solve_envs, and the sweep's static
+    rows).  The trailing axis takes the frame sizes, and distances[e] is
+    environment e's distance."""
+
+    modes: Sequence[PhyMode]
+    distances: Sequence[float]
+    header_success: np.ndarray
+    log_p_cw: np.ndarray
+    energy: EnergyBreakdown          # eps_b, eps_oh and eps_st rows
+    t_sym: np.ndarray
+
+    def eta_rate(self, nts):
+        """(etas, rates) at the frame sizes nts, an int array broadcast against
+        (environments, modes, 1), from one numerator; each element equals the
+        scalar eta/rate call of its mode bit for bit (the same expressions over
+        the columns).  The divisions make at most one more array."""
+        delivered = _delivered(nts, self.header_success, self.log_p_cw)
+        etas = delivered / self.energy.total(nts)
+        return etas, np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered)
+
+    def metrics(self, e: int, m: int) -> ModeMetrics:
+        """Environment e's ModeMetrics of modes[m], from the block's floats: its
+        energy breakdown is rebuilt from the energy rows, equal to the mode's."""
+        energy = self.energy
+        return ModeMetrics(self.modes[m], self.distances[e], self.log_p_cw.item(e, m, 0),
+                           self.header_success.item(e, m, 0),
+                           EnergyBreakdown(energy.eps_b.item(m, 0), energy.eps_oh.item(m, 0),
+                                           energy.eps_st.item(m, 0)))
+
+    def part(self, start: int, stop: int) -> Columns:
+        """Environments start..stop-1 as a block of their own (array views)."""
+        return self._replace(distances=self.distances[start:stop],
+                             header_success=self.header_success[start:stop],
+                             log_p_cw=self.log_p_cw[start:stop])
+
+
+def _columns(modes, breakdowns, distances, header_success, log_p_cw) -> Columns:
+    """Columns with each mode's energy breakdown and air time as a (modes, 1) row."""
+    eps_b, eps_oh, eps_st, t_sym = np.array(
+        [(b.eps_b, b.eps_oh, b.eps_st, mode.t_sym) for mode, b in zip(modes, breakdowns)]
+    ).T[:, :, None]
+    return Columns(modes, distances, header_success, log_p_cw,
+                   EnergyBreakdown(eps_b, eps_oh, eps_st), t_sym)
+
+
+def columns(envs: Sequence[tuple[ModeMetrics, ...]]) -> Columns:
+    """The Columns of a block of environments of one LinkModel.
+
+    A mode's energy and air time depend on the mode alone, so they are read
+    once, from the first environment, as one row per mode; an environment
+    whose j-th mode or energy breakdown differs from the first environment's
+    raises ValueError.
+    """
+    first = envs[0]
+    costs = [(mm.mode, mm.energy) for mm in first]
+    if any([(mm.mode, mm.energy) for mm in env] != costs for env in envs):
+        raise ValueError("a block takes environments of one LinkModel: every environment "
+                         "needs the first one's modes and energy breakdowns, in its order")
+    # numpy builds an array from a flat list of floats faster than from nested tuples.
+    shape = (len(envs), len(first), 1)
+    return _columns(*zip(*costs), [env[0].distance for env in envs],
+                    np.array([mm.header_success for env in envs for mm in env]).reshape(shape),
+                    np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape))
+
+
+def link_block(model: LinkModel, points: Sequence[tuple[float, float]]) -> Columns:
+    """columns([model.env(d, chi) for d, chi in points]), element for
+    element, from arrays: the bit error rates by bit_error_array, and the
+    header successes and codeword log successes by the tails' array forms,
+    one header success per point (or per mode under uniform_section_ber).
+    No ModeMetrics is built until Columns.metrics is called; a point that
+    env rejects raises env's error.
+    """
+    p_b = bit_error_array(points, model.energy.eps_p, model.channel,
+                          model.integration_per_pulse)
+    if model.uniform_section_ber:
+        headers = _header_successes(p_b, p_b)
+    else:
+        headers = np.repeat(_header_successes(p_b[:, _I_SHR], p_b[:, _I_PHR]), p_b.shape[1])
+        headers = headers.reshape(p_b.shape)
+    return _columns(MODE_TABLE, model.energy.breakdowns, [d for d, _ in points],
+                    headers[..., None], block_log_successes(p_b, PSDU_BLOCK)[..., None])
+
+
+def grid(cols: Columns, n_t_max: int):
+    """(nts, etas, rates) for a block's Columns at every codeword multiple up
+    to n_t_max, etas and rates shaped (environments, modes, codeword
+    multiples): the numerator is one block array, and the two divisions make
+    at most one more."""
+    nts = np.arange(1, n_t_max // PSDU_CODE.n + 1) * PSDU_CODE.n
+    return (nts, *cols.eta_rate(nts))
+
+
+def _closed_forms(per_unit, fixed, log_p_cw):
+    """nt_closed_form over arrays, element for element: the same IEEE
+    operations, so the same bits, with an overflow to inf and an inf - inf to
+    nan as in Python floats, and inf and 0 where nt_closed_form returns them
+    early (those lanes are computed, then overwritten, so nothing warns)."""
+    with np.errstate(all="ignore"):
+        half = fixed / (2.0 * per_unit)
+        denom = per_unit * log_p_cw
+        x = np.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
+    np.copyto(x, math.inf, where=denom >= 0.0)
+    np.copyto(x, 0.0, where=log_p_cw == -math.inf)
+    return x
+
+
+def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult]:
+    """solve_env on each environment of a block, bit for bit: each decision
+    reads its values from (environments, modes) arrays of the block's
+    Columns, and only a mode the decision sends to the dual branch runs
+    scalar code (optimizer._dual)."""
+    r0ns, n, k_max = qos.aggregate_rate, PSDU_CODE.n, cfg.n_t_max // PSDU_CODE.n
+    energy, log_p_cw = cols.energy, cols.log_p_cw
+    # Both closed forms on the last axis, efficiency then throughput, clamped
+    # to the grid's span: the first is xs.  k = x // n, then k + 1 up to
+    # k_max, are snap_to_grid's two candidates (clamping x to n is its
+    # max(1, k), and to n * k_max its ceiling; for x >= 0, floor(x) // n is
+    # its int(x // n)).
+    x = np.minimum(np.maximum(_closed_forms(
+        np.concatenate((energy.eps_b, cols.t_sym), axis=1),
+        np.concatenate((energy.eps_fixed, np.full_like(cols.t_sym, ModeMetrics.t_oh)), axis=1),
+        log_p_cw), float(n)), float(k_max * n))
+    xs = x[..., :1]
+    # The bounds take libm's exp, as success_cont does, so they are
+    # solve_env's to the bit: where the closed form has lost the optimum
+    # (ROADMAP item 3) a bound is no bound, and one ulp of it can change
+    # which modes the decision visits, and so its answer.
+    success = np.fromiter(map(math.exp, (xs * log_p_cw / n).ravel().tolist()), float, xs.size)
+    bounds = xs * (cols.header_success * success.reshape(xs.shape)) / energy.total(xs)
+    k = x.astype(np.int64) // n
+    etas, rates = cols.eta_rate(np.concatenate((k, np.minimum(k + 1, k_max)), axis=2) * n)
+    up = np.stack((etas[..., 2] > etas[..., 0], rates[..., 3] > rates[..., 1]), axis=2)
+    # The snapped values, [..., 0] at nee and [..., 1] at nthr.  Each
+    # decision reads its bounds and rate peaks as lists, and the values of
+    # the few modes it solves or falls back to one by one (item gives a
+    # Python int or float).
+    nts = (k + up) * n
+    etas = np.where(up, etas[..., 2:], etas[..., :2])
+    rates = np.where(up, rates[..., 2:], rates[..., :2])
+    results, n_cpb = [], [mode.n_cpb for mode in cols.modes].__getitem__
+    for e, (bound, nthr, rate_thr) in enumerate(zip(
+            bounds[..., 0].tolist(), nts[..., 1].tolist(), rates[..., 1].tolist())):
+        results.append(_decide(
+            n_cpb, lambda m: cols.metrics(e, m), bound, r0ns,
+            lambda m: (nthr[m], rate_thr[m]),
+            lambda m: (xs.item(e, m, 0), nts.item(e, m, 0), etas.item(e, m, 0),
+                       rates.item(e, m, 0)),
+            lambda m, _: (nts.item(e, m, 0), etas.item(e, m, 1))))
+    return results
+
+
+def search_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult]:
+    """exhaustive_search on each environment of a block, from one grid call on
+    its Columns: per environment the best-eta feasible grid point, else the
+    best-rate one.  argmax keeps the first maximum of each environment's
+    modes in row-major order: ties go to the smaller n_cpb, then n_t."""
+    nts, etas, rates = grid(cols, cfg.n_t_max)
+    n_envs = len(etas)
+    etas, rates = etas.reshape(n_envs, -1), rates.reshape(n_envs, -1)
+    feas = rates >= qos.aggregate_rate
+    rows, any_feas = np.arange(n_envs), feas.any(axis=1)
+    # Mask the infeasible etas in place, on the rows with a feasible cell only:
+    # a row without one reads its eta at its rate peak, and only those rows
+    # take the argmax of their rates.
+    np.copyto(etas, -np.inf, where=feas < any_feas[:, None])
+    picks = np.argmax(etas, axis=1)
+    infeasible = np.flatnonzero(~any_feas)
+    picks[infeasible] = np.argmax(rates[infeasible], axis=1)
+    return [OptResult(n_t, cols.modes[m].n_cpb, eta, rate, 0.0, feasible, etas.shape[1],
+                      "exhaustive")
+            for m, n_t, eta, rate, feasible in zip(
+                (picks // len(nts)).tolist(), nts[picks % len(nts)].tolist(),
+                etas[rows, picks].tolist(), rates[rows, picks].tolist(),
+                feas[rows, picks].tolist())]

@@ -22,8 +22,6 @@ import functools
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import ConfigError
 from .frame import MODE_TABLE
 
@@ -152,25 +150,3 @@ def bit_error_probs(d: float, eps_p: float, params: ChannelParams = DEFAULT_CHAN
         probs.append(_bit_error(ebn0, span * params.w_rx))
     return probs
 
-
-def bit_error_array(points, eps_p: float, params: ChannelParams = DEFAULT_CHANNEL,
-                    integration_per_pulse: bool = False) -> np.ndarray:
-    """bit_error_probs at each (d, chi) of points as a (points, modes) array,
-    element for element: the gains point by point, ebn0 and the argument of Q
-    with numpy's IEEE operations in the scalar order, and q_function (libm's
-    erfc, exp and log) over the lanes.  The first point that fails raises
-    bit_error_probs's error.  An argument of Q whose square overflows is inf,
-    and Q of it 0, as in bit_error_probs; a lane with ebn0 = 0 is 0.5.
-    """
-    h_eff = np.array([_gain(d, chi, eps_p, params) for d, chi in points])
-    with np.errstate(over="ignore", invalid="ignore"):
-        ebn0 = h_eff[:, None] * np.array([m.n_cpb * eps_p for m in MODE_TABLE]) \
-            / params.noise_density_joules
-        x = np.sqrt(0.5 * ebn0 * ebn0
-                    / (ebn0 + np.array(_SPANS[integration_per_pulse]) * params.w_rx))
-    overflow = np.isinf(ebn0).any(axis=1)
-    if overflow.any():
-        raise _overflow(points[overflow.argmax()][0])
-    probs = np.fromiter(map(q_function, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    probs[ebn0 == 0.0] = 0.5
-    return probs

@@ -16,29 +16,21 @@ the six payload bit error rates, each mode's codeword log success and, with
 section-specific rates, one header success (a float) for the six modes, from
 the rates of the modes at n_cpb_shr and n_cpb_phr, as the header success does
 not depend on the payload mode.  A ModeMetrics computes nothing at build.
-
-Columns is a block of environments of one LinkModel as plain arrays, the one
-input of the array evaluators (grid, the oracle, the block cloee pass and the
-sweep's static rows).  columns(envs) reads built environments;
-LinkModel.block(points) builds the same Columns from arrays (the channel's
-and the tails' array forms), element for element, and Columns.metrics(e, m)
-builds a ModeMetrics from the block's floats for a dual solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_array, bit_error_probs
+from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
 from .errors import ConfigError, is_int
 from .frame import FRAME_CONSTANTS, MODE_POSITION, MODE_TABLE, PSDU_CODE, PhyMode
-from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success,
-                          block_log_successes, block_success, block_successes, shr_success)
+from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success, block_success,
+                          shr_success)
 
 
 # The MODE_TABLE positions of the SHR's and the PHR's burst orders.
@@ -71,14 +63,6 @@ def _header_success(p_b_shr: float, p_b_phr: float) -> float:
     return shr_success(block_success(p_b_shr, KASAMI_BLOCK)) * block_success(p_b_phr, PHR_BLOCK)
 
 
-def _header_successes(p_b_shr: np.ndarray, p_b_phr: np.ndarray) -> np.ndarray:
-    """_header_success over arrays, element for element (shr_success's ** is
-    libm's pow, so it is taken lane by lane)."""
-    kasami = block_successes(p_b_shr, KASAMI_BLOCK)
-    shr = np.fromiter(map(shr_success, kasami.ravel().tolist()), float, kasami.size)
-    return shr.reshape(kasami.shape) * block_successes(p_b_phr, PHR_BLOCK)
-
-
 def ppdu_success(header_success: float, log_p_cw: float, n_t: int) -> float:
     """P(PPDU delivered) at one integer frame size: both header sections and
     all ceil(n_t/n) codewords survive."""
@@ -94,7 +78,7 @@ def _delivered(n_t, header_success, log_p_cw):
     its bits.
     """
     powers = -(-n_t // PSDU_CODE.n) * log_p_cw
-    if not isinstance(powers, np.ndarray):
+    if not isinstance(powers, np.ndarray):      # numpy's exp on a float: ROADMAP item 2
         return float(n_t * header_success * np.exp(powers))
     np.exp(powers, out=powers)
     powers *= n_t * header_success
@@ -109,7 +93,7 @@ class ModeMetrics:
     codeword at the payload p_b (block_log_success(p_b, PSDU_BLOCK)), which
     is not stored.  success()/eta()/rate() evaluate the grid
     objectives, whose codeword count is ceil(n_t/n); eta, rate and eta_rate
-    take an int or an int array (Columns.eta_rate takes a block of
+    take an int or an int array (block.Columns.eta_rate takes a block of
     environments).
     success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
     forms differentiate; the two agree exactly at multiples of n.
@@ -178,7 +162,8 @@ class LinkModel:
     integration_per_pulse: bool = False
 
     def __post_init__(self):
-        for name in ("uniform_section_ber", "integration_per_pulse"):   # "off" is truthy
+        # "off" is truthy; numpy's bool is taken too (a numpy site: ROADMAP item 2).
+        for name in ("uniform_section_ber", "integration_per_pulse"):
             if not isinstance(value := getattr(self, name), (bool, np.bool_)):
                 raise ConfigError(f"model.{name}", f"must be a bool, got {value!r}")
 
@@ -203,97 +188,3 @@ class LinkModel:
                      for m, p, header, energy in zip(MODE_TABLE, p_b, headers,
                                                      self.energy.breakdowns))
 
-    def block(self, points: Sequence[tuple[float, float]]) -> Columns:
-        """columns([self.env(d, chi) for d, chi in points]), element for
-        element, from arrays: the bit error rates by channel.bit_error_array,
-        and the header successes and codeword log successes by the tails'
-        array forms, one header success per point (or per mode under
-        uniform_section_ber).  No ModeMetrics is built until Columns.metrics
-        is called; a point that env rejects raises env's error.
-        """
-        p_b = bit_error_array(points, self.energy.eps_p, self.channel,
-                              self.integration_per_pulse)
-        if self.uniform_section_ber:
-            headers = _header_successes(p_b, p_b)
-        else:
-            headers = np.repeat(_header_successes(p_b[:, _I_SHR], p_b[:, _I_PHR]), p_b.shape[1])
-            headers = headers.reshape(p_b.shape)
-        return _columns(MODE_TABLE, self.energy.breakdowns, [d for d, _ in points],
-                        headers[..., None], block_log_successes(p_b, PSDU_BLOCK)[..., None])
-
-
-class Columns(NamedTuple):
-    """A block of environments of one LinkModel as (environments, modes, 1)
-    columns and per-mode (modes, 1) rows: the one input of the array
-    evaluators (grid, optimizer.search_envs and optimizer.solve_envs, and the
-    sweep's static rows).  The trailing axis takes the frame sizes, and
-    distances[e] is environment e's distance."""
-
-    modes: Sequence[PhyMode]
-    distances: Sequence[float]
-    header_success: np.ndarray
-    log_p_cw: np.ndarray
-    energy: EnergyBreakdown          # eps_b, eps_oh and eps_st rows
-    t_sym: np.ndarray
-
-    def eta_rate(self, nts):
-        """(etas, rates) at the frame sizes nts, an int array broadcast against
-        (environments, modes, 1), from one numerator; each element equals the
-        scalar eta/rate call of its mode bit for bit (the same expressions over
-        the columns).  The divisions make at most one more array."""
-        delivered = _delivered(nts, self.header_success, self.log_p_cw)
-        etas = delivered / self.energy.total(nts)
-        return etas, np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered)
-
-    def metrics(self, e: int, m: int) -> ModeMetrics:
-        """Environment e's ModeMetrics of modes[m], from the block's floats: its
-        energy breakdown is rebuilt from the energy rows, equal to the mode's."""
-        energy = self.energy
-        return ModeMetrics(self.modes[m], self.distances[e], self.log_p_cw.item(e, m, 0),
-                           self.header_success.item(e, m, 0),
-                           EnergyBreakdown(energy.eps_b.item(m, 0), energy.eps_oh.item(m, 0),
-                                           energy.eps_st.item(m, 0)))
-
-    def part(self, start: int, stop: int) -> Columns:
-        """Environments start..stop-1 as a block of their own (array views)."""
-        return self._replace(distances=self.distances[start:stop],
-                             header_success=self.header_success[start:stop],
-                             log_p_cw=self.log_p_cw[start:stop])
-
-
-def _columns(modes, breakdowns, distances, header_success, log_p_cw) -> Columns:
-    """Columns with each mode's energy breakdown and air time as a (modes, 1) row."""
-    eps_b, eps_oh, eps_st, t_sym = np.array(
-        [(b.eps_b, b.eps_oh, b.eps_st, mode.t_sym) for mode, b in zip(modes, breakdowns)]
-    ).T[:, :, None]
-    return Columns(modes, distances, header_success, log_p_cw,
-                   EnergyBreakdown(eps_b, eps_oh, eps_st), t_sym)
-
-
-def columns(envs: Sequence[tuple[ModeMetrics, ...]]) -> Columns:
-    """The Columns of a block of environments of one LinkModel.
-
-    A mode's energy and air time depend on the mode alone, so they are read
-    once, from the first environment, as one row per mode; an environment
-    whose j-th mode or energy breakdown differs from the first environment's
-    raises ValueError.
-    """
-    first = envs[0]
-    costs = [(mm.mode, mm.energy) for mm in first]
-    if any([(mm.mode, mm.energy) for mm in env] != costs for env in envs):
-        raise ValueError("a block takes environments of one LinkModel: every environment "
-                         "needs the first one's modes and energy breakdowns, in its order")
-    # numpy builds an array from a flat list of floats faster than from nested tuples.
-    shape = (len(envs), len(first), 1)
-    return _columns(*zip(*costs), [env[0].distance for env in envs],
-                    np.array([mm.header_success for env in envs for mm in env]).reshape(shape),
-                    np.array([mm.log_p_cw for env in envs for mm in env]).reshape(shape))
-
-
-def grid(cols: Columns, n_t_max: int):
-    """(nts, etas, rates) for a block's Columns at every codeword multiple up
-    to n_t_max, etas and rates shaped (environments, modes, codeword
-    multiples): the numerator is one block array, and the two divisions make
-    at most one more."""
-    nts = np.arange(1, n_t_max // PSDU_CODE.n + 1) * PSDU_CODE.n
-    return (nts, *cols.eta_rate(nts))

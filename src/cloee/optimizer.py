@@ -8,8 +8,7 @@ Per burst mode, eta and R are strictly quasiconcave in n_t.  Both are
 delivered bits over a cost linear in n_t (energy eps_b * n_t + eps_fixed, time
 t_sym * n_t + t_oh), so one closed form, nt_closed_form, gives both
 unconstrained maximizers.  solve_env is the CLOEE solver on one distance's
-environment, and solve_envs on a block of them.  Each mode they finish takes
-one of three branches:
+environment.  Each mode it finishes takes one of three branches:
 
   unconstrained        the efficiency optimum already meets the rate target;
   dual                 the efficiency optimum is rate-infeasible but the
@@ -36,17 +35,14 @@ below the best feasible eta so far, and each visited mode gets its full
 three-branch solve.  Nothing skipped could have won or tied.
 
 _decide is the one place this decision and the cross-mode pick are
-written, over per-mode values that one of two suppliers gives it.
-solve_env computes each value when the decision asks for it (scalar snaps),
-so pruning saves work; cloee and solve_mode run it.  solve_envs, the
-sweep's block pass, reads them from (environments, modes) arrays of a
-block's Columns, and only a mode sent to the dual branch runs scalar code;
-each of its results equals solve_env's bit for bit.
+written, over per-mode values that its caller supplies.  solve_env computes
+each value when the decision asks for it (scalar snaps), so pruning saves
+work; cloee and solve_mode run it, and block.solve_envs is its block form.
 
 solve_mode is solve_env on a one-mode environment, which is always visited
 and so gets the full three-branch solve.  exhaustive_search scans the whole
-grid and is the oracle the solver is tested against; it is search_envs, which
-scans a block of environments from one grid, on a block of one.
+grid and is the oracle the solver is tested against; it is block.search_envs
+on a block of one.
 """
 
 from __future__ import annotations
@@ -55,11 +51,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from .errors import ConfigError, is_int
 from .frame import PSDU_CODE
-from .metrics import Columns, LinkModel, ModeMetrics, QosSpec, columns, grid
+from .metrics import LinkModel, ModeMetrics, QosSpec
 
 
 # The oracle and the curves scan every codeword multiple up to n_t_max, so
@@ -85,7 +79,7 @@ class SolverConfig:
 class OptResult(NamedTuple):
     """A solved operating point: the winning mode's own three-branch solve
     (solve_env and cloee; solve_mode is solve_env on one mode) or the grid
-    scan's best point (search_envs and exhaustive_search).
+    scan's best point (block.search_envs and exhaustive_search).
 
     lambda_ and kkt_rate form the optimality certificate of the dual branch:
     kkt_rate is the rate at the continuous constrained optimum, where
@@ -286,90 +280,6 @@ def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:
     return solve_env((mm,), qos, cfg)
 
 
-def _closed_forms(per_unit, fixed, log_p_cw):
-    """nt_closed_form over arrays, element for element: the same IEEE
-    operations, so the same bits, with an overflow to inf and an inf - inf to
-    nan as in Python floats, and inf and 0 where nt_closed_form returns them
-    early (those lanes are computed, then overwritten, so nothing warns)."""
-    with np.errstate(all="ignore"):
-        half = fixed / (2.0 * per_unit)
-        denom = per_unit * log_p_cw
-        x = np.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
-    np.copyto(x, math.inf, where=denom >= 0.0)
-    np.copyto(x, 0.0, where=log_p_cw == -math.inf)
-    return x
-
-
-def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult]:
-    """solve_env on each environment of a block, bit for bit: each decision
-    reads its values from (environments, modes) arrays of the block's
-    Columns, and only a mode the decision sends to the dual branch runs
-    scalar code (_dual)."""
-    r0ns, n, k_max = qos.aggregate_rate, PSDU_CODE.n, cfg.n_t_max // PSDU_CODE.n
-    energy, log_p_cw = cols.energy, cols.log_p_cw
-    # Both closed forms on the last axis, efficiency then throughput, clamped
-    # to the grid's span: the first is xs.  k = x // n, then k + 1 up to
-    # k_max, are snap_to_grid's two candidates (clamping x to n is its
-    # max(1, k), and to n * k_max its ceiling; for x >= 0, floor(x) // n is
-    # its int(x // n)).
-    x = np.minimum(np.maximum(_closed_forms(
-        np.concatenate((energy.eps_b, cols.t_sym), axis=1),
-        np.concatenate((energy.eps_fixed, np.full_like(cols.t_sym, ModeMetrics.t_oh)), axis=1),
-        log_p_cw), float(n)), float(k_max * n))
-    xs = x[..., :1]
-    # The bounds take libm's exp, as success_cont does, so they are
-    # solve_env's to the bit: where the closed form has lost the optimum
-    # (ROADMAP item 3) a bound is no bound, and one ulp of it can change
-    # which modes the decision visits, and so its answer.
-    success = np.fromiter(map(math.exp, (xs * log_p_cw / n).ravel().tolist()), float, xs.size)
-    bounds = xs * (cols.header_success * success.reshape(xs.shape)) / energy.total(xs)
-    k = x.astype(np.int64) // n
-    etas, rates = cols.eta_rate(np.concatenate((k, np.minimum(k + 1, k_max)), axis=2) * n)
-    up = np.stack((etas[..., 2] > etas[..., 0], rates[..., 3] > rates[..., 1]), axis=2)
-    # The snapped values, [..., 0] at nee and [..., 1] at nthr.  Each
-    # decision reads its bounds and rate peaks as lists, and the values of
-    # the few modes it solves or falls back to one by one (item gives a
-    # Python int or float).
-    nts = (k + up) * n
-    etas = np.where(up, etas[..., 2:], etas[..., :2])
-    rates = np.where(up, rates[..., 2:], rates[..., :2])
-    results, n_cpb = [], [mode.n_cpb for mode in cols.modes].__getitem__
-    for e, (bound, nthr, rate_thr) in enumerate(zip(
-            bounds[..., 0].tolist(), nts[..., 1].tolist(), rates[..., 1].tolist())):
-        results.append(_decide(
-            n_cpb, lambda m: cols.metrics(e, m), bound, r0ns,
-            lambda m: (nthr[m], rate_thr[m]),
-            lambda m: (xs.item(e, m, 0), nts.item(e, m, 0), etas.item(e, m, 0),
-                       rates.item(e, m, 0)),
-            lambda m, _: (nts.item(e, m, 0), etas.item(e, m, 1))))
-    return results
-
-
-def search_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult]:
-    """exhaustive_search on each environment of a block, from one grid call on
-    its Columns: per environment the best-eta feasible grid point, else the
-    best-rate one.  argmax keeps the first maximum of each environment's
-    modes in row-major order: ties go to the smaller n_cpb, then n_t."""
-    nts, etas, rates = grid(cols, cfg.n_t_max)
-    n_envs = len(etas)
-    etas, rates = etas.reshape(n_envs, -1), rates.reshape(n_envs, -1)
-    feas = rates >= qos.aggregate_rate
-    rows, any_feas = np.arange(n_envs), feas.any(axis=1)
-    # Mask the infeasible etas in place, on the rows with a feasible cell only:
-    # a row without one reads its eta at its rate peak, and only those rows
-    # take the argmax of their rates.
-    np.copyto(etas, -np.inf, where=feas < any_feas[:, None])
-    picks = np.argmax(etas, axis=1)
-    infeasible = np.flatnonzero(~any_feas)
-    picks[infeasible] = np.argmax(rates[infeasible], axis=1)
-    return [OptResult(n_t, cols.modes[m].n_cpb, eta, rate, 0.0, feasible, etas.shape[1],
-                      "exhaustive")
-            for m, n_t, eta, rate, feasible in zip(
-                (picks // len(nts)).tolist(), nts[picks % len(nts)].tolist(),
-                etas[rows, picks].tolist(), rates[rows, picks].tolist(),
-                feas[rows, picks].tolist())]
-
-
 def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
           cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
     """Pick (n_t, n_cpb) maximizing efficiency under the aggregate-rate floor.
@@ -386,4 +296,5 @@ def cloee(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
 def exhaustive_search(model: LinkModel, distance: float, qos: QosSpec = QosSpec(),
                       cfg: SolverConfig = SolverConfig(), chi: float = 0.0) -> OptResult:
     """Scan every (burst mode, codeword multiple) pair; the acceptance oracle."""
+    from .block import columns, search_envs
     return search_envs(columns((model.env(distance, chi),)), qos, cfg)[0]

@@ -22,20 +22,12 @@ steps from an anchor, so the rounding of odds is not raised to the power t.
 
 Every tail takes p_b in [0, 0.5], the range of the detector's Q(x), x >= 0,
 and raises ValueError outside it; there T_0 >= 2^-N > 0 (N <= 1074): log D is finite.
-block_success and block_log_success are the scalar form; block_successes and
-block_log_successes take an array of p_b and equal them element for element,
-as the direct sum is one function for floats and lanes (libm's pow and log
-are mapped over the lanes: numpy's SIMD functions may round differently).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import repeat
 from typing import NamedTuple
-
-import numpy as np
 
 from .frame import FRAME_CONSTANTS, PHR_CODE, PSDU_CODE
 
@@ -80,7 +72,7 @@ PHR_BLOCK = _block(PHR_CODE.n, PHR_CODE.t)
 
 def _direct(p, block: Block, pow):
     """(D, T_t, odds) for p = p_b in (0, 0.5], a float with pow = math.pow or a
-    flat array of lanes with pow mapped over them.  D adds T_0..T_h up from
+    flat array of lanes (block.py) with pow mapped over them.  D adds T_0..T_h up from
     T_0, then T_t..T_{h+1} down from T_t, one by one (sum() compensates from
     Python 3.12 on, so its bits would depend on the interpreter).  The anchors
     take (1-p)^k as a pow of q = fl(1-p) times 1 + k * eps, 1 - p = q * (1 + eps)."""
@@ -145,60 +137,6 @@ def block_log_success(p_b: float, block: Block) -> float:
         if upper < 0.5:
             return math.log1p(-upper)
     return math.log(direct)
-
-
-def _map(f, *args) -> np.ndarray:
-    """f (a libm function) over the lanes of flat arrays, a number repeated."""
-    lanes = next(a for a in args if isinstance(a, np.ndarray))
-    return np.fromiter(map(f, *(a.tolist() if isinstance(a, np.ndarray) else repeat(a)
-                                for a in args)), float, lanes.size)
-
-
-def _inner(p_b: np.ndarray):
-    """p_b flat with its lanes at 0 (which the callers set) read as 0.5, and their
-    mask; the first p_b outside [0, 0.5], nan included, raises _check_p's error."""
-    p = p_b.ravel()
-    outside = ~((p >= 0.0) & (p <= 0.5))
-    if outside.any():
-        _check_p(p[outside.argmax()])
-    zeros = p == 0.0
-    return np.where(zeros, 0.5, p), zeros
-
-
-def block_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
-    """block_success over an array of p_b in [0, 0.5], element for element."""
-    p, zeros = _inner(p_b)
-    direct = np.minimum(_direct(p, block, partial(_map, math.pow))[0], 1.0)
-    direct[zeros] = 1.0
-    return direct.reshape(p_b.shape)
-
-
-def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
-    """block_log_success over an array of p_b in [0, 0.5], element for element.
-
-    U is summed on the lanes with D >= 0.5 - 1e-9 only, a term on all of them
-    at a time, until each lane has met _upper's stop, which is tested every
-    fourth term: a lane that met it earlier keeps its sum, as no later term
-    can change it.
-    """
-    p, zeros = _inner(p_b)
-    direct, top, odds = _direct(p, block, partial(_map, math.pow))
-    lanes = np.flatnonzero(direct >= 0.5 - 1e-9)
-    term, odds, upper = top[lanes], odds[lanes], np.zeros(lanes.size)
-    peak = (block.n_plus_1 * p[lanes]).max(initial=0.0)
-    for k, (i, r) in enumerate(block.upper):
-        term *= r * odds
-        upper += term
-        if k % 4 == 3 and i > peak and (term <= upper * _STOP).all():
-            break
-    # log1p(-U) on the lanes with U < 0.5, else log(D), each in place of D.
-    near_one = lanes[upper < 0.5]
-    logs = np.full(p.size, True)
-    logs[near_one] = False
-    direct[logs] = _map(math.log, direct[logs])
-    direct[near_one] = _map(math.log1p, -upper[upper < 0.5])
-    direct[zeros] = 0.0
-    return direct.reshape(p_b.shape)
 
 
 def shr_success(p_kasami: float) -> float:

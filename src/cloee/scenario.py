@@ -64,7 +64,8 @@ class Scenario:
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        if not isinstance(self.shadowing, (bool, np.bool_)):   # "off" is truthy
+        # "off" is truthy; numpy's bools are taken too (numpy sites: ROADMAP item 16).
+        if not isinstance(self.shadowing, (bool, np.bool_)):
             raise ConfigError("shadowing", f"must be a bool, got {self.shadowing!r}")
         self.link_model()           # LinkModel checks the two model.* flags
         if not self.distances:
@@ -112,7 +113,7 @@ class Scenario:
         """One chi per distance, seeded; zeros when shadowing is off."""
         if not self.shadowing:
             return tuple(0.0 for _ in self.distances)
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.seed)      # numpy's stream: ROADMAP item 16
         return tuple(float(x) for x in rng.normal(0.0, self.channel.sigma, len(self.distances)))
 
 

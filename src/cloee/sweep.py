@@ -3,7 +3,7 @@
 Every evaluation lands in a SweepRow; rows are built in (distance, strategy)
 order.  The reserved strategy ids are "cloee" (the solver) and
 "oracle" (exhaustive search); static strategies are named static_<n_cpb>_<n_t>.
-A sweep builds its environments as one LinkModel.block, from arrays, and a
+A sweep builds its environments as one block.link_block, from arrays, and a
 ModeMetrics only for a mode that a dual solve reads.
 """
 
@@ -14,9 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .block import columns, grid, link_block, search_envs, solve_envs
 from .frame import MODE_POSITION
-from .metrics import LinkModel, QosSpec, columns, grid, ppdu_success
-from .optimizer import N_T_MAX_LIMIT, SolverConfig, search_envs, solve_envs, solve_mode
+from .metrics import LinkModel, QosSpec, ppdu_success
+from .optimizer import N_T_MAX_LIMIT, SolverConfig, solve_mode
 from .scenario import Scenario
 from . import svgplot
 
@@ -38,7 +39,7 @@ class SweepRow(NamedTuple):
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Evaluate every strategy plus cloee and the oracle on the distance grid.
 
-    The environments of all points are built as one LinkModel.block, and
+    The environments of all points are built as one link_block, and
     each block of distances reads its part of them, which cloee
     (solve_envs), the oracle (search_envs, one grid call) and the static
     rows (one Columns.eta_rate at each static's own frame size) share; the
@@ -62,7 +63,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     # Static s is read at its mode's position and at the s-th frame size.
     sizes = np.array([n_t for _, _, _, n_t in statics])
     positions, own = [i for _, i, _, _ in statics], range(len(statics))
-    rows, environments = [], model.block(points)
+    rows, environments = [], link_block(model, points)
     for start in range(0, len(points), block):
         chunk = points[start:start + block]
         cols = environments.part(start, start + block)

@@ -1,5 +1,5 @@
 """Shared test utilities and reference forms, built on the package's public
-API plus optimizer.solve_env/search_envs (and the optimizer.snap_to_grid name
+API plus optimizer.solve_env, block.search_envs (and the optimizer.snap_to_grid name
 that solve_env looks up), metrics._header_success, sweep.CSV_HEADER and
 svgplot's layout constants.
 
@@ -25,9 +25,10 @@ from cloee import (
     snap_to_grid,
     solve_mode,
 )
+from cloee.block import columns, search_envs
 from cloee.energy import DEFAULT_ENERGY
-from cloee.metrics import _header_success, columns
-from cloee.optimizer import search_envs, solve_env
+from cloee.metrics import _header_success
+from cloee.optimizer import solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
 from cloee.sweep import CSV_HEADER
@@ -103,7 +104,7 @@ def grid_argmax(values, nts) -> int:
 
 def search_env(env, qos, cfg) -> OptResult:
     """exhaustive_search on one environment (LinkModel.env): the package's
-    optimizer.search_envs on a block of one."""
+    block.search_envs on a block of one."""
     return search_envs(columns((env,)), qos, cfg)[0]
 
 

@@ -43,3 +43,88 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# The numpy boundary: block.py is the one array layer.  Only these modules
+# import numpy at the top, and only sweep imports block at the top (the
+# oracle, optimizer.exhaustive_search, imports it where it runs).
+NUMPY_MODULES = {"block.py", "metrics.py", "scenario.py", "svgplot.py", "sweep.py"}
+BLOCK_IMPORTERS = {"sweep.py"}
+# The scalar numpy sites left in metrics and scenario, each a function that
+# reads np, and the ROADMAP item that removes it.
+NUMPY_SITES = {
+    "metrics.py": {"_delivered": 2, "LinkModel.__post_init__": 2},
+    "scenario.py": {"Scenario.__post_init__": 16, "Scenario.shadowing_draws": 16},
+}
+
+
+def top_level_imports(source: str) -> set[str]:
+    """Every dotted part of the modules that source imports in its module
+    body (`from numpy.random import x` gives numpy and random, `from .block
+    import x` and `from . import block` give block)."""
+    modules = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        else:
+            continue
+        modules |= {part for name in names for part in name.split(".")}
+    return modules
+
+
+def numpy_sites(source: str) -> dict[str, str]:
+    """Each function of source that reads np (methods as Class.name), with the
+    text of the comments in its lines."""
+    lines, sites = source.splitlines(), {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(child)):
+                    body = lines[child.lineno - 1:child.end_lineno]
+                    sites[prefix + child.name] = " ".join(
+                        line.partition("#")[2] for line in body if "#" in line)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_the_check_finds_numpy_and_block_imports_and_sites():
+    source = ("import numpy as np\n"
+              "from numpy.random import default_rng\n"
+              "from .block import columns\n"
+              "from . import frame, block as b\n"
+              "def f(x):\n"
+              "    from .optimizer import cloee\n"
+              "    import numpy\n"
+              "    return np.exp(x)      # numpy's exp: ROADMAP item 2\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        return np.bool_\n"
+              "    def h(self):\n"
+              "        return 'np'\n")
+    assert top_level_imports(source) == {"numpy", "random", "block", "frame"}
+    assert top_level_imports("from cloee.block import grid\n") == {"cloee", "block"}
+    assert numpy_sites(source) == {"f": " numpy's exp: ROADMAP item 2", "C.g": ""}
+
+
+def test_only_the_array_modules_import_numpy_at_the_top():
+    assert {m for m in MODULES if "numpy" in top_level_imports((PACKAGE / m).read_text())} \
+        == NUMPY_MODULES
+
+
+def test_only_sweep_imports_block_at_the_top():
+    assert {m for m in MODULES if "block" in top_level_imports((PACKAGE / m).read_text())} \
+        == BLOCK_IMPORTERS
+
+
+@pytest.mark.parametrize("module", sorted(NUMPY_SITES))
+def test_each_scalar_numpy_site_names_its_roadmap_item(module):
+    sites = numpy_sites((PACKAGE / module).read_text())
+    assert sites.keys() == NUMPY_SITES[module].keys()
+    for site, item in NUMPY_SITES[module].items():
+        assert f"ROADMAP item {item}" in sites[site], site

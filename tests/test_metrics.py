@@ -10,8 +10,9 @@ import pytest
 
 from cloee import (MODE_TABLE, ConfigError, EnergyParams, LinkModel, QosSpec, Scenario,
                    bit_error_probs, channel, energy, energy_breakdown, metrics, reliability)
+from cloee.block import bit_error_array, columns, grid, link_block
 from cloee.frame import MODE_POSITION
-from cloee.metrics import _I_PHR, _I_SHR, _header_success, columns, grid
+from cloee.metrics import _I_PHR, _I_SHR, _header_success
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
 from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metrics
 
@@ -196,7 +197,7 @@ def _same_columns(block, cols):
 
 
 class TestBlockEnvironments:
-    # LinkModel.block, the sweep's environments, builds a block's Columns from
+    # block.link_block, the sweep's environments, builds a block's Columns from
     # arrays; it must equal columns() of the block's environments by repr.
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
@@ -205,7 +206,7 @@ class TestBlockEnvironments:
             sc = Scenario(shadowing=True, seed=seed, distances=tuple(
                 round(1.0 + 0.1 * i, 9) for i in range(91)), **variant)
             model, points = sc.link_model(), list(zip(sc.distances, sc.shadowing_draws()))
-            _same_columns(model.block(points), columns([model.env(d, chi) for d, chi in points]))
+            _same_columns(link_block(model, points), columns([model.env(d, chi) for d, chi in points]))
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
     def test_equals_columns_of_envs_on_wide_draws(self, variant):
@@ -217,12 +218,12 @@ class TestBlockEnvironments:
         model = LinkModel(**variant)
         points = list(zip((10.0 ** rng.uniform(-3, 3, 400)).tolist(),
                           rng.uniform(-300, 3500, 400).tolist()))
-        block = model.block(points)
+        block = link_block(model, points)
         _same_columns(block, columns([model.env(d, chi) for d, chi in points]))
         p_b = np.array([bit_error_probs(d, model.energy.eps_p, model.channel, chi,
                                         model.integration_per_pulse) for d, chi in points])
-        lanes = channel.bit_error_array(points, model.energy.eps_p, model.channel,
-                                        model.integration_per_pulse)
+        lanes = bit_error_array(points, model.energy.eps_p, model.channel,
+                                model.integration_per_pulse)
         gains = [channel._gain(d, chi, model.energy.eps_p, model.channel) for d, chi in points]
         assert 0.0 in gains
         for probs in (p_b, lanes):
@@ -236,10 +237,10 @@ class TestBlockEnvironments:
         with pytest.raises(ValueError) as scalar:
             columns([model.env(d, chi) for d, chi in points])
         with pytest.raises(ValueError) as block:
-            model.block(points)
+            link_block(model, points)
         assert str(block.value) == str(scalar.value)
         assert "link gain at distance 0.001 m overflows" in str(block.value)
-        block = model.block(points[:2])
+        block = link_block(model, points[:2])
         _same_columns(block, columns([model.env(d, chi) for d, chi in points[:2]]))
         assert block.log_p_cw[1].ravel().tolist() == [0.0] * 6
 

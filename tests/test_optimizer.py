@@ -42,10 +42,11 @@ from cloee import (
     snap_to_grid,
     solve_mode,
 )
-from cloee import channel, metrics, optimizer, sweep
+from cloee import block as block_layer, metrics, optimizer, sweep
+from cloee.block import columns, search_envs, solve_envs
 from cloee.frame import MODE_POSITION
-from cloee.metrics import _header_success, columns
-from cloee.optimizer import N_T_MAX_LIMIT, search_envs, solve_env, solve_envs
+from cloee.metrics import _header_success
+from cloee.optimizer import N_T_MAX_LIMIT, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
@@ -66,7 +67,7 @@ def check_grid_and_sweep_bits() -> int:
         model, block = sc.link_model(), N_T_MAX_LIMIT // sc.solver.n_t_max
         envs = [model.env(d, chi) for d, chi in
                 list(zip(sc.distances, sc.shadowing_draws()))[:block]]
-        nts, etas, rates = metrics.grid(columns(envs), sc.solver.n_t_max)
+        nts, etas, rates = block_layer.grid(columns(envs), sc.solver.n_t_max)
         for env, env_etas, env_rates in zip(envs, etas, rates):
             for mm, eta_row, rate_row in zip(env, env_etas, env_rates):
                 assert eta_row.tolist() == [mm.eta(n) for n in nts.tolist()]
@@ -142,7 +143,7 @@ class TestClosedForms:
                  for lg in (0.0, -0.0, 5e-324, -5e-324, -1.962e-319, -1e-3, -700.0,
                             -1e300, -math.inf, 1e-3, math.inf, math.nan)]
         per_unit, fixed, log_p_cw = map(np.array, zip(*lanes))
-        array = optimizer._closed_forms(per_unit, fixed, log_p_cw).tolist()
+        array = block_layer._closed_forms(per_unit, fixed, log_p_cw).tolist()
         assert [repr(nt_closed_form(*lane)) for lane in lanes] == list(map(repr, array))
 
     def test_efficiency_stationarity(self, model):
@@ -472,12 +473,12 @@ class TestCloee:
 class TestSharedEnvironment:
     @pytest.mark.parametrize("uniform,bit_errors", [(False, 6), (True, 6)])
     def test_sweep_builds_one_environment_per_distance(self, monkeypatch, uniform, bit_errors):
-        # The sweep's environments are the rows of its blocks (LinkModel.block):
+        # The sweep's environments are the rows of its blocks (block.link_block):
         # each distance takes its gain once and one Q per mode, and no
         # ModeMetrics is built outside a dual solve, also when every mode has
         # its own header (uniform_section_ber).
         builds, gains, qs, duals = [], [], [], []
-        init, gain, q, dual = ModeMetrics.__init__, channel._gain, channel.q_function, \
+        init, gain, q, dual = ModeMetrics.__init__, block_layer._gain, block_layer.q_function, \
             optimizer._dual
 
         def counting_init(self, *args, **kwargs):
@@ -497,8 +498,8 @@ class TestSharedEnvironment:
             return dual(mm, *args)
 
         monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
-        monkeypatch.setattr(channel, "_gain", counting_gain)
-        monkeypatch.setattr(channel, "q_function", counting_q)
+        monkeypatch.setattr(block_layer, "_gain", counting_gain)
+        monkeypatch.setattr(block_layer, "q_function", counting_q)
         monkeypatch.setattr(optimizer, "_dual", counting_dual)
         distances = (2.0, 6.5, 8.4)
         run_sweep(Scenario(distances=distances, shadowing=True, seed=3,
@@ -563,14 +564,14 @@ class TestBlockedSweep:
         # comes in blocks of N_T_MAX_LIMIT // n_t_max distances: 31, 31 and 29
         # at the default 8190.
         cells = []
-        grid = optimizer.grid
+        grid = block_layer.grid
 
         def counting_grid(cols, n):
             out = grid(cols, n)
             cells.append(out[1].size)
             return out
 
-        monkeypatch.setattr(optimizer, "grid", counting_grid)
+        monkeypatch.setattr(block_layer, "grid", counting_grid)
         sc = Scenario(solver=SolverConfig(n_t_max=n_t_max), shadowing=True, seed=1)
         run_sweep(sc)
         assert len(cells) == calls
@@ -579,7 +580,7 @@ class TestBlockedSweep:
 
     def test_sweep_solves_no_environment_with_scalar_calls(self, monkeypatch):
         # run_sweep reads cloee, the oracle and the static rows off each
-        # block's arrays (LinkModel.block): it calls no LinkModel.env, builds
+        # block's arrays (block.link_block): it calls no LinkModel.env, builds
         # a ModeMetrics only for a dual solve (_dual, the one scalar stage of
         # the block pass), and outside one no scalar solve, snap or eta/rate
         # call runs.  No scalar codeword tail runs, inside a dual solve
@@ -618,7 +619,7 @@ class TestBlockedSweep:
         monkeypatch.setattr(optimizer, "_dual", flagged_dual)
         monkeypatch.setattr(ModeMetrics, "__init__", counting_init)
         monkeypatch.setattr(metrics, "block_log_success", counting_tail)
-        for module in (optimizer, sweep):
+        for module in (optimizer, block_layer, sweep):
             for name in ("solve_env", "snap_to_grid"):
                 if hasattr(module, name):
                     watch(module, name)
@@ -799,6 +800,9 @@ class TestSolveEnvsEqualsSolveEnv:
             assert list(map(repr, block)) == [repr(solve_env(env, qos, cfg)) for env in envs]
         counts["environments"] += len(envs)
         counts.update(res.branch for res in block)
+        # The side of nthr that nee lies on sets the direction of _dual's walk.
+        counts.update("dual nee < nthr" if res.nee < res.nthr else "dual nee > nthr"
+                      for res in block if res.branch == "dual")
 
     def test_binding_rows(self, duals):
         # Blocks of 1, 7 and 31 consecutive rows of one model variant, each
@@ -864,6 +868,8 @@ class TestSolveEnvsEqualsSolveEnv:
             self._check(envs, QosSpec(r0=r0, n_s=n_s), cfg, duals, counts)
         assert min(counts[k] for k in ("dual", "throughput-fallback", "unconstrained")) >= 20, \
             counts
+        # Both directions of _dual's walk, toward larger and smaller frames.
+        assert counts["dual nee < nthr"] >= 40 and counts["dual nee > nthr"] >= 3, counts
 
 
 class TestRateFloorAtEquality:
@@ -1244,7 +1250,7 @@ class TestCloeeEqualsOracleProperty:
             env = LinkModel(energy=ep, **variant).env(distance, chi)
             cfg = SolverConfig(n_t_max=n_t_max)
             r0 = 10 ** log_r0
-            _, (etas,), (rates,) = metrics.grid(columns((env,)), n_t_max)
+            _, (etas,), (rates,) = block_layer.grid(columns((env,)), n_t_max)
             los, his = rates[np.arange(len(env)), np.argmax(etas, axis=1)], rates.max(axis=1)
             banded = [m for m in np.argsort(-etas.max(axis=1), kind="stable") if los[m] < his[m]]
             if in_band and banded:

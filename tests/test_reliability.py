@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cloee.block import block_log_successes, block_successes
 from cloee.metrics import _header_success
 from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _direct, _upper,
-                               block_log_success, block_log_successes, block_success,
-                               block_successes, shr_success)
+                               block_log_success, block_success, shr_success)
 from helpers import (reference_block_log_success, reference_block_success, reference_direct,
                      reference_terms, single_pb_metrics)
 
