@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_bool, is_int
 from .frame import FRAME_CONSTANTS, MODE_POSITION, MODE_TABLE, PSDU_CODE, PhyMode
 from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success, block_success,
                           shr_success)
@@ -162,9 +162,8 @@ class LinkModel:
     integration_per_pulse: bool = False
 
     def __post_init__(self):
-        # "off" is truthy; numpy's bool is taken too (a numpy site: ROADMAP item 2).
         for name in ("uniform_section_ber", "integration_per_pulse"):
-            if not isinstance(value := getattr(self, name), (bool, np.bool_)):
+            if not is_bool(value := getattr(self, name)):
                 raise ConfigError(f"model.{name}", f"must be a bool, got {value!r}")
 
     def env(self, distance: float, chi: float = 0.0) -> tuple[ModeMetrics, ...]:

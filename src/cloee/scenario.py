@@ -21,14 +21,14 @@ so sweeps stay reproducible from the file alone.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-
-import numpy as np
+from statistics import NormalDist
 
 from .channel import ChannelParams
 from .energy import EnergyParams
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_bool, is_int
 from .frame import PSDU_CODE, VALID_N_CPB
 from .metrics import LinkModel, QosSpec
 from .optimizer import N_T_MAX_LIMIT, SolverConfig
@@ -64,8 +64,7 @@ class Scenario:
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        # "off" is truthy; numpy's bools are taken too (numpy sites: ROADMAP item 16).
-        if not isinstance(self.shadowing, (bool, np.bool_)):
+        if not is_bool(self.shadowing):
             raise ConfigError("shadowing", f"must be a bool, got {self.shadowing!r}")
         self.link_model()           # LinkModel checks the two model.* flags
         if not self.distances:
@@ -75,7 +74,7 @@ class Scenario:
         seen = set()
         for d in self.distances:
             try:
-                valid = not isinstance(d, (bool, np.bool_)) and math.isfinite(d) and d > 0
+                valid = not is_bool(d) and math.isfinite(d) and d > 0
             except OverflowError:        # an int too large for a float
                 valid = False
             except TypeError:
@@ -110,11 +109,14 @@ class Scenario:
         )
 
     def shadowing_draws(self) -> tuple[float, ...]:
-        """One chi per distance, seeded; zeros when shadowing is off."""
+        """One chi per distance in config order, zeros when shadowing is off:
+        sigma times the standard normal quantile of u = random.Random(seed).random(),
+        a sequence Python keeps across versions (an exact u = 0.0 is drawn again)."""
         if not self.shadowing:
             return tuple(0.0 for _ in self.distances)
-        rng = np.random.default_rng(self.seed)      # numpy's stream: ROADMAP item 16
-        return tuple(float(x) for x in rng.normal(0.0, self.channel.sigma, len(self.distances)))
+        rng, quantile = random.Random(int(self.seed)), NormalDist().inv_cdf
+        uniforms = filter(None, iter(rng.random, None))     # u = 0.0 has no quantile
+        return tuple(self.channel.sigma * quantile(u) for u, _ in zip(uniforms, self.distances))
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,12 @@ floor that makes the dual branch print its certificate; the two files
 binding inputs under three model variants and three grid sizes.
 
 The pins were computed with Python 3.11, numpy 2.4 and glibc 2.36's libm on
-x86-64 Linux.  Another numpy or libm may round a transcendental function
+an x86-64 CPU where numpy's exp takes its AVX-512 path.  They depend on
+numpy's exp, whose dispatch can differ in the last bit across CPUs (ROADMAP
+item 2), and on libm.  The shadowed hospital pins also depend on Python's
+random.Random(seed).random() sequence, which Python keeps across versions,
+and on statistics.NormalDist.inv_cdf, which takes libm's log and sqrt; no
+draw comes from numpy.  Another platform may round a transcendental function
 differently in the last bit, which changes a CSV without changing the model;
 on such a platform these tests say so first.
 
@@ -49,15 +54,15 @@ shadowing = on
 DEFAULT_SWEEP = "906afbe0ec2bd440aeff6f43fc5cb52e74fe1ad234efc7e2a2a29fc1c359b45c"
 
 HOSPITAL_SWEEPS = {
-    ("default", 1): "438ed40d8838d956f44603135939580e08d1a411367084618bf41e023a7d1d14",
-    ("default", 2): "c4fb40b3fe433b018a47c1a8c5d96b36ba2336dea8a85e5a4cf00d00ad672855",
-    ("default", 3): "f96db3d7d6b473614bc9c62856676f9bd3db2c95c5938e8bbffe630b33e46419",
-    ("uniform_section_ber", 1): "ae980a0d73e5c4a48b367b6c1e8f0fd9ece2dade7663c0ead644b7b92ff07d91",
-    ("uniform_section_ber", 2): "6ae8e4806cae3ba6d4898c80bb5eb47efb72a8c03d3c9673fa1e025675ee6ed5",
-    ("uniform_section_ber", 3): "ff90b9a2728a99f7601d41f55913fcd3f75f09e0f82081a071bbad1842127c21",
-    ("integration_per_pulse", 1): "e7f7423d8e801ada2e515b29a6890fc803c6e60f3a22c0d4dd421e28710444c9",
-    ("integration_per_pulse", 2): "438c8313f22919e0ca2c4fdd38b3943d4c4a40e4e1006d13cca66e92fc59671a",
-    ("integration_per_pulse", 3): "2faf0ef3c2686dad2220fd4df36dad7f0722de0fda1e84a439a87eb1f755dbcc",
+    ("default", 1): "e72847ababf2a8ad0356e19470ce0379846d48145dfb71995995cbbcdd227b4f",
+    ("default", 2): "69152e8ebec03257ea150c1eaf2b1ff926b21a112138253163c9ad1d0de41a8e",
+    ("default", 3): "9bcde056d985a2217a5b136bf29113d377f42f0c7e8a8c41306094a115d6f08a",
+    ("uniform_section_ber", 1): "0925258827119f46e7e4174337c00953cf3c3c13147028f2ddb8d6bf632eb009",
+    ("uniform_section_ber", 2): "89f07c5f709fb2d3872d14a8aef5d0cd16f8a547112c5fc51b98d9b6478fc69e",
+    ("uniform_section_ber", 3): "9f729a8ab35b6220a85590edbdffc369edd291efc2c29265e6423a603281e404",
+    ("integration_per_pulse", 1): "400850de6f0e40c4a2fe008bf683a220dd3c443c0c86df8e96172f7527453df8",
+    ("integration_per_pulse", 2): "826f9ed919f31d4c6e3c6be3cf8f575daddd67f9214da5d746aa4b4ae29e3c9a",
+    ("integration_per_pulse", 3): "6c884b159240fdae672b68e46c11512fcbcd73acd8f9f78ecf9764317e996b97",
 }
 
 
@@ -100,10 +105,10 @@ CURVES = {
         "795bd203981a105c3181f3773967220edd452e3d2d9c517b70bff56124b8d1b7",
     ),
     ("hospital", "6.5"): (
-        "b1ca6ca58bffa1301cf0c31ada17c1bf92860a4bd6764ee1ed3693d1dd080add",
-        "6d1ccdb932c318abfc98dc06ab5d04f3bf2786fd9f372c379a04fb4c79fc94ee",
-        "99d82964418974f2a2873603463da5f4edf4e899597b1a3c503ccf1a3d2984c5",
-        "b8d0799032727eddb5060d40c3d3f52be63404fcda951a0bd2ac27d626279ee6",
+        "c58f65bc5156753ebb0e08e6f7211155934ebc93a81757e00b74aff549f263a5",
+        "e531d2cfa33d4a43e70f39096baf46c059fd23e8916822c0a5c7e6b3fc95bb21",
+        "ed403be84d34bdf4790765a0389996db772192e4a9a966ad3955847141ff0669",
+        "45dd504fcb217ea87555cf3e0f770acdce3e24b8beb0059cbb6d7d91b621b62e",
     ),
 }
 
@@ -131,9 +136,9 @@ SWEEP_SVG = {
         "3147fcb6bc6d59844977cb8e79aa26bdd01cc456ca350f8409169572709dcae2",
     ),
     "hospital": (
-        "438ed40d8838d956f44603135939580e08d1a411367084618bf41e023a7d1d14",
-        "c4e7a30c4121f2f0c115782fad5ac2e20093b14761161b0f4dc8f045620d2571",
-        "1a4f51d90a0fe3a754f0cd1c1a29cbf1b3056f39bd2bbd973474d05df75a0b67",
+        "e72847ababf2a8ad0356e19470ce0379846d48145dfb71995995cbbcdd227b4f",
+        "02f481b6701e415c61dc84396d0b0c7c89ea3790a3bbdfac3b6fc62853c777b5",
+        "61a12cf2c0764069e2f19343a056f818668cba38747c84ecbc03e2592e9f094d",
     ),
 }
 

@@ -48,14 +48,11 @@ def test_no_unused_import(module):
 # The numpy boundary: block.py is the one array layer.  Only these modules
 # import numpy at the top, and only sweep imports block at the top (the
 # oracle, optimizer.exhaustive_search, imports it where it runs).
-NUMPY_MODULES = {"block.py", "metrics.py", "scenario.py", "svgplot.py", "sweep.py"}
+NUMPY_MODULES = {"block.py", "metrics.py", "svgplot.py", "sweep.py"}
 BLOCK_IMPORTERS = {"sweep.py"}
-# The scalar numpy sites left in metrics and scenario, each a function that
-# reads np, and the ROADMAP item that removes it.
-NUMPY_SITES = {
-    "metrics.py": {"_delivered": 2, "LinkModel.__post_init__": 2},
-    "scenario.py": {"Scenario.__post_init__": 16, "Scenario.shadowing_draws": 16},
-}
+# The scalar numpy site left in metrics, a function that reads np, and the
+# ROADMAP item that removes it.
+NUMPY_SITES = {"metrics.py": {"_delivered": 2}}
 
 
 def top_level_imports(source: str) -> set[str]:

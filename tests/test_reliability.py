@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cloee import reliability
 from cloee.block import block_log_successes, block_successes
 from cloee.metrics import _header_success
 from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _direct, _upper,
@@ -212,6 +213,35 @@ class TestShortSideFirst:
 
 # The frame's three codes, split at import: (code, block).
 FRAME_BLOCKS = [((63, 2), PSDU_BLOCK), ((63, 6), KASAMI_BLOCK), ((40, 2), PHR_BLOCK)]
+
+
+def _direct_near(target, block):
+    """The p_b in [1e-6, 0.5] whose direct sum D is nearest target from
+    below, by bisection (D falls as p_b grows)."""
+    lo, hi = 1e-6, 0.5
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _direct(mid, block, math.pow)[0] >= target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestUpperTailStop:
+    # D < 0.5 - 1e-9 implies U >= 0.5, so block_log_success returns log(D)
+    # without summing U.  Summing it anyway returns the same value, so only
+    # a count of _upper calls tells the stop 1e-9 from a looser 1e-6.
+    @pytest.mark.parametrize("block", [block for _, block in FRAME_BLOCKS],
+                             ids=["psdu", "kasami", "phr"])
+    def test_upper_tail_not_summed_below_the_stop(self, monkeypatch, block):
+        calls = []
+        monkeypatch.setattr(reliability, "_upper", lambda *a: calls.append(a) or _upper(*a))
+        below, above = _direct_near(0.5 - 5e-7, block), _direct_near(0.5, block) / 2
+        direct = _direct(below, block, math.pow)[0]
+        assert 0.5 - 1e-6 <= direct < 0.5 - 1e-9
+        assert block_log_success(below, block) == math.log(direct) and calls == []
+        block_log_success(above, block)         # D >= 0.5: U is summed
+        assert len(calls) == 1
 
 
 def _kernel_p():

@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
+import math
 import os
+import random
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +30,7 @@ from cloee.cli import main
 from cloee.scenario import MAX_RANGE_STEPS
 from cloee.sweep import CSV_HEADER, emit_fixed_distance_curves
 from helpers import parse_rows
-from test_golden import OPTIMIZE
+from test_golden import HOSPITAL, OPTIMIZE
 
 
 
@@ -344,6 +347,68 @@ class TestScenarioParsing:
         assert on.shadowing_draws() == draws          # seeded, reproducible
         other = dataclasses.replace(on, seed=8)
         assert other.shadowing_draws() != draws
+
+
+def _draws(seed, count, sigma=ChannelParams().sigma):
+    """The first count shadowing draws of seed at sigma."""
+    return Scenario(channel=ChannelParams(sigma=sigma), distances=tuple(range(1, count + 1)),
+                    seed=seed, shadowing=True).shadowing_draws()
+
+
+class TestShadowingDraws:
+    # chi = sigma * NormalDist().inv_cdf(u), u from random.Random(seed).random():
+    # a stream whose sequence Python keeps across versions, in config order.
+    @pytest.mark.parametrize("seed,first", [
+        (1, "(-4.866379985416316, 4.512151478298436, 3.161387763342298)"),
+        (7, "(-2.010833765700437, -4.544312065308425, 1.7065161445743533)"),
+    ])
+    def test_first_draws_are_pinned(self, seed, first):
+        assert repr(_draws(seed, 3)) == first
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_draws_are_normal_with_sigma(self, seed):
+        # The sample mean within 4 standard errors of 0, and the sample
+        # standard deviation within 3% of sigma.
+        n, sigma = 10_000, ChannelParams().sigma
+        draws = _draws(seed, n)
+        assert abs(statistics.fmean(draws)) <= 4 * sigma / math.sqrt(n)
+        assert abs(statistics.stdev(draws) / sigma - 1) <= 0.03
+
+    def test_exact_zero_uniform_is_redrawn(self, monkeypatch):
+        # inv_cdf(0.0) raises; a u of exactly 0.0 (2**-53 per draw) is drawn again.
+        class Stream:
+            def __init__(self, seed):
+                self.random = iter([0.0, 0.5, 0.0, 0.0, 0.975]).__next__
+
+        monkeypatch.setattr(random, "Random", Stream)
+        assert _draws(1, 2, sigma=1.0) == (0.0, statistics.NormalDist().inv_cdf(0.975))
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        # random.Random takes no numpy integer; Scenario seeds with int(seed).
+        assert _draws(np.int64(3), 5) == _draws(3, 5)
+
+    def test_zero_sigma_changes_no_byte(self):
+        # A negative quantile times sigma = 0 is -0.0, which adds exactly to
+        # the path loss, so the shadowed sweep is the unshadowed one.
+        draws = _draws(1, 91, sigma=0.0)
+        assert set(draws) == {0.0} and any(math.copysign(1.0, chi) < 0 for chi in draws)
+        off = dataclasses.replace(parse_scenario(HOSPITAL), channel=ChannelParams(sigma=0.0),
+                                  shadowing=False)
+        on = dataclasses.replace(off, shadowing=True)
+        assert rows_to_csv(run_sweep(on)) == rows_to_csv(run_sweep(off))
+
+
+def test_flag_rule_imports_no_numpy():
+    # errors.py alone, in an interpreter where numpy cannot be imported.
+    child = ("import sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from errors import is_bool\n"
+             "print([is_bool(v) for v in (True, False, 1, 'on', 1.0, None)])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src" / "cloee")}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[True, True, False, False, False, False]\n"
 
 
 class TestRunSweep:
