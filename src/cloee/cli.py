@@ -41,7 +41,7 @@ def _point(args) -> tuple[float, Scenario, float]:
     if not (math.isfinite(distance) and distance > 0):
         raise ConfigError("--distance", f"must be finite and > 0, got {distance}")
     scenario = _load(args)
-    return distance, scenario, scenario.shadowing_draws()[0]
+    return distance, scenario, next(scenario._chis())
 
 
 def _cmd_optimize(args) -> int:

@@ -69,19 +69,25 @@ def ppdu_success(header_success: float, log_p_cw: float, n_t: int) -> float:
     return header_success * math.exp(-(-int(n_t) // PSDU_CODE.n) * log_p_cw)
 
 
-def _delivered(n_t, header_success, log_p_cw):
+def _delivered(n_t, header_success, log_p_cw, out=None):
     """Delivered payload bits n_t * P(PPDU delivered); a float for an int n_t.
 
     On an array the codeword powers are taken in place and then scaled by
     n_t * header_success, which is the scalar expression's product with its
     factors swapped: multiplication commutes exactly, so every element keeps
-    its bits.
+    its bits.  out, a pair of float arrays of the result's shape, takes the
+    powers (so the result) and that factor, so no array of that shape is made.
     """
-    powers = -(-n_t // PSDU_CODE.n) * log_p_cw
-    if not isinstance(powers, np.ndarray):      # numpy's exp on a float: ROADMAP item 2
-        return float(n_t * header_success * np.exp(powers))
+    if out is None:
+        powers = -(-n_t // PSDU_CODE.n) * log_p_cw
+        if not isinstance(powers, np.ndarray):      # numpy's exp on a float: ROADMAP item 2
+            return float(n_t * header_success * np.exp(powers))
+        factor = None
+    else:
+        powers, factor = out
+        np.multiply(-(-n_t // PSDU_CODE.n), log_p_cw, out=powers)
     np.exp(powers, out=powers)
-    powers *= n_t * header_success
+    powers *= np.multiply(n_t, header_success, out=factor)
     return powers
 
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import islice, repeat
 from pathlib import Path
-from statistics import NormalDist
+from typing import Iterator
 
 from .channel import ChannelParams
 from .energy import EnergyParams
@@ -109,14 +110,21 @@ class Scenario:
         )
 
     def shadowing_draws(self) -> tuple[float, ...]:
-        """One chi per distance in config order, zeros when shadowing is off:
-        sigma times the standard normal quantile of u = random.Random(seed).random(),
-        a sequence Python keeps across versions (an exact u = 0.0 is drawn again)."""
+        """One chi per distance in config order: the first len(distances) of _chis."""
+        return tuple(islice(self._chis(), len(self.distances)))
+
+    def _chis(self) -> Iterator[float]:
+        """The shadowing draws, one at a time, as they are taken: zeros when
+        shadowing is off, else sigma times the standard normal quantile of
+        u = random.Random(seed).random(), a sequence Python keeps across
+        versions (an exact u = 0.0 is drawn again).  statistics is imported
+        only here, as it loads fractions and decimal, a few ms of a cold start."""
         if not self.shadowing:
-            return tuple(0.0 for _ in self.distances)
+            return repeat(0.0)
+        from statistics import NormalDist
         rng, quantile = random.Random(int(self.seed)), NormalDist().inv_cdf
         uniforms = filter(None, iter(rng.random, None))     # u = 0.0 has no quantile
-        return tuple(self.channel.sigma * quantile(u) for u, _ in zip(uniforms, self.distances))
+        return (self.channel.sigma * quantile(u) for u in uniforms)
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every evaluation lands in a SweepRow; rows are built in (distance, strategy)
 order.  The reserved strategy ids are "cloee" (the solver) and
 "oracle" (exhaustive search); static strategies are named static_<n_cpb>_<n_t>.
-A sweep builds its environments as one block.link_block, from arrays, and a
-ModeMetrics only for a mode that a dual solve reads.
+A sweep builds its environments by block.link_block, from arrays, in blocks
+of ENV_BLOCK points, and a ModeMetrics only for a mode that a dual solve reads.
 """
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ import numpy as np
 from .block import columns, grid, link_block, search_envs, solve_envs
 from .frame import MODE_POSITION
 from .metrics import LinkModel, QosSpec, ppdu_success
-from .optimizer import N_T_MAX_LIMIT, SolverConfig, solve_mode
+from .optimizer import SolverConfig, solve_mode
 from .scenario import Scenario
 from . import svgplot
+
+# A sweep builds, solves and searches its points in blocks of this many.
+ENV_BLOCK = 1024
 
 CSV_HEADER = "distance,strategy,n_cpb,n_t,eta_bits_per_joule,rate_bps,p_ppdu,feasible,branch"
 
@@ -39,14 +42,13 @@ class SweepRow(NamedTuple):
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """Evaluate every strategy plus cloee and the oracle on the distance grid.
 
-    The environments of all points are built as one link_block, and
-    each block of distances reads its part of them, which cloee
-    (solve_envs), the oracle (search_envs, one grid call) and the static
-    rows (one Columns.eta_rate at each static's own frame size) share; the
-    block loop builds every row of the block, each p_ppdu by ppdu_success
-    from the block's floats.  A block holds N_T_MAX_LIMIT // n_t_max distances
-    (n_t_max <= N_T_MAX_LIMIT, so at least one), so its grid has at most
-    6 * 4096 cells, the grid of one distance at the largest n_t_max.
+    The points are taken in environment blocks of ENV_BLOCK.  Each block is
+    one link_block, whose Columns cloee (solve_envs), the oracle (search_envs,
+    one pair of grid arrays for the block) and the static rows (one
+    Columns.eta_rate at each static's own frame size) share; one loop then
+    builds every row of the block, each p_ppdu by ppdu_success from the
+    block's floats.  So the arrays held at once are set by the block size,
+    not by the distance count.
     Deterministic for a given scenario and seed: shadowing draws are made
     up-front in config order, and rows come out in (distance, strategy) order,
     as the points are taken by (distinct) distance and each distance's rows
@@ -55,7 +57,7 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """
     model, qos, cfg = scenario.link_model(), scenario.qos, scenario.solver
     points = sorted(zip(scenario.distances, scenario.shadowing_draws()), key=lambda p: p[0])
-    block, r0ns = N_T_MAX_LIMIT // cfg.n_t_max, qos.aggregate_rate
+    r0ns = qos.aggregate_rate
     # Each static as (name, MODE_TABLE position, n_cpb, n_t), by name, with
     # plain-int entries (a Scenario takes numpy's too).
     statics = sorted((f"static_{a}_{b}", MODE_POSITION[a], int(a), int(b))
@@ -63,13 +65,10 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     # Static s is read at its mode's position and at the s-th frame size.
     sizes = np.array([n_t for _, _, _, n_t in statics])
     positions, own = [i for _, i, _, _ in statics], range(len(statics))
-    rows, environments = [], link_block(model, points)
-    for start in range(0, len(points), block):
-        chunk = points[start:start + block]
-        cols = environments.part(start, start + block)
-        # Read the statics and the floats before the solvers run: holding
-        # arrays across them makes every block fault the oracle's grid in
-        # again (~190 minor faults per hospital sweep instead of ~13, ~0.3 ms).
+    rows = []
+    for start in range(0, len(points), ENV_BLOCK):
+        chunk = points[start:start + ENV_BLOCK]
+        cols = link_block(model, chunk)
         static_values = [a[:, positions, own].tolist() for a in cols.eta_rate(sizes)]
         floats = zip(cols.header_success[..., 0].tolist(), cols.log_p_cw[..., 0].tolist())
         for (d, _), (headers, logs), cloee, oracle, static_etas, static_rates in zip(

@@ -556,20 +556,39 @@ class TestBlockedSweep:
                       distances=tuple(distances), **statics, **variant)
         assert rows_to_csv(run_sweep(sc)) == rows_to_csv(reference_sweep(sc))
 
+    def test_sweep_across_two_environment_blocks(self, monkeypatch):
+        # 1,100 distances are two environment blocks, 1,024 and 76; at
+        # n_t_max = 63 * 100 + 5 the oracle's grid blocks hold 40 distances,
+        # so the edge at 1,024 falls inside one (1,000 + 24 and 40 + 36).
+        sizes, link_block = [], sweep.link_block
+
+        def counting_link_block(model, points):
+            sizes.append(len(points))
+            return link_block(model, points)
+
+        monkeypatch.setattr(sweep, "link_block", counting_link_block)
+        sc = Scenario(solver=SolverConfig(n_t_max=63 * 100 + 5), shadowing=True, seed=3,
+                      distances=tuple(round(1.0 + 0.01 * i, 9) for i in range(1100)))
+        assert rows_to_csv(run_sweep(sc)) == rows_to_csv(reference_sweep(sc))
+        assert sizes == [sweep.ENV_BLOCK, 1100 - sweep.ENV_BLOCK]
+
     @pytest.mark.parametrize("n_t_max,calls", [
         (63, 1), (63 * 100 + 5, 3), (63 * 130, 3), (63 * 1024, 23), (63 * 4096, 91),
     ])
     def test_grid_calls_stay_within_one_largest_grid(self, monkeypatch, n_t_max, calls):
         # The 91-distance hospital sweep (default QoS, shadowing on, seed 1)
-        # comes in blocks of N_T_MAX_LIMIT // n_t_max distances: 31, 31 and 29
-        # at the default 8190.
-        cells = []
+        # is one environment block, which the oracle takes in grid blocks of
+        # N_T_MAX_LIMIT // n_t_max distances: 31, 31 and 29 at the default
+        # 8190.  Every grid block is evaluated into the same two arrays, which
+        # search_envs allocates once.
+        cells, outs = [], []
         grid = block_layer.grid
 
-        def counting_grid(cols, n):
-            out = grid(cols, n)
-            cells.append(out[1].size)
-            return out
+        def counting_grid(cols, n, out=None):
+            result = grid(cols, n, out)
+            cells.append(result[1].size)
+            outs.append(out)
+            return result
 
         monkeypatch.setattr(block_layer, "grid", counting_grid)
         sc = Scenario(solver=SolverConfig(n_t_max=n_t_max), shadowing=True, seed=1)
@@ -577,6 +596,9 @@ class TestBlockedSweep:
         assert len(cells) == calls
         assert max(cells) <= len(MODE_TABLE) * (N_T_MAX_LIMIT // 63)
         assert sum(cells) == len(sc.distances) * len(MODE_TABLE) * (n_t_max // 63)
+        first = outs[0]
+        assert all(np.shares_memory(out[0], first[0]) and np.shares_memory(out[1], first[1])
+                   for out in outs)
 
     def test_sweep_solves_no_environment_with_scalar_calls(self, monkeypatch):
         # run_sweep reads cloee, the oracle and the static rows off each

@@ -26,6 +26,7 @@ from cloee import (
     rows_to_csv,
     run_sweep,
 )
+from cloee import cli
 from cloee.cli import main
 from cloee.scenario import MAX_RANGE_STEPS
 from cloee.sweep import CSV_HEADER, emit_fixed_distance_curves
@@ -396,6 +397,45 @@ class TestShadowingDraws:
                                   shadowing=False)
         on = dataclasses.replace(off, shadowing=True)
         assert rows_to_csv(run_sweep(on)) == rows_to_csv(run_sweep(off))
+
+
+    def test_optimize_draws_only_its_chi(self, monkeypatch):
+        # optimize reads the first draw alone: one quantile, not one per
+        # configured distance (91 by default), and shadowing_draws()[0].
+        quantiles, chis = [], []
+        inv_cdf, solve = statistics.NormalDist.inv_cdf, cli.cloee
+
+        def counting_inv_cdf(self, p):
+            quantiles.append(p)
+            return inv_cdf(self, p)
+
+        def recording_cloee(*args):
+            chis.append(args[-1])
+            return solve(*args)
+
+        monkeypatch.setattr(statistics.NormalDist, "inv_cdf", counting_inv_cdf)
+        monkeypatch.setattr(cli, "cloee", recording_cloee)
+        assert main(["optimize", "--distance", "3", "--shadowing", "on", "--seed", "5"]) == 0
+        assert len(quantiles) == 1
+        assert chis == [Scenario(shadowing=True, seed=5).shadowing_draws()[0]]
+        assert chis[0] != 0.0
+
+
+def test_unshadowed_scenario_imports_no_statistics():
+    # statistics loads fractions and decimal, a few ms of a cold start, so
+    # only a shadowed draw imports it.
+    child = ("import sys\n"
+             "import cloee\n"
+             "sc = cloee.parse_scenario('seed = 1\\nshadowing = off\\n')\n"
+             "sc.shadowing_draws()\n"
+             "print('statistics' in sys.modules)\n"
+             "cloee.parse_scenario('seed = 1\\nshadowing = on\\n').shadowing_draws()\n"
+             "print('statistics' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nTrue\n"
 
 
 def test_flag_rule_imports_no_numpy():
