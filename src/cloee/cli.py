@@ -7,7 +7,8 @@ Subcommands:
   dump-modes  the six-row PHY mode table (and frame constants) as CSV
 
 All numeric defaults come from the scenario config; see scenario.py for the
-file format.  Exit codes: 0 ok, 2 config/value errors, 3 I/O errors.
+file format.  Exit codes: 0 ok, 2 config/value errors, 3 I/O errors.  main
+prints a command's stdout, a text or the paths it wrote, once the command returns.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import dataclasses
 import functools
 import math
 import sys
+from pathlib import Path
 
 from .errors import ConfigError
 from .frame import FRAME_CONSTANTS, MODE_TABLE
 from .optimizer import cloee
+from .output import csv_text, write_files
 from .scenario import _KEYS, Scenario, _parse_float, load_scenario
-from .sweep import _csv, _write, emit_curves, emit_fixed_distance_curves, run_sweep
+from .sweep import emit_curves, emit_fixed_distance_curves, run_sweep
 
 OPT_HEADER = ("distance,n_t,n_cpb,eta_bits_per_joule,rate_bps,lambda,"
               "feasible,iterations,branch,kkt_rate")
@@ -41,51 +44,38 @@ def _point(args) -> tuple[float, Scenario, float]:
     if not (math.isfinite(distance) and distance > 0):
         raise ConfigError("--distance", f"must be finite and > 0, got {distance}")
     scenario = _load(args)
-    return distance, scenario, next(scenario._chis())
+    return distance, scenario, next(scenario.chis())
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> str:
     distance, scenario, chi = _point(args)
     res = cloee(scenario.link_model(), distance, scenario.qos, scenario.solver, chi)
-    text = _csv(OPT_HEADER, [(distance, res.n_t_star, res.n_cpb_star, res.eta, res.rate,
-                              res.lambda_, res.feasible, res.iterations, res.branch,
-                              res.kkt_rate)])
+    text = csv_text(OPT_HEADER, [(distance, res.n_t_star, res.n_cpb_star, res.eta, res.rate,
+                                  res.lambda_, res.feasible, res.iterations, res.branch,
+                                  res.kkt_rate)])
     if args.out:
-        _write(args.out, {"optimize.csv": text})
-    print(text, end="")
-    return 0
+        write_files(args.out, {"optimize.csv": text})
+    return text
 
 
-def _cmd_sweep(args) -> int:
-    scenario = _load(args)
-    rows = run_sweep(scenario)
-    paths = emit_curves(rows, args.out, fmt=args.format)
-    for p in paths:
-        print(p)
-    return 0
+def _cmd_sweep(args) -> list[Path]:
+    return emit_curves(run_sweep(_load(args)), args.out, fmt=args.format)
 
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args) -> list[Path]:
     distance, scenario, chi = _point(args)
-    paths = emit_fixed_distance_curves(scenario.link_model(), distance,
-                                       scenario.qos, scenario.solver, args.out,
-                                       fmt=args.format, chi=chi)
-    for p in paths:
-        print(p)
-    return 0
+    return emit_fixed_distance_curves(scenario.link_model(), distance, scenario.qos,
+                                      scenario.solver, args.out, fmt=args.format, chi=chi)
 
 
-def _cmd_dump_modes(args) -> int:
-    modes = _csv("n_cpb,t_w_s,t_sym_s,rate_uncoded_bps,rate_coded_bps",
-                 [(m.n_cpb, m.t_w, m.t_sym, m.rate_uncoded, m.rate_coded) for m in MODE_TABLE])
-    if args.out:
-        constants = _csv("name,value", [(f.name, getattr(FRAME_CONSTANTS, f.name))
+def _cmd_dump_modes(args) -> str | list[Path]:
+    modes = csv_text("n_cpb,t_w_s,t_sym_s,rate_uncoded_bps,rate_coded_bps", [
+        (m.n_cpb, m.t_w, m.t_sym, m.rate_uncoded, m.rate_coded) for m in MODE_TABLE])
+    if not args.out:
+        return modes
+    constants = csv_text("name,value", [(f.name, getattr(FRAME_CONSTANTS, f.name))
                                         for f in dataclasses.fields(FRAME_CONSTANTS)])
-        for p in _write(args.out, {"modes.csv": modes, "frame_constants.csv": constants}):
-            print(p)
-    else:
-        print(modes, end="")
-    return 0
+    return write_files(args.out, {"modes.csv": modes, "frame_constants.csv": constants})
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -134,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        print(out if isinstance(out, str) else "".join(f"{p}\n" for p in out), end="")
+        return 0
     except ConfigError as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2

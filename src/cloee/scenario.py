@@ -110,10 +110,10 @@ class Scenario:
         )
 
     def shadowing_draws(self) -> tuple[float, ...]:
-        """One chi per distance in config order: the first len(distances) of _chis."""
-        return tuple(islice(self._chis(), len(self.distances)))
+        """One chi per distance in config order: the first len(distances) of chis."""
+        return tuple(islice(self.chis(), len(self.distances)))
 
-    def _chis(self) -> Iterator[float]:
+    def chis(self) -> Iterator[float]:
         """The shadowing draws, one at a time, as they are taken: zeros when
         shadowing is off, else sigma times the standard normal quantile of
         u = random.Random(seed).random(), a sequence Python keeps across

@@ -1,4 +1,4 @@
-"""Distance sweeps, static-strategy comparison and CSV emission.
+"""Distance sweeps, static-strategy comparison and curves, written through output.
 
 Every evaluation lands in a SweepRow; rows are built in (distance, strategy)
 order.  The reserved strategy ids are "cloee" (the solver) and
@@ -18,8 +18,8 @@ from .block import columns, grid, link_block, search_envs, solve_envs
 from .frame import MODE_POSITION
 from .metrics import LinkModel, QosSpec, ppdu_success
 from .optimizer import SolverConfig, solve_mode
+from .output import csv_text, with_charts, write_files
 from .scenario import Scenario
-from . import svgplot
 
 # A sweep builds, solves and searches its points in blocks of this many.
 ENV_BLOCK = 1024
@@ -86,44 +86,8 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     return rows
 
 
-def _csv(header: str, rows) -> str:
-    """header plus one line per row, newline-terminated: the one cell rule of
-    every CSV the CLI writes.  True/False are true/false, None is an empty
-    cell and any other value is str(v), for a float its shortest repr."""
-    # A column at a time: one comprehension per column instead of one per
-    # row, which on CPython 3.11 costs a function call each.
-    columns = [["true" if v is True else "false" if v is False
-                else "" if v is None else str(v) for v in column]
-               for column in zip(*rows)]
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    return _csv(CSV_HEADER, rows)
-
-
-def _write(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:
-    """Write each named text into out_dir, made if missing, as UTF-8 (the
-    encoding configs are read in); returns the paths in the order of texts."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
-    return [out_dir / name for name in texts]
-
-
-def _with_charts(texts: dict[str, str], fmt: str, prefix: str, series, title: str,
-                 x_label: str) -> dict[str, str]:
-    """texts plus, for fmt="svg", the eta and rate line charts
-    <prefix>_<metric>.svg of series(metric); a fmt other than csv|svg raises."""
-    if fmt == "csv":
-        return texts
-    if fmt != "svg":
-        raise ValueError(f"format must be csv|svg, got {fmt!r}")
-    return texts | {f"{prefix}_{metric}.svg": svgplot.render_lines(
-                        series(metric), title=f"{metric} vs {title}",
-                        x_label=x_label, y_label=label)
-                    for metric, label in (("eta", "bits/Joule"), ("rate", "bits/s"))}
+    return csv_text(CSV_HEADER, rows)
 
 
 def emit_curves(rows: list[SweepRow], out_dir: str | Path, fmt: str = "csv") -> list[Path]:
@@ -144,8 +108,8 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, fmt: str = "csv") -> 
         return [(strat, distances, [getattr(r, metric) for r in group])
                 for strat, distances, group in columns]
 
-    return _write(out_dir, _with_charts({"sweep.csv": rows_to_csv(rows)}, fmt, "sweep",
-                                        series, "distance", "distance (m)"))
+    return write_files(out_dir, with_charts({"sweep.csv": rows_to_csv(rows)}, fmt, "sweep",
+                                            series, "distance", "distance (m)"))
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +148,7 @@ def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
         mark_rows.append((n_cpb, sol.nee, sol.nthr, sol.n_t_star, sol.branch, sol.feasible))
         series["eta"].append((f"n_cpb={n_cpb}", nts, etas))
         series["rate"].append((f"n_cpb={n_cpb}", nts, rates))
-    texts = {"curves.csv": _csv(CURVE_HEADER, curve_rows),
-             "curve_marks.csv": _csv(MARKS_HEADER, mark_rows)}
-    return _write(out_dir, _with_charts(texts, fmt, "curves", series.__getitem__,
-                                        f"frame size at {distance} m", "n_t (bits)"))
+    texts = {"curves.csv": csv_text(CURVE_HEADER, curve_rows),
+             "curve_marks.csv": csv_text(MARKS_HEADER, mark_rows)}
+    return write_files(out_dir, with_charts(texts, fmt, "curves", series.__getitem__,
+                                            f"frame size at {distance} m", "n_t (bits)"))

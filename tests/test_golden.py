@@ -23,22 +23,39 @@ draw comes from numpy.  Another platform may round a transcendental function
 differently in the last bit, which changes a CSV without changing the model;
 on such a platform these tests say so first.
 
+Beside the byte pins, decision digests hash only what the solver decided:
+each sweep row's (distance, strategy, n_cpb, n_t, feasible, branch) for the
+default and the nine hospital sweeps, and each solver result's (n_t_star,
+n_cpb_star, feasible, branch, nee, nthr).  A last-bit change of a float moves
+a byte pin and leaves its decision digest, as numpy's exp without its
+AVX-512 path does on the hospital sweeps (a subprocess test checks it).
+
 A change that alters outputs on purpose (a new formula, or a reordering of
-floating-point work) must re-pin every value here and state the largest
-relative difference between the old and new CSVs.
+floating-point work) must re-pin every byte pin that moves and state the
+largest relative difference between the old and new CSVs; a decision digest
+it moves needs its own account of the rows that moved and why.
 """
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cloee import Scenario, SolverConfig, parse_scenario, rows_to_csv, run_sweep, solve_mode
 from cloee.cli import main
 from cloee.optimizer import solve_env
 from helpers import binding_envs, search_env
+
+TESTS = Path(__file__).resolve().parent
 
 # perfbench/scenarios/hospital.conf, the paper's headline scenario.
 HOSPITAL = """
@@ -66,21 +83,83 @@ HOSPITAL_SWEEPS = {
 }
 
 
+# The decisions of the same sweeps: a sha256 over each row's (distance,
+# strategy, n_cpb, n_t, feasible, branch), which a change of the last bit of
+# eta, rate or p_ppdu leaves alone.
+DEFAULT_DECISIONS = "cd947ac7e06d83c5ac0d5994f0809e011eed265a8da279e5b0bce8c82b0308d6"
+
+HOSPITAL_DECISIONS = {
+    ("default", 1): "9d27b67065410e1f4e55f4878fca1d8c02660c0263e13d777037afe3508bd11c",
+    ("default", 2): "cb42a7f751700fb9d6dfe66bc1c6c3d16f5fce8cf2c2915865f79da5e9b57931",
+    ("default", 3): "89aec282d0021ee5a6bba95e2db2f67aec01dac123b099029ffc90fa1524fdd7",
+    ("uniform_section_ber", 1): "a98c362b6f333598c4175eda506ba80d438921114e5ddc8e9eff8ae095ba4b81",
+    ("uniform_section_ber", 2): "82b896ef6da8a7416fc66629ebad697a1b5461e1e26846c43b9d504d6e62d309",
+    ("uniform_section_ber", 3): "7639e11caca10919ccf0c54ff9b69b6555c91a93d8ffa4576243d0d76ce073d5",
+    ("integration_per_pulse", 1): "7b15df68fa18c7fb954969e54603cd9b0220ef96b6d7ce921320a6342bc002af",
+    ("integration_per_pulse", 2): "45fd743563989449ae311884af6414269830f4c747a7b4cdb1dca36d7cb21d1b",
+    ("integration_per_pulse", 3): "329f32305b04d2a3563a746f5583b3d989902c003f036c968f027be6da54fbdf",
+}
+
+
 def _sha(scenario: Scenario) -> str:
     return hashlib.sha256(rows_to_csv(run_sweep(scenario)).encode()).hexdigest()
+
+
+def decision_sha(decisions) -> str:
+    """sha256 over one line per decision, its fields' str()s joined by commas."""
+    return hashlib.sha256("".join(",".join(map(str, d)) + "\n" for d in decisions)
+                          .encode()).hexdigest()
+
+
+def sweep_decisions(scenario: Scenario) -> str:
+    return decision_sha((r.distance, r.strategy, r.n_cpb, r.n_t, r.feasible, r.branch)
+                        for r in run_sweep(scenario))
+
+
+def hospital(variant: str, seed: int) -> Scenario:
+    overrides = {"seed": seed}
+    if variant != "default":
+        overrides[variant] = True
+    return dataclasses.replace(parse_scenario(HOSPITAL), **overrides)
 
 
 def test_default_sweep_csv():
     assert _sha(Scenario()) == DEFAULT_SWEEP
 
 
+def test_default_sweep_decisions():
+    assert sweep_decisions(Scenario()) == DEFAULT_DECISIONS
+
+
 @pytest.mark.parametrize("variant,seed", sorted(HOSPITAL_SWEEPS))
 def test_hospital_sweep_csv(variant, seed):
-    overrides = {"seed": seed}
-    if variant != "default":
-        overrides[variant] = True
-    scenario = dataclasses.replace(parse_scenario(HOSPITAL), **overrides)
-    assert _sha(scenario) == HOSPITAL_SWEEPS[variant, seed]
+    assert _sha(hospital(variant, seed)) == HOSPITAL_SWEEPS[variant, seed]
+
+
+@pytest.mark.parametrize("variant,seed", sorted(HOSPITAL_DECISIONS))
+def test_hospital_sweep_decisions(variant, seed):
+    assert sweep_decisions(hospital(variant, seed)) == HOSPITAL_DECISIONS[variant, seed]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x has no numpy._core.__cpu_features__")
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the disabled features are x86-64 AVX-512 ones")
+def test_hospital_sweep_decisions_without_avx512_dispatch():
+    # numpy's exp may round differently in the last bit without its AVX-512
+    # path, which moves the byte pins above but must move no decision.  The
+    # child fails if numpy ignored the disabled feature names.
+    child = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+             "assert __cpu_features__['AVX512_SKX'] is False\n"
+             "import test_golden as g\n"
+             "print([key for key, sha in sorted(g.HOSPITAL_DECISIONS.items())\n"
+             "       if g.sweep_decisions(g.hospital(*key)) != sha])\n")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join((str(TESTS), str(TESTS.parent / "src")))}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 CURVE_FILES = ("curves.csv", "curve_marks.csv", "curves_eta.svg", "curves_rate.svg")
@@ -201,14 +280,28 @@ def test_dump_modes_files(tmp_path):
 # grid size with the repr of its six solve_mode results, solve_env and
 # search_env.  Every bit of every field of every branch is pinned.
 SOLVER_RESULTS = "4d206ec0fcc62acc3789cfb5d7420991de455f25cfeab508971b017e6c24e3a2"
+# Their decisions: each result's (n_t_star, n_cpb_star, feasible, branch,
+# nee, nthr), one line per result in the same order.
+SOLVER_DECISIONS = "b64512a1c987a97e93bac492c6dcbc7407d7b92f247464529e738d9a69ef235e"
+
+
+@functools.cache
+def solver_results() -> tuple[list, ...]:
+    """One list per environment and grid size: its six solve_mode results,
+    solve_env and search_env (computed once for both pins below)."""
+    cfgs = [SolverConfig(n_t_max=n) for n in (63, 8190, 63 * 4096)]
+    return tuple([*(solve_mode(mm, qos, cfg) for mm in env), solve_env(env, qos, cfg),
+                  search_env(env, qos, cfg)]
+                 for env, qos in binding_envs() for cfg in cfgs)
 
 
 def test_solver_results():
-    cfgs = [SolverConfig(n_t_max=n) for n in (63, 8190, 63 * 4096)]
     digest = hashlib.sha256()
-    for env, qos in binding_envs():
-        for cfg in cfgs:
-            results = [solve_mode(mm, qos, cfg) for mm in env]
-            results += [solve_env(env, qos, cfg), search_env(env, qos, cfg)]
-            digest.update((repr(results) + "\n").encode())
+    for results in solver_results():
+        digest.update((repr(results) + "\n").encode())
     assert digest.hexdigest() == SOLVER_RESULTS
+
+
+def test_solver_decisions():
+    assert decision_sha((r.n_t_star, r.n_cpb_star, r.feasible, r.branch, r.nee, r.nthr)
+                        for results in solver_results() for r in results) == SOLVER_DECISIONS

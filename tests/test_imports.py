@@ -1,6 +1,9 @@
 """Every name a module of the package imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,56 @@ def test_each_scalar_numpy_site_names_its_roadmap_item(module):
     assert sites.keys() == NUMPY_SITES[module].keys()
     for site, item in NUMPY_SITES[module].items():
         assert f"ROADMAP item {item}" in sites[site], site
+
+
+def private_names_from(source: str, modules: set[str]) -> list[str]:
+    """The _-prefixed names that source takes from modules, sorted: imported
+    by name (`from .sweep import _csv`) or read off the module (`sweep._csv`
+    after `from . import sweep`)."""
+    tree, names, bound = ast.parse(source), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module and node.module.rpartition(".")[2] in modules:
+                names |= {alias.name for alias in node.names if alias.name.startswith("_")}
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in modules}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id in bound}
+    return sorted(names)
+
+
+def test_the_check_finds_private_names():
+    source = ("from .sweep import _csv, run_sweep\n"
+              "from cloee.output import _write\n"
+              "from .scenario import _KEYS\n"
+              "from . import output as out, frame\n"
+              "x = out._with_charts, out.csv_text, frame._x, run_sweep._y\n")
+    assert private_names_from(source, {"sweep", "output"}) == ["_csv", "_with_charts", "_write"]
+
+
+def test_output_imports_neither_numpy_nor_svgplot_at_the_top():
+    assert top_level_imports((PACKAGE / "output.py").read_text()) & {"numpy", "svgplot"} == set()
+
+
+def test_cli_takes_no_private_name_from_sweep_or_output():
+    assert private_names_from((PACKAGE / "cli.py").read_text(), {"sweep", "output"}) == []
+
+
+def test_only_svg_output_loads_svgplot(tmp_path):
+    # svgplot (and with it numpy's array formatting) is imported by
+    # output.with_charts for fmt="svg" only, not by import cloee or the CLI.
+    child = ("import contextlib, io, sys\n"
+             "import cloee\n"
+             "loaded = ['cloee.svgplot' in sys.modules]\n"
+             "from cloee.cli import main\n"
+             "for fmt in ('csv', 'svg'):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"        assert main(['curves', '--format', fmt, '--out', {str(tmp_path)!r}]) == 0\n"
+             "    loaded.append('cloee.svgplot' in sys.modules)\n"
+             "print(loaded)\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False, False, True]\n"

@@ -1435,3 +1435,57 @@ class TestSolverConfig:
     def test_largest_ceiling_accepted(self, model, qos):
         cfg = SolverConfig(n_t_max=63 * 4096)
         assert exhaustive_search(model, 5.0, qos, cfg).iterations == 6 * 4096
+
+
+class TestOneEvaluator:
+    # A static strategy placed at cloee's or the oracle's (n_cpb, n_t) is read
+    # by the same evaluator (Columns.eta_rate, ppdu_success of the block's
+    # floats and rate >= r0 * n_s), so it gets their eta, rate, p_ppdu and
+    # feasible bit for bit (ROADMAP item 19).
+
+    def test_static_at_the_chosen_points_of_hospital_sweeps(self):
+        rows = 0
+        for variant in MODEL_VARIANTS:
+            for seed in (1, 2, 3):
+                sc = dataclasses.replace(load_scenario(HOSPITAL_CONF), seed=seed, **variant)
+                chosen = [r for r in run_sweep(sc) if r.strategy in ("cloee", "oracle")]
+                placed = dataclasses.replace(
+                    sc, strategies=tuple(sorted({(r.n_cpb, r.n_t) for r in chosen})))
+                statics = {(r.distance, r.n_cpb, r.n_t): r for r in run_sweep(placed)
+                           if r.branch == "static"}
+                for r in chosen:
+                    static = statics[r.distance, r.n_cpb, r.n_t]
+                    # eta, rate, p_ppdu, feasible
+                    assert repr(static[4:8]) == repr(r[4:8]), (variant, seed, r)
+                rows += len(chosen)
+        assert rows == len(MODEL_VARIANTS) * 3 * 91 * 2
+
+    def test_static_at_cloees_point_on_binding_rows(self):
+        # The binding rows reach the dual branch, which the sweeps almost
+        # never do: one link_block per model variant and grid size, read at
+        # each row's cloee() point.
+        lines = BINDING_CSV.read_text().splitlines()[1:257]
+        rows = [(float(d), float(chi), QosSpec(r0=float(r0), n_s=int(n_s)))
+                for d, chi, r0, n_s in (line.split(",") for line in lines)]
+        own = np.arange(len(rows))
+        branches = collections.Counter()
+        for variant in MODEL_VARIANTS:
+            model = LinkModel(**variant)
+            envs = [model.env(d, chi) for d, chi, _ in rows]
+            cols = block_layer.link_block(model, [(d, chi) for d, chi, _ in rows])
+            for n_t_max in (63, 8190, 63 * 4096):
+                cfg = SolverConfig(n_t_max=n_t_max)
+                results = [cloee(model, d, qos, cfg, chi) for d, chi, qos in rows]
+                positions = [MODE_POSITION[res.n_cpb_star] for res in results]
+                etas, rates = (a[own, positions, own].tolist() for a in
+                               cols.eta_rate(np.array([res.n_t_star for res in results])))
+                for e, ((_, _, qos), res, m, eta, rate) in enumerate(
+                        zip(rows, results, positions, etas, rates)):
+                    p_ppdu = metrics.ppdu_success(cols.header_success.item(e, m, 0),
+                                                  cols.log_p_cw.item(e, m, 0), res.n_t_star)
+                    assert repr((eta, rate, p_ppdu, rate >= qos.aggregate_rate)) == repr(
+                        (res.eta, res.rate, envs[e][m].success(res.n_t_star), res.feasible)), \
+                        (variant, n_t_max, e, res)
+                    branches[res.branch] += 1
+        assert sum(branches.values()) == len(MODEL_VARIANTS) * 3 * len(rows)
+        assert branches["dual"] >= len(rows), branches
