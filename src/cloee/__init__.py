@@ -23,7 +23,6 @@ from .optimizer import (
     cloee,
     exhaustive_search,
     nt_closed_form,
-    snap_to_grid,
     solve_mode,
 )
 from .scenario import Scenario, load_scenario, parse_scenario
@@ -38,5 +37,5 @@ __all__ = [
     "OptResult", "PHR_CODE", "PSDU_CODE", "PhyMode", "QosSpec", "Scenario",
     "SolverConfig", "SweepRow", "bit_error_probs", "cloee", "emit_curves",
     "energy_breakdown", "exhaustive_search", "load_scenario", "nt_closed_form",
-    "parse_scenario", "rows_to_csv", "run_sweep", "snap_to_grid", "solve_mode",
+    "parse_scenario", "rows_to_csv", "run_sweep", "solve_mode",
 ]

@@ -234,9 +234,9 @@ def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult
     energy, log_p_cw = cols.energy, cols.log_p_cw
     # Both closed forms on the last axis, efficiency then throughput, clamped
     # to the grid's span: the first is xs.  k = x // n, then k + 1 up to
-    # k_max, are snap_to_grid's two candidates (clamping x to n is its
-    # max(1, k), and to n * k_max its ceiling; for x >= 0, floor(x) // n is
-    # its int(x // n)).
+    # k_max, are optimizer.snap_to_grid's two candidates (clamping x to n is
+    # its max(1, k), and to n * k_max its ceiling; for x >= 0, floor(x) // n
+    # is its int(x // n)).
     x = np.minimum(np.maximum(_closed_forms(
         np.concatenate((energy.eps_b, cols.t_sym), axis=1),
         np.concatenate((energy.eps_fixed, np.full_like(cols.t_sym, ModeMetrics.t_oh)), axis=1),
@@ -252,21 +252,21 @@ def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult
     etas, rates = cols.eta_rate(np.concatenate((k, np.minimum(k + 1, k_max)), axis=2) * n)
     up = np.stack((etas[..., 2] > etas[..., 0], rates[..., 3] > rates[..., 1]), axis=2)
     # The snapped values, [..., 0] at nee and [..., 1] at nthr.  Each
-    # decision reads its bounds and rate peaks as lists, and the values of
+    # decision reads its bounds and peaks as lists, and the values of
     # the few modes it solves or falls back to one by one (item gives a
     # Python int or float).
     nts = (k + up) * n
     etas = np.where(up, etas[..., 2:], etas[..., :2])
     rates = np.where(up, rates[..., 2:], rates[..., :2])
     results, n_cpb = [], [mode.n_cpb for mode in cols.modes].__getitem__
-    for e, (bound, nthr, rate_thr) in enumerate(zip(
-            bounds[..., 0].tolist(), nts[..., 1].tolist(), rates[..., 1].tolist())):
+    for e, (bound, nthr, eta_thr, rate_thr) in enumerate(zip(
+            bounds[..., 0].tolist(), nts[..., 1].tolist(), etas[..., 1].tolist(),
+            rates[..., 1].tolist())):
         results.append(_decide(
             n_cpb, lambda m: cols.metrics(e, m), bound, r0ns,
-            lambda m: (nthr[m], rate_thr[m]),
+            lambda m: (nthr[m], eta_thr[m], rate_thr[m]),
             lambda m: (xs.item(e, m, 0), nts.item(e, m, 0), etas.item(e, m, 0),
-                       rates.item(e, m, 0)),
-            lambda m, _: (nts.item(e, m, 0), etas.item(e, m, 1))))
+                       rates.item(e, m, 0))))
     return results
 
 

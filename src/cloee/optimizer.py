@@ -38,6 +38,8 @@ _decide is the one place this decision and the cross-mode pick are
 written, over per-mode values that its caller supplies.  solve_env computes
 each value when the decision asks for it (scalar snaps), so pruning saves
 work; cloee and solve_mode run it, and block.solve_envs is its block form.
+A snap, scalar or block, reads eta and rate at its two codeword multiples
+from one numerator and keeps the better by the objective it snaps for.
 
 solve_mode is solve_env on a one-mode environment, which is always visited
 and so gets the full three-branch solve.  exhaustive_search scans the whole
@@ -130,23 +132,23 @@ def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float) -> float:
     return math.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
 
 
-def snap_to_grid(x_cont: float, objective: Callable[[int], float],
-                 n_t_max: int) -> tuple[int, float]:
-    """Round a continuous frame size to the better of the two codeword
-    multiples around it; returns (n_t, objective(n_t)).
+def snap_to_grid(mm: ModeMetrics, x: float, n_t_max: int, by: int) -> tuple[int, float, float]:
+    """Round a continuous frame size x to the better of the two codeword
+    multiples around it by eta (by=0) or by rate (by=1); returns (n_t, eta,
+    rate) there, both from mm.eta_rate's one numerator.
 
     Clamps into [n, (n_t_max // n) * n] with n = PSDU_CODE.n; ties prefer the smaller size.
     """
     n = PSDU_CODE.n
     k_max = n_t_max // n
-    if math.isinf(x_cont) or x_cont >= k_max * n:
-        return k_max * n, objective(k_max * n)
-    k = max(1, int(x_cont // n))
-    best = (k * n, objective(k * n))
+    if math.isinf(x) or x >= k_max * n:
+        return (k_max * n, *mm.eta_rate(k_max * n))
+    k = max(1, int(x // n))
+    best = (k * n, *mm.eta_rate(k * n))
     if k < k_max:
-        v = objective((k + 1) * n)
-        if v > best[1]:
-            best = ((k + 1) * n, v)
+        up = ((k + 1) * n, *mm.eta_rate((k + 1) * n))
+        if up[1 + by] > best[1 + by]:
+            best = up
     return best
 
 
@@ -213,22 +215,20 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
 
 
 def _decide(n_cpb: Callable[[int], int], metrics: Callable[[int], ModeMetrics],
-            bounds: list[float], r0ns: float, peak: Callable[[int], tuple[int, float]],
-            efficiency: Callable[[int], tuple[float, int, float, float]],
-            fallback: Callable[[int, int], tuple[int, float]]) -> OptResult:
+            bounds: list[float], r0ns: float, peak: Callable[[int], tuple[int, float, float]],
+            efficiency: Callable[[int], tuple[float, int, float, float]]) -> OptResult:
     """The three-branch solve of each mode of an environment whose eta bound
     can still win, then the best of them (module docstring), over per-mode
     values that the caller supplies: the eta bounds, one per mode, then, for
-    a mode m that the decision visits, peak(m) = (nthr, rate(nthr)) and
-    efficiency(m) = (x, nee, eta(nee), rate(nee)), x being the clamped
-    efficiency closed form, for the all-infeasible fallback fallback(m, nthr)
-    = (nee, eta(nthr)), for a dual solve the mode's ModeMetrics, metrics(m),
-    and for the result its burst order, n_cpb(m)."""
+    a mode m that the decision visits, peak(m) = (nthr, eta(nthr),
+    rate(nthr)) and efficiency(m) = (x, nee, eta(nee), rate(nee)), x being
+    the clamped efficiency closed form, for a dual solve the mode's
+    ModeMetrics, metrics(m), and for the result its burst order, n_cpb(m)."""
     best, winner, peaks = -math.inf, None, [None] * len(bounds)
     for m in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[m] * (1.0 + 1e-12) < best:
             break                    # this mode and every later one lose strictly
-        nthr, rate_thr = peaks[m] = peak(m)
+        nthr, _, rate_thr = peaks[m] = peak(m)
         if rate_thr < r0ns:
             continue                 # the grid rate peaks at nthr (C4): infeasible
         x, nee, eta_ee, rate_ee = efficiency(m)
@@ -242,10 +242,10 @@ def _decide(n_cpb: Callable[[int], int], metrics: Callable[[int], ModeMetrics],
         return winner[1]
     # No mode can meet the rate target, and every mode was visited: the
     # first with the best rate peak falls back to it.
-    m = max(range(len(bounds)), key=lambda m: peaks[m][1])
-    (nthr, rate_thr), (nee, eta_thr) = peaks[m], fallback(m, peaks[m][0])
+    m = max(range(len(bounds)), key=lambda m: peaks[m][2])
+    nthr, eta_thr, rate_thr = peaks[m]
     return OptResult(nthr, n_cpb(m), eta_thr, rate_thr, 0.0, False, 0,
-                     "throughput-fallback", None, nee, nthr)
+                     "throughput-fallback", None, efficiency(m)[1], nthr)
 
 
 def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> OptResult:
@@ -255,24 +255,20 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
     n_t_max = cfg.n_t_max
     x_lo, x_hi = float(PSDU_CODE.n), float(n_t_max // PSDU_CODE.n * PSDU_CODE.n)
     # Each mode's efficiency closed form, clamped once to the grid's span:
-    # the eta bound, the efficiency snap, the fallback's nee and _dual read it.
+    # the eta bound, the efficiency snap and _dual read it.
     xs = [min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw), x_lo), x_hi)
           for mm in env]
 
     def peak(m):
         mm = env[m]
-        return snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), mm.rate, n_t_max)
+        return snap_to_grid(mm, nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), n_t_max, 1)
 
     def efficiency(m):
-        nee, eta_ee = snap_to_grid(xs[m], env[m].eta, n_t_max)
-        return xs[m], nee, eta_ee, env[m].rate(nee)
-
-    def fallback(m, nthr):
-        return snap_to_grid(xs[m], env[m].eta, n_t_max)[0], env[m].eta(nthr)
+        return (xs[m], *snap_to_grid(env[m], xs[m], n_t_max, 0))
 
     return _decide(lambda m: env[m].mode.n_cpb, env.__getitem__,
                    [x * mm.success_cont(x) / mm.energy.total(x) for mm, x in zip(env, xs)],
-                   qos.aggregate_rate, peak, efficiency, fallback)
+                   qos.aggregate_rate, peak, efficiency)
 
 
 def solve_mode(mm: ModeMetrics, qos: QosSpec, cfg: SolverConfig) -> OptResult:

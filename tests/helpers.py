@@ -22,13 +22,12 @@ from cloee import (
     SweepRow,
     energy_breakdown,
     optimizer,
-    snap_to_grid,
     solve_mode,
 )
 from cloee.block import columns, search_envs
 from cloee.energy import DEFAULT_ENERGY
 from cloee.metrics import _header_success
-from cloee.optimizer import solve_env
+from cloee.optimizer import snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
 from cloee.sweep import CSV_HEADER
@@ -156,6 +155,29 @@ def reference_sweep(scenario) -> list[SweepRow]:
     return rows
 
 
+def output_diff(old_rows, new_rows) -> tuple[dict, dict]:
+    """What moved between two sweeps' rows (SweepRows, or parse_rows of their
+    CSVs), for a re-pin's CHANGES.md line: ({(distance, strategy): (old, new)}
+    for each row whose decision (n_cpb, n_t, feasible, branch) changed, and
+    {column: the largest relative difference |new - old| / |old|} for eta,
+    rate and p_ppdu (inf where a 0 moved).  Raises ValueError when the two
+    lists do not have the same (distance, strategy) keys, each once."""
+    old, new = ({(r.distance, r.strategy): r for r in rows} for rows in (old_rows, new_rows))
+    if old.keys() != new.keys() or len(old) + len(new) != len(old_rows) + len(new_rows):
+        raise ValueError("the two row lists need the same (distance, strategy) keys, each once")
+    moved, worst = {}, dict.fromkeys(("eta", "rate", "p_ppdu"), 0.0)
+    for key, a in old.items():
+        b = new[key]
+        decisions = [(r.n_cpb, r.n_t, r.feasible, r.branch) for r in (a, b)]
+        if decisions[0] != decisions[1]:
+            moved[key] = tuple(decisions)
+        for column in worst:
+            x, y = getattr(a, column), getattr(b, column)
+            if x != y:
+                worst[column] = max(worst[column], abs(y - x) / abs(x) if x else math.inf)
+    return moved, worst
+
+
 def reference_solve_env(env, qos, cfg) -> OptResult:
     """cloee as the selection over every mode's solve_mode result, the
     reference for optimizer.solve_env's eta-bound pruning: the best-eta
@@ -172,17 +194,17 @@ def reference_solve_env(env, qos, cfg) -> OptResult:
 
 def solve_env_pruned(env, qos, cfg) -> tuple[OptResult, int]:
     """(solve_env(env, qos, cfg), the number of its modes pruned by their eta
-    bound).  A visited mode's first step is its throughput snap, so the
-    pruned modes are those whose rate solve_env never snapped."""
-    snapped = []
+    bound).  A visited mode's first step is its throughput snap (by=1), so
+    the pruned modes are those whose rate solve_env never snapped."""
+    rated = set()
 
-    def counting_snap(x_cont, objective, n_t_max):
-        snapped.append(objective)
-        return snap_to_grid(x_cont, objective, n_t_max)
+    def counting_snap(mm, x, n_t_max, by):
+        if by == 1:
+            rated.add(id(mm))
+        return snap_to_grid(mm, x, n_t_max, by)
 
     with mock.patch.object(optimizer, "snap_to_grid", counting_snap):
         res = solve_env(env, qos, cfg)
-    rated = {id(obj.__self__) for obj in snapped if obj.__name__ == "rate"}
     return res, sum(id(mm) not in rated for mm in env)
 
 

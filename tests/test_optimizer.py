@@ -39,14 +39,13 @@ from cloee import (
     nt_closed_form,
     rows_to_csv,
     run_sweep,
-    snap_to_grid,
     solve_mode,
 )
 from cloee import block as block_layer, metrics, optimizer, sweep
 from cloee.block import columns, search_envs, solve_envs
 from cloee.frame import MODE_POSITION
 from cloee.metrics import _header_success
-from cloee.optimizer import N_T_MAX_LIMIT, solve_env
+from cloee.optimizer import N_T_MAX_LIMIT, snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
@@ -167,38 +166,58 @@ class TestClosedForms:
         nts = _grid(None, cfg)
         for d, n_cpb in ((4.0, 8), (6.0, 16), (6.8, 16), (8.4, 32)):
             mm = metrics_at(model, d, n_cpb)
-            nee = snap_to_grid(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
-                               mm.eta, n_t_max=cfg.n_t_max)[0]
+            nee = snap_to_grid(mm, nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed,
+                                                  mm.log_p_cw), cfg.n_t_max, 0)[0]
             assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
-            nthr = snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
-                                mm.rate, n_t_max=cfg.n_t_max)[0]
+            nthr = snap_to_grid(mm, nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
+                                cfg.n_t_max, 1)[0]
             assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
+
+
+class _Objectives:
+    # Two synthetic objectives in ModeMetrics.eta_rate's place.
+    def __init__(self, eta, rate):
+        self.eta, self.rate = eta, rate
+
+    def eta_rate(self, n_t):
+        return self.eta(n_t), self.rate(n_t)
+
+
+def snap(x, objective, n_t_max):
+    """snap_to_grid by eta (by=0) and by rate (by=1), each with objective in
+    the slot it snaps by and its negative in the other: both give one n_t,
+    and (n_t, objective(n_t)) is returned."""
+    def opposite(n):
+        return -objective(n)
+    n_t, value, other = snap_to_grid(_Objectives(objective, opposite), x, n_t_max, 0)
+    assert snap_to_grid(_Objectives(opposite, objective), x, n_t_max, 1) == (n_t, other, value)
+    return n_t, value
 
 
 class TestSnapToGrid:
     def test_clamps_into_range(self):
-        assert snap_to_grid(math.inf, lambda n: 0.0, n_t_max=630)[0] == 630
-        assert snap_to_grid(1.0, lambda n: -n, n_t_max=630)[0] == 63
+        assert snap(math.inf, lambda n: 0.0, n_t_max=630)[0] == 630
+        assert snap(1.0, lambda n: -n, n_t_max=630)[0] == 63
 
     def test_keeps_better_neighbor(self):
-        assert snap_to_grid(100.0, lambda n: -abs(n - 126), n_t_max=8190)[0] == 126
-        assert snap_to_grid(100.0, lambda n: -abs(n - 63), n_t_max=8190)[0] == 63
+        assert snap(100.0, lambda n: -abs(n - 126), n_t_max=8190)[0] == 126
+        assert snap(100.0, lambda n: -abs(n - 63), n_t_max=8190)[0] == 63
 
     def test_tie_prefers_smaller(self):
-        assert snap_to_grid(94.5, lambda n: 0.0, n_t_max=8190)[0] == 63
+        assert snap(94.5, lambda n: 0.0, n_t_max=8190)[0] == 63
 
     def test_returns_the_objective_at_the_snap(self):
-        assert snap_to_grid(100.0, lambda n: -abs(n - 126), n_t_max=8190) == (126, 0)
-        assert snap_to_grid(math.inf, float, n_t_max=630) == (630, 630.0)
-        assert snap_to_grid(10.0, float, n_t_max=63) == (63, 63.0)
+        assert snap(100.0, lambda n: -abs(n - 126), n_t_max=8190) == (126, 0)
+        assert snap(math.inf, float, n_t_max=630) == (630, 630.0)
+        assert snap(10.0, float, n_t_max=63) == (63, 63.0)
 
     @staticmethod
     def _both_snaps(mm, cfg):
-        for per_unit, fixed, objective in ((mm.energy.eps_b, mm.energy.eps_fixed, mm.eta),
-                                           (mm.t_sym, mm.t_oh, mm.rate)):
+        for per_unit, fixed, by, objective in (
+                (mm.energy.eps_b, mm.energy.eps_fixed, 0, mm.eta), (mm.t_sym, mm.t_oh, 1, mm.rate)):
             x = nt_closed_form(per_unit, fixed, mm.log_p_cw)
-            yield (snap_to_grid(x, objective, cfg.n_t_max),
-                   reference_snap(x, objective, PSDU_CODE.n, cfg.n_t_max), objective)
+            yield (snap_to_grid(mm, x, cfg.n_t_max, by),
+                   reference_snap(x, objective, PSDU_CODE.n, cfg.n_t_max))
 
     def test_matches_three_candidate_reference_on_binding_inputs(self):
         # The (k-1)*63 candidate the reference also tries never wins.
@@ -207,8 +226,8 @@ class TestSnapToGrid:
         for env, _ in binding_envs():
             for mm in env:
                 for cfg in cfgs:
-                    for (n_t, value), ref, objective in self._both_snaps(mm, cfg):
-                        assert n_t == ref and value == objective(n_t)
+                    for (n_t, eta, rate), ref in self._both_snaps(mm, cfg):
+                        assert n_t == ref and (eta, rate) == (mm.eta(n_t), mm.rate(n_t))
                         checked += 1
         assert checked == 256 * 3 * 6 * 3 * 2
 
@@ -229,8 +248,56 @@ class TestSnapToGrid:
             env = model.env(float(rng.uniform(0.5, 12.0)), float(rng.normal(0.0, 4.0)))
             cfg = SolverConfig(n_t_max=63 * int(rng.integers(1, 4097)))
             for mm in env:
-                for (n_t, value), ref, objective in self._both_snaps(mm, cfg):
-                    assert n_t == ref and value == objective(n_t)
+                for (n_t, eta, rate), ref in self._both_snaps(mm, cfg):
+                    assert n_t == ref and (eta, rate) == (mm.eta(n_t), mm.rate(n_t))
+
+
+class TestOneSnapRule:
+    # A cost guard with no clock: a snap reads eta and rate at its codeword
+    # multiples from one numerator and returns both at the one it keeps, so
+    # the decision reads a mode's eta at nthr, rate at nee and nee for the
+    # all-infeasible fallback from its snaps.  A solve that sends no mode to
+    # _dual evaluates neither objective outside a snap.
+    def test_solves_without_a_dual_evaluate_only_in_snaps(self, monkeypatch):
+        envs, state = list(binding_envs(256)), {"snapping": False}
+        snap, dual = optimizer.snap_to_grid, optimizer._dual
+
+        def snapping(*args):
+            state["snapping"] = True
+            try:
+                return snap(*args)
+            finally:
+                state["snapping"] = False
+
+        def flagged_dual(*args):
+            state["dual"] = True
+            return dual(*args)
+
+        def watch(name):
+            function = getattr(ModeMetrics, name)
+
+            def watched(self, n_t):
+                state["outside"] += not state["snapping"]
+                return function(self, n_t)
+
+            monkeypatch.setattr(ModeMetrics, name, watched)
+
+        monkeypatch.setattr(optimizer, "snap_to_grid", snapping)
+        monkeypatch.setattr(optimizer, "_dual", flagged_dual)
+        for name in ("eta", "rate", "eta_rate"):
+            watch(name)
+        branches, evaluating = collections.Counter(), 0
+        for n_codewords in (8, 130, 4096):
+            cfg = SolverConfig(n_t_max=PSDU_CODE.n * n_codewords)
+            for env, qos in envs:
+                state.update(outside=0, dual=False)
+                res = solve_env(env, qos, cfg)
+                if not state["dual"]:
+                    branches[res.branch] += 1
+                    evaluating += state["outside"] > 0
+        assert evaluating == 0, (evaluating, branches)
+        assert sum(branches.values()) >= 1000 and branches.keys() == {
+            "unconstrained", "throughput-fallback"}, branches
 
 
 class TestCloee:
@@ -690,6 +757,30 @@ class TestBlockedSweep:
         assert block == 31 and block_array == 193_440
         assert peak < 3 * block_array, peak / block_array
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the fault count rests on glibc's malloc thresholds")
+    def test_sweep_faults_in_no_pages_per_op(self):
+        # A guard with no clock on the sweep's allocations: in a fresh
+        # process, after two warm-up sweeps, a hospital sweep and its CSV
+        # reuse the pages the allocator already holds (~0.3-0.5 minor faults
+        # per op).  A grid-array pair per grid block, or one split in two,
+        # read 85-312.
+        child = ("import dataclasses, resource, sys\n"
+                 "from cloee import load_scenario, rows_to_csv, run_sweep\n"
+                 "base = load_scenario(sys.argv[1])\n"
+                 "def op(seed):\n"
+                 "    rows_to_csv(run_sweep(dataclasses.replace(base, seed=seed)))\n"
+                 "op(1), op(2)\n"
+                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                 "for seed in range(3, 23):\n"
+                 "    op(seed)\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
+        done = subprocess.run([sys.executable, "-c", child, str(HOSPITAL_CONF)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 20 * 20, int(done.stdout) / 20
+
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                         reason="numpy 1.x has no numpy._core.__cpu_features__")
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -906,8 +997,8 @@ class TestRateFloorAtEquality:
         cfg = SolverConfig()
         counts = collections.Counter()
         for env, qos in binding_envs(256):
-            floors = [("peak", snap_to_grid(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
-                                            mm.rate, cfg.n_t_max)[1], None) for mm in env]
+            floors = [("peak", snap_to_grid(mm, nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
+                                            cfg.n_t_max, 1)[2], None) for mm in env]
             res = solve_env(env, qos, cfg)
             if res.branch == "dual":
                 mm = env[MODE_POSITION[res.n_cpb_star]]
@@ -999,9 +1090,9 @@ class TestRateBoundaryNewton:
         # below it for 2048.
         cfg, n = SolverConfig(), PSDU_CODE.n
         mm = self._peaked(x_peak, fixed_over_eps_b)
-        nthr, rate_thr = snap_to_grid(x_peak, mm.rate, cfg.n_t_max)
+        nthr, _, rate_thr = snap_to_grid(mm, x_peak, cfg.n_t_max, 1)
         x_ee = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
-        nee = snap_to_grid(x_ee, mm.eta, cfg.n_t_max)[0]
+        nee = snap_to_grid(mm, x_ee, cfg.n_t_max, 0)[0]
         side = 1 if nee > nthr else -1
         assert side == (1 if x_peak == 1024.0 else -1) and 0 < (x_peak - nthr) * side < n
         for floor in (rate_thr, 0.5 * (rate_thr + mm.rate(nthr + side * n))):

@@ -30,7 +30,7 @@ from cloee import cli
 from cloee.cli import main
 from cloee.scenario import MAX_RANGE_STEPS
 from cloee.sweep import CSV_HEADER, emit_fixed_distance_curves
-from helpers import parse_rows
+from helpers import output_diff, parse_rows
 from test_golden import HOSPITAL, OPTIMIZE
 
 
@@ -521,6 +521,40 @@ class TestCsvEmission:
         assert [p.name for p in paths] == ["sweep.csv", "sweep_eta.svg", "sweep_rate.svg"]
         for svg in paths[1:]:
             assert svg.read_text().startswith("<svg")
+
+
+class TestOutputDiff:
+    # helpers.output_diff, the report a re-pin gives: the rows whose decision
+    # moved and the largest relative move of each float column.
+    NO_MOVE = {"eta": 0.0, "rate": 0.0, "p_ppdu": 0.0}
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return run_sweep(parse_scenario(HOSPITAL))
+
+    def test_identical_rows_report_nothing(self, rows):
+        assert output_diff(rows, parse_rows(rows_to_csv(rows))) == ({}, self.NO_MOVE)
+
+    def test_one_ulp_of_eta_is_its_step_and_no_decision(self, rows):
+        i = next(i for i, r in enumerate(rows) if r.strategy == "cloee" and r.eta > 0.0)
+        eta = rows[i].eta
+        new = [*rows[:i], rows[i]._replace(eta=math.nextafter(eta, math.inf)), *rows[i + 1:]]
+        assert output_diff(rows, new) == ({}, {**self.NO_MOVE, "eta": math.ulp(eta) / eta})
+
+    def test_a_changed_n_t_reports_its_row(self, rows):
+        row = next(r for r in rows if r.strategy == "oracle")
+        new = [r._replace(n_t=r.n_t + 63) if r is row else r for r in rows]
+        assert output_diff(rows, new) == (
+            {(row.distance, "oracle"): ((row.n_cpb, row.n_t, row.feasible, row.branch),
+                                        (row.n_cpb, row.n_t + 63, row.feasible, row.branch))},
+            self.NO_MOVE)
+
+    @pytest.mark.parametrize("change", ["drop", "repeat", "rename"])
+    def test_different_keys_raise(self, rows, change):
+        new = {"drop": rows[1:], "repeat": [rows[0], *rows],
+               "rename": [rows[0]._replace(strategy="static_x"), *rows[1:]]}[change]
+        with pytest.raises(ValueError, match="same .distance, strategy. keys"):
+            output_diff(rows, new)
 
 
 class TestCli:
