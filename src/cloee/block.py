@@ -139,6 +139,15 @@ class Columns(NamedTuple):
         return (np.divide(delivered, self.energy.total(nts), out=etas),
                 np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered))
 
+    def ppdu_success(self, positions, nts) -> np.ndarray:
+        """ppdu_success of environment e at mode position positions[e, j] and
+        frame size nts[e, j], two (environments, k) int arrays: its IEEE
+        operations over the lanes, with libm's exp."""
+        envs = np.arange(len(self.log_p_cw))[:, None]
+        powers = -(-nts // PSDU_CODE.n) * self.log_p_cw[envs, positions, 0]
+        return self.header_success[envs, positions, 0] \
+            * _map(math.exp, powers.ravel()).reshape(powers.shape)
+
     def metrics(self, e: int, m: int) -> ModeMetrics:
         """Environment e's ModeMetrics of modes[m], from the block's floats: its
         energy breakdown is rebuilt from the energy rows, equal to the mode's."""
@@ -288,6 +297,7 @@ def search_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResul
     n_envs, step = len(cols.log_p_cw), N_T_MAX_LIMIT // cfg.n_t_max
     shape = (min(n_envs, step), len(cols.modes), cfg.n_t_max // PSDU_CODE.n)
     buffers, results = np.empty((2, *shape)), []
+    n_cpbs = [mode.n_cpb for mode in cols.modes]
     for start in range(0, n_envs, step):
         part = cols.part(start, start + step)
         size = len(part.log_p_cw)
@@ -302,10 +312,11 @@ def search_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResul
         picks = np.argmax(etas, axis=1)
         infeasible = np.flatnonzero(~any_feas)
         picks[infeasible] = np.argmax(rates[infeasible], axis=1)
-        results += [OptResult(n_t, cols.modes[m].n_cpb, eta, rate, 0.0, feasible,
-                              etas.shape[1], "exhaustive")
-                    for m, n_t, eta, rate, feasible in zip(
-                        (picks // len(nts)).tolist(), nts[picks % len(nts)].tolist(),
-                        etas[rows, picks].tolist(), rates[rows, picks].tolist(),
-                        feas[rows, picks].tolist())]
+        # The results are made from their columns with tuple.__new__, every
+        # field given (OptResult's own __new__ would fill the defaults).
+        results += map(tuple.__new__, repeat(OptResult), zip(
+            nts[picks % len(nts)].tolist(), map(n_cpbs.__getitem__, (picks // len(nts)).tolist()),
+            etas[rows, picks].tolist(), rates[rows, picks].tolist(), repeat(0.0),
+            feas[rows, picks].tolist(), repeat(etas.shape[1]), repeat("exhaustive"),
+            repeat(None), repeat(None), repeat(None)))
     return results

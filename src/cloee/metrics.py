@@ -86,6 +86,11 @@ def _delivered(n_t, header_success, log_p_cw, out=None):
     else:
         powers, factor = out
         np.multiply(-(-n_t // PSDU_CODE.n), log_p_cw, out=powers)
+    # exp of anything below -745.14 is +0.0, as exp(-inf) is, but numpy's
+    # SIMD exp redoes a lane whose result underflows on a slow path, ~20x an
+    # in-range lane, and takes -inf on its fast one: the same bits, cheaper
+    # on an oracle grid, whose long frames underflow on a bad link.
+    np.copyto(powers, -np.inf, where=powers < -746.0)
     np.exp(powers, out=powers)
     powers *= np.multiply(n_t, header_success, out=factor)
     return powers

@@ -197,15 +197,19 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
     # unimodal too: the answer is that interval's end facing nee, the
     # multiple on nthr's side of x unless the grid rate says otherwise (x is
     # the crossing to 1e-9 relative, and rate_cont at a multiple can be an
-    # ulp off the grid rate).  nthr and nee bound the walk.
+    # ulp off the grid rate).  nthr and nee bound the walk, which reads each
+    # multiple's (eta, rate) once and keeps the answer's: only a feasible
+    # start steps toward nee, as an infeasible one is the multiple past the
+    # answer it steps back to.
     n, side = PSDU_CODE.n, 1 if nee > nthr else -1
     k = int(x // n) if side > 0 else int(-(-x // n))
-    while mm.rate(k * n) < r0ns:
-        k -= side
-    while mm.rate((k + side) * n) >= r0ns:
-        k += side
-
     eta, rate = mm.eta_rate(k * n)
+    if rate >= r0ns:
+        while (ahead := mm.eta_rate((k + side) * n))[1] >= r0ns:
+            k, (eta, rate) = k + side, ahead
+    while rate < r0ns:
+        k -= side
+        eta, rate = mm.eta_rate(k * n)
     return OptResult(k * n, mm.mode.n_cpb, eta, rate, lam_star, True, probes,
                      "dual", kkt_rate, nee, nthr)
 

@@ -9,6 +9,7 @@ of ENV_BLOCK points, and a ModeMetrics only for a mode that a dual solve reads.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .block import columns, grid, link_block, search_envs, solve_envs
 from .frame import MODE_POSITION
-from .metrics import LinkModel, QosSpec, ppdu_success
+from .metrics import LinkModel, QosSpec
 from .optimizer import SolverConfig, solve_mode
 from .output import csv_text, with_charts, write_files
 from .scenario import Scenario
@@ -45,10 +46,11 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     The points are taken in environment blocks of ENV_BLOCK.  Each block is
     one link_block, whose Columns cloee (solve_envs), the oracle (search_envs,
     one pair of grid arrays for the block) and the static rows (one
-    Columns.eta_rate at each static's own frame size) share; one loop then
-    builds every row of the block, each p_ppdu by ppdu_success from the
-    block's floats.  So the arrays held at once are set by the block size,
-    not by the distance count.
+    Columns.eta_rate at each static's own frame size) share, so the arrays
+    held at once are set by the block size, not by the distance count.  The
+    block's rows are made from its columns by tuple.__new__, and every
+    row's p_ppdu comes from one Columns.ppdu_success per block, lane for lane
+    ppdu_success's.
     Deterministic for a given scenario and seed: shadowing draws are made
     up-front in config order, and rows come out in (distance, strategy) order,
     as the points are taken by (distinct) distance and each distance's rows
@@ -68,22 +70,34 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     rows = []
     for start in range(0, len(points), ENV_BLOCK):
         chunk = points[start:start + ENV_BLOCK]
+        distances = [d for d, _ in chunk]
         cols = link_block(model, chunk)
-        static_values = [a[:, positions, own].tolist() for a in cols.eta_rate(sizes)]
-        floats = zip(cols.header_success[..., 0].tolist(), cols.log_p_cw[..., 0].tolist())
-        for (d, _), (headers, logs), cloee, oracle, static_etas, static_rates in zip(
-                chunk, floats, solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg),
-                *static_values):
-            rows += [SweepRow(d, strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
-                              ppdu_success(headers[MODE_POSITION[res.n_cpb_star]],
-                                           logs[MODE_POSITION[res.n_cpb_star]], res.n_t_star),
-                              res.feasible, res.branch)
-                     for strategy, res in (("cloee", cloee), ("oracle", oracle))]
-            rows += [SweepRow(d, name, n_cpb, n_t, eta, rate,
-                              ppdu_success(headers[i], logs[i], n_t), rate >= r0ns, "static")
-                     for (name, i, n_cpb, n_t), eta, rate in zip(statics, static_etas,
-                                                                 static_rates)]
+        # The statics as lists, one per static, before the solvers run.
+        etas, rates = (a[:, positions, own] for a in cols.eta_rate(sizes))
+        static_values = etas.T.tolist(), rates.T.tolist(), (rates >= r0ns).T.tolist()
+        cloees, oracles = solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg)
+        # Every row's MODE_TABLE position and frame size, (environments,
+        # 2 + statics): cloee's, the oracle's, then the statics'.
+        at, frames = np.empty((2, len(chunk), 2 + len(statics)), dtype=np.int64)
+        for j, results in enumerate((cloees, oracles)):
+            at[:, j] = [MODE_POSITION[res.n_cpb_star] for res in results]
+            frames[:, j] = [res.n_t_star for res in results]
+        at[:, 2:], frames[:, 2:] = positions, sizes
+        p_cloee, p_oracle, *p_statics = cols.ppdu_success(at, frames).T.tolist()
+        fields = [_result_fields(distances, "cloee", cloees, p_cloee),
+                  _result_fields(distances, "oracle", oracles, p_oracle)]
+        fields += [zip(distances, repeat(name), repeat(n_cpb), repeat(n_t), eta, rate, p, feasible,
+                       repeat("static"))
+                   for (name, _, n_cpb, n_t), eta, rate, feasible, p in zip(
+                       statics, *static_values, p_statics)]
+        rows += map(tuple.__new__, repeat(SweepRow), chain.from_iterable(zip(*fields)))
     return rows
+
+
+def _result_fields(distances, strategy, results, p_ppdu):
+    """The SweepRow fields of one strategy's OptResults, one tuple per distance."""
+    n_t, n_cpb, eta, rate, _, feasible, _, branch, *_ = zip(*results)
+    return zip(distances, repeat(strategy), n_cpb, n_t, eta, rate, p_ppdu, feasible, branch)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -7,12 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloee import (MODE_TABLE, ConfigError, EnergyParams, LinkModel, QosSpec, Scenario,
                    bit_error_probs, channel, energy, energy_breakdown, metrics, reliability)
 from cloee.block import bit_error_array, columns, grid, link_block
 from cloee.frame import MODE_POSITION
-from cloee.metrics import _I_PHR, _I_SHR, _header_success
+from cloee.metrics import _I_PHR, _I_SHR, _delivered, _header_success
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
 from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metrics
 
@@ -291,6 +293,29 @@ class TestGrid:
                 assert rate_row.tolist() == mm.rate(nts).tolist()
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_ppdu_success_matches_scalar_calls(self, variant):
+        # Columns.ppdu_success, every sweep row's p_ppdu, at drawn (mode,
+        # frame size) pairs per environment, off-grid sizes included, on
+        # points from 1 mm to 1 km, so some powers underflow to 0 and some
+        # are 1: each element is metrics.ppdu_success's by repr.
+        rng = np.random.default_rng(43)
+        model = LinkModel(**variant)
+        points = list(zip((10.0 ** rng.uniform(-3, 3, 60)).tolist(),
+                          rng.normal(0.0, 4.0, 60).tolist()))
+        cols = link_block(model, points)
+        positions = rng.integers(0, len(MODE_TABLE), (60, 5))
+        nts = rng.integers(1, 63 * 4096 + 1, (60, 5))
+        got = cols.ppdu_success(positions, nts)
+        assert got.shape == (60, 5)
+        expected = [[metrics.ppdu_success(cols.header_success.item(e, m, 0),
+                                          cols.log_p_cw.item(e, m, 0), n_t)
+                     for m, n_t in zip(row_m, row_n)]
+                    for e, (row_m, row_n) in enumerate(zip(positions.tolist(), nts.tolist()))]
+        assert repr(got.tolist()) == repr(expected)
+        flat = sum(expected, [])
+        assert 0.0 in flat and any(0.0 < p < 1.0 for p in flat)
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
     def test_block_equals_blocks_of_one(self, variant):
         # The 31 distances of a hospital sweep block at n_t_max 8190, shadowed.
         sc = Scenario(shadowing=True, seed=5, distances=tuple(round(1.0 + 0.1 * i, 9)
@@ -342,6 +367,46 @@ class TestGrid:
         env = model.env(6.5)
         with pytest.raises(ValueError, match="one LinkModel"):
             grid(columns((env, model.env(7.0)[modes])), 630)
+
+
+class TestDeliveredUnderflow:
+    # _delivered's array path sends exponents below -746 to -inf before
+    # np.exp: both give +0.0, and -inf keeps numpy's SIMD exp off its slow
+    # path.  The result must be the unmasked expression's bit for bit, at the
+    # mask's edge, where exp underflows to 0 unmasked (-746 to -745.13), and
+    # in the subnormal band (-745.13 to -708.4).
+    EDGE = -746.0
+    exponents = st.one_of(
+        st.floats(min_value=-800.0, max_value=0.0),
+        st.floats(min_value=-745.2, max_value=-708.0),
+        st.floats(min_value=EDGE - 1e-12, max_value=EDGE + 1e-12),
+        st.sampled_from((EDGE, math.nextafter(EDGE, -math.inf), math.nextafter(EDGE, math.inf),
+                         -745.1332191019412, -745.1332191019411, -744.4400719213812)))
+    # (exponent, codeword count, bits short of the count's last codeword, header success)
+    cells = st.lists(st.tuples(exponents, st.one_of(st.just(1), st.integers(1, 4096)),
+                               st.integers(0, 62), st.floats(min_value=0.0, max_value=1.0)),
+                     min_size=1, max_size=32)
+
+    def test_equals_the_unmasked_expression(self):
+        seen = collections.Counter()
+
+        @settings(max_examples=150)
+        @given(cells=self.cells)
+        def check(cells):
+            exponent, k, short, headers = (np.array(c) for c in zip(*cells))
+            n_t, log_p_cw = k * 63 - short, exponent / k
+            powers = -(-n_t // 63) * log_p_cw
+            expected = n_t * headers * np.exp(powers)
+            for out in (None, (np.empty(len(cells)), np.empty(len(cells)))):
+                got = _delivered(n_t, headers, log_p_cw, out)
+                assert got.tobytes() == expected.tobytes(), (cells, got, expected)
+            seen["masked"] += int((powers < self.EDGE).sum())
+            seen["edge"] += int((powers == self.EDGE).sum())
+            seen["zero, unmasked"] += int(((powers >= self.EDGE) & (powers < -745.14)).sum())
+            seen["subnormal"] += int(((powers > -745.13) & (powers < -708.4)).sum())
+
+        check()
+        assert min(seen.values()) >= 20, seen
 
 
 class TestEnergyBreakdowns:

@@ -613,10 +613,12 @@ class TestBlockedSweep:
         # one static per mode, at off-grid and grid-edge sizes and one above n_t_max:
         pytest.param(63 * 130, 40, ((32, 2616), (16, 258048), (8, 8190), (4, 2616), (2, 64),
                                     (1, 63)), id="8190-40-every-mode"),
+        # no statics: cloee and the oracle alone.
+        pytest.param(63 * 130, 20, (), id="8190-20-no-statics"),
     ])
     def test_csv_equals_per_distance_loop(self, variant, n_t_max, count, strategies):
         distances, statics = [round(1.0 + 0.15 * i, 9) for i in range(count)], {}
-        if strategies:
+        if strategies is not None:
             random.Random(25).shuffle(distances)
             statics = {"strategies": strategies}
         sc = Scenario(solver=SolverConfig(n_t_max=n_t_max), shadowing=True, seed=11,
@@ -1024,7 +1026,8 @@ class _CountingMetrics(ModeMetrics):
     # A ModeMetrics that logs the objective evaluations of the dual branch as
     # (method, argument): rate_cont_slopes, the one evaluation of the Newton
     # search for the continuous rate boundary (rate_cont reads it), and the
-    # grid rate and eta_rate.
+    # grid rate and eta_rate (the walk reads only eta_rate, so a logged rate
+    # is a second read of a multiple).
     __slots__ = ()
     log = []
 
@@ -1159,10 +1162,9 @@ class TestRateBoundaryNewton:
 
 def _no_step_evaluations(res):
     # The evaluations of a dual solve whose walk takes no step: one rate_cont
-    # at x_ee, its Newton probes (none when lambda* = 0), two grid-rate
-    # checks, the start and the next multiple toward nee, and the answer's
-    # eta_rate.
-    return ["rate_cont_slopes"] * (1 + res.iterations) + ["rate", "rate", "eta_rate"]
+    # at x_ee, its Newton probes (none when lambda* = 0) and two grid
+    # eta_rates, the start, which is the answer, and the next multiple toward nee.
+    return ["rate_cont_slopes"] * (1 + res.iterations) + ["eta_rate", "eta_rate"]
 
 
 @functools.cache
@@ -1209,14 +1211,14 @@ class TestDualWalk:
     @pytest.mark.parametrize("n_codewords", [8, 130, 4096])
     def test_dual_evaluations_do_not_grow_with_the_grid(self, n_codewords):
         # A cost guard with no clock: no dual solve on the binding rows takes
-        # a walk step, so each makes at most MAX_PROBES + 4 evaluations at
+        # a walk step, so each makes at most MAX_PROBES + 3 evaluations at
         # every grid size.
         solves = _dual_solves(1024, n_codewords)
         for _, _, res, log in solves:
             names = [name for name, _ in log]
             assert names == _no_step_evaluations(res), (res, names)
         most = max(len(log) for *_, log in solves)
-        assert most <= MAX_PROBES + 4, most
+        assert most <= MAX_PROBES + 3, most
 
     def test_walk_steps_both_ways(self):
         # Floors at the dual answer's grid rate and at rate_cont(x_ee), and an
@@ -1248,7 +1250,7 @@ class TestDualWalk:
                         continue             # not a dual solve
                     _CountingMetrics.log.clear()
                     res = optimizer._dual(_CountingMetrics.of(mm), floor, x_ee, sol.nee, sol.nthr)
-                    start = next(n_t for name, n_t in _CountingMetrics.log if name == "rate")
+                    start = next(n_t for name, n_t in _CountingMetrics.log if name == "eta_rate")
                     toward_nee = (res.n_t_star - start) // n * (1 if sol.nee > sol.nthr else -1)
                     steps[res.iterations == 0, toward_nee] += 1
                     assert res.n_t_star == search_env((mm,), QosSpec(r0=floor, n_s=1), cfg).n_t_star
@@ -1256,6 +1258,61 @@ class TestDualWalk:
         # (no search ran, codewords stepped toward nee): never more than one.
         assert {step for _, step in steps} <= {-1, 0, 1}, steps
         assert steps[False, 1] >= 20 and steps[False, -1] >= 100 and steps[True, -1] >= 5, steps
+
+    def test_walks_left_of_the_throughput_optimum_equal_the_one_mode_oracle(self):
+        # LinkModel's header pulses (n_cpb 4 and 32) cost 2540 / n_cpb
+        # payload-bit pulses, above t_oh / t_sym = 1909 / n_cpb payload-bit
+        # times in every mode, so in exact arithmetic no EnergyParams puts a
+        # mode's continuous efficiency optimum left of its throughput
+        # optimum, and the binding rows have no nee < nthr.  (nee does land
+        # left of nthr where nt_closed_form cancels at huge t_st, ROADMAP
+        # item 3, as in TestSolveEnvsEqualsSolveEnv.test_wide_draws; there
+        # cloee is not the oracle.)
+        # Here the header takes one pulse per bit (355 / n_cpb), as in
+        # TestCloee.test_dual_branch_left_of_throughput_optimum_matches_oracle,
+        # and every other energy term is energy_breakdown's over drawn
+        # EnergyParams, whose circuit powers and start-up are scaled down
+        # (by 10**[-9, -3] and to 10**[-10, -6] s) so that the pulses
+        # dominate, as they must for the header to stay cheap.  Each floor
+        # lies inside a mode's band from its rate at the grid eta argmax to
+        # its rate peak, read off the grid, never from the solver; the dual
+        # walk then runs left of nthr.
+        c, counts = FRAME_CONSTANTS, collections.Counter()
+        powers = ("p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen")
+
+        @settings(max_examples=200)
+        @given(variant=st.sampled_from(MODEL_VARIANTS),
+               scales=st.tuples(*(st.floats(min_value=-9.0, max_value=-3.0) for _ in powers)),
+               eps_p=st.floats(min_value=-1.0, max_value=1.0),
+               t_st=st.floats(min_value=-10.0, max_value=-6.0),
+               distance=st.floats(min_value=1.0, max_value=14.0),
+               n_codewords=st.sampled_from((8, 130, 4096)),
+               n_s=st.integers(min_value=1, max_value=64),
+               u=st.floats(min_value=0.0, max_value=1.0))
+        def check(variant, scales, eps_p, t_st, distance, n_codewords, n_s, u):
+            base = EnergyParams()
+            ep = EnergyParams(eps_p=base.eps_p * 10 ** eps_p, t_st=10 ** t_st,
+                              **{k: getattr(base, k) * 10 ** e for k, e in zip(powers, scales)})
+            eps_oh = ((c.n_shr + c.n_phr) * ep.eps_p
+                      + (ep.p_syn + ep.rx_chain_power) * c.t_overhead)
+            env = tuple(ModeMetrics(mm.mode, mm.distance, mm.log_p_cw, mm.header_success,
+                                    EnergyBreakdown(mm.energy.eps_b, eps_oh, mm.energy.eps_st))
+                        for mm in LinkModel(energy=ep, **variant).env(distance))
+            cfg = SolverConfig(n_t_max=PSDU_CODE.n * n_codewords)
+            _, (etas,), (rates,) = block_layer.grid(columns((env,)), cfg.n_t_max)
+            for mm, eta_row, rate_row in zip(env, etas, rates):
+                i_eta, i_rate = int(np.argmax(eta_row)), int(np.argmax(rate_row))
+                lo, hi = float(rate_row[i_eta]), float(rate_row[i_rate])
+                qos = QosSpec(r0=(lo + u * (hi - lo)) / n_s, n_s=n_s)
+                if not (i_eta < i_rate and lo < qos.aggregate_rate <= hi):
+                    continue
+                res, oracle = solve_mode(mm, qos, cfg), search_env((mm,), qos, cfg)
+                assert (res.n_t_star, res.eta, res.rate, res.feasible) == \
+                    (oracle.n_t_star, oracle.eta, oracle.rate, oracle.feasible), (ep, distance)
+                counts[res.branch, res.nee < res.nthr] += 1
+
+        check()
+        assert counts["dual", True] >= 50 and set(counts) == {("dual", True)}, counts
 
 
 class TestDominatedDual:
@@ -1526,6 +1583,48 @@ class TestSolverConfig:
     def test_largest_ceiling_accepted(self, model, qos):
         cfg = SolverConfig(n_t_max=63 * 4096)
         assert exhaustive_search(model, 5.0, qos, cfg).iterations == 6 * 4096
+
+
+class TestMonotoneRelations:
+    # ROADMAP item 19's rate-floor and grid-growth relations on cloee itself,
+    # all three model variants, seeded.  A higher floor only shrinks the
+    # feasible set, so eta* never rises with it and feasibility, once lost,
+    # never returns; where no mode is feasible the answer is the rate peak,
+    # which no floor moves.  A higher n_t_max only adds codeword multiples, so
+    # a feasible solve stays feasible and its eta* never falls (an infeasible
+    # one falls back to the best rate, whose eta is no optimum, and a larger
+    # grid may reach a higher rate at a lower eta).
+    # Per environment, six aggregate floors are drawn from 10**[3, 7.3] b/s
+    # and six inside the dual bands read off its grid at the default n_t_max
+    # (from a mode's rate at its grid eta argmax to its rate peak).
+    GRIDS = (63, 630, 1000, 8190, 8200, 63 * 1024, N_T_MAX_LIMIT)
+
+    def test_eta_star_falls_with_the_floor_and_rises_with_the_grid(self):
+        rng, seen = random.Random(19), collections.Counter()
+        for variant in MODEL_VARIANTS:
+            model = LinkModel(**variant)
+            for _ in range(30):
+                env = model.env(rng.uniform(0.5, 14.0), rng.gauss(0.0, 4.0))
+                _, (etas,), (rates,) = block_layer.grid(columns((env,)), 8190)
+                los, his = rates[np.arange(len(env)), np.argmax(etas, axis=1)], rates.max(axis=1)
+                bands = [(lo, hi) for lo, hi in zip(los.tolist(), his.tolist()) if lo < hi]
+                floors = [10 ** rng.uniform(3.0, 7.3) for _ in range(6)]
+                if bands:
+                    floors += [rng.uniform(*rng.choice(bands)) for _ in range(6)]
+                floors.sort()
+                table = [[solve_env(env, QosSpec(r0=floor, n_s=1), SolverConfig(n_t_max=n_t_max))
+                          for floor in floors] for n_t_max in self.GRIDS]
+                for by_floor in table:
+                    for low, high in zip(by_floor, by_floor[1:]):
+                        assert high.eta <= low.eta and high.feasible <= low.feasible, (low, high)
+                        seen[high.branch] += 1
+                for small_grid, large_grid in zip(table, table[1:]):
+                    for small, large in zip(small_grid, large_grid):
+                        assert small.feasible <= large.feasible, (small, large)
+                        if small.feasible:
+                            assert large.eta >= small.eta, (small, large)
+                            seen["grid pairs, feasible"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestOneEvaluator:
