@@ -21,7 +21,7 @@ import numpy as np
 from .channel import _SPANS, DEFAULT_CHANNEL, ChannelParams, _gain, _overflow, q_function
 from .energy import EnergyBreakdown
 from .frame import MODE_TABLE, PSDU_CODE, PhyMode
-from .metrics import _I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec, _delivered
+from .metrics import _I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec
 from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, _decide
 from .reliability import (_STOP, KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, Block, _check_p, _direct,
                           shr_success)
@@ -128,14 +128,22 @@ class Columns(NamedTuple):
 
     def eta_rate(self, nts, out=None):
         """(etas, rates) at the frame sizes nts, an int array broadcast against
-        (environments, modes, 1), from one numerator; each element equals the
-        scalar eta/rate call of its mode bit for bit (the same expressions over
-        the columns).  out, a pair of float arrays of the result's shape, takes
-        the etas and the rates, and no other array of that shape is made;
-        without it the result is two new arrays and one temporary."""
+        (environments, modes, 1), from one numerator, each element bit for bit
+        its mode's scalar eta_rate: the codeword powers are taken in place and
+        then scaled by nts * header_success, the scalar product with its
+        factors swapped, which commutes exactly.  out, a pair of float arrays
+        of the result's shape, takes the etas and the rates, and no other array
+        of that shape is made; without it the result is two new arrays and one
+        temporary."""
         etas, rates = (None, None) if out is None else out
-        delivered = _delivered(nts, self.header_success, self.log_p_cw,
-                               None if out is None else (rates, etas))
+        delivered = np.multiply(-(-nts // PSDU_CODE.n), self.log_p_cw, out=rates)
+        # exp of anything below -745.14 is +0.0, as exp(-inf) is, but numpy's
+        # SIMD exp redoes a lane whose result underflows on a slow path, ~20x an
+        # in-range lane, and takes -inf on its fast one: the same bits, cheaper
+        # on an oracle grid, whose long frames underflow on a bad link.
+        np.copyto(delivered, -np.inf, where=delivered < -746.0)
+        np.exp(delivered, out=delivered)
+        delivered *= np.multiply(nts, self.header_success, out=etas)
         return (np.divide(delivered, self.energy.total(nts), out=etas),
                 np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered))
 

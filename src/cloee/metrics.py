@@ -69,31 +69,12 @@ def ppdu_success(header_success: float, log_p_cw: float, n_t: int) -> float:
     return header_success * math.exp(-(-int(n_t) // PSDU_CODE.n) * log_p_cw)
 
 
-def _delivered(n_t, header_success, log_p_cw, out=None):
-    """Delivered payload bits n_t * P(PPDU delivered); a float for an int n_t.
-
-    On an array the codeword powers are taken in place and then scaled by
-    n_t * header_success, which is the scalar expression's product with its
-    factors swapped: multiplication commutes exactly, so every element keeps
-    its bits.  out, a pair of float arrays of the result's shape, takes the
-    powers (so the result) and that factor, so no array of that shape is made.
-    """
-    if out is None:
-        powers = -(-n_t // PSDU_CODE.n) * log_p_cw
-        if not isinstance(powers, np.ndarray):      # numpy's exp on a float: ROADMAP item 2
-            return float(n_t * header_success * np.exp(powers))
-        factor = None
-    else:
-        powers, factor = out
-        np.multiply(-(-n_t // PSDU_CODE.n), log_p_cw, out=powers)
-    # exp of anything below -745.14 is +0.0, as exp(-inf) is, but numpy's
-    # SIMD exp redoes a lane whose result underflows on a slow path, ~20x an
-    # in-range lane, and takes -inf on its fast one: the same bits, cheaper
-    # on an oracle grid, whose long frames underflow on a bad link.
-    np.copyto(powers, -np.inf, where=powers < -746.0)
-    np.exp(powers, out=powers)
-    powers *= np.multiply(n_t, header_success, out=factor)
-    return powers
+def _delivered(n_t, header_success, log_p_cw):
+    """Delivered payload bits n_t * P(PPDU delivered): a float for an int n_t,
+    element for element on an int array (block.Columns.eta_rate is a block's)."""
+    # numpy's exp on a float: ROADMAP item 2
+    delivered = n_t * header_success * np.exp(-(-n_t // PSDU_CODE.n) * log_p_cw)
+    return delivered if isinstance(delivered, np.ndarray) else float(delivered)
 
 
 class ModeMetrics:
@@ -130,15 +111,14 @@ class ModeMetrics:
         return ppdu_success(self.header_success, self.log_p_cw, n_t)
 
     def eta(self, n_t):
-        """Energy efficiency in bits/Joule at integer frame size(s)."""
-        return _delivered(n_t, self.header_success, self.log_p_cw) / self.energy.total(n_t)
+        return self.eta_rate(n_t)[0]
 
     def rate(self, n_t):
-        """Throughput in bits/s at integer frame size(s)."""
-        return _delivered(n_t, self.header_success, self.log_p_cw) / (self.t_oh + n_t * self.t_sym)
+        return self.eta_rate(n_t)[1]
 
     def eta_rate(self, n_t):
-        """(eta(n_t), rate(n_t)) from one numerator, bit for bit the two calls."""
+        """(energy efficiency in bits/Joule, throughput in bits/s) at integer
+        frame size(s), from one numerator; eta and rate are its halves."""
         delivered = _delivered(n_t, self.header_success, self.log_p_cw)
         return delivered / self.energy.total(n_t), delivered / (self.t_oh + n_t * self.t_sym)
 

@@ -53,9 +53,9 @@ def test_no_unused_import(module):
 # oracle, optimizer.exhaustive_search, imports it where it runs).
 NUMPY_MODULES = {"block.py", "metrics.py", "svgplot.py", "sweep.py"}
 BLOCK_IMPORTERS = {"sweep.py"}
-# The scalar numpy site left in metrics, a function that reads np, and the
-# ROADMAP item that removes it.
-NUMPY_SITES = {"metrics.py": {"_delivered": 2}}
+# The scalar numpy site left in metrics, a function that reads np: the
+# ROADMAP item that removes it and the numpy names it reads.
+NUMPY_SITES = {"metrics.py": {"_delivered": (2, {"exp", "ndarray"})}}
 
 
 def top_level_imports(source: str) -> set[str]:
@@ -74,9 +74,9 @@ def top_level_imports(source: str) -> set[str]:
     return modules
 
 
-def numpy_sites(source: str) -> dict[str, str]:
+def numpy_sites(source: str) -> dict[str, tuple[str, set[str]]]:
     """Each function of source that reads np (methods as Class.name), with the
-    text of the comments in its lines."""
+    text of the comments in its lines and the names it reads off np."""
     lines, sites = source.splitlines(), {}
 
     def visit(node, prefix):
@@ -86,8 +86,10 @@ def numpy_sites(source: str) -> dict[str, str]:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(child)):
                     body = lines[child.lineno - 1:child.end_lineno]
-                    sites[prefix + child.name] = " ".join(
-                        line.partition("#")[2] for line in body if "#" in line)
+                    sites[prefix + child.name] = (
+                        " ".join(line.partition("#")[2] for line in body if "#" in line),
+                        {n.attr for n in ast.walk(child) if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name) and n.value.id == "np"})
 
     visit(ast.parse(source), "")
     return sites
@@ -106,10 +108,15 @@ def test_the_check_finds_numpy_and_block_imports_and_sites():
               "    def g(self):\n"
               "        return np.bool_\n"
               "    def h(self):\n"
-              "        return 'np'\n")
+              "        return 'np'\n"
+              "def k(x, out):\n"
+              "    np.copyto(x, -np.inf, where=x < -746.0)\n"
+              "    return np.exp(x, out=np.random.default_rng().random(out))\n")
     assert top_level_imports(source) == {"numpy", "random", "block", "frame"}
     assert top_level_imports("from cloee.block import grid\n") == {"cloee", "block"}
-    assert numpy_sites(source) == {"f": " numpy's exp: ROADMAP item 2", "C.g": ""}
+    assert numpy_sites(source) == {"f": (" numpy's exp: ROADMAP item 2", {"exp"}),
+                                   "C.g": ("", {"bool_"}),
+                                   "k": ("", {"copyto", "inf", "exp", "random"})}
 
 
 def test_only_the_array_modules_import_numpy_at_the_top():
@@ -126,8 +133,15 @@ def test_only_sweep_imports_block_at_the_top():
 def test_each_scalar_numpy_site_names_its_roadmap_item(module):
     sites = numpy_sites((PACKAGE / module).read_text())
     assert sites.keys() == NUMPY_SITES[module].keys()
-    for site, item in NUMPY_SITES[module].items():
-        assert f"ROADMAP item {item}" in sites[site], site
+    for site, (item, _) in NUMPY_SITES[module].items():
+        assert f"ROADMAP item {item}" in sites[site][0], site
+
+
+@pytest.mark.parametrize("module", sorted(NUMPY_SITES))
+def test_each_scalar_numpy_site_reads_only_its_numpy_names(module):
+    sites = numpy_sites((PACKAGE / module).read_text())
+    assert {site: names for site, (_, names) in sites.items()} \
+        == {site: names for site, (_, names) in NUMPY_SITES[module].items()}
 
 
 def private_names_from(source: str, modules: set[str]) -> list[str]:

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from cloee import (MODE_TABLE, ConfigError, EnergyParams, LinkModel, QosSpec, Scenario,
                    bit_error_probs, channel, energy, energy_breakdown, metrics, reliability)
-from cloee.block import bit_error_array, columns, grid, link_block
+from cloee.block import _columns, bit_error_array, columns, grid, link_block
 from cloee.frame import MODE_POSITION
-from cloee.metrics import _I_PHR, _I_SHR, _delivered, _header_success
+from cloee.metrics import _I_PHR, _I_SHR, ModeMetrics, _header_success
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
 from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metrics
 
@@ -370,11 +370,13 @@ class TestGrid:
 
 
 class TestDeliveredUnderflow:
-    # _delivered's array path sends exponents below -746 to -inf before
-    # np.exp: both give +0.0, and -inf keeps numpy's SIMD exp off its slow
-    # path.  The result must be the unmasked expression's bit for bit, at the
-    # mask's edge, where exp underflows to 0 unmasked (-746 to -745.13), and
-    # in the subnormal band (-745.13 to -708.4).
+    # Columns.eta_rate sends exponents below -746 to -inf before np.exp:
+    # both give +0.0, and -inf keeps numpy's SIMD exp off its slow path.  Its
+    # etas and rates must be the unmasked numerator's, divided by each
+    # denominator, bit for bit, with and without out: at the mask's edge,
+    # where exp underflows to 0 unmasked (-746 to -745.13), and in the
+    # subnormal band (-745.13 to -708.4).  ModeMetrics.eta_rate, which
+    # takes no mask, is held to the same expression on an int array.
     EDGE = -746.0
     exponents = st.one_of(
         st.floats(min_value=-800.0, max_value=0.0),
@@ -389,6 +391,7 @@ class TestDeliveredUnderflow:
 
     def test_equals_the_unmasked_expression(self):
         seen = collections.Counter()
+        breakdowns = LinkModel().energy.breakdowns
 
         @settings(max_examples=150)
         @given(cells=self.cells)
@@ -396,10 +399,25 @@ class TestDeliveredUnderflow:
             exponent, k, short, headers = (np.array(c) for c in zip(*cells))
             n_t, log_p_cw = k * 63 - short, exponent / k
             powers = -(-n_t // 63) * log_p_cw
-            expected = n_t * headers * np.exp(powers)
-            for out in (None, (np.empty(len(cells)), np.empty(len(cells)))):
-                got = _delivered(n_t, headers, log_p_cw, out)
-                assert got.tobytes() == expected.tobytes(), (cells, got, expected)
+            delivered = n_t * headers * np.exp(powers)
+            # One environment per cell, at every mode, its n_t on the last axis.
+            size, shape = len(cells), (len(cells), len(MODE_TABLE), 1)
+            cols = _columns(MODE_TABLE, breakdowns, [1.0] * size,
+                            np.repeat(headers, len(MODE_TABLE)).reshape(shape),
+                            np.repeat(log_p_cw, len(MODE_TABLE)).reshape(shape))
+            nts, numerator = n_t.reshape(-1, 1, 1), delivered.reshape(-1, 1, 1)
+            expected = (numerator / cols.energy.total(nts),
+                        numerator / (ModeMetrics.t_oh + nts * cols.t_sym))
+            for out in (None, (np.empty(shape), np.empty(shape))):
+                got = cols.eta_rate(nts, out)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in expected], cells
+            for i in range(size):
+                mode, energy = MODE_TABLE[i % len(MODE_TABLE)], breakdowns[i % len(MODE_TABLE)]
+                mm = ModeMetrics(mode, 1.0, log_p_cw.item(i), headers.item(i), energy)
+                own = n_t * mm.header_success * np.exp(-(-n_t // 63) * mm.log_p_cw)
+                got = mm.eta_rate(n_t)
+                assert got[0].tobytes() == (own / energy.total(n_t)).tobytes(), cells
+                assert got[1].tobytes() == (own / (mm.t_oh + n_t * mm.t_sym)).tobytes(), cells
             seen["masked"] += int((powers < self.EDGE).sum())
             seen["edge"] += int((powers == self.EDGE).sum())
             seen["zero, unmasked"] += int(((powers >= self.EDGE) & (powers < -745.14)).sum())

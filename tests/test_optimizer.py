@@ -739,7 +739,7 @@ class TestBlockedSweep:
     def test_search_envs_peak_stays_under_three_block_arrays(self):
         # The first block of the hospital sweep: 31 distances at n_t_max
         # 8190.  numpy reports its buffers to tracemalloc, so the peak is a
-        # count of block arrays.  It is reached in metrics._delivered: the
+        # count of block arrays.  It is reached in Columns.eta_rate: the
         # numerator (later divided in place into the rates), the product
         # n_t * header_success that scales it, and numpy's int-to-float
         # casting buffers, 2.72 in all.
@@ -1625,6 +1625,93 @@ class TestMonotoneRelations:
                             assert large.eta >= small.eta, (small, large)
                             seen["grid pairs, feasible"] += 1
         assert min(seen.values()) >= 50, seen
+
+
+class TestDistanceRelations:
+    # ROADMAP item 19's distance relations on cloee, through its block pass
+    # solve_envs (repr-equal to solve_env: TestSolveEnvsEqualsSolveEnv), on
+    # the three model variants at 10, 130 and 4,096 codewords, seeded.
+    GRIDS = (10 * 63, 130 * 63, 4096 * 63)
+    # Farther away every grid cell's eta and rate fall.  So a feasible solve's
+    # eta* never rises, feasibility once lost never returns, and an
+    # infeasible solve's rate (the rate peak) never rises; its eta is no
+    # optimum, and a switch of the peak's mode can raise it.
+    # Under uniform_section_ber the Kasami (63, 6) and PHR (40, 2) blocks run
+    # at the payload's p_b, and where their exact success is 1 - 1e-60..1e-18
+    # block_success's direct sum (reliability._direct, s = s + term from
+    # T_0) lands on 1 - 2**-53 at one p_b and on 1.0 at a larger one: the
+    # header success rises by up to 2**-52, and eta* by a few ulps (at most
+    # 1 seen, at 1.3-1.5 m).  Without that flag no rise was seen, and none
+    # is allowed.
+    RISE_ULPS = 3
+
+    @staticmethod
+    def _rise_ulps(near: float, far: float) -> float:
+        return (far - near) / math.ulp(near) if far > near else 0.0
+
+    def test_eta_star_never_rises_and_feasibility_never_returns(self):
+        rng, seen = random.Random(44), collections.Counter()
+        for variant in MODEL_VARIANTS:
+            model = LinkModel(**variant)
+            allowed = self.RISE_ULPS if model.uniform_section_ber else 0.0
+            distances = sorted(rng.uniform(0.2, 16.0) for _ in range(1000))
+            cols = block_layer.link_block(model, [(d, 0.0) for d in distances])
+            for qos in (QosSpec(), QosSpec(r0=10 ** rng.uniform(3.0, 5.0))):
+                for n_t_max in self.GRIDS:
+                    results = solve_envs(cols, qos, SolverConfig(n_t_max=n_t_max))
+                    for d, near, far in zip(distances[1:], results, results[1:]):
+                        assert far.feasible <= near.feasible, (variant, n_t_max, d, near, far)
+                        if far.feasible:
+                            rise = self._rise_ulps(near.eta, far.eta)
+                            seen["feasible pairs"] += 1
+                        else:
+                            rise = self._rise_ulps(near.rate, far.rate)
+                            seen["infeasible pairs"] += 1
+                            seen["losses"] += near.feasible
+                        assert rise <= allowed, (variant, n_t_max, d, near, far)
+                        seen[far.branch] += 1
+        assert min(seen["feasible pairs"], seen["infeasible pairs"]) >= 1000, seen
+        assert seen["losses"] == len(MODEL_VARIANTS) * 2 * len(self.GRIDS), seen
+        assert seen["dual"] >= 20, seen
+
+    @staticmethod
+    def _near_tie(cols, e: int, qos: QosSpec, n_t_max: int) -> bool:
+        """Whether environment e's oracle grid has its top two cells (by eta
+        among the feasible ones, else by rate) within 1e-12 relative, or a
+        cell's rate within 1e-12 of the floor."""
+        _, (etas,), (rates,) = block_layer.grid(cols.part(e, e + 1), n_t_max)
+        floor = qos.aggregate_rate
+        feasible = rates >= floor
+        top = np.sort(etas[feasible] if feasible.any() else rates.ravel())[-2:]
+        return bool(top.size == 2 and top[1] - top[0] <= 1e-12 * top[1]
+                    or (np.abs(rates - floor) <= 1e-12 * floor).any())
+
+    def test_shadowing_is_distance(self):
+        # The path loss reads d and chi only as a * log10(d_mm) + chi, so
+        # (d, chi) and (d * 10**(chi / a), 0) are one link up to the rounding
+        # of the moved distance, and cloee decides them alike but where the
+        # oracle's grid is within 1e-12 of a tie or of the floor.
+        rng, seen = random.Random(45), collections.Counter()
+        for variant in MODEL_VARIANTS:
+            model = LinkModel(**variant)
+            points = [(rng.uniform(0.3, 15.0), rng.gauss(0.0, 6.0)) for _ in range(300)]
+            shadowed = block_layer.link_block(model, points)
+            moved = block_layer.link_block(
+                model, [(d * 10 ** (chi / model.channel.a), 0.0) for d, chi in points])
+            for qos in (QosSpec(), QosSpec(r0=10 ** rng.uniform(3.0, 5.0))):
+                for n_t_max in self.GRIDS:
+                    cfg = SolverConfig(n_t_max=n_t_max)
+                    for e, (a, b) in enumerate(zip(solve_envs(shadowed, qos, cfg),
+                                                   solve_envs(moved, qos, cfg))):
+                        decision = a.n_cpb_star, a.n_t_star, a.feasible, a.branch
+                        if decision != (b.n_cpb_star, b.n_t_star, b.feasible, b.branch):
+                            assert self._near_tie(shadowed, e, qos, n_t_max), (
+                                variant, n_t_max, qos, points[e], a, b)
+                            seen["near a tie"] += 1
+                        seen[a.branch] += 1
+        assert seen["near a tie"] <= 0.01 * sum(seen.values()), seen
+        assert min(seen["unconstrained"], seen["throughput-fallback"]) >= 1000, seen
+        assert seen["dual"] >= 5, seen
 
 
 class TestOneEvaluator:
