@@ -3,10 +3,10 @@
 channel, reliability, metrics and optimizer are the scalar core, one distance
 at a time, and import no numpy at the top.  Each array form here is
 repr-equal, element for element, to its scalar twin: the same IEEE
-operations in the same order, with libm's functions mapped over the lanes
-(numpy's SIMD functions may round differently).  Columns is the one array
-format, a block of environments of one LinkModel, which solve_envs (the
-block cloee pass) and search_envs (the oracle) read.
+operations in the same order, with libm's functions (numpy's SIMD functions
+may round differently) and the model's mapped over the lanes by _map.
+Columns is the one array format, a block of environments of one LinkModel,
+which solve_envs (the block cloee pass) and search_envs (the oracle) read.
 """
 
 from __future__ import annotations
@@ -27,6 +27,15 @@ from .reliability import (_STOP, KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, Block, _ch
                           shr_success)
 
 
+def _map(f, *args) -> np.ndarray:
+    """f over the lanes of arrays of one shape, a number repeated, shaped as
+    the first array: the one way a scalar function (libm's or the model's)
+    meets a block, each lane a Python float in and out."""
+    lanes = next(a for a in args if isinstance(a, np.ndarray))
+    return np.fromiter(map(f, *(a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a)
+                                for a in args)), float, lanes.size).reshape(lanes.shape)
+
+
 def bit_error_array(points, eps_p: float, params: ChannelParams = DEFAULT_CHANNEL,
                     integration_per_pulse: bool = False) -> np.ndarray:
     """bit_error_probs at each (d, chi) of points as a (points, modes) array,
@@ -45,16 +54,9 @@ def bit_error_array(points, eps_p: float, params: ChannelParams = DEFAULT_CHANNE
     overflow = np.isinf(ebn0).any(axis=1)
     if overflow.any():
         raise _overflow(points[overflow.argmax()][0])
-    probs = np.fromiter(map(q_function, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    probs = _map(q_function, x)
     probs[ebn0 == 0.0] = 0.5
     return probs
-
-
-def _map(f, *args) -> np.ndarray:
-    """f (a libm function) over the lanes of flat arrays, a number repeated."""
-    lanes = next(a for a in args if isinstance(a, np.ndarray))
-    return np.fromiter(map(f, *(a.tolist() if isinstance(a, np.ndarray) else repeat(a)
-                                for a in args)), float, lanes.size)
 
 
 def _inner(p_b: np.ndarray):
@@ -107,9 +109,8 @@ def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
 def _header_successes(p_b_shr: np.ndarray, p_b_phr: np.ndarray) -> np.ndarray:
     """_header_success over arrays, element for element (shr_success's ** is
     libm's pow, so it is taken lane by lane)."""
-    kasami = block_successes(p_b_shr, KASAMI_BLOCK)
-    shr = np.fromiter(map(shr_success, kasami.ravel().tolist()), float, kasami.size)
-    return shr.reshape(kasami.shape) * block_successes(p_b_phr, PHR_BLOCK)
+    return _map(shr_success, block_successes(p_b_shr, KASAMI_BLOCK)) \
+        * block_successes(p_b_phr, PHR_BLOCK)
 
 
 class Columns(NamedTuple):
@@ -153,8 +154,7 @@ class Columns(NamedTuple):
         operations over the lanes, with libm's exp."""
         envs = np.arange(len(self.log_p_cw))[:, None]
         powers = -(-nts // PSDU_CODE.n) * self.log_p_cw[envs, positions, 0]
-        return self.header_success[envs, positions, 0] \
-            * _map(math.exp, powers.ravel()).reshape(powers.shape)
+        return self.header_success[envs, positions, 0] * _map(math.exp, powers)
 
     def metrics(self, e: int, m: int) -> ModeMetrics:
         """Environment e's ModeMetrics of modes[m], from the block's floats: its
@@ -263,8 +263,7 @@ def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult
     # solve_env's to the bit: where the closed form has lost the optimum
     # (ROADMAP item 3) a bound is no bound, and one ulp of it can change
     # which modes the decision visits, and so its answer.
-    success = np.fromiter(map(math.exp, (xs * log_p_cw / n).ravel().tolist()), float, xs.size)
-    bounds = xs * (cols.header_success * success.reshape(xs.shape)) / energy.total(xs)
+    bounds = xs * (cols.header_success * _map(math.exp, xs * log_p_cw / n)) / energy.total(xs)
     k = x.astype(np.int64) // n
     etas, rates = cols.eta_rate(np.concatenate((k, np.minimum(k + 1, k_max)), axis=2) * n)
     up = np.stack((etas[..., 2] > etas[..., 0], rates[..., 3] > rates[..., 1]), axis=2)
