@@ -173,10 +173,11 @@ class Columns(NamedTuple):
 
 
 def _columns(modes, breakdowns, distances, header_success, log_p_cw) -> Columns:
-    """Columns with each mode's energy breakdown and air time as a (modes, 1) row."""
+    """Columns with each mode's energy breakdown and air time as a (modes, 1)
+    row (empty for no modes)."""
     eps_b, eps_oh, eps_st, t_sym = np.array(
         [(b.eps_b, b.eps_oh, b.eps_st, mode.t_sym) for mode, b in zip(modes, breakdowns)]
-    ).T[:, :, None]
+    ).reshape(-1, 4).T[:, :, None]
     return Columns(modes, distances, header_success, log_p_cw,
                    EnergyBreakdown(eps_b, eps_oh, eps_st), t_sym)
 

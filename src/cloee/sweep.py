@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .block import columns, grid, link_block, search_envs, solve_envs
-from .frame import MODE_POSITION
+from .block import _columns, columns, grid, link_block, search_envs, solve_envs
+from .frame import MODE_POSITION, MODE_TABLE
 from .metrics import LinkModel, QosSpec
 from .optimizer import SolverConfig, solve_mode
 from .output import csv_text, with_charts, write_files
@@ -46,11 +46,11 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     The points are taken in environment blocks of ENV_BLOCK.  Each block is
     one link_block, whose Columns cloee (solve_envs), the oracle (search_envs,
     one pair of grid arrays for the block) and the static rows (one
-    Columns.eta_rate at each static's own frame size) share, so the arrays
-    held at once are set by the block size, not by the distance count.  The
-    block's rows are made from its columns by tuple.__new__, and every
-    row's p_ppdu comes from one Columns.ppdu_success per block, lane for lane
-    ppdu_success's.
+    Columns.eta_rate on a block of the statics' own modes, each at its own
+    frame size) share, so the arrays held at once are set by the block size,
+    not by the distance count.  The block's rows are made from its columns by
+    tuple.__new__, and every row's p_ppdu comes from one Columns.ppdu_success
+    per block, lane for lane ppdu_success's.
     Deterministic for a given scenario and seed: shadowing draws are made
     up-front in config order, and rows come out in (distance, strategy) order,
     as the points are taken by (distinct) distance and each distance's rows
@@ -66,14 +66,18 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
                      for a, b in scenario.strategies)
     # Static s is read at its mode's position and at the s-th frame size.
     sizes = np.array([n_t for _, _, _, n_t in statics])
-    positions, own = [i for _, i, _, _ in statics], range(len(statics))
+    positions = [i for _, i, _, _ in statics]
+    modes = [MODE_TABLE[i] for i in positions]
+    breakdowns = [model.energy.breakdowns[i] for i in positions]
     rows = []
     for start in range(0, len(points), ENV_BLOCK):
         chunk = points[start:start + ENV_BLOCK]
         distances = [d for d, _ in chunk]
         cols = link_block(model, chunk)
         # The statics as lists, one per static, before the solvers run.
-        etas, rates = (a[:, positions, own] for a in cols.eta_rate(sizes))
+        own = _columns(modes, breakdowns, distances, cols.header_success[:, positions],
+                       cols.log_p_cw[:, positions])
+        etas, rates = (a[..., 0] for a in own.eta_rate(sizes[:, None]))
         static_values = etas.T.tolist(), rates.T.tolist(), (rates >= r0ns).T.tolist()
         cloees, oracles = solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg)
         # Every row's MODE_TABLE position and frame size, (environments,
