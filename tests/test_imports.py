@@ -111,12 +111,31 @@ def test_the_check_finds_numpy_and_block_imports_and_sites():
               "        return 'np'\n"
               "def k(x, out):\n"
               "    np.copyto(x, -np.inf, where=x < -746.0)\n"
-              "    return np.exp(x, out=np.random.default_rng().random(out))\n")
+              "    return np.exp(x, out=np.random.default_rng().random(out))\n"
+              "def _map(f, x):\n"
+              "    return np.fromiter(map(f, x.ravel().tolist()), float, x.size)\n"
+              "class D:\n"
+              "    def q(self, x):\n"
+              "        return np.fromiter(map(abs, x.tolist()), float, x.size).reshape(x.shape)\n")
     assert top_level_imports(source) == {"numpy", "random", "block", "frame"}
     assert top_level_imports("from cloee.block import grid\n") == {"cloee", "block"}
     assert numpy_sites(source) == {"f": (" numpy's exp: ROADMAP item 2", {"exp"}),
                                    "C.g": ("", {"bool_"}),
-                                   "k": ("", {"copyto", "inf", "exp", "random"})}
+                                   "k": ("", {"copyto", "inf", "exp", "random"}),
+                                   "_map": ("", {"fromiter"}), "D.q": ("", {"fromiter"})}
+    assert fromiter_readers(source) == ["D.q", "_map"]
+
+
+def fromiter_readers(source: str) -> list[str]:
+    """The functions of source that read np.fromiter, sorted (numpy_sites's names)."""
+    return sorted(site for site, (_, names) in numpy_sites(source).items() if "fromiter" in names)
+
+
+def test_only_the_lane_map_reads_fromiter():
+    # The one lane rule: a scalar function meets a block's lanes through
+    # block._map alone, so no other function of the package reads np.fromiter.
+    assert {(m, site) for m in MODULES for site in fromiter_readers((PACKAGE / m).read_text())} \
+        == {("block.py", "_map")}
 
 
 def test_only_the_array_modules_import_numpy_at_the_top():
