@@ -1,3 +1,4 @@
+import bisect
 import collections
 import contextlib
 import dataclasses
@@ -5,18 +6,22 @@ import math
 import sys
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloee import (MODE_TABLE, ConfigError, EnergyParams, LinkModel, QosSpec, Scenario,
-                   bit_error_probs, channel, energy, energy_breakdown, metrics, reliability)
+                   SolverConfig, bit_error_probs, channel, energy, energy_breakdown, metrics,
+                   optimizer, reliability)
 from cloee.block import _columns, bit_error_array, columns, grid, link_block
 from cloee.frame import MODE_POSITION
 from cloee.metrics import _I_PHR, _I_SHR, ModeMetrics, _header_success
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
-from helpers import MODEL_VARIANTS, is_unimodal_max, metrics_at, single_pb_metrics
+from cloee.optimizer import solve_env
+from helpers import (MODEL_VARIANTS, binding_envs, is_unimodal_max, metrics_at,
+                     single_pb_metrics)
 
 
 def _eta_cont(mm, x):
@@ -478,3 +483,120 @@ class TestEnergyBreakdowns:
         assert "breakdowns" not in repr(LinkModel())
         changed = dataclasses.replace(LinkModel(), energy=EnergyParams(p_syn=1e-3))
         assert changed.env(5.0)[0].energy == energy_breakdown(MODE_TABLE[0], changed.energy)
+
+
+class TestEtaRateBudgets:
+    # ROADMAP item 9: eta and rate at grid points against 60-digit mpmath,
+    # computed from the environment's own floats (header_success, log_p_cw,
+    # the energy costs and the air times), so only the objectives' own
+    # roundings count.  With k codewords and a = |k * log_p_cw|, the
+    # exponent's one rounding (2**-53 relative) is an error of a * 2**-53 in
+    # exp's result; exp's own (at most 2 ulps) and the five other roundings of
+    # either objective add at most 10 * 2**-53.  A result below the normal
+    # range (exp's, the numerator's or the quotient's) adds at most one
+    # subnormal step, 2**-1074, carried through the operations after it: the
+    # floor 2**-1074 * (1 + (1 + n_t * header_success) / cost).  By region of a:
+    #   [0, 1)           the roundings: (a + 10) * 2**-53 relative, under 11;
+    #   [1, 708.4)       exp amplifies the exponent's rounding: (a + 10) * 2**-53;
+    #   [708.4, 745.14)  exp's result is subnormal: (a + 10) * 2**-53 plus the
+    #                    floor, whose n_t * header_success / cost term is exp's step;
+    #   [745.14, inf)    exp is 0, so both objectives are 0.0; the exact value is
+    #                    below 2**-1075 * n_t * header_success / cost, inside the floor.
+    # A header small enough to make the numerator subnormal can occur in any
+    # region, so the floor applies in every one.
+    REGIONS = (0.0, 1.0, 708.4, 745.14, math.inf)
+    CELLS = 100                 # drawn per region and model variant
+    EXCESS = 10.0               # the budget over a, in units of 2**-53 relative
+
+    @staticmethod
+    def _cells(cols, rng, lo, hi, count):
+        """count (environment, mode, codewords) drawn uniformly among the
+        environments and modes that reach a = k * |log_p_cw| in [lo, hi) with
+        k in [1, 4096], each k uniform in that span."""
+        mag = -cols.log_p_cw[..., 0]
+        with np.errstate(all="ignore"):      # lo / 0 and hi over a tiny mag
+            k_lo = np.nan_to_num(np.ceil(lo / mag), nan=1.0).clip(1, None)
+            k_hi = np.minimum(np.ceil(hi / mag) - 1, 4096)
+        reach = np.flatnonzero(k_lo <= k_hi)
+        picks = rng.choice(reach, count)
+        ks = rng.integers(k_lo.flat[picks].astype(np.int64), k_hi.flat[picks].astype(np.int64) + 1)
+        return (*np.unravel_index(picks, mag.shape), ks)
+
+    def test_eta_and_rate_at_grid_points_within_budget(self):
+        rng = np.random.default_rng(20261020)
+        worst, counts = collections.defaultdict(float), collections.Counter()
+        for variant in MODEL_VARIANTS:
+            model = LinkModel(**variant)
+            cols = link_block(model, list(zip((10.0 ** rng.uniform(-0.5, 1.6, 300)).tolist(),
+                                              rng.normal(0.0, 4.0, 300).tolist())))
+            for lo, hi in zip(self.REGIONS, self.REGIONS[1:]):
+                es, ms, ks = self._cells(cols, rng, lo, hi, self.CELLS)
+                # The cells as a block of their own modes, one environment.
+                own = _columns([MODE_TABLE[m] for m in ms.tolist()],
+                               [model.energy.breakdowns[m] for m in ms.tolist()], [1.0],
+                               cols.header_success[es, ms][None], cols.log_p_cw[es, ms][None])
+                etas, rates = own.eta_rate((63 * ks)[:, None])
+                for e, m, k, eta, rate in zip(es.tolist(), ms.tolist(), ks.tolist(),
+                                              etas.ravel().tolist(), rates.ravel().tolist()):
+                    mm, n_t = cols.metrics(e, m), 63 * k
+                    assert mm.eta_rate(n_t) == (eta, rate)
+                    a = abs(k * mm.log_p_cw)
+                    region = self.REGIONS[bisect.bisect(self.REGIONS, a) - 1]
+                    counts[region] += 1
+                    if region == 745.14:
+                        assert eta == rate == 0.0, (variant, e, m, k)
+                    with mpmath.workdps(60):
+                        mp = mpmath.mpf
+                        delivered = n_t * mp(mm.header_success) * mpmath.exp(k * mp(mm.log_p_cw))
+                        energy = mm.energy
+                        for value, cost in ((eta, n_t * mp(energy.eps_b) + mp(energy.eps_oh)
+                                             + mp(energy.eps_st)),
+                                            (rate, mp(mm.t_oh) + n_t * mp(mm.t_sym))):
+                            exact = delivered / cost
+                            floor = mp(2.0 ** -1074) * (1 + (1 + n_t * mp(mm.header_success))
+                                                        / cost)
+                            error = abs(mp(value) - exact) - floor
+                            if error > 0:
+                                excess = float(error / (exact * 2.0 ** -53)) - a
+                                worst[region] = max(worst[region], excess)
+                                assert excess <= self.EXCESS, (variant, e, m, k, value, exact)
+        assert min(counts[r] for r in self.REGIONS[:-1]) >= self.CELLS, counts
+        assert max(worst.values()) <= self.EXCESS, dict(worst)
+
+    # The eta bound of each mode, read from the solver's own decision, raised
+    # by its 1e-12 prune margin, against the mode's float grid maximum of eta
+    # and the 60-digit eta at that argmax and its two neighbours, on the first
+    # BINDING_ROWS binding rows under each model variant.
+    BINDING_ROWS = 64
+
+    @pytest.mark.parametrize("codewords", [8, 130, 4096])
+    def test_eta_bound_covers_the_grid_maximum(self, codewords):
+        cfg, bounds = SolverConfig(n_t_max=63 * codewords), []
+        decide = optimizer._decide
+
+        def capture(n_cpb, mode_metrics, mode_bounds, *rest):
+            bounds.append(mode_bounds)
+            return decide(n_cpb, mode_metrics, mode_bounds, *rest)
+
+        envs = []
+        with mock.patch.object(optimizer, "_decide", capture):
+            for env, qos in binding_envs(self.BINDING_ROWS):
+                solve_env(env, qos, cfg)
+                envs.append(env)
+        # binding_envs gives each variant's rows in turn: a block takes one LinkModel.
+        mp = mpmath.mpf
+        for start in range(0, len(envs), 16):
+            nts, etas, _ = grid(columns(envs[start:start + 16]), cfg.n_t_max)
+            peaks, maxima = etas.argmax(axis=2).tolist(), etas.max(axis=2).tolist()
+            for e, env in enumerate(envs[start:start + 16], start):
+                for m, (mm, j, top, bound) in enumerate(zip(env, peaks[e - start],
+                                                            maxima[e - start], bounds[e])):
+                    raised, energy = bound * (1.0 + 1e-12), mm.energy
+                    assert raised >= top, (e, m)
+                    with mpmath.workdps(60):
+                        header, log_p_cw = mp(mm.header_success), mp(mm.log_p_cw)
+                        eps_b, eps_fixed = mp(energy.eps_b), mp(energy.eps_oh) + energy.eps_st
+                        for n_t in nts[max(j - 1, 0):j + 2].tolist():
+                            exact = n_t * header * mpmath.exp(n_t // 63 * log_p_cw) \
+                                / (n_t * eps_b + eps_fixed)
+                            assert raised >= exact, (e, m, n_t)
