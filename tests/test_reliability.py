@@ -121,6 +121,22 @@ class TestOffFrameCodes:
         assert math.isfinite(tail(0.1, _block(63, 0)))
         assert math.isfinite(tail(0.1, _block(63, 62)))
 
+    def test_upper_tail_stop_on_a_long_code_equals_every_term(self, monkeypatch):
+        # Past the upper tail's stop the frame codes' terms fall by a ratio
+        # well below 1/2, so a stop at 2**-53 of the sum keeps their bits too.
+        # On (1000, 320) near its crossover they fall by more than 1/2 there:
+        # only the half-ulp stop 2**-54 keeps every bit of the every-term sum,
+        # at both widths, and a scalar stop at 2**-53 loses some.  The array
+        # form stops when its last lane may, so it is also taken one lane at
+        # a time.
+        block, ps = _block(1000, 320), np.random.default_rng(12).uniform(0.30, 0.322, 150)
+        expected = [_every_term_log_success(p, 1000, 320) for p in ps.tolist()]
+        assert [block_log_success(p, block) for p in ps.tolist()] == expected
+        assert [block_log_successes(np.array([p]), block).item() for p in ps.tolist()] \
+            == block_log_successes(ps, block).tolist() == expected
+        monkeypatch.setattr(reliability, "_STOP", 2.0 ** -53)
+        assert [block_log_success(p, block) for p in ps.tolist()] != expected
+
 
 def _every_term_upper(p_b, n_bits, t):
     # U from every upper term of the recurrence (helpers.reference_terms),
