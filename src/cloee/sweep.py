@@ -75,9 +75,9 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
         distances = [d for d, _ in chunk]
         cols = link_block(model, chunk)
         # The statics as lists, one per static, before the solvers run.
-        own = _columns(modes, breakdowns, distances, cols.header_success[:, positions],
-                       cols.log_p_cw[:, positions])
-        etas, rates = (a[..., 0] for a in own.eta_rate(sizes[:, None]))
+        static_cols = _columns(modes, breakdowns, distances, cols.header_success[:, positions],
+                               cols.log_p_cw[:, positions])
+        etas, rates = (a[..., 0] for a in static_cols.eta_rate(sizes[:, None]))
         static_values = etas.T.tolist(), rates.T.tolist(), (rates >= r0ns).T.tolist()
         cloees, oracles = solve_envs(cols, qos, cfg), search_envs(cols, qos, cfg)
         # Every row's MODE_TABLE position and frame size, (environments,
