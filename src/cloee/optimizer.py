@@ -27,12 +27,14 @@ The feasible mode with the best efficiency wins, the first of equals in
 environment order; when nothing is feasible the best-throughput fallback is
 returned.  Only the modes that can still win are finished.  A mode's
 eta bound is its relaxed efficiency x * success_cont(x) / energy.total(x) at
-the closed-form optimum x clamped to the grid's span [n, n * (n_t_max // n)],
-which is at least every grid eta of the mode: the relaxed and grid objectives
-agree on the grid.  Modes are visited in decreasing bound (a stable sort)
-until a bound, raised by a 1e-12 relative margin for rounding, is strictly
-below the best feasible eta so far, and each visited mode gets its full
-three-branch solve.  Nothing skipped could have won or tied.
+the closed-form optimum x clamped to the grid's span [n, n * (n_t_max // n)].
+In exact arithmetic it is at least every grid eta of the mode, as the relaxed
+and grid objectives agree on the grid; in floats it can sit below the mode's
+grid maximum (by up to 4.7e-16 relative on the binding rows), and only a
+1e-12 relative margin raises it above (TestEtaRateBudgets holds that).  Modes
+are visited in decreasing bound (a stable sort) until a bound, so raised, is
+strictly below the best feasible eta so far, and each visited mode gets its
+full three-branch solve.  Nothing skipped could have won or tied.
 
 _decide is the one place this decision and the cross-mode pick are
 written, over per-mode values that its caller supplies.  solve_env computes

@@ -1,5 +1,6 @@
 """SVG line charts with no plotting library, just enough to eyeball sweep
-output; each series is mapped and formatted as numpy arrays."""
+output; a chart's series are mapped as one numpy array per axis and their
+coordinates formatted in one exact integer pass."""
 
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
             "#8c564b", "#17becf", "#7f7f7f")
 _W, _H = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 40, 50
+# _PAIRS[k], k < 100, is k in two ASCII digits with NUL for its leading zeros,
+# and _PAIRS[100 + k] is k with them; _coords deletes every NUL.
+_PAIRS = np.frombuffer((b"\0\0" + b"".join(b"%2d" % k for k in range(1, 100))).replace(b" ", b"\0")
+                       + b"".join(b"%02d" % k for k in range(100)), np.uint16)
+_DOT = np.frombuffer(b".\0", np.uint16)
 
 
 def _fmt(v: float) -> str:
@@ -42,6 +48,37 @@ def _ticks(lo: float, hi: float, s: float) -> list[float]:
     return [min((lo * s + (hi * s - lo * s) * i / 4) / s, hi) for i in range(5)]
 
 
+def _coords(xs, ys, sizes) -> list[str]:
+    """The "%.2f,%.2f" text of the points (xs, ys), one space apart, for each
+    run of sizes (each > 0) points; every coordinate must lie in [1, 10000).
+
+    A coordinate v is m·2**-s for its 53-bit mantissa m and s in [39, 52], so
+    v·100 = (100·m)·2**-s exactly, and q, that shifted right by s and rounded
+    half to even, is "%.2f"'s rounding of v in cents.  Each coordinate gets
+    five byte pairs: its separator (a newline before each run's first point)
+    and a 1 for 10000.00, the integer part's two _PAIRS, ".", the cents'."""
+    v = np.column_stack((xs, ys)).ravel()
+    if not (v.min() >= 1.0 and v.max() < 1e4):
+        raise ValueError("a coordinate lies outside [1, 10000)")
+    bits = v.view(np.int64)
+    m = (bits & (2 ** 52 - 1) | 2 ** 52) * 100
+    s = 1075 - (bits >> 52)
+    q = m >> s
+    r, half = m - (q << s), 1 << (s - 1)
+    q += (r > half) | ((r == half) & (q & 1))
+    a, hi = q // 100, q // 10000
+    text = np.empty((v.size, 5), np.uint16)
+    head = text.view(np.uint8)[:, :2]
+    head[0::2, 0], head[1::2, 0] = ord(" "), ord(",")
+    head[2 * (np.cumsum(sizes) - sizes), 0] = ord("\n")
+    head[:, 1] = (hi == 100) * ord("1")
+    text[:, 1] = _PAIRS.take(hi)
+    text[:, 2] = _PAIRS.take(a - 100 * hi + 100 * (hi > 0))
+    text[:, 3] = _DOT
+    text[:, 4] = _PAIRS.take(q - 100 * a + 100)
+    return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[1:]
+
+
 def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render (label, xs, ys) series, xs and ys lists or arrays of one length,
     into a standalone SVG document; non-finite points are dropped."""
@@ -54,9 +91,8 @@ def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") 
         lines.append((label, xs[keep], ys[keep]))
     if not any(xs.size for _, xs, _ in lines):
         raise ValueError("nothing to plot")
-    (x_min, x_max), (y_min, y_max) = (
-        _padded(float(v.min()), float(v.max()))
-        for v in (np.concatenate([line[k] for line in lines]) for k in (1, 2)))
+    xs, ys = (np.concatenate([line[k] for line in lines]) for k in (1, 2))
+    (x_min, x_max), (y_min, y_max) = (_padded(float(v.min()), float(v.max())) for v in (xs, ys))
     # An axis whose tick span * 4 would overflow a float is taken at the exact
     # scale 2**-4 (_frac, _ticks); every other axis at 1.0.
     x_s, y_s = (1.0 if (hi - lo) * 4 < math.inf else 2.0 ** -4
@@ -92,13 +128,12 @@ def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") 
                f'text-anchor="middle">{x_label}</text>')
     out.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
                f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.0f})">{y_label}</text>')
-    # series
-    for i, (label, xs, ys) in enumerate(lines):
+    # series; every coordinate lies in [40, 560], as _frac stays in [0, 1]
+    points = iter(_coords(sx(xs), sy(ys), [line[1].size for line in lines if line[1].size]))
+    for i, (label, xs, _) in enumerate(lines):
         color = _PALETTE[i % len(_PALETTE)]
         if xs.size:
-            coords = " ".join(["%.2f,%.2f"] * xs.size) % tuple(
-                np.column_stack((sx(xs), sy(ys))).ravel().tolist())
-            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+            out.append(f'<polyline points="{next(points)}" fill="none" stroke="{color}" '
                        'stroke-width="1.6"/>')
         ly = _MARGIN_T + 14 + i * 16
         out.append(f'<line x1="{_W - _MARGIN_R + 10}" y1="{ly - 4}" '

@@ -129,8 +129,8 @@ class TestNoiseDensity:
 
 
 def _mp_q(x: float) -> mpmath.mpf:
-    """Q(x) = erfc(x / sqrt 2) / 2 in 50-digit mpmath."""
-    with mpmath.workdps(50):
+    """Q(x) = erfc(x / sqrt 2) / 2 in 60-digit mpmath."""
+    with mpmath.workdps(60):
         return mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
 
 
@@ -158,6 +158,34 @@ class TestQFunction:
     def test_extremes(self):
         assert q_function(0.0) == 0.5
         assert q_function(37.0) > 0.0
+
+
+class TestQAccuracyBudget:
+    # q_function against 60-digit mpmath on seeded x, 100 per band, within 8
+    # ulps of the exact value (the tails' budget) in each branch: erfc's, to
+    # x = 30, and the asymptotic series' beyond it, to x = 37.5, below which Q
+    # is a normal float.  Only erfc's band below x = 1 meets it (these draws
+    # read 1.6 ulps, denser ones 2.1).  Beyond, erfc amplifies the rounding of
+    # x / sqrt 2 by about x**2, and exp the rounding of the asymptotic
+    # exponent, near -x**2 / 2 (these draws read 968 and 1,091 ulps), so those
+    # bands are strict xfails: item 9's fix flips them, and drops the marker.
+    ULPS = 8.0
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 1.0),
+        pytest.param(1.0, 30.0, marks=pytest.mark.xfail(
+            reason="erfc's rounding of x / sqrt 2 costs up to 1,566 ulps; ROADMAP item 9's fix "
+                   "corrects erfc by it")),
+        pytest.param(30.0, 37.5, marks=pytest.mark.xfail(
+            reason="the rounded exponent costs up to 1,629 ulps through exp; ROADMAP item 9's fix "
+                   "takes it in double-double")),
+    ], ids=["erfc-below-1", "erfc", "asymptotic"])
+    def test_within_budget(self, lo, hi):
+        worst = 0.0
+        for x in np.random.default_rng(20261020).uniform(lo, hi, 100).tolist():
+            exact = _mp_q(x)
+            worst = max(worst, float(abs(mpmath.mpf(q_function(x)) - exact) / math.ulp(float(exact))))
+        assert worst <= self.ULPS, worst
 
 
 class TestLinkBudget:

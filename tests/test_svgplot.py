@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloee.svgplot import _padded, render_lines
+from cloee.svgplot import _coords, _padded, render_lines
 from helpers import reference_render_lines
 
 TESTS = Path(__file__).resolve().parent
@@ -105,15 +105,36 @@ def _outcome(render, series, seed: int):
         return type(exc), str(exc)
 
 
-def check_against_reference(seeds: range) -> tuple[int, int]:
+def _long_series(rng: random.Random) -> list:
+    """1-8 (label, xs, ys) series of 100-1,000 points on one random [lo, hi]
+    per axis, drawn as _random_series draws its axes and values, with empty
+    and all-NaN series between them: one chart's coordinates at the scale of
+    the CLI's, formatted in one pass and split at the series' ends."""
+    axes = []
+    for plot in (490, 390):
+        scale = 10.0 ** rng.uniform(-300, 300)
+        lo = rng.choice((0.0, -scale, scale * rng.uniform(-1e3, 1e3)))
+        axes.append((lo, lo + scale, plot))
+    series = []
+    for k in range(rng.randint(1, 8)):
+        n = rng.randint(100, 1000)
+        xs, ys = (_values(rng, n, *axis) for axis in axes)
+        series.append((f"s{k}", _container(rng, xs), _container(rng, ys)))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            m = rng.choice((0, rng.randint(1, 50)))
+            series.append((f"gap{k}", [math.nan] * m, _container(rng, [math.nan] * m)))
+    return series
+
+
+def check_against_reference(seeds: range, draw=_random_series) -> tuple[int, int]:
     """Assert that render_lines gives reference_render_lines' text, or raises
-    as it does, on one random series set per seed; returns the counts (drawn,
-    nothing to plot). Both pad a constant axis by svgplot's rule, which
-    leaves a span also where v + 1.0 == v, so nothing but "nothing to plot"
-    is raised."""
+    as it does, on one random series set per seed drawn by draw; returns the
+    counts (drawn, nothing to plot). Both pad a constant axis by svgplot's
+    rule, which leaves a span also where v + 1.0 == v, so nothing but
+    "nothing to plot" is raised."""
     drawn = empty = 0
     for seed in seeds:
-        series = _random_series(random.Random(seed))
+        series = draw(random.Random(seed))
         # The reference maps Python numbers, so it gets each array's tolist().
         as_lists = [(label, *(v.tolist() if isinstance(v, np.ndarray) else v for v in xy))
                     for label, *xy in series]
@@ -131,24 +152,71 @@ def test_matches_reference_renderer_byte_for_byte():
         render_lines([])
 
 
+def test_long_series_match_reference_renderer_byte_for_byte():
+    drawn, empty = check_against_reference(range(40), draw=_long_series)
+    assert (drawn, empty) == (40, 0)
+
+
+def _kernel_values(rng: np.random.Generator) -> np.ndarray:
+    """Coordinates in [1, 10000) where "%.2f" is hardest to match: uniform
+    draws in [1, 10000) and in the charts' [40, 560], the exact binary ties
+    k/8 (odd k) and the decimal ties k/100 + 0.005, each with both float
+    neighbours, and both ends of the range."""
+    ties = np.concatenate(((rng.integers(4, 40000, 5000) * 2 + 1.0) / 8,
+                           rng.integers(100, 1000000, 5000) / 100 + 0.005))
+    return np.concatenate((rng.uniform(1.0, 1e4, 10000), rng.uniform(40.0, 560.0, 10000), ties,
+                           np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+                           [1.0, np.nextafter(1e4, 0.0)]))
+
+
+def check_coords(seed: int) -> int:
+    """Assert that _coords gives "%.2f,%.2f" point by point, joined by
+    spaces, for each of a random split of shuffled _kernel_values into 41
+    runs; returns the number of coordinates."""
+    rng = np.random.default_rng(seed)
+    v = rng.permutation(_kernel_values(rng))
+    xs, ys = v[0::2], v[1::2]
+    ends = np.sort(rng.choice(np.arange(1, ys.size), 40, replace=False)).tolist() + [ys.size]
+    starts = [0] + ends[:-1]
+    assert _coords(xs, ys, [b - a for a, b in zip(starts, ends)]) == [
+        " ".join("%.2f,%.2f" % p for p in zip(xs[a:b].tolist(), ys[a:b].tolist()))
+        for a, b in zip(starts, ends)]
+    return 2 * ys.size
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coords_match_percent_format(seed):
+    assert check_coords(seed) == 50002
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(1.0, 0.0), 1e4, 0.0, -0.0, -5.0, 1e300,
+                                 math.inf, -math.inf, math.nan])
+def test_coords_outside_their_range_raise(bad):
+    for xs, ys in (([5.0, bad], [5.0, 5.0]), ([5.0, 5.0], [bad, 5.0])):
+        with pytest.raises(ValueError, match=r"^a coordinate lies outside \[1, 10000\)$"):
+            _coords(np.array(xs), np.array(ys), [2])
+
+
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                     reason="numpy 1.x has no numpy._core.__cpu_features__")
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the disabled features are x86-64 AVX-512 ones")
 def test_matches_reference_without_avx512_dispatch():
-    # The map is IEEE + - * / only, so it must not depend on numpy's SIMD
-    # dispatch; the child fails if numpy ignored the disabled feature names.
+    # The map takes IEEE + - * / and _coords integer arithmetic and table
+    # reads, so neither may depend on numpy's SIMD dispatch; the child fails
+    # if numpy ignored the disabled feature names.
     child = ("from numpy._core._multiarray_umath import __cpu_features__\n"
              "assert __cpu_features__['AVX512_SKX'] is False\n"
              "import test_svgplot\n"
-             "print(*test_svgplot.check_against_reference(range(600)))\n")
+             "print(*test_svgplot.check_against_reference(range(600)))\n"
+             "print(test_svgplot.check_coords(0))\n")
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
            "PYTHONPATH": os.pathsep.join((str(TESTS), str(TESTS.parent / "src")))}
     done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    drawn, empty = map(int, done.stdout.split())
-    assert drawn >= 500 and empty >= 3
+    drawn, empty, coords = map(int, done.stdout.split())
+    assert drawn >= 500 and empty >= 3 and coords == 50002
 
 
 def test_constant_axis_beyond_2_pow_53_keeps_a_span():
