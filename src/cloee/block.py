@@ -23,7 +23,7 @@ from .energy import EnergyBreakdown
 from .frame import MODE_TABLE, PSDU_CODE, PhyMode
 from .metrics import _I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec
 from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, _decide
-from .reliability import (_STOP, KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, Block, _check_p, _direct,
+from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, Block, _check_p, _direct, _upper,
                           shr_success)
 
 
@@ -79,23 +79,13 @@ def block_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
 
 
 def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
-    """block_log_success over an array of p_b in [0, 0.5], element for element.
-
-    U is summed on the lanes with D >= 0.5 - 1e-9 only, a term on all of them
-    at a time, until each lane has met _upper's stop, which is tested every
-    fourth term: a lane that met it earlier keeps its sum, as no later term
-    can change it.
-    """
+    """block_log_success over an array of p_b in [0, 0.5], element for element:
+    U is summed by _upper on the lanes with D >= 0.5 - 1e-9 only, a term on
+    all of them at a time."""
     p, zeros = _inner(p_b)
     direct, top, odds = _direct(p, block, partial(_map, math.pow))
     lanes = np.flatnonzero(direct >= 0.5 - 1e-9)
-    term, odds, upper = top[lanes], odds[lanes], np.zeros(lanes.size)
-    peak = (block.n_plus_1 * p[lanes]).max(initial=0.0)
-    for k, (i, r) in enumerate(block.upper):
-        term *= r * odds
-        upper += term
-        if k % 4 == 3 and i > peak and (term <= upper * _STOP).all():
-            break
+    upper = _upper(top[lanes], odds[lanes], block, np.ndarray.all)
     # log1p(-U) on the lanes with U < 0.5, else log(D), each in place of D.
     near_one = lanes[upper < 0.5]
     logs = np.full(p.size, True)

@@ -83,10 +83,10 @@ class ModeMetrics:
     Reliability is two floats, which its builder computes once:
     header_success (SHR and PHR) and log_p_cw, the log success of one PSDU
     codeword at the payload p_b (block_log_success(p_b, PSDU_BLOCK)), which
-    is not stored.  success()/eta()/rate() evaluate the grid
-    objectives, whose codeword count is ceil(n_t/n); eta, rate and eta_rate
-    take an int or an int array (block.Columns.eta_rate takes a block of
-    environments).
+    is not stored.  eta()/rate() evaluate the grid objectives, whose codeword
+    count is ceil(n_t/n), as eta_rate()'s halves; the three take an int or an
+    int array (block.Columns.eta_rate takes a block of environments).  The
+    PPDU success at one frame size is ppdu_success of the two floats.
     success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
     forms differentiate; the two agree exactly at multiples of n.
     """
@@ -105,10 +105,6 @@ class ModeMetrics:
         self.t_sym = mode.t_sym
 
     # -- grid objectives (integer frame sizes, whole codewords) ----------
-
-    def success(self, n_t: int) -> float:
-        """P(PPDU delivered) at one integer frame size (ppdu_success)."""
-        return ppdu_success(self.header_success, self.log_p_cw, n_t)
 
     def eta(self, n_t):
         return self.eta_rate(n_t)[0]

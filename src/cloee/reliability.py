@@ -45,24 +45,21 @@ class Block(NamedTuple):
     """A block code (N, t) and its recurrence: N, t and C(N,t) as a float;
     the ratios r_0..r_{h-1} that lead up from T_0 to T_h, h = t // 2; the
     ratios i/(N-i+1), i = t..h+1, that lead down from T_t, one term at a
-    time; the pairs (i, r_{i-1}) that lead up to each upper term T_i,
-    t < i <= N; and N + 1."""
+    time; and the ratios r_t..r_{N-1} that lead up from T_t to T_N."""
 
     n: int
     t: int
     comb_t: float
     up: tuple[float, ...]
     down: tuple[float, ...]
-    upper: tuple[tuple[int, float], ...]
-    n_plus_1: int
+    upper: tuple[float, ...]
 
 
 def _block(n_bits: int, t: int) -> Block:
     """The Block of code (n_bits, t), for integers 0 <= t < n_bits, unchecked."""
     ratios = [(n_bits - i) / (i + 1) for i in range(n_bits)]
     return Block(n_bits, t, float(math.comb(n_bits, t)), tuple(ratios[:t // 2]),
-                 tuple(i / (n_bits - i + 1) for i in range(t, t // 2, -1)),
-                 tuple(zip(range(t + 1, n_bits + 1), ratios[t:])), n_bits + 1)
+                 tuple(i / (n_bits - i + 1) for i in range(t, t // 2, -1)), tuple(ratios[t:]))
 
 
 PSDU_BLOCK = _block(PSDU_CODE.n, PSDU_CODE.t)
@@ -76,33 +73,35 @@ def _direct(p, block: Block, pow):
     T_0, then T_t..T_{h+1} down from T_t, one by one (sum() compensates from
     Python 3.12 on, so its bits would depend on the interpreter).  The anchors
     take (1-p)^k as a pow of q = fl(1-p) times 1 + k * eps, 1 - p = q * (1 + eps)."""
-    n, t, comb_t, up, down, _, _ = block
+    n, t = block.n, block.t
     q = 1.0 - p
     eps = ((1.0 - q) - p) / q      # 1 - q and the difference are exact
     odds = p / q
     power = pow(q, n)
     term = s = power + power * (n * eps)
-    for r in up:
+    for r in block.up:
         term = term * r * odds
         s = s + term
     power = pow(q, n - t)
-    term = top = comb_t * pow(p, t) * (power + power * ((n - t) * eps))
-    for r in down:
+    term = top = block.comb_t * pow(p, t) * (power + power * ((n - t) * eps))
+    for r in block.down:
         s = s + term
         term = term * r / odds
     return s, top, odds
 
 
-def _upper(term: float, odds: float, peak: float, block: Block) -> float:
-    """U = T_{t+1} + T_{t+2} + ... from term = T_t.  Past the binomial mode
-    bound peak = (N + 1) * p_b the terms fall by a ratio well below 1, so once
-    one is at most 2**-54 of the sum the sum stops: it equals the sum of every
-    term to the bit."""
+def _upper(term, odds, block: Block, every):
+    """U = T_{t+1} + T_{t+2} + ... from term = T_t, for a float with every =
+    bool or a flat array of lanes (block.py) with every = np.ndarray.all.  The
+    sum stops at the first term at most 2**-54 of it on every lane.  Before the
+    binomial mode the terms rise, the latest at least s/(N-t) of the sum s, so
+    the stop comes past it, where each later term is smaller: U equals the sum
+    of every term to the bit, and a lane that met the stop first keeps its sum."""
     s = 0.0
-    for i, r in block.upper:
+    for r in block.upper:
         term = term * (r * odds)
         s += term
-        if i > peak and term <= s * _STOP:
+        if every(term <= s * _STOP):
             break
     return s
 
@@ -133,7 +132,7 @@ def block_log_success(p_b: float, block: Block) -> float:
         return 0.0
     direct, top, odds = _direct(p_b, block, math.pow)
     if direct >= 0.5 - 1e-9:
-        upper = _upper(top, odds, block.n_plus_1 * p_b, block)
+        upper = _upper(top, odds, block, bool)
         if upper < 0.5:
             return math.log1p(-upper)
     return math.log(direct)

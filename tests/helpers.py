@@ -1,7 +1,7 @@
 """Shared test utilities and reference forms, built on the package's public
 API plus optimizer.solve_env, block.search_envs (and the optimizer.snap_to_grid name
-that solve_env looks up), metrics._header_success, sweep.CSV_HEADER and
-svgplot's layout constants.
+that solve_env looks up), metrics._header_success, metrics.ppdu_success,
+sweep.CSV_HEADER and svgplot's layout constants.
 
 The reference tails take any block code (N, t) as a pair; the package's tails
 take a reliability.Block, which the tests build with reliability._block."""
@@ -26,7 +26,7 @@ from cloee import (
 )
 from cloee.block import columns, search_envs
 from cloee.energy import DEFAULT_ENERGY
-from cloee.metrics import _header_success
+from cloee.metrics import _header_success, ppdu_success
 from cloee.optimizer import snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
@@ -48,11 +48,17 @@ def mode_for(n_cpb: int) -> PhyMode:
 
 def single_pb_metrics(p_b: float, mode: PhyMode = mode_for(1)) -> ModeMetrics:
     """ModeMetrics with every frame section (SHR, PHR, PSDU) at one bit error
-    probability; its success(n_t) is the textbook single-p_b PPDU success."""
+    probability; success(it, n_t) is the textbook single-p_b PPDU success."""
     return ModeMetrics(mode=mode, distance=1.0,
                        log_p_cw=block_log_success(p_b, PSDU_BLOCK),
                        header_success=_header_success(p_b, p_b),
                        energy=energy_breakdown(mode, DEFAULT_ENERGY))
+
+
+def success(mm: ModeMetrics, n_t: int) -> float:
+    """P(PPDU delivered) of mm at one integer frame size: ppdu_success of its
+    two reliability floats."""
+    return ppdu_success(mm.header_success, mm.log_p_cw, n_t)
 
 
 def metrics_at(model: LinkModel, distance: float, n_cpb: int, chi: float = 0.0) -> ModeMetrics:
@@ -145,11 +151,11 @@ def reference_sweep(scenario) -> list[SweepRow]:
             mm = by_cpb[n_cpb]
             eta, rate = mm.eta_rate(n_t)
             rows.append(SweepRow(d, f"static_{n_cpb}_{n_t}", n_cpb, n_t, eta, rate,
-                                 mm.success(n_t), rate >= qos.aggregate_rate, "static"))
+                                 success(mm, n_t), rate >= qos.aggregate_rate, "static"))
         for strategy, solve in (("cloee", solve_env), ("oracle", search_env)):
             res = solve(env, qos, cfg)
             rows.append(SweepRow(d, strategy, res.n_cpb_star, res.n_t_star, res.eta, res.rate,
-                                 by_cpb[res.n_cpb_star].success(res.n_t_star), res.feasible,
+                                 success(by_cpb[res.n_cpb_star], res.n_t_star), res.feasible,
                                  res.branch))
     rows.sort(key=lambda r: (r.distance, r.strategy))
     return rows

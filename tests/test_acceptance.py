@@ -28,7 +28,7 @@ from cloee import (
     solve_mode,
 )
 from cloee.optimizer import snap_to_grid
-from helpers import grid_argmax, is_unimodal_max, metrics_at, single_pb_metrics
+from helpers import grid_argmax, is_unimodal_max, metrics_at, single_pb_metrics, success
 
 N_DRAWS = 200
 DRAW_SEED = 20250808
@@ -249,7 +249,7 @@ def test_c7_reliability_against_monte_carlo():
     for _ in range(20):
         p_b = float(10.0 ** rng.uniform(math.log10(3e-4), math.log10(0.03)))
         n_t = 63 * int(rng.integers(1, 11))
-        analytic = single_pb_metrics(p_b).success(n_t)
+        analytic = success(single_pb_metrics(p_b), n_t)
         estimate = _simulate_ppdu(rng, p_b, n_t, n_frames)
         se = math.sqrt(max(analytic * (1 - analytic), 1e-12) / n_frames)
         z = abs(estimate - analytic) / se

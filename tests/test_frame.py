@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cloee import FRAME_CONSTANTS, MODE_TABLE, PSDU_CODE, PhyMode
 from cloee.frame import MODE_POSITION, BchCode
-from helpers import mode_for, single_pb_metrics
+from helpers import mode_for, single_pb_metrics, success
 
 # Printed rate table: (n_cpb, uncoded Mbps, coded Mbps).
 PRINTED_RATES = (
@@ -72,25 +72,26 @@ class TestFrameConstants:
 
 
 class TestCodewordCount:
-    # A PSDU of n_t bits spans ceil(n_t / 63) codewords: ModeMetrics.success
+    # A PSDU of n_t bits spans ceil(n_t / 63) codewords: metrics.ppdu_success
     # raises the codeword success to that power.
     def test_exact_fit(self):
         mm = single_pb_metrics(0.01)
         assert -(-63 // 63) == 1
-        assert mm.success(63) == pytest.approx(mm.header_success * math.exp(mm.log_p_cw), rel=1e-12)
+        assert success(mm, 63) == pytest.approx(mm.header_success * math.exp(mm.log_p_cw),
+                                                rel=1e-12)
 
     def test_ceiling(self):
         mm = single_pb_metrics(0.01)
         assert -(-64 // 63) == 2
-        assert mm.success(64) == pytest.approx(
+        assert success(mm, 64) == pytest.approx(
             mm.header_success * math.exp(2 * mm.log_p_cw), rel=1e-12)
-        assert mm.success(64) == mm.success(126) < mm.success(63)
+        assert success(mm, 64) == success(mm, 126) < success(mm, 63)
 
     def test_static_benchmark_size(self):
         # 2616 bits is not a codeword multiple; the ceiling still applies.
         mm = single_pb_metrics(0.01)
         assert -(-2616 // 63) == 42
-        assert mm.success(2616) == mm.success(42 * 63) < mm.success(41 * 63)
+        assert success(mm, 2616) == success(mm, 42 * 63) < success(mm, 41 * 63)
 
 
 def _on_air_time(mode: PhyMode, n_t: int) -> float:

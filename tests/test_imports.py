@@ -74,24 +74,32 @@ def top_level_imports(source: str) -> set[str]:
     return modules
 
 
-def numpy_sites(source: str) -> dict[str, tuple[str, set[str]]]:
-    """Each function of source that reads np (methods as Class.name), with the
-    text of the comments in its lines and the names it reads off np."""
-    lines, sites = source.splitlines(), {}
+def functions(source: str) -> dict[str, ast.AST]:
+    """Each function of source by name, methods as Class.name (a nested
+    function is part of the function around it)."""
+    found = {}
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(child)):
-                    body = lines[child.lineno - 1:child.end_lineno]
-                    sites[prefix + child.name] = (
-                        " ".join(line.partition("#")[2] for line in body if "#" in line),
-                        {n.attr for n in ast.walk(child) if isinstance(n, ast.Attribute)
-                         and isinstance(n.value, ast.Name) and n.value.id == "np"})
+                found[prefix + child.name] = child
 
     visit(ast.parse(source), "")
+    return found
+
+
+def numpy_sites(source: str) -> dict[str, tuple[str, set[str]]]:
+    """Each function of source that reads np (methods as Class.name), with the
+    text of the comments in its lines and the names it reads off np."""
+    lines, sites = source.splitlines(), {}
+    for name, node in functions(source).items():
+        if any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(node)):
+            body = lines[node.lineno - 1:node.end_lineno]
+            sites[name] = (" ".join(line.partition("#")[2] for line in body if "#" in line),
+                           {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                            and isinstance(n.value, ast.Name) and n.value.id == "np"})
     return sites
 
 
@@ -136,6 +144,36 @@ def test_only_the_lane_map_reads_fromiter():
     # block._map alone, so no other function of the package reads np.fromiter.
     assert {(m, site) for m in MODULES for site in fromiter_readers((PACKAGE / m).read_text())} \
         == {("block.py", "_map")}
+
+
+def ratio_readers(source: str) -> list[str]:
+    """The functions of source that load an attribute up, down or upper (a
+    Block's ratios), sorted (functions's names)."""
+    return sorted(name for name, node in functions(source).items()
+                  if any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                         and n.attr in ("up", "down", "upper") for n in ast.walk(node)))
+
+
+def test_the_check_finds_ratio_readers():
+    source = ("def _direct(p, block):\n"
+              "    return [r * p for r in block.up] + list(block.down)\n"
+              "class C:\n"
+              "    def f(self, block):\n"
+              "        def g():\n"
+              "            return block.upper\n"
+              "        return g\n"
+              "def h(block, up):\n"
+              "    block.upper = up\n"
+              "    return block.t\n")
+    assert ratio_readers(source) == ["C.f", "_direct"]
+
+
+def test_only_the_tails_read_a_blocks_ratios():
+    # The one tail path: reliability._direct sums a Block's direct ratios and
+    # _upper its upper ones, for a float and for an array of lanes alike, so
+    # no other function of the package reads them.
+    assert {(m, site) for m in MODULES for site in ratio_readers((PACKAGE / m).read_text())} \
+        == {("reliability.py", "_direct"), ("reliability.py", "_upper")}
 
 
 def test_only_the_array_modules_import_numpy_at_the_top():

@@ -21,7 +21,7 @@ from cloee.metrics import _I_PHR, _I_SHR, ModeMetrics, _header_success
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
 from cloee.optimizer import solve_env
 from helpers import (MODEL_VARIANTS, binding_envs, is_unimodal_max, metrics_at,
-                     single_pb_metrics)
+                     single_pb_metrics, success)
 
 
 def _eta_cont(mm, x):
@@ -51,7 +51,7 @@ class TestObjectives:
     def test_error_free_ceiling(self, model):
         # At 1 cm every section is error-free, so only energy and time remain.
         mm = metrics_at(model, 0.01, 32)
-        assert mm.success(630) == 1.0
+        assert success(mm, 630) == 1.0
         assert mm.eta(630) == pytest.approx(630 / mm.energy.total(630), rel=1e-12)
         assert mm.rate(63) == pytest.approx(250395.02955786936, rel=1e-9)
 
@@ -108,7 +108,7 @@ class TestSectionComposition:
             for header_success in (mm.header_success, ref.header_success):
                 assert header_success == pytest.approx(p_shr * p_phr, rel=1e-12)
             assert mm.log_p_cw == pytest.approx(ref.log_p_cw, rel=1e-12)
-            assert mm.success(630) == pytest.approx(ref.success(630), rel=1e-12)
+            assert success(mm, 630) == pytest.approx(success(ref, 630), rel=1e-12)
 
     def test_default_mode_uses_section_burst_orders(self, model):
         p_b = bit_error_probs(7.0, model.energy.eps_p)

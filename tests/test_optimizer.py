@@ -49,7 +49,7 @@ from cloee.optimizer import N_T_MAX_LIMIT, snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
-                     reference_sweep, search_env, single_pb_metrics, solve_env_pruned)
+                     reference_sweep, search_env, single_pb_metrics, solve_env_pruned, success)
 
 
 TESTS = Path(__file__).resolve().parent
@@ -677,7 +677,7 @@ class TestBlockedSweep:
         # call runs.  No scalar codeword tail runs, inside a dual solve
         # either: its ModeMetrics takes the block's log_p_cw.  Each row's
         # p_ppdu is ppdu_success of the block's floats: the scalar
-        # ModeMetrics.success of its mode by repr.
+        # ppdu_success of its mode's ModeMetrics by repr.
         calls, builds, duals, tails, in_dual = [], [], [], [], [False]
         dual, init, tail = optimizer._dual, ModeMetrics.__init__, metrics.block_log_success
 
@@ -714,7 +714,7 @@ class TestBlockedSweep:
             for name in ("solve_env", "snap_to_grid"):
                 if hasattr(module, name):
                     watch(module, name)
-        for name in ("eta", "rate", "eta_rate", "success"):
+        for name in ("eta", "rate", "eta_rate"):
             watch(ModeMetrics, name)
         watch(LinkModel, "env")
         base = dataclasses.replace(load_scenario(HOSPITAL_CONF), seed=1)
@@ -733,7 +733,7 @@ class TestBlockedSweep:
             envs = {d: model.env(d, chi)
                     for d, chi in zip(scenario.distances, scenario.shadowing_draws())}
             assert [repr(r.p_ppdu) for r in rows] == \
-                [repr(envs[r.distance][MODE_POSITION[r.n_cpb]].success(r.n_t)) for r in rows]
+                [repr(success(envs[r.distance][MODE_POSITION[r.n_cpb]], r.n_t)) for r in rows]
             assert rows_to_csv(rows) == rows_to_csv(reference_sweep(scenario))
 
     def test_search_envs_peak_stays_under_three_block_arrays(self):
@@ -1761,7 +1761,7 @@ class TestOneEvaluator:
                     p_ppdu = metrics.ppdu_success(cols.header_success.item(e, m, 0),
                                                   cols.log_p_cw.item(e, m, 0), res.n_t_star)
                     assert repr((eta, rate, p_ppdu, rate >= qos.aggregate_rate)) == repr(
-                        (res.eta, res.rate, envs[e][m].success(res.n_t_star), res.feasible)), \
+                        (res.eta, res.rate, success(envs[e][m], res.n_t_star), res.feasible)), \
                         (variant, n_t_max, e, res)
                     branches[res.branch] += 1
         assert sum(branches.values()) == len(MODEL_VARIANTS) * 3 * len(rows)

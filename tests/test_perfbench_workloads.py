@@ -22,12 +22,12 @@ PERFBENCH = ROOT / "perfbench"
 
 
 # The tracer's targets that the package still has; perfbench/tracer.py also
-# lists seven that are gone and read 0 (ROADMAP item 1 replaces the tracer).
+# lists eight that are gone and read 0 (ROADMAP item 1 replaces the tracer).
 LIVE_FUNCTIONS = ("shr_success", "solve_mode", "snap_to_grid", "cloee", "exhaustive_search",
                   "run_sweep", "rows_to_csv", "compute_curves", "emit_curves",
                   "emit_fixed_distance_curves", "render_lines", "parse_scenario",
                   "load_scenario", "main")
-LIVE_METHODS = ("__init__", "eta", "rate", "success")
+LIVE_METHODS = ("__init__", "eta", "rate")
 
 
 @pytest.fixture

@@ -147,3 +147,72 @@ def test_every_mode_metrics_slot_is_read_by_the_package():
     slots = tuple(name for name in cloee.ModeMetrics.__slots__ if name != "distance")
     assert unread_slots(slots, sources) == []
     assert not hasattr(cloee.LinkModel().env(1.0)[0], "__dict__")
+
+
+# Methods that only the benchmark calls: perfbench/gen_binding.py and the
+# tracer's spans read ModeMetrics.eta and rate until ROADMAP item 1a replaces
+# both with eta_rate.
+METHOD_EXEMPT = {"ModeMetrics.eta", "ModeMetrics.rate"}
+
+
+def unused_methods(sources: list[str], exempt: set[str]) -> list[str]:
+    """The methods defined in the class bodies of sources, as Class.name,
+    that no source calls as an attribute (`obj.name(…)`), and the properties
+    (cached or not) that no source loads as one (`obj.name`), by name and
+    sorted; dunders and exempt aside.  Only a class body's defs count, so a
+    NamedTuple's generated API (_make, _replace, _asdict) and its fields are
+    not checked."""
+    trees = list(map(ast.parse, sources))
+    called = {node.func.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    loaded = set().union(*map(attribute_loads, sources))
+    unused = []
+    for cls in (node for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            prop = any(ast.unparse(d).endswith("property") for d in node.decorator_list)
+            name = f"{cls.name}.{node.name}"
+            if node.name not in (loaded if prop else called) and name not in exempt:
+                unused.append(name)
+    return sorted(unused)
+
+
+def test_the_check_finds_an_unused_method():
+    sources = ["import functools\n"
+               "from typing import NamedTuple\n"
+               "class Row(NamedTuple):\n"
+               "    a: int\n"
+               "    def __repr__(self):\n"
+               "        return 'row'\n"
+               "    def used(self): ...\n"
+               "    def dead(self):\n"
+               "        '''calls self.kept()'''\n"
+               "    def kept(self): ...\n"
+               "class M:\n"
+               "    def __post_init__(self): ...\n"
+               "    def loaded(self): ...\n"
+               "    @staticmethod\n"
+               "    def called(): ...\n"
+               "    @property\n"
+               "    def size(self):\n"
+               "        return self.a\n"
+               "    @functools.cached_property\n"
+               "    def total(self):\n"
+               "        return self.size + len(self._replace(a=1))\n"
+               "    @property\n"
+               "    def stored(self): ...\n",
+               "def f(row, m):\n"
+               "    m.stored = row.used()\n"
+               "    g = m.loaded\n"
+               "    return M.called(), m.total, g\n"]
+    assert unused_methods(sources, {"Row.kept"}) == ["M.loaded", "M.stored", "Row.dead"]
+
+
+def test_every_method_and_property_is_used_by_the_package():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unused_methods(sources, METHOD_EXEMPT) == []
+    # Each exemption names a method that is still there and still uncalled.
+    assert unused_methods(sources, set()) == sorted(METHOD_EXEMPT)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cloee import block as block_layer
 from cloee import reliability
 from cloee.block import block_log_successes, block_successes
 from cloee.metrics import _header_success
 from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _direct, _upper,
                                block_log_success, block_success, shr_success)
 from helpers import (reference_block_log_success, reference_block_success, reference_direct,
-                     reference_terms, single_pb_metrics)
+                     reference_terms, single_pb_metrics, success)
 
 # Bit error rates no channel gives, which every tail rejects at both widths:
 # just past 0.5, 0.75, the float below 1, 1 itself and nan.
@@ -303,21 +304,34 @@ class TestFrameCodeKernel:
                 continue
             _, top, odds = _direct(p, block, math.pow)
             full, term = 0.0, top
-            for _, r in block.upper:
+            for r in block.upper:
                 term = term * (r * odds)
                 full += term
-            assert _upper(top, odds, block.n_plus_1 * p, block) == full, p
+            assert _upper(top, odds, block, bool) == full, p
 
     @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
-    def test_array_form_equals_scalar_form(self, code, block):
+    def test_array_form_equals_scalar_form(self, monkeypatch, code, block):
         # block_successes and block_log_successes, which the sweep's block
         # environments use, take the scalar form's IEEE operations over the
-        # lanes: equal by repr, -0.0, subnormals and 0 and 0.5 included.
+        # lanes: equal by repr, -0.0, subnormals and 0 and 0.5 included.  The
+        # upper tail's array form runs on the lanes with D >= 0.5 - 1e-9, as
+        # the scalar form does: P's, none (every p_b 0.5, no p_b, or D just
+        # below the stop) or one.
+        lanes = []
+        monkeypatch.setattr(block_layer, "_upper",
+                            lambda *a: lanes.append(a[0].size) or _upper(*a))
         p = np.array(self.P)
         assert list(map(repr, block_successes(p, block).tolist())) == \
             [repr(block_success(x, block)) for x in self.P]
-        assert list(map(repr, block_log_successes(p.reshape(-1, 1), block).ravel().tolist())) == \
-            [repr(block_log_success(x, block)) for x in self.P]
+        for p in (p.reshape(-1, 1), np.full((2, 3), 0.5), np.empty(0), np.empty((2, 0)),
+                  np.array([_direct_near(0.5 - 5e-7, block)]), np.array([1e-3]),
+                  np.array([[0.5, 1e-3, 0.5]])):
+            logs = block_log_successes(p, block)
+            assert logs.shape == p.shape
+            assert list(map(repr, logs.ravel().tolist())) == \
+                [repr(block_log_success(x, block)) for x in p.ravel().tolist()]
+        assert lanes == [sum(_direct(x, block, math.pow)[0] >= 0.5 - 1e-9 for x in self.P if x),
+                         0, 0, 0, 0, 1, 1]
         with pytest.raises(ValueError, match=re.escape("must be in [0, 0.5], got nan")):
             block_log_successes(np.array([0.1, math.nan, 1.5]), block)
         _assert_rejected(block_success, block_successes, block, [-0.1, *OUTSIDE])
@@ -343,11 +357,11 @@ class TestPpduSuccess:
     def test_error_free_channel(self):
         mm = single_pb_metrics(0.0)
         for value in (*_sections(0.0), mm.header_success, math.exp(mm.log_p_cw),
-                      mm.success(630)):
+                      success(mm, 630)):
             assert value == 1.0
 
     def test_hopeless_channel(self):
-        assert single_pb_metrics(0.5).success(63 * 100) < 1e-12
+        assert success(single_pb_metrics(0.5), 63 * 100) < 1e-12
 
     def test_reference_point(self):
         # p_psdu = P(Bin(63, 0.005) <= 2)^10, cross-checked by Monte Carlo in
@@ -355,27 +369,27 @@ class TestPpduSuccess:
         mm = single_pb_metrics(0.005)
         _, p_shr, p_phr = _sections(0.005)
         assert mm.header_success == p_shr * p_phr
-        assert mm.success(630) == pytest.approx(mm.header_success * 0.9610134067081701, rel=1e-10)
+        assert success(mm, 630) == pytest.approx(mm.header_success * 0.9610134067081701, rel=1e-10)
 
     def test_monotone_in_bit_errors_and_size(self):
-        probs = [single_pb_metrics(p).success(630) for p in (0.001, 0.005, 0.02, 0.1)]
+        probs = [success(single_pb_metrics(p), 630) for p in (0.001, 0.005, 0.02, 0.1)]
         assert all(a > b for a, b in zip(probs, probs[1:]))
         mm = single_pb_metrics(0.01)
-        sizes = [mm.success(n) for n in (63, 315, 1260, 5040)]
+        sizes = [success(mm, n) for n in (63, 315, 1260, 5040)]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
     def test_log_linear_in_codeword_count(self):
         mm = single_pb_metrics(0.02)
         log_header = math.log(mm.header_success)
-        base = math.log(mm.success(63)) - log_header
+        base = math.log(success(mm, 63)) - log_header
         for k in (2, 7, 40):
-            assert math.log(mm.success(63 * k)) - log_header == pytest.approx(k * base, rel=1e-9)
+            assert math.log(success(mm, 63 * k)) - log_header == pytest.approx(k * base, rel=1e-9)
 
     @given(st.floats(min_value=0.0, max_value=0.5), st.integers(min_value=1, max_value=130))
     def test_probabilities_stay_in_unit_interval(self, p_b, k):
         mm = single_pb_metrics(p_b)
         for value in (*_sections(p_b), mm.header_success, math.exp(mm.log_p_cw),
-                      mm.success(63 * k)):
+                      success(mm, 63 * k)):
             assert 0.0 <= value <= 1.0
 
 
