@@ -4,7 +4,8 @@ channel, reliability, metrics and optimizer are the scalar core, one distance
 at a time, and import no numpy at the top.  Each array form here is
 repr-equal, element for element, to its scalar twin: the same IEEE
 operations in the same order, with libm's functions (numpy's SIMD functions
-may round differently) and the model's mapped over the lanes by _map.
+may round differently) and the model's mapped over the lanes by _map, also
+into metrics' own header and PPDU compositions.
 Columns is the one array format, a block of environments of one LinkModel,
 which solve_envs (the block cloee pass) and search_envs (the oracle) read.
 """
@@ -21,10 +22,10 @@ import numpy as np
 from .channel import _SPANS, DEFAULT_CHANNEL, ChannelParams, _gain, _overflow, q_function
 from .energy import EnergyBreakdown
 from .frame import MODE_TABLE, PSDU_CODE, PhyMode
-from .metrics import _I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec
+from .metrics import (_I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec, _header_success,
+                      ppdu_success)
 from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, _decide
-from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, Block, _check_p, _direct, _upper,
-                          shr_success)
+from .reliability import PSDU_BLOCK, Block, _check_p, _direct, _upper, shr_success
 
 
 def _map(f, *args) -> np.ndarray:
@@ -96,13 +97,6 @@ def block_log_successes(p_b: np.ndarray, block: Block) -> np.ndarray:
     return direct.reshape(p_b.shape)
 
 
-def _header_successes(p_b_shr: np.ndarray, p_b_phr: np.ndarray) -> np.ndarray:
-    """_header_success over arrays, element for element (shr_success's ** is
-    libm's pow, so it is taken lane by lane)."""
-    return _map(shr_success, block_successes(p_b_shr, KASAMI_BLOCK)) \
-        * block_successes(p_b_phr, PHR_BLOCK)
-
-
 class Columns(NamedTuple):
     """A block of environments of one LinkModel as (environments, modes, 1)
     columns and per-mode (modes, 1) rows: the one input of the array
@@ -139,12 +133,12 @@ class Columns(NamedTuple):
                 np.divide(delivered, ModeMetrics.t_oh + nts * self.t_sym, out=delivered))
 
     def ppdu_success(self, positions, nts) -> np.ndarray:
-        """ppdu_success of environment e at mode position positions[e, j] and
-        frame size nts[e, j], two (environments, k) int arrays: its IEEE
-        operations over the lanes, with libm's exp."""
+        """metrics.ppdu_success, with libm's exp over the lanes, of
+        environment e at mode position positions[e, j] and frame size
+        nts[e, j], two (environments, k) int arrays."""
         envs = np.arange(len(self.log_p_cw))[:, None]
-        powers = -(-nts // PSDU_CODE.n) * self.log_p_cw[envs, positions, 0]
-        return self.header_success[envs, positions, 0] * _map(math.exp, powers)
+        return ppdu_success(self.header_success[envs, positions, 0],
+                            self.log_p_cw[envs, positions, 0], nts, partial(_map, math.exp))
 
     def metrics(self, e: int, m: int) -> ModeMetrics:
         """Environment e's ModeMetrics of modes[m], from the block's floats: its
@@ -194,19 +188,19 @@ def columns(envs: Sequence[tuple[ModeMetrics, ...]]) -> Columns:
 
 def link_block(model: LinkModel, points: Sequence[tuple[float, float]]) -> Columns:
     """columns([model.env(d, chi) for d, chi in points]), element for
-    element, from arrays: the bit error rates by bit_error_array, and the
-    header successes and codeword log successes by the tails' array forms,
+    element, from arrays: the bit error rates by bit_error_array, the log
+    successes by the tail's array form, and by metrics._header_success on it
     one header success per point (or per mode under uniform_section_ber).
     No ModeMetrics is built until Columns.metrics is called; a point that
     env rejects raises env's error.
     """
     p_b = bit_error_array(points, model.energy.eps_p, model.channel,
                           model.integration_per_pulse)
+    header = partial(_header_success, success=block_successes, shr=partial(_map, shr_success))
     if model.uniform_section_ber:
-        headers = _header_successes(p_b, p_b)
+        headers = header(p_b, p_b)
     else:
-        headers = np.repeat(_header_successes(p_b[:, _I_SHR], p_b[:, _I_PHR]), p_b.shape[1])
-        headers = headers.reshape(p_b.shape)
+        headers = np.repeat(header(p_b[:, _I_SHR], p_b[:, _I_PHR]), p_b.shape[1]).reshape(p_b.shape)
     return _columns(MODE_TABLE, model.energy.breakdowns, [d for d, _ in points],
                     headers[..., None], block_log_successes(p_b, PSDU_BLOCK)[..., None])
 

@@ -103,7 +103,8 @@ def q_function(x: float) -> float:
 def _bit_error(ebn0: float, noise_tb: float) -> float:
     """Energy-detector bit error probability, in [0, 0.5], at the integrated
     per-bit SNR ebn0 and the noise time-bandwidth product noise_tb =
-    n_cpb*t_int*w_rx; both finite and >= 0, which the caller ensures."""
+    n_cpb*t_int*w_rx; both finite and >= 0, which the caller ensures.  At
+    ebn0 = 0 it is Q(0) = 0.5, also where noise_tb is 0 too (Q's arg 0/0)."""
     if ebn0 == 0.0:
         return 0.5
     return q_function(math.sqrt(0.5 * ebn0 * ebn0 / (ebn0 + noise_tb)))

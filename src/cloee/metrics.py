@@ -1,9 +1,10 @@
 """Objective functions: energy efficiency (bits/Joule) and throughput (bits/s).
 
 Both share the numerator n_t * P_SHR * P_PHR * P_CW^ceil(n_t/63): payload
-bits delivered only when every frame section survives (ppdu_success is the
-scalar success).  Efficiency divides by the energy of one exchange,
-throughput by its on-air time.
+bits delivered only when every frame section survives, composed once by
+_header_success and ppdu_success for both widths (block passes its array
+tail and libm mapped over the lanes).  Efficiency divides by the energy of
+one exchange, throughput by its on-air time.
 
 LinkModel composes the channel, reliability and energy pieces for a given
 distance.  By default each frame section is evaluated at its own burst order
@@ -58,15 +59,16 @@ class QosSpec:
         return float(self.r0 * self.n_s)        # a Python float, also for numpy r0 or n_s
 
 
-def _header_success(p_b_shr: float, p_b_phr: float) -> float:
-    """P(SHR and PHR delivered) at their bit error rates."""
-    return shr_success(block_success(p_b_shr, KASAMI_BLOCK)) * block_success(p_b_phr, PHR_BLOCK)
+def _header_success(p_b_shr, p_b_phr, success=block_success, shr=shr_success):
+    """P(SHR and PHR delivered) at their bit error rates: floats, or arrays
+    with block's array tail and shr_success mapped over the lanes."""
+    return shr(success(p_b_shr, KASAMI_BLOCK)) * success(p_b_phr, PHR_BLOCK)
 
 
-def ppdu_success(header_success: float, log_p_cw: float, n_t: int) -> float:
-    """P(PPDU delivered) at one integer frame size: both header sections and
-    all ceil(n_t/n) codewords survive."""
-    return header_success * math.exp(-(-int(n_t) // PSDU_CODE.n) * log_p_cw)
+def ppdu_success(header_success, log_p_cw, n_t, exp=math.exp):
+    """P(PPDU delivered) at integer frame size(s) n_t, every section intact:
+    floats and an int, or arrays with libm's exp mapped over the lanes."""
+    return header_success * exp(-(-n_t // PSDU_CODE.n) * log_p_cw)
 
 
 def _delivered(n_t, header_success, log_p_cw):

@@ -49,8 +49,8 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     Columns.eta_rate on a block of the statics' own modes, each at its own
     frame size) share, so the arrays held at once are set by the block size,
     not by the distance count.  The block's rows are made from its columns by
-    tuple.__new__, and every row's p_ppdu comes from one Columns.ppdu_success
-    per block, lane for lane ppdu_success's.
+    tuple.__new__, and every row's p_ppdu from one Columns.ppdu_success per
+    block: metrics.ppdu_success over the block's lanes.
     Deterministic for a given scenario and seed: shadowing draws are made
     up-front in config order, and rows come out in (distance, strategy) order,
     as the points are taken by (distinct) distance and each distance's rows

@@ -6,7 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from cloee import MODE_TABLE, ChannelParams, ConfigError, Scenario, bit_error_probs, run_sweep
+from cloee import (MODE_TABLE, ChannelParams, ConfigError, LinkModel, Scenario, bit_error_probs,
+                   channel, cloee, exhaustive_search, run_sweep)
+from cloee.block import bit_error_array
 from cloee.channel import _bit_error, q_function
 from cloee.cli import main
 
@@ -227,6 +229,21 @@ class TestBitErrorProb:
 
     def test_zero_snr_is_coin_flip(self):
         assert _bit_error(0.0, self.NOISE_32) == 0.5
+
+    # The gain underflows to 0, and so does the noise term span * w_rx over
+    # a subnormal w_rx: Q's argument is 0/0, and only the ebn0 == 0 branch
+    # (scalar) and mask (array) make these lanes 0.5.
+    @pytest.mark.parametrize("d,params", [(1e200, ChannelParams(w_rx=1e-320)),
+                                          (5.0, ChannelParams(b=4000.0, w_rx=1e-320))])
+    def test_zero_over_zero_is_coin_flip(self, qos, cfg, d, params):
+        assert channel._gain(d, 0.0, 20e-12, params) == 0.0
+        assert all(span * params.w_rx == 0.0 for span in channel._SPANS[False])
+        assert bit_error_probs(d, 20e-12, params) == [0.5] * 6
+        assert bit_error_array([(d, 0.0)], 20e-12, params).tolist() == [[0.5] * 6]
+        model = LinkModel(channel=params)
+        res, oracle = cloee(model, d, qos, cfg), exhaustive_search(model, d, qos, cfg)
+        assert (res.n_t_star, res.n_cpb_star, res.eta, res.rate, res.feasible) == \
+            (oracle.n_t_star, oracle.n_cpb_star, oracle.eta, oracle.rate, oracle.feasible)
 
     def test_high_snr_limit(self):
         assert _bit_error(1e9, self.NOISE_32) == 0.0

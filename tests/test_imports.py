@@ -176,6 +176,47 @@ def test_only_the_tails_read_a_blocks_ratios():
         == {("reliability.py", "_direct"), ("reliability.py", "_upper")}
 
 
+def header_readers(source: str) -> list[str]:
+    """The functions of source that load KASAMI_BLOCK or PHR_BLOCK (bare or
+    off a module) or call shr_success, sorted (functions's names); passing
+    shr_success as a value is no call."""
+    def named(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def reads(node):
+        if isinstance(node, ast.Call):
+            return named(node.func) == "shr_success"
+        return named(node) in ("KASAMI_BLOCK", "PHR_BLOCK") and isinstance(node.ctx, ast.Load)
+
+    return sorted(name for name, node in functions(source).items()
+                  if any(map(reads, ast.walk(node))))
+
+
+def test_the_check_finds_header_readers():
+    source = ("def _header_success(p, q, success=block_success, shr=shr_success):\n"
+              "    return shr(success(p, KASAMI_BLOCK)) * success(q, PHR_BLOCK)\n"
+              "def _header_successes(p, q):\n"
+              "    return _map(shr_success, tails(p, reliability.KASAMI_BLOCK)) * tails(q)\n"
+              "class C:\n"
+              "    def f(self, p):\n"
+              "        return reliability.shr_success(p)\n"
+              "def link_block(p):\n"
+              "    return partial(_header_success, shr=partial(_map, shr_success))(p, p)\n"
+              "def g(block):\n"
+              "    block.PHR_BLOCK = KASAMI = 1\n"
+              "    return shr_success\n")
+    assert header_readers(source) == ["C.f", "_header_success", "_header_successes"]
+
+
+def test_only_the_header_composition_reads_its_codes():
+    # The one header composition: metrics._header_success takes the Kasami
+    # and PHR codes and composes shr_success for a float and for a block's
+    # arrays alike (block passes shr_success to _map as a value), so no other
+    # function of the package reads those codes or calls shr_success.
+    assert {(m, site) for m in MODULES for site in header_readers((PACKAGE / m).read_text())} \
+        == {("metrics.py", "_header_success")}
+
+
 def test_only_the_array_modules_import_numpy_at_the_top():
     assert {m for m in MODULES if "numpy" in top_level_imports((PACKAGE / m).read_text())} \
         == NUMPY_MODULES

@@ -131,9 +131,11 @@ class TestSectionComposition:
     @pytest.mark.parametrize("uniform", [False, True])
     def test_kasami_tail_once_per_env_unless_uniform(self, uniform):
         # ... so env() takes the Kasami tail once for the six modes, and
-        # uniform_section_ber once per mode, at the mode's own rate.
+        # uniform_section_ber once per mode, at the mode's own rate.  The
+        # count is taken at reliability._direct, which every tail runs:
+        # _header_success binds block_success as a default at import.
         model = LinkModel(uniform_section_ber=uniform)
-        with mock.patch.object(metrics, "block_success", wraps=block_success) as tails:
+        with mock.patch.object(reliability, "_direct", wraps=reliability._direct) as tails:
             model.env(6.5)
         kasami = [args[0] for args, _ in tails.call_args_list if args[1] is KASAMI_BLOCK]
         p_b = bit_error_probs(6.5, model.energy.eps_p)

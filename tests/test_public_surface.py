@@ -3,7 +3,8 @@ used by the package itself.
 
 A public function that no module of src/cloee reads is test-only or dead; it
 belongs in the tests or nowhere.  So is a module-level name outside
-cloee.__all__, private or not, that no module loads.
+cloee.__all__, private or not, that no module loads, a load resolved to the
+module that defines the name.
 """
 
 import ast
@@ -65,23 +66,46 @@ def module_definitions(source: str) -> set[str]:
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
-def loaded_names(source: str) -> set[str]:
-    """The names that source loads, bare (`_f`) or as an attribute (`mod._f`);
-    a binding (def, class, assignment or import) is not a load."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+def module_loads(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """The (module, name) pairs that sources, by module name, load: a name
+    its own module loads bare (`_f`), a name another module imported from it
+    and loads by the name it bound (`from .a import _f`, then `_f`), or a
+    name loaded off the module (`from . import a`, then `a._f`).  A
+    same-named attribute of another object (`obj._f`) or a bare name that
+    another module did not import from it is not a load of it, and a binding
+    (def, class, assignment or import) is no load at all."""
+    loads = set()
+    for module, source in sources.items():
+        nodes = list(ast.walk(ast.parse(source)))
+        bare = {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        off = {(node.value.id, node.attr) for node in nodes
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+               and isinstance(node.value, ast.Name)}
+        loads |= {(module, name) for name in bare}
+        for node in nodes:
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            origin = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if alias.name in sources:      # a module, bound as `bound`
+                    loads |= {(alias.name, attr) for value, attr in off if value == bound}
+                elif bound in bare:
+                    loads.add((origin, alias.name))
+    return loads
 
 
-def unused_module_names(sources: list[str], public: set[str]) -> list[str]:
-    """The module-level names of sources outside public that no source
-    loads, sorted."""
-    loaded = set().union(*map(loaded_names, sources))
-    return sorted(set().union(*map(module_definitions, sources)) - public - loaded)
+def unused_module_names(sources: dict[str, str], public: set[str]) -> list[str]:
+    """The module-level names of sources, by module name, outside public
+    that no source loads (module_loads), as module.name, sorted."""
+    defined = {(module, name) for module, source in sources.items()
+               for name in module_definitions(source) if name not in public}
+    return sorted(f"{module}.{name}" for module, name in defined - module_loads(sources))
 
 
 def test_the_check_finds_an_unused_module_name():
-    sources = ["import math as _m\n"
+    sources = {"a": "import math as _m\n"
                "__all__ = ['f']\n"
                "__version__ = '1'\n"
                "_LIMIT = 3\n"
@@ -98,19 +122,27 @@ def test_the_check_finds_an_unused_module_name():
                "class _Kind: ...\n"
                "class _Dead: ...\n"
                "class Dead: ...\n"
+               "class _Kept: ...\n"
+               "_Unread = 0\n"
+               "def ppdu(): ...\n"
                "def f():\n"
                "    def _inner(): ...\n"
                "    _local = 1\n"
                "    return _m.pi\n",
-               "from .a import _LIMIT\n"
-               "x = mod._helper(1)\n"
-               "obj._C = 3\n"]
+               # b loads a's _helper off the module and _Kept by the name it
+               # bound; its cols.ppdu, obj._C and bare _Dead are not a's.
+               "b": "from .a import _LIMIT, _Kept as _K, _Unread\n"
+                    "from . import a as mod\n"
+                    "obj._C = 3\n"
+                    "def g(cols, obj):\n"
+                    "    return mod._helper(1), _K, cols.ppdu(), obj._C, _Dead\n"}
     assert unused_module_names(sources, {"f"}) == \
-        ["Dead", "HEADER", "_A", "_C", "_Dead", "_count", "_stored", "x"]
+        ["a.Dead", "a.HEADER", "a._A", "a._C", "a._Dead", "a._Unread", "a._count", "a._stored",
+         "a.ppdu", "b.g"]
 
 
 def test_every_internal_module_name_is_used_by_the_package():
-    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_module_names(sources, set(cloee.__all__)) == []
 
 
@@ -161,7 +193,8 @@ def unused_methods(sources: list[str], exempt: set[str]) -> list[str]:
     (cached or not) that no source loads as one (`obj.name`), by name and
     sorted; dunders and exempt aside.  Only a class body's defs count, so a
     NamedTuple's generated API (_make, _replace, _asdict) and its fields are
-    not checked."""
+    not checked.  Unlike module_loads, methods are still matched by name
+    alone: a call of any object's attribute of the same name counts."""
     trees = list(map(ast.parse, sources))
     called = {node.func.attr for tree in trees for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}

@@ -451,3 +451,39 @@ class TestAccuracyBudgets:
         exact = _mp_tails(p_b, *code)[1]
         error = abs(mpmath.mpf(block_log_success(p_b, _block(*code))) - exact)
         assert float(error / math.ulp(float(exact))) <= self.ULPS
+
+
+def _mp_header(p_b: float) -> mpmath.mpf:
+    """P(SHR and PHR delivered) with both sections at p_b, in 80-digit mpmath:
+    _mp_tails's Kasami and PHR successes, composed as shr_success composes
+    the Kasami success."""
+    kasami, phr = _mp_tails(p_b, 63, 6)[0], _mp_tails(p_b, 40, 2)[0]
+    with mpmath.workdps(80):
+        return kasami * (1 - (1 - kasami) ** 4) * phr
+
+
+class TestHeaderAccuracyBudget:
+    # metrics._header_success(p_b, p_b) against 80-digit mpmath on seeded
+    # p_b, 100 per band, spread evenly over the decades of each, within the
+    # tails' 8 ulps in every band.  These draws read 0.5, 2.5, 3.1 and 5.3
+    # ulps up to p_b = 0.15.  Beyond, shr_success's 1 - (1 - p)**4 cancels as
+    # the Kasami success p falls, and the error grows with p_b to ~3e10 ulps
+    # (~7e-6 relative) near 0.5; those bands are strict xfails: ROADMAP item
+    # 9's fix (-expm1(4 * log1p(-p))) flips them, and drops the marker.
+    ULPS = 8.0
+
+    @pytest.mark.parametrize("lo,hi", [
+        (1e-100, 1e-6), (1e-6, 1e-2), (1e-2, 0.1), (0.1, 0.15),
+        pytest.param(0.15, 0.25, marks=pytest.mark.xfail(
+            reason="shr_success's 1 - (1 - p)**4 cancels: 138 ulps at p_b = 0.2494")),
+        pytest.param(0.25, 0.5, marks=pytest.mark.xfail(
+            reason="shr_success's 1 - (1 - p)**4 cancels: 2.9e10 ulps at p_b = 0.4998")),
+    ], ids=["tiny", "small", "mid", "high", "past-0.15", "past-0.25"])
+    def test_within_budget(self, lo, hi):
+        worst = 0.0
+        rng = np.random.default_rng(20261020)
+        for p in (10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 100)).tolist():
+            exact = _mp_header(p)
+            error = abs(mpmath.mpf(_header_success(p, p)) - exact)
+            worst = max(worst, float(error / math.ulp(float(exact))))
+        assert worst <= self.ULPS, worst
