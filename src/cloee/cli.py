@@ -50,9 +50,9 @@ def _point(args) -> tuple[float, Scenario, float]:
 def _cmd_optimize(args) -> str:
     distance, scenario, chi = _point(args)
     res = cloee(scenario.link_model(), distance, scenario.qos, scenario.solver, chi)
-    text = csv_text(OPT_HEADER, [(distance, res.n_t_star, res.n_cpb_star, res.eta, res.rate,
-                                  res.lambda_, res.feasible, res.iterations, res.branch,
-                                  res.kkt_rate)])
+    text = csv_text(OPT_HEADER, zip(*[(distance, res.n_t_star, res.n_cpb_star, res.eta, res.rate,
+                                       res.lambda_, res.feasible, res.iterations, res.branch,
+                                       res.kkt_rate)]))
     if args.out:
         write_files(args.out, {"optimize.csv": text})
     return text
@@ -69,12 +69,12 @@ def _cmd_curves(args) -> list[Path]:
 
 
 def _cmd_dump_modes(args) -> str | list[Path]:
-    modes = csv_text("n_cpb,t_w_s,t_sym_s,rate_uncoded_bps,rate_coded_bps", [
-        (m.n_cpb, m.t_w, m.t_sym, m.rate_uncoded, m.rate_coded) for m in MODE_TABLE])
+    modes = csv_text("n_cpb,t_w_s,t_sym_s,rate_uncoded_bps,rate_coded_bps", zip(*[
+        (m.n_cpb, m.t_w, m.t_sym, m.rate_uncoded, m.rate_coded) for m in MODE_TABLE]))
     if not args.out:
         return modes
-    constants = csv_text("name,value", [(f.name, getattr(FRAME_CONSTANTS, f.name))
-                                        for f in dataclasses.fields(FRAME_CONSTANTS)])
+    constants = csv_text("name,value", zip(*[(f.name, getattr(FRAME_CONSTANTS, f.name))
+                                             for f in dataclasses.fields(FRAME_CONSTANTS)]))
     return write_files(args.out, {"modes.csv": modes, "frame_constants.csv": constants})
 
 

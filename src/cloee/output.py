@@ -1,22 +1,22 @@
-"""The one output path of the CLI's tables and charts: csv_text is the one cell
-rule, write_files the one file writer and with_charts the one output-format
-check.  svgplot, and with it numpy, is imported only for fmt="svg"."""
+"""The one output path of the CLI's tables and charts: csv_text, which reads a table
+by column, is the one cell rule, write_files the one file writer and with_charts
+the one output-format check.  svgplot, and with it numpy, is imported only for svg."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 
-def csv_text(header: str, rows) -> str:
-    """header plus one line per row, newline-terminated: the one cell rule of
-    every CSV the CLI writes.  True/False are true/false, None is an empty
-    cell and any other value is str(v), for a float its shortest repr."""
+def csv_text(header: str, columns) -> str:
+    """header plus one line per row of columns (iterables of one length), newline-terminated:
+    the one cell rule of every CSV the CLI writes.  True/False are true/false, None is an
+    empty cell and any other value is str(v), for a float its shortest repr."""
     # A column at a time: one comprehension per column instead of one per
     # row, which on CPython 3.11 costs a function call each.
-    columns = [["true" if v is True else "false" if v is False
-                else "" if v is None else str(v) for v in column]
-               for column in zip(*rows)]
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    cells = [["true" if v is True else "false" if v is False
+              else "" if v is None else str(v) for v in column]
+             for column in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_files(out_dir: str | Path, texts: dict[str, str]) -> list[Path]:

@@ -80,7 +80,7 @@ def _coords(xs, ys, sizes) -> list[str]:
 
 
 def render_lines(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
-    """Render (label, xs, ys) series, xs and ys lists or arrays of one length,
+    """Render (label, xs, ys) series, xs and ys sequences or arrays of one length,
     into a standalone SVG document; non-finite points are dropped."""
     lines = []
     for label, xs, ys in series:

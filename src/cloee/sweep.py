@@ -105,7 +105,7 @@ def _result_fields(distances, strategy, results, p_ppdu):
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    return csv_text(CSV_HEADER, rows)
+    return csv_text(CSV_HEADER, zip(*rows))
 
 
 def emit_curves(rows: list[SweepRow], out_dir: str | Path, fmt: str = "csv") -> list[Path]:
@@ -119,12 +119,10 @@ def emit_curves(rows: list[SweepRow], out_dir: str | Path, fmt: str = "csv") -> 
     groups: dict[str, list[SweepRow]] = {}
     for r in rows:
         groups.setdefault(r.strategy, []).append(r)
-    columns = [(strat, [r.distance for r in groups[strat]], groups[strat])
-               for strat in sorted(groups)]
+    tables = [(strat, SweepRow(*zip(*groups[strat]))) for strat in sorted(groups)]
 
     def series(metric: str) -> list:
-        return [(strat, distances, [getattr(r, metric) for r in group])
-                for strat, distances, group in columns]
+        return [(strat, table.distance, getattr(table, metric)) for strat, table in tables]
 
     return write_files(out_dir, with_charts({"sweep.csv": rows_to_csv(rows)}, fmt, "sweep",
                                             series, "distance", "distance (m)"))
@@ -156,17 +154,19 @@ def compute_curves(model: LinkModel, distance: float, qos: QosSpec,
 def emit_fixed_distance_curves(model: LinkModel, distance: float, qos: QosSpec,
                                cfg: SolverConfig, out_dir: str | Path,
                                fmt: str = "csv", chi: float = 0.0) -> list[Path]:
-    """Write curves.csv and curve_marks.csv (plus curves_eta.svg and
-    curves_rate.svg for fmt="svg"); returns the written paths."""
-    curve_rows, mark_rows = [], []
+    """Write curves.csv, by column from the grid's arrays, and curve_marks.csv
+    (plus curves_eta.svg and curves_rate.svg for fmt="svg"); returns the paths."""
+    n_cpbs, n_ts, mark_rows = [], [], []
     series: dict[str, list] = {"eta": [], "rate": []}
     for sol, nts, etas, rates in compute_curves(model, distance, qos, cfg, chi):
         n_cpb = sol.n_cpb_star
-        curve_rows += zip([n_cpb] * len(nts), nts.tolist(), etas.tolist(), rates.tolist())
+        n_cpbs += [n_cpb] * len(nts)
+        n_ts += nts.tolist()
         mark_rows.append((n_cpb, sol.nee, sol.nthr, sol.n_t_star, sol.branch, sol.feasible))
         series["eta"].append((f"n_cpb={n_cpb}", nts, etas))
         series["rate"].append((f"n_cpb={n_cpb}", nts, rates))
-    texts = {"curves.csv": csv_text(CURVE_HEADER, curve_rows),
-             "curve_marks.csv": csv_text(MARKS_HEADER, mark_rows)}
+    texts = {"curves.csv": csv_text(CURVE_HEADER, [n_cpbs, n_ts, *(np.concatenate(
+                 [ys for _, _, ys in series[metric]]).tolist() for metric in ("eta", "rate"))]),
+             "curve_marks.csv": csv_text(MARKS_HEADER, zip(*mark_rows))}
     return write_files(out_dir, with_charts(texts, fmt, "curves", series.__getitem__,
                                             f"frame size at {distance} m", "n_t (bits)"))

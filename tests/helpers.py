@@ -1,7 +1,7 @@
 """Shared test utilities and reference forms, built on the package's public
 API plus optimizer.solve_env, block.search_envs (and the optimizer.snap_to_grid name
 that solve_env looks up), metrics._header_success, metrics.ppdu_success,
-sweep.CSV_HEADER and svgplot's layout constants.
+sweep's three CSV headers and svgplot's layout constants.
 
 The reference tails take any block code (N, t) as a pair; the package's tails
 take a reliability.Block, which the tests build with reliability._block."""
@@ -30,7 +30,7 @@ from cloee.metrics import _header_success, ppdu_success
 from cloee.optimizer import snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from cloee.svgplot import _H, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PALETTE, _W, _fmt
-from cloee.sweep import CSV_HEADER
+from cloee.sweep import CSV_HEADER, CURVE_HEADER, MARKS_HEADER
 
 # Frozen (distance, chi, r0, n_s) inputs whose rate floor binds in some mode,
 # read only; they reach all three solve_mode branches.
@@ -64,6 +64,26 @@ def success(mm: ModeMetrics, n_t: int) -> float:
 def metrics_at(model: LinkModel, distance: float, n_cpb: int, chi: float = 0.0) -> ModeMetrics:
     """The n_cpb mode of model.env(distance, chi)."""
     return next(mm for mm in model.env(distance, chi) if mm.mode.n_cpb == n_cpb)
+
+
+def reference_csv_text(header: str, rows) -> str:
+    """output.csv_text's row form: header plus one line per row, each cell by
+    the one cell rule (true/false, None empty, str(v) otherwise)."""
+    def cell(v) -> str:
+        return "true" if v is True else "false" if v is False else "" if v is None else str(v)
+    return "".join(line + "\n" for line in [header, *(",".join(map(cell, row)) for row in rows)])
+
+
+def reference_curve_texts(curves) -> dict[str, str]:
+    """curves.csv and curve_marks.csv of sweep.compute_curves' output, written
+    a row at a time by reference_csv_text."""
+    curve_rows, mark_rows = [], []
+    for sol, nts, etas, rates in curves:
+        curve_rows += zip([sol.n_cpb_star] * len(nts), nts.tolist(), etas.tolist(), rates.tolist())
+        mark_rows.append((sol.n_cpb_star, sol.nee, sol.nthr, sol.n_t_star, sol.branch,
+                          sol.feasible))
+    return {"curves.csv": reference_csv_text(CURVE_HEADER, curve_rows),
+            "curve_marks.csv": reference_csv_text(MARKS_HEADER, mark_rows)}
 
 
 def parse_rows(text: str) -> list[SweepRow]:

@@ -22,7 +22,7 @@ PERFBENCH = ROOT / "perfbench"
 
 
 # The tracer's targets that the package still has; perfbench/tracer.py also
-# lists eight that are gone and read 0 (ROADMAP item 1 replaces the tracer).
+# lists ten that are gone and read 0 (ROADMAP item 1 replaces the tracer).
 LIVE_FUNCTIONS = ("shr_success", "solve_mode", "snap_to_grid", "cloee", "exhaustive_search",
                   "run_sweep", "rows_to_csv", "compute_curves", "emit_curves",
                   "emit_fixed_distance_curves", "render_lines", "parse_scenario",

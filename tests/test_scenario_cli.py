@@ -26,11 +26,14 @@ from cloee import (
     rows_to_csv,
     run_sweep,
 )
-from cloee import cli
+from cloee import cli, sweep
 from cloee.cli import main
+from cloee.optimizer import N_T_MAX_LIMIT
+from cloee.output import csv_text
 from cloee.scenario import MAX_RANGE_STEPS
-from cloee.sweep import CSV_HEADER, emit_fixed_distance_curves
-from helpers import output_diff, parse_rows
+from cloee.sweep import CSV_HEADER, compute_curves, emit_fixed_distance_curves
+from helpers import (MODEL_VARIANTS, output_diff, parse_rows, reference_csv_text,
+                     reference_curve_texts)
 from test_golden import HOSPITAL, OPTIMIZE
 
 
@@ -521,6 +524,46 @@ class TestCsvEmission:
         assert [p.name for p in paths] == ["sweep.csv", "sweep_eta.svg", "sweep_rate.svg"]
         for svg in paths[1:]:
             assert svg.read_text().startswith("<svg")
+
+
+class TestCsvByColumn:
+    # output.csv_text reads a table by column; helpers.reference_csv_text is
+    # its row form, which every caller that holds rows reaches by zip(*rows).
+    MIXED = [(True, 1, "cloee", -0.0, None),
+             (False, -7, "static_1_63", 1e16, 1e-05),
+             (None, 0, "", 5e-324, math.inf)]
+
+    def test_mixed_table_equals_the_row_form(self):
+        text = csv_text("a,b,c,d,e", zip(*self.MIXED))
+        assert text == reference_csv_text("a,b,c,d,e", self.MIXED)
+        assert text == ("a,b,c,d,e\ntrue,1,cloee,-0.0,\nfalse,-7,static_1_63,1e+16,1e-05\n"
+                        ",0,,5e-324,inf\n")
+
+    def test_zero_rows_give_the_header_line_only(self):
+        assert csv_text("a,b", zip(*[])) == reference_csv_text("a,b", []) == "a,b\n"
+
+    @pytest.mark.parametrize("n_t_max", [63, 8190, N_T_MAX_LIMIT])
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_curves_equal_the_row_form(self, tmp_path, variant, n_t_max):
+        model, qos, cfg = LinkModel(**variant), QosSpec(), SolverConfig(n_t_max=n_t_max)
+        emit_fixed_distance_curves(model, 6.5, qos, cfg, tmp_path)
+        expected = reference_curve_texts(compute_curves(model, 6.5, qos, cfg))
+        assert {name: (tmp_path / name).read_text() for name in expected} == expected
+        assert len(expected["curves.csv"].splitlines()) == 1 + 6 * (n_t_max // 63)
+
+    def test_curves_table_reaches_csv_text_as_columns(self, tmp_path, monkeypatch):
+        tables = {}
+
+        def spy(header, columns):
+            tables[header] = columns
+            return csv_text(header, columns)
+
+        monkeypatch.setattr(sweep, "csv_text", spy)
+        emit_fixed_distance_curves(LinkModel(), 6.5, QosSpec(), SolverConfig(n_t_max=630), tmp_path)
+        # Four columns of six modes times ten frame sizes, as lists: no rows.
+        table = tables[sweep.CURVE_HEADER]
+        assert type(table) is list and len(table) == 4
+        assert all(type(column) is list and len(column) == 6 * 10 for column in table)
 
 
 class TestOutputDiff:
