@@ -234,11 +234,10 @@ def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult
     scalar code (optimizer._dual)."""
     r0ns, n, k_max = qos.aggregate_rate, PSDU_CODE.n, cfg.n_t_max // PSDU_CODE.n
     energy, log_p_cw = cols.energy, cols.log_p_cw
-    # Both closed forms on the last axis, efficiency then throughput, clamped
-    # to the grid's span: the first is xs.  k = x // n, then k + 1 up to
-    # k_max, are optimizer.snap_to_grid's two candidates (clamping x to n is
-    # its max(1, k), and to n * k_max its ceiling; for x >= 0, floor(x) // n
-    # is its int(x // n)).
+    # Both closed forms on the last axis, efficiency then throughput, each
+    # clamped once to the grid's span as solve_env's are: the first is xs.
+    # k = x // n, then k + 1 up to k_max, are optimizer.snap_to_grid's two
+    # candidates (for x >= 0, floor(x) // n is its int(x // n)).
     x = np.minimum(np.maximum(_closed_forms(
         np.concatenate((energy.eps_b, cols.t_sym), axis=1),
         np.concatenate((energy.eps_fixed, np.full_like(cols.t_sym, ModeMetrics.t_oh)), axis=1),

@@ -25,9 +25,9 @@ environment.  Each mode it finishes takes one of three branches:
 
 The feasible mode with the best efficiency wins, the first of equals in
 environment order; when nothing is feasible the best-throughput fallback is
-returned.  Only the modes that can still win are finished.  A mode's
-eta bound is its relaxed efficiency x * success_cont(x) / energy.total(x) at
-the closed-form optimum x clamped to the grid's span [n, n * (n_t_max // n)].
+returned.  Only the modes that can still win are finished.  A mode's eta
+bound is its relaxed efficiency x * success_cont(x) / energy.total(x) at its
+efficiency closed form x, clamped to the grid's span [n, n * (n_t_max // n)].
 In exact arithmetic it is at least every grid eta of the mode, as the relaxed
 and grid objectives agree on the grid; in floats it can sit below the mode's
 grid maximum (by up to 4.7e-16 relative on the binding rows), and only a
@@ -40,8 +40,9 @@ _decide is the one place this decision and the cross-mode pick are
 written, over per-mode values that its caller supplies.  solve_env computes
 each value when the decision asks for it (scalar snaps), so pruning saves
 work; cloee and solve_mode run it, and block.solve_envs is its block form.
-A snap, scalar or block, reads eta and rate at its two codeword multiples
-from one numerator and keeps the better by the objective it snaps for.
+Both clamp each closed form once to the grid's span; a snap takes it so
+clamped, reads eta and rate at its two codeword multiples from one
+numerator and keeps the better by the objective it snaps for.
 
 solve_mode is solve_env on a one-mode environment, which is always visited
 and so gets the full three-branch solve.  exhaustive_search scans the whole
@@ -119,10 +120,9 @@ def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float) -> float:
     """Real-valued frame size maximizing n_t * A * exp(log_p_cw * n_t / n) / cost
     for the linear cost per_unit * n_t + fixed, with n = PSDU_CODE.n.
 
-    Efficiency takes (eps_b, eps_fixed), throughput (t_sym, t_oh).  Returns
-    0 when log_p_cw = -inf (caller clamps to one codeword) and inf when
-    per_unit * log_p_cw >= 0 (caller clamps to the search ceiling).
-    """
+    Efficiency takes (eps_b, eps_fixed), throughput (t_sym, t_oh).  Returns 0
+    when log_p_cw = -inf and inf when per_unit * log_p_cw >= 0, which
+    clamp_to_span takes to one codeword and to the search ceiling."""
     if per_unit <= 0:
         raise ValueError(f"per-unit cost must be > 0, got {per_unit}")
     if log_p_cw == -math.inf:
@@ -134,20 +134,20 @@ def nt_closed_form(per_unit: float, fixed: float, log_p_cw: float) -> float:
     return math.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half
 
 
-def snap_to_grid(mm: ModeMetrics, x: float, n_t_max: int, by: int) -> tuple[int, float, float]:
-    """Round a continuous frame size x to the better of the two codeword
-    multiples around it by eta (by=0) or by rate (by=1); returns (n_t, eta,
-    rate) there, both from mm.eta_rate's one numerator.
+def clamp_to_span(x: float, n_t_max: int) -> float:
+    """A closed form x clamped to the grid's span [n, n * (n_t_max // n)], n = PSDU_CODE.n."""
+    return min(max(x, float(PSDU_CODE.n)), float(n_t_max // PSDU_CODE.n * PSDU_CODE.n))
 
-    Clamps into [n, (n_t_max // n) * n] with n = PSDU_CODE.n; ties prefer the smaller size.
-    """
+
+def snap_to_grid(mm: ModeMetrics, x: float, n_t_max: int, by: int) -> tuple[int, float, float]:
+    """Round x, clamped to the grid's span, to the better by eta (by=0) or
+    rate (by=1) of k * n and, while k < n_t_max // n, (k + 1) * n, with k =
+    x // n and ties to the smaller; returns (n_t, eta, rate) there, both
+    from mm.eta_rate's one numerator."""
     n = PSDU_CODE.n
-    k_max = n_t_max // n
-    if math.isinf(x) or x >= k_max * n:
-        return (k_max * n, *mm.eta_rate(k_max * n))
-    k = max(1, int(x // n))
+    k = int(x // n)
     best = (k * n, *mm.eta_rate(k * n))
-    if k < k_max:
+    if k < n_t_max // n:
         up = ((k + 1) * n, *mm.eta_rate((k + 1) * n))
         if up[1 + by] > best[1 + by]:
             best = up
@@ -259,15 +259,15 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
     decision over values computed when it asks for them, so a pruned or
     rate-infeasible mode costs no snap it does not need."""
     n_t_max = cfg.n_t_max
-    x_lo, x_hi = float(PSDU_CODE.n), float(n_t_max // PSDU_CODE.n * PSDU_CODE.n)
-    # Each mode's efficiency closed form, clamped once to the grid's span:
-    # the eta bound, the efficiency snap and _dual read it.
-    xs = [min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw), x_lo), x_hi)
+    # Each closed form clamped once to the grid's span: xs, the efficiency
+    # ones, for the bounds, their snaps and _dual, and peak's throughput one.
+    xs = [clamp_to_span(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw), n_t_max)
           for mm in env]
 
     def peak(m):
         mm = env[m]
-        return snap_to_grid(mm, nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), n_t_max, 1)
+        x = clamp_to_span(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), n_t_max)
+        return snap_to_grid(mm, x, n_t_max, 1)
 
     def efficiency(m):
         return (xs[m], *snap_to_grid(env[m], xs[m], n_t_max, 0))

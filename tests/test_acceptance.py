@@ -27,7 +27,7 @@ from cloee import (
     rows_to_csv,
     solve_mode,
 )
-from cloee.optimizer import snap_to_grid
+from cloee.optimizer import clamp_to_span, snap_to_grid
 from helpers import grid_argmax, is_unimodal_max, metrics_at, single_pb_metrics, success
 
 N_DRAWS = 200
@@ -117,10 +117,10 @@ def test_c3_closed_forms_match_brute_force():
     checked_stationarity = 0
     for mm in _random_draws():
         nee_cont = nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw)
-        nee = snap_to_grid(mm, nee_cont, 63 * 130, 0)[0]
+        nee = snap_to_grid(mm, clamp_to_span(nee_cont, 63 * 130), 63 * 130, 0)[0]
         assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
         nthr_cont = nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw)
-        nthr = snap_to_grid(mm, nthr_cont, 63 * 130, 1)[0]
+        nthr = snap_to_grid(mm, clamp_to_span(nthr_cont, 63 * 130), 63 * 130, 1)[0]
         assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 
         c = mm.log_p_cw / PSDU_CODE.n

@@ -45,7 +45,7 @@ from cloee import block as block_layer, metrics, optimizer, sweep
 from cloee.block import columns, search_envs, solve_envs
 from cloee.frame import MODE_POSITION
 from cloee.metrics import _header_success
-from cloee.optimizer import N_T_MAX_LIMIT, snap_to_grid, solve_env
+from cloee.optimizer import N_T_MAX_LIMIT, clamp_to_span, snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
                      mode_for, reference_search_env, reference_snap, reference_solve_env,
@@ -87,10 +87,15 @@ MAX_PROBES = 16
 
 def _x_ee(mm, cfg):
     # The mode's efficiency closed form clamped to the grid's span, as
-    # solve_env hands it to _dual.
-    n = PSDU_CODE.n
-    return min(max(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
-                   float(n)), float(cfg.n_t_max // n * n))
+    # solve_env snaps it and hands it to _dual.
+    return clamp_to_span(nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw),
+                         cfg.n_t_max)
+
+
+def _x_thr(mm, cfg):
+    # The mode's throughput closed form clamped to the grid's span, as
+    # solve_env snaps it.
+    return clamp_to_span(nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw), cfg.n_t_max)
 
 
 def _assert_dual_certificate(sol, r0ns):
@@ -166,11 +171,9 @@ class TestClosedForms:
         nts = _grid(None, cfg)
         for d, n_cpb in ((4.0, 8), (6.0, 16), (6.8, 16), (8.4, 32)):
             mm = metrics_at(model, d, n_cpb)
-            nee = snap_to_grid(mm, nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed,
-                                                  mm.log_p_cw), cfg.n_t_max, 0)[0]
+            nee = snap_to_grid(mm, _x_ee(mm, cfg), cfg.n_t_max, 0)[0]
             assert abs(nee - grid_argmax(mm.eta(nts), nts)) <= 63
-            nthr = snap_to_grid(mm, nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
-                                cfg.n_t_max, 1)[0]
+            nthr = snap_to_grid(mm, _x_thr(mm, cfg), cfg.n_t_max, 1)[0]
             assert abs(nthr - grid_argmax(mm.rate(nts), nts)) <= 63
 
 
@@ -196,8 +199,13 @@ def snap(x, objective, n_t_max):
 
 class TestSnapToGrid:
     def test_clamps_into_range(self):
-        assert snap(math.inf, lambda n: 0.0, n_t_max=630)[0] == 630
-        assert snap(1.0, lambda n: -n, n_t_max=630)[0] == 63
+        # solve_env's clamp, the one a snap's x has been through, then the
+        # snap of the clamped x; the ceiling is a codeword multiple.
+        assert [clamp_to_span(x, 630) for x in (math.inf, 631.0, 1.0, 0.0, 62.0, 100.0)] == [
+            630.0, 630.0, 63.0, 63.0, 63.0, 100.0]
+        assert (clamp_to_span(1e9, 692), clamp_to_span(629.5, 692)) == (630.0, 629.5)
+        assert snap(clamp_to_span(math.inf, 630), lambda n: 0.0, n_t_max=630)[0] == 630
+        assert snap(clamp_to_span(1.0, 630), lambda n: -n, n_t_max=630)[0] == 63
 
     def test_keeps_better_neighbor(self):
         assert snap(100.0, lambda n: -abs(n - 126), n_t_max=8190)[0] == 126
@@ -207,16 +215,19 @@ class TestSnapToGrid:
         assert snap(94.5, lambda n: 0.0, n_t_max=8190)[0] == 63
 
     def test_returns_the_objective_at_the_snap(self):
+        # At the ceiling, the span's end, no multiple above is tried.  The
+        # closed forms out of the span are TestOutOfSpanClosedForms'.
         assert snap(100.0, lambda n: -abs(n - 126), n_t_max=8190) == (126, 0)
-        assert snap(math.inf, float, n_t_max=630) == (630, 630.0)
-        assert snap(10.0, float, n_t_max=63) == (63, 63.0)
+        assert snap(630.0, float, n_t_max=630) == (630, 630.0)
+        assert snap(63.0, float, n_t_max=63) == (63, 63.0)
 
     @staticmethod
     def _both_snaps(mm, cfg):
         for per_unit, fixed, by, objective in (
                 (mm.energy.eps_b, mm.energy.eps_fixed, 0, mm.eta), (mm.t_sym, mm.t_oh, 1, mm.rate)):
+            # The reference clamps the raw closed form itself.
             x = nt_closed_form(per_unit, fixed, mm.log_p_cw)
-            yield (snap_to_grid(mm, x, cfg.n_t_max, by),
+            yield (snap_to_grid(mm, clamp_to_span(x, cfg.n_t_max), cfg.n_t_max, by),
                    reference_snap(x, objective, PSDU_CODE.n, cfg.n_t_max))
 
     def test_matches_three_candidate_reference_on_binding_inputs(self):
@@ -250,6 +261,32 @@ class TestSnapToGrid:
             for mm in env:
                 for (n_t, eta, rate), ref in self._both_snaps(mm, cfg):
                     assert n_t == ref and (eta, rate) == (mm.eta(n_t), mm.rate(n_t))
+
+
+class TestOutOfSpanClosedForms:
+    # solve_env clamps both closed forms to the grid's span before it snaps
+    # them.  Hand-built modes put both outside it: 0 (log_p_cw = -inf),
+    # below one codeword, above the ceiling and inf (log_p_cw = 0.0).  Each
+    # solve, unconstrained where the rate allows and the fallback otherwise,
+    # lands both snaps on the span's end the closed forms point at, and
+    # reports the objectives there.
+    @pytest.mark.parametrize("n_t_max", [63, 630])
+    @pytest.mark.parametrize("log_p_cw,above", [(-math.inf, False), (math.log(1e-300), False),
+                                                (-1e-3, True), (0.0, True)])
+    def test_solve_takes_the_span_end(self, log_p_cw, above, n_t_max):
+        mm = ModeMetrics(mode_for(8), 1.0, log_p_cw, 0.9, EnergyBreakdown(1e-9, 2e-6, 0.0))
+        for x in (nt_closed_form(mm.energy.eps_b, mm.energy.eps_fixed, log_p_cw),
+                  nt_closed_form(mm.t_sym, mm.t_oh, log_p_cw)):
+            assert x > 630 if above else x < 63
+        n_t = n_t_max if above else 63
+        branches = set()
+        for r0 in (1.0, 1e12):
+            res = solve_mode(mm, QosSpec(r0=r0, n_s=1), SolverConfig(n_t_max=n_t_max))
+            assert (res.n_t_star, res.nee, res.nthr) == (n_t, n_t, n_t)
+            assert (res.eta, res.rate) == mm.eta_rate(n_t)
+            branches.add(res.branch)
+        assert branches == ({"unconstrained", "throughput-fallback"} if above
+                            else {"throughput-fallback"})
 
 
 class TestOneSnapRule:
@@ -999,8 +1036,8 @@ class TestRateFloorAtEquality:
         cfg = SolverConfig()
         counts = collections.Counter()
         for env, qos in binding_envs(256):
-            floors = [("peak", snap_to_grid(mm, nt_closed_form(mm.t_sym, mm.t_oh, mm.log_p_cw),
-                                            cfg.n_t_max, 1)[2], None) for mm in env]
+            floors = [("peak", snap_to_grid(mm, _x_thr(mm, cfg), cfg.n_t_max, 1)[2], None)
+                      for mm in env]
             res = solve_env(env, qos, cfg)
             if res.branch == "dual":
                 mm = env[MODE_POSITION[res.n_cpb_star]]
