@@ -1,7 +1,10 @@
 """The array layer: every array form of the model, for blocks of environments.
 
 channel, reliability, metrics and optimizer are the scalar core, one distance
-at a time, and import no numpy at the top.  Each array form here is
+at a time; of them only metrics imports numpy at the top, for _delivered's
+np.exp (ROADMAP item 2).  numpy's cost per call pays off only across a
+block's lanes, so a sweep builds and solves its environments here, and a
+single distance (cloee, optimize, curves) stays scalar.  Each array form here is
 repr-equal, element for element, to its scalar twin: the same IEEE
 operations in the same order, with libm's functions (numpy's SIMD functions
 may round differently) and the model's mapped over the lanes by _map, also

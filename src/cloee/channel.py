@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, is_real
 from .frame import MODE_TABLE
 
 _SQRT2 = math.sqrt(2.0)
@@ -58,6 +58,8 @@ class ChannelParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if not is_real(value):
+                raise ConfigError(f"channel.{f.name}", f"must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"channel.{f.name}", f"must be finite, got {value}")
         if self.sigma < 0:

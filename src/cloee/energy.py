@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_int, is_real
 from .frame import FRAME_CONSTANTS, MODE_TABLE, PhyMode
 
 
@@ -37,6 +37,8 @@ class EnergyParams:
     def __post_init__(self):
         for name in ("eps_p", "p_cor", "p_adc", "p_lna", "p_vga", "p_syn", "p_gen", "t_st"):
             value = getattr(self, name)
+            if not is_real(value):
+                raise ConfigError(f"energy.{name}", f"must be a number, got {value!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"energy.{name}", f"must be finite and >= 0, got {value}")
         if self.eps_p == 0:

@@ -1,4 +1,4 @@
-"""Exception types and the integer and flag rules shared across the package."""
+"""Exception types and the integer, number and flag rules shared across the package."""
 
 import numbers
 import sys
@@ -7,6 +7,20 @@ import sys
 def is_int(value) -> bool:
     """An integer setting: any numbers.Integral except bool, so True is not 1."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A float setting: any numbers.Real except bool that converts to a float,
+    so True, "15e3", None and an int too large for a float are not."""
+    if isinstance(value, float):            # every parsed value: no ABC check
+        return True
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def is_bool(value) -> bool:

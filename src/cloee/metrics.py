@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelParams, DEFAULT_CHANNEL, bit_error_probs
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyParams
-from .errors import ConfigError, is_bool, is_int
+from .errors import ConfigError, is_bool, is_int, is_real
 from .frame import FRAME_CONSTANTS, MODE_POSITION, MODE_TABLE, PSDU_CODE, PhyMode
 from .reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, block_log_success, block_success,
                           shr_success)
@@ -47,6 +47,8 @@ class QosSpec:
     n_s: int = 24
 
     def __post_init__(self):
+        if not is_real(self.r0):
+            raise ConfigError("qos.r0", f"must be a number, got {self.r0!r}")
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise ConfigError("qos.r0", f"must be finite and > 0, got {self.r0}")
         if not is_int(self.n_s):

@@ -31,7 +31,10 @@ efficiency closed form x, clamped to the grid's span [n, n * (n_t_max // n)].
 In exact arithmetic it is at least every grid eta of the mode, as the relaxed
 and grid objectives agree on the grid; in floats it can sit below the mode's
 grid maximum (by up to 4.7e-16 relative on the binding rows), and only a
-1e-12 relative margin raises it above (TestEtaRateBudgets holds that).  Modes
+1e-12 relative margin raises it above (TestEtaRateBudgets holds that).  The
+closed form's own rounding moves x, not the bound, to first order: the
+gradient vanishes there, and as (log eta)'' lies in [-1/x**2, 0], a relative
+error d in x lowers the bound by at most about d**2/2.  Modes
 are visited in decreasing bound (a stable sort) until a bound, so raised, is
 strictly below the best feasible eta so far, and each visited mode gets its
 full three-branch solve.  Nothing skipped could have won or tied.

@@ -93,10 +93,11 @@ def _direct(p, block: Block, pow):
 def _upper(term, odds, block: Block, every):
     """U = T_{t+1} + T_{t+2} + ... from term = T_t, for a float with every =
     bool or a flat array of lanes (block.py) with every = np.ndarray.all.  The
-    sum stops at the first term at most 2**-54 of it on every lane.  Before the
-    binomial mode the terms rise, the latest at least s/(N-t) of the sum s, so
-    the stop comes past it, where each later term is smaller: U equals the sum
-    of every term to the bit, and a lane that met the stop first keeps its sum."""
+    sum stops at the first term at most 2**-54 of it, below half its ulp, on
+    every lane.  Before the binomial mode the terms rise, the latest at least
+    s/(N-t) of the sum s, so the stop comes past it, where each later term is
+    smaller: U equals the sum of every term to the bit, and a lane that met
+    the stop first keeps its sum."""
     s = 0.0
     for r in block.upper:
         term = term * (r * odds)

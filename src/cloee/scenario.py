@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .channel import ChannelParams
 from .energy import EnergyParams
-from .errors import ConfigError, is_bool, is_int
+from .errors import ConfigError, is_bool, is_int, is_real
 from .frame import PSDU_CODE, VALID_N_CPB
 from .metrics import LinkModel, QosSpec
 from .optimizer import N_T_MAX_LIMIT, SolverConfig
@@ -74,13 +74,9 @@ class Scenario:
         # apart; the seen sets keep both checks linear in the count.
         seen = set()
         for d in self.distances:
-            try:
-                valid = not is_bool(d) and math.isfinite(d) and d > 0
-            except OverflowError:        # an int too large for a float
-                valid = False
-            except TypeError:
-                raise ConfigError("distances", f"distances must be numbers, got {d!r}") from None
-            if not valid:
+            if not is_real(d):
+                raise ConfigError("distances", f"distances must be numbers, got {d!r}")
+            if not (math.isfinite(d) and d > 0):
                 raise ConfigError("distances", f"distances must be finite and > 0, got {d}")
             if d in seen:
                 raise ConfigError("distances", f"duplicate distance {d}")

@@ -14,6 +14,7 @@ import numpy as np
 
 from cloee import (
     MODE_TABLE,
+    PSDU_CODE,
     LinkModel,
     ModeMetrics,
     OptResult,
@@ -244,6 +245,27 @@ def binding_envs(count: int = 256):
         model = LinkModel(**variant)
         for d, chi, r0, n_s in rows:
             yield model.env(float(d), float(chi)), QosSpec(r0=float(r0), n_s=int(n_s))
+
+
+def grid_multipliers(mm, n_t: int, n_t_max: int, over=None) -> tuple[float, float]:
+    """(lam_lo, lam_hi): the multipliers lam >= 0 for which the frame size n_t
+    maximizes the Lagrangian eta(m) + lam * R(m) of mm over the frame sizes
+    `over`, by default n_t's two codeword neighbours on the grid of n_t_max.
+    A frame size with less rate than n_t raises lam_lo to
+    (eta(m) - eta*) / (R* - R(m)), one with more rate lowers lam_hi to
+    (eta* - eta(m)) / (R(m) - R*), and one with the same rate and more eta
+    leaves no lam (lam_lo = inf).  lam_lo <= lam_hi when some lam works."""
+    n = PSDU_CODE.n
+    if over is None:
+        over = [m for m in (n_t - n, n_t + n) if n <= m <= n * (n_t_max // n)]
+    eta_star, rate_star = mm.eta_rate(n_t)
+    etas, rates = mm.eta_rate(np.asarray(over, dtype=np.int64))
+    less, more = rates < rate_star, rates > rate_star
+    lo = max([0.0, *((etas[less] - eta_star) / (rate_star - rates[less])).tolist()])
+    hi = min([math.inf, *((eta_star - etas[more]) / (rates[more] - rate_star)).tolist()])
+    if np.any(etas[rates == rate_star] > eta_star):
+        lo = math.inf
+    return lo, hi
 
 
 def reference_snap(x_cont: float, objective, n: int = 63, n_t_max: int = 63 * 130) -> int:

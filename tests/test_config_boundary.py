@@ -54,19 +54,34 @@ REJECTED = {
 
 
 # Values that only a library caller can pass, since the parser never builds
-# them: one row per case, each rejected at its key.
+# them: one row per case, each rejected at its key by Scenario or by the key's
+# section dataclass.  A float setting takes a real number that converts to a
+# float, and no bool (errors.is_real).
 REJECTED_IN_LIBRARY = [
     ("distances", ("x",)),
     ("distances", (10 ** 400,)),
     ("strategies", ((1,),)),
     ("strategies", ((1, 2616, 3),)),
+    ("qos.r0", "15e3"),
+    ("channel.a", None),
+    ("energy.t_st", "1"),
+    pytest.param("channel.a", 10 ** 400, id="channel.a-10**400"),
+    pytest.param("qos.r0", 10 ** 400, id="qos.r0-10**400"),
+    pytest.param("energy.t_st", 10 ** 400, id="energy.t_st-10**400"),
+    ("qos.r0", True),
+    ("channel.w_rx", True),
+    ("energy.p_syn", True),
 ]
 
 
 @pytest.mark.parametrize("key,value", REJECTED_IN_LIBRARY)
 def test_library_values_reject_at_their_key(key, value):
+    section, _, name = key.rpartition(".")
     with pytest.raises(ConfigError) as err:
-        Scenario(**{key: value})
+        if section in _SECTIONS:
+            _SECTIONS[section](**{name: value})
+        else:
+            Scenario(**{key: value})
     assert err.value.key == key
 
 

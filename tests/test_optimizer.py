@@ -47,8 +47,8 @@ from cloee.frame import MODE_POSITION
 from cloee.metrics import _header_success
 from cloee.optimizer import N_T_MAX_LIMIT, clamp_to_span, snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
-from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, metrics_at,
-                     mode_for, reference_search_env, reference_snap, reference_solve_env,
+from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, grid_multipliers,
+                     metrics_at, mode_for, reference_search_env, reference_snap, reference_solve_env,
                      reference_sweep, search_env, single_pb_metrics, solve_env_pruned, success)
 
 
@@ -1350,6 +1350,27 @@ class TestDualWalk:
 
         check()
         assert counts["dual", True] >= 50 and set(counts) == {("dual", True)}, counts
+
+
+class TestGridMultiplier:
+    # The dual answer n* is a fixed point of the Lagrangian (Dinkelbach)
+    # iteration on the grid itself: some lam >= 0 makes n* the argmax of
+    # eta + lam * R over every codeword multiple, not only of the relaxation
+    # that lambda_ certifies.  The interval of such lam is read off n*'s two
+    # neighbours, and it is the interval over the whole grid.  An empty
+    # interval would be a duality gap, a finding to report with its row.
+    @pytest.mark.parametrize("n_codewords", [8, 130, 4096])
+    def test_neighbours_give_the_whole_grids_interval(self, n_codewords):
+        n_t_max = PSDU_CODE.n * n_codewords
+        grid = PSDU_CODE.n * np.arange(1, n_codewords + 1)
+        solves = _dual_solves(256, n_codewords)
+        assert len(solves) >= 100, len(solves)
+        for mm, qos, res, _ in solves:
+            row = (mm.distance, mm.mode.n_cpb, qos, res)
+            lo, hi = grid_multipliers(mm, res.n_t_star, n_t_max)
+            assert lo <= hi, row
+            assert grid_multipliers(mm, res.n_t_star, n_t_max,
+                                    over=grid[grid != res.n_t_star]) == (lo, hi), row
 
 
 class TestDominatedDual:

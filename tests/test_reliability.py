@@ -294,11 +294,11 @@ class TestFrameCodeKernel:
 
     @pytest.mark.parametrize("code,block", FRAME_BLOCKS, ids=["psdu", "kasami", "phr"])
     def test_early_stop_equals_full_sum(self, code, block):
-        # README's half-ulp argument: past the binomial mode the recurrence's
-        # terms fall, so once a term is at most 2**-54 of the partial sum no
-        # later term changes it, and the early-stopped upper tail equals the
-        # sum of every term of the same recurrence from the same T_t.  (The
-        # direct sum has no stop.)
+        # The half-ulp argument of reliability._upper's docstring: past the
+        # binomial mode the recurrence's terms fall, so once a term is at most
+        # 2**-54 of the partial sum no later term changes it, and the
+        # early-stopped upper tail equals the sum of every term of the same
+        # recurrence from the same T_t.  (The direct sum has no stop.)
         for p in self.P:
             if p == 0.0:
                 continue
