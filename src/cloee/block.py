@@ -105,7 +105,7 @@ class Columns(NamedTuple):
     columns and per-mode (modes, 1) rows: the one input of the array
     evaluators (grid, search_envs and solve_envs, and the sweep's static
     rows).  The trailing axis takes the frame sizes, and distances[e] is
-    environment e's distance."""
+    environment e's distance.  Plain data: no field holds code."""
 
     modes: Sequence[PhyMode]
     distances: Sequence[float]

@@ -7,8 +7,11 @@ Subcommands:
   dump-modes  the six-row PHY mode table (and frame constants) as CSV
 
 All numeric defaults come from the scenario config; see scenario.py for the
-file format.  Exit codes: 0 ok, 2 config/value errors, 3 I/O errors.  main
-prints a command's stdout, a text or the paths it wrote, once the command returns.
+file format.  argparse types no setting: --seed and --shadowing are parsed by
+their config keys' parsers and --distance as a float setting, so a bad one is
+one config-error line.  main returns the exit code, argparse's own included: 0
+ok (and --help), 2 usage, config or value errors, 3 I/O errors.  It prints a
+command's stdout, a text or the paths it wrote, once the command returns.
 """
 
 from __future__ import annotations
@@ -122,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse has printed its help or usage error
+        return exc.code
     try:
         out = args.func(args)
         print(out if isinstance(out, str) else "".join(f"{p}\n" for p in out), end="")

@@ -33,7 +33,8 @@ class BchCode:
             raise ValueError(f"BCH code needs t >= 1, got t={self.t}")
 
 
-# Default-mode codes.
+# Default-mode codes.  Every other module's code reads the codeword length as
+# PSDU_CODE.n, never as 63.
 PSDU_CODE = BchCode(n=63, k=51, t=2)
 PHR_CODE = BchCode(n=40, k=28, t=2)
 

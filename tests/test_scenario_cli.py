@@ -95,12 +95,8 @@ def _run_module(*argv, flags=()):
 
 
 def _streams(capsys, argv):
-    """(exit status, stdout, stderr) of main(argv), argparse's SystemExit
-    included."""
-    try:
-        status = main(argv)
-    except SystemExit as exc:
-        status = exc.code
+    """(exit status, stdout, stderr) of main(argv)."""
+    status = main(argv)
     out, err = capsys.readouterr()
     return status, out, err
 
@@ -888,8 +884,8 @@ class TestCli:
 
 
 class TestCliParser:
-    # argparse's own paths (help and usage errors end in SystemExit), and the
-    # one parser that every main call of a process shares.
+    # argparse's own paths (help and usage errors, whose exits main returns),
+    # and the one parser that every main call of a process shares.
     @pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS)],
                              ids=["top", *COMMANDS])
     def test_help_exits_0(self, capsys, argv):
@@ -925,7 +921,7 @@ class TestCliParser:
             (["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")], 0),
             (["curves", "--distance", "6.5", "--out", str(tmp_path / "curves")], 0),
             (["optimize", "--distance", "nan"], 2),     # config-error
-            (["optimize"], 2),                          # argparse's SystemExit
+            (["optimize"], 2),                          # argparse's usage error
         ]:
             assert _streams(capsys, argv)[0] == status
         assert _streams(capsys, ["dump-modes"]) == first
