@@ -8,7 +8,7 @@ single distance (cloee, optimize, curves) stays scalar.  Each array form here is
 repr-equal, element for element, to its scalar twin: the same IEEE
 operations in the same order, with libm's functions (numpy's SIMD functions
 may round differently) and the model's mapped over the lanes by _map, also
-into metrics' own header and PPDU compositions.
+into metrics' own header, PPDU and relaxed compositions.
 Columns is the one array format, a block of environments of one LinkModel,
 which solve_envs (the block cloee pass) and search_envs (the oracle) read.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .channel import _SPANS, DEFAULT_CHANNEL, ChannelParams, _gain, _overflow, q_function
 from .energy import EnergyBreakdown
 from .frame import MODE_TABLE, PSDU_CODE, PhyMode
-from .metrics import (_I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec, _header_success,
+from .metrics import (_I_PHR, _I_SHR, LinkModel, ModeMetrics, QosSpec, _header_success, eta_cont,
                       ppdu_success)
 from .optimizer import N_T_MAX_LIMIT, OptResult, SolverConfig, _decide
 from .reliability import PSDU_BLOCK, Block, _check_p, _direct, _upper, shr_success
@@ -246,11 +246,7 @@ def solve_envs(cols: Columns, qos: QosSpec, cfg: SolverConfig) -> list[OptResult
         np.concatenate((energy.eps_fixed, np.full_like(cols.t_sym, ModeMetrics.t_oh)), axis=1),
         log_p_cw), float(n)), float(k_max * n))
     xs = x[..., :1]
-    # The bounds take libm's exp, as success_cont does, so they are
-    # solve_env's to the bit: where the closed form has lost the optimum
-    # (ROADMAP item 3) a bound is no bound, and one ulp of it can change
-    # which modes the decision visits, and so its answer.
-    bounds = xs * (cols.header_success * _map(math.exp, xs * log_p_cw / n)) / energy.total(xs)
+    bounds = eta_cont(xs, cols.header_success, log_p_cw, energy, partial(_map, math.exp))
     k = x.astype(np.int64) // n
     etas, rates = cols.eta_rate(np.concatenate((k, np.minimum(k + 1, k_max)), axis=2) * n)
     up = np.stack((etas[..., 2] > etas[..., 0], rates[..., 3] > rates[..., 1]), axis=2)

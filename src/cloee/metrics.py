@@ -73,6 +73,18 @@ def ppdu_success(header_success, log_p_cw, n_t, exp=math.exp):
     return header_success * exp(-(-n_t // PSDU_CODE.n) * log_p_cw)
 
 
+def success_cont(header_success, log_p_cw, x, exp=math.exp):
+    """P(PPDU delivered) relaxed to real frame size(s) x, exponent x/n: floats,
+    or arrays with libm's exp mapped over the lanes."""
+    return header_success * exp(x * log_p_cw / PSDU_CODE.n)
+
+
+def eta_cont(x, header_success, log_p_cw, energy, exp=math.exp):
+    """The relaxed efficiency, at the clamped closed form a mode's eta bound
+    (optimizer): floats, or arrays with libm's exp mapped over the lanes."""
+    return x * success_cont(header_success, log_p_cw, x, exp) / energy.total(x)
+
+
 def _delivered(n_t, header_success, log_p_cw):
     """Delivered payload bits n_t * P(PPDU delivered): a float for an int n_t,
     element for element on an int array (block.Columns.eta_rate is a block's)."""
@@ -90,9 +102,10 @@ class ModeMetrics:
     is not stored.  eta()/rate() evaluate the grid objectives, whose codeword
     count is ceil(n_t/n), as eta_rate()'s halves; the three take an int or an
     int array (block.Columns.eta_rate takes a block of environments).  The
-    PPDU success at one frame size is ppdu_success of the two floats.
-    success_cont()/rate_cont() use the relaxed exponent n_t/n that the closed
-    forms differentiate; the two agree exactly at multiples of n.
+    PPDU success at one frame size is ppdu_success of the two floats.  The
+    relaxed success_cont and eta_cont agree with the grid at multiples of n in
+    exact arithmetic only (x * log_p_cw / n can round off k * log_p_cw), so
+    the optimizer raises its eta bound by 1e-12 relative.
     """
 
     __slots__ = ("mode", "distance", "energy", "log_p_cw", "header_success", "t_sym")
@@ -108,8 +121,6 @@ class ModeMetrics:
         self.header_success = header_success
         self.t_sym = mode.t_sym
 
-    # -- grid objectives (integer frame sizes, whole codewords) ----------
-
     def eta(self, n_t):
         return self.eta_rate(n_t)[0]
 
@@ -122,19 +133,11 @@ class ModeMetrics:
         delivered = _delivered(n_t, self.header_success, self.log_p_cw)
         return delivered / self.energy.total(n_t), delivered / (self.t_oh + n_t * self.t_sym)
 
-    # -- continuous relaxation (exponent n_t/n) --------------------------
-
-    def success_cont(self, x: float) -> float:
-        return self.header_success * math.exp(x * self.log_p_cw / PSDU_CODE.n)
-
-    def rate_cont(self, x: float) -> float:
-        return self.rate_cont_slopes(x)[0]
-
     def rate_cont_slopes(self, x: float) -> tuple[float, float, float]:
-        """(rate_cont(x), its d/dx, and d/dx of the relaxed efficiency
-        x * success_cont(x) / energy.total(x), zero exactly at the closed-form
-        optimum), all from one success_cont(x)."""
-        s = self.success_cont(x)
+        """(the relaxed throughput x * s / air time(x), its d/dx, and d/dx of
+        eta_cont, zero exactly at the closed-form optimum), all from one
+        relaxed success s = success_cont at x."""
+        s = success_cont(self.header_success, self.log_p_cw, x)
         cx = self.log_p_cw / PSDU_CODE.n * x
         t_sym, t_oh, energy = self.t_sym, self.t_oh, self.energy
         eps_b, eps_fixed = energy.eps_b, energy.eps_fixed

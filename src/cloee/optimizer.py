@@ -26,8 +26,8 @@ environment.  Each mode it finishes takes one of three branches:
 The feasible mode with the best efficiency wins, the first of equals in
 environment order; when nothing is feasible the best-throughput fallback is
 returned.  Only the modes that can still win are finished.  A mode's eta
-bound is its relaxed efficiency x * success_cont(x) / energy.total(x) at its
-efficiency closed form x, clamped to the grid's span [n, n * (n_t_max // n)].
+bound is its relaxed efficiency, metrics.eta_cont, at its efficiency closed
+form x, clamped to the grid's span [n, n * (n_t_max // n)].
 In exact arithmetic it is at least every grid eta of the mode, as the relaxed
 and grid objectives agree on the grid; in floats it can sit below the mode's
 grid maximum (by up to 4.7e-16 relative on the binding rows), and only a
@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError, is_int
 from .frame import PSDU_CODE
-from .metrics import LinkModel, ModeMetrics, QosSpec
+from .metrics import LinkModel, ModeMetrics, QosSpec, eta_cont
 
 
 # The oracle and the curves scan every codeword multiple up to n_t_max, so
@@ -162,11 +162,11 @@ def snap_to_grid(mm: ModeMetrics, x: float, n_t_max: int, by: int) -> tuple[int,
 
 
 def _rate_boundary(mm: ModeMetrics, r0ns: float, x_in: float, x_out: float) -> tuple:
-    """Crossing of rate_cont = r0ns between a rate-feasible x_in and an infeasible
-    x_out, both codeword multiples, so every probe x is >= n and the stop is
-    relative to it, by Newton's method kept inside the bracket (rtsafe): each
-    probe moves the end that rate >= r0ns says, and the next is the Newton
-    step if it lands strictly inside, else the midpoint.  Returns the last
+    """Where the relaxed rate crosses r0ns between a feasible x_in and an
+    infeasible x_out, both codeword multiples (every probe x is >= n, and the
+    stop relative to it), by Newton's method kept inside the bracket (rtsafe):
+    each probe moves the end that rate >= r0ns says, and the next is the
+    Newton step if strictly inside, else the midpoint.  Returns the last
     probe, its rate_cont_slopes and the count, (x, rate, d rate, d eta, probes)."""
     x, probes = 0.5 * (x_in + x_out), 0
     while True:
@@ -192,7 +192,7 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
     # rounding, lambda* = 0) or the constraint is active and lambda* follows
     # from stationarity d(eta)/dn + lambda * d(R)/dn = 0 at the boundary x
     # between nthr (grid-feasible) and nee (grid-infeasible).
-    x, kkt_rate, lam_star, probes = x_ee, mm.rate_cont(x_ee), 0.0, 0
+    x, kkt_rate, lam_star, probes = x_ee, mm.rate_cont_slopes(x_ee)[0], 0.0, 0
     if kkt_rate < r0ns:
         x, kkt_rate, rate_grad, eta_grad, probes = _rate_boundary(mm, r0ns, nthr, nee)
         lam_star = max(0.0, -eta_grad / rate_grad)
@@ -201,7 +201,7 @@ def _dual(mm: ModeMetrics, r0ns: float, x_ee: float, nee: int, nthr: int) -> Opt
     # rate-feasible multiples form an interval around nthr, and eta is
     # unimodal too: the answer is that interval's end facing nee, the
     # multiple on nthr's side of x unless the grid rate says otherwise (x is
-    # the crossing to 1e-9 relative, and rate_cont at a multiple can be an
+    # the crossing to 1e-9 relative, and a multiple's relaxed rate can be an
     # ulp off the grid rate).  nthr and nee bound the walk, which reads each
     # multiple's (eta, rate) once and keeps the answer's: only a feasible
     # start steps toward nee, as an infeasible one is the multiple past the
@@ -276,7 +276,8 @@ def solve_env(env: tuple[ModeMetrics, ...], qos: QosSpec, cfg: SolverConfig) -> 
         return (xs[m], *snap_to_grid(env[m], xs[m], n_t_max, 0))
 
     return _decide(lambda m: env[m].mode.n_cpb, env.__getitem__,
-                   [x * mm.success_cont(x) / mm.energy.total(x) for mm, x in zip(env, xs)],
+                   [eta_cont(x, mm.header_success, mm.log_p_cw, mm.energy)
+                    for mm, x in zip(env, xs)],
                    qos.aggregate_rate, peak, efficiency)
 
 

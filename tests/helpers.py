@@ -62,6 +62,12 @@ def success(mm: ModeMetrics, n_t: int) -> float:
     return ppdu_success(mm.header_success, mm.log_p_cw, n_t)
 
 
+def rate_cont(mm: ModeMetrics, x: float) -> float:
+    """The relaxed throughput of mm at a real frame size x: the first value
+    of its rate_cont_slopes."""
+    return mm.rate_cont_slopes(x)[0]
+
+
 def metrics_at(model: LinkModel, distance: float, n_cpb: int, chi: float = 0.0) -> ModeMetrics:
     """The n_cpb mode of model.env(distance, chi)."""
     return next(mm for mm in model.env(distance, chi) if mm.mode.n_cpb == n_cpb)

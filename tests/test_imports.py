@@ -217,6 +217,51 @@ def test_only_the_header_composition_reads_its_codes():
         == {("metrics.py", "_header_success")}
 
 
+def exponent_spellers(source: str) -> list[str]:
+    """The functions of source that spell the relaxed exponent, a chain of *
+    and / with log_p_cw (bare or off an object) among its factors and n
+    (likewise) among its divisors, sorted (functions's names)."""
+    def leaves(node, divides=False):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            yield from leaves(node.left, divides)
+            yield from leaves(node.right, divides ^ isinstance(node.op, ast.Div))
+        else:
+            yield (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)), divides
+
+    def spells(node):
+        return (isinstance(node, ast.BinOp)
+                and {("log_p_cw", False), ("n", True)} <= set(leaves(node)))
+
+    return sorted(name for name, node in functions(source).items()
+                  if any(map(spells, ast.walk(node))))
+
+
+def test_the_check_finds_exponent_spellers():
+    source = ("def success_cont(h, log_p_cw, x, exp=math.exp):\n"
+              "    return h * exp(x * log_p_cw / PSDU_CODE.n)\n"
+              "def solve_envs(cols, xs, n):\n"
+              "    return xs * _map(math.exp, -xs * cols.log_p_cw / n)\n"
+              "class C:\n"
+              "    def slopes(self, x):\n"
+              "        return self.log_p_cw / self.n * x\n"
+              "    def halves(self, x):\n"
+              "        return x / n * self.log_p_cw\n"
+              "def grid(n_t, log_p_cw, n):\n"
+              "    return exp(-(-n_t // n) * log_p_cw), n / log_p_cw, log_p_cw / m, x / n\n"
+              "def closed_form(half, fixed, denom):\n"
+              "    return math.sqrt(half * half - PSDU_CODE.n * fixed / denom) - half\n")
+    assert exponent_spellers(source) == ["C.halves", "C.slopes", "solve_envs", "success_cont"]
+
+
+def test_only_the_relaxation_spells_its_exponent():
+    # The one relaxed success: metrics.success_cont raises libm's exp (or its
+    # map over a block's lanes) to x * log_p_cw / n, and metrics.eta_cont,
+    # the eta bound at both widths, reads it; only rate_cont_slopes, which
+    # differentiates the exponent, spells it again.
+    assert {(m, site) for m in MODULES for site in exponent_spellers((PACKAGE / m).read_text())} \
+        == {("metrics.py", "success_cont"), ("metrics.py", "ModeMetrics.rate_cont_slopes")}
+
+
 def test_only_the_array_modules_import_numpy_at_the_top():
     assert {m for m in MODULES if "numpy" in top_level_imports((PACKAGE / m).read_text())} \
         == NUMPY_MODULES

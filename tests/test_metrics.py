@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import sys
+from functools import partial
 from unittest import mock
 
 import mpmath
@@ -15,18 +16,18 @@ from hypothesis import strategies as st
 from cloee import (MODE_TABLE, ConfigError, EnergyParams, LinkModel, QosSpec, Scenario,
                    SolverConfig, bit_error_probs, channel, energy, energy_breakdown, metrics,
                    optimizer, reliability)
-from cloee.block import _columns, bit_error_array, columns, grid, link_block
+from cloee.block import _columns, _map, bit_error_array, columns, grid, link_block
 from cloee.frame import MODE_POSITION
-from cloee.metrics import _I_PHR, _I_SHR, ModeMetrics, _header_success
+from cloee.metrics import _I_PHR, _I_SHR, ModeMetrics, _header_success, eta_cont
 from cloee.reliability import KASAMI_BLOCK, PHR_BLOCK, block_success, shr_success
 from cloee.optimizer import solve_env
-from helpers import (MODEL_VARIANTS, binding_envs, is_unimodal_max, metrics_at,
+from helpers import (MODEL_VARIANTS, binding_envs, is_unimodal_max, metrics_at, rate_cont,
                      single_pb_metrics, success)
 
 
 def _eta_cont(mm, x):
     """The relaxed efficiency whose derivative rate_cont_slopes gives last."""
-    return x * mm.success_cont(x) / mm.energy.total(x)
+    return eta_cont(x, mm.header_success, mm.log_p_cw, mm.energy)
 
 
 class TestQosSpec:
@@ -259,7 +260,7 @@ class TestContinuousRelaxation:
         mm = metrics_at(model, 6.5, 16)
         for k in (1, 2, 10, 100, 130):
             assert _eta_cont(mm, 63 * k) == pytest.approx(mm.eta(63 * k), rel=1e-12)
-            assert mm.rate_cont(63 * k) == pytest.approx(mm.rate(63 * k), rel=1e-12)
+            assert rate_cont(mm, 63 * k) == pytest.approx(mm.rate(63 * k), rel=1e-12)
 
     def test_grid_below_relaxation_between_multiples(self, model):
         mm = metrics_at(model, 6.5, 16)
@@ -273,11 +274,28 @@ class TestContinuousRelaxation:
         for x in (150.0, 400.0, 1200.0):
             h = x * 1e-6
             fd_eta = (_eta_cont(mm, x + h) - _eta_cont(mm, x - h)) / (2 * h)
-            fd_rate = (mm.rate_cont(x + h) - mm.rate_cont(x - h)) / (2 * h)
+            fd_rate = (rate_cont(mm, x + h) - rate_cont(mm, x - h)) / (2 * h)
             rate, rate_grad, eta_grad = mm.rate_cont_slopes(x)
-            assert rate == mm.rate_cont(x)
+            assert rate == rate_cont(mm, x)
             assert eta_grad == pytest.approx(fd_eta, rel=1e-5)
             assert rate_grad == pytest.approx(fd_rate, rel=1e-5)
+
+    @pytest.mark.parametrize("codewords", [8, 130, 4096])
+    def test_eta_cont_on_a_block_equals_its_scalar_calls(self, codewords):
+        # The eta bound at both widths: eta_cont on a block's columns, with
+        # libm's exp mapped over the lanes, at each mode's efficiency closed
+        # form clamped to a grid of that many codewords, is repr-equal lane
+        # for lane to the scalar call, as solve_envs' bounds are solve_env's.
+        envs = [env for env, _ in binding_envs(256)]
+        xs = [[optimizer.clamp_to_span(optimizer.nt_closed_form(
+            mm.energy.eps_b, mm.energy.eps_fixed, mm.log_p_cw), 63 * codewords) for mm in env]
+            for env in envs]
+        cols = columns(envs)
+        lanes = eta_cont(np.array(xs)[..., None], cols.header_success, cols.log_p_cw, cols.energy,
+                         partial(_map, math.exp))
+        assert list(map(repr, lanes.ravel().tolist())) == [
+            repr(eta_cont(x, mm.header_success, mm.log_p_cw, mm.energy))
+            for env, env_xs in zip(envs, xs) for mm, x in zip(env, env_xs)]
 
 
 class TestGrid:

@@ -44,12 +44,13 @@ from cloee import (
 from cloee import block as block_layer, metrics, optimizer, sweep
 from cloee.block import columns, search_envs, solve_envs
 from cloee.frame import MODE_POSITION
-from cloee.metrics import _header_success
+from cloee.metrics import _header_success, eta_cont
 from cloee.optimizer import N_T_MAX_LIMIT, clamp_to_span, snap_to_grid, solve_env
 from cloee.reliability import PSDU_BLOCK, block_log_success
 from helpers import (BINDING_CSV, MODEL_VARIANTS, binding_envs, grid_argmax, grid_multipliers,
-                     metrics_at, mode_for, reference_search_env, reference_snap, reference_solve_env,
-                     reference_sweep, search_env, single_pb_metrics, solve_env_pruned, success)
+                     metrics_at, mode_for, rate_cont, reference_search_env, reference_snap,
+                     reference_solve_env, reference_sweep, search_env, single_pb_metrics,
+                     solve_env_pruned, success)
 
 
 TESTS = Path(__file__).resolve().parent
@@ -1042,7 +1043,7 @@ class TestRateFloorAtEquality:
             if res.branch == "dual":
                 mm = env[MODE_POSITION[res.n_cpb_star]]
                 floors += [("grid", res.rate, None),
-                           ("x_ee", mm.rate_cont(_x_ee(mm, cfg)), res.n_cpb_star)]
+                           ("x_ee", rate_cont(mm, _x_ee(mm, cfg)), res.n_cpb_star)]
             for kind, floor, n_cpb in floors:
                 exact = QosSpec(r0=floor, n_s=1)
                 assert exact.aggregate_rate == floor
@@ -1118,7 +1119,7 @@ class TestRateBoundaryNewton:
         # end on the other side of the peak).
         x, rate, _, _, _ = optimizer._rate_boundary(mm, floor, x_in, x_out)
         assert min(1024.0, x_out) < x < max(1024.0, x_out)
-        assert rate == mm.rate_cont(x) <= peak
+        assert rate == rate_cont(mm, x) <= peak
         assert abs(rate - floor) <= 1e-12 * floor
 
     @pytest.mark.parametrize("x_peak,fixed_over_eps_b", [(1024.0, 2048.0), (2048.0, 512.0)])
@@ -1158,7 +1159,7 @@ class TestRateBoundaryNewton:
                 sol = solve_mode(mm, qos, cfg)
                 floor = mm.rate(sol.n_t_star)
                 if (sol.branch != "dual" or sol.n_t_star == sol.nthr
-                        or not mm.rate_cont(float(sol.n_t_star)) < floor):
+                        or not rate_cont(mm, float(sol.n_t_star)) < floor):
                     continue
                 n_star = float(sol.n_t_star)
                 x_out = n_star + (n if sol.nee > sol.nthr else -n)
@@ -1280,7 +1281,7 @@ class TestDualWalk:
                 if sol.branch != "dual":
                     continue
                 x_ee = _x_ee(mm, cfg)
-                grid_rate, cont_rate = mm.rate(sol.n_t_star), mm.rate_cont(x_ee)
+                grid_rate, cont_rate = mm.rate(sol.n_t_star), rate_cont(mm, x_ee)
                 for floor in (grid_rate, math.nextafter(grid_rate, math.inf),
                               cont_rate, math.nextafter(cont_rate, math.inf)):
                     if not mm.rate(sol.nee) < floor <= mm.rate(sol.nthr):
@@ -1421,7 +1422,7 @@ class TestBoundPruning:
         first, twin = self._twins()
         cfg = SolverConfig(n_t_max=n_t_max)
         x = float(n_t_max // 63 * 63)
-        assert x * first.success_cont(x) / first.energy.total(x) == first.eta(int(x))
+        assert eta_cont(x, first.header_success, first.log_p_cw, first.energy) == first.eta(int(x))
         for qos in (QosSpec(r0=1.0, n_s=1), QosSpec(r0=1e9, n_s=64)):
             for env, n_cpb in (((first, twin), 2), ((twin, first), 8)):
                 res, pruned = solve_env_pruned(env, qos, cfg)
@@ -1430,6 +1431,24 @@ class TestBoundPruning:
                 # The second mode's bound equals the best eta so far, so
                 # it is visited, not pruned.
                 assert pruned == 0
+
+    def test_the_raise_visits_a_bound_below_its_grid_maximum(self):
+        # In floats a bound can sit an ulp below its mode's grid maximum, as
+        # binding row 0's n_cpb = 8 bound does at 8 codewords.  An error-free
+        # mode whose eta, and so its bound, is that maximum is visited first;
+        # only _decide's 1e-12 raise then visits the n_cpb = 8 mode, which ties
+        # it and, first in the environment, wins.
+        cfg, qos = SolverConfig(n_t_max=504), QosSpec(r0=1.0, n_s=1)
+        low = next(binding_envs(1))[0][MODE_POSITION[8]]
+        x = clamp_to_span(nt_closed_form(low.energy.eps_b, low.energy.eps_fixed, low.log_p_cw), 504)
+        top = low.eta(504)
+        assert eta_cont(x, low.header_success, low.log_p_cw, low.energy) < top
+        energy = EnergyBreakdown(low.energy.eps_b, 504 / top - 504 * low.energy.eps_b, 0.0)
+        exact = ModeMetrics(mode_for(2), low.distance, 0.0, 1.0, energy)
+        assert exact.eta(504) == top
+        res, pruned = solve_env_pruned((low, exact), qos, cfg)
+        assert res == reference_solve_env((low, exact), qos, cfg)
+        assert (res.n_cpb_star, res.eta, pruned) == (8, top, 0)
 
     def test_bound_equal_to_the_best_is_visited(self):
         # An error-free mode's bound is its grid eta at the ceiling; a
