@@ -45,7 +45,7 @@ def bit_error_array(points, eps_p: float, params: ChannelParams = DEFAULT_CHANNE
     """bit_error_probs at each (d, chi) of points as a (points, modes) array,
     element for element: the gains point by point, ebn0 and the argument of Q
     with numpy's IEEE operations in the scalar order, and q_function (libm's
-    erfc, exp and log) over the lanes.  The first point that fails raises
+    erfc) over the lanes.  The first point that fails raises
     bit_error_probs's error.  An argument of Q whose square overflows is inf,
     and Q of it 0, as in bit_error_probs; a lane with ebn0 = 0 is 0.5.
     """

@@ -153,10 +153,6 @@ class TestQFunction:
             assert math.log(q_function(float(x))) == pytest.approx(
                 float(mpmath.log(_mp_q(float(x)))), rel=1e-9)
 
-    def test_continuous_at_branch_switch(self):
-        lo, hi = q_function(30.0 - 1e-9), q_function(30.0 + 1e-9)
-        assert lo == pytest.approx(hi, rel=1e-9)
-
     def test_extremes(self):
         assert q_function(0.0) == 0.5
         assert q_function(37.0) > 0.0
@@ -164,13 +160,12 @@ class TestQFunction:
 
 class TestQAccuracyBudget:
     # q_function against 60-digit mpmath on seeded x, 100 per band, within 8
-    # ulps of the exact value (the tails' budget) in each branch: erfc's, to
-    # x = 30, and the asymptotic series' beyond it, to x = 37.5, below which Q
-    # is a normal float.  Only erfc's band below x = 1 meets it (these draws
-    # read 1.6 ulps, denser ones 2.1).  Beyond, erfc amplifies the rounding of
-    # x / sqrt 2 by about x**2, and exp the rounding of the asymptotic
-    # exponent, near -x**2 / 2 (these draws read 968 and 1,091 ulps), so those
-    # bands are strict xfails: item 9's fix flips them, and drops the marker.
+    # ulps of the exact value (the tails' budget): erfc's at every x, in three
+    # bands to x = 37.5, below which Q is a normal float.  Only the band below
+    # x = 1 meets it (these draws read 1.6 ulps, denser ones 2.1).  Beyond,
+    # erfc amplifies the rounding of x / sqrt 2 by about x**2 (these draws
+    # read 968 and 1,372 ulps), so those bands are strict xfails: item 9's fix
+    # flips them, and drops the marker.
     ULPS = 8.0
 
     @pytest.mark.parametrize("lo,hi", [
@@ -179,9 +174,9 @@ class TestQAccuracyBudget:
             reason="erfc's rounding of x / sqrt 2 costs up to 1,566 ulps; ROADMAP item 9's fix "
                    "corrects erfc by it")),
         pytest.param(30.0, 37.5, marks=pytest.mark.xfail(
-            reason="the rounded exponent costs up to 1,629 ulps through exp; ROADMAP item 9's fix "
-                   "takes it in double-double")),
-    ], ids=["erfc-below-1", "erfc", "asymptotic"])
+            reason="erfc's rounding of x / sqrt 2 costs up to 1,662 ulps past 30; ROADMAP item "
+                   "9's fix corrects erfc by it")),
+    ], ids=["erfc-below-1", "erfc", "erfc-past-30"])
     def test_within_budget(self, lo, hi):
         worst = 0.0
         for x in np.random.default_rng(20261020).uniform(lo, hi, 100).tolist():

@@ -217,6 +217,37 @@ def test_only_the_header_composition_reads_its_codes():
         == {("metrics.py", "_header_success")}
 
 
+def erfc_readers(source: str) -> list[str]:
+    """The functions of source that load erfc (bare or off a module), sorted
+    (functions's names)."""
+    return sorted(name for name, node in functions(source).items()
+                  if any(isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+                         and (n.id if isinstance(n, ast.Name) else n.attr) == "erfc"
+                         for n in ast.walk(node)))
+
+
+def test_the_check_finds_erfc_readers():
+    source = ("def q_function(x):\n"
+              "    return 0.5 * math.erfc(x / _SQRT2)\n"
+              "def bit_error_array(x, s):\n"
+              "    return 0.5 * _map(math.erfc, x / s)\n"
+              "class C:\n"
+              "    def f(self, x):\n"
+              "        return erfc(x)\n"
+              "def g(x):\n"
+              "    erfc = x\n"
+              "    return _map(q_function, x), x.erfc_like\n")
+    assert erfc_readers(source) == ["C.f", "bit_error_array", "q_function"]
+
+
+def test_only_q_reads_erfc():
+    # One Q: channel.q_function is 0.5 * erfc(x / sqrt 2) at every x, and
+    # block maps it over a block's lanes, so no other function of the
+    # package reads erfc (a second Q body, however bit-equal, is refused).
+    assert {(m, site) for m in MODULES for site in erfc_readers((PACKAGE / m).read_text())} \
+        == {("channel.py", "q_function")}
+
+
 def exponent_spellers(source: str) -> list[str]:
     """The functions of source that spell the relaxed exponent, a chain of *
     and / with log_p_cw (bare or off an object) among its factors and n

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cloee import block as block_layer
 from cloee import reliability
 from cloee.block import block_log_successes, block_successes
+from cloee.channel import q_function
 from cloee.metrics import _header_success
 from cloee.reliability import (KASAMI_BLOCK, PHR_BLOCK, PSDU_BLOCK, _block, _direct, _upper,
                                block_log_success, block_success, shr_success)
@@ -343,6 +344,26 @@ class TestFrameCodeKernel:
             _header_success(0.75, 0.1)
         with pytest.raises(ValueError, match=re.escape(msg + "-0.5")):
             _header_success(0.1, -0.5)
+
+
+class TestSaturatedPastQ30:
+    # Why channel.q_function is erfc alone: past x = 30 every frame code's
+    # tails read 1.0 and 0.0 at both widths, so no output reads Q's value
+    # there.  On a 0.001 grid in x the last unsaturated point is x = 22.265
+    # (p_b ~ 4.0e-110); erfc reaches 0 from x ~ 38.48 on (38.5 here), and
+    # x = inf is an argument whose square overflows.
+    X = [*np.random.default_rng(20261022).uniform(30.0, 38.5, 200).tolist(), 38.5, math.inf]
+
+    @pytest.mark.parametrize("block", [PSDU_BLOCK, KASAMI_BLOCK, PHR_BLOCK],
+                             ids=["psdu", "kasami", "phr"])
+    def test_tails_are_saturated(self, block):
+        ps = [q_function(x) for x in self.X]
+        assert ps[-2:] == [0.0, 0.0]
+        for x, p in zip(self.X, ps):
+            assert block_success(p, block) == 1.0, x
+            assert block_log_success(p, block) == 0.0, x
+        assert (block_successes(np.array(ps), block) == 1.0).all()
+        assert (block_log_successes(np.array(ps), block) == 0.0).all()
 
 
 def _sections(p_b: float) -> tuple[float, float, float]:
